@@ -43,10 +43,12 @@ _MAP_NAME = re.compile(r"^(?P<image_id>\d+)_s(?P<scale_id>\d+)\.fmap$")
 
 
 def _workers() -> int:
+    """Worker processes from ``PYRSAMPLE_WORKERS``, clamped to [1, cpu count]."""
     try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+        requested = int(os.environ.get(WORKERS_ENV, "1"))
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _positive_worker(payload):
@@ -216,31 +218,35 @@ def cmd_stack(args) -> int:
     index = load_dataset(args.annotations)
     by_scale = {s.scale_id: s for s in cfg.pyramid}
     per_image: dict[int, dict[int, list[Detection]]] = {}
-    for record in _load_stack_records(Path(args.detections)):
-        image_id = int(record["image_id"])
-        scale_id = int(record["scale_id"])
+    for position, record in enumerate(_load_stack_records(Path(args.detections))):
+        try:
+            image_id = int(record["image_id"])
+            scale_id = int(record["scale_id"])
+            canvas = ImageSize(int(record["canvas"]["width"]), int(record["canvas"]["height"]))
+            if record.get("chip") is None:
+                chip = BoundingBox(0.0, 0.0, canvas.width, canvas.height)
+            else:
+                chip = BoundingBox(*record["chip"])
+            dets = []
+            for entry in record.get("detections", []):
+                x, y, w, h = (float(v) for v in entry["bbox"])
+                dets.append(
+                    Detection(
+                        box=BoundingBox(x, y, x + w, y + h).translate(chip.x1, chip.y1),
+                        score=float(entry["score"]),
+                        class_id=int(entry["category_id"]),
+                        scale_id=scale_id,
+                        chip=chip,
+                    )
+                )
+        except (KeyError, TypeError, ValueError) as exc:
+            problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise FormatError(f"{args.detections}: record {position}: {problem}") from exc
         if image_id not in index.images:
             raise FormatError(f"detections reference unknown image id {image_id}")
         if scale_id not in by_scale:
             raise FormatError(f"detections reference unknown scale id {scale_id}")
         spec = by_scale[scale_id]
-        canvas = ImageSize(int(record["canvas"]["width"]), int(record["canvas"]["height"]))
-        if record.get("chip") is None:
-            chip = BoundingBox(0.0, 0.0, canvas.width, canvas.height)
-        else:
-            chip = BoundingBox(*record["chip"])
-        dets = []
-        for entry in record.get("detections", []):
-            x, y, w, h = (float(v) for v in entry["bbox"])
-            dets.append(
-                Detection(
-                    box=BoundingBox(x, y, x + w, y + h).translate(chip.x1, chip.y1),
-                    score=float(entry["score"]),
-                    class_id=int(entry["category_id"]),
-                    scale_id=scale_id,
-                    chip=chip,
-                )
-            )
         if cfg.prune_before_range_filter:
             dets = prune_boundary_detections(dets, chip, canvas, eps=cfg.boundary_eps)
             dets = filter_detections_by_range(dets, spec)

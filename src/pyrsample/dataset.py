@@ -11,6 +11,7 @@ import json
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 
 from .chips import ProposalSet
@@ -66,11 +67,31 @@ def _read_json(path: str | Path) -> object:
         raise DatasetParseError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def _xywh(entry: dict) -> tuple[float, float, float, float]:
+    """An entry's ``bbox`` as four finite floats with non-negative extent."""
+    x, y, w, h = map(float, entry["bbox"])
+    if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
+        raise ValueError(f"bbox is not finite: {[x, y, w, h]}")
+    if w < 0 or h < 0:
+        raise ValueError(f"negative bbox extent: {[x, y, w, h]}")
+    return x, y, w, h
+
+
+def _entry_error(
+    path: str | Path, position: int, entry: object, exc: Exception
+) -> DatasetStructureError:
+    """Error naming an annotation by its id, or a results entry by position."""
+    if isinstance(entry, dict) and "id" in entry:
+        name = f"annotation id {entry['id']!r}"
+    else:
+        name = f"entry {position}"
+    problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return DatasetStructureError(f"{path}: {name}: {problem}")
+
+
 def _clamped_box(
     x: float, y: float, w: float, h: float, size: ImageSize
 ) -> tuple[BoundingBox, bool]:
-    if w < 0 or h < 0:
-        raise DatasetStructureError(f"negative bbox extent: {[x, y, w, h]}")
     x1, y1, x2, y2 = x, y, x + w, y + h
     cx1 = min(max(x1, 0.0), size.width)
     cy1 = min(max(y1, 0.0), size.height)
@@ -94,7 +115,8 @@ def load_dataset(
 
     Raises DatasetParseError on unreadable or malformed JSON and
     DatasetStructureError when annotations, proposals, or detections
-    reference image ids that do not exist.
+    reference image ids that do not exist, lack a required key, or have a
+    negative or non-finite bbox.
     """
     data = _read_json(annotation_path)
     if not isinstance(data, dict) or "images" not in data:
@@ -118,21 +140,21 @@ def load_dataset(
     annotations: dict[int, list[GroundTruthInstance]] = {iid: [] for iid in images}
     clamped_count = 0
     dangling: list[int] = []
-    for ann in data.get("annotations", []):
-        image_id = int(ann["image_id"])
+    for position, ann in enumerate(data.get("annotations", [])):
+        try:
+            image_id = int(ann["image_id"])
+            x, y, w, h = _xywh(ann)
+            class_id = int(ann["category_id"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _entry_error(annotation_path, position, ann, exc) from exc
         if image_id not in images:
             dangling.append(image_id)
             continue
-        x, y, w, h = (float(v) for v in ann["bbox"])
         box, clamped = _clamped_box(x, y, w, h, images[image_id].size)
         if clamped:
             clamped_count += 1
         annotations[image_id].append(
-            GroundTruthInstance(
-                box=box,
-                class_id=int(ann["category_id"]),
-                is_crowd=bool(ann.get("iscrowd", 0)),
-            )
+            GroundTruthInstance(box=box, class_id=class_id, is_crowd=bool(ann.get("iscrowd", 0)))
         )
     if dangling:
         raise DatasetStructureError(
@@ -161,15 +183,19 @@ def load_proposals(path: str | Path, index: DatasetIndex) -> dict[int, ProposalS
     boxes: dict[int, list[BoundingBox]] = {}
     scores: dict[int, list[float]] = {}
     dangling = []
-    for entry in data:
-        image_id = int(entry["image_id"])
+    for position, entry in enumerate(data):
+        try:
+            image_id = int(entry["image_id"])
+            x, y, w, h = _xywh(entry)
+            score = float(entry.get("score", 1.0))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _entry_error(path, position, entry, exc) from exc
         if image_id not in index.images:
             dangling.append(image_id)
             continue
-        x, y, w, h = (float(v) for v in entry["bbox"])
         box, _ = _clamped_box(x, y, w, h, index.images[image_id].size)
         boxes.setdefault(image_id, []).append(box)
-        scores.setdefault(image_id, []).append(float(entry.get("score", 1.0)))
+        scores.setdefault(image_id, []).append(score)
     if dangling:
         raise DatasetStructureError(
             f"{path}: proposals reference missing image ids {sorted(set(dangling))[:20]}"
@@ -186,20 +212,19 @@ def load_detections(path: str | Path, index: DatasetIndex) -> dict[int, list[Det
         raise DatasetStructureError(f"{path}: results file must be a JSON array")
     out: dict[int, list[Detection]] = {}
     dangling = []
-    for entry in data:
-        image_id = int(entry["image_id"])
+    for position, entry in enumerate(data):
+        try:
+            image_id = int(entry["image_id"])
+            x, y, w, h = _xywh(entry)
+            score = float(entry["score"])
+            class_id = int(entry["category_id"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _entry_error(path, position, entry, exc) from exc
         if image_id not in index.images:
             dangling.append(image_id)
             continue
-        x, y, w, h = (float(v) for v in entry["bbox"])
         box, _ = _clamped_box(x, y, w, h, index.images[image_id].size)
-        out.setdefault(image_id, []).append(
-            Detection(
-                box=box,
-                score=float(entry["score"]),
-                class_id=int(entry["category_id"]),
-            )
-        )
+        out.setdefault(image_id, []).append(Detection(box=box, score=score, class_id=class_id))
     if dangling:
         raise DatasetStructureError(
             f"{path}: detections reference missing image ids {sorted(set(dangling))[:20]}"

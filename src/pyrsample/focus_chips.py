@@ -9,6 +9,7 @@ side, and merge rectangles until none overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -110,72 +111,67 @@ def dilate(bm: BinaryMap, size: int) -> BinaryMap:
 def connected_components(bm: BinaryMap) -> list[ConnectedComponent]:
     """Partition 1-cells into maximal 8-connected components.
 
-    Two-pass labeling with union-find; components are returned ordered by
-    their top-left-most cell in scan order.
+    Run-based labeling (He et al., IEEE TIP 2008): the horizontal runs of
+    1-cells come from one ``np.diff`` over the zero-padded mask, runs in
+    adjacent rows whose column spans overlap or meet diagonally are joined
+    by a union-find over runs, and each component's cells and bounds are
+    read off its runs. Components are ordered by their top-left-most cell in
+    scan order; each component's ``cells`` are in row-major order.
     """
-    cells = np.asarray(bm.cells, dtype=bool)
-    h, w = cells.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    parent: list[int] = [0]
+    h, w = bm.cells.shape
+    width = w + 2
+    padded = np.zeros((h, width), dtype=bool)
+    padded[:, 1:-1] = bm.cells
+    # Flat positions row * width + column + 1 of each run's first cell and of
+    # the zero just past its last cell, alternating, in scan order.
+    edges = np.flatnonzero(np.diff(padded.ravel())) + 1
+    if len(edges) == 0:
+        return []
+    starts, ends = edges[0::2], edges[1::2]
+    # Run b in the next row touches run a (8-connectivity) when its span
+    # reaches a's span widened by one column. Positions increase along the
+    # runs, so the runs touching a form the index range lo[a]:hi[a].
+    lo = np.searchsorted(ends, starts + width, side="left").tolist()
+    hi = np.searchsorted(starts, ends + width, side="right").tolist()
+    rows = starts // width
+    offsets = rows * width + 1
+    first_cols = (starts - offsets).tolist()
+    end_cols = (ends - offsets).tolist()
+    rows = rows.tolist()
+
+    # Union-find over runs.
+    parent = list(range(len(rows)))
 
     def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
+    for a in range(len(rows)):
+        for b in range(lo[a], hi[a]):
+            parent[find(b)] = find(a)
 
-    next_label = 1
-    for i in range(h):
-        for j in range(w):
-            if not cells[i, j]:
-                continue
-            neighbor_labels = []
-            if i > 0:
-                if j > 0 and labels[i - 1, j - 1]:
-                    neighbor_labels.append(labels[i - 1, j - 1])
-                if labels[i - 1, j]:
-                    neighbor_labels.append(labels[i - 1, j])
-                if j + 1 < w and labels[i - 1, j + 1]:
-                    neighbor_labels.append(labels[i - 1, j + 1])
-            if j > 0 and labels[i, j - 1]:
-                neighbor_labels.append(labels[i, j - 1])
-            if not neighbor_labels:
-                labels[i, j] = next_label
-                parent.append(next_label)
-                next_label += 1
-            else:
-                smallest = min(neighbor_labels)
-                labels[i, j] = smallest
-                for other in neighbor_labels:
-                    union(smallest, other)
-
-    components: dict[int, ConnectedComponent] = {}
-    order: list[int] = []
-    for i in range(h):
-        for j in range(w):
-            if not cells[i, j]:
-                continue
-            root = find(labels[i, j])
-            comp = components.get(root)
-            if comp is None:
-                comp = ConnectedComponent([], i, j, i, j)
-                components[root] = comp
-                order.append(root)
-            comp.cells.append((i, j))
-            comp.min_row = min(comp.min_row, i)
-            comp.min_col = min(comp.min_col, j)
-            comp.max_row = max(comp.max_row, i)
-            comp.max_col = max(comp.max_col, j)
-    return [components[root] for root in order]
+    # Runs are visited in scan order, so components come out ordered by their
+    # first cell and each one lists its runs row-major.
+    runs: dict[int, list[int]] = {}
+    for i in range(len(rows)):
+        runs.setdefault(find(i), []).append(i)
+    components = []
+    for members in runs.values():
+        cells: list[tuple[int, int]] = []
+        for i in members:
+            cells.extend(zip(repeat(rows[i]), range(first_cols[i], end_cols[i])))
+        components.append(
+            ConnectedComponent(
+                cells,
+                rows[members[0]],
+                min([first_cols[i] for i in members]),
+                rows[members[-1]],
+                max([end_cols[i] for i in members]) - 1,
+            )
+        )
+    return components
 
 
 def _expand_interval(lo: float, hi: float, min_len: float, limit: float) -> tuple[float, float]:
@@ -198,22 +194,35 @@ def expand_to_min_size(rect: BoundingBox, min_side: float, image: ImageSize) -> 
 
 
 def merge_overlapping(rects: list[BoundingBox]) -> list[BoundingBox]:
-    """Replace overlapping rectangles by their joint enclosing rectangle,
-    repeated to a fixpoint so the result is pairwise non-overlapping."""
-    merged = list(rects)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(merged)):
-            for j in range(i + 1, len(merged)):
-                if merged[i].intersection(merged[j]) is not None:
-                    merged[i] = merged[i].union_rect(merged[j])
-                    del merged[j]
-                    changed = True
-                    break
-            if changed:
-                break
-    return merged
+    """Replace overlapping rectangles by their joint enclosing rectangle until
+    no two overlap; rectangles that only share an edge do not overlap.
+
+    Rectangles are inserted one at a time into a pairwise non-overlapping
+    list. An insert absorbs every kept rectangle it overlaps and, once grown,
+    is tested again, so no pair scan restarts from the beginning. Because
+    rectangles only grow, the resulting partition of the input is unique:
+    groups are listed in the order of their first member in ``rects``, each
+    as the enclosing rectangle of its members.
+    """
+    # Slots are in the order of each group's first member; an absorbed group
+    # leaves None behind so that the other slots keep their order.
+    merged: list[BoundingBox | None] = []
+    for rect in rects:
+        slot = len(merged)
+        grown = True
+        while grown:
+            grown = False
+            for k, other in enumerate(merged):
+                if other is not None and rect.intersection(other) is not None:
+                    rect = other.union_rect(rect)
+                    merged[k] = None
+                    slot = min(slot, k)
+                    grown = True
+        if slot == len(merged):
+            merged.append(rect)
+        else:
+            merged[slot] = rect
+    return [rect for rect in merged if rect is not None]
 
 
 def generate_focus_chips(

@@ -51,10 +51,12 @@ class BoundingBox:
     def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
         """Intersection rectangle, or None when the overlap has zero area."""
         x1 = max(self.x1, other.x1)
-        y1 = max(self.y1, other.y1)
         x2 = min(self.x2, other.x2)
+        if x2 <= x1:
+            return None
+        y1 = max(self.y1, other.y1)
         y2 = min(self.y2, other.y2)
-        if x2 <= x1 or y2 <= y1:
+        if y2 <= y1:
             return None
         return BoundingBox(x1, y1, x2, y2)
 

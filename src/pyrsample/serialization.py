@@ -150,6 +150,8 @@ def read_map_binary(path: str | Path) -> LabelMap | ProbabilityMap:
     magic, w_cells, h_cells, stride, img_w, img_h, dtype_tag = _HEADER.unpack_from(raw)
     if magic != MAP_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
+    if stride == 0:
+        raise FormatError(f"{path}: stride must be positive")
     payload = raw[_HEADER.size :]
     image = ImageSize(img_w, img_h)
     if dtype_tag == DTYPE_LABELS:

@@ -191,3 +191,22 @@ def hard_nms_oracle(
             if j != i and j not in suppressed and iou_oracle(boxes[i], boxes[j]) > threshold:
                 suppressed.add(j)
     return kept
+
+
+def merge_overlapping_oracle(rects: list[BoundingBox]) -> list[BoundingBox]:
+    """Restart-fixpoint merge: after every merge of an overlapping pair the
+    pair scan starts over, until no two rectangles overlap."""
+    merged = list(rects)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(merged)):
+            for j in range(i + 1, len(merged)):
+                if merged[i].intersection(merged[j]) is not None:
+                    merged[i] = merged[i].union_rect(merged[j])
+                    del merged[j]
+                    changed = True
+                    break
+            if changed:
+                break
+    return merged

@@ -1,9 +1,11 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from pyrsample import cli
 from pyrsample.cli import main
 from pyrsample.focus_labels import ProbabilityMap
 from pyrsample.geometry import ImageSize
@@ -62,6 +64,65 @@ class TestErrorRecords:
         assert record["error"]["type"] == "DatasetParseError"
         assert not (tmp_path / "o.json").exists()
 
+    def _only_error(self, capsys) -> dict:
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"bbox": [10, 10, 5, 5], "image_id": 1},
+         {"bbox": [float("nan"), 10, 5, 5], "image_id": 1, "category_id": 1}],
+        ids=["missing-category", "nan-bbox"],
+    )
+    def test_bad_annotation(self, small_coco, tmp_path, capsys, bad):
+        data = json.loads(small_coco.read_text())
+        data["annotations"].append({"id": 77, **bad})
+        small_coco.write_text(json.dumps(data))
+        rc = main(["stats", "areafractions", "--annotations", str(small_coco)])
+        assert rc == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "DatasetStructureError"
+        assert "annotation id 77" in error["message"]
+
+    @pytest.mark.parametrize(
+        "path",
+        [("canvas",), ("image_id",), ("scale_id",),
+         ("detections", 0, "bbox"), ("detections", 0, "score"),
+         ("detections", 0, "category_id")],
+        ids=lambda p: ".".join(map(str, p)),
+    )
+    def test_stack_record_missing_key(self, small_coco, tmp_path, capsys, path):
+        record = {
+            "image_id": 2,
+            "scale_id": 0,
+            "canvas": {"width": 500, "height": 375},
+            "chip": None,
+            "detections": [{"bbox": [10, 10, 150, 150], "score": 0.6, "category_id": 1}],
+        }
+        holder = record
+        for key in path[:-1]:
+            holder = holder[key]
+        del holder[path[-1]]
+        det_file = tmp_path / "dets.json"
+        det_file.write_text(json.dumps([record]))
+        rc = main(
+            ["stack", "--annotations", str(small_coco), "--detections", str(det_file),
+             "--out", str(tmp_path / "merged.json")]
+        )
+        assert rc == 1
+        assert self._only_error(capsys)["type"] == "FormatError"
+        assert not (tmp_path / "merged.json").exists()
+
+    def test_zero_stride_map(self, tmp_path, capsys):
+        maps_dir = tmp_path / "pmaps"
+        maps_dir.mkdir()
+        header = struct.pack("<4s5I2s", b"FMAP", 2, 2, 0, 64, 64, b"f4")
+        (maps_dir / "1_s0.fmap").write_bytes(header + np.ones(4, dtype="<f4").tobytes())
+        rc = main(["focus", "chips", "--probmaps", str(maps_dir), "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert self._only_error(capsys)["type"] == "FormatError"
+
 
 class TestChipsPositive:
     def test_writes_chips_and_is_deterministic(self, small_coco, tmp_path):
@@ -88,6 +149,13 @@ class TestChipsPositive:
         finally:
             del os.environ["PYRSAMPLE_WORKERS"]
         assert seq.read_bytes() == par.read_bytes()
+
+    def test_worker_count_clamped_to_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv(cli.WORKERS_ENV, str(10**9))
+        assert cli._workers() == 3
+        monkeypatch.setenv(cli.WORKERS_ENV, "-5")
+        assert cli._workers() == 1
 
 
 class TestChipsNegative:

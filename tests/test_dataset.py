@@ -119,6 +119,26 @@ class TestLoadDataset:
         with pytest.raises(DatasetStructureError, match="7"):
             load_dataset(ann, proposals_path=props)
 
+    @pytest.mark.parametrize(
+        "kind, entry, name",
+        [
+            ("annotations", {"id": 5, "image_id": 1, "category_id": 3}, "annotation id 5"),
+            ("proposals", {"image_id": 1, "bbox": [0, 0, float("inf"), 1]}, "entry 0"),
+            ("detections", {"image_id": 1, "category_id": 3, "bbox": [1, 2, 3, 4]}, "entry 0"),
+        ],
+    )
+    def test_bad_entry_names_it(self, tmp_path, kind, entry, name):
+        if kind == "annotations":
+            ann = minimal_coco(tmp_path, annotations=[entry])
+            paths = {}
+        else:
+            ann = minimal_coco(tmp_path)
+            results = tmp_path / f"{kind}.json"
+            results.write_text(json.dumps([entry]))
+            paths = {f"{kind}_path": results}
+        with pytest.raises(DatasetStructureError, match=name):
+            load_dataset(ann, **paths)
+
 
 VOC_XML = """<annotation>
   <filename>scene_{idx}.jpg</filename>

@@ -14,7 +14,7 @@ from pyrsample.focus_chips import (
 from pyrsample.focus_labels import ProbabilityMap
 from pyrsample.geometry import BoundingBox, ImageSize
 
-from oracles import dilate_oracle, flood_fill_components
+from oracles import dilate_oracle, flood_fill_components, merge_overlapping_oracle
 
 
 def prob_map(cells, stride=32):
@@ -129,18 +129,59 @@ class TestConnectedComponents:
         assert len(comps) == 2
 
     def test_matches_flood_fill_oracle(self):
-        rng = np.random.default_rng(31)
-        for _ in range(40):
-            mask = rng.random((rng.integers(2, 20), rng.integers(2, 20))) < 0.35
+        for mask in _oracle_masks():
             comps = connected_components(binary(mask.astype(np.uint8)))
             want = flood_fill_components(mask)
             got = [set(c.cells) for c in comps]
             assert got == want
             for comp in comps:
+                assert comp.cells == sorted(comp.cells)
                 rows = [i for i, _ in comp.cells]
                 cols = [j for _, j in comp.cells]
                 assert (comp.min_row, comp.max_row) == (min(rows), max(rows))
                 assert (comp.min_col, comp.max_col) == (min(cols), max(cols))
+
+
+def _spiral(n):
+    """Square spiral of 1-cells with one-cell gaps between its turns."""
+    mask = np.zeros((n, n), dtype=bool)
+    top, left, bottom, right = 0, 0, n - 1, n - 1
+    while top <= bottom and left <= right:
+        mask[top, left : right + 1] = True
+        mask[top : bottom + 1, right] = True
+        if bottom > top + 1:
+            mask[bottom, left : right + 1] = True
+        if right > left + 2:
+            mask[top + 2 : bottom + 1, left] = True
+            mask[top + 2, left : right - 1] = True
+        top, left, bottom, right = top + 2, left + 2, bottom - 2, right - 2
+    return mask
+
+
+def _oracle_masks():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        yield rng.random((rng.integers(2, 20), rng.integers(2, 20))) < 0.35
+    # Larger maps across densities, up to 64x64.
+    for density in (0.05, 0.2, 0.35, 0.5, 0.7, 0.9):
+        for _ in range(3):
+            yield rng.random((rng.integers(20, 65), rng.integers(20, 65))) < density
+    # Shapes whose runs join only on a later row: nested U's and spirals.
+    u = np.zeros((8, 11), dtype=bool)
+    u[:, [0, 10]] = True
+    u[-1, :] = True
+    u[:6, [3, 7]] = True
+    u[5, 3:8] = True
+    yield u
+    yield u[::-1]
+    for n in (5, 9, 16, 31):
+        yield _spiral(n)
+        yield _spiral(n)[:, ::-1]
+    # Runs that touch only diagonally at their ends, and near misses.
+    yield np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], dtype=bool)
+    yield np.array([[0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0]], dtype=bool)
+    yield np.array([[1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 1]], dtype=bool)
+    yield np.array([[1, 0, 1, 0, 1], [0, 1, 0, 1, 0], [1, 0, 0, 0, 1]], dtype=bool)
 
 
 class TestExpandAndMerge:
@@ -173,6 +214,29 @@ class TestExpandAndMerge:
         rects = [BoundingBox(0, 0, 10, 10), BoundingBox(10, 0, 20, 10)]
         assert merge_overlapping(rects) == rects
 
+
+    def test_grown_insert_absorbs_earlier_miss(self):
+        # C misses A, absorbs B, and the grown C then overlaps A.
+        rects = [
+            BoundingBox(0, 0, 2, 2),
+            BoundingBox(1.5, 3, 4, 5),
+            BoundingBox(3, 1, 5, 4),
+        ]
+        assert merge_overlapping(rects) == [BoundingBox(0, 0, 5, 5)]
+
+    def test_matches_restart_fixpoint_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(0, 30))
+            # Integer corners on a small grid give chains and shared edges.
+            grid = int(rng.choice([6, 20, 80]))
+            corners = rng.integers(0, grid, (n, 2))
+            sides = rng.integers(0, grid // 3 + 2, (n, 2))
+            rects = [
+                BoundingBox(float(x), float(y), float(x + w), float(y + h))
+                for (x, y), (w, h) in zip(corners, sides)
+            ]
+            assert merge_overlapping(rects) == merge_overlapping_oracle(rects)
 
 class TestGenerateFocusChips:
     def test_all_zero_map(self):
