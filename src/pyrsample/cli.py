@@ -16,6 +16,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import serialization as ser
 from .chips import (
     Chip,
@@ -32,7 +34,7 @@ from .costing import (
 from .dataset import DatasetError, DatasetIndex, load_dataset, voc_to_coco
 from .focus_chips import FocusParams, generate_focus_chips
 from .focus_labels import build_focus_label_map, focus_pixel_stats
-from .geometry import BoundingBox, Detection, GroundTruthInstance, ImageSize, rescale_box
+from .geometry import BoundingBox, DetectionBatch, GroundTruthInstance, ImageSize, rescale_box
 from .range_labels import filter_detections_by_range
 from .serialization import FormatError
 from .stacking import merge_detections, project_to_image, prune_boundary_detections
@@ -213,54 +215,80 @@ def _load_stack_records(path: Path) -> list[dict]:
     return data
 
 
-def cmd_stack(args) -> int:
-    cfg = load_config(args.config)
-    index = load_dataset(args.annotations)
+def _read_stack_record(record) -> tuple[int, int, ImageSize, BoundingBox, DetectionBatch]:
+    """Image id, scale id, canvas, chip and the chip's detections, translated
+    from chip-local to canvas coordinates, of one per-chip record."""
+    image_id = int(record["image_id"])
+    scale_id = int(record["scale_id"])
+    canvas = ImageSize(int(record["canvas"]["width"]), int(record["canvas"]["height"]))
+    if record.get("chip") is None:
+        chip = BoundingBox(0.0, 0.0, canvas.width, canvas.height)
+    else:
+        corners = np.array(record["chip"], dtype=np.float64)
+        if corners.shape != (4,) or not np.isfinite(corners).all():
+            raise ValueError(f"chip must be four finite numbers: {record['chip']!r}")
+        chip = BoundingBox(*corners.tolist())
+    entries = record.get("detections", [])
+    n = len(entries)
+    if n == 0:
+        return image_id, scale_id, canvas, chip, DetectionBatch.empty()
+    xywh = np.array([entry["bbox"] for entry in entries], dtype=np.float64)
+    scores = np.array([entry["score"] for entry in entries], dtype=np.float64)
+    class_ids = np.array([int(entry["category_id"]) for entry in entries], dtype=np.int64)
+    if xywh.shape != (n, 4) or scores.shape != (n,):
+        raise ValueError("each detection needs a bbox [x, y, w, h] and one score")
+    corners = np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
+    problems = (
+        (~np.isfinite(xywh).all(axis=1), "bbox coordinates must be finite"),
+        ((corners[:, 2] < corners[:, 0]) | (corners[:, 3] < corners[:, 1]),
+         "bbox width and height must be non-negative"),
+        (~((0.0 <= scores) & (scores <= 1.0)), "score must be in [0, 1]"),
+    )
+    for bad, message in problems:
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(f"detection {k}: {message}: {entries[k]!r}")
+    boxes = corners + (chip.x1, chip.y1, chip.x1, chip.y1)
+    return image_id, scale_id, canvas, chip, DetectionBatch(boxes, scores, class_ids)
+
+
+def _stack(records: list, cfg: PipelineConfig, index: DatasetIndex, source) -> list[dict]:
+    """Prune, range-filter and project each per-chip record's detections,
+    then merge them per image; COCO-results records, image by image."""
     by_scale = {s.scale_id: s for s in cfg.pyramid}
-    per_image: dict[int, dict[int, list[Detection]]] = {}
-    for position, record in enumerate(_load_stack_records(Path(args.detections))):
+    per_image: dict[int, dict[int, list[DetectionBatch]]] = {}
+    for position, record in enumerate(records):
         try:
-            image_id = int(record["image_id"])
-            scale_id = int(record["scale_id"])
-            canvas = ImageSize(int(record["canvas"]["width"]), int(record["canvas"]["height"]))
-            if record.get("chip") is None:
-                chip = BoundingBox(0.0, 0.0, canvas.width, canvas.height)
-            else:
-                chip = BoundingBox(*record["chip"])
-            dets = []
-            for entry in record.get("detections", []):
-                x, y, w, h = (float(v) for v in entry["bbox"])
-                dets.append(
-                    Detection(
-                        box=BoundingBox(x, y, x + w, y + h).translate(chip.x1, chip.y1),
-                        score=float(entry["score"]),
-                        class_id=int(entry["category_id"]),
-                        scale_id=scale_id,
-                        chip=chip,
-                    )
-                )
-        except (KeyError, TypeError, ValueError) as exc:
+            image_id, scale_id, canvas, chip, dets = _read_stack_record(record)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise FormatError(f"{args.detections}: record {position}: {problem}") from exc
+            raise FormatError(f"{source}: record {position}: {problem}") from exc
         if image_id not in index.images:
             raise FormatError(f"detections reference unknown image id {image_id}")
         if scale_id not in by_scale:
             raise FormatError(f"detections reference unknown scale id {scale_id}")
-        spec = by_scale[scale_id]
-        if cfg.prune_before_range_filter:
-            dets = prune_boundary_detections(dets, chip, canvas, eps=cfg.boundary_eps)
-            dets = filter_detections_by_range(dets, spec)
-        else:
-            dets = filter_detections_by_range(dets, spec)
-            dets = prune_boundary_detections(dets, chip, canvas, eps=cfg.boundary_eps)
-        original = index.images[image_id].size
-        dets = project_to_image(dets, canvas, (0.0, 0.0), original)
-        per_image.setdefault(image_id, {}).setdefault(scale_id, []).extend(dets)
+        dets = prune_boundary_detections(dets, chip, canvas, eps=cfg.boundary_eps)
+        dets = filter_detections_by_range(dets, by_scale[scale_id])
+        dets = project_to_image(dets, canvas, (0.0, 0.0), index.images[image_id].size)
+        per_image.setdefault(image_id, {}).setdefault(scale_id, []).append(dets)
     out_records = []
     for image_id in sorted(per_image):
-        groups = [per_image[image_id][sid] for sid in sorted(per_image[image_id])]
-        for det in merge_detections(groups, cfg.merge):
-            out_records.append(ser.detection_to_record(det, image_id))
+        by_scale_id = per_image[image_id]
+        groups = [batch for sid in sorted(by_scale_id) for batch in by_scale_id[sid]]
+        out_records.extend(
+            ser.detection_records(merge_detections(groups, cfg.merge), image_id)
+        )
+    return out_records
+
+
+def cmd_stack(args) -> int:
+    cfg = load_config(args.config)
+    index = load_dataset(args.annotations)
+    records = _load_stack_records(Path(args.detections))
+    # Finite coordinates far outside any canvas can overflow to inf, which the
+    # range filter then drops; numpy must not print a warning line for that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_records = _stack(records, cfg, index, args.detections)
     ser.save_detection_records(args.out, out_records)
     print(f"wrote {len(out_records)} merged detections to {args.out}")
     return 0

@@ -34,7 +34,6 @@ class PipelineConfig:
     focus_params: FocusParams = field(default_factory=FocusParams)
     merge: MergePolicy = field(default_factory=MergePolicy)
     boundary_eps: float = 1.0
-    prune_before_range_filter: bool = True
     profile: str = "custom"
 
 
@@ -138,10 +137,7 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
             "sigma": cfg.merge.sigma,
             "score_floor": cfg.merge.score_floor,
         },
-        "stacking": {
-            "boundary_eps": cfg.boundary_eps,
-            "prune_before_range_filter": cfg.prune_before_range_filter,
-        },
+        "stacking": {"boundary_eps": cfg.boundary_eps},
     }
 
 
@@ -205,9 +201,6 @@ def config_from_dict(data: dict) -> PipelineConfig:
     )
     stacking = data.get("stacking", {})
     cfg.boundary_eps = float(stacking.get("boundary_eps", cfg.boundary_eps))
-    cfg.prune_before_range_filter = bool(
-        stacking.get("prune_before_range_filter", cfg.prune_before_range_filter)
-    )
     return cfg
 
 

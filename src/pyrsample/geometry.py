@@ -7,7 +7,12 @@ only appear at the feature-map level (see :mod:`pyrsample.focus_labels`).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,87 @@ class Detection:
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score out of range: {self.score}")
+
+
+class DetectionRow(NamedTuple):
+    """One row of a :class:`DetectionBatch`."""
+
+    box: tuple[float, float, float, float]  # x1, y1, x2, y2
+    score: float
+    class_id: int
+
+
+class DetectionBatch(Sequence):
+    """Detections as columns: ``boxes`` (n, 4) float64 corners x1, y1, x2, y2,
+    ``scores`` (n,) float64 and ``class_ids`` (n,) int64, all in one frame.
+
+    The kernels in :mod:`pyrsample.stacking` and :mod:`pyrsample.range_labels`
+    work on these arrays. The batch is also a read-only sequence of
+    :class:`DetectionRow` tuples; indexing with a slice, a mask or an index
+    array gives a batch, and :meth:`to_detections` gives the dataclasses.
+    """
+
+    __slots__ = ("boxes", "scores", "class_ids")
+
+    def __init__(self, boxes: np.ndarray, scores: np.ndarray, class_ids: np.ndarray) -> None:
+        self.boxes = boxes
+        self.scores = scores
+        self.class_ids = class_ids
+
+    @classmethod
+    def empty(cls) -> "DetectionBatch":
+        return cls(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.int64))
+
+    @classmethod
+    def of(cls, dets: Iterable[Detection]) -> "DetectionBatch":
+        """The columns of ``dets``; a batch is returned as it is."""
+        if isinstance(dets, cls):
+            return dets
+        dets = list(dets)
+        return cls(
+            np.array([d.box.as_tuple() for d in dets], dtype=np.float64).reshape(-1, 4),
+            np.array([d.score for d in dets], dtype=np.float64),
+            np.array([d.class_id for d in dets], dtype=np.int64),
+        )
+
+    @classmethod
+    def concat(cls, batches: Sequence["DetectionBatch"]) -> "DetectionBatch":
+        if len(batches) == 1:
+            return batches[0]
+        if not batches:
+            return cls.empty()
+        return cls(
+            np.concatenate([b.boxes for b in batches]),
+            np.concatenate([b.scores for b in batches]),
+            np.concatenate([b.class_ids for b in batches]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return DetectionRow(
+                tuple(self.boxes[key].tolist()), float(self.scores[key]), int(self.class_ids[key])
+            )
+        return DetectionBatch(self.boxes[key], self.scores[key], self.class_ids[key])
+
+    def __iter__(self):
+        return map(
+            DetectionRow._make,
+            zip(map(tuple, self.boxes.tolist()), self.scores.tolist(), self.class_ids.tolist()),
+        )
+
+    def to_detections(self) -> list[Detection]:
+        return [Detection(BoundingBox(*row.box), row.score, row.class_id) for row in self]
+
+
+def keep_rows(dets: Sequence[Detection], keep: np.ndarray) -> Sequence[Detection]:
+    """The rows of ``dets`` where the boolean ``keep`` is set, in order: a
+    batch for a batch, otherwise a list of the original objects."""
+    if isinstance(dets, DetectionBatch):
+        return dets[keep]
+    return list(compress(dets, keep.tolist()))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
-from .geometry import BoundingBox, Detection, GroundTruthInstance, ScaleSpec, iou
+import numpy as np
+
+from .geometry import (
+    BoundingBox,
+    Detection,
+    DetectionBatch,
+    GroundTruthInstance,
+    ScaleSpec,
+    iou,
+    keep_rows,
+)
 
 IOU_FOREGROUND = 0.5
 IOU_ANCHOR_INVALIDATE = 0.3
@@ -123,8 +134,19 @@ def invalidate_anchors(
     return flags
 
 
+def valid_area_mask(boxes: np.ndarray, spec: ScaleSpec) -> np.ndarray:
+    """Rows of the (n, 4) ``boxes`` that :func:`classify_box_validity` accepts."""
+    r_min, r_max = spec.effective_range
+    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    return (r_min < area) & (area < r_max)
+
+
 def filter_detections_by_range(
-    dets: list[Detection], spec: ScaleSpec
-) -> list[Detection]:
-    """Keep only detections whose area is valid at this level, order preserved."""
-    return [d for d in dets if classify_box_validity(d.box, spec)]
+    dets: Sequence[Detection], spec: ScaleSpec
+) -> Sequence[Detection]:
+    """Keep only detections whose area is valid at this level, order preserved.
+
+    A :class:`DetectionBatch` gives a batch, a list gives a list of the same
+    objects.
+    """
+    return keep_rows(dets, valid_area_mask(DetectionBatch.of(dets).boxes, spec))

@@ -20,6 +20,7 @@ import json
 import os
 import struct
 import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .chips import Chip
 from .focus_labels import LabelMap, ProbabilityMap
-from .geometry import BoundingBox, Detection, ImageSize
+from .geometry import BoundingBox, Detection, DetectionBatch, ImageSize
 
 MAP_MAGIC = b"FMAP"
 _HEADER = struct.Struct("<4s5I2s")
@@ -99,13 +100,21 @@ def load_chip_records(path: str | Path) -> list[tuple[int, Chip]]:
     return [record_to_chip(rec) for rec in data]
 
 
+def detection_records(dets: Sequence[Detection], image_id: int) -> list[dict]:
+    """COCO-results records of detections (a list or a batch), in order."""
+    batch = DetectionBatch.of(dets)
+    b = batch.boxes
+    xywh = np.stack([b[:, 0], b[:, 1], b[:, 2] - b[:, 0], b[:, 3] - b[:, 1]], axis=1)
+    return [
+        {"image_id": image_id, "category_id": class_id, "bbox": box, "score": score}
+        for box, class_id, score in zip(
+            xywh.tolist(), batch.class_ids.tolist(), batch.scores.tolist()
+        )
+    ]
+
+
 def detection_to_record(det: Detection, image_id: int) -> dict:
-    return {
-        "image_id": image_id,
-        "category_id": det.class_id,
-        "bbox": [det.box.x1, det.box.y1, det.box.width, det.box.height],
-        "score": det.score,
-    }
+    return detection_records([det], image_id)[0]
 
 
 def record_to_detection(record: dict) -> tuple[int, Detection]:
@@ -121,8 +130,50 @@ def record_to_detection(record: dict) -> tuple[int, Detection]:
         raise FormatError(f"bad detection record {record!r}: {exc}") from exc
 
 
+# One COCO-results record as ``json.dumps(indent=2, sort_keys=True)`` lays it
+# out inside a list. ``%r`` of an int or a finite float is what json writes.
+_DETECTION_RECORD = (
+    '  {\n    "bbox": [\n      %r,\n      %r,\n      %r,\n      %r\n    ],\n'
+    '    "category_id": %r,\n    "image_id": %r,\n    "score": %r\n  }'
+)
+
+
+def _detection_rows(records: list) -> list[tuple] | None:
+    """The template values of each record, or None unless every record is a
+    dict of exactly the four COCO-results keys with a 4-value bbox and plain
+    int or float values."""
+    try:
+        rows = [
+            (*r["bbox"], r["category_id"], r["image_id"], r["score"])
+            for r in records
+            if type(r) is dict and len(r) == 4
+        ]
+    except (KeyError, TypeError):
+        return None
+    if len(rows) != len(records) or any(len(row) != 7 for row in rows):
+        return None
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        return None
+    return rows
+
+
+def _detection_json(records: list) -> str:
+    rows = _detection_rows(records)
+    if rows:
+        text = "[\n" + ",\n".join(map(_DETECTION_RECORD.__mod__, rows)) + "\n]"
+        if "inf" not in text and "nan" not in text:
+            return text
+    return json.dumps(records, indent=2, sort_keys=True)
+
+
 def save_detection_records(path: str | Path, records: Sequence[dict]) -> None:
-    atomic_write_text(path, json.dumps(list(records), indent=2, sort_keys=True) + "\n")
+    """Write ``json.dumps(records, indent=2, sort_keys=True)`` plus a newline.
+
+    Plain COCO-results records are formatted from a template, which gives
+    the same bytes several times faster; anything else, and any NaN or
+    infinity, goes through ``json``.
+    """
+    atomic_write_text(path, _detection_json(list(records)) + "\n")
 
 
 def write_map_binary(path: str | Path, m: LabelMap | ProbabilityMap) -> None:

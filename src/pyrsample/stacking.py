@@ -10,8 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
-from .geometry import BoundingBox, Detection, ImageSize, iou, rescale_box
+import numpy as np
+
+from .geometry import BoundingBox, Detection, DetectionBatch, ImageSize, keep_rows
+
+Detections = Sequence[Detection]  # a list of Detection or a DetectionBatch
 
 HARD = "hard"
 GAUSSIAN = "gaussian"
@@ -46,17 +51,34 @@ class MergePolicy:
             raise ValueError(f"score_floor must be in [0, 1): {self.score_floor}")
 
 
-def _touches(value: float, edge: float, eps: float) -> bool:
-    return abs(value - edge) <= eps
-
-
-def prune_boundary_detections(
-    dets: list[Detection],
+def boundary_keep_mask(
+    boxes: np.ndarray,
     chip: BoundingBox,
     image: ImageSize,
     eps: float = DEFAULT_BOUNDARY_EPS,
     border_tol: float = 1e-6,
-) -> list[Detection]:
+) -> np.ndarray:
+    """Rows of the (n, 4) ``boxes`` not flush against an interior chip edge."""
+    discard = np.zeros(len(boxes), dtype=bool)
+    edges = (
+        (0, chip.x1, chip.x1 > border_tol),
+        (1, chip.y1, chip.y1 > border_tol),
+        (2, chip.x2, chip.x2 < image.width - border_tol),
+        (3, chip.y2, chip.y2 < image.height - border_tol),
+    )
+    for column, edge, interior in edges:
+        if interior:
+            discard |= np.abs(boxes[:, column] - edge) <= eps
+    return ~discard
+
+
+def prune_boundary_detections(
+    dets: Detections,
+    chip: BoundingBox,
+    image: ImageSize,
+    eps: float = DEFAULT_BOUNDARY_EPS,
+    border_tol: float = 1e-6,
+) -> Detections:
     """Drop detections flush against an interior chip edge.
 
     Detections and the chip rectangle share the resized-image frame. A chip
@@ -65,87 +87,185 @@ def prune_boundary_detections(
     long as every chip edge it touches is a shared border. ``eps`` is the
     touch tolerance in pixels.
     """
-    interior_left = chip.x1 > border_tol
-    interior_top = chip.y1 > border_tol
-    interior_right = chip.x2 < image.width - border_tol
-    interior_bottom = chip.y2 < image.height - border_tol
-    kept = []
-    for det in dets:
-        b = det.box
-        discard = (
-            (interior_left and _touches(b.x1, chip.x1, eps))
-            or (interior_top and _touches(b.y1, chip.y1, eps))
-            or (interior_right and _touches(b.x2, chip.x2, eps))
-            or (interior_bottom and _touches(b.y2, chip.y2, eps))
-        )
-        if not discard:
-            kept.append(det)
-    return kept
+    keep = boundary_keep_mask(DetectionBatch.of(dets).boxes, chip, image, eps, border_tol)
+    return keep_rows(dets, keep)
 
 
-def project_to_image(
-    dets: list[Detection],
+def project_boxes(
+    boxes: np.ndarray,
     from_canvas: ImageSize,
     chip_origin: tuple[float, float],
     original: ImageSize,
-) -> list[Detection]:
+) -> np.ndarray:
+    """Translate (n, 4) boxes by the chip origin, then rescale canvas -> original."""
+    ox, oy = chip_origin
+    fx = original.width / from_canvas.width
+    fy = original.height / from_canvas.height
+    return (boxes + (ox, oy, ox, oy)) * (fx, fy, fx, fy)
+
+
+def project_to_image(
+    dets: Detections,
+    from_canvas: ImageSize,
+    chip_origin: tuple[float, float],
+    original: ImageSize,
+) -> Detections:
     """Map chip-local detections to original-image coordinates.
 
     Translates by the chip origin within the resized canvas, then rescales
     canvas -> original. Scores and classes are unchanged.
     """
-    ox, oy = chip_origin
-    return [
-        replace(det, box=rescale_box(det.box.translate(ox, oy), from_canvas, original))
-        for det in dets
-    ]
+    boxes = project_boxes(DetectionBatch.of(dets).boxes, from_canvas, chip_origin, original)
+    if isinstance(dets, DetectionBatch):
+        return DetectionBatch(boxes, dets.scores, dets.class_ids)
+    return [replace(d, box=BoundingBox(*row)) for d, row in zip(dets, boxes.tolist())]
 
 
-def _suppress_class(
-    indexed: list[tuple[int, Detection]], policy: MergePolicy
-) -> list[tuple[int, Detection]]:
-    """Run (soft-)NMS on one class; ``indexed`` pairs each detection with its
-    position in the flattened input, used to break score ties."""
-    pending = [(pos, det, det.score) for pos, det in indexed]
-    kept: list[tuple[int, Detection]] = []
-    while pending:
-        best = min(range(len(pending)), key=lambda n: (-pending[n][2], pending[n][0]))
-        pos, det, score = pending.pop(best)
-        kept.append((pos, replace(det, score=score)))
-        survivors = []
-        for other_pos, other, other_score in pending:
-            overlap = iou(det.box, other.box)
-            if policy.mode == HARD:
-                if overlap > policy.iou_threshold:
-                    continue
-            elif policy.mode == GAUSSIAN:
-                other_score = other_score * math.exp(-(overlap * overlap) / policy.sigma)
-            else:  # linear
-                if overlap > policy.iou_threshold:
-                    other_score = other_score * (1.0 - overlap)
-            if policy.mode != HARD and other_score < policy.score_floor:
-                continue
-            survivors.append((other_pos, other, other_score))
-        pending = survivors
+def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each row of the (m, 4) boxes ``a`` with the same row of ``b``,
+    entry by entry the same float operations as :func:`pyrsample.geometry.iou`."""
+    ix = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
+    iy = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
+    inter = ix * iy
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a + area_b - inter
+    overlap = np.zeros_like(inter)
+    np.divide(inter, union, out=overlap, where=~((ix <= 0) | (iy <= 0) | (union <= 0)))
+    return overlap
+
+
+def _class_pairs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every same-class pair, for rows grouped into
+    consecutive classes of the given sizes: one size x size block per class,
+    blocks in order, each row-major. Memory grows with the sum of squared
+    class sizes, never with the square of the total."""
+    per_row = np.repeat(sizes, sizes)
+    rows = np.repeat(np.arange(len(per_row)), per_row)
+    row_start = np.repeat(np.cumsum(per_row) - per_row, per_row)
+    block_start = np.repeat(np.repeat(np.cumsum(sizes) - sizes, sizes), per_row)
+    cols = block_start + np.arange(len(rows)) - row_start
+    return rows, cols
+
+
+def _rescore_factors(overlap: np.ndarray, policy: MergePolicy) -> np.ndarray:
+    """Soft-NMS multiplier of each pair's overlap. A zero overlap gives
+    exactly 1; the Gaussian uses ``math.exp``, not ``np.exp``, which can
+    differ by an ulp."""
+    if policy.mode == LINEAR:
+        return np.where(overlap > policy.iou_threshold, 1.0 - overlap, 1.0)
+    factor = np.ones_like(overlap)
+    touching = overlap != 0.0
+    o = overlap[touching]
+    factor[touching] = list(map(math.exp, (-(o * o) / policy.sigma).tolist()))
+    return factor
+
+
+def _hard_block(survives: np.ndarray, scores: np.ndarray) -> list[int]:
+    """Kept rows of one class under hard NMS, walked in (-score, row) order;
+    ``survives[i, j]`` is False when keeping i suppresses j."""
+    alive = np.ones(len(scores), dtype=bool)
+    kept = []
+    for i in np.lexsort((np.arange(len(scores)), -scores)).tolist():
+        if alive[i]:
+            kept.append(i)
+            alive &= survives[i]
     return kept
 
 
-def merge_detections(
-    per_scale: list[list[Detection]], policy: MergePolicy
-) -> list[Detection]:
+def _soft_block(
+    factor: np.ndarray, scores: np.ndarray, lonely: np.ndarray, floor: float
+) -> tuple[list, list]:
+    """Kept rows of one class and their final scores under soft-NMS.
+
+    Pending rows stay in row order, so ``argmax`` (first maximum) picks the
+    highest score with the lowest row, as the per-box loop does. After the
+    first pick has dropped every score under ``floor``, a ``lonely`` row
+    (rescored by no other row of its class) keeps its score for good, so it
+    leaves the loop at once.
+    """
+    pending = np.arange(len(scores))
+    live = scores
+    kept, kept_scores = [], []
+    while pending.size:
+        best = int(live.argmax())
+        row = pending[best]
+        kept.append(row)
+        kept_scores.append(live[best])
+        live = live * factor[row, pending]
+        stay = live >= floor
+        stay[best] = False
+        if len(kept) == 1:
+            done = stay & lonely[pending]
+            kept.extend(pending[done].tolist())
+            kept_scores.extend(live[done].tolist())
+            stay &= ~done
+        pending = pending[stay]
+        live = live[stay]
+    return kept, kept_scores
+
+
+def suppress(
+    boxes: np.ndarray, scores: np.ndarray, class_ids: np.ndarray, policy: MergePolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Soft-)NMS of columnar detections, independently per class.
+
+    Returns the kept positions and their final scores, sorted by final score
+    with ties broken by position. The overlaps of every same-class pair are
+    computed in one pass; each class then reads its own square block.
+    """
+    order = np.argsort(class_ids, kind="stable")
+    ids = class_ids[order]
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])  # [0] when empty
+    sizes = np.diff(np.r_[starts, len(ids)])
+    rows, cols = _class_pairs(sizes)
+    grouped = boxes[order]
+    overlap = iou_rows(grouped[rows], grouped[cols])
+    if policy.mode == HARD:
+        effect = ~(overlap > policy.iou_threshold)
+    else:
+        effect = _rescore_factors(overlap, policy)
+        effect[rows == cols] = 1.0  # a pick never rescores itself
+    grouped_scores = scores[order]
+    positions, final = [], []
+    offset = 0
+    for start, size in zip(starts.tolist(), sizes.tolist()):
+        block = effect[offset : offset + size * size].reshape(size, size)
+        offset += size * size
+        block_scores = grouped_scores[start : start + size]
+        if size == 1:
+            kept, kept_scores = [0], block_scores
+        elif policy.mode == HARD:
+            kept = _hard_block(block, block_scores)
+            kept_scores = block_scores[kept]
+        else:
+            lonely = (block == 1.0).all(axis=1)
+            kept, kept_scores = _soft_block(block, block_scores, lonely, policy.score_floor)
+        positions.append(order[start + np.asarray(kept, dtype=np.intp)])
+        final.append(np.asarray(kept_scores, dtype=np.float64))
+    positions = np.concatenate(positions)
+    final = np.concatenate(final)
+    order = np.lexsort((positions, -final))
+    return positions[order], final[order]
+
+
+def merge_detections(per_scale: Sequence[Detections], policy: MergePolicy) -> Detections:
     """Combine per-scale detections (already in the original frame) class-wise.
 
     Suppression runs independently per class in descending score order; the
     output is one flat list sorted by final score, ties broken by position in
     the flattened input. Only the flattened sequence matters, not how it was
-    split across scales.
+    split across scales. Groups that are all batches give a batch; lists of
+    :class:`Detection` give a list of them with their final scores.
     """
-    flat = [d for group in per_scale for d in group]
-    by_class: dict[int, list[tuple[int, Detection]]] = {}
-    for pos, det in enumerate(flat):
-        by_class.setdefault(det.class_id, []).append((pos, det))
-    merged: list[tuple[int, Detection]] = []
-    for class_id in sorted(by_class):
-        merged.extend(_suppress_class(by_class[class_id], policy))
-    merged.sort(key=lambda t: (-t[1].score, t[0]))
-    return [det for _, det in merged]
+    if per_scale and all(isinstance(group, DetectionBatch) for group in per_scale):
+        flat = DetectionBatch.concat(per_scale)
+        positions, scores = suppress(flat.boxes, flat.scores, flat.class_ids, policy)
+        return DetectionBatch(flat.boxes[positions], scores, flat.class_ids[positions])
+    dets = [d for group in per_scale for d in group]
+    flat = DetectionBatch.of(dets)
+    positions, scores = suppress(flat.boxes, flat.scores, flat.class_ids, policy)
+    return [
+        replace(dets[pos], score=score)
+        for pos, score in zip(positions.tolist(), scores.tolist())
+    ]

@@ -193,6 +193,43 @@ def hard_nms_oracle(
     return kept
 
 
+def soft_nms_oracle(
+    boxes: list[BoundingBox],
+    scores: list[float],
+    mode: str,
+    iou_threshold: float = 0.5,
+    sigma: float = 0.5,
+    score_floor: float = 0.001,
+) -> list[tuple[int, float]]:
+    """Per-box (soft-)NMS on one class: (input index, final score) of every
+    kept box, in pick order. Each round picks the highest pending score
+    (lowest index on ties) and rescans every pending box: ``hard`` drops an
+    IoU above the threshold, ``gaussian`` multiplies by exp(-iou^2 / sigma),
+    ``linear`` by (1 - iou) above the threshold; a soft-rescored score under
+    ``score_floor`` is dropped."""
+    pending = [(i, boxes[i], scores[i]) for i in range(len(boxes))]
+    kept: list[tuple[int, float]] = []
+    while pending:
+        best = min(range(len(pending)), key=lambda n: (-pending[n][2], pending[n][0]))
+        index, box, score = pending.pop(best)
+        kept.append((index, score))
+        survivors = []
+        for other_index, other, other_score in pending:
+            overlap = iou_oracle(box, other)
+            if mode == "hard":
+                if overlap > iou_threshold:
+                    continue
+            elif mode == "gaussian":
+                other_score = other_score * math.exp(-(overlap * overlap) / sigma)
+            elif overlap > iou_threshold:  # linear
+                other_score = other_score * (1.0 - overlap)
+            if mode != "hard" and other_score < score_floor:
+                continue
+            survivors.append((other_index, other, other_score))
+        pending = survivors
+    return kept
+
+
 def merge_overlapping_oracle(rects: list[BoundingBox]) -> list[BoundingBox]:
     """Restart-fixpoint merge: after every merge of an overlapping pair the
     pair scan starts over, until no two rectangles overlap."""

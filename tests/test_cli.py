@@ -114,6 +114,45 @@ class TestErrorRecords:
         assert self._only_error(capsys)["type"] == "FormatError"
         assert not (tmp_path / "merged.json").exists()
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"bbox": [float("nan"), 10, 150, 150]},
+         {"bbox": [10, 10, float("inf"), 150]},
+         {"bbox": [10, float("-inf"), 150, 150]},
+         {"bbox": [10, 10, -5, 150]},
+         {"bbox": [10, 10, 150, -0.5]},
+         {"score": 1.5},
+         {"score": float("nan")},
+         {"chip": [0, 0, float("nan"), 375]}],
+        ids=["nan-x", "inf-w", "neg-inf-y", "negative-w", "negative-h", "score-above-1", "nan-score",
+             "nan-chip"],
+    )
+    def test_stack_bad_detection(self, small_coco, tmp_path, capsys, change):
+        good = {"bbox": [200, 200, 150, 150], "score": 0.7, "category_id": 1}
+        bad = {"bbox": [10, 10, 150, 150], "score": 0.6, "category_id": 1}
+        record = {
+            "image_id": 2,
+            "scale_id": 0,
+            "canvas": {"width": 500, "height": 375},
+            "chip": None,
+            "detections": [good, bad],
+        }
+        if "chip" in change:
+            record.update(change)
+        else:
+            bad.update(change)
+        det_file = tmp_path / "dets.json"
+        det_file.write_text(json.dumps([record]))
+        rc = main(
+            ["stack", "--annotations", str(small_coco), "--detections", str(det_file),
+             "--out", str(tmp_path / "merged.json")]
+        )
+        assert rc == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "FormatError"
+        assert "record 0" in error["message"]
+        assert not (tmp_path / "merged.json").exists()
+
     def test_zero_stride_map(self, tmp_path, capsys):
         maps_dir = tmp_path / "pmaps"
         maps_dir.mkdir()

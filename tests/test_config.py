@@ -56,6 +56,20 @@ class TestRoundTrip:
         assert again.focus_params == cfg.focus_params
         assert again.min_neg_proposals == cfg.min_neg_proposals
 
+    def test_retired_stacking_key_still_loads(self, tmp_path):
+        # prune_before_range_filter was removed: both filters are per-detection
+        # predicates, so their order never changed an output. Unknown keys
+        # are ignored, so an older config still loads.
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(
+            {"profile": "coco-default",
+             "stacking": {"boundary_eps": 2.0, "prune_before_range_filter": False}}
+        ))
+        cfg = load_config(path)
+        assert cfg.boundary_eps == 2.0
+        assert not hasattr(cfg, "prune_before_range_filter")
+        assert "prune_before_range_filter" not in config_to_dict(cfg)["stacking"]
+
     def test_load_default_when_no_path(self):
         assert load_config(None).profile == "coco-default"
 

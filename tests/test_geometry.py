@@ -1,16 +1,21 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pyrsample.geometry import (
     BoundingBox,
+    Detection,
+    DetectionBatch,
+    DetectionRow,
     ImageSize,
     MaxSideTarget,
     ScaleSpec,
     encloses,
     iou,
+    keep_rows,
     rescale_box,
 )
 
@@ -165,3 +170,34 @@ class TestScaleSpec:
     def test_image_size_invariants(self):
         with pytest.raises(ValueError):
             ImageSize(0, 10)
+
+
+class TestDetectionBatch:
+    DETS = [
+        Detection(BoundingBox(0, 0, 10, 10), 0.9, 3),
+        Detection(BoundingBox(5, 5, 6.5, 8), 0.25, 1),
+        Detection(BoundingBox(1, 2, 1, 2), 0.0, 3),
+    ]
+
+    def test_columns_round_trip(self):
+        batch = DetectionBatch.of(self.DETS)
+        assert batch.boxes.shape == (3, 4) and batch.class_ids.dtype.kind == "i"
+        assert DetectionBatch.of(batch) is batch
+        assert batch.to_detections() == self.DETS
+        assert len(DetectionBatch.of([])) == 0
+
+    def test_rows_and_selection(self):
+        batch = DetectionBatch.of(self.DETS)
+        assert batch[1] == DetectionRow((5.0, 5.0, 6.5, 8.0), 0.25, 1)
+        assert [row.class_id for row in batch] == [3, 1, 3]
+        picked = batch[batch.class_ids == 3]
+        assert isinstance(picked, DetectionBatch)
+        assert picked.to_detections() == [self.DETS[0], self.DETS[2]]
+
+    def test_concat_and_keep_rows(self):
+        a, b = DetectionBatch.of(self.DETS[:1]), DetectionBatch.of(self.DETS[1:])
+        assert DetectionBatch.concat([a, b]).to_detections() == self.DETS
+        assert len(DetectionBatch.concat([])) == 0
+        keep = [True, False, True]
+        kept = keep_rows(self.DETS, np.array(keep))
+        assert kept == [self.DETS[0], self.DETS[2]] and kept[0] is self.DETS[0]

@@ -18,6 +18,7 @@ from pyrsample.serialization import (
     record_to_chip,
     record_to_detection,
     save_chip_records,
+    save_detection_records,
     write_csv,
     write_curve,
     write_map_binary,
@@ -52,6 +53,70 @@ class TestChipRecords:
     def test_bad_record(self):
         with pytest.raises(FormatError):
             record_to_chip({"rect": [0, 0, 1, 1]})
+
+
+def _json_text(records) -> str:
+    return json.dumps(records, indent=2, sort_keys=True) + "\n"
+
+
+class TestSaveDetectionRecords:
+    """The template writer gives exactly the bytes of ``json.dumps``."""
+
+    SPECIAL = [1.0, 0.0, -0.0, 1e-07, 1e16, 1e+22, 123456789.0, 0.1 + 0.2, 5e-324,
+               1.7976931348623157e308, 2.5, 1 / 3]
+
+    def _check(self, tmp_path, records):
+        path = tmp_path / "dets.json"
+        save_detection_records(path, records)
+        assert path.read_text() == _json_text(records)
+
+    def test_empty(self, tmp_path):
+        self._check(tmp_path, [])
+        assert (tmp_path / "dets.json").read_text() == "[]\n"
+
+    def test_random_records(self, tmp_path):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            records = []
+            for _ in range(int(rng.integers(1, 40))):
+                def value():
+                    kind = rng.integers(0, 3)
+                    if kind == 0:
+                        return self.SPECIAL[rng.integers(0, len(self.SPECIAL))]
+                    if kind == 1:
+                        return float(rng.integers(-1000, 1000))
+                    return float(rng.uniform(-1e4, 1e4)) * 10.0 ** int(rng.integers(-12, 18))
+                records.append({
+                    "image_id": int(rng.integers(0, 2**62)) if rng.random() < 0.3 else int(rng.integers(0, 100)),
+                    "category_id": int(rng.integers(-5, 2**40)),
+                    "bbox": [value() for _ in range(4)],
+                    "score": value(),
+                })
+            self._check(tmp_path, records)
+
+    def test_special_values(self, tmp_path):
+        bbox = [1.0, 1e-07, 1e16, -0.0]
+        records = [{"image_id": 10**30, "category_id": 2**63, "bbox": bbox, "score": 1e-07}]
+        self._check(tmp_path, records)
+        text = (tmp_path / "dets.json").read_text()
+        for literal in ("1.0", "1e-07", "1e+16", "-0.0", str(10**30)):
+            assert literal in text
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"image_id": 1, "category_id": True, "bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5},
+         {"image_id": 1, "category_id": 2, "bbox": [0.0, 0.0, 1.0, 1.0], "score": float("nan")},
+         {"image_id": 1, "category_id": 2, "bbox": [0.0, float("inf"), 1.0, 1.0], "score": 0.5},
+         {"image_id": 1, "category_id": 2, "bbox": [0.0, 0.0, 1.0], "score": 0.5},
+         {"image_id": 1, "category_id": 2, "bbox": [0.0, 0.0, 1.0, 1.0], "score": np.float64(0.5)},
+         {"image_id": 1, "category_id": 2, "bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5, "x": None},
+         {"image_id": 1, "bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5, "area": 1.0}],
+        ids=["bool-id", "nan-score", "inf-coordinate", "short-bbox", "numpy-float",
+             "extra-key", "other-keys"],
+    )
+    def test_other_records_fall_back_to_json(self, tmp_path, record):
+        plain = {"image_id": 3, "category_id": 4, "bbox": [1.5, 2.0, 3.0, 4.0], "score": 0.25}
+        self._check(tmp_path, [plain, record])
 
 
 class TestDetectionRecords:

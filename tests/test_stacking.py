@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from pyrsample.geometry import BoundingBox, Detection, ImageSize
+from pyrsample.geometry import BoundingBox, Detection, DetectionBatch, ImageSize
 from pyrsample.stacking import (
     MergePolicy,
     merge_detections,
     project_to_image,
     prune_boundary_detections,
+    suppress,
 )
 
-from oracles import hard_nms_oracle
+from oracles import hard_nms_oracle, soft_nms_oracle
 
 
 def det(x1, y1, x2, y2, score=0.9, class_id=1):
@@ -211,6 +212,105 @@ class TestMergeDetections:
             assert [d.box for d in soft] == [d.box for d in hard]
             for s_det, h_det in zip(soft, hard):
                 assert s_det.score == pytest.approx(h_det.score, abs=1e-12)
+
+
+def _oracle_merge(boxes, scores, classes, policy):
+    """(position, score) of every kept box by the per-box oracle, run class
+    by class and sorted by final score, ties by position."""
+    kept = []
+    for class_id in sorted(set(classes)):
+        members = [i for i, c in enumerate(classes) if c == class_id]
+        for local, score in soft_nms_oracle(
+            [boxes[i] for i in members],
+            [scores[i] for i in members],
+            policy.mode,
+            policy.iou_threshold,
+            policy.sigma,
+            policy.score_floor,
+        ):
+            kept.append((members[local], score))
+    kept.sort(key=lambda t: (-t[1], t[0]))
+    return kept
+
+
+def _mixed_set(rng, n, n_classes, floor):
+    """Boxes on a coarse integer grid (exact repeats and shared edges), some
+    zero-area; scores from a small pool (ties) that straddles ``floor``."""
+    boxes, scores, classes = [], [], []
+    pool = [0.9, 0.5, 0.5, floor, np.nextafter(floor, 0.0), np.nextafter(floor, 1.0), 0.0005]
+    for _ in range(n):
+        x1, y1 = float(rng.integers(0, 40)), float(rng.integers(0, 40))
+        w, h = float(rng.integers(0, 20)), float(rng.integers(0, 20))
+        if rng.random() < 0.5:
+            x1 += float(rng.uniform(0, 1))
+            w += float(rng.uniform(0, 1))
+        boxes.append(BoundingBox(x1, y1, x1 + w, y1 + h))
+        scores.append(float(pool[rng.integers(0, len(pool))] if rng.random() < 0.5 else rng.uniform(0, 1)))
+        classes.append(int(rng.integers(0, n_classes)))
+    return boxes, scores, classes
+
+
+def _crowd(rng, n=300):
+    """One dense class: jittered copies of three boxes."""
+    centers = [(40.0, 40.0, 80.0, 90.0), (60.0, 50.0, 120.0, 100.0), (200.0, 10.0, 230.0, 60.0)]
+    boxes, scores = [], []
+    for _ in range(n):
+        x1, y1, x2, y2 = centers[rng.integers(0, 3)]
+        dx, dy = rng.normal(0, 4, 2)
+        boxes.append(BoundingBox(x1 + dx, y1 + dy, x2 + dx + abs(rng.normal(0, 3)), y2 + dy))
+        scores.append(float(rng.uniform(0.01, 1.0)))
+    return boxes, scores, [7] * n
+
+
+POLICIES = [
+    MergePolicy(mode="hard", iou_threshold=0.5),
+    MergePolicy(mode="hard", iou_threshold=0.1),
+    MergePolicy(mode="gaussian", sigma=0.5, score_floor=0.001),
+    MergePolicy(mode="gaussian", sigma=0.05, score_floor=0.3),
+    MergePolicy(mode="gaussian", sigma=0.5, score_floor=0.0),
+    MergePolicy(mode="linear", iou_threshold=0.3, score_floor=0.001),
+    MergePolicy(mode="linear", iou_threshold=0.05, score_floor=0.2),
+]
+
+
+class TestSuppressMatchesOracle:
+    """The array kernel against the per-box loop: same kept positions in the
+    same order, bit-identical scores."""
+
+    @staticmethod
+    def _check(boxes, scores, classes, policy):
+        columns = DetectionBatch.of(
+            [Detection(b, s, c) for b, s, c in zip(boxes, scores, classes)]
+        )
+        positions, final = suppress(columns.boxes, columns.scores, columns.class_ids, policy)
+        got = list(zip(positions.tolist(), final.tolist()))
+        assert got == _oracle_merge(boxes, scores, classes, policy)
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: f"{p.mode}-{p.iou_threshold}-{p.sigma}-{p.score_floor}")
+    def test_random_mixed_sets(self, policy):
+        rng = np.random.default_rng(61)
+        for _ in range(150):
+            n = int(rng.integers(0, 40))
+            self._check(*_mixed_set(rng, n, int(rng.integers(1, 5)), policy.score_floor), policy)
+
+    @pytest.mark.parametrize("policy", POLICIES[::2], ids=lambda p: p.mode)
+    def test_crowded_class(self, policy):
+        rng = np.random.default_rng(62)
+        crowd = _crowd(rng)
+        others = _mixed_set(rng, 40, 3, policy.score_floor)
+        boxes, scores, classes = (a + b for a, b in zip(others, crowd))
+        self._check(boxes, scores, classes, policy)
+
+    def test_batches_give_the_same_detections_as_lists(self):
+        rng = np.random.default_rng(63)
+        boxes, scores, classes = _mixed_set(rng, 30, 3, 0.001)
+        dets = [Detection(b, s, c) for b, s, c in zip(boxes, scores, classes)]
+        for policy in POLICIES:
+            groups = [dets[:10], dets[10:]]
+            from_lists = merge_detections(groups, policy)
+            from_batches = merge_detections([DetectionBatch.of(g) for g in groups], policy)
+            assert isinstance(from_batches, DetectionBatch)
+            assert from_batches.to_detections() == from_lists
 
 
 def _random_detections(rng, n=10, integer_grid=False):
