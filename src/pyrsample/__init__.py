@@ -31,7 +31,6 @@ from .chips import (
     ChipGrid,
     ProposalSet,
     UncoverableGt,
-    assign_chip_labels,
     build_chip_grid,
     sample_negative_chips,
     select_negative_chips,
@@ -94,7 +93,6 @@ __all__ = [
     "ScaleSpec",
     "UncoverableGt",
     "aggregate_cost_reports",
-    "assign_chip_labels",
     "assign_roi_labels",
     "build_chip_grid",
     "build_focus_label_map",

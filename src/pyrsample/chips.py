@@ -18,9 +18,8 @@ from .geometry import (
     ImageSize,
     ScaleSpec,
     encloses,
-    rescale_box,
 )
-from .range_labels import RoiLabel, classify_box_validity, IOU_FOREGROUND
+from .range_labels import valid_area_mask
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -54,19 +53,29 @@ class ChipGrid:
     origins: list[tuple[float, float]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False)
 class ProposalSet:
-    """Scored region proposals in the original-image frame."""
+    """Scored region proposals in the original-image frame: ``boxes`` (n, 4)
+    float64 corners x1, y1, x2, y2 and ``scores`` (n,) float64 in [0, 1].
 
-    boxes: list[BoundingBox]
-    scores: list[float]
+    A sequence of :class:`BoundingBox` is accepted for ``boxes`` and stored
+    as the array.
+    """
+
+    boxes: np.ndarray
+    scores: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.boxes) != len(self.scores):
-            raise ValueError("boxes and scores must be the same length")
-        for s in self.scores:
-            if not 0.0 <= s <= 1.0:
-                raise ValueError(f"proposal score out of range: {s}")
+        if not isinstance(self.boxes, np.ndarray):
+            self.boxes = _boxes_array(list(self.boxes))
+        self.scores = np.asarray(self.scores, dtype=np.float64)
+        if self.boxes.shape != (len(self.scores), 4):
+            raise ValueError("boxes must be (n, 4) with one score per box")
+        if ((self.boxes[:, 2] < self.boxes[:, 0]) | (self.boxes[:, 3] < self.boxes[:, 1])).any():
+            raise ValueError("proposal corners out of order")
+        bad = ~((0.0 <= self.scores) & (self.scores <= 1.0))
+        if bad.any():
+            raise ValueError(f"proposal score out of range: {self.scores[bad.argmax()]}")
 
 
 @dataclass(frozen=True)
@@ -122,18 +131,32 @@ def _boxes_array(boxes: list[BoundingBox]) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes], dtype=float)
 
 
-def _grid_array(canvas: ImageSize, chip_size: int, chip_stride: int) -> np.ndarray:
-    """Lattice cells as an (n, 4) array in (row, col) order, without paying
-    for per-cell objects; mirrors build_chip_grid exactly."""
-    xs = np.asarray(_axis_origins(canvas.width, chip_size, chip_stride))
-    ys = np.asarray(_axis_origins(canvas.height, chip_size, chip_stride))
-    gx, gy = np.meshgrid(xs, ys)
-    cells = np.empty((gx.size, 4), dtype=float)
-    cells[:, 0] = gx.ravel()
-    cells[:, 1] = gy.ravel()
-    cells[:, 2] = np.minimum(cells[:, 0] + chip_size, canvas.width)
-    cells[:, 3] = np.minimum(cells[:, 1] + chip_size, canvas.height)
-    return cells
+def _lattice(
+    canvas: ImageSize, spec: ScaleSpec, boxes: np.ndarray, membership: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The level's lattice cells as an (n_cells, 4) array in (row, col) order,
+    the same cells as :func:`build_chip_grid`, and the boolean
+    (n_cells, n_boxes) matrix of which cell covers which of the (n, 4)
+    ``boxes``: by full closed enclosure, or by the box center (closed).
+
+    Both tests split into a column part and a row part, so each is computed
+    per axis and the matrix is their outer AND.
+    """
+    axes = []
+    for extent, lo, hi in ((canvas.width, 0, 2), (canvas.height, 1, 3)):
+        starts = np.asarray(_axis_origins(extent, spec.chip_size, spec.chip_stride))
+        spans = np.stack([starts, np.minimum(starts + spec.chip_size, extent)], axis=1)
+        if membership == "center":
+            first = last = (boxes[:, lo] + boxes[:, hi]) / 2.0
+        else:
+            first, last = boxes[:, lo], boxes[:, hi]
+        axes.append((spans, (spans[:, :1] <= first) & (spans[:, 1:] >= last)))
+    (xs, in_x), (ys, in_y) = axes
+    cells = np.empty((len(ys), len(xs), 4), dtype=float)
+    cells[:, :, 0::2] = xs
+    cells[:, :, 1::2] = ys[:, None]
+    member = in_y[:, None, :] & in_x[None, :, :]
+    return cells.reshape(-1, 4), member.reshape(len(ys) * len(xs), len(boxes))
 
 
 def _enclosure_matrix(cells: np.ndarray, boxes: np.ndarray) -> np.ndarray:
@@ -148,26 +171,28 @@ def _enclosure_matrix(cells: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     )
 
 
-def _greedy_cover(enclosure: np.ndarray) -> tuple[list[int], list[int]]:
-    """Pick cells covering the most uncovered columns until none are left.
+def _greedy_cover(member: np.ndarray, min_gain: int = 1) -> tuple[list[int], np.ndarray]:
+    """Pick the cell covering the most uncovered columns of the boolean
+    (n_cells, n_boxes) ``member`` while that count is at least ``min_gain``.
 
     Cells must be ordered by (row, col) origin so that np.argmax's
-    first-maximum rule implements the deterministic tie-break. Returns the
-    picked cell indices and the column indices no cell can cover.
+    first-maximum rule implements the deterministic tie-break. Each cell's
+    count is kept up to date by subtracting the columns a pick covers, so a
+    picked cell drops to 0 and is never picked twice. Returns the picked
+    cell indices and the indices of the columns left uncovered.
     """
-    n_cells, n_boxes = enclosure.shape
-    uncovered = np.ones(n_boxes, dtype=bool)
-    alive = np.ones(n_cells, dtype=bool)
+    gains = member.sum(axis=1)
+    uncovered = np.ones(member.shape[1], dtype=bool)
     picked: list[int] = []
-    while uncovered.any():
-        gains = (enclosure[:, uncovered] & alive[:, None]).sum(axis=1)
+    while True:
         best = int(np.argmax(gains))
-        if gains[best] == 0:
+        if gains[best] < min_gain:
             break
         picked.append(best)
-        uncovered &= ~enclosure[best]
-        alive[best] = False
-    return picked, list(np.nonzero(uncovered)[0])
+        newly = member[best] & uncovered
+        uncovered &= ~newly
+        gains -= member[:, newly].sum(axis=1)
+    return picked, np.flatnonzero(uncovered)
 
 
 def _attach_gt(
@@ -183,6 +208,21 @@ def _attach_gt(
             if inter is not None:
                 cropped.append((gt_id, inter))
     return tuple(covered), tuple(cropped)
+
+
+def _level_boxes(
+    boxes: np.ndarray, original: ImageSize, canvas: ImageSize, spec: ScaleSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 4) ``boxes`` rescaled from ``original`` to ``canvas``, with the
+    mask of rows whose resized area is valid at ``spec``.
+
+    The multiply and the area test are the IEEE operations of
+    :func:`rescale_box` and :func:`classify_box_validity`.
+    """
+    fx = canvas.width / original.width
+    fy = canvas.height / original.height
+    resized = boxes * (fx, fy, fx, fy)
+    return resized, valid_area_mask(resized, spec)
 
 
 def select_positive_chips(
@@ -203,22 +243,20 @@ def select_positive_chips(
     """
     chips: list[Chip] = []
     diagnostics: list[UncoverableGt] = []
+    gt_boxes = _boxes_array([gt.box for gt in gts])
+    not_crowd = np.array([not gt.is_crowd for gt in gts], dtype=bool)
     for spec in pyramid:
         canvas = spec.resolve(original)
-        resized = [rescale_box(gt.box, original, canvas) for gt in gts]
-        valid_ids = [
-            i
-            for i, box in enumerate(resized)
-            if not gts[i].is_crowd and classify_box_validity(box, spec)
-        ]
-        if not valid_ids:
+        resized, valid = _level_boxes(gt_boxes, original, canvas, spec)
+        valid_ids = np.flatnonzero(valid & not_crowd)
+        if not valid_ids.size:
             continue
-        cells = _grid_array(canvas, spec.chip_size, spec.chip_stride)
-        targets = _boxes_array([resized[i] for i in valid_ids])
-        picked, uncovered = _greedy_cover(_enclosure_matrix(cells, targets))
+        cells, member = _lattice(canvas, spec, resized[valid_ids], "enclose")
+        picked, uncovered = _greedy_cover(member)
+        resized_boxes = [BoundingBox(*row) for row in resized.tolist()]
         for cell_idx in picked:
             rect = BoundingBox(*cells[cell_idx])
-            covered, cropped = _attach_gt(rect, resized)
+            covered, cropped = _attach_gt(rect, resized_boxes)
             chips.append(
                 Chip(
                     rect=rect,
@@ -229,25 +267,11 @@ def select_positive_chips(
                 )
             )
         for col in uncovered:
-            gt_id = valid_ids[col]
+            gt_id = int(valid_ids[col])
             diagnostics.append(
-                UncoverableGt(gt_id=gt_id, scale_id=spec.scale_id, resized_box=resized[gt_id])
+                UncoverableGt(gt_id=gt_id, scale_id=spec.scale_id, resized_box=resized_boxes[gt_id])
             )
     return chips, diagnostics
-
-
-def _center_in_matrix(cells: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """Boolean (n_cells, n_boxes): box center inside cell (closed)."""
-    if cells.size == 0 or boxes.size == 0:
-        return np.zeros((cells.shape[0], boxes.shape[0]), dtype=bool)
-    cx = (boxes[:, 0] + boxes[:, 2]) / 2.0
-    cy = (boxes[:, 1] + boxes[:, 3]) / 2.0
-    return (
-        (cells[:, None, 0] <= cx[None, :])
-        & (cells[:, None, 2] >= cx[None, :])
-        & (cells[:, None, 1] <= cy[None, :])
-        & (cells[:, None, 3] >= cy[None, :])
-    )
 
 
 def select_negative_chips(
@@ -274,34 +298,18 @@ def select_negative_chips(
     pool: list[Chip] = []
     for spec in pyramid:
         canvas = spec.resolve(original)
-        resized = [rescale_box(b, original, canvas) for b in proposals.boxes]
-        pos_rects = [c.rect for c in positive if c.scale_id == spec.scale_id]
-        remaining = [
-            box
-            for box in resized
-            if classify_box_validity(box, spec)
-            and not any(encloses(rect, box) for rect in pos_rects)
-        ]
-        if len(remaining) < min_proposals:
+        resized, valid = _level_boxes(proposals.boxes, original, canvas, spec)
+        boxes = resized[valid]
+        pos_rects = _boxes_array([c.rect for c in positive if c.scale_id == spec.scale_id])
+        boxes = boxes[~_enclosure_matrix(pos_rects, boxes).any(axis=0)]
+        if len(boxes) < min_proposals:
             continue
-        cells = _grid_array(canvas, spec.chip_size, spec.chip_stride)
-        boxes = _boxes_array(remaining)
-        if membership == "center":
-            member = _center_in_matrix(cells, boxes)
-        else:
-            member = _enclosure_matrix(cells, boxes)
-        alive_boxes = np.ones(len(remaining), dtype=bool)
-        alive_cells = np.ones(len(cells), dtype=bool)
-        while True:
-            gains = (member[:, alive_boxes] & alive_cells[:, None]).sum(axis=1)
-            best = int(np.argmax(gains))
-            if gains[best] < min_proposals:
-                break
-            pool.append(
-                Chip(rect=BoundingBox(*cells[best]), scale_id=spec.scale_id, kind=NEGATIVE)
-            )
-            alive_boxes &= ~member[best]
-            alive_cells[best] = False
+        cells, member = _lattice(canvas, spec, boxes, membership)
+        picked, _ = _greedy_cover(member, min_proposals)
+        pool.extend(
+            Chip(rect=BoundingBox(*cells[best]), scale_id=spec.scale_id, kind=NEGATIVE)
+            for best in picked
+        )
     return pool
 
 
@@ -313,37 +321,3 @@ def sample_negative_chips(pool: list[Chip], n_per_image: int, seed: int) -> list
         return list(pool)
     rng = random.Random(seed)
     return rng.sample(pool, n_per_image)
-
-
-def assign_chip_labels(
-    chip: Chip,
-    proposals_in_chip: list[BoundingBox],
-    gts_in_chip: list[GroundTruthInstance],
-    spec: ScaleSpec,
-) -> list[RoiLabel]:
-    """Label proposals against all ground truth retained in a chip.
-
-    All boxes are chip-local. Ground-truth boxes are *not* range-filtered
-    here: a large box cropped by the chip edge can validate a small proposal.
-    Proposals outside the level's valid range are ignored; in-range proposals
-    are foreground when best IoU >= 0.5, background otherwise.
-    """
-    from .geometry import iou as _iou
-
-    labels: list[RoiLabel] = []
-    for prop in proposals_in_chip:
-        if not classify_box_validity(prop, spec):
-            labels.append(RoiLabel.ignore())
-            continue
-        best_iou = 0.0
-        best_class: int | None = None
-        for gt in gts_in_chip:
-            overlap = _iou(gt.box, prop)
-            if overlap > best_iou:
-                best_iou = overlap
-                best_class = gt.class_id
-        if best_iou >= IOU_FOREGROUND and best_class is not None:
-            labels.append(RoiLabel.foreground(best_class))
-        else:
-            labels.append(RoiLabel.background())
-    return labels

@@ -107,7 +107,7 @@ def cmd_chips_negative(args) -> int:
         size = index.images[iid].size
         positives, _ = select_positive_chips(index.annotations[iid], cfg.pyramid, size)
         proposals = index.proposals.get(iid)
-        if proposals is None or not proposals.boxes:
+        if proposals is None or not len(proposals.boxes):
             continue
         pool = select_negative_chips(
             proposals,

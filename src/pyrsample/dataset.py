@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
 
+import numpy as np
+
 from .chips import ProposalSet
 from .geometry import BoundingBox, Detection, GroundTruthInstance, ImageSize
 
@@ -77,6 +79,14 @@ def _xywh(entry: dict) -> tuple[float, float, float, float]:
     return x, y, w, h
 
 
+def _section(data: dict, key: str, path: str | Path) -> list:
+    """The list under ``key`` of a COCO annotation file (empty when absent)."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise DatasetStructureError(f"{path}: {key!r} must be a JSON array")
+    return entries
+
+
 def _entry_error(
     path: str | Path, position: int, entry: object, exc: Exception
 ) -> DatasetStructureError:
@@ -123,29 +133,36 @@ def load_dataset(
         raise DatasetStructureError(f"{annotation_path}: not a COCO annotation file")
 
     images: dict[int, ImageRecord] = {}
-    for entry in data.get("images", []):
+    for entry in _section(data, "images", annotation_path):
         try:
             image_id = int(entry["id"])
             size = ImageSize(int(entry["width"]), int(entry["height"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetStructureError(f"bad image entry {entry!r}: {exc}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DatasetStructureError(
+                f"{annotation_path}: bad image entry {entry!r}: {exc}"
+            ) from exc
         stem = Path(str(entry.get("file_name", image_id))).stem
         images[image_id] = ImageRecord(size=size, file_stem=stem)
 
-    categories = {
-        int(cat["id"]): str(cat.get("name", cat["id"]))
-        for cat in data.get("categories", [])
-    }
+    categories: dict[int, str] = {}
+    for cat in _section(data, "categories", annotation_path):
+        try:
+            category_id = int(cat["id"])
+            categories[category_id] = str(cat.get("name", cat["id"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DatasetStructureError(
+                f"{annotation_path}: bad category entry {cat!r}: {exc}"
+            ) from exc
 
     annotations: dict[int, list[GroundTruthInstance]] = {iid: [] for iid in images}
     clamped_count = 0
     dangling: list[int] = []
-    for position, ann in enumerate(data.get("annotations", [])):
+    for position, ann in enumerate(_section(data, "annotations", annotation_path)):
         try:
             image_id = int(ann["image_id"])
             x, y, w, h = _xywh(ann)
             class_id = int(ann["category_id"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise _entry_error(annotation_path, position, ann, exc) from exc
         if image_id not in images:
             dangling.append(image_id)
@@ -176,33 +193,70 @@ def load_dataset(
 
 
 def load_proposals(path: str | Path, index: DatasetIndex) -> dict[int, ProposalSet]:
-    """COCO-results-format proposals ([{image_id, bbox, score}, ...])."""
+    """COCO-results-format proposals ([{image_id, bbox, score}, ...]).
+
+    Each image's proposals keep their file order and are clamped to the
+    image. A missing score counts as 1.0; a score outside [0, 1] is an error.
+    """
     data = _read_json(path)
     if not isinstance(data, list):
         raise DatasetStructureError(f"{path}: results file must be a JSON array")
-    boxes: dict[int, list[BoundingBox]] = {}
-    scores: dict[int, list[float]] = {}
-    dangling = []
+    rows_of: dict[int, list[int]] = {}
+    bboxes = []
+    scores = []
     for position, entry in enumerate(data):
         try:
-            image_id = int(entry["image_id"])
-            x, y, w, h = _xywh(entry)
-            score = float(entry.get("score", 1.0))
-        except (KeyError, TypeError, ValueError) as exc:
+            rows_of.setdefault(int(entry["image_id"]), []).append(position)
+            bboxes.append(entry["bbox"])
+            scores.append(float(entry.get("score", 1.0)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise _entry_error(path, position, entry, exc) from exc
-        if image_id not in index.images:
-            dangling.append(image_id)
-            continue
-        box, _ = _clamped_box(x, y, w, h, index.images[image_id].size)
-        boxes.setdefault(image_id, []).append(box)
-        scores.setdefault(image_id, []).append(score)
+    if not data:
+        return {}
+    xywh = _bbox_array(path, data, bboxes)
+    scores = np.array(scores, dtype=np.float64)
+    problems = (
+        (~np.isfinite(xywh).all(axis=1), "bbox is not finite", xywh),
+        ((xywh[:, 2] < 0) | (xywh[:, 3] < 0), "negative bbox extent", xywh),
+        (~((0.0 <= scores) & (scores <= 1.0)), "score not in [0, 1]", scores),
+    )
+    for bad, message, values in problems:
+        if bad.any():
+            k = int(bad.argmax())
+            raise _entry_error(path, k, data[k], ValueError(f"{message}: {values[k].tolist()}"))
+    dangling = [iid for iid in rows_of if iid not in index.images]
     if dangling:
         raise DatasetStructureError(
-            f"{path}: proposals reference missing image ids {sorted(set(dangling))[:20]}"
+            f"{path}: proposals reference missing image ids {sorted(dangling)[:20]}"
         )
-    return {
-        iid: ProposalSet(boxes=boxes[iid], scores=scores[iid]) for iid in boxes
-    }
+    # x + w may overflow to inf for finite inputs; the clamp brings it back.
+    with np.errstate(over="ignore"):
+        corners = np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
+    out = {}
+    for iid, rows in rows_of.items():
+        size = index.images[iid].size
+        limits = (size.width, size.height, size.width, size.height)
+        boxes = np.minimum(np.maximum(corners[rows], 0.0), limits)
+        out[iid] = ProposalSet(boxes=boxes, scores=scores[rows])
+    return out
+
+
+def _bbox_array(path: str | Path, data: list, bboxes: list) -> np.ndarray:
+    """Every results entry's ``bbox`` as an (n, 4) float64 array; when one is
+    not four numbers, the error names the first such entry."""
+    try:
+        xywh = np.array(bboxes, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        xywh = None
+    if xywh is not None and xywh.shape == (len(bboxes), 4):
+        return xywh
+    rows = []
+    for position, entry in enumerate(data):
+        try:
+            rows.append(_xywh(entry))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise _entry_error(path, position, entry, exc) from exc
+    return np.array(rows, dtype=np.float64)
 
 
 def load_detections(path: str | Path, index: DatasetIndex) -> dict[int, list[Detection]]:
@@ -218,7 +272,7 @@ def load_detections(path: str | Path, index: DatasetIndex) -> dict[int, list[Det
             x, y, w, h = _xywh(entry)
             score = float(entry["score"])
             class_id = int(entry["category_id"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise _entry_error(path, position, entry, exc) from exc
         if image_id not in index.images:
             dangling.append(image_id)

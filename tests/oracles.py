@@ -10,7 +10,7 @@ from collections import deque
 
 import numpy as np
 
-from pyrsample.geometry import BoundingBox, GroundTruthInstance, ImageSize
+from pyrsample.geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec
 
 
 def iou_oracle(a: BoundingBox, b: BoundingBox) -> float:
@@ -174,6 +174,60 @@ def chip_grid_oracle(width: int, height: int, size: int, stride: int) -> list[tu
         for x in axis(width):
             rects.append((x, y, min(x + size, width), min(y + size, height)))
     return rects
+
+
+def select_negative_chips_oracle(
+    boxes: list[BoundingBox],
+    positive_rects: list[tuple[int, BoundingBox]],
+    pyramid: list[ScaleSpec],
+    original: ImageSize,
+    min_proposals: int,
+    membership: str,
+) -> list[tuple[int, tuple]]:
+    """Negative-chip pool, one proposal at a time: (scale id, chip rect) in
+    pick order. Per level each proposal is rescaled by the per-axis factors,
+    kept when its area is strictly inside the effective range and no
+    positive rect of the level encloses it; then every lattice cell is
+    re-counted for each pick, the first highest count winning, while that
+    count reaches ``min_proposals``."""
+
+    def covers(cell: BoundingBox, box: BoundingBox) -> bool:
+        if membership == "enclose":
+            return encloses_oracle(cell, box)
+        cx, cy = (box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0
+        return cell.x1 <= cx <= cell.x2 and cell.y1 <= cy <= cell.y2
+
+    pool = []
+    for spec in pyramid:
+        canvas = spec.resolve(original)
+        fx = canvas.width / original.width
+        fy = canvas.height / original.height
+        r_min, r_max = spec.effective_range
+        rects = [rect for scale_id, rect in positive_rects if scale_id == spec.scale_id]
+        remaining = []
+        for b in boxes:
+            box = BoundingBox(b.x1 * fx, b.y1 * fy, b.x2 * fx, b.y2 * fy)
+            if r_min < box.area < r_max and not any(encloses_oracle(r, box) for r in rects):
+                remaining.append(box)
+        cells = [
+            BoundingBox(*rect)
+            for rect in chip_grid_oracle(
+                canvas.width, canvas.height, spec.chip_size, spec.chip_stride
+            )
+        ]
+        available = list(range(len(cells)))
+        while True:
+            best, best_gain = None, 0
+            for idx in available:
+                gain = sum(1 for box in remaining if covers(cells[idx], box))
+                if gain > best_gain:
+                    best, best_gain = idx, gain
+            if best is None or best_gain < min_proposals:
+                break
+            pool.append((spec.scale_id, cells[best].as_tuple()))
+            available.remove(best)
+            remaining = [box for box in remaining if not covers(cells[best], box)]
+    return pool
 
 
 def hard_nms_oracle(

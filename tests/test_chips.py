@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from pyrsample.chips import (
     Chip,
     ProposalSet,
-    assign_chip_labels,
     build_chip_grid,
     sample_negative_chips,
     select_negative_chips,
@@ -17,12 +17,18 @@ from pyrsample.geometry import (
     BoundingBox,
     GroundTruthInstance,
     ImageSize,
+    MaxSideTarget,
     ScaleSpec,
     encloses,
 )
-from pyrsample.range_labels import RoiLabel, classify_box_validity
+from pyrsample.range_labels import RoiLabel, assign_roi_labels, classify_box_validity
 
-from oracles import chip_grid_oracle, greedy_cover_oracle, encloses_oracle
+from oracles import (
+    chip_grid_oracle,
+    encloses_oracle,
+    greedy_cover_oracle,
+    select_negative_chips_oracle,
+)
 
 
 def square(side, x=0.0, y=0.0):
@@ -282,6 +288,104 @@ class TestSelectNegativeChips:
         )
         assert pool == []
 
+    @pytest.mark.parametrize("block", range(4))
+    def test_matches_per_proposal_oracle(self, block):
+        for seed in range(block * 100, block * 100 + 100):
+            boxes, positive, pyramid, original = _negative_case(seed)
+            membership = ("center", "enclose")[seed % 2]
+            min_proposals = 1 + seed // 2 % 3
+            proposals = ProposalSet(boxes=boxes, scores=[0.5] * len(boxes))
+            pool = select_negative_chips(
+                proposals, positive, pyramid, original,
+                min_proposals=min_proposals, membership=membership,
+            )
+            expected = select_negative_chips_oracle(
+                boxes, [(c.scale_id, c.rect) for c in positive], pyramid, original,
+                min_proposals, membership,
+            )
+            assert [(c.scale_id, c.rect.as_tuple()) for c in pool] == expected, seed
+            assert all(c.kind == "negative" for c in pool)
+
+
+def _negative_case(seed):
+    """A seeded proposal set, pyramid and positive chips for the oracle.
+
+    Boxes sit on a 4-px grid of the original frame, so under the factors 0.5,
+    1 and 2 their corners and centers land on chip borders and the canvas
+    edge, and squares of side r/f have resized areas exactly at the range
+    endpoints r^2. Zero-width and zero-height boxes and free floats are
+    mixed in; the other targets give factors that are not powers of two.
+    """
+    rng = random.Random(seed)
+    original = ImageSize(rng.choice([64, 96, 128, 160]), rng.choice([64, 96, 120, 160]))
+    size = rng.choice([32, 48, 64])
+    stride = rng.choice([8, 16, size])
+    r_lo, r_hi = rng.choice([(4, 24), (8, 32), (0, 16), (12, 12.5)])
+    targets = [1.0, 0.5, 2.0, 0.75, ImageSize(100, 70), MaxSideTarget(150)]
+    pyramid = [
+        ScaleSpec(
+            scale_id=scale_id,
+            target=target,
+            valid_range=(r_lo**2, r_hi**2 if rng.random() < 0.8 else math.inf),
+            chip_size=size,
+            chip_stride=stride,
+            absorb_below=rng.random() < 0.2,
+            absorb_above=rng.random() < 0.2,
+        )
+        for scale_id, target in enumerate(
+            rng.sample(targets[:3], 1) + rng.sample(targets, rng.randint(0, 2))
+        )
+    ]
+    w, h = original.width, original.height
+    boxes = []
+    for _ in range(rng.randint(0, 40)):
+        kind = rng.choice(["grid", "grid", "edge", "endpoint", "zero", "float"])
+        x1, y1 = rng.randrange(0, w + 1, 4), rng.randrange(0, h + 1, 4)
+        bw, bh = rng.randrange(0, 48, 4), rng.randrange(0, 48, 4)
+        if kind == "edge":
+            x1 = rng.choice([0, max(0, w - bw)])
+            y1 = rng.choice([0, max(0, h - bh)])
+        elif kind == "endpoint":
+            factor = rng.choice([1.0, 0.5, 2.0])
+            bw = bh = rng.choice([r_lo, r_hi]) / factor
+        elif kind == "zero":
+            bw, bh = rng.choice([(0, bh), (bw, 0), (0, 0)])
+        elif kind == "float":
+            x1, y1 = rng.uniform(0, w), rng.uniform(0, h)
+            bw, bh = rng.uniform(0, 40), rng.uniform(0, 40)
+        boxes.append(BoundingBox(x1, y1, min(x1 + bw, w), min(y1 + bh, h)))
+    positive = []
+    for spec in pyramid + [ScaleSpec(scale_id=9, target=1.0)]:
+        canvas = spec.resolve(original)
+        cells = chip_grid_oracle(canvas.width, canvas.height, spec.chip_size, spec.chip_stride)
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.7:
+                rect = BoundingBox(*rng.choice(cells))
+            else:
+                x, y = rng.randrange(0, canvas.width, 4), rng.randrange(0, canvas.height, 4)
+                rect = BoundingBox(x, y, x + rng.randrange(8, 80, 4), y + rng.randrange(8, 80, 4))
+            positive.append(Chip(rect=rect, scale_id=spec.scale_id))
+    return boxes, positive, pyramid, original
+
+
+class TestProposalSet:
+    def test_boxes_become_an_array(self):
+        proposals = ProposalSet(boxes=[square(10), square(4, x=2)], scores=[0.5, 1])
+        assert proposals.boxes.dtype == np.float64
+        assert proposals.boxes.tolist() == [[0, 0, 10, 10], [2, 0, 6, 4]]
+        assert proposals.scores.tolist() == [0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "boxes, scores",
+        [([[0, 0, 1, 1]], [1.5]), ([[0, 0, 1, 1]], [float("nan")]),
+         ([[2, 0, 1, 1]], [0.5]), ([[0, 0, 1, 1]], [0.5, 0.5]), ([[0, 0, 1]], [0.5])],
+        ids=["score-above-1", "nan-score", "corners-out-of-order", "length-mismatch",
+             "three-columns"],
+    )
+    def test_rejects(self, boxes, scores):
+        with pytest.raises(ValueError):
+            ProposalSet(boxes=np.array(boxes, dtype=float), scores=scores)
+
 
 class TestSampleNegativeChips:
     def test_empty_pool(self):
@@ -340,7 +444,9 @@ class TestExcerptChipStatistics:
 
 
 class TestAssignChipLabels:
-    CHIP = Chip(rect=square(512), scale_id=0)
+    """Chip-local labeling: proposals and the ground truth retained in a
+    512-px chip, in chip coordinates, go through ``assign_roi_labels``."""
+
     SPEC = ScaleSpec(scale_id=0, target=1.0, valid_range=(32.0**2, 150.0**2),
                      chip_size=512, chip_stride=32)
 
@@ -348,14 +454,14 @@ class TestAssignChipLabels:
         # fragment of a large box, cropped to the chip: proposals matching it win
         cropped = GroundTruthInstance(BoundingBox(400, 0, 512, 120), class_id=6)
         proposal = BoundingBox(400, 0, 512, 100)  # IoU 100/120 > 0.5, area in range
-        labels = assign_chip_labels(self.CHIP, [proposal], [cropped], self.SPEC)
+        labels = assign_roi_labels([proposal], [cropped], self.SPEC)
         assert labels == [RoiLabel.foreground(6)]
 
     def test_out_of_range_proposal_ignored(self):
-        labels = assign_chip_labels(self.CHIP, [square(200)], [], self.SPEC)
+        labels = assign_roi_labels([square(200)], [], self.SPEC)
         assert labels == [RoiLabel.ignore()]
 
     def test_low_iou_background(self):
         gt = GroundTruthInstance(square(60, x=400, y=400), class_id=2)
-        labels = assign_chip_labels(self.CHIP, [square(60)], [gt], self.SPEC)
+        labels = assign_roi_labels([square(60)], [gt], self.SPEC)
         assert labels == [RoiLabel.background()]

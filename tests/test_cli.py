@@ -86,6 +86,50 @@ class TestErrorRecords:
         assert "annotation id 77" in error["message"]
 
     @pytest.mark.parametrize(
+        "change",
+        [("images", {"id": float("inf"), "width": 10, "height": 10}),
+         ("categories", {"name": "no-id"}),
+         ("categories", {"id": float("-inf")}),
+         ("categories", 7),
+         ("annotations", {"id": 78, "image_id": float("inf"), "category_id": 1,
+                          "bbox": [1, 1, 2, 2]})],
+        ids=["infinite-image-id", "category-without-id", "infinite-category-id",
+             "category-not-a-list", "infinite-annotation-image-id"],
+    )
+    def test_bad_coco_entry(self, small_coco, capsys, change):
+        key, value = change
+        data = json.loads(small_coco.read_text())
+        if isinstance(value, dict):
+            data[key].append(value)
+        else:
+            data[key] = value
+        small_coco.write_text(json.dumps(data))
+        assert main(["stats", "areafractions", "--annotations", str(small_coco)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "DatasetStructureError"
+        assert str(small_coco) in error["message"]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"image_id": float("inf"), "bbox": [1, 1, 5, 5], "score": 0.5},
+         {"image_id": 1, "bbox": [1, 1, 5, 5], "score": 2.0},
+         {"image_id": 1, "bbox": [1, 1, 5, 5], "score": float("nan")},
+         {"image_id": 1, "bbox": [1, 1, 5], "score": 0.5}],
+        ids=["infinite-image-id", "score-above-1", "nan-score", "short-bbox"],
+    )
+    def test_bad_proposal(self, small_coco, tmp_path, capsys, entry):
+        props = tmp_path / "props.json"
+        good = {"image_id": 2, "bbox": [10, 10, 5, 5], "score": 0.5}
+        props.write_text(json.dumps([good, entry]))
+        rc = main(["chips", "negative", "--annotations", str(small_coco),
+                   "--proposals", str(props), "--out", str(tmp_path / "neg.json")])
+        assert rc == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "DatasetStructureError"
+        assert f"{props}: entry 1:" in error["message"]
+        assert not (tmp_path / "neg.json").exists()
+
+    @pytest.mark.parametrize(
         "path",
         [("canvas",), ("image_id",), ("scale_id",),
          ("detections", 0, "bbox"), ("detections", 0, "score"),

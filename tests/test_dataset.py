@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pyrsample.dataset import (
@@ -111,6 +112,41 @@ class TestLoadDataset:
         index = load_dataset(ann, proposals_path=props, detections_path=dets)
         assert len(index.proposals[1].boxes) == 2
         assert index.detections[1][0].class_id == 3
+
+    def test_proposals_are_columns_per_image_in_file_order(self, tmp_path):
+        ann = minimal_coco(
+            tmp_path,
+            images=[{"id": 1, "width": 640, "height": 480}, {"id": 2, "width": 100, "height": 50}],
+        )
+        props = tmp_path / "props.json"
+        props.write_text(
+            json.dumps(
+                [
+                    {"image_id": 2, "bbox": [90, -5, 20, 20], "score": 0.5},
+                    {"image_id": 1, "bbox": [0.5, 1, 2, 3], "score": 1},
+                    {"image_id": 2, "bbox": [10, 10, 0, 5]},
+                ]
+            )
+        )
+        proposals = load_dataset(ann, proposals_path=props).proposals
+        assert list(proposals) == [2, 1]
+        assert proposals[2].boxes.dtype == np.float64
+        assert proposals[2].boxes.tolist() == [[90, 0, 100, 15], [10, 10, 10, 15]]
+        assert proposals[2].scores.tolist() == [0.5, 1.0]
+        assert proposals[1].boxes.tolist() == [[0.5, 1, 2.5, 4]]
+
+    @pytest.mark.parametrize("score", [2.0, -0.25, float("nan")], ids=["above-1", "negative", "nan"])
+    def test_bad_proposal_score_names_entry(self, tmp_path, score):
+        ann = minimal_coco(tmp_path)
+        props = tmp_path / "props.json"
+        props.write_text(
+            json.dumps(
+                [{"image_id": 1, "bbox": [0, 0, 5, 5], "score": 0.5},
+                 {"image_id": 1, "bbox": [1, 1, 5, 5], "score": score}]
+            )
+        )
+        with pytest.raises(DatasetStructureError, match=r"props\.json: entry 1: score"):
+            load_dataset(ann, proposals_path=props)
 
     def test_dangling_proposal_raises(self, tmp_path):
         ann = minimal_coco(tmp_path)

@@ -1,0 +1,178 @@
+"""Fuzzing of ``load_dataset`` through the CLI error contract.
+
+Generated COCO annotation files and proposal files mix well-formed entries
+with missing, mistyped, NaN, infinite, huge and out-of-range fields, and
+sometimes replace a whole section or file with junk. Each case runs through
+``chips negative`` (annotations and proposals) and ``stats areafractions``
+(annotations). Every run must either exit 0 and write its output, or exit 1
+with exactly one JSON error line on stderr and no output file. A traceback,
+a numpy warning or any other stderr line fails the test.
+"""
+import contextlib
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pyrsample.cli import main
+
+special = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 5e-324, 2**70, -(2**70)]
+)
+other_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 5), max_size=5),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+junk = st.one_of(special, special, other_junk)
+# Image sizes leave out huge finite values: a valid image 1e308 pixels wide
+# would ask the chip lattice for that many cells.
+size_junk = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -(2**70), 5e-324, 0, -3]),
+    other_junk,
+)
+
+
+def mostly(valid, bad=junk, one_in=6):
+    """``valid``, except that one draw in ``one_in`` comes from ``bad``.
+
+    (``st.one_of`` would flatten a nested ``one_of`` such as ``junk`` into
+    its branches and so pick junk far more often than intended.)
+    """
+    return st.integers(1, one_in).flatmap(lambda k: bad if k == 1 else valid)
+
+
+def entries(fields):
+    """A list of entries with all fields, or with any subset of them."""
+    entry = st.fixed_dictionaries(fields) | st.fixed_dictionaries({}, optional=fields)
+    return mostly(st.lists(entry, max_size=6))
+
+
+coord = st.floats(min_value=-50.0, max_value=900.0, allow_nan=False)
+extent = st.floats(min_value=0.0, max_value=400.0)
+clean_bbox = st.lists(coord, min_size=2, max_size=2).flatmap(
+    lambda xy: st.lists(extent, min_size=2, max_size=2).map(lambda wh: xy + wh)
+)
+bbox = mostly(clean_bbox) | st.lists(st.one_of(coord, junk), min_size=3, max_size=5)
+image_id = mostly(st.sampled_from([1, 2])) | st.integers(3, 5)
+
+# Well-formed files: images 1 and 2, entries that reference them.
+clean_image_fields = {
+    "width": st.integers(1, 700),
+    "height": st.integers(1, 700),
+    "file_name": st.text(max_size=8),
+}
+clean_annotation_fields = {
+    "id": st.integers(1, 9),
+    "image_id": st.sampled_from([1, 2]),
+    "category_id": st.integers(0, 3),
+    "bbox": clean_bbox,
+    "iscrowd": st.sampled_from([0, 1]),
+}
+clean_category_fields = {"id": st.integers(1, 3), "name": st.text(max_size=4)}
+clean_proposal_fields = {
+    "image_id": st.sampled_from([1, 2]),
+    "bbox": clean_bbox,
+    "score": st.floats(0.0, 1.0),
+}
+clean_annotation_file = st.fixed_dictionaries({
+    "images": st.tuples(
+        *(st.fixed_dictionaries({"id": st.just(i), **clean_image_fields}) for i in (1, 2))
+    ).map(list),
+    "annotations": st.lists(st.fixed_dictionaries(clean_annotation_fields), max_size=6),
+    "categories": st.lists(st.fixed_dictionaries(clean_category_fields), max_size=3),
+})
+clean_proposal_file = st.lists(st.fixed_dictionaries(clean_proposal_fields), max_size=40)
+
+# Malformed files: any field, entry, section or the whole file may be junk.
+image_fields = {
+    "id": mostly(st.sampled_from([1, 2, 3])),
+    "width": mostly(st.integers(1, 700), size_junk),
+    "height": mostly(st.integers(1, 700), size_junk),
+    "file_name": mostly(st.text(max_size=8)),
+}
+annotation_fields = {
+    "id": mostly(st.integers(1, 9)),
+    "image_id": image_id,
+    "category_id": mostly(st.integers(-1, 3)),
+    "bbox": bbox,
+    "iscrowd": mostly(st.sampled_from([0, 1])),
+}
+category_fields = {"id": mostly(st.integers(1, 3)), "name": mostly(st.text(max_size=4))}
+sections = {
+    "images": entries(image_fields),
+    "annotations": entries(annotation_fields),
+    "categories": entries(category_fields),
+}
+proposal_fields = {
+    "image_id": image_id,
+    "bbox": bbox,
+    "score": mostly(st.floats(0.0, 1.0)) | st.floats(-1.0, 2.0),
+}
+annotation_file = mostly(
+    clean_annotation_file,
+    st.one_of(
+        st.fixed_dictionaries(sections), st.fixed_dictionaries({}, optional=sections), junk
+    ),
+    one_in=2,
+)
+proposal_file = mostly(clean_proposal_file, entries(proposal_fields) | junk, one_in=2)
+
+GOOD = {
+    "images": [{"id": 1, "width": 640, "height": 480, "file_name": "a.jpg"}],
+    "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [100, 100, 15, 15]}],
+    "categories": [{"id": 1, "name": "a"}],
+}
+GOOD_PROPOSALS = [{"image_id": 1, "bbox": [300, 200, 40, 40], "score": 0.5}]
+
+
+def _with(section, position, key, value):
+    data = json.loads(json.dumps(GOOD))
+    data[section][position][key] = value
+    return data
+
+
+def _run(argv: list[str], out: Path) -> None:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+    if rc == 0:
+        assert stderr.getvalue() == ""
+        assert out.exists()
+    else:
+        assert rc == 1
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] and error["message"]
+        assert not out.exists()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(annotation_file, proposal_file)
+@example(_with("images", 0, "id", float("inf")), GOOD_PROPOSALS)
+@example(_with("categories", 0, "id", float("inf")), GOOD_PROPOSALS)
+@example({**GOOD, "categories": [{"name": "a"}]}, GOOD_PROPOSALS)
+@example({**GOOD, "annotations": 7}, GOOD_PROPOSALS)
+@example(GOOD, [{"image_id": float("inf"), "bbox": [1, 1, 5, 5], "score": 0.5}])
+@example(GOOD, [{"image_id": 1, "bbox": [1e308, 1, 1e308, 5], "score": 0.5}])
+@example(GOOD, [{"image_id": 1, "bbox": [1, 1, 5, 5], "score": float("nan")}])
+def test_loaders_exit_cleanly_on_any_input(annotations, proposals):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        ann, props = tmp / "ann.json", tmp / "props.json"
+        ann.write_text(json.dumps(annotations))
+        props.write_text(json.dumps(proposals))
+        neg, fractions = tmp / "neg.json", tmp / "fractions.json"
+        _run(["chips", "negative", "--annotations", str(ann), "--proposals", str(props),
+              "--out", str(neg)], neg)
+        _run(["stats", "areafractions", "--annotations", str(ann), "--out", str(fractions)],
+             fractions)
