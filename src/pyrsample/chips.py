@@ -17,7 +17,9 @@ from .geometry import (
     GroundTruthInstance,
     ImageSize,
     ScaleSpec,
+    boxes_array,
     encloses,
+    rescale_boxes,
 )
 from .range_labels import valid_area_mask
 
@@ -67,7 +69,7 @@ class ProposalSet:
 
     def __post_init__(self) -> None:
         if not isinstance(self.boxes, np.ndarray):
-            self.boxes = _boxes_array(list(self.boxes))
+            self.boxes = boxes_array(self.boxes)
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.boxes.shape != (len(self.scores), 4):
             raise ValueError("boxes must be (n, 4) with one score per box")
@@ -123,12 +125,6 @@ def build_chip_grid(canvas: ImageSize, chip_size: int, chip_stride: int) -> Chip
             )
             origins.append((x, y))
     return ChipGrid(scale_id=-1, canvas=canvas, cells=cells, origins=origins)
-
-
-def _boxes_array(boxes: list[BoundingBox]) -> np.ndarray:
-    if not boxes:
-        return np.zeros((0, 4), dtype=float)
-    return np.array([b.as_tuple() for b in boxes], dtype=float)
 
 
 def _lattice(
@@ -219,9 +215,7 @@ def _level_boxes(
     The multiply and the area test are the IEEE operations of
     :func:`rescale_box` and :func:`classify_box_validity`.
     """
-    fx = canvas.width / original.width
-    fy = canvas.height / original.height
-    resized = boxes * (fx, fy, fx, fy)
+    resized = rescale_boxes(boxes, original, canvas)
     return resized, valid_area_mask(resized, spec)
 
 
@@ -243,7 +237,7 @@ def select_positive_chips(
     """
     chips: list[Chip] = []
     diagnostics: list[UncoverableGt] = []
-    gt_boxes = _boxes_array([gt.box for gt in gts])
+    gt_boxes = boxes_array([gt.box for gt in gts])
     not_crowd = np.array([not gt.is_crowd for gt in gts], dtype=bool)
     for spec in pyramid:
         canvas = spec.resolve(original)
@@ -300,7 +294,7 @@ def select_negative_chips(
         canvas = spec.resolve(original)
         resized, valid = _level_boxes(proposals.boxes, original, canvas, spec)
         boxes = resized[valid]
-        pos_rects = _boxes_array([c.rect for c in positive if c.scale_id == spec.scale_id])
+        pos_rects = boxes_array([c.rect for c in positive if c.scale_id == spec.scale_id])
         boxes = boxes[~_enclosure_matrix(pos_rects, boxes).any(axis=0)]
         if len(boxes) < min_proposals:
             continue

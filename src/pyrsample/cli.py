@@ -33,8 +33,8 @@ from .costing import (
 )
 from .dataset import DatasetError, DatasetIndex, load_dataset, voc_to_coco
 from .focus_chips import FocusParams, generate_focus_chips
-from .focus_labels import build_focus_label_map, focus_pixel_stats
-from .geometry import BoundingBox, DetectionBatch, GroundTruthInstance, ImageSize, rescale_box
+from .focus_labels import LabelMap, focus_label_cells, focus_pixel_stats
+from .geometry import BoundingBox, DetectionBatch, ImageSize, boxes_array
 from .range_labels import filter_detections_by_range
 from .serialization import FormatError
 from .stacking import merge_detections, project_to_image, prune_boundary_detections
@@ -132,11 +132,10 @@ def cmd_chips_negative(args) -> int:
 def _focus_labels_worker(payload):
     image_id, gts, original, spec, stride, thresholds = payload
     canvas = spec.resolve(original)
-    resized = [
-        GroundTruthInstance(rescale_box(g.box, original, canvas), g.class_id, g.is_crowd)
-        for g in gts
-    ]
-    return image_id, build_focus_label_map(resized, canvas, stride, *thresholds)
+    cells = focus_label_cells(
+        boxes_array(g.box for g in gts), original, canvas, stride, *thresholds
+    )
+    return image_id, LabelMap(cells, stride, canvas, *thresholds)
 
 
 def cmd_focus_labels(args) -> int:
@@ -303,6 +302,7 @@ def _stats_common(args) -> tuple[PipelineConfig, DatasetIndex, dict, dict]:
 def cmd_stats(args) -> int:
     cfg, index, gts, sizes = _stats_common(args)
     out = Path(args.out) if args.out else None
+    dilation = cfg.focus_params.dilation if args.dilation is None else args.dilation
     if args.which == "roiscale":
         hist = roi_scale_histogram(gts, sizes, n_bins=args.bins)
         payload = {
@@ -351,7 +351,7 @@ def cmd_stats(args) -> int:
             min_side=cfg.focus_min_side,
             max_side=cfg.focus_max_side,
             ignore_max_side=cfg.focus_ignore_max_side,
-            dilation=args.dilation,
+            dilation=dilation,
         )
         payload = {
             str(sid): {
@@ -367,7 +367,7 @@ def cmd_stats(args) -> int:
         for sid, s in sorted(stats.items()):
             print(
                 f"scale {sid}: {s.fraction:.2%} focus cells "
-                f"({s.fraction_dilated:.2%} after {args.dilation}x{args.dilation} dilation)"
+                f"({s.fraction_dilated:.2%} after {dilation}x{dilation} dilation)"
             )
     elif args.which == "speedup":
         ks = [int(v) for v in args.k.split(",")]
@@ -380,7 +380,7 @@ def cmd_stats(args) -> int:
             min_side=cfg.focus_min_side,
             max_side=cfg.focus_max_side,
             ignore_max_side=cfg.focus_ignore_max_side,
-            dilation=cfg.focus_params.dilation,
+            dilation=dilation,
             process_coarsest_fully=not args.chips_at_coarsest,
         )
         payload = {"curve": [[k, s] for k, s in curve]}
@@ -474,8 +474,15 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--out", default=None)
     stats.add_argument("--curve", default=None, help="gnuplot-compatible curve output")
     stats.add_argument("--bins", type=int, default=50)
-    stats.add_argument("--dilation", type=int, default=3)
-    stats.add_argument("--k", default="64,128,256,512", help="comma-separated chip sizes")
+    stats.add_argument(
+        "--dilation",
+        type=int,
+        default=None,
+        help="odd focus-mask dilation in cells (default: the config's focus dilation)",
+    )
+    stats.add_argument(
+        "--k", default="64,128,256,512", help="comma-separated distinct chip sizes >= 1"
+    )
     stats.add_argument(
         "--chips-at-coarsest",
         action="store_true",

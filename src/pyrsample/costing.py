@@ -13,22 +13,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec, rescale_box
+from .geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec, boxes_array
 from .focus_labels import (
-    build_focus_label_map,
-    probability_map_from_labels,
+    FOCUS,
+    focus_label_cells,
     DEFAULT_IGNORE_MAX_SIDE,
     DEFAULT_MAX_SIDE,
     DEFAULT_MIN_SIDE,
     DEFAULT_STRIDE,
 )
-from .focus_chips import (
-    FocusParams,
-    chips_from_components,
-    connected_components,
-    dilate,
-    threshold_map,
-)
+from .focus_chips import binary_dilate, check_kernel_size, chips_for_sizes, component_bounds
 
 FULL_IMAGE = "full"
 
@@ -143,15 +137,25 @@ def speedup_upper_bound(
     charged as a full pass by default, matching an inference cascade that
     starts there. Returns (k, speedup) with speedup the ratio of total
     baseline pixels to total chip pixels over the dataset.
+
+    Each ``k`` must be a distinct integer >= 1, and ``dilation`` odd and
+    >= 1. A level's label map, dilation and components are built once and
+    shared by every ``k``.
     """
     if not gts_by_image:
         raise ValueError("no images in dataset")
     if not min_chip_sizes:
         raise ValueError("no chip sizes to sweep")
+    if len(set(min_chip_sizes)) != len(min_chip_sizes):
+        raise ValueError(f"chip sizes must not repeat: {list(min_chip_sizes)}")
+    if min(min_chip_sizes) < 1:
+        raise ValueError(f"chip sizes must be >= 1: {list(min_chip_sizes)}")
+    check_kernel_size(dilation, "dilation")
     processed = {k: 0.0 for k in min_chip_sizes}
     baseline_total = 0.0
     for image_id, gts in gts_by_image.items():
         original = sizes_by_image[image_id]
+        boxes = boxes_array(g.box for g in gts)
         for level, spec in enumerate(pyramid):
             canvas = spec.resolve(original)
             baseline_total += canvas.area
@@ -159,21 +163,17 @@ def speedup_upper_bound(
                 for k in min_chip_sizes:
                     processed[k] += canvas.area
                 continue
-            resized = [
-                GroundTruthInstance(
-                    rescale_box(g.box, original, canvas), g.class_id, g.is_crowd
-                )
-                for g in gts
-            ]
-            label_map = build_focus_label_map(
-                resized, canvas, stride, min_side, max_side, ignore_max_side
-            )
-            prob = probability_map_from_labels(label_map)
-            binary = dilate(threshold_map(prob, 0.5), dilation)
-            comps = connected_components(binary)
-            for k in min_chip_sizes:
-                chips = chips_from_components(comps, stride, k, canvas)
-                processed[k] += sum(chip.area for chip in chips)
+            focus = focus_label_cells(
+                boxes, original, canvas, stride, min_side, max_side, ignore_max_side
+            ) == FOCUS
+            if not focus.any():
+                continue
+            bounds = component_bounds(binary_dilate(focus, dilation))
+            per_k = chips_for_sizes(bounds, stride, min_chip_sizes, canvas)
+            for k, chips in zip(min_chip_sizes, per_k):
+                # A Python sum in chip order, as a per-chip loop would add them.
+                areas = (chips[:, 2] - chips[:, 0]) * (chips[:, 3] - chips[:, 1])
+                processed[k] += sum(areas.tolist())
     return [
         (k, math.inf if processed[k] == 0 else baseline_total / processed[k])
         for k in min_chip_sizes
@@ -279,29 +279,3 @@ def size_area_fractions(
         for idx, (name, lo, hi) in enumerate(bands)
     ]
 
-
-def generate_gt_focus_chips(
-    gts: list[GroundTruthInstance],
-    original: ImageSize,
-    spec: ScaleSpec,
-    params: FocusParams,
-    stride: int = DEFAULT_STRIDE,
-    min_side: float = DEFAULT_MIN_SIDE,
-    max_side: float = DEFAULT_MAX_SIDE,
-    ignore_max_side: float = DEFAULT_IGNORE_MAX_SIDE,
-) -> list[BoundingBox]:
-    """Focus chips for one image and level from ground truth (the perfect-
-    predictor path used by the speed-up bound), in resized-frame pixels."""
-    canvas = spec.resolve(original)
-    resized = [
-        GroundTruthInstance(rescale_box(g.box, original, canvas), g.class_id, g.is_crowd)
-        for g in gts
-    ]
-    label_map = build_focus_label_map(
-        resized, canvas, stride, min_side, max_side, ignore_max_side
-    )
-    prob = probability_map_from_labels(label_map)
-    binary = dilate(threshold_map(prob, params.threshold, strict=params.strict_threshold),
-                    params.dilation)
-    comps = connected_components(binary)
-    return chips_from_components(comps, stride, params.min_chip_size, canvas)

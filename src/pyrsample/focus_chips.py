@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, ImageSize
-from .focus_labels import ProbabilityMap, grid_shape
+from .geometry import BoundingBox, ImageSize, boxes_array
+from .focus_labels import ProbabilityMap, check_grid
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,7 @@ class FocusParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold out of range: {self.threshold}")
-        if self.dilation < 1 or self.dilation % 2 == 0:
-            raise ValueError(f"dilation must be odd and >= 1: {self.dilation}")
+        check_kernel_size(self.dilation, "dilation")
         if self.min_chip_size < 1:
             raise ValueError(f"min_chip_size must be >= 1: {self.min_chip_size}")
 
@@ -49,12 +49,7 @@ class BinaryMap:
     image: ImageSize
 
     def __post_init__(self) -> None:
-        expected = grid_shape(self.image, self.stride)
-        if self.cells.shape != expected:
-            raise ValueError(
-                f"cell grid {self.cells.shape} does not match image "
-                f"{self.image.width}x{self.image.height} at stride {self.stride}"
-            )
+        check_grid(self.cells, self.image, self.stride)
 
 
 @dataclass
@@ -79,23 +74,26 @@ def threshold_map(p: ProbabilityMap, threshold: float, strict: bool = False) -> 
     return BinaryMap(cells=cells.astype(np.uint8), stride=p.stride, image=p.image)
 
 
-def binary_dilate(mask: np.ndarray, size: int) -> np.ndarray:
-    """Binary dilation by a size x size square kernel, borders clipped."""
+def check_kernel_size(size: int, name: str = "kernel size") -> None:
+    """Raise ``ValueError`` unless ``size`` is an odd square kernel side >= 1."""
     if size < 1 or size % 2 == 0:
-        raise ValueError(f"kernel size must be odd and >= 1: {size}")
-    if size == 1:
-        return mask.astype(bool).copy()
-    r = size // 2
-    src = mask.astype(bool)
-    out = np.zeros_like(src)
-    h, w = src.shape
-    for dy in range(-r, r + 1):
-        ys = slice(max(dy, 0), h + min(dy, 0))
-        yd = slice(max(-dy, 0), h + min(-dy, 0))
-        for dx in range(-r, r + 1):
-            xs = slice(max(dx, 0), w + min(dx, 0))
-            xd = slice(max(-dx, 0), w + min(-dx, 0))
-            out[yd, xd] |= src[ys, xs]
+        raise ValueError(f"{name} must be odd and >= 1: {size}")
+
+
+def binary_dilate(mask: np.ndarray, size: int) -> np.ndarray:
+    """Binary dilation by a size x size square kernel, borders clipped.
+
+    A square max filter is separable: dilating every row by a 1 x size
+    segment, then every column by a size x 1 segment, gives the same result.
+    """
+    check_kernel_size(size)
+    out = mask.astype(bool)
+    # Rows first, then columns through the transposed view of ``out``.
+    for view in (out, out.T):
+        src = view.copy()
+        for d in range(1, size // 2 + 1):
+            view[:, d:] |= src[:, :-d]
+            view[:, :-d] |= src[:, d:]
     return out
 
 
@@ -108,25 +106,28 @@ def dilate(bm: BinaryMap, size: int) -> BinaryMap:
     )
 
 
-def connected_components(bm: BinaryMap) -> list[ConnectedComponent]:
-    """Partition 1-cells into maximal 8-connected components.
+def _run_components(
+    mask: np.ndarray,
+) -> tuple[list[int], list[int], list[int], list[list[int]], list[tuple[int, int, int, int]]]:
+    """The runs and the 8-connected components of the 1-cells of ``mask``.
 
     Run-based labeling (He et al., IEEE TIP 2008): the horizontal runs of
-    1-cells come from one ``np.diff`` over the zero-padded mask, runs in
+    1-cells come from one ``np.diff`` over the zero-padded mask, and runs in
     adjacent rows whose column spans overlap or meet diagonally are joined
-    by a union-find over runs, and each component's cells and bounds are
-    read off its runs. Components are ordered by their top-left-most cell in
-    scan order; each component's ``cells`` are in row-major order.
+    by a union-find over runs. Returns each run's row, first column and end
+    column (one past its last cell) in scan order, then per component, in
+    the order of its first run, its run indices and its bounds (min_col,
+    min_row, max_col, max_row).
     """
-    h, w = bm.cells.shape
+    h, w = mask.shape
     width = w + 2
     padded = np.zeros((h, width), dtype=bool)
-    padded[:, 1:-1] = bm.cells
+    padded[:, 1:-1] = mask
     # Flat positions row * width + column + 1 of each run's first cell and of
     # the zero just past its last cell, alternating, in scan order.
     edges = np.flatnonzero(np.diff(padded.ravel())) + 1
     if len(edges) == 0:
-        return []
+        return [], [], [], [], []
     starts, ends = edges[0::2], edges[1::2]
     # Run b in the next row touches run a (8-connectivity) when its span
     # reaches a's span widened by one column. Positions increase along the
@@ -153,44 +154,90 @@ def connected_components(bm: BinaryMap) -> list[ConnectedComponent]:
             parent[find(b)] = find(a)
 
     # Runs are visited in scan order, so components come out ordered by their
-    # first cell and each one lists its runs row-major.
+    # first run and each one lists its runs row-major.
     runs: dict[int, list[int]] = {}
     for i in range(len(rows)):
         runs.setdefault(find(i), []).append(i)
+    groups = list(runs.values())
+    bounds = [
+        (
+            min([first_cols[i] for i in members]),
+            rows[members[0]],
+            max([end_cols[i] for i in members]) - 1,
+            rows[members[-1]],
+        )
+        for members in groups
+    ]
+    return rows, first_cols, end_cols, groups, bounds
+
+
+def connected_components(bm: BinaryMap) -> list[ConnectedComponent]:
+    """Partition 1-cells into maximal 8-connected components.
+
+    Components are ordered by their top-left-most cell in scan order; each
+    component's ``cells`` are in row-major order.
+    """
+    rows, first_cols, end_cols, groups, bounds = _run_components(bm.cells)
     components = []
-    for members in runs.values():
+    for members, box in zip(groups, bounds):
         cells: list[tuple[int, int]] = []
         for i in members:
             cells.extend(zip(repeat(rows[i]), range(first_cols[i], end_cols[i])))
-        components.append(
-            ConnectedComponent(
-                cells,
-                rows[members[0]],
-                min([first_cols[i] for i in members]),
-                rows[members[-1]],
-                max([end_cols[i] for i in members]) - 1,
-            )
-        )
+        min_col, min_row, max_col, max_row = box
+        components.append(ConnectedComponent(cells, min_row, min_col, max_row, max_col))
     return components
 
 
-def _expand_interval(lo: float, hi: float, min_len: float, limit: float) -> tuple[float, float]:
-    """Grow [lo, hi] to at least min_len, centered, shifted inward at [0, limit]."""
-    length = hi - lo
-    target = max(min_len, length)
-    if target >= limit:
-        return 0.0, limit
-    center = (lo + hi) / 2.0
-    new_lo = center - target / 2.0
-    new_lo = min(max(new_lo, 0.0), limit - target)
-    return new_lo, new_lo + target
+def component_bounds(mask: np.ndarray) -> np.ndarray:
+    """The (m, 4) int64 cell bounds min_col, min_row, max_col, max_row of
+    the 8-connected components of a 2-D mask, in
+    :func:`connected_components` order, without listing their cells."""
+    return np.array(_run_components(mask)[4], dtype=np.int64).reshape(-1, 4)
 
 
-def expand_to_min_size(rect: BoundingBox, min_side: float, image: ImageSize) -> BoundingBox:
-    """Symmetric growth of a rectangle to a minimum side within the canvas."""
-    x1, x2 = _expand_interval(rect.x1, rect.x2, min_side, float(image.width))
-    y1, y2 = _expand_interval(rect.y1, rect.y2, min_side, float(image.height))
-    return BoundingBox(x1, y1, x2, y2)
+def _grow(rects: np.ndarray, min_side: np.ndarray | float, image: ImageSize) -> np.ndarray:
+    """The (..., 4) corner array ``rects`` grown symmetrically to ``min_side``
+    per side within the canvas; ``min_side`` broadcasts against the rows.
+
+    Per axis, [lo, hi] grows to at least ``min_side`` around its centre and
+    is shifted inward at [0, limit], or becomes [0, limit] where that does
+    not fit.
+    """
+    lo, hi = rects[..., :2], rects[..., 2:]
+    limit = np.array([image.width, image.height], dtype=np.float64)
+    target = np.maximum(min_side, hi - lo)
+    new_lo = np.minimum(np.maximum((lo + hi) / 2.0 - target / 2.0, 0.0), limit - target)
+    full = target >= limit
+    return np.concatenate(
+        [np.where(full, 0.0, new_lo), np.where(full, limit, new_lo + target)], axis=-1
+    )
+
+
+# Rectangle pairs compared per block in _overlapping, which bounds its
+# temporaries.
+_PAIR_BLOCK = 1 << 16
+
+
+def _overlapping(rects: np.ndarray) -> np.ndarray:
+    """For a (K, m, 4) stack of sets of positive-area rectangles, whether two
+    rectangles of a set overlap with positive area (the test of
+    :meth:`BoundingBox.intersection`), as a (K,) mask.
+
+    Every rectangle overlaps itself, so a set has an overlapping pair when
+    more than m ordered pairs overlap.
+    """
+    n_sets, m = rects.shape[:2]
+    if m < 2:
+        return np.zeros(n_sets, dtype=bool)
+    pairs = np.zeros(n_sets, dtype=np.intp)
+    block = max(1, _PAIR_BLOCK // (n_sets * m))
+    for start in range(0, m, block):
+        head = rects[:, start : start + block, None]
+        tail = rects[:, None]
+        lo = np.maximum(head[..., :2], tail[..., :2])
+        hi = np.minimum(head[..., 2:], tail[..., 2:])
+        pairs += (hi > lo).all(axis=-1).sum(axis=(1, 2))
+    return pairs > m
 
 
 def merge_overlapping(rects: list[BoundingBox]) -> list[BoundingBox]:
@@ -252,21 +299,36 @@ def chips_from_components(
 ) -> list[BoundingBox]:
     """Enclose, grow to the minimum side, and merge component rectangles.
 
-    The tail of :func:`generate_focus_chips`, split out so sweeps over the
-    minimum chip size can reuse one component extraction.
+    The tail of :func:`generate_focus_chips`; see :func:`chips_for_sizes`.
     """
-    if not comps:
-        return []
-    rects = []
-    for comp in comps:
-        pixel_rect = BoundingBox(
-            comp.min_col * stride,
-            comp.min_row * stride,
-            (comp.max_col + 1) * stride,
-            (comp.max_row + 1) * stride,
-        ).clip(image)
-        rects.append(expand_to_min_size(pixel_rect, min_chip_size, image))
-    merged = merge_overlapping(rects)
-    # Merging only grows rectangles, so this re-expansion is an identity
-    # safeguard for the size guarantee.
-    return [expand_to_min_size(r, min_chip_size, image) for r in merged]
+    bounds = np.array(
+        [(c.min_col, c.min_row, c.max_col, c.max_row) for c in comps], dtype=np.int64
+    ).reshape(-1, 4)
+    (chips,) = chips_for_sizes(bounds, stride, [min_chip_size], image)
+    return [BoundingBox(*row) for row in chips.tolist()]
+
+
+def chips_for_sizes(
+    bounds: np.ndarray, stride: int, min_chip_sizes: Sequence[int], image: ImageSize
+) -> list[np.ndarray]:
+    """Focus chips for each minimum chip side in ``min_chip_sizes``, as (n, 4)
+    corner arrays, from one set of component bounds.
+
+    ``bounds`` holds cell bounds min_col, min_row, max_col, max_row per
+    component, as :func:`component_bounds` gives them. Each component's pixel
+    rectangle, clipped to the canvas, is grown to every size in one
+    broadcast. Rectangles are merged with :func:`merge_overlapping` only for
+    a size where two of them overlap, since the merge returns a
+    non-overlapping list unchanged. Every size's chips are then grown once
+    more, as the per-rectangle pipeline did, so that the outputs match it
+    exactly.
+    """
+    limits = (image.width, image.height, image.width, image.height)
+    pixel = np.minimum((bounds + (0, 0, 1, 1)) * stride, limits)
+    sizes = np.array(min_chip_sizes, dtype=np.float64)[:, None, None]
+    grown = _grow(pixel.astype(np.float64), sizes, image)
+    chips = list(_grow(grown, sizes, image))
+    for i in np.flatnonzero(_overlapping(grown)).tolist():
+        merged = merge_overlapping([BoundingBox(*r) for r in grown[i].tolist()])
+        chips[i] = _grow(boxes_array(merged), min_chip_sizes[i], image)
+    return chips

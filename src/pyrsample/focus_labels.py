@@ -15,7 +15,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec, rescale_box
+from .geometry import (
+    BoundingBox,
+    GroundTruthInstance,
+    ImageSize,
+    ScaleSpec,
+    boxes_array,
+    rescale_boxes,
+)
 
 DEFAULT_STRIDE = 32
 DEFAULT_MIN_SIDE = 5.0
@@ -30,6 +37,17 @@ IGNORE = -1
 def grid_shape(image: ImageSize, stride: int) -> tuple[int, int]:
     """(height_cells, width_cells) for an image at a feature-map stride."""
     return math.ceil(image.height / stride), math.ceil(image.width / stride)
+
+
+def check_grid(cells: np.ndarray, image: ImageSize, stride: int) -> None:
+    """Raise ``ValueError`` unless ``cells`` has the grid shape of ``image``
+    at ``stride``."""
+    expected = grid_shape(image, stride)
+    if cells.shape != expected:
+        raise ValueError(
+            f"cell grid {cells.shape} does not match image "
+            f"{image.width}x{image.height} at stride {stride} (expected {expected})"
+        )
 
 
 @dataclass
@@ -48,15 +66,14 @@ class LabelMap:
     ignore_max_side: float = DEFAULT_IGNORE_MAX_SIDE
 
     def __post_init__(self) -> None:
-        expected = grid_shape(self.image, self.stride)
-        if self.cells.shape != expected:
-            raise ValueError(
-                f"cell grid {self.cells.shape} does not match image "
-                f"{self.image.width}x{self.image.height} at stride {self.stride} "
-                f"(expected {expected})"
-            )
-        bad = ~np.isin(self.cells, (FOCUS, BACKGROUND, IGNORE))
-        if bad.any():
+        check_grid(self.cells, self.image, self.stride)
+        cells = self.cells
+        if np.issubdtype(cells.dtype, np.integer):
+            # For integers the set test is a range test, without a temporary.
+            bad = cells.size > 0 and (cells.min() < IGNORE or cells.max() > FOCUS)
+        else:
+            bad = (~np.isin(cells, (FOCUS, BACKGROUND, IGNORE))).any()
+        if bad:
             raise ValueError("label cells must be 1, 0 or -1")
 
     @property
@@ -77,14 +94,9 @@ class ProbabilityMap:
     image: ImageSize
 
     def __post_init__(self) -> None:
-        expected = grid_shape(self.image, self.stride)
-        if self.cells.shape != expected:
-            raise ValueError(
-                f"cell grid {self.cells.shape} does not match image "
-                f"{self.image.width}x{self.image.height} at stride {self.stride} "
-                f"(expected {expected})"
-            )
-        if self.cells.size and (self.cells.min() < 0.0 or self.cells.max() > 1.0):
+        check_grid(self.cells, self.image, self.stride)
+        # Written so that a NaN cell, which compares false both ways, fails.
+        if self.cells.size and not (self.cells.min() >= 0.0 and self.cells.max() <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
 
 
@@ -97,26 +109,75 @@ def probability_map_from_labels(label_map: LabelMap) -> ProbabilityMap:
     )
 
 
-def _cell_span(lo: float, hi: float, stride: int, n_cells: int) -> tuple[int, int]:
-    """Half-open cell index range [first, last) whose blocks have positive-area
-    overlap with the pixel interval (lo, hi)."""
-    if hi <= lo:
-        return 0, 0
-    first = int(math.floor(lo / stride))
-    if (first + 1) * stride <= lo:
-        first += 1
-    last = int(math.ceil(hi / stride))
-    if (last - 1) * stride >= hi:
-        last -= 1
-    return max(first, 0), min(last, n_cells)
+# Flips the sign of the high corners, so that one floor serves both ends:
+# ceil(x) is -floor(-x).
+_LOW_HIGH = (1.0, 1.0, -1.0, -1.0)
 
 
-def _side_category(side: float, min_side: float, max_side: float, ignore_max: float) -> int:
-    if min_side < side < max_side:
-        return FOCUS
-    if side <= min_side or (max_side <= side <= ignore_max):
-        return IGNORE
-    return BACKGROUND
+def _cell_spans(corners: np.ndarray, stride: int, grid: tuple[int, int]) -> np.ndarray:
+    """Per row of the (n, 4) pixel ``corners``, the half-open cell index
+    ranges [j0, j1) x [i0, i1), as int rows j0, i0, j1, i1 clipped to the
+    ``grid`` of (width, height) cells, whose blocks have positive-area
+    overlap with the box; a range is empty where the box has no extent on
+    its axis.
+
+    Along an axis with pixel interval (lo, hi): j0 = floor(lo / stride),
+    plus one when block j0 ends at or before lo, and j1 = ceil(hi / stride),
+    minus one when block j1 - 1 starts at or after hi.
+    """
+    signed = corners * _LOW_HIGH
+    ends = np.floor(signed / stride)
+    ends += (ends + 1) * stride <= signed
+    ends *= _LOW_HIGH
+    ends[:, 2:][corners[:, 2:] <= corners[:, :2]] = 0
+    return np.minimum(np.maximum(ends, 0), grid * 2).astype(np.intp)
+
+
+def focus_label_cells(
+    boxes: np.ndarray,
+    original: ImageSize,
+    canvas: ImageSize,
+    stride: int = DEFAULT_STRIDE,
+    min_side: float = DEFAULT_MIN_SIDE,
+    max_side: float = DEFAULT_MAX_SIDE,
+    ignore_max_side: float = DEFAULT_IGNORE_MAX_SIDE,
+) -> np.ndarray:
+    """The {1, 0, -1} int8 label cells of ``canvas`` at ``stride`` for the
+    (n, 4) corner array ``boxes`` of one image, given in the ``original``
+    frame.
+
+    The boxes are rescaled to the canvas with the IEEE operations of
+    :func:`~pyrsample.geometry.rescale_box`, and the side thresholds apply to
+    sqrt(area) there; see :func:`build_focus_label_map` for the rules.
+    """
+    if not (min_side < max_side < ignore_max_side):
+        raise ValueError(
+            f"thresholds must increase: {min_side}, {max_side}, {ignore_max_side}"
+        )
+    h, w = grid_shape(canvas, stride)
+    cells = np.zeros((h, w), dtype=np.int8)
+    if not len(boxes):
+        return cells
+    resized = rescale_boxes(boxes, original, canvas)
+    extent = resized[:, 2:] - resized[:, :2]
+    side = np.sqrt(extent[:, 0] * extent[:, 1])
+    # Ignore sides are the rest of [0, ignore_max_side]: up to min_side and
+    # from max_side on. Only marked boxes have finite corners for certain,
+    # so only they are turned into cell ranges.
+    marked = side <= ignore_max_side
+    if not marked.any():
+        return cells
+    side = side[marked]
+    focus = ((min_side < side) & (side < max_side)).tolist()
+    spans = _cell_spans(resized[marked], stride, (w, h)).tolist()
+    for (j0, i0, j1, i1), is_focus in zip(spans, focus):
+        if not is_focus:
+            cells[i0:i1, j0:j1] = IGNORE
+    # Focus labels are painted last so they take precedence over ignores.
+    for (j0, i0, j1, i1), is_focus in zip(spans, focus):
+        if is_focus:
+            cells[i0:i1, j0:j1] = FOCUS
+    return cells
 
 
 def build_focus_label_map(
@@ -138,33 +199,11 @@ def build_focus_label_map(
     ``ignore_max_side`` fall in the ignore band; sides beyond
     ``ignore_max_side`` are plain background and mark nothing.
     """
-    if not (min_side < max_side < ignore_max_side):
-        raise ValueError(
-            f"thresholds must increase: {min_side}, {max_side}, {ignore_max_side}"
-        )
-    h, w = grid_shape(image, stride)
-    cells = np.zeros((h, w), dtype=np.int8)
-    focus_boxes: list[BoundingBox] = []
-    for gt in gts:
-        box = gt.box if isinstance(gt, GroundTruthInstance) else gt
-        category = _side_category(math.sqrt(box.area), min_side, max_side, ignore_max_side)
-        if category == BACKGROUND:
-            continue
-        j0, j1 = _cell_span(box.x1, box.x2, stride, w)
-        i0, i1 = _cell_span(box.y1, box.y2, stride, h)
-        if j1 <= j0 or i1 <= i0:
-            continue
-        if category == IGNORE:
-            cells[i0:i1, j0:j1] = IGNORE
-        else:
-            focus_boxes.append(box)
-    # Focus labels painted last so they take precedence over ignores.
-    for box in focus_boxes:
-        j0, j1 = _cell_span(box.x1, box.x2, stride, w)
-        i0, i1 = _cell_span(box.y1, box.y2, stride, h)
-        cells[i0:i1, j0:j1] = FOCUS
+    boxes = boxes_array(gt.box if isinstance(gt, GroundTruthInstance) else gt for gt in gts)
     return LabelMap(
-        cells=cells,
+        cells=focus_label_cells(
+            boxes, image, image, stride, min_side, max_side, ignore_max_side
+        ),
         stride=stride,
         image=image,
         min_side=min_side,
@@ -208,17 +247,21 @@ def focus_pixel_stats(
 
     For each level: rescale every image's ground truth, build the label map,
     and accumulate focus-cell counts before and after binary dilation of the
-    focus mask by a ``dilation`` x ``dilation`` square kernel. The projected
-    area of an image's focus cells is their count times stride^2 in the
-    resized frame.
+    focus mask by a ``dilation`` x ``dilation`` square kernel (odd, >= 1).
+    The projected area of an image's focus cells is their count times
+    stride^2 in the resized frame.
     """
-    from .focus_chips import binary_dilate
+    from .focus_chips import binary_dilate, check_kernel_size
 
+    check_kernel_size(dilation, "dilation")
     if not gts_by_image:
         raise ValueError("no images in dataset")
     missing = [k for k in gts_by_image if k not in sizes_by_image]
     if missing:
         raise ValueError(f"images without a recorded size: {missing[:5]}")
+    boxes_by_image = {
+        image_id: boxes_array(g.box for g in gts) for image_id, gts in gts_by_image.items()
+    }
     stats: dict[int, FocusPixelScaleStats] = {}
     for spec in pyramid:
         focus = 0
@@ -227,24 +270,17 @@ def focus_pixel_stats(
         projected = 0.0
         canvas_area = 0.0
         n = 0
-        for image_id, gts in gts_by_image.items():
+        for image_id, boxes in boxes_by_image.items():
             original = sizes_by_image[image_id]
             canvas = spec.resolve(original)
-            resized = [
-                GroundTruthInstance(rescale_box(g.box, original, canvas), g.class_id, g.is_crowd)
-                for g in gts
-            ]
-            lm = build_focus_label_map(
-                resized, canvas, stride, min_side, max_side, ignore_max_side
-            )
-            mask = lm.cells == FOCUS
-            count = int(mask.sum())
+            mask = focus_label_cells(
+                boxes, original, canvas, stride, min_side, max_side, ignore_max_side
+            ) == FOCUS
+            count = int(np.count_nonzero(mask))
             focus += count
             total += mask.size
-            if dilation > 1:
-                focus_dilated += int(binary_dilate(mask, dilation).sum())
-            else:
-                focus_dilated += count
+            if count:
+                focus_dilated += int(np.count_nonzero(binary_dilate(mask, dilation)))
             projected += count * stride * stride
             canvas_area += canvas.area
             n += 1

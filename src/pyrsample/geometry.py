@@ -191,7 +191,7 @@ class DetectionBatch(Sequence):
             return dets
         dets = list(dets)
         return cls(
-            np.array([d.box.as_tuple() for d in dets], dtype=np.float64).reshape(-1, 4),
+            boxes_array(d.box for d in dets),
             np.array([d.score for d in dets], dtype=np.float64),
             np.array([d.class_id for d in dets], dtype=np.int64),
         )
@@ -312,6 +312,19 @@ def rescale_box(b: BoundingBox, from_size: ImageSize, to_size: ImageSize) -> Bou
     fx = to_size.width / from_size.width
     fy = to_size.height / from_size.height
     return BoundingBox(b.x1 * fx, b.y1 * fy, b.x2 * fx, b.y2 * fy)
+
+
+def rescale_boxes(boxes: np.ndarray, from_size: ImageSize, to_size: ImageSize) -> np.ndarray:
+    """:func:`rescale_box` for every row of an (n, 4) corner array, with the
+    same IEEE operations."""
+    fx = to_size.width / from_size.width
+    fy = to_size.height / from_size.height
+    return boxes * (fx, fy, fx, fy)
+
+
+def boxes_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
+    """The (n, 4) float64 corner array x1, y1, x2, y2 of ``boxes``."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 def encloses(chip: BoundingBox, b: BoundingBox) -> bool:

@@ -204,21 +204,22 @@ def read_map_binary(path: str | Path) -> LabelMap | ProbabilityMap:
     if stride == 0:
         raise FormatError(f"{path}: stride must be positive")
     payload = raw[_HEADER.size :]
-    image = ImageSize(img_w, img_h)
-    if dtype_tag == DTYPE_LABELS:
-        cells = np.frombuffer(payload, dtype=np.int8)
-    elif dtype_tag == DTYPE_PROBS:
-        cells = np.frombuffer(payload, dtype=np.float32)
-    else:
+    dtype = {DTYPE_LABELS: np.dtype(np.int8), DTYPE_PROBS: np.dtype(np.float32)}.get(dtype_tag)
+    if dtype is None:
         raise FormatError(f"{path}: unknown dtype tag {dtype_tag!r}")
-    if cells.size != w_cells * h_cells:
+    if len(payload) != w_cells * h_cells * dtype.itemsize:
         raise FormatError(
-            f"{path}: payload holds {cells.size} cells, header says {w_cells}x{h_cells}"
+            f"{path}: payload holds {len(payload)} bytes, header says "
+            f"{w_cells}x{h_cells} cells of {dtype.itemsize} bytes"
         )
-    grid = cells.reshape(h_cells, w_cells)
-    if dtype_tag == DTYPE_LABELS:
-        return LabelMap(cells=grid.astype(np.int8), stride=stride, image=image)
-    return ProbabilityMap(cells=grid.astype(np.float64), stride=stride, image=image)
+    grid = np.frombuffer(payload, dtype=dtype).reshape(h_cells, w_cells)
+    try:
+        image = ImageSize(img_w, img_h)
+        if dtype_tag == DTYPE_LABELS:
+            return LabelMap(cells=grid.astype(np.int8), stride=stride, image=image)
+        return ProbabilityMap(cells=grid.astype(np.float64), stride=stride, image=image)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def map_to_debug_json(m: LabelMap | ProbabilityMap) -> dict:

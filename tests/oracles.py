@@ -10,7 +10,7 @@ from collections import deque
 
 import numpy as np
 
-from pyrsample.geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec
+from pyrsample.geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec, rescale_box
 
 
 def iou_oracle(a: BoundingBox, b: BoundingBox) -> float:
@@ -301,3 +301,82 @@ def merge_overlapping_oracle(rects: list[BoundingBox]) -> list[BoundingBox]:
             if changed:
                 break
     return merged
+
+
+def expand_to_min_size_oracle(rect: BoundingBox, min_side: float, image: ImageSize) -> BoundingBox:
+    """Scalar growth per axis: to at least ``min_side`` around the centre,
+    shifted inward at the canvas edge, or the full extent when too long."""
+
+    def axis(lo: float, hi: float, limit: float) -> tuple[float, float]:
+        target = max(min_side, hi - lo)
+        if target >= limit:
+            return 0.0, limit
+        new_lo = min(max((lo + hi) / 2.0 - target / 2.0, 0.0), limit - target)
+        return new_lo, new_lo + target
+
+    x1, x2 = axis(rect.x1, rect.x2, float(image.width))
+    y1, y2 = axis(rect.y1, rect.y2, float(image.height))
+    return BoundingBox(x1, y1, x2, y2)
+
+
+def component_chips_oracle(
+    comps: list[set[tuple[int, int]]], stride: int, min_chip_size: int, image: ImageSize
+) -> list[BoundingBox]:
+    """Each component's enclosing pixel rectangle, clipped to the canvas and
+    grown to the minimum side, merged by the restart fixpoint, then grown
+    again, one rectangle at a time."""
+    rects = []
+    for comp in comps:
+        rows = [i for i, _ in comp]
+        cols = [j for _, j in comp]
+        pixel = BoundingBox(
+            min(cols) * stride,
+            min(rows) * stride,
+            (max(cols) + 1) * stride,
+            (max(rows) + 1) * stride,
+        ).clip(image)
+        rects.append(expand_to_min_size_oracle(pixel, min_chip_size, image))
+    return [
+        expand_to_min_size_oracle(r, min_chip_size, image) for r in merge_overlapping_oracle(rects)
+    ]
+
+
+def speedup_upper_bound_oracle(
+    gts_by_image: dict,
+    sizes_by_image: dict,
+    pyramid: list[ScaleSpec],
+    min_chip_sizes: list[int],
+    stride: int = 32,
+    min_side: float = 5.0,
+    max_side: float = 64.0,
+    ignore_max_side: float = 90.0,
+    dilation: int = 3,
+    process_coarsest_fully: bool = True,
+) -> list[tuple[int, float]]:
+    """The per-k loop: for every image and level, per-box rescaling, the
+    per-cell label oracle, the max-filter dilation and flood fill, then for
+    each k the chips rebuilt from the components and their areas added chip
+    by chip."""
+    processed = {k: 0.0 for k in min_chip_sizes}
+    baseline_total = 0.0
+    for image_id, gts in gts_by_image.items():
+        original = sizes_by_image[image_id]
+        for level, spec in enumerate(pyramid):
+            canvas = spec.resolve(original)
+            baseline_total += canvas.area
+            if process_coarsest_fully and level == 0:
+                for k in min_chip_sizes:
+                    processed[k] += canvas.area
+                continue
+            resized = [rescale_box(g.box, original, canvas) for g in gts]
+            labels = focus_label_oracle(
+                resized, canvas, stride, min_side, max_side, ignore_max_side
+            )
+            comps = flood_fill_components(dilate_oracle(labels == 1, dilation))
+            for k in min_chip_sizes:
+                chips = component_chips_oracle(comps, stride, k, canvas)
+                processed[k] += sum(chip.area for chip in chips)
+    return [
+        (k, math.inf if processed[k] == 0 else baseline_total / processed[k])
+        for k in min_chip_sizes
+    ]

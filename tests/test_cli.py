@@ -206,6 +206,43 @@ class TestErrorRecords:
         assert rc == 1
         assert self._only_error(capsys)["type"] == "FormatError"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [np.array([0.9, np.nan, 0.1, 0.0], dtype="<f4").tobytes(), bytes(7)],
+        ids=["nan-cell", "partial-cell"],
+    )
+    def test_bad_probability_map_named(self, tmp_path, capsys, payload):
+        maps_dir = tmp_path / "pmaps"
+        maps_dir.mkdir()
+        header = struct.pack("<4s5I2s", b"FMAP", 2, 2, 32, 64, 64, b"f4")
+        (maps_dir / "1_s0.fmap").write_bytes(header + payload)
+        out = tmp_path / "o.json"
+        rc = main(["focus", "chips", "--probmaps", str(maps_dir), "--out", str(out)])
+        assert rc == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "FormatError"
+        assert "1_s0.fmap" in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ks", ["64,64", "0", "-64", "64,128,64"])
+    def test_speedup_bad_k(self, small_coco, tmp_path, capsys, ks):
+        out = tmp_path / "sp.json"
+        rc = main(["stats", "speedup", "--annotations", str(small_coco), "--out", str(out),
+                   "--k", ks])
+        assert rc == 1
+        assert self._only_error(capsys)["type"] == "ValueError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["speedup", "focuspixels"])
+    @pytest.mark.parametrize("dilation", ["0", "-3", "2", "4"])
+    def test_stats_bad_dilation(self, small_coco, tmp_path, capsys, which, dilation):
+        out = tmp_path / "o.json"
+        rc = main(["stats", which, "--annotations", str(small_coco), "--out", str(out),
+                   "--dilation", dilation])
+        assert rc == 1
+        assert self._only_error(capsys)["type"] == "ValueError"
+        assert not out.exists()
+
 
 class TestChipsPositive:
     def test_writes_chips_and_is_deterministic(self, small_coco, tmp_path):
@@ -407,6 +444,21 @@ class TestStats:
         payload = json.loads(out.read_text())
         curve = dict((int(k), v) for k, v in payload["curve"])
         assert curve[64] >= curve[512] >= 1.0
+
+    @pytest.mark.parametrize("which", ["speedup", "focuspixels"])
+    def test_dilation_defaults_to_config(self, tmp_path, which):
+        def run(*extra):
+            out = tmp_path / "o.json"
+            argv = ["stats", which, "--annotations", str(EXCERPT_PATH), "--out", str(out)]
+            assert main(argv + ["--k", "64,256"] * (which == "speedup") + list(extra)) == 0
+            return out.read_text()
+
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"profile": "coco-default", "focus": {"dilation": 7}}))
+        default = run()
+        assert run("--dilation", "3") == default
+        assert run("--dilation", "7") != default
+        assert run("--config", str(config)) == run("--dilation", "7")
 
 
 class TestConvertVoc:

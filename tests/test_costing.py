@@ -7,14 +7,16 @@ from pyrsample.costing import (
     FULL_IMAGE,
     CostReport,
     aggregate_cost_reports,
-    generate_gt_focus_chips,
     pixels_processed,
     roi_scale_histogram,
     size_area_fractions,
     speedup_upper_bound,
 )
-from pyrsample.focus_chips import FocusParams
-from pyrsample.geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec
+from pyrsample.focus_chips import binary_dilate, chips_for_sizes, component_bounds
+from pyrsample.focus_labels import FOCUS, focus_label_cells
+from pyrsample.geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec, boxes_array
+
+from oracles import speedup_upper_bound_oracle
 
 
 def square(side, x=0.0, y=0.0):
@@ -130,14 +132,57 @@ class TestSpeedupUpperBound:
         with pytest.raises(ValueError):
             speedup_upper_bound({}, {}, pyramid(), [64])
 
+    @pytest.mark.parametrize("ks", [[64, 64], [0], [-64], [64, 128, 64]])
+    def test_repeated_or_non_positive_k_rejected(self, ks):
+        gts, sizes = self._dataset_with_focus_at_every_scale()
+        with pytest.raises(ValueError):
+            speedup_upper_bound(gts, sizes, pyramid(), ks)
+
+    @pytest.mark.parametrize("dilation", [0, -3, 2, 4])
+    def test_bad_dilation_rejected(self, dilation):
+        gts, sizes = self._dataset_with_focus_at_every_scale()
+        with pytest.raises(ValueError):
+            speedup_upper_bound(gts, sizes, pyramid(), [64], dilation=dilation)
+
+    def test_matches_per_k_oracle(self):
+        rng = np.random.default_rng(12)
+        pyramids = [
+            pyramid(),
+            [ScaleSpec(scale_id=0, target=0.5), ScaleSpec(scale_id=1, target=1.3)],
+        ]
+        for trial in range(80):
+            gts, sizes = {}, {}
+            for iid in range(int(rng.integers(1, 4))):
+                w, h = int(rng.integers(60, 420)), int(rng.integers(60, 420))
+                sizes[iid] = ImageSize(w, h)
+                gts[iid] = []
+                for _ in range(int(rng.integers(0, 9))):
+                    # Sides near the focus thresholds at the three scales, and
+                    # corners on the cell lattice of the original frame.
+                    bw = float(rng.choice([0.0, 3.0, 8.0, 20.0, 38.4, rng.uniform(0, 60)]))
+                    bh = float(rng.choice([0.0, bw, rng.uniform(0, 60)]))
+                    x = min(float(rng.choice([32.0 * rng.integers(0, 10), rng.uniform(0, w)])), w)
+                    y = min(float(rng.choice([32.0 * rng.integers(0, 10), rng.uniform(0, h)])), h)
+                    box = BoundingBox(x, y, min(x + bw, w), min(y + bh, h))
+                    gts[iid].append(GroundTruthInstance(box, class_id=1))
+            kwargs = dict(
+                dilation=int(rng.choice([1, 3, 5])),
+                process_coarsest_fully=bool(rng.integers(0, 2)),
+            )
+            ks = [int(k) for k in rng.choice([1, 7, 32, 64, 100, 256, 3000], 4, replace=False)]
+            spec = pyramids[trial % 2]
+            want = speedup_upper_bound_oracle(gts, sizes, spec, ks, **kwargs)
+            assert speedup_upper_bound(gts, sizes, spec, ks, **kwargs) == want, trial
+
     def test_gt_chips_respect_min_size(self):
         gts, sizes = self._dataset_with_focus_at_every_scale()
-        chips = generate_gt_focus_chips(
-            gts[1], sizes[1], pyramid()[2], FocusParams(min_chip_size=64)
-        )
-        assert chips, "expected at least one chip at the finest scale"
-        for chip in chips:
-            assert chip.width >= 64 and chip.height >= 64
+        canvas = pyramid()[2].resolve(sizes[1])
+        boxes = boxes_array(g.box for g in gts[1])
+        focus = focus_label_cells(boxes, sizes[1], canvas) == FOCUS
+        bounds = component_bounds(binary_dilate(focus, 3))
+        (chips,) = chips_for_sizes(bounds, 32, [64], canvas)
+        assert len(chips), "expected at least one chip at the finest scale"
+        assert (chips[:, 2:] - chips[:, :2] >= 64).all()
 
 
 class TestRoiScaleHistogram:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from pyrsample import focus_chips
 from pyrsample.focus_chips import (
     BinaryMap,
     FocusParams,
+    chips_for_sizes,
+    component_bounds,
     connected_components,
     dilate,
-    expand_to_min_size,
     generate_focus_chips,
     merge_overlapping,
     threshold_map,
@@ -14,7 +16,12 @@ from pyrsample.focus_chips import (
 from pyrsample.focus_labels import ProbabilityMap
 from pyrsample.geometry import BoundingBox, ImageSize
 
-from oracles import dilate_oracle, flood_fill_components, merge_overlapping_oracle
+from oracles import (
+    component_chips_oracle,
+    dilate_oracle,
+    flood_fill_components,
+    merge_overlapping_oracle,
+)
 
 
 def prob_map(cells, stride=32):
@@ -98,9 +105,10 @@ class TestDilate:
 
     def test_matches_max_filter_oracle(self):
         rng = np.random.default_rng(8)
-        for _ in range(20):
-            mask = rng.random((10, 14)) < 0.2
-            for d in (1, 3, 5):
+        shapes = [(10, 14)] * 20 + [(1, 1), (1, 2), (1, 9), (9, 1), (2, 1), (3, 40), (40, 3)]
+        for shape in shapes:
+            mask = rng.random(shape) < 0.2
+            for d in (1, 3, 5, 7):
                 got = dilate(binary(mask.astype(np.uint8)), d).cells.astype(bool)
                 assert (got == dilate_oracle(mask, d)).all()
 
@@ -134,6 +142,10 @@ class TestConnectedComponents:
             want = flood_fill_components(mask)
             got = [set(c.cells) for c in comps]
             assert got == want
+            spans = [([j for _, j in c], [i for i, _ in c]) for c in want]
+            assert component_bounds(mask).tolist() == [
+                [min(cols), min(rows), max(cols), max(rows)] for cols, rows in spans
+            ]
             for comp in comps:
                 assert comp.cells == sorted(comp.cells)
                 rows = [i for i, _ in comp.cells]
@@ -184,18 +196,26 @@ def _oracle_masks():
     yield np.array([[1, 0, 1, 0, 1], [0, 1, 0, 1, 0], [1, 0, 0, 0, 1]], dtype=bool)
 
 
+def one_chip(bounds, stride, min_side, image):
+    """The chips of one component with cell bounds (min_col, min_row,
+    max_col, max_row) grown to ``min_side``."""
+    (chips,) = chips_for_sizes(np.array([bounds]), stride, [min_side], image)
+    return chips.tolist()
+
+
 class TestExpandAndMerge:
     def test_expand_centered(self):
-        out = expand_to_min_size(BoundingBox(100, 100, 110, 110), 50, ImageSize(600, 600))
-        assert out == BoundingBox(80, 80, 130, 130)
+        # Cell (10, 10) at stride 10 is the pixel block [100, 110]^2.
+        out = one_chip((10, 10, 10, 10), 10, 50, ImageSize(600, 600))
+        assert out == [[80, 80, 130, 130]]
 
     def test_expand_shifts_inward_at_border(self):
-        out = expand_to_min_size(BoundingBox(0, 0, 10, 10), 50, ImageSize(600, 600))
-        assert out == BoundingBox(0, 0, 50, 50)
+        out = one_chip((0, 0, 0, 0), 10, 50, ImageSize(600, 600))
+        assert out == [[0, 0, 50, 50]]
 
     def test_expand_clamps_to_canvas(self):
-        out = expand_to_min_size(BoundingBox(2, 2, 4, 4), 100, ImageSize(60, 80))
-        assert out == BoundingBox(0, 0, 60, 80)
+        out = one_chip((1, 1, 1, 1), 2, 100, ImageSize(60, 80))
+        assert out == [[0, 0, 60, 80]]
 
     def test_merge_fixpoint(self):
         rects = [
@@ -237,6 +257,30 @@ class TestExpandAndMerge:
                 for (x, y), (w, h) in zip(corners, sides)
             ]
             assert merge_overlapping(rects) == merge_overlapping_oracle(rects)
+
+
+class TestChipsForSizes:
+    @pytest.mark.parametrize("pair_block", [focus_chips._PAIR_BLOCK, 1, 5])
+    def test_matches_rectangle_oracle(self, monkeypatch, pair_block):
+        # Small pair blocks split the overlap test over many blocks.
+        monkeypatch.setattr(focus_chips, "_PAIR_BLOCK", pair_block)
+        rng = np.random.default_rng(17)
+        ks = [1, 7, 32, 64, 100, 256, 3000]
+        for trial in range(120):
+            h, w = int(rng.integers(1, 24)), int(rng.integers(1, 24))
+            mask = rng.random((h, w)) < float(rng.choice([0.03, 0.1, 0.3]))
+            stride = int(rng.choice([8, 32]))
+            # Canvases a little smaller than the grid clip the last cells.
+            image = ImageSize(
+                max(1, w * stride - int(rng.integers(0, stride))),
+                max(1, h * stride - int(rng.integers(0, stride))),
+            )
+            comps = flood_fill_components(mask)
+            got = chips_for_sizes(component_bounds(mask), stride, ks, image)
+            for k, chips in zip(ks, got):
+                want = component_chips_oracle(comps, stride, k, image)
+                assert chips.tolist() == [list(r.as_tuple()) for r in want], (trial, k)
+
 
 class TestGenerateFocusChips:
     def test_all_zero_map(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,19 @@ from pyrsample.focus_labels import (
     LabelMap,
     ProbabilityMap,
     build_focus_label_map,
+    focus_label_cells,
     focus_pixel_stats,
     grid_shape,
     probability_map_from_labels,
 )
-from pyrsample.geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec
+from pyrsample.geometry import (
+    BoundingBox,
+    GroundTruthInstance,
+    ImageSize,
+    ScaleSpec,
+    boxes_array,
+    rescale_box,
+)
 
 from oracles import focus_label_oracle
 
@@ -44,6 +53,29 @@ class TestGridGeometry:
             LabelMap(cells=np.zeros((3, 3), dtype=np.int8), stride=32, image=IMG)
         with pytest.raises(ValueError):
             ProbabilityMap(cells=np.full((10, 10), 1.5), stride=32, image=IMG)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    def test_probability_outside_unit_interval_rejected(self, bad):
+        cells = np.full((10, 10), 0.5)
+        cells[3, 4] = bad
+        with pytest.raises(ValueError):
+            ProbabilityMap(cells=cells, stride=32, image=IMG)
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int16, np.int64, np.uint8, np.uint64, np.float32, np.float64, bool]
+    )
+    def test_label_values_accepted_as_by_set_membership(self, dtype):
+        image = ImageSize(96, 32)
+        for values in ([-1, 0, 1], [0, 1, 1], [2, 0, 0], [-2, 0, 1], [127, 0, 0], [0.5, 0, 0]):
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cells = np.array([values], dtype=np.float64).astype(dtype)
+            accepted = np.isin(cells, (FOCUS, 0, IGNORE)).all()
+            if accepted:
+                LabelMap(cells=cells, stride=32, image=image)
+            else:
+                with pytest.raises(ValueError):
+                    LabelMap(cells=cells, stride=32, image=image)
 
 
 class TestBuildFocusLabelMap:
@@ -110,6 +142,33 @@ class TestBuildFocusLabelMap:
             got = build_focus_label_map(boxes, image).cells
             want = focus_label_oracle(boxes, image, 32, 5.0, 64.0, 90.0)
             assert (got == want).all()
+
+    def test_kernel_matches_per_cell_oracle(self):
+        rng = np.random.default_rng(22)
+        for trial in range(300):
+            original = ImageSize(int(rng.integers(1, 400)), int(rng.integers(1, 400)))
+            if trial % 3 == 0:
+                canvas = original
+            else:
+                factor = float(rng.choice([0.5, 1.3, 1.667, 3.0]))
+                canvas = ImageSize(
+                    max(1, round(original.width * factor)), max(1, round(original.height * factor))
+                )
+            stride = int(rng.choice([7, 16, 32]))
+            boxes = []
+            for _ in range(rng.integers(0, 10)):
+                # Sides exactly at the thresholds, zero-width and zero-height
+                # boxes, corners on cell borders, and boxes past the canvas.
+                bw = float(rng.choice([0.0, 5.0, 64.0, 90.0, rng.uniform(0, 120)]))
+                bh = float(rng.choice([0.0, bw, rng.uniform(0, 120)]))
+                x = float(rng.choice([stride * rng.integers(-1, 14), rng.uniform(-20, 420)]))
+                y = float(rng.choice([stride * rng.integers(-1, 14), rng.uniform(-20, 420)]))
+                boxes.append(BoundingBox(x, y, x + bw, y + bh))
+            got = focus_label_cells(boxes_array(boxes), original, canvas, stride)
+            resized = [rescale_box(b, original, canvas) for b in boxes]
+            want = focus_label_oracle(resized, canvas, stride, 5.0, 64.0, 90.0)
+            assert got.dtype == np.int8
+            assert (got == want).all(), trial
 
     def test_scale_sweep_crosses_breakpoints(self):
         # one object, swept across resize factors: its label tracks the
@@ -180,3 +239,9 @@ class TestFocusPixelStats:
         gts = {1: []}
         with pytest.raises(ValueError):
             focus_pixel_stats(gts, {}, self.pyramid())
+
+    @pytest.mark.parametrize("dilation", [0, -3, 2])
+    def test_bad_dilation_raises(self, dilation):
+        gts = {1: [GroundTruthInstance(square(30, x=64, y=64), class_id=1)]}
+        with pytest.raises(ValueError):
+            focus_pixel_stats(gts, {1: IMG}, self.pyramid(), dilation=dilation)
