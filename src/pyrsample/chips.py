@@ -18,7 +18,6 @@ from .geometry import (
     ImageSize,
     ScaleSpec,
     boxes_array,
-    encloses,
     rescale_boxes,
 )
 from .range_labels import valid_area_mask
@@ -192,18 +191,34 @@ def _greedy_cover(member: np.ndarray, min_gain: int = 1) -> tuple[list[int], np.
 
 
 def _attach_gt(
-    rect: BoundingBox, resized_gts: list[BoundingBox]
-) -> tuple[tuple[int, ...], tuple[tuple[int, BoundingBox], ...]]:
-    covered = []
-    cropped = []
-    for gt_id, gt_box in enumerate(resized_gts):
-        if encloses(rect, gt_box):
-            covered.append(gt_id)
-        else:
-            inter = rect.intersection(gt_box)
-            if inter is not None:
-                cropped.append((gt_id, inter))
-    return tuple(covered), tuple(cropped)
+    rects: np.ndarray, boxes: np.ndarray
+) -> list[tuple[tuple[int, ...], tuple[tuple[int, BoundingBox], ...]]]:
+    """Per row of the (p, 4) chip corners ``rects``: the indices of the
+    (n, 4) ``boxes`` the chip encloses (closed), and (index, intersection)
+    for every other box that overlaps the chip with positive area, the test
+    of :meth:`BoundingBox.intersection`.
+
+    Both tests read the boxes clipped to each chip, computed for all pairs
+    at once: a box is enclosed when clipping leaves it unchanged, and it
+    overlaps when its clipped extent is positive on both axes.
+    """
+    clipped = np.concatenate(
+        [np.maximum(rects[:, None, :2], boxes[:, :2]), np.minimum(rects[:, None, 2:], boxes[:, 2:])],
+        axis=2,
+    )
+    covered = (clipped == boxes).all(axis=2).tolist()
+    overlap = (clipped[..., 2:] > clipped[..., :2]).all(axis=2).tolist()
+    return [
+        (
+            tuple(i for i, inside in enumerate(row) if inside),
+            tuple(
+                (i, BoundingBox(*corners[i]))
+                for i, (inside, meets) in enumerate(zip(row, hits))
+                if meets and not inside
+            ),
+        )
+        for row, hits, corners in zip(covered, overlap, clipped.tolist())
+    ]
 
 
 def _level_boxes(
@@ -247,23 +262,24 @@ def select_positive_chips(
             continue
         cells, member = _lattice(canvas, spec, resized[valid_ids], "enclose")
         picked, uncovered = _greedy_cover(member)
-        resized_boxes = [BoundingBox(*row) for row in resized.tolist()]
-        for cell_idx in picked:
-            rect = BoundingBox(*cells[cell_idx])
-            covered, cropped = _attach_gt(rect, resized_boxes)
+        rects = cells[picked]
+        for corners, (covered, cropped) in zip(rects.tolist(), _attach_gt(rects, resized)):
             chips.append(
                 Chip(
-                    rect=rect,
+                    rect=BoundingBox(*corners),
                     scale_id=spec.scale_id,
                     kind=POSITIVE,
                     covered_gt_ids=covered,
                     cropped_gt=cropped,
                 )
             )
-        for col in uncovered:
-            gt_id = int(valid_ids[col])
+        for gt_id in valid_ids[uncovered].tolist():
             diagnostics.append(
-                UncoverableGt(gt_id=gt_id, scale_id=spec.scale_id, resized_box=resized_boxes[gt_id])
+                UncoverableGt(
+                    gt_id=gt_id,
+                    scale_id=spec.scale_id,
+                    resized_box=BoundingBox(*resized[gt_id].tolist()),
+                )
             )
     return chips, diagnostics
 
@@ -301,8 +317,8 @@ def select_negative_chips(
         cells, member = _lattice(canvas, spec, boxes, membership)
         picked, _ = _greedy_cover(member, min_proposals)
         pool.extend(
-            Chip(rect=BoundingBox(*cells[best]), scale_id=spec.scale_id, kind=NEGATIVE)
-            for best in picked
+            Chip(rect=BoundingBox(*rect), scale_id=spec.scale_id, kind=NEGATIVE)
+            for rect in cells[picked].tolist()
         )
     return pool
 

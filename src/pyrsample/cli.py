@@ -89,9 +89,7 @@ def cmd_chips_positive(args) -> int:
         )
     ser.save_chip_records(args.out, records)
     if args.diagnostics:
-        ser.atomic_write_text(
-            args.diagnostics, json.dumps(skipped, indent=2, sort_keys=True) + "\n"
-        )
+        ser.save_uncoverable_records(args.diagnostics, skipped)
     print(f"wrote {len(records)} positive chips for {len(payloads)} images to {args.out}")
     if skipped:
         print(f"{len(skipped)} valid boxes fit no chip (see --diagnostics)", file=sys.stderr)
@@ -120,8 +118,7 @@ def cmd_chips_negative(args) -> int:
         sampled = sample_negative_chips(pool, cfg.n_negative_per_image, seed=cfg.seed + iid)
         pool_records.extend(ser.chip_to_record(c, iid) for c in pool)
         sampled_records.extend(ser.chip_to_record(c, iid) for c in sampled)
-    payload = {"pool": pool_records, "sampled": sampled_records}
-    ser.atomic_write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    ser.save_negative_chip_records(args.out, pool_records, sampled_records)
     print(
         f"wrote {len(pool_records)} pool / {len(sampled_records)} sampled negative chips "
         f"to {args.out}"
@@ -473,7 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--annotations", required=True)
     stats.add_argument("--out", default=None)
     stats.add_argument("--curve", default=None, help="gnuplot-compatible curve output")
-    stats.add_argument("--bins", type=int, default=50)
+    stats.add_argument(
+        "--bins", type=int, default=50, help="roi-scale histogram bins, 1 to 100000"
+    )
     stats.add_argument(
         "--dilation",
         type=int,

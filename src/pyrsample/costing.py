@@ -15,16 +15,19 @@ import numpy as np
 
 from .geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec, boxes_array
 from .focus_labels import (
-    FOCUS,
-    focus_label_cells,
     DEFAULT_IGNORE_MAX_SIDE,
     DEFAULT_MAX_SIDE,
     DEFAULT_MIN_SIDE,
     DEFAULT_STRIDE,
 )
-from .focus_chips import binary_dilate, check_kernel_size, chips_for_sizes, component_bounds
+from .focus_chips import check_kernel_size, chips_from_bounds
+from .focus_spans import dilate_spans, focus_spans, image_blocks, span_components
 
 FULL_IMAGE = "full"
+
+# Upper bound on histogram bins, so that a bin count cannot ask for an
+# arbitrary allocation.
+MAX_HISTOGRAM_BINS = 100_000
 
 # COCO-convention size-band breakpoints, in squared pixels.
 SIZE_BANDS = (
@@ -139,8 +142,10 @@ def speedup_upper_bound(
     baseline pixels to total chip pixels over the dataset.
 
     Each ``k`` must be a distinct integer >= 1, and ``dilation`` odd and
-    >= 1. A level's label map, dilation and components are built once and
-    shared by every ``k``.
+    >= 1. The focus maps of a block of images, at all levels, are built
+    from cell spans in one batch (see :mod:`pyrsample.focus_spans`), and
+    their components are shared by every ``k``. Each map's chip areas are
+    summed in chip order and added map by map in (image, level) order.
     """
     if not gts_by_image:
         raise ValueError("no images in dataset")
@@ -151,29 +156,43 @@ def speedup_upper_bound(
     if min(min_chip_sizes) < 1:
         raise ValueError(f"chip sizes must be >= 1: {list(min_chip_sizes)}")
     check_kernel_size(dilation, "dilation")
-    processed = {k: 0.0 for k in min_chip_sizes}
+    boxes = [boxes_array(g.box for g in gts) for gts in gts_by_image.values()]
+    originals = [sizes_by_image[image_id] for image_id in gts_by_image]
+    processed = dict.fromkeys(min_chip_sizes, 0.0)
     baseline_total = 0.0
-    for image_id, gts in gts_by_image.items():
-        original = sizes_by_image[image_id]
-        boxes = boxes_array(g.box for g in gts)
-        for level, spec in enumerate(pyramid):
-            canvas = spec.resolve(original)
-            baseline_total += canvas.area
-            if process_coarsest_fully and level == 0:
-                for k in min_chip_sizes:
-                    processed[k] += canvas.area
-                continue
-            focus = focus_label_cells(
-                boxes, original, canvas, stride, min_side, max_side, ignore_max_side
-            ) == FOCUS
-            if not focus.any():
-                continue
-            bounds = component_bounds(binary_dilate(focus, dilation))
-            per_k = chips_for_sizes(bounds, stride, min_chip_sizes, canvas)
-            for k, chips in zip(min_chip_sizes, per_k):
-                # A Python sum in chip order, as a per-chip loop would add them.
-                areas = (chips[:, 2] - chips[:, 0]) * (chips[:, 3] - chips[:, 1])
-                processed[k] += sum(areas.tolist())
+    for lo, hi in image_blocks(boxes, len(pyramid)):
+        # Per (image, level): the canvas area of a full pass, or None for a map.
+        charges: list[int | None] = []
+        maps: list[tuple[int, ImageSize]] = []
+        for i in range(lo, hi):
+            for level, spec in enumerate(pyramid):
+                canvas = spec.resolve(originals[i])
+                baseline_total += canvas.area
+                if process_coarsest_fully and level == 0:
+                    charges.append(canvas.area)
+                else:
+                    charges.append(None)
+                    maps.append((i, canvas))
+        spans, owners, grids = focus_spans(
+            boxes, originals, maps, stride, min_side, max_side, ignore_max_side
+        )
+        bounds, comp_maps = span_components(dilate_spans(spans, owners, grids, dilation), owners)
+        limits = np.array([(c.width, c.height) for _, c in maps], dtype=np.int64).reshape(-1, 2)
+        for k in min_chip_sizes:
+            chips, chip_maps = chips_from_bounds(bounds, comp_maps, limits, stride, k)
+            areas = ((chips[:, 2] - chips[:, 0]) * (chips[:, 3] - chips[:, 1])).tolist()
+            cuts = np.searchsorted(chip_maps, np.arange(len(maps) + 1)).tolist()
+            total = processed[k]
+            m = 0
+            for charge in charges:
+                if charge is not None:
+                    total += charge
+                    continue
+                if cuts[m] < cuts[m + 1]:
+                    # A Python sum in chip order, as a per-chip loop would add them.
+                    total += sum(areas[cuts[m] : cuts[m + 1]])
+                m += 1
+            processed[k] = total
     return [
         (k, math.inf if processed[k] == 0 else baseline_total / processed[k])
         for k in min_chip_sizes
@@ -203,7 +222,10 @@ def roi_scale_histogram(
     n_bins: int = 50,
     exclude_crowd: bool = False,
 ) -> RoiScaleHistogram:
-    """Normalized histogram of object scale relative to its image."""
+    """Normalized histogram of object scale relative to its image, in
+    ``n_bins`` equal bins over [0, 1], 1 <= n_bins <= MAX_HISTOGRAM_BINS."""
+    if not 1 <= n_bins <= MAX_HISTOGRAM_BINS:
+        raise ValueError(f"bins must be in [1, {MAX_HISTOGRAM_BINS}]: {n_bins}")
     values = []
     for image_id, gts in gts_by_image.items():
         image = sizes_by_image[image_id]

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, ImageSize, boxes_array
+from .geometry import BoundingBox, ImageSize
 from .focus_labels import ProbabilityMap, check_grid
 
 
@@ -85,13 +84,15 @@ def binary_dilate(mask: np.ndarray, size: int) -> np.ndarray:
 
     A square max filter is separable: dilating every row by a 1 x size
     segment, then every column by a size x 1 segment, gives the same result.
+    A shift by an axis' extent or more moves every cell off the map, so the
+    shifts stop there.
     """
     check_kernel_size(size)
     out = mask.astype(bool)
     # Rows first, then columns through the transposed view of ``out``.
     for view in (out, out.T):
         src = view.copy()
-        for d in range(1, size // 2 + 1):
+        for d in range(1, min(size // 2, view.shape[1] - 1) + 1):
             view[:, d:] |= src[:, :-d]
             view[:, :-d] |= src[:, d:]
     return out
@@ -191,20 +192,21 @@ def connected_components(bm: BinaryMap) -> list[ConnectedComponent]:
 def component_bounds(mask: np.ndarray) -> np.ndarray:
     """The (m, 4) int64 cell bounds min_col, min_row, max_col, max_row of
     the 8-connected components of a 2-D mask, in
-    :func:`connected_components` order, without listing their cells."""
+    :func:`connected_components` order, without listing their cells. It is
+    the dense reference for :func:`pyrsample.focus_spans.span_components`."""
     return np.array(_run_components(mask)[4], dtype=np.int64).reshape(-1, 4)
 
 
-def _grow(rects: np.ndarray, min_side: np.ndarray | float, image: ImageSize) -> np.ndarray:
+def _grow(rects: np.ndarray, min_side: np.ndarray | float, limit: np.ndarray) -> np.ndarray:
     """The (..., 4) corner array ``rects`` grown symmetrically to ``min_side``
-    per side within the canvas; ``min_side`` broadcasts against the rows.
+    per side within canvases of ``limit`` (width, height); ``min_side`` and
+    ``limit`` broadcast against the rows.
 
     Per axis, [lo, hi] grows to at least ``min_side`` around its centre and
     is shifted inward at [0, limit], or becomes [0, limit] where that does
     not fit.
     """
     lo, hi = rects[..., :2], rects[..., 2:]
-    limit = np.array([image.width, image.height], dtype=np.float64)
     target = np.maximum(min_side, hi - lo)
     new_lo = np.minimum(np.maximum((lo + hi) / 2.0 - target / 2.0, 0.0), limit - target)
     full = target >= limit
@@ -213,31 +215,54 @@ def _grow(rects: np.ndarray, min_side: np.ndarray | float, image: ImageSize) -> 
     )
 
 
-# Rectangle pairs compared per block in _overlapping, which bounds its
+# Index pairs compared per block by the pairwise kernels, which bounds their
 # temporaries.
 _PAIR_BLOCK = 1 << 16
 
 
-def _overlapping(rects: np.ndarray) -> np.ndarray:
-    """For a (K, m, 4) stack of sets of positive-area rectangles, whether two
-    rectangles of a set overlap with positive area (the test of
-    :meth:`BoundingBox.intersection`), as a (K,) mask.
+def _blocks(costs: np.ndarray, cap: int):
+    """Consecutive ranges [i, end) of ``costs`` whose sum stays within
+    ``cap``; an item that alone exceeds ``cap`` is a range of its own."""
+    ends = np.cumsum(costs)
+    i, done = 0, 0
+    while i < len(costs):
+        end = max(int(np.searchsorted(ends, done + cap, side="right")), i + 1)
+        yield i, end
+        i, done = end, int(ends[end - 1])
 
-    Every rectangle overlaps itself, so a set has an overlapping pair when
-    more than m ordered pairs overlap.
+
+def _pair_blocks(first: np.ndarray, stop: np.ndarray):
+    """The index pairs (i, j) with first[i] <= j < stop[i], as two arrays per
+    block of about ``_PAIR_BLOCK`` pairs."""
+    counts = np.maximum(stop - first, 0)
+    for i, end in _blocks(counts, _PAIR_BLOCK):
+        c = counts[i:end]
+        total = int(c.sum())
+        if total:
+            offsets = np.repeat(first[i:end] - (np.cumsum(c) - c), c)
+            yield np.repeat(np.arange(i, end), c), np.arange(total) + offsets
+
+
+def _join(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``label`` with the classes of u[i] and v[i] joined, for every i.
+
+    ``label`` maps each node to the least node of its class, and so does the
+    result. Each round hooks the larger root of every linked pair onto the
+    smaller one, then jumps every label to its root.
     """
-    n_sets, m = rects.shape[:2]
-    if m < 2:
-        return np.zeros(n_sets, dtype=bool)
-    pairs = np.zeros(n_sets, dtype=np.intp)
-    block = max(1, _PAIR_BLOCK // (n_sets * m))
-    for start in range(0, m, block):
-        head = rects[:, start : start + block, None]
-        tail = rects[:, None]
-        lo = np.maximum(head[..., :2], tail[..., :2])
-        hi = np.minimum(head[..., 2:], tail[..., 2:])
-        pairs += (hi > lo).all(axis=-1).sum(axis=(1, 2))
-    return pairs > m
+    label = label.copy()
+    while True:
+        lu, lv = label[u], label[v]
+        split = lu != lv
+        if not split.any():
+            return label
+        u, v, lu, lv = u[split], v[split], lu[split], lv[split]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def merge_overlapping(rects: list[BoundingBox]) -> list[BoundingBox]:
@@ -249,7 +274,8 @@ def merge_overlapping(rects: list[BoundingBox]) -> list[BoundingBox]:
     is tested again, so no pair scan restarts from the beginning. Because
     rectangles only grow, the resulting partition of the input is unique:
     groups are listed in the order of their first member in ``rects``, each
-    as the enclosing rectangle of its members.
+    as the enclosing rectangle of its members. :func:`chips_from_bounds`
+    finds the same partition for many maps at once.
     """
     # Slots are in the order of each group's first member; an absorbed group
     # leaves None behind so that the other slots keep their order.
@@ -299,36 +325,67 @@ def chips_from_components(
 ) -> list[BoundingBox]:
     """Enclose, grow to the minimum side, and merge component rectangles.
 
-    The tail of :func:`generate_focus_chips`; see :func:`chips_for_sizes`.
+    The tail of :func:`generate_focus_chips`; see :func:`chips_from_bounds`.
     """
     bounds = np.array(
         [(c.min_col, c.min_row, c.max_col, c.max_row) for c in comps], dtype=np.int64
     ).reshape(-1, 4)
-    (chips,) = chips_for_sizes(bounds, stride, [min_chip_size], image)
+    chips, _ = chips_from_bounds(
+        bounds, np.zeros(len(bounds), dtype=np.intp), np.array([[image.width, image.height]]),
+        stride, min_chip_size,
+    )
     return [BoundingBox(*row) for row in chips.tolist()]
 
 
-def chips_for_sizes(
-    bounds: np.ndarray, stride: int, min_chip_sizes: Sequence[int], image: ImageSize
-) -> list[np.ndarray]:
-    """Focus chips for each minimum chip side in ``min_chip_sizes``, as (n, 4)
-    corner arrays, from one set of component bounds.
+def chips_from_bounds(
+    bounds: np.ndarray,
+    maps: np.ndarray,
+    limits: np.ndarray,
+    stride: int,
+    min_chip_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Focus chips of many maps: the (m, 4) chip corners and the (m,) map
+    index of each chip.
 
     ``bounds`` holds cell bounds min_col, min_row, max_col, max_row per
-    component, as :func:`component_bounds` gives them. Each component's pixel
-    rectangle, clipped to the canvas, is grown to every size in one
-    broadcast. Rectangles are merged with :func:`merge_overlapping` only for
-    a size where two of them overlap, since the merge returns a
-    non-overlapping list unchanged. Every size's chips are then grown once
-    more, as the per-rectangle pipeline did, so that the outputs match it
-    exactly.
+    component, as :func:`component_bounds` gives them, with rows grouped by
+    their non-decreasing map index ``maps``; ``limits`` holds each map's
+    canvas (width, height). Each component's pixel rectangle, clipped to its
+    canvas, is grown to ``min_chip_size``. Then, per map, rectangles that
+    overlap are merged into their enclosing rectangle until none overlap:
+    the partition of :func:`merge_overlapping`, with groups in the order of
+    their first member. Every group's rectangle is grown once more, as the
+    per-rectangle pipeline did, so the outputs match it exactly.
     """
-    limits = (image.width, image.height, image.width, image.height)
-    pixel = np.minimum((bounds + (0, 0, 1, 1)) * stride, limits)
-    sizes = np.array(min_chip_sizes, dtype=np.float64)[:, None, None]
-    grown = _grow(pixel.astype(np.float64), sizes, image)
-    chips = list(_grow(grown, sizes, image))
-    for i in np.flatnonzero(_overlapping(grown)).tolist():
-        merged = merge_overlapping([BoundingBox(*r) for r in grown[i].tolist()])
-        chips[i] = _grow(boxes_array(merged), min_chip_sizes[i], image)
-    return chips
+    limit = limits[maps]
+    pixel = np.minimum((bounds + (0, 0, 1, 1)) * stride, limit[:, [0, 1, 0, 1]])
+    limit = limit.astype(np.float64)
+    grown = _grow(pixel.astype(np.float64), min_chip_size, limit)
+    # A group's enclosing rectangle is kept at its least member, its label.
+    lo, hi = grown[:, :2].copy(), grown[:, 2:].copy()
+    rows = label = np.arange(len(bounds))
+    # Only a map where groups merged can hold a new overlap, so each round
+    # compares the groups of those maps alone.
+    candidates = rows
+    while True:
+        on = maps[candidates]
+        joined = label
+        for i, j in _pair_blocks(
+            np.arange(1, len(on) + 1), np.searchsorted(on, on, side="right")
+        ):
+            a, b = candidates[i], candidates[j]
+            overlap = (np.minimum(hi[a], hi[b]) > np.maximum(lo[a], lo[b])).all(axis=1)
+            if overlap.any():
+                joined = _join(joined, a[overlap], b[overlap])
+        if joined is label:
+            break
+        moved = np.flatnonzero(joined != label)
+        label = joined
+        np.minimum.at(lo, label[moved], lo[moved])
+        np.maximum.at(hi, label[moved], hi[moved])
+        merged = np.zeros(len(limits), dtype=bool)
+        merged[maps[moved]] = True
+        candidates = np.flatnonzero((label == rows) & merged[maps])
+    roots = np.flatnonzero(label == rows)
+    rects = np.concatenate([lo[roots], hi[roots]], axis=1)
+    return _grow(rects, min_chip_size, limit[roots]), maps[roots]

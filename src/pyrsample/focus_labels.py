@@ -114,12 +114,14 @@ def probability_map_from_labels(label_map: LabelMap) -> ProbabilityMap:
 _LOW_HIGH = (1.0, 1.0, -1.0, -1.0)
 
 
-def _cell_spans(corners: np.ndarray, stride: int, grid: tuple[int, int]) -> np.ndarray:
+def _cell_spans(
+    corners: np.ndarray, stride: int, limits: np.ndarray | tuple[int, int, int, int]
+) -> np.ndarray:
     """Per row of the (n, 4) pixel ``corners``, the half-open cell index
-    ranges [j0, j1) x [i0, i1), as int rows j0, i0, j1, i1 clipped to the
-    ``grid`` of (width, height) cells, whose blocks have positive-area
-    overlap with the box; a range is empty where the box has no extent on
-    its axis.
+    ranges [j0, j1) x [i0, i1), as int rows j0, i0, j1, i1 clipped to
+    ``limits`` (width, height, width, height) in cells, one row per box or
+    one for all, whose blocks have positive-area overlap with the box; a
+    range is empty where the box has no extent on its axis.
 
     Along an axis with pixel interval (lo, hi): j0 = floor(lo / stride),
     plus one when block j0 ends at or before lo, and j1 = ceil(hi / stride),
@@ -130,7 +132,7 @@ def _cell_spans(corners: np.ndarray, stride: int, grid: tuple[int, int]) -> np.n
     ends += (ends + 1) * stride <= signed
     ends *= _LOW_HIGH
     ends[:, 2:][corners[:, 2:] <= corners[:, :2]] = 0
-    return np.minimum(np.maximum(ends, 0), grid * 2).astype(np.intp)
+    return np.minimum(np.maximum(ends, 0), limits).astype(np.intp)
 
 
 def focus_label_cells(
@@ -169,7 +171,7 @@ def focus_label_cells(
         return cells
     side = side[marked]
     focus = ((min_side < side) & (side < max_side)).tolist()
-    spans = _cell_spans(resized[marked], stride, (w, h)).tolist()
+    spans = _cell_spans(resized[marked], stride, (w, h, w, h)).tolist()
     for (j0, i0, j1, i1), is_focus in zip(spans, focus):
         if not is_focus:
             cells[i0:i1, j0:j1] = IGNORE
@@ -245,13 +247,15 @@ def focus_pixel_stats(
 ) -> dict[int, FocusPixelScaleStats]:
     """Dataset-level focus-cell fractions per pyramid level.
 
-    For each level: rescale every image's ground truth, build the label map,
+    For each level: rescale every image's ground truth, take its focus mask,
     and accumulate focus-cell counts before and after binary dilation of the
-    focus mask by a ``dilation`` x ``dilation`` square kernel (odd, >= 1).
-    The projected area of an image's focus cells is their count times
-    stride^2 in the resized frame.
+    mask by a ``dilation`` x ``dilation`` square kernel (odd, >= 1). The
+    projected area of an image's focus cells is their count times stride^2
+    in the resized frame. The masks are never rasterized: counts are union
+    areas of cell spans (see :mod:`pyrsample.focus_spans`).
     """
-    from .focus_chips import binary_dilate, check_kernel_size
+    from .focus_chips import check_kernel_size
+    from .focus_spans import dilate_spans, focus_spans, image_blocks, union_cells
 
     check_kernel_size(dilation, "dilation")
     if not gts_by_image:
@@ -259,36 +263,33 @@ def focus_pixel_stats(
     missing = [k for k in gts_by_image if k not in sizes_by_image]
     if missing:
         raise ValueError(f"images without a recorded size: {missing[:5]}")
-    boxes_by_image = {
-        image_id: boxes_array(g.box for g in gts) for image_id, gts in gts_by_image.items()
-    }
+    boxes = [boxes_array(g.box for g in gts) for gts in gts_by_image.values()]
+    originals = [sizes_by_image[image_id] for image_id in gts_by_image]
+    n = len(originals)
     stats: dict[int, FocusPixelScaleStats] = {}
     for spec in pyramid:
-        focus = 0
-        total = 0
-        focus_dilated = 0
+        maps = [(i, spec.resolve(original)) for i, original in enumerate(originals)]
+        counts: list[int] = []
+        total_cells = 0
+        dilated = 0
+        for lo, hi in image_blocks(boxes, 1):
+            spans, owners, grids = focus_spans(
+                boxes, originals, maps[lo:hi], stride, min_side, max_side, ignore_max_side
+            )
+            counts += union_cells(spans, owners, hi - lo).tolist()
+            total_cells += sum(w * h for w, h in grids.tolist())
+            grown = dilate_spans(spans, owners, grids, dilation)
+            dilated += int(union_cells(grown, owners, hi - lo).sum())
         projected = 0.0
         canvas_area = 0.0
-        n = 0
-        for image_id, boxes in boxes_by_image.items():
-            original = sizes_by_image[image_id]
-            canvas = spec.resolve(original)
-            mask = focus_label_cells(
-                boxes, original, canvas, stride, min_side, max_side, ignore_max_side
-            ) == FOCUS
-            count = int(np.count_nonzero(mask))
-            focus += count
-            total += mask.size
-            if count:
-                focus_dilated += int(np.count_nonzero(binary_dilate(mask, dilation)))
+        for count, (_, canvas) in zip(counts, maps):
             projected += count * stride * stride
             canvas_area += canvas.area
-            n += 1
         stats[spec.scale_id] = FocusPixelScaleStats(
             scale_id=spec.scale_id,
-            focus_cells=focus,
-            total_cells=total,
-            focus_cells_dilated=focus_dilated,
+            focus_cells=sum(counts),
+            total_cells=total_cells,
+            focus_cells_dilated=dilated,
             mean_projected_area=projected / n,
             mean_canvas_area=canvas_area / n,
             n_images=n,

@@ -314,12 +314,17 @@ def rescale_box(b: BoundingBox, from_size: ImageSize, to_size: ImageSize) -> Bou
     return BoundingBox(b.x1 * fx, b.y1 * fy, b.x2 * fx, b.y2 * fy)
 
 
+def scale_factors(from_size: ImageSize, to_size: ImageSize) -> tuple[float, float, float, float]:
+    """The per-corner factors (fx, fy, fx, fy) of :func:`rescale_box`."""
+    fx = to_size.width / from_size.width
+    fy = to_size.height / from_size.height
+    return fx, fy, fx, fy
+
+
 def rescale_boxes(boxes: np.ndarray, from_size: ImageSize, to_size: ImageSize) -> np.ndarray:
     """:func:`rescale_box` for every row of an (n, 4) corner array, with the
     same IEEE operations."""
-    fx = to_size.width / from_size.width
-    fy = to_size.height / from_size.height
-    return boxes * (fx, fy, fx, fy)
+    return boxes * scale_factors(from_size, to_size)
 
 
 def boxes_array(boxes: Iterable[BoundingBox]) -> np.ndarray:

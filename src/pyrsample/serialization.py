@@ -20,7 +20,6 @@ import json
 import os
 import struct
 import tempfile
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -88,10 +87,6 @@ def record_to_chip(record: dict) -> tuple[int, Chip]:
         raise FormatError(f"bad chip record {record!r}: {exc}") from exc
 
 
-def save_chip_records(path: str | Path, records: Sequence[dict]) -> None:
-    atomic_write_text(path, json.dumps(list(records), indent=2, sort_keys=True) + "\n")
-
-
 def load_chip_records(path: str | Path) -> list[tuple[int, Chip]]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -130,50 +125,158 @@ def record_to_detection(record: dict) -> tuple[int, Detection]:
         raise FormatError(f"bad detection record {record!r}: {exc}") from exc
 
 
-# One COCO-results record as ``json.dumps(indent=2, sort_keys=True)`` lays it
-# out inside a list. ``%r`` of an int or a finite float is what json writes.
+# Records as ``json.dumps(indent=2, sort_keys=True)`` lays them out inside
+# a list: a COCO-results detection, a chip with one of its cropped boxes,
+# and an uncoverable box. ``%r`` of an int or a finite float is what json
+# writes.
 _DETECTION_RECORD = (
     '  {\n    "bbox": [\n      %r,\n      %r,\n      %r,\n      %r\n    ],\n'
     '    "category_id": %r,\n    "image_id": %r,\n    "score": %r\n  }'
 )
+_CHIP_RECORD = (
+    '  {\n    "covered_gt_ids": %s,\n    "cropped_gt": %s,\n    "image_id": %r,\n'
+    '    "kind": %s,\n    "rect": [\n      %r,\n      %r,\n      %r,\n      %r\n    ],\n'
+    '    "scale_id": %r\n  }'
+)
+_CROPPED_BOX = (
+    "[\n        %r,\n        [\n          %r,\n          %r,\n          %r,\n"
+    "          %r\n        ]\n      ]"
+)
+_DIAGNOSTIC_RECORD = (
+    '  {\n    "gt_id": %r,\n    "image_id": %r,\n    "resized_box": [\n      %r,\n'
+    '      %r,\n      %r,\n      %r\n    ],\n    "scale_id": %r\n  }'
+)
+_DETECTION_KEYS = {"bbox", "category_id", "image_id", "score"}
+_CHIP_KEYS = {"covered_gt_ids", "cropped_gt", "image_id", "kind", "rect", "scale_id"}
+_DIAGNOSTIC_KEYS = {"gt_id", "image_id", "resized_box", "scale_id"}
+_LISTS = (list, tuple)
 
 
-def _detection_rows(records: list) -> list[tuple] | None:
-    """The template values of each record, or None unless every record is a
-    dict of exactly the four COCO-results keys with a 4-value bbox and plain
-    int or float values."""
+def _detection_text(record, numbers: list, strings: dict) -> str:
+    """One COCO-results record from :data:`_DETECTION_RECORD`. Its numbers
+    are added to ``numbers`` for the caller to check; raises ``TypeError``
+    or ``ValueError`` where the record does not fit."""
+    if type(record) is not dict or record.keys() != _DETECTION_KEYS:
+        raise TypeError("not a detection record")
+    bbox = record["bbox"]
+    if type(bbox) not in _LISTS:
+        raise TypeError("not a detection record")
+    values = (*bbox, record["category_id"], record["image_id"], record["score"])
+    numbers += values
+    return _DETECTION_RECORD % values
+
+
+def _chip_text(record, numbers: list, strings: dict) -> str:
+    """One chip record from :data:`_CHIP_RECORD`, its ``kind`` encoded once
+    per value in ``strings``; see :func:`_detection_text`."""
+    if type(record) is not dict or record.keys() != _CHIP_KEYS:
+        raise TypeError("not a chip record")
+    rect, ids, cropped = record["rect"], record["covered_gt_ids"], record["cropped_gt"]
+    kind = record["kind"]
+    if not (type(rect) in _LISTS and type(ids) in _LISTS and type(cropped) in _LISTS
+            and type(kind) is str):
+        raise TypeError("not a chip record")
+    numbers += rect
+    numbers += ids
+    numbers += (record["image_id"], record["scale_id"])
+    covered = "[\n      " + ",\n      ".join(map(repr, ids)) + "\n    ]" if ids else "[]"
+    crops = "[]"
+    if cropped:
+        texts = []
+        for gt_id, box in cropped:
+            if type(box) not in _LISTS:
+                raise TypeError("not a cropped box")
+            numbers.append(gt_id)
+            numbers += box
+            texts.append(_CROPPED_BOX % (gt_id, *box))
+        crops = "[\n      " + ",\n      ".join(texts) + "\n    ]"
+    text = strings.get(kind)
+    if text is None:
+        text = strings[kind] = json.dumps(kind)
+    return _CHIP_RECORD % (
+        covered, crops, record["image_id"], text, *rect, record["scale_id"]
+    )
+
+
+def _diagnostic_text(record, numbers: list, strings: dict) -> str:
+    """One uncoverable-box record from :data:`_DIAGNOSTIC_RECORD`; see
+    :func:`_detection_text`."""
+    if type(record) is not dict or record.keys() != _DIAGNOSTIC_KEYS:
+        raise TypeError("not a diagnostic record")
+    box = record["resized_box"]
+    if type(box) not in _LISTS:
+        raise TypeError("not a diagnostic record")
+    values = (record["gt_id"], record["image_id"], *box, record["scale_id"])
+    numbers += values
+    return _DIAGNOSTIC_RECORD % values
+
+
+def _record_texts(records: list, text_of):
+    """The records formatted by ``text_of``, one at a time; raises
+    ``TypeError`` at the end unless every number was a plain int or float."""
+    numbers: list = []
+    strings: dict = {}
+    for record in records:
+        yield text_of(record, numbers, strings)
+    if not set(map(type, numbers)) <= {int, float}:
+        raise TypeError("not a plain number")
+
+
+def _records_json(records: list, text_of) -> str:
+    """``json.dumps(records, indent=2, sort_keys=True)``, formatted record by
+    record with ``text_of`` where every record fits its template and every
+    number is a plain finite int or float, which is several times faster;
+    through ``json`` otherwise."""
+    if not records:
+        return "[]"
     try:
-        rows = [
-            (*r["bbox"], r["category_id"], r["image_id"], r["score"])
-            for r in records
-            if type(r) is dict and len(r) == 4
-        ]
-    except (KeyError, TypeError):
-        return None
-    if len(rows) != len(records) or any(len(row) != 7 for row in rows):
-        return None
-    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        return None
-    return rows
-
-
-def _detection_json(records: list) -> str:
-    rows = _detection_rows(records)
-    if rows:
-        text = "[\n" + ",\n".join(map(_DETECTION_RECORD.__mod__, rows)) + "\n]"
+        # One expression, so that no part of the text outlives its use.
+        text = "[\n" + ",\n".join(_record_texts(records, text_of)) + "\n]"
         if "inf" not in text and "nan" not in text:
             return text
+    except (KeyError, TypeError, ValueError):
+        pass
     return json.dumps(records, indent=2, sort_keys=True)
 
 
-def save_detection_records(path: str | Path, records: Sequence[dict]) -> None:
-    """Write ``json.dumps(records, indent=2, sort_keys=True)`` plus a newline.
+def _nested(text: str) -> str:
+    """``json.dumps(indent=2)`` output re-indented as a value one level down."""
+    return text.replace("\n", "\n  ")
 
-    Plain COCO-results records are formatted from a template, which gives
-    the same bytes several times faster; anything else, and any NaN or
-    infinity, goes through ``json``.
-    """
-    atomic_write_text(path, _detection_json(list(records)) + "\n")
+
+def save_detection_records(path: str | Path, records: Sequence[dict]) -> None:
+    """Write ``json.dumps(records, indent=2, sort_keys=True)`` plus a newline,
+    from a template for plain COCO-results records (see
+    :func:`_records_json`)."""
+    atomic_write_text(path, _records_json(list(records), _detection_text) + "\n")
+
+
+def save_chip_records(path: str | Path, records: Sequence[dict]) -> None:
+    """Write ``json.dumps(records, indent=2, sort_keys=True)`` plus a newline,
+    from a template for plain chip records (see :func:`_records_json`)."""
+    atomic_write_text(path, _records_json(list(records), _chip_text) + "\n")
+
+
+def save_negative_chip_records(
+    path: str | Path, pool: Sequence[dict], sampled: Sequence[dict]
+) -> None:
+    """Write ``json.dumps({"pool": pool, "sampled": sampled}, indent=2,
+    sort_keys=True)`` plus a newline, from the chip-record template."""
+    atomic_write_text(
+        path,
+        '{\n  "pool": %s,\n  "sampled": %s\n}\n'
+        % (
+            _nested(_records_json(list(pool), _chip_text)),
+            _nested(_records_json(list(sampled), _chip_text)),
+        ),
+    )
+
+
+def save_uncoverable_records(path: str | Path, records: Sequence[dict]) -> None:
+    """Write the ``--diagnostics`` records {gt_id, image_id, resized_box,
+    scale_id} as ``json.dumps(records, indent=2, sort_keys=True)`` plus a
+    newline, from a template."""
+    atomic_write_text(path, _records_json(list(records), _diagnostic_text) + "\n")
 
 
 def write_map_binary(path: str | Path, m: LabelMap | ProbabilityMap) -> None:

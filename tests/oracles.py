@@ -380,3 +380,52 @@ def speedup_upper_bound_oracle(
         (k, math.inf if processed[k] == 0 else baseline_total / processed[k])
         for k in min_chip_sizes
     ]
+
+
+def focus_pixel_stats_oracle(
+    gts_by_image: dict,
+    sizes_by_image: dict,
+    pyramid: list[ScaleSpec],
+    stride: int = 32,
+    min_side: float = 5.0,
+    max_side: float = 64.0,
+    ignore_max_side: float = 90.0,
+    dilation: int = 3,
+) -> dict[int, tuple]:
+    """Per level: (focus cells, total cells, dilated focus cells, mean
+    projected area, mean canvas area) from the per-cell label oracle and the
+    max-filter dilation, image by image."""
+    out = {}
+    for spec in pyramid:
+        focus = total = dilated = 0
+        projected = canvas_area = 0.0
+        for image_id, gts in gts_by_image.items():
+            original = sizes_by_image[image_id]
+            canvas = spec.resolve(original)
+            resized = [rescale_box(g.box, original, canvas) for g in gts]
+            mask = focus_label_oracle(
+                resized, canvas, stride, min_side, max_side, ignore_max_side
+            ) == 1
+            count = int(mask.sum())
+            focus += count
+            total += mask.size
+            dilated += int(dilate_oracle(mask, dilation).sum())
+            projected += count * stride * stride
+            canvas_area += canvas.area
+        n = len(gts_by_image)
+        out[spec.scale_id] = (focus, total, dilated, projected / n, canvas_area / n)
+    return out
+
+
+def attach_gt_oracle(
+    rect: BoundingBox, boxes: list[BoundingBox]
+) -> tuple[tuple[int, ...], tuple[tuple[int, BoundingBox], ...]]:
+    """Per pair: the boxes the chip encloses, and the intersection of every
+    other box that overlaps it with positive area."""
+    covered, cropped = [], []
+    for gt_id, box in enumerate(boxes):
+        if encloses_oracle(rect, box):
+            covered.append(gt_id)
+        elif rect.intersection(box) is not None:
+            cropped.append((gt_id, rect.intersection(box)))
+    return tuple(covered), tuple(cropped)

@@ -20,10 +20,12 @@ from pyrsample.geometry import (
     MaxSideTarget,
     ScaleSpec,
     encloses,
+    rescale_box,
 )
 from pyrsample.range_labels import RoiLabel, assign_roi_labels, classify_box_validity
 
 from oracles import (
+    attach_gt_oracle,
     chip_grid_oracle,
     encloses_oracle,
     greedy_cover_oracle,
@@ -112,6 +114,31 @@ class TestSelectPositiveChips:
                         encloses(c.rect, gt.box) for c in chips
                     )
                     assert covered or gt_id in flagged
+
+    def test_attached_gt_matches_per_pair_oracle(self):
+        rng = np.random.default_rng(31)
+        pyramid = [
+            flat_spec(K=128, d=32),
+            ScaleSpec(scale_id=1, target=0.5, chip_size=64, chip_stride=16),
+        ]
+        for _ in range(40):
+            size = ImageSize(int(rng.integers(60, 500)), int(rng.integers(60, 500)))
+            gts = []
+            for _ in range(rng.integers(1, 12)):
+                # Corners on the chip lattice, zero sides and boxes past the
+                # canvas edge give boundary contact and empty overlaps.
+                x = float(rng.choice([32.0 * rng.integers(0, 8), rng.uniform(0, size.width)]))
+                y = float(rng.choice([32.0 * rng.integers(0, 8), rng.uniform(0, size.height)]))
+                w = float(rng.choice([0.0, 32.0, 64.0, rng.uniform(1, 150)]))
+                h = float(rng.choice([0.0, w, rng.uniform(1, 150)]))
+                gts.append(GroundTruthInstance(BoundingBox(x, y, x + w, y + h), class_id=1,
+                                               is_crowd=bool(rng.random() < 0.2)))
+            chips, _ = select_positive_chips(gts, pyramid, size)
+            for chip in chips:
+                canvas = pyramid[chip.scale_id].resolve(size)
+                resized = [rescale_box(g.box, size, canvas) for g in gts]
+                want = attach_gt_oracle(chip.rect, resized)
+                assert (chip.covered_gt_ids, chip.cropped_gt) == want
 
     def test_matches_greedy_simulation_oracle(self):
         rng = np.random.default_rng(99)

@@ -1,10 +1,14 @@
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pyrsample
 from pyrsample import cli
 from pyrsample.cli import main
 from pyrsample.focus_labels import ProbabilityMap
@@ -459,6 +463,174 @@ class TestStats:
         assert run("--dilation", "3") == default
         assert run("--dilation", "7") != default
         assert run("--config", str(config)) == run("--dilation", "7")
+
+
+# Runs the CLI with its address space capped, so that a command that asks
+# for memory in proportion to canvas area fails to allocate instead of
+# allocating for real.
+_LIMITED_MAIN = """
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from pyrsample.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+MEMORY_LIMIT = 2 * 1024**3
+
+
+def run_limited(argv: list[str], limit: int = MEMORY_LIMIT) -> subprocess.CompletedProcess:
+    src = str(Path(pyrsample.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", _LIMITED_MAIN, str(limit), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def assert_error_contract(proc: subprocess.CompletedProcess) -> dict | None:
+    """Exit 0, or exit 1 with exactly one JSON error line on stderr."""
+    if proc.returncode == 0:
+        return None
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr[-2000:]
+    return json.loads(lines[0])["error"]
+
+
+class TestBoundedResources:
+    @pytest.fixture
+    def huge_image(self, tmp_path):
+        def write(side):
+            data = {
+                "images": [{"id": 1, "width": 10**7, "height": 10**7, "file_name": "a.jpg"}],
+                "annotations": [{"id": 1, "image_id": 1, "category_id": 1,
+                                 "bbox": [5000.0, 7000.0, side, side], "iscrowd": 0}],
+                "categories": [{"id": 1, "name": "thing"}],
+            }
+            path = tmp_path / f"huge_{side}.json"
+            path.write_text(json.dumps(data))
+            return path
+        return write
+
+    # A 50-pixel box is focus at no level of the default pyramid; a 20-pixel
+    # one is focus at the two large levels, so chips are built there.
+    @pytest.mark.parametrize("side", [50.0, 20.0])
+    @pytest.mark.parametrize(
+        "argv",
+        [["focuspixels"], ["speedup"], ["speedup", "--chips-at-coarsest"]],
+        ids=["focuspixels", "speedup", "speedup-chips-at-coarsest"],
+    )
+    def test_stats_on_a_huge_image_stay_within_memory(self, huge_image, tmp_path, side, argv):
+        out = tmp_path / "o.json"
+        proc = run_limited(
+            ["stats", argv[0], "--annotations", str(huge_image(side)), "--out", str(out),
+             *argv[1:]]
+        )
+        assert assert_error_contract(proc) is None, proc.stderr
+        payload = json.loads(out.read_text())
+        if argv[0] == "focuspixels":
+            focus = [entry["fraction"] for entry in payload.values()]
+            assert (max(focus) > 0) == (side == 20.0)
+            assert max(focus) < 1e-9
+        else:
+            assert all(s >= 1.0 for _, s in payload["curve"])
+
+    @staticmethod
+    def crowded_coco(path, n_images):
+        # Each image holds a diagonal of 500 boxes of side 30, 64 pixels
+        # apart: focus at scale 1 only (50 pixels there), and no two share a
+        # cell edge, so each map has 1000 distinct column and row edges, and
+        # 10^6 elementary rectangles.
+        side, step, n_boxes = 30.0, 64.0, 500
+        extent = int(step * n_boxes + 100)
+        data = {
+            "images": [{"id": i, "width": extent, "height": extent, "file_name": f"{i}.jpg"}
+                       for i in range(1, n_images + 1)],
+            "annotations": [
+                {"id": i * n_boxes + r, "image_id": i, "category_id": 1,
+                 "bbox": [r * step, r * step, side, side], "iscrowd": 0}
+                for i in range(1, n_images + 1) for r in range(n_boxes)
+            ],
+            "categories": [{"id": 1, "name": "thing"}],
+        }
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("which", ["focuspixels", "speedup"])
+    def test_stats_on_many_crowded_images_stay_within_memory(self, tmp_path, which):
+        # Counting all 64 maps of a level at once needs over 1 GB; a block of
+        # maps at a time stays far below it.
+        crowded = self.crowded_coco(tmp_path / "crowded.json", 64)
+        out = tmp_path / "crowded_out.json"
+        proc = run_limited(
+            ["stats", which, "--annotations", str(crowded), "--out", str(out)],
+            limit=1024**3,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        # Every image is the same, so the dataset reads as one image does.
+        one = self.crowded_coco(tmp_path / "one.json", 1)
+        one_out = tmp_path / "one_out.json"
+        assert main(["stats", which, "--annotations", str(one), "--out", str(one_out)]) == 0
+        assert out.read_text() == one_out.read_text()
+        if which == "focuspixels":
+            assert json.loads(out.read_text())["1"]["fraction"] > 0
+
+    def test_huge_bins_exit_with_one_error_line(self, small_coco, tmp_path):
+        out = tmp_path / "roi.json"
+        proc = run_limited(
+            ["stats", "roiscale", "--annotations", str(small_coco), "--out", str(out),
+             "--bins", "10000000000"]
+        )
+        error = assert_error_contract(proc)
+        assert error is not None and error["type"] == "ValueError"
+        assert "bins" in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bins", ["0", "-3", "100001"])
+    def test_bins_out_of_range_rejected(self, small_coco, tmp_path, capsys, bins):
+        out = tmp_path / "roi.json"
+        rc = main(["stats", "roiscale", "--annotations", str(small_coco), "--out", str(out),
+                   "--bins", bins])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "ValueError"
+        assert not out.exists()
+
+    def test_one_bin_accepted(self, small_coco, tmp_path):
+        out = tmp_path / "roi.json"
+        assert main(["stats", "roiscale", "--annotations", str(small_coco), "--out", str(out),
+                     "--bins", "1"]) == 0
+        assert json.loads(out.read_text())["fractions"] == [1.0]
+
+    def test_huge_dilation_equals_full_extent(self, small_coco, tmp_path):
+        # The largest canvas is 1920 x 1440 pixels, 60 x 45 cells at stride 32.
+        def run(which, dilation, *extra):
+            out = tmp_path / f"{which}.json"
+            assert main(["stats", which, "--annotations", str(small_coco), "--out", str(out),
+                         "--dilation", dilation, *extra]) == 0
+            return out.read_text()
+
+        for which, extra in (("focuspixels", ()), ("speedup", ("--chips-at-coarsest",))):
+            assert run(which, "2000000001", *extra) == run(which, "121", *extra)
+
+    def test_focus_chips_huge_dilation(self, tmp_path):
+        maps_dir = tmp_path / "pmaps"
+        maps_dir.mkdir()
+        cells = np.zeros((15, 20))
+        cells[7, 11] = 0.9
+        write_map_binary(maps_dir / "1_s2.fmap",
+                         ProbabilityMap(cells=cells, stride=32, image=ImageSize(640, 480)))
+
+        def run(dilation):
+            out = tmp_path / "fchips.json"
+            assert main(["focus", "chips", "--probmaps", str(maps_dir), "--out", str(out),
+                         "--dilation", dilation]) == 0
+            return json.loads(out.read_text())
+
+        records = run("2000000001")
+        assert records == run("41")
+        assert [r["rect"] for r in records] == [[0.0, 0.0, 640.0, 480.0]]
 
 
 class TestConvertVoc:

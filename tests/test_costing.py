@@ -12,7 +12,7 @@ from pyrsample.costing import (
     size_area_fractions,
     speedup_upper_bound,
 )
-from pyrsample.focus_chips import binary_dilate, chips_for_sizes, component_bounds
+from pyrsample.focus_chips import binary_dilate, chips_from_bounds, component_bounds
 from pyrsample.focus_labels import FOCUS, focus_label_cells
 from pyrsample.geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec, boxes_array
 
@@ -180,7 +180,10 @@ class TestSpeedupUpperBound:
         boxes = boxes_array(g.box for g in gts[1])
         focus = focus_label_cells(boxes, sizes[1], canvas) == FOCUS
         bounds = component_bounds(binary_dilate(focus, 3))
-        (chips,) = chips_for_sizes(bounds, 32, [64], canvas)
+        chips, _ = chips_from_bounds(
+            bounds, np.zeros(len(bounds), dtype=np.intp),
+            np.array([[canvas.width, canvas.height]]), 32, 64,
+        )
         assert len(chips), "expected at least one chip at the finest scale"
         assert (chips[:, 2:] - chips[:, :2] >= 64).all()
 

@@ -5,7 +5,8 @@ from pyrsample import focus_chips
 from pyrsample.focus_chips import (
     BinaryMap,
     FocusParams,
-    chips_for_sizes,
+    binary_dilate,
+    chips_from_bounds,
     component_bounds,
     connected_components,
     dilate,
@@ -116,6 +117,17 @@ class TestDilate:
         with pytest.raises(ValueError):
             dilate(binary(np.zeros((3, 3), dtype=np.uint8)), 4)
 
+    def test_huge_kernel_stops_at_the_map_extent(self):
+        # Shifts past an axis' extent are no-ops, so a huge kernel costs no
+        # more than one that spans the map, and gives the same cells.
+        mask = np.zeros((5, 7), dtype=bool)
+        mask[1, 2] = True
+        full = binary_dilate(mask, 2 * 7 + 1)
+        assert full.all()
+        for size in (2_000_000_001, 2 * 10**30 + 1):
+            assert (binary_dilate(mask, size) == full).all()
+        assert (binary_dilate(mask[:, :1], 2_000_000_001) == mask[:, :1].any()).all()
+
 
 class TestConnectedComponents:
     def test_empty_map(self):
@@ -196,11 +208,17 @@ def _oracle_masks():
     yield np.array([[1, 0, 1, 0, 1], [0, 1, 0, 1, 0], [1, 0, 0, 0, 1]], dtype=bool)
 
 
+def map_chips(bounds, stride, min_side, image):
+    """The (n, 4) chips of one map's (n, 4) component ``bounds``."""
+    maps = np.zeros(len(bounds), dtype=np.intp)
+    limits = np.array([[image.width, image.height]])
+    return chips_from_bounds(bounds, maps, limits, stride, min_side)[0]
+
+
 def one_chip(bounds, stride, min_side, image):
     """The chips of one component with cell bounds (min_col, min_row,
     max_col, max_row) grown to ``min_side``."""
-    (chips,) = chips_for_sizes(np.array([bounds]), stride, [min_side], image)
-    return chips.tolist()
+    return map_chips(np.array([bounds]), stride, min_side, image).tolist()
 
 
 class TestExpandAndMerge:
@@ -276,8 +294,9 @@ class TestChipsForSizes:
                 max(1, h * stride - int(rng.integers(0, stride))),
             )
             comps = flood_fill_components(mask)
-            got = chips_for_sizes(component_bounds(mask), stride, ks, image)
-            for k, chips in zip(ks, got):
+            bounds = component_bounds(mask)
+            for k in ks:
+                chips = map_chips(bounds, stride, k, image)
                 want = component_chips_oracle(comps, stride, k, image)
                 assert chips.tolist() == [list(r.as_tuple()) for r in want], (trial, k)
 

@@ -19,6 +19,8 @@ from pyrsample.serialization import (
     record_to_detection,
     save_chip_records,
     save_detection_records,
+    save_negative_chip_records,
+    save_uncoverable_records,
     write_csv,
     write_curve,
     write_map_binary,
@@ -110,13 +112,104 @@ class TestSaveDetectionRecords:
          {"image_id": 1, "category_id": 2, "bbox": [0.0, 0.0, 1.0], "score": 0.5},
          {"image_id": 1, "category_id": 2, "bbox": [0.0, 0.0, 1.0, 1.0], "score": np.float64(0.5)},
          {"image_id": 1, "category_id": 2, "bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5, "x": None},
-         {"image_id": 1, "bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5, "area": 1.0}],
+         {"image_id": 1, "bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5, "area": 1.0},
+         {"image_id": 1, "category_id": 2, "bbox": {0: 0.0, 1: 0.0, 2: 1.0, 3: 1.0},
+          "score": 0.5}],
         ids=["bool-id", "nan-score", "inf-coordinate", "short-bbox", "numpy-float",
-             "extra-key", "other-keys"],
+             "extra-key", "other-keys", "bbox-object"],
     )
     def test_other_records_fall_back_to_json(self, tmp_path, record):
         plain = {"image_id": 3, "category_id": 4, "bbox": [1.5, 2.0, 3.0, 4.0], "score": 0.25}
         self._check(tmp_path, [plain, record])
+
+
+def _random_value(rng):
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        return TestSaveDetectionRecords.SPECIAL[rng.integers(0, len(TestSaveDetectionRecords.SPECIAL))]
+    if kind == 1:
+        return float(rng.integers(0, 2000))
+    return float(rng.uniform(0, 1e4)) * 10.0 ** int(rng.integers(-12, 18))
+
+
+def _random_chip_records(rng, n):
+    return [
+        {
+            "image_id": int(rng.integers(0, 2**62)),
+            "scale_id": int(rng.integers(0, 4)),
+            "kind": str(rng.choice(["positive", "negative", "focus"])),
+            "rect": [_random_value(rng) for _ in range(4)],
+            "covered_gt_ids": [int(v) for v in rng.integers(0, 10**6, int(rng.integers(0, 4)))],
+            "cropped_gt": [
+                [int(rng.integers(0, 100)), [_random_value(rng) for _ in range(4)]]
+                for _ in range(int(rng.integers(0, 3)))
+            ],
+        }
+        for _ in range(n)
+    ]
+
+
+class TestSaveChipRecords:
+    """The chip, negative-pool and diagnostics writers give exactly the bytes
+    of ``json.dumps``."""
+
+    def test_random_records(self, tmp_path):
+        rng = np.random.default_rng(72)
+        path = tmp_path / "chips.json"
+        for n in [0, 1, 2, 5, 30]:
+            records = _random_chip_records(rng, n)
+            save_chip_records(path, records)
+            assert path.read_text() == _json_text(records)
+
+    def test_records_of_chips(self, tmp_path):
+        path = tmp_path / "chips.json"
+        records = [chip_to_record(sample_chip(), 7), chip_to_record(Chip(
+            rect=BoundingBox(0.5, 0.0, 1e16, 1e-07), scale_id=0, kind="focus"), 8)]
+        save_chip_records(path, records)
+        assert path.read_text() == _json_text(records)
+
+    def test_negative_pool(self, tmp_path):
+        rng = np.random.default_rng(73)
+        path = tmp_path / "neg.json"
+        for n_pool, n_sampled in [(0, 0), (3, 0), (0, 2), (6, 4)]:
+            pool = _random_chip_records(rng, n_pool)
+            sampled = _random_chip_records(rng, n_sampled)
+            save_negative_chip_records(path, pool, sampled)
+            assert path.read_text() == _json_text({"pool": pool, "sampled": sampled})
+
+    def test_diagnostics(self, tmp_path):
+        rng = np.random.default_rng(74)
+        path = tmp_path / "diag.json"
+        for n in [0, 1, 7]:
+            records = [
+                {"image_id": int(rng.integers(0, 2**40)), "gt_id": int(rng.integers(0, 50)),
+                 "scale_id": int(rng.integers(0, 3)),
+                 "resized_box": [_random_value(rng) for _ in range(4)]}
+                for _ in range(n)
+            ]
+            save_uncoverable_records(path, records)
+            assert path.read_text() == _json_text(records)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"image_id": True}, {"rect": [0.0, float("nan"), 1.0, 1.0]},
+         {"cropped_gt": [[1, [0.0, 0.0, float("inf"), 1.0]]]}, {"rect": [0.0, 0.0, 1.0]},
+         {"rect": [np.float64(0.5), 0.0, 1.0, 1.0]}, {"rect": (0.0, 0.0, 1.0, 1.0)},
+         {"kind": 'fo"cus\u00e9\n'}, {"kind": "infocus"}, {"extra": None},
+         {"cropped_gt": [[1, [0.0, 0.0, 1.0, 1.0], 2]]}, {"covered_gt_ids": [1.5, 2]},
+         {"covered_gt_ids": [3, True]}, {"cropped_gt": [[False, [0.0, 0.0, 1.0, 1.0]]]}],
+        ids=["bool-id", "nan-rect", "inf-crop", "short-rect", "numpy-float", "tuple-rect",
+             "escaped-kind", "kind-with-inf", "extra-key", "long-crop", "float-id",
+             "bool-covered", "bool-cropped"],
+    )
+    def test_other_records_fall_back_to_json(self, tmp_path, change):
+        plain = _random_chip_records(np.random.default_rng(75), 1)[0]
+        path = tmp_path / "chips.json"
+        records = [plain, {**plain, **change}]
+        save_chip_records(path, records)
+        assert path.read_text() == _json_text(records)
+        save_negative_chip_records(path, records, records[1:])
+        assert path.read_text() == _json_text({"pool": records, "sampled": records[1:]})
 
 
 class TestDetectionRecords:
