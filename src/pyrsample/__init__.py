@@ -28,10 +28,8 @@ from .range_labels import (
 )
 from .chips import (
     Chip,
-    ChipGrid,
     ProposalSet,
     UncoverableGt,
-    build_chip_grid,
     sample_negative_chips,
     select_negative_chips,
     select_positive_chips,
@@ -75,7 +73,6 @@ __all__ = [
     "BinaryMap",
     "BoundingBox",
     "Chip",
-    "ChipGrid",
     "CostReport",
     "Detection",
     "DatasetIndex",
@@ -94,7 +91,6 @@ __all__ = [
     "UncoverableGt",
     "aggregate_cost_reports",
     "assign_roi_labels",
-    "build_chip_grid",
     "build_focus_label_map",
     "classify_box_validity",
     "coco_default",

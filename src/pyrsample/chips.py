@@ -8,7 +8,7 @@ proposals so background stays represented during training.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +42,6 @@ class Chip:
     kind: str = POSITIVE
     covered_gt_ids: tuple[int, ...] = ()
     cropped_gt: tuple[tuple[int, BoundingBox], ...] = ()
-
-
-@dataclass
-class ChipGrid:
-    """Candidate chip lattice for one resized canvas."""
-
-    scale_id: int
-    canvas: ImageSize
-    cells: list[BoundingBox]
-    origins: list[tuple[float, float]] = field(default_factory=list)
 
 
 @dataclass(eq=False)
@@ -99,40 +89,14 @@ def _axis_origins(extent: int, size: int, stride: int) -> list[float]:
     return origins
 
 
-def build_chip_grid(canvas: ImageSize, chip_size: int, chip_stride: int) -> ChipGrid:
-    """Lattice of candidate chips at equal stride intervals over a canvas.
-
-    Chips are ``chip_size`` square except when the canvas is smaller than a
-    chip along an axis, in which case the single chip is clipped to the
-    canvas edge.
-    """
-    if chip_size < 1 or chip_stride < 1:
-        raise ValueError("chip_size and chip_stride must be >= 1")
-    xs = _axis_origins(canvas.width, chip_size, chip_stride)
-    ys = _axis_origins(canvas.height, chip_size, chip_stride)
-    cells = []
-    origins = []
-    for y in ys:
-        for x in xs:
-            cells.append(
-                BoundingBox(
-                    x,
-                    y,
-                    min(x + chip_size, canvas.width),
-                    min(y + chip_size, canvas.height),
-                )
-            )
-            origins.append((x, y))
-    return ChipGrid(scale_id=-1, canvas=canvas, cells=cells, origins=origins)
-
-
 def _lattice(
     canvas: ImageSize, spec: ScaleSpec, boxes: np.ndarray, membership: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The level's lattice cells as an (n_cells, 4) array in (row, col) order,
-    the same cells as :func:`build_chip_grid`, and the boolean
-    (n_cells, n_boxes) matrix of which cell covers which of the (n, 4)
-    ``boxes``: by full closed enclosure, or by the box center (closed).
+    and the boolean (n_cells, n_boxes) matrix of which cell covers which of
+    the (n, 4) ``boxes``: by full closed enclosure, or by the box center
+    (closed). Cells are ``chip_size`` square, clipped to the canvas along an
+    axis shorter than a chip.
 
     Both tests split into a column part and a row part, so each is computed
     per axis and the matrix is their outer AND.

@@ -512,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError, FormatError, ValueError, OSError) as exc:
+    except (ConfigError, DatasetError, FormatError, ValueError, OSError, MemoryError) as exc:
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(record), file=sys.stderr)
         return 1

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import reduce
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from .focus_chips import FocusParams
 from .geometry import ImageSize, MaxSideTarget, ScaleSpec, ScaleTarget
@@ -79,133 +82,124 @@ def coco_default() -> PipelineConfig:
 PROFILES = {"coco-default": coco_default}
 
 
-def _target_to_dict(target: ScaleTarget) -> dict:
-    if isinstance(target, ImageSize):
-        return {"width": target.width, "height": target.height}
-    if isinstance(target, MaxSideTarget):
-        return {"max_side": target.max_side}
-    return {"factor": float(target)}
+# The scalar fields of the JSON form: (section, key, attribute path of a
+# PipelineConfig). Both directions read this table. Each field is decoded by
+# the codec of its annotated type, and unknown keys are ignored.
+FIELDS = (
+    ("chips", "min_neg_proposals", "min_neg_proposals"),
+    ("chips", "n_negative_per_image", "n_negative_per_image"),
+    ("chips", "seed", "seed"),
+    ("chips", "negative_membership", "negative_membership"),
+    ("focus", "stride", "stride"),
+    ("focus", "min_side", "focus_min_side"),
+    ("focus", "max_side", "focus_max_side"),
+    ("focus", "ignore_max_side", "focus_ignore_max_side"),
+    *(("focus", f.name, f"focus_params.{f.name}") for f in fields(FocusParams)),
+    *(("merge", f.name, f"merge.{f.name}") for f in fields(MergePolicy)),
+    ("stacking", "boundary_eps", "boundary_eps"),
+)
+# The ScaleSpec fields that a pyramid entry holds under their own names.
+_LEVEL_KEYS = ("scale_id", "chip_size", "chip_stride", "absorb_below", "absorb_above")
 
 
-def _target_from_dict(data: dict) -> ScaleTarget:
+# The annotated type of each field, by attribute path or pyramid entry key.
+_TYPES = {
+    path: reduce(lambda owner, name: get_type_hints(owner)[name], path.split("."), PipelineConfig)
+    for _, _, path in FIELDS
+}
+_TYPES.update((key, get_type_hints(ScaleSpec)[key]) for key in _LEVEL_KEYS)
+
+
+def _decode(kind: type, value, where: str):
+    """The codec of a field of scalar type ``kind``: what ``kind(value)`` accepts."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: cannot read {value!r} as {kind.__name__}") from exc
+
+
+def _json(kind: type, value, where: str):
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ConfigError(f"{where} must be a JSON {name}, got {value!r}")
+    return value
+
+
+def _target_from_dict(data, where: str) -> ScaleTarget:
+    data = _json(dict, data, where)
     if "factor" in data:
-        return float(data["factor"])
+        return _decode(float, data["factor"], f"{where}.factor")
     if "max_side" in data:
-        return MaxSideTarget(int(data["max_side"]))
+        return MaxSideTarget(_decode(int, data["max_side"], f"{where}.max_side"))
     if "width" in data and "height" in data:
-        return ImageSize(int(data["width"]), int(data["height"]))
-    raise ConfigError(f"unrecognized scale target: {data!r}")
+        return ImageSize(*(_decode(int, data[k], f"{where}.{k}") for k in ("width", "height")))
+    raise ConfigError(f"{where}: unrecognized scale target: {data!r}")
 
 
-def config_to_dict(cfg: PipelineConfig) -> dict:
+def _level_to_dict(spec: ScaleSpec) -> dict:
+    r_min, r_max = spec.valid_range
+    target = spec.target
     return {
-        "profile": cfg.profile,
-        "pyramid": [
-            {
-                "scale_id": s.scale_id,
-                "target": _target_to_dict(s.target),
-                "valid_range": [
-                    s.valid_range[0],
-                    None if math.isinf(s.valid_range[1]) else s.valid_range[1],
-                ],
-                "chip_size": s.chip_size,
-                "chip_stride": s.chip_stride,
-                "absorb_below": s.absorb_below,
-                "absorb_above": s.absorb_above,
-            }
-            for s in cfg.pyramid
-        ],
-        "chips": {
-            "min_neg_proposals": cfg.min_neg_proposals,
-            "n_negative_per_image": cfg.n_negative_per_image,
-            "seed": cfg.seed,
-            "negative_membership": cfg.negative_membership,
-        },
-        "focus": {
-            "stride": cfg.stride,
-            "min_side": cfg.focus_min_side,
-            "max_side": cfg.focus_max_side,
-            "ignore_max_side": cfg.focus_ignore_max_side,
-            "threshold": cfg.focus_params.threshold,
-            "dilation": cfg.focus_params.dilation,
-            "min_chip_size": cfg.focus_params.min_chip_size,
-            "strict_threshold": cfg.focus_params.strict_threshold,
-        },
-        "merge": {
-            "mode": cfg.merge.mode,
-            "iou_threshold": cfg.merge.iou_threshold,
-            "sigma": cfg.merge.sigma,
-            "score_floor": cfg.merge.score_floor,
-        },
-        "stacking": {"boundary_eps": cfg.boundary_eps},
+        **{key: getattr(spec, key) for key in _LEVEL_KEYS},
+        # ImageSize and MaxSideTarget write their fields; a factor is a float.
+        "target": asdict(target) if is_dataclass(target) else {"factor": float(target)},
+        "valid_range": [r_min, None if math.isinf(r_max) else r_max],
     }
 
 
-def config_from_dict(data: dict) -> PipelineConfig:
-    base_name = data.get("profile", "custom")
-    if base_name in PROFILES:
-        cfg = PROFILES[base_name]()
+def _level_from_dict(entry, where: str) -> ScaleSpec:
+    entry = _json(dict, entry, where)
+    given = {key: _decode(_TYPES[key], entry[key], f"{where}.{key}")
+             for key in _LEVEL_KEYS if key in entry}
+    bounds = _json(list, entry.get("valid_range", [0.0, None]), f"{where}.valid_range")
+    given["valid_range"] = tuple(
+        math.inf if v is None else _decode(float, v, f"{where}.valid_range") for v in bounds
+    )
+    try:
+        return ScaleSpec(target=_target_from_dict(entry.get("target"), f"{where}.target"),
+                         **given)
+    except (TypeError, ValueError) as exc:  # a missing scale_id, or a value out of range
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def config_to_dict(cfg: PipelineConfig) -> dict:
+    data = {"profile": cfg.profile, "pyramid": [_level_to_dict(s) for s in cfg.pyramid]}
+    for section, key, path in FIELDS:
+        data.setdefault(section, {})[key] = attrgetter(path)(cfg)
+    return data
+
+
+def config_from_dict(data) -> PipelineConfig:
+    """A config from its JSON form: the named profile, or an empty custom
+    one, with each field that the form gives replaced."""
+    data = _json(dict, data, "config")
+    profile = _decode(str, data.get("profile", "custom"), "profile")
+    if profile in PROFILES:
+        cfg = PROFILES[profile]()
     else:
-        cfg = PipelineConfig(pyramid=[], profile=base_name)
+        cfg = PipelineConfig(pyramid=[], profile=profile)
     if "pyramid" in data:
-        specs = []
-        for entry in data["pyramid"]:
-            r_min, r_max = entry.get("valid_range", [0.0, None])
-            specs.append(
-                ScaleSpec(
-                    scale_id=int(entry["scale_id"]),
-                    target=_target_from_dict(entry["target"]),
-                    valid_range=(
-                        float(r_min),
-                        math.inf if r_max is None else float(r_max),
-                    ),
-                    chip_size=int(entry.get("chip_size", 512)),
-                    chip_stride=int(entry.get("chip_stride", 32)),
-                    absorb_below=bool(entry.get("absorb_below", False)),
-                    absorb_above=bool(entry.get("absorb_above", False)),
-                )
-            )
-        cfg.pyramid = specs
-    if not cfg.pyramid:
-        raise ConfigError("config defines no pyramid levels")
-    chip_cfg = data.get("chips", {})
-    cfg.min_neg_proposals = int(chip_cfg.get("min_neg_proposals", cfg.min_neg_proposals))
-    cfg.n_negative_per_image = int(
-        chip_cfg.get("n_negative_per_image", cfg.n_negative_per_image)
-    )
-    cfg.seed = int(chip_cfg.get("seed", cfg.seed))
-    cfg.negative_membership = str(
-        chip_cfg.get("negative_membership", cfg.negative_membership)
-    )
-    focus_cfg = data.get("focus", {})
-    cfg.stride = int(focus_cfg.get("stride", cfg.stride))
-    cfg.focus_min_side = float(focus_cfg.get("min_side", cfg.focus_min_side))
-    cfg.focus_max_side = float(focus_cfg.get("max_side", cfg.focus_max_side))
-    cfg.focus_ignore_max_side = float(
-        focus_cfg.get("ignore_max_side", cfg.focus_ignore_max_side)
-    )
-    cfg.focus_params = FocusParams(
-        threshold=float(focus_cfg.get("threshold", cfg.focus_params.threshold)),
-        dilation=int(focus_cfg.get("dilation", cfg.focus_params.dilation)),
-        min_chip_size=int(focus_cfg.get("min_chip_size", cfg.focus_params.min_chip_size)),
-        strict_threshold=bool(
-            focus_cfg.get("strict_threshold", cfg.focus_params.strict_threshold)
-        ),
-    )
-    merge = data.get("merge", {})
-    cfg.merge = MergePolicy(
-        mode=str(merge.get("mode", cfg.merge.mode)),
-        iou_threshold=float(merge.get("iou_threshold", cfg.merge.iou_threshold)),
-        sigma=float(merge.get("sigma", cfg.merge.sigma)),
-        score_floor=float(merge.get("score_floor", cfg.merge.score_floor)),
-    )
-    stacking = data.get("stacking", {})
-    cfg.boundary_eps = float(stacking.get("boundary_eps", cfg.boundary_eps))
+        levels = _json(list, data["pyramid"], "pyramid")
+        cfg.pyramid = [_level_from_dict(e, f"pyramid[{i}]") for i, e in enumerate(levels)]
+    for section, key, path in FIELDS:
+        values = _json(dict, data.get(section, {}), section)
+        if key not in values:
+            continue
+        value = _decode(_TYPES[path], values[key], f"{section}.{key}")
+        owner, _, name = path.rpartition(".")
+        try:
+            if owner:  # a frozen part, such as FocusParams, checks its fields
+                setattr(cfg, owner, replace(getattr(cfg, owner), **{name: value}))
+            else:
+                setattr(cfg, name, value)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from exc
     return cfg
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
-    """Read a JSON config; None loads the default profile."""
+    """Read a JSON config and apply the hard checks of
+    :func:`validate_config`; None loads the default profile."""
     if path is None:
         return coco_default()
     try:
@@ -213,9 +207,11 @@ def load_config(path: str | Path | None) -> PipelineConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed config JSON in {path}: {exc}") from exc
-    return config_from_dict(data)
+    cfg = config_from_dict(data)
+    validate_config(cfg)
+    return cfg
 
 
 def validate_config(
@@ -234,7 +230,12 @@ def validate_config(
         if spec.scale_id in seen_ids:
             raise ConfigError(f"duplicate scale_id {spec.scale_id}")
         seen_ids.add(spec.scale_id)
-    areas = [spec.resolve(probe).area for spec in cfg.pyramid]
+    try:
+        areas = [spec.resolve(probe).area for spec in cfg.pyramid]
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"a pyramid level does not resolve on probe {probe.width}x{probe.height}: {exc}"
+        ) from exc
     if any(b <= a for a, b in zip(areas, areas[1:])):
         raise ConfigError(
             f"pyramid levels must be ordered by increasing resolution "

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .chips import ProposalSet
-from .geometry import BoundingBox, Detection, GroundTruthInstance, ImageSize
+from .geometry import BoundingBox, GroundTruthInstance, ImageSize
 
 CLAMP_TOL = 1e-9
 
@@ -47,7 +47,6 @@ class DatasetIndex:
     images: dict[int, ImageRecord]
     annotations: dict[int, list[GroundTruthInstance]]
     proposals: dict[int, ProposalSet] = field(default_factory=dict)
-    detections: dict[int, list[Detection]] = field(default_factory=dict)
     categories: dict[int, str] = field(default_factory=dict)
     clamp_warnings: int = 0
 
@@ -119,14 +118,14 @@ def _clamped_box(
 def load_dataset(
     annotation_path: str | Path,
     proposals_path: str | Path | None = None,
-    detections_path: str | Path | None = None,
 ) -> DatasetIndex:
-    """Build a DatasetIndex from COCO-format annotation and result files.
+    """Build a DatasetIndex from a COCO-format annotation file and,
+    optionally, a COCO-results proposal file.
 
     Raises DatasetParseError on unreadable or malformed JSON and
-    DatasetStructureError when annotations, proposals, or detections
-    reference image ids that do not exist, lack a required key, or have a
-    negative or non-finite bbox.
+    DatasetStructureError when annotations or proposals reference image ids
+    that do not exist, lack a required key, or have a negative or
+    non-finite bbox.
     """
     data = _read_json(annotation_path)
     if not isinstance(data, dict) or "images" not in data:
@@ -187,8 +186,6 @@ def load_dataset(
     )
     if proposals_path is not None:
         index.proposals = load_proposals(proposals_path, index)
-    if detections_path is not None:
-        index.detections = load_detections(detections_path, index)
     return index
 
 
@@ -257,33 +254,6 @@ def _bbox_array(path: str | Path, data: list, bboxes: list) -> np.ndarray:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise _entry_error(path, position, entry, exc) from exc
     return np.array(rows, dtype=np.float64)
-
-
-def load_detections(path: str | Path, index: DatasetIndex) -> dict[int, list[Detection]]:
-    """COCO-results-format detections ([{image_id, category_id, bbox, score}])."""
-    data = _read_json(path)
-    if not isinstance(data, list):
-        raise DatasetStructureError(f"{path}: results file must be a JSON array")
-    out: dict[int, list[Detection]] = {}
-    dangling = []
-    for position, entry in enumerate(data):
-        try:
-            image_id = int(entry["image_id"])
-            x, y, w, h = _xywh(entry)
-            score = float(entry["score"])
-            class_id = int(entry["category_id"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise _entry_error(path, position, entry, exc) from exc
-        if image_id not in index.images:
-            dangling.append(image_id)
-            continue
-        box, _ = _clamped_box(x, y, w, h, index.images[image_id].size)
-        out.setdefault(image_id, []).append(Detection(box=box, score=score, class_id=class_id))
-    if dangling:
-        raise DatasetStructureError(
-            f"{path}: detections reference missing image ids {sorted(set(dangling))[:20]}"
-        )
-    return out
 
 
 def voc_to_coco(voc_dir: str | Path) -> dict:

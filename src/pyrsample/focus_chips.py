@@ -9,7 +9,6 @@ side, and merge rectangles until none overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -49,17 +48,6 @@ class BinaryMap:
 
     def __post_init__(self) -> None:
         check_grid(self.cells, self.image, self.stride)
-
-
-@dataclass
-class ConnectedComponent:
-    """One maximal 8-connected set of 1-cells and its cell-space bounds."""
-
-    cells: list[tuple[int, int]]
-    min_row: int
-    min_col: int
-    max_row: int
-    max_col: int
 
 
 def threshold_map(p: ProbabilityMap, threshold: float, strict: bool = False) -> BinaryMap:
@@ -107,18 +95,16 @@ def dilate(bm: BinaryMap, size: int) -> BinaryMap:
     )
 
 
-def _run_components(
-    mask: np.ndarray,
-) -> tuple[list[int], list[int], list[int], list[list[int]], list[tuple[int, int, int, int]]]:
-    """The runs and the 8-connected components of the 1-cells of ``mask``.
+def component_bounds(mask: np.ndarray) -> np.ndarray:
+    """The (m, 4) int64 cell bounds min_col, min_row, max_col, max_row of
+    the 8-connected components of the 1-cells of a 2-D mask, ordered by
+    each component's first cell in scan order.
 
     Run-based labeling (He et al., IEEE TIP 2008): the horizontal runs of
     1-cells come from one ``np.diff`` over the zero-padded mask, and runs in
     adjacent rows whose column spans overlap or meet diagonally are joined
-    by a union-find over runs. Returns each run's row, first column and end
-    column (one past its last cell) in scan order, then per component, in
-    the order of its first run, its run indices and its bounds (min_col,
-    min_row, max_col, max_row).
+    by a union-find over runs. It is the dense reference for
+    :func:`pyrsample.focus_spans.span_components`.
     """
     h, w = mask.shape
     width = w + 2
@@ -128,7 +114,7 @@ def _run_components(
     # the zero just past its last cell, alternating, in scan order.
     edges = np.flatnonzero(np.diff(padded.ravel())) + 1
     if len(edges) == 0:
-        return [], [], [], [], []
+        return np.zeros((0, 4), dtype=np.int64)
     starts, ends = edges[0::2], edges[1::2]
     # Run b in the next row touches run a (8-connectivity) when its span
     # reaches a's span widened by one column. Positions increase along the
@@ -159,42 +145,23 @@ def _run_components(
     runs: dict[int, list[int]] = {}
     for i in range(len(rows)):
         runs.setdefault(find(i), []).append(i)
-    groups = list(runs.values())
-    bounds = [
-        (
-            min([first_cols[i] for i in members]),
-            rows[members[0]],
-            max([end_cols[i] for i in members]) - 1,
-            rows[members[-1]],
-        )
-        for members in groups
-    ]
-    return rows, first_cols, end_cols, groups, bounds
+    return np.array(
+        [
+            (
+                min([first_cols[i] for i in members]),
+                rows[members[0]],
+                max([end_cols[i] for i in members]) - 1,
+                rows[members[-1]],
+            )
+            for members in runs.values()
+        ],
+        dtype=np.int64,
+    )
 
 
-def connected_components(bm: BinaryMap) -> list[ConnectedComponent]:
-    """Partition 1-cells into maximal 8-connected components.
-
-    Components are ordered by their top-left-most cell in scan order; each
-    component's ``cells`` are in row-major order.
-    """
-    rows, first_cols, end_cols, groups, bounds = _run_components(bm.cells)
-    components = []
-    for members, box in zip(groups, bounds):
-        cells: list[tuple[int, int]] = []
-        for i in members:
-            cells.extend(zip(repeat(rows[i]), range(first_cols[i], end_cols[i])))
-        min_col, min_row, max_col, max_row = box
-        components.append(ConnectedComponent(cells, min_row, min_col, max_row, max_col))
-    return components
-
-
-def component_bounds(mask: np.ndarray) -> np.ndarray:
-    """The (m, 4) int64 cell bounds min_col, min_row, max_col, max_row of
-    the 8-connected components of a 2-D mask, in
-    :func:`connected_components` order, without listing their cells. It is
-    the dense reference for :func:`pyrsample.focus_spans.span_components`."""
-    return np.array(_run_components(mask)[4], dtype=np.int64).reshape(-1, 4)
+def connected_components(bm: BinaryMap) -> np.ndarray:
+    """The :func:`component_bounds` of a binary map's 1-cells."""
+    return component_bounds(bm.cells)
 
 
 def _grow(rects: np.ndarray, min_side: np.ndarray | float, limit: np.ndarray) -> np.ndarray:
@@ -316,20 +283,17 @@ def generate_focus_chips(
         )
     bm = threshold_map(p, params.threshold, strict=params.strict_threshold)
     bm = dilate(bm, params.dilation)
-    comps = connected_components(bm)
-    return chips_from_components(comps, p.stride, params.min_chip_size, image)
+    bounds = connected_components(bm)
+    return chips_from_components(bounds, p.stride, params.min_chip_size, image)
 
 
 def chips_from_components(
-    comps: list[ConnectedComponent], stride: int, min_chip_size: int, image: ImageSize
+    bounds: np.ndarray, stride: int, min_chip_size: int, image: ImageSize
 ) -> list[BoundingBox]:
-    """Enclose, grow to the minimum side, and merge component rectangles.
-
-    The tail of :func:`generate_focus_chips`; see :func:`chips_from_bounds`.
+    """The focus chips of one map's (m, 4) component cell bounds, as
+    :func:`component_bounds` gives them: :func:`chips_from_bounds` for a
+    single map. The tail of :func:`generate_focus_chips`.
     """
-    bounds = np.array(
-        [(c.min_col, c.min_row, c.max_col, c.max_row) for c in comps], dtype=np.int64
-    ).reshape(-1, 4)
     chips, _ = chips_from_bounds(
         bounds, np.zeros(len(bounds), dtype=np.intp), np.array([[image.width, image.height]]),
         stride, min_chip_size,

@@ -35,7 +35,7 @@ IGNORE = -1
 
 
 def grid_shape(image: ImageSize, stride: int) -> tuple[int, int]:
-    """(height_cells, width_cells) for an image at a feature-map stride."""
+    """(rows, columns) of the cell grid for an image at a feature-map stride."""
     return math.ceil(image.height / stride), math.ceil(image.width / stride)
 
 
@@ -54,7 +54,7 @@ def check_grid(cells: np.ndarray, image: ImageSize, stride: int) -> None:
 class LabelMap:
     """Stride-s grid of {1, 0, -1} focus labels for one resized image.
 
-    ``cells`` is row-major with shape (height_cells, width_cells); cell
+    ``cells`` is row-major with one row per cell row of the image; cell
     (i, j) corresponds to the pixel block [j*s, (j+1)*s) x [i*s, (i+1)*s).
     """
 
@@ -75,14 +75,6 @@ class LabelMap:
             bad = (~np.isin(cells, (FOCUS, BACKGROUND, IGNORE))).any()
         if bad:
             raise ValueError("label cells must be 1, 0 or -1")
-
-    @property
-    def width_cells(self) -> int:
-        return self.cells.shape[1]
-
-    @property
-    def height_cells(self) -> int:
-        return self.cells.shape[0]
 
 
 @dataclass

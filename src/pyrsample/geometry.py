@@ -50,9 +50,6 @@ class BoundingBox:
     def center(self) -> tuple[float, float]:
         return (self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0
 
-    def translate(self, dx: float, dy: float) -> "BoundingBox":
-        return BoundingBox(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
-
     def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
         """Intersection rectangle, or None when the overlap has zero area."""
         x1 = max(self.x1, other.x1)

@@ -71,30 +71,6 @@ def chip_to_record(chip: Chip, image_id: int) -> dict:
     }
 
 
-def record_to_chip(record: dict) -> tuple[int, Chip]:
-    try:
-        chip = Chip(
-            rect=BoundingBox(*record["rect"]),
-            scale_id=int(record["scale_id"]),
-            kind=str(record["kind"]),
-            covered_gt_ids=tuple(int(i) for i in record["covered_gt_ids"]),
-            cropped_gt=tuple(
-                (int(gt_id), BoundingBox(*box)) for gt_id, box in record["cropped_gt"]
-            ),
-        )
-        return int(record["image_id"]), chip
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad chip record {record!r}: {exc}") from exc
-
-
-def load_chip_records(path: str | Path) -> list[tuple[int, Chip]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise FormatError(f"{path}: chip file must be a JSON array")
-    return [record_to_chip(rec) for rec in data]
-
-
 def detection_records(dets: Sequence[Detection], image_id: int) -> list[dict]:
     """COCO-results records of detections (a list or a batch), in order."""
     batch = DetectionBatch.of(dets)
@@ -106,23 +82,6 @@ def detection_records(dets: Sequence[Detection], image_id: int) -> list[dict]:
             xywh.tolist(), batch.class_ids.tolist(), batch.scores.tolist()
         )
     ]
-
-
-def detection_to_record(det: Detection, image_id: int) -> dict:
-    return detection_records([det], image_id)[0]
-
-
-def record_to_detection(record: dict) -> tuple[int, Detection]:
-    try:
-        x, y, w, h = (float(v) for v in record["bbox"])
-        det = Detection(
-            box=BoundingBox(x, y, x + w, y + h),
-            score=float(record["score"]),
-            class_id=int(record["category_id"]),
-        )
-        return int(record["image_id"]), det
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad detection record {record!r}: {exc}") from exc
 
 
 # Records as ``json.dumps(indent=2, sort_keys=True)`` lays them out inside
@@ -334,28 +293,6 @@ def map_to_debug_json(m: LabelMap | ProbabilityMap) -> dict:
         "image": {"width": m.image.width, "height": m.image.height},
         "cells": m.cells.tolist(),
     }
-
-
-def map_from_debug_json(data: dict) -> LabelMap | ProbabilityMap:
-    image = ImageSize(int(data["image"]["width"]), int(data["image"]["height"]))
-    if data["dtype"] == "labels":
-        return LabelMap(
-            cells=np.asarray(data["cells"], dtype=np.int8),
-            stride=int(data["stride"]),
-            image=image,
-        )
-    return ProbabilityMap(
-        cells=np.asarray(data["cells"], dtype=np.float64),
-        stride=int(data["stride"]),
-        image=image,
-    )
-
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_curve(path: str | Path, comment: str, points: Iterable[tuple[float, float]]) -> None:

@@ -8,7 +8,7 @@ import pytest
 from pyrsample.chips import (
     Chip,
     ProposalSet,
-    build_chip_grid,
+    _lattice,
     sample_negative_chips,
     select_negative_chips,
     select_positive_chips,
@@ -41,23 +41,34 @@ def flat_spec(scale_id=0, K=512, d=32, r=(0.0, math.inf)):
     return ScaleSpec(scale_id=scale_id, target=1.0, valid_range=r, chip_size=K, chip_stride=d)
 
 
+def lattice_cells(w, h, K, d):
+    """The lattice cells of a w x h canvas for chips of side K at stride d."""
+    cells, _ = _lattice(ImageSize(w, h), flat_spec(K=K, d=d), np.zeros((0, 4)), "center")
+    return [tuple(cell) for cell in cells.tolist()]
+
+
+def grid_oracle(size, spec):
+    """The lattice of :func:`chip_grid_oracle` as boxes."""
+    rects = chip_grid_oracle(size.width, size.height, spec.chip_size, spec.chip_stride)
+    return [BoundingBox(*rect) for rect in rects]
+
+
 class TestBuildChipGrid:
+    """The chip lattice of ``chips._lattice``."""
+
     def test_chip_equals_canvas(self):
-        grid = build_chip_grid(ImageSize(512, 512), 512, 32)
-        assert grid.cells == [BoundingBox(0, 0, 512, 512)]
+        assert lattice_cells(512, 512, 512, 32) == [(0, 0, 512, 512)]
 
     def test_two_column_lattice(self):
-        grid = build_chip_grid(ImageSize(544, 512), 512, 32)
-        assert [c.x1 for c in grid.cells] == [0, 32]
-        assert all(c.width == 512 and c.height == 512 for c in grid.cells)
+        cells = lattice_cells(544, 512, 512, 32)
+        assert [c[0] for c in cells] == [0, 32]
+        assert all(x2 - x1 == 512 and y2 - y1 == 512 for x1, y1, x2, y2 in cells)
 
     def test_small_canvas_clips(self):
-        grid = build_chip_grid(ImageSize(300, 300), 512, 32)
-        assert grid.cells == [BoundingBox(0, 0, 300, 300)]
+        assert lattice_cells(300, 300, 512, 32) == [(0, 0, 300, 300)]
 
     def test_edge_snap(self):
-        grid = build_chip_grid(ImageSize(550, 512), 512, 32)
-        assert [c.x1 for c in grid.cells] == [0, 32, 38]
+        assert [c[0] for c in lattice_cells(550, 512, 512, 32)] == [0, 32, 38]
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(11)
@@ -66,14 +77,12 @@ class TestBuildChipGrid:
             h = int(rng.integers(40, 1400))
             K = int(rng.integers(32, 600))
             d = int(rng.integers(1, K + 1))
-            grid = build_chip_grid(ImageSize(w, h), K, d)
-            got = [tuple(c.as_tuple()) for c in grid.cells]
-            assert got == chip_grid_oracle(w, h, K, d)
+            assert lattice_cells(w, h, K, d) == chip_grid_oracle(w, h, K, d)
 
     def test_far_edges_covered(self):
-        grid = build_chip_grid(ImageSize(1000, 700), 512, 32)
-        assert max(c.x2 for c in grid.cells) == 1000
-        assert max(c.y2 for c in grid.cells) == 700
+        cells = lattice_cells(1000, 700, 512, 32)
+        assert max(c[2] for c in cells) == 1000
+        assert max(c[3] for c in cells) == 700
 
 
 class TestSelectPositiveChips:
@@ -152,9 +161,9 @@ class TestSelectPositiveChips:
                 y = float(rng.uniform(0, max(1, size.height - side)))
                 gts.append(GroundTruthInstance(square(side, x, y), class_id=1))
             chips, diag = select_positive_chips(gts, [spec], size)
-            grid = build_chip_grid(size, spec.chip_size, spec.chip_stride)
-            picked, uncovered = greedy_cover_oracle(grid.cells, [g.box for g in gts])
-            assert [c.rect for c in chips] == [grid.cells[i] for i in picked]
+            grid = grid_oracle(size, spec)
+            picked, uncovered = greedy_cover_oracle(grid, [g.box for g in gts])
+            assert [c.rect for c in chips] == [grid[i] for i in picked]
             assert sorted(d.gt_id for d in diag) == uncovered
 
     def test_greedy_step_optimality(self):
@@ -168,9 +177,8 @@ class TestSelectPositiveChips:
             y = float(rng.uniform(0, size.height - side))
             gts.append(GroundTruthInstance(square(side, x, y), class_id=1))
         chips, _ = select_positive_chips(gts, [spec], size)
-        grid = build_chip_grid(size, spec.chip_size, spec.chip_stride)
         remaining = set(range(len(gts)))
-        available = [tuple(c.as_tuple()) for c in grid.cells]
+        available = [tuple(c.as_tuple()) for c in grid_oracle(size, spec)]
         for chip in chips:
             gain = sum(1 for t in remaining if encloses(chip.rect, gts[t].box))
             best_other = max(

@@ -52,9 +52,33 @@ class TestValidate:
 
     def test_show_config(self, capsys):
         assert main(["show-config"]) == 0
-        data = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        data = json.loads(out)
         assert data["profile"] == "coco-default"
         assert len(data["pyramid"]) == 3
+        # The text is frozen byte for byte.
+        assert out == (Path(__file__).parent / "data" / "show_config_coco_default.json").read_text()
+
+    @pytest.mark.parametrize("stride", [0, -32])
+    @pytest.mark.parametrize(
+        "argv",
+        [["focus", "labels", "--scale", "1"], ["stats", "focuspixels"], ["stats", "speedup"]],
+        ids=["focus-labels", "stats-focuspixels", "stats-speedup"],
+    )
+    def test_every_command_rejects_what_validate_rejects(
+        self, small_coco, tmp_path, capsys, stride, argv
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": "coco-default", "focus": {"stride": stride}}))
+        out = tmp_path / "out"
+        rc = main([*argv, "--annotations", str(small_coco), "--config", str(cfg),
+                   "--out", str(out)])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ConfigError" and "stride" in error["message"]
+        assert not out.exists()
 
 
 class TestErrorRecords:
@@ -535,6 +559,22 @@ class TestBoundedResources:
             assert max(focus) < 1e-9
         else:
             assert all(s >= 1.0 for _, s in payload["curve"])
+
+    @pytest.mark.parametrize("which", ["positive", "negative"])
+    def test_chips_on_a_huge_image_keep_the_error_contract(self, huge_image, tmp_path, which):
+        # The dense chip lattice of a 10^7 x 10^7 image does not fit in
+        # memory; running out of it is one JSON error line, not a traceback.
+        out = tmp_path / "chips.json"
+        argv = ["chips", which, "--annotations", str(huge_image(50.0)), "--out", str(out)]
+        if which == "negative":
+            props = tmp_path / "props.json"
+            props.write_text(json.dumps([{"image_id": 1, "bbox": [5000, 7000, 50, 50],
+                                          "score": 0.5}]))
+            argv += ["--proposals", str(props)]
+        proc = run_limited(argv)
+        error = assert_error_contract(proc)
+        assert error is None or error["type"] == "MemoryError", error
+        assert (error is None) == out.exists()
 
     @staticmethod
     def crowded_coco(path, n_images):

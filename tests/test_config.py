@@ -1,17 +1,23 @@
 import json
 import math
+import re
+from operator import attrgetter
 
 import pytest
 
 from pyrsample.config import (
+    FIELDS,
     ConfigError,
+    PipelineConfig,
     coco_default,
     config_from_dict,
     config_to_dict,
     load_config,
     validate_config,
 )
+from pyrsample.focus_chips import FocusParams
 from pyrsample.geometry import ImageSize, MaxSideTarget, ScaleSpec
+from pyrsample.stacking import MergePolicy
 from pyrsample.range_labels import classify_box_validity
 from pyrsample.geometry import BoundingBox
 
@@ -49,12 +55,57 @@ class TestCocoDefault:
 
 class TestRoundTrip:
     def test_dict_round_trip(self):
-        cfg = coco_default()
-        again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
-        assert again.pyramid == cfg.pyramid
-        assert again.merge == cfg.merge
-        assert again.focus_params == cfg.focus_params
-        assert again.min_neg_proposals == cfg.min_neg_proposals
+        # Every field differs from its default, and every kind of scale
+        # target appears.
+        cfg = PipelineConfig(
+            pyramid=[
+                ScaleSpec(scale_id=4, target=ImageSize(320, 240), valid_range=(10.0, 900.0),
+                          chip_size=256, chip_stride=16, absorb_below=True),
+                ScaleSpec(scale_id=7, target=2.5, valid_range=(400.0, 9e4),
+                          chip_size=300, chip_stride=20),
+                ScaleSpec(scale_id=9, target=MaxSideTarget(2000), valid_range=(1e3, math.inf),
+                          chip_size=128, chip_stride=128, absorb_above=True),
+            ],
+            min_neg_proposals=3,
+            n_negative_per_image=5,
+            seed=11,
+            negative_membership="enclose",
+            stride=16,
+            focus_min_side=4.0,
+            focus_max_side=50.0,
+            focus_ignore_max_side=70.0,
+            focus_params=FocusParams(
+                threshold=0.25, dilation=5, min_chip_size=96, strict_threshold=True
+            ),
+            merge=MergePolicy(mode="hard", iou_threshold=0.6, sigma=0.3, score_floor=0.01),
+            boundary_eps=2.5,
+            profile="my-profile",
+        )
+        default = PipelineConfig(pyramid=[])
+        for _, _, path in FIELDS:
+            assert attrgetter(path)(cfg) != attrgetter(path)(default), path
+        assert cfg.profile != default.profile
+        assert validate_config(cfg) == []
+        for start in (cfg, coco_default()):
+            again = config_from_dict(json.loads(json.dumps(config_to_dict(start))))
+            assert again == start
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            ({"profile": "coco-default", "chips": {"seed": None}}, "chips.seed"),
+            ({"profile": "coco-default", "focus": {"threshold": "high"}}, "focus.threshold"),
+            ({"profile": "coco-default", "focus": {"threshold": 2.0}}, "focus.threshold"),
+            ({"profile": "coco-default", "merge": []}, "merge"),
+            ({"pyramid": [{"scale_id": 0, "target": {"max_side": "big"}}]},
+             "pyramid[0].target.max_side"),
+            ({"pyramid": [{"scale_id": 0, "target": {"factor": 1.0}, "valid_range": 5}]},
+             "pyramid[0].valid_range"),
+        ],
+    )
+    def test_bad_field_names_its_place(self, data, where):
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            config_from_dict(data)
 
     def test_retired_stacking_key_still_loads(self, tmp_path):
         # prune_before_range_filter was removed: both filters are per-detection

@@ -94,7 +94,7 @@ class TestLoadDataset:
         index = load_dataset(path)
         assert index.annotations[1][0].is_crowd
 
-    def test_proposals_and_detections(self, tmp_path):
+    def test_proposals(self, tmp_path):
         ann = minimal_coco(tmp_path)
         props = tmp_path / "props.json"
         props.write_text(
@@ -105,13 +105,8 @@ class TestLoadDataset:
                 ]
             )
         )
-        dets = tmp_path / "dets.json"
-        dets.write_text(
-            json.dumps([{"image_id": 1, "category_id": 3, "bbox": [1, 2, 3, 4], "score": 0.9}])
-        )
-        index = load_dataset(ann, proposals_path=props, detections_path=dets)
+        index = load_dataset(ann, proposals_path=props)
         assert len(index.proposals[1].boxes) == 2
-        assert index.detections[1][0].class_id == 3
 
     def test_proposals_are_columns_per_image_in_file_order(self, tmp_path):
         ann = minimal_coco(
@@ -160,7 +155,6 @@ class TestLoadDataset:
         [
             ("annotations", {"id": 5, "image_id": 1, "category_id": 3}, "annotation id 5"),
             ("proposals", {"image_id": 1, "bbox": [0, 0, float("inf"), 1]}, "entry 0"),
-            ("detections", {"image_id": 1, "category_id": 3, "bbox": [1, 2, 3, 4]}, "entry 0"),
         ],
     )
     def test_bad_entry_names_it(self, tmp_path, kind, entry, name):

@@ -129,41 +129,38 @@ class TestDilate:
         assert (binary_dilate(mask[:, :1], 2_000_000_001) == mask[:, :1].any()).all()
 
 
+def oracle_bounds(mask):
+    """Cell bounds min_col, min_row, max_col, max_row of each component of
+    :func:`flood_fill_components`, in its order."""
+    bounds = []
+    for comp in flood_fill_components(mask):
+        rows, cols = [i for i, _ in comp], [j for _, j in comp]
+        bounds.append([min(cols), min(rows), max(cols), max(rows)])
+    return bounds
+
+
 class TestConnectedComponents:
     def test_empty_map(self):
-        assert connected_components(binary(np.zeros((5, 5), dtype=np.uint8))) == []
+        bounds = connected_components(binary(np.zeros((5, 5), dtype=np.uint8)))
+        assert bounds.shape == (0, 4) and bounds.dtype == np.int64
 
     def test_diagonal_cells_join(self):
         cells = np.zeros((4, 4), dtype=np.uint8)
         cells[1, 1] = 1
         cells[2, 2] = 1
-        comps = connected_components(binary(cells))
-        assert len(comps) == 1
-        assert sorted(comps[0].cells) == [(1, 1), (2, 2)]
+        assert connected_components(binary(cells)).tolist() == [[1, 1, 2, 2]]
 
     def test_zero_row_separates(self):
         cells = np.zeros((5, 3), dtype=np.uint8)
         cells[0, 1] = 1
         cells[4, 1] = 1
-        comps = connected_components(binary(cells))
-        assert len(comps) == 2
+        assert connected_components(binary(cells)).tolist() == [[1, 0, 1, 0], [1, 4, 1, 4]]
 
     def test_matches_flood_fill_oracle(self):
         for mask in _oracle_masks():
-            comps = connected_components(binary(mask.astype(np.uint8)))
-            want = flood_fill_components(mask)
-            got = [set(c.cells) for c in comps]
-            assert got == want
-            spans = [([j for _, j in c], [i for i, _ in c]) for c in want]
-            assert component_bounds(mask).tolist() == [
-                [min(cols), min(rows), max(cols), max(rows)] for cols, rows in spans
-            ]
-            for comp in comps:
-                assert comp.cells == sorted(comp.cells)
-                rows = [i for i, _ in comp.cells]
-                cols = [j for _, j in comp.cells]
-                assert (comp.min_row, comp.max_row) == (min(rows), max(rows))
-                assert (comp.min_col, comp.max_col) == (min(cols), max(cols))
+            want = oracle_bounds(mask)
+            assert connected_components(binary(mask.astype(np.uint8))).tolist() == want
+            assert component_bounds(mask).tolist() == want
 
 
 def _spiral(n):
