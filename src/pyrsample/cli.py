@@ -20,9 +20,11 @@ import numpy as np
 
 from . import serialization as ser
 from .chips import (
+    NEGATIVE,
     Chip,
+    negative_cover,
+    positive_cover,
     sample_negative_chips,
-    select_negative_chips,
     select_positive_chips,
 )
 from .config import ConfigError, PipelineConfig, config_to_dict, load_config, validate_config
@@ -53,12 +55,6 @@ def _workers() -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def _positive_worker(payload):
-    image_id, gts, size, pyramid = payload
-    chips, diagnostics = select_positive_chips(gts, pyramid, size)
-    return image_id, chips, diagnostics
-
-
 def _map_over_images(fn, payloads):
     n = _workers()
     if n <= 1:
@@ -67,16 +63,27 @@ def _map_over_images(fn, payloads):
         return list(pool.map(fn, payloads, chunksize=8))
 
 
+def _gt_columns(index: DatasetIndex, image_ids: list[int]):
+    """Per image: its ground-truth corners (n, 4) and crowd flags (n,)."""
+    boxes = [boxes_array(g.box for g in index.annotations[iid]) for iid in image_ids]
+    crowd = [np.array([g.is_crowd for g in index.annotations[iid]], dtype=bool)
+             for iid in image_ids]
+    return boxes, crowd
+
+
 def cmd_chips_positive(args) -> int:
     cfg = load_config(args.config)
     index = load_dataset(args.annotations)
-    payloads = [
-        (iid, index.annotations[iid], index.images[iid].size, cfg.pyramid)
-        for iid in index.image_ids
-    ]
+    image_ids = index.image_ids
+    sizes = [index.images[iid].size for iid in image_ids]
+    boxes, crowd = _gt_columns(index, image_ids)
+    covers = [positive_cover(boxes, crowd, sizes, spec) for spec in cfg.pyramid]
     records = []
     skipped = []
-    for image_id, chips, diagnostics in _map_over_images(_positive_worker, payloads):
+    for k, image_id in enumerate(image_ids):
+        chips, diagnostics = select_positive_chips(
+            index.annotations[image_id], cfg.pyramid, sizes[k], [cover[k] for cover in covers]
+        )
         records.extend(ser.chip_to_record(c, image_id) for c in chips)
         skipped.extend(
             {
@@ -90,7 +97,7 @@ def cmd_chips_positive(args) -> int:
     ser.save_chip_records(args.out, records)
     if args.diagnostics:
         ser.save_uncoverable_records(args.diagnostics, skipped)
-    print(f"wrote {len(records)} positive chips for {len(payloads)} images to {args.out}")
+    print(f"wrote {len(records)} positive chips for {len(image_ids)} images to {args.out}")
     if skipped:
         print(f"{len(skipped)} valid boxes fit no chip (see --diagnostics)", file=sys.stderr)
     return 0
@@ -99,22 +106,26 @@ def cmd_chips_positive(args) -> int:
 def cmd_chips_negative(args) -> int:
     cfg = load_config(args.config)
     index = load_dataset(args.annotations, proposals_path=args.proposals)
+    image_ids = [
+        iid for iid in index.image_ids if iid in index.proposals and len(index.proposals[iid].boxes)
+    ]
+    sizes = [index.images[iid].size for iid in image_ids]
+    boxes, crowd = _gt_columns(index, image_ids)
+    proposals = [index.proposals[iid].boxes for iid in image_ids]
+    pools: list[list[Chip]] = [[] for _ in image_ids]
+    for spec in cfg.pyramid:
+        positive = positive_cover(boxes, crowd, sizes, spec)
+        negative = negative_cover(
+            proposals, sizes, spec, positive, cfg.min_neg_proposals, cfg.negative_membership
+        )
+        for pool, rects in zip(pools, negative):
+            pool.extend(
+                Chip(rect=BoundingBox(*rect), scale_id=spec.scale_id, kind=NEGATIVE)
+                for rect in rects.tolist()
+            )
     pool_records = []
     sampled_records = []
-    for iid in index.image_ids:
-        size = index.images[iid].size
-        positives, _ = select_positive_chips(index.annotations[iid], cfg.pyramid, size)
-        proposals = index.proposals.get(iid)
-        if proposals is None or not len(proposals.boxes):
-            continue
-        pool = select_negative_chips(
-            proposals,
-            positives,
-            cfg.pyramid,
-            size,
-            min_proposals=cfg.min_neg_proposals,
-            membership=cfg.negative_membership,
-        )
+    for iid, pool in zip(image_ids, pools):
         sampled = sample_negative_chips(pool, cfg.n_negative_per_image, seed=cfg.seed + iid)
         pool_records.extend(ser.chip_to_record(c, iid) for c in pool)
         sampled_records.extend(ser.chip_to_record(c, iid) for c in sampled)

@@ -267,4 +267,8 @@ def validate_config(
         raise ConfigError("n_negative_per_image must be >= 0")
     if cfg.negative_membership not in ("center", "enclose"):
         raise ConfigError(f"unknown negative_membership {cfg.negative_membership!r}")
+    if not (math.isfinite(cfg.boundary_eps) and cfg.boundary_eps >= 0):
+        raise ConfigError(
+            f"stacking.boundary_eps must be finite and >= 0, got {cfg.boundary_eps}"
+        )
     return warnings

@@ -20,6 +20,9 @@ from .chips import ProposalSet
 from .geometry import BoundingBox, GroundTruthInstance, ImageSize
 
 CLAMP_TOL = 1e-9
+# The largest image width or height: a ``.fmap`` header stores the canvas
+# size as uint32.
+MAX_IMAGE_SIDE = 2**32 - 1
 
 
 class DatasetError(Exception):
@@ -123,7 +126,8 @@ def load_dataset(
     optionally, a COCO-results proposal file.
 
     Raises DatasetParseError on unreadable or malformed JSON and
-    DatasetStructureError when annotations or proposals reference image ids
+    DatasetStructureError when an image is wider or taller than
+    ``MAX_IMAGE_SIDE``, or annotations or proposals reference image ids
     that do not exist, lack a required key, or have a negative or
     non-finite bbox.
     """
@@ -140,6 +144,11 @@ def load_dataset(
             raise DatasetStructureError(
                 f"{annotation_path}: bad image entry {entry!r}: {exc}"
             ) from exc
+        if max(size.width, size.height) > MAX_IMAGE_SIDE:
+            raise DatasetStructureError(
+                f"{annotation_path}: image id {image_id}: width and height must be at most "
+                f"{MAX_IMAGE_SIDE}"
+            )
         stem = Path(str(entry.get("file_name", image_id))).stem
         images[image_id] = ImageRecord(size=size, file_stem=stem)
 
@@ -193,25 +202,22 @@ def load_proposals(path: str | Path, index: DatasetIndex) -> dict[int, ProposalS
     """COCO-results-format proposals ([{image_id, bbox, score}, ...]).
 
     Each image's proposals keep their file order and are clamped to the
-    image. A missing score counts as 1.0; a score outside [0, 1] is an error.
+    image; images come in order of their first proposal. A missing score
+    counts as 1.0; a score outside [0, 1] is an error.
     """
     data = _read_json(path)
     if not isinstance(data, list):
         raise DatasetStructureError(f"{path}: results file must be a JSON array")
-    rows_of: dict[int, list[int]] = {}
-    bboxes = []
-    scores = []
-    for position, entry in enumerate(data):
-        try:
-            rows_of.setdefault(int(entry["image_id"]), []).append(position)
-            bboxes.append(entry["bbox"])
-            scores.append(float(entry.get("score", 1.0)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise _entry_error(path, position, entry, exc) from exc
     if not data:
         return {}
+    try:
+        image_ids = [int(entry["image_id"]) for entry in data]
+        bboxes = [entry["bbox"] for entry in data]
+        scores = np.array([float(entry.get("score", 1.0)) for entry in data], dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        _raise_first_bad_entry(path, data)
+        raise
     xywh = _bbox_array(path, data, bboxes)
-    scores = np.array(scores, dtype=np.float64)
     problems = (
         (~np.isfinite(xywh).all(axis=1), "bbox is not finite", xywh),
         ((xywh[:, 2] < 0) | (xywh[:, 3] < 0), "negative bbox extent", xywh),
@@ -221,21 +227,40 @@ def load_proposals(path: str | Path, index: DatasetIndex) -> dict[int, ProposalS
         if bad.any():
             k = int(bad.argmax())
             raise _entry_error(path, k, data[k], ValueError(f"{message}: {values[k].tolist()}"))
-    dangling = [iid for iid in rows_of if iid not in index.images]
+    first_seen = dict.fromkeys(image_ids)
+    dangling = [iid for iid in first_seen if iid not in index.images]
     if dangling:
         raise DatasetStructureError(
             f"{path}: proposals reference missing image ids {sorted(dangling)[:20]}"
         )
-    # x + w may overflow to inf for finite inputs; the clamp brings it back.
+    code = {iid: k for k, iid in enumerate(first_seen)}
+    codes = np.fromiter(map(code.__getitem__, image_ids), dtype=np.intp, count=len(image_ids))
+    order = np.argsort(codes, kind="stable")
+    codes, scores, boxes = codes[order], scores[order], xywh[order]
+    # Corners, clamped to the image, in place: x + w may overflow to inf for
+    # finite inputs, and the clamp brings it back.
     with np.errstate(over="ignore"):
-        corners = np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
-    out = {}
-    for iid, rows in rows_of.items():
-        size = index.images[iid].size
-        limits = (size.width, size.height, size.width, size.height)
-        boxes = np.minimum(np.maximum(corners[rows], 0.0), limits)
-        out[iid] = ProposalSet(boxes=boxes, scores=scores[rows])
-    return out
+        boxes[:, 2:] += boxes[:, :2]
+    sizes = [index.images[iid].size for iid in first_seen]
+    limits = np.array([(s.width, s.height) * 2 for s in sizes], dtype=np.float64)
+    np.minimum(np.maximum(boxes, 0.0, out=boxes), limits[codes], out=boxes)
+    cuts = np.cumsum(np.bincount(codes))[:-1]
+    return {
+        iid: ProposalSet(boxes=b, scores=sc)
+        for iid, b, sc in zip(first_seen, np.split(boxes, cuts), np.split(scores, cuts))
+    }
+
+
+def _raise_first_bad_entry(path: str | Path, data: list) -> None:
+    """Raise the error of the first results entry whose image id, bbox or
+    score cannot be read, checked in that order."""
+    for position, entry in enumerate(data):
+        try:
+            int(entry["image_id"])
+            entry["bbox"]
+            float(entry.get("score", 1.0))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise _entry_error(path, position, entry, exc) from exc
 
 
 def _bbox_array(path: str | Path, data: list, bboxes: list) -> np.ndarray:

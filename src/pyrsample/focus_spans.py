@@ -161,15 +161,19 @@ def union_cells(spans: np.ndarray, owners: np.ndarray, n_maps: int) -> np.ndarra
     return out
 
 
-def _count_at_most(owners: np.ndarray, keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def _count_at_most(
+    owners: np.ndarray, keys: np.ndarray, query_owners: np.ndarray, queries: np.ndarray
+) -> np.ndarray:
     """For each i, the number of pairs (owners[j], keys[j]) that are at most
-    (owners[i], queries[i]) in lexicographic order."""
-    n = len(owners)
-    is_query = np.repeat([False, True], n)
-    order = np.lexsort((is_query, np.concatenate([keys, queries]), np.tile(owners, 2)))
+    (query_owners[i], queries[i]) in lexicographic order."""
+    n = len(keys)
+    is_query = np.repeat([False, True], [n, len(queries)])
+    order = np.lexsort(
+        (is_query, np.concatenate([keys, queries]), np.concatenate([owners, query_owners]))
+    )
     keys_so_far = np.cumsum(~is_query[order])
     asked = is_query[order]
-    out = np.empty(n, dtype=np.intp)
+    out = np.empty(len(queries), dtype=np.intp)
     out[order[asked] - n] = keys_so_far[asked]
     return out
 
@@ -190,7 +194,7 @@ def span_components(spans: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, 
     owners, spans = rows[new, 0], rows[new][:, [2, 1, 4, 3]]
     n = len(spans)
     label = np.arange(n)
-    stop = _count_at_most(owners, spans[:, 1], spans[:, 3])
+    stop = _count_at_most(owners, spans[:, 1], owners, spans[:, 3])
     for s, t in _pair_blocks(np.arange(1, n + 1), stop):
         touch = (spans[s, 0] <= spans[t, 2]) & (spans[t, 0] <= spans[s, 2])
         if touch.any():

@@ -4,11 +4,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pyrsample import chips
 from pyrsample.chips import (
     Chip,
     ProposalSet,
-    _lattice,
+    _cell_ranges,
+    _cell_rects,
+    _lattice_size,
+    negative_cover,
+    positive_cover,
     sample_negative_chips,
     select_negative_chips,
     select_positive_chips,
@@ -19,6 +26,7 @@ from pyrsample.geometry import (
     ImageSize,
     MaxSideTarget,
     ScaleSpec,
+    boxes_array,
     encloses,
     rescale_box,
 )
@@ -43,8 +51,16 @@ def flat_spec(scale_id=0, K=512, d=32, r=(0.0, math.inf)):
 
 def lattice_cells(w, h, K, d):
     """The lattice cells of a w x h canvas for chips of side K at stride d."""
-    cells, _ = _lattice(ImageSize(w, h), flat_spec(K=K, d=d), np.zeros((0, 4)), "center")
-    return [tuple(cell) for cell in cells.tolist()]
+    return chip_grid_oracle(w, h, K, d)
+
+
+def kernel_lattice(w, h, K, d):
+    """Every lattice cell of the cover kernel, in (row, col) order."""
+    canvas = np.array([w, h], dtype=float)
+    n_cols, n_rows = (int(n) for n in _lattice_size(canvas, K, d))
+    rows, cols = np.divmod(np.arange(n_rows * n_cols), n_cols)
+    rects = _cell_rects(rows, cols, np.tile(canvas, (len(rows), 1)), flat_spec(K=K, d=d))
+    return [tuple(cell) for cell in rects.tolist()]
 
 
 def grid_oracle(size, spec):
@@ -54,7 +70,8 @@ def grid_oracle(size, spec):
 
 
 class TestBuildChipGrid:
-    """The chip lattice of ``chips._lattice``."""
+    """The chip lattice: the placement rule of ``chip_grid_oracle``, and the
+    cover kernel's cells against it."""
 
     def test_chip_equals_canvas(self):
         assert lattice_cells(512, 512, 512, 32) == [(0, 0, 512, 512)]
@@ -77,7 +94,7 @@ class TestBuildChipGrid:
             h = int(rng.integers(40, 1400))
             K = int(rng.integers(32, 600))
             d = int(rng.integers(1, K + 1))
-            assert lattice_cells(w, h, K, d) == chip_grid_oracle(w, h, K, d)
+            assert kernel_lattice(w, h, K, d) == chip_grid_oracle(w, h, K, d)
 
     def test_far_edges_covered(self):
         cells = lattice_cells(1000, 700, 512, 32)
@@ -500,3 +517,136 @@ class TestAssignChipLabels:
         gt = GroundTruthInstance(square(60, x=400, y=400), class_id=2)
         labels = assign_roi_labels([square(60)], [gt], self.SPEC)
         assert labels == [RoiLabel.background()]
+
+
+# Cover-kernel cases: a level of side-K chips at stride d (which need not
+# divide E - K) over a batch of small canvases, some at or below K. Corners
+# sit on lattice lines, one ulp either side of them, on the canvas edge or
+# anywhere, in the canvas frame; the target factor is a power of two, so the
+# rescale back from the original frame is exact.
+@st.composite
+def cover_case(draw):
+    K = draw(st.sampled_from([16, 24, 32]))
+    d = draw(st.sampled_from([4, 8, 12, K]))
+    factor = draw(st.sampled_from([1.0, 2.0, 0.5]))
+    spec = ScaleSpec(scale_id=0, target=factor, valid_range=(0.0, math.inf),
+                     chip_size=K, chip_stride=d)
+    images = []
+    for _ in range(draw(st.integers(1, 4))):
+        w, h = (int(draw(st.integers(4, 80)) / factor) for _ in range(2))
+        canvas = spec.resolve(ImageSize(w, h))
+
+        def coord(extent):
+            lines = sorted({0, extent, max(extent - K, 0), *range(0, extent + 1, d),
+                            *range(K, extent + 1, d)})
+            v = float(draw(st.sampled_from(lines)))
+            kind = draw(st.sampled_from(["line", "below", "above", "free"]))
+            if kind == "free":
+                return draw(st.floats(0.0, float(extent)))
+            return float(np.nextafter(v, {"line": v, "below": -1.0, "above": 1e9}[kind]))
+
+        boxes = []
+        for _ in range(draw(st.integers(0, 10))):
+            xs = sorted(coord(canvas.width) for _ in range(2))
+            ys = sorted(coord(canvas.height) for _ in range(2))
+            boxes.append([xs[0] / factor, ys[0] / factor, xs[1] / factor, ys[1] / factor])
+        crowd = [draw(st.sampled_from([False, False, False, True])) for _ in boxes]
+        cells = chip_grid_oracle(canvas.width, canvas.height, K, d)
+        positive = draw(st.lists(st.sampled_from(cells), max_size=2))
+        images.append((ImageSize(w, h), np.array(boxes).reshape(-1, 4), crowd, positive))
+    return spec, images
+
+
+class TestCoverKernel:
+    """The batched cover against the per-image oracles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cover_case())
+    def test_cell_ranges_match_enumerated_lattice(self, case):
+        spec, images = case
+        for size, boxes, _, _ in images:
+            canvas = spec.resolve(size)
+            resized = boxes * ((canvas.width / size.width, canvas.height / size.height) * 2)
+            cells = np.array(chip_grid_oracle(canvas.width, canvas.height, spec.chip_size,
+                                              spec.chip_stride), dtype=float)
+            n_cols = len({c[0] for c in cells.tolist()})
+            wh = np.tile([canvas.width, canvas.height], (len(resized), 1)).astype(float)
+            for membership in ("enclose", "center"):
+                first, last = _cell_ranges(resized, wh, spec, membership)
+                if membership == "center":
+                    lo = hi = (resized[:, :2] + resized[:, 2:]) / 2.0
+                else:
+                    lo, hi = resized[:, :2], resized[:, 2:]
+                for b in range(len(resized)):
+                    member = (cells[:, :2] <= lo[b]).all(1) & (cells[:, 2:] >= hi[b]).all(1)
+                    rows, cols = np.divmod(np.flatnonzero(member), n_cols)
+                    want = set(zip(rows.tolist(), cols.tolist()))
+                    got = {(r, c) for r in range(first[b, 0], last[b, 0] + 1)
+                           for c in range(first[b, 1], last[b, 1] + 1)}
+                    assert got == want
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cover_case())
+    def test_positive_cover_matches_greedy_oracle(self, case):
+        spec, images = case
+        got = positive_cover([b for _, b, _, _ in images],
+                             [np.array(c, dtype=bool) for _, _, c, _ in images],
+                             [size for size, _, _, _ in images], spec)
+        assert len(got) == len(images)
+        for rects, (size, boxes, crowd, _) in zip(got, images):
+            canvas = spec.resolve(size)
+            grid = [BoundingBox(*cell) for cell in chip_grid_oracle(
+                canvas.width, canvas.height, spec.chip_size, spec.chip_stride)]
+            resized = [rescale_box(BoundingBox(*b), size, canvas) for b in boxes.tolist()]
+            targets = [box for box, is_crowd in zip(resized, crowd)
+                       if classify_box_validity(box, spec) and not is_crowd]
+            picked, _ = greedy_cover_oracle(grid, targets)
+            assert [tuple(r) for r in rects.tolist()] == [grid[i].as_tuple() for i in picked]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cover_case(), st.sampled_from(["center", "enclose"]), st.integers(1, 3))
+    def test_negative_cover_matches_oracle(self, case, membership, min_gain):
+        spec, images = case
+        got = negative_cover([b for _, b, _, _ in images], [size for size, _, _, _ in images],
+                             spec, [np.array(p, dtype=float).reshape(-1, 4)
+                                    for _, _, _, p in images],
+                             min_proposals=min_gain, membership=membership)
+        for rects, (size, boxes, _, positive) in zip(got, images):
+            want = select_negative_chips_oracle(
+                [BoundingBox(*b) for b in boxes.tolist()],
+                [(spec.scale_id, BoundingBox(*p)) for p in positive],
+                [spec], size, min_gain, membership)
+            assert [(spec.scale_id, tuple(r)) for r in rects.tolist()] == want
+
+    def test_one_image_calls_match_the_batch(self):
+        rng = np.random.default_rng(8)
+        spec = flat_spec(K=64, d=24)
+        sizes = [ImageSize(200, 150), ImageSize(64, 40), ImageSize(300, 90)]
+        gts = [[GroundTruthInstance(square(float(rng.uniform(4, 60)), float(rng.uniform(0, 140)),
+                                           float(rng.uniform(0, 30))), class_id=1)
+                for _ in range(6)] for _ in sizes]
+        boxes = [boxes_array(g.box for g in image) for image in gts]
+        crowd = [np.zeros(len(image), dtype=bool) for image in gts]
+        batch = positive_cover(boxes, crowd, sizes, spec)
+        for image, size, rects in zip(gts, sizes, batch):
+            alone, diagnostics = select_positive_chips(image, [spec], size)
+            assert [c.rect.as_tuple() for c in alone] == [tuple(r) for r in rects.tolist()]
+            assert select_positive_chips(image, [spec], size, [rects]) == (alone, diagnostics)
+
+    def test_blocks_do_not_change_the_cover(self, monkeypatch):
+        # Many images of different grids, covered in one block and with
+        # every image in a block of its own.
+        rng = np.random.default_rng(21)
+        spec = flat_spec(K=64, d=16)
+        sizes = [ImageSize(int(rng.integers(30, 400)), int(rng.integers(30, 400)))
+                 for _ in range(40)]
+        boxes = []
+        for size in sizes:
+            xy = rng.uniform(0, [size.width, size.height], size=(int(rng.integers(0, 30)), 2))
+            boxes.append(np.concatenate([xy, xy + rng.uniform(0, 40, size=xy.shape)], axis=1))
+        none = [np.zeros((0, 4))] * len(sizes)
+        together = negative_cover(boxes, sizes, spec, none, min_proposals=2)
+        monkeypatch.setattr(chips, "_COVER_BLOCK", 1)
+        alone = negative_cover(boxes, sizes, spec, none, min_proposals=2)
+        assert sum(len(r) for r in together) > 40
+        assert all(np.array_equal(a, b) for a, b in zip(together, alone))

@@ -97,6 +97,33 @@ class TestErrorRecords:
         assert len(lines) == 1
         return json.loads(lines[0])["error"]
 
+    @pytest.mark.parametrize("side", [1e308, 2**32])
+    @pytest.mark.parametrize(
+        "argv",
+        [["chips", "positive"], ["chips", "negative", "--proposals", "{props}"],
+         ["focus", "labels", "--scale", "1"], ["stack", "--detections", "{props}"],
+         ["stats", "roiscale"], ["stats", "areafractions"], ["stats", "focuspixels"],
+         ["stats", "speedup"]],
+        ids=lambda argv: "-".join(a for a in argv if not a.startswith(("-", "{"))),
+    )
+    def test_image_too_large_for_the_map_header(self, small_coco, tmp_path, capsys, side,
+                                                argv):
+        # A .fmap header holds the canvas size as uint32; a 1e308-wide image
+        # used to end stats roiscale, areafractions and speedup in an
+        # OverflowError traceback.
+        data = json.loads(small_coco.read_text())
+        data["images"][1]["width"] = side
+        small_coco.write_text(json.dumps(data))
+        props = tmp_path / "props.json"
+        props.write_text("[]")
+        out = tmp_path / "out.json"
+        argv = [a.replace("{props}", str(props)) for a in argv]
+        assert main([*argv, "--annotations", str(small_coco), "--out", str(out)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "DatasetStructureError"
+        assert "image id 2" in error["message"] and str(2**32 - 1) in error["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "bad",
         [{"bbox": [10, 10, 5, 5], "image_id": 1},
@@ -287,17 +314,6 @@ class TestChipsPositive:
         for r in records:
             assert set(r) == {"image_id", "scale_id", "rect", "kind", "covered_gt_ids", "cropped_gt"}
 
-    def test_worker_pool_matches_sequential(self, small_coco, tmp_path):
-        seq = tmp_path / "seq.json"
-        par = tmp_path / "par.json"
-        assert main(["chips", "positive", "--annotations", str(small_coco), "--out", str(seq)]) == 0
-        os.environ["PYRSAMPLE_WORKERS"] = "2"
-        try:
-            assert main(["chips", "positive", "--annotations", str(small_coco), "--out", str(par)]) == 0
-        finally:
-            del os.environ["PYRSAMPLE_WORKERS"]
-        assert seq.read_bytes() == par.read_bytes()
-
     def test_worker_count_clamped_to_cpus(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         monkeypatch.setenv(cli.WORKERS_ENV, str(10**9))
@@ -352,6 +368,15 @@ class TestFocusPipeline:
         assert records and all(r["kind"] == "focus" for r in records)
         by_image = {r["image_id"] for r in records}
         assert 1 in by_image
+
+    def test_worker_pool_matches_sequential(self, small_coco, tmp_path, monkeypatch):
+        argv = ["focus", "labels", "--annotations", str(small_coco), "--scale", "2", "--json"]
+        assert main([*argv, "--out", str(tmp_path / "seq")]) == 0
+        monkeypatch.setenv(cli.WORKERS_ENV, "2")
+        assert main([*argv, "--out", str(tmp_path / "par")]) == 0
+        seq, par = (sorted((tmp_path / d).iterdir()) for d in ("seq", "par"))
+        assert [f.name for f in seq] == [f.name for f in par] and len(seq) == 4
+        assert all(a.read_bytes() == b.read_bytes() for a, b in zip(seq, par))
 
     def test_chips_from_probability_maps(self, small_coco, tmp_path):
         maps_dir = tmp_path / "pmaps"
@@ -562,19 +587,35 @@ class TestBoundedResources:
 
     @pytest.mark.parametrize("which", ["positive", "negative"])
     def test_chips_on_a_huge_image_keep_the_error_contract(self, huge_image, tmp_path, which):
-        # The dense chip lattice of a 10^7 x 10^7 image does not fit in
-        # memory; running out of it is one JSON error line, not a traceback.
+        # The cover works on the cells that hold a box, so a 10^7 x 10^7
+        # image costs what its boxes cost. At scale 1 (x1.667) the box spans
+        # x 8335 to 8418.35 and y 11669 to 11752.35; the first 512-pixel cell
+        # at stride 32 that encloses it starts at the first multiple of 32 at
+        # or past x2 - 512 and y2 - 512. The two proposals 10 pixels apart
+        # at (9e6, 9e6) share one negative chip there.
         out = tmp_path / "chips.json"
         argv = ["chips", which, "--annotations", str(huge_image(50.0)), "--out", str(out)]
         if which == "negative":
             props = tmp_path / "props.json"
-            props.write_text(json.dumps([{"image_id": 1, "bbox": [5000, 7000, 50, 50],
-                                          "score": 0.5}]))
+            props.write_text(json.dumps([
+                {"image_id": 1, "bbox": [5000, 7000, 50, 50], "score": 0.5},
+                {"image_id": 1, "bbox": [9e6, 9e6, 40, 40], "score": 0.5},
+                {"image_id": 1, "bbox": [9e6 + 10, 9e6, 40, 40], "score": 0.5},
+            ]))
             argv += ["--proposals", str(props)]
         proc = run_limited(argv)
-        error = assert_error_contract(proc)
-        assert error is None or error["type"] == "MemoryError", error
-        assert (error is None) == out.exists()
+        assert assert_error_contract(proc) is None, proc.stderr
+        records = json.loads(out.read_text())
+        if which == "positive":
+            assert [(r["scale_id"], r["rect"], r["covered_gt_ids"]) for r in records] == [
+                (1, [7936.0, 11264.0, 8448.0, 11776.0], [0])]
+        else:
+            # 9e6 * 1.667 = 15003000; the centers sit at x 15003033.34 and
+            # 15003050.01, y 15003033.34, and the first cell holding both
+            # ends at or past the larger x and the y.
+            assert [(r["scale_id"], r["rect"]) for r in records["pool"]] == [
+                (1, [15002560.0, 15002528.0, 15003072.0, 15003040.0])]
+            assert records["sampled"] == records["pool"]
 
     @staticmethod
     def crowded_coco(path, n_images):

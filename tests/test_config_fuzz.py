@@ -16,6 +16,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -131,6 +132,8 @@ def _run(argv: list[str], out: Path | None = None) -> None:
 @example('{"profile": "coco-default", "chips": {"seed": 1e400}}')
 @example({"pyramid": [{"scale_id": 0, "valid_range": [0.0, None]}]})
 @example({"pyramid": [{"scale_id": 0, "target": 5}]})
+@example({"profile": "coco-default", "stacking": {"boundary_eps": float("nan")}})
+@example({"profile": "coco-default", "stacking": {"boundary_eps": float("inf")}})
 def test_config_loading_exits_cleanly_on_any_input(data):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -141,3 +144,32 @@ def test_config_loading_exits_cleanly_on_any_input(data):
         _run(["show-config", "--config", str(cfg)])
         _run(["stats", "areafractions", "--annotations", str(ann), "--config", str(cfg),
               "--out", str(out)], out)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0, "-1e400"])
+@pytest.mark.parametrize("command", ["validate", "show-config", "stack"])
+def test_bad_boundary_eps_is_one_config_error(tmp_path, capsys, eps, command):
+    # NaN used to switch boundary pruning off, and inf dropped every
+    # detection of an interior chip.
+    cfg = tmp_path / "cfg.json"
+    value = eps if isinstance(eps, str) else json.dumps(eps)
+    cfg.write_text('{"profile": "coco-default", "stacking": {"boundary_eps": %s}}' % value)
+    argv = [command, "--config", str(cfg)]
+    if command == "stack":
+        ann, dets = tmp_path / "ann.json", tmp_path / "dets.json"
+        ann.write_text(json.dumps(ANNOTATIONS))
+        dets.write_text("[]")
+        argv += ["--annotations", str(ann), "--detections", str(dets),
+                 "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ConfigError" and "stacking.boundary_eps" in error["message"]
+
+
+def test_zero_boundary_eps_is_accepted(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"profile": "coco-default", "stacking": {"boundary_eps": 0}}')
+    assert main(["validate", "--config", str(cfg)]) == 0
