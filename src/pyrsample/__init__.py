@@ -10,6 +10,7 @@ from .geometry import (
     BoundingBox,
     Detection,
     GroundTruthInstance,
+    GroundTruthSet,
     ImageSize,
     MaxSideTarget,
     ScaleSpec,
@@ -78,6 +79,7 @@ __all__ = [
     "DatasetIndex",
     "FocusParams",
     "GroundTruthInstance",
+    "GroundTruthSet",
     "ImageSize",
     "LabelKind",
     "LabelMap",

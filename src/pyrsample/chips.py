@@ -20,6 +20,7 @@ from .focus_spans import _count_at_most, _distinct
 from .geometry import (
     BoundingBox,
     GroundTruthInstance,
+    GroundTruthSet,
     ImageSize,
     ScaleSpec,
     boxes_array,
@@ -398,7 +399,7 @@ def _attach_gt(
 
 
 def select_positive_chips(
-    gts: list[GroundTruthInstance],
+    gts: GroundTruthSet | list[GroundTruthInstance],
     pyramid: list[ScaleSpec],
     original: ImageSize,
     rects: list[np.ndarray] | None = None,
@@ -418,10 +419,10 @@ def select_positive_chips(
     picked for this image in a batch of images; by default the cover runs
     for this image alone.
     """
+    gts = GroundTruthSet.of(gts)
+    gt_boxes, crowd = gts.boxes, gts.crowd
     chips: list[Chip] = []
     diagnostics: list[UncoverableGt] = []
-    gt_boxes = boxes_array([gt.box for gt in gts])
-    crowd = np.array([gt.is_crowd for gt in gts], dtype=bool)
     for level, spec in enumerate(pyramid):
         if rects is None:
             picked = positive_cover([gt_boxes], [crowd], [original], spec)[0]
@@ -429,7 +430,7 @@ def select_positive_chips(
             picked = rects[level]
         resized = rescale_boxes(gt_boxes, original, spec.resolve(original))
         valid = valid_area_mask(resized, spec)
-        enclosed = np.zeros(len(gts), dtype=bool)
+        enclosed = np.zeros(len(gt_boxes), dtype=bool)
         attached = _attach_gt(picked, resized) if len(picked) else []
         for corners, (covered, cropped) in zip(picked.tolist(), attached):
             enclosed[list(covered)] = True

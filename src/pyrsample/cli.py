@@ -36,7 +36,7 @@ from .costing import (
 from .dataset import DatasetError, DatasetIndex, load_dataset, voc_to_coco
 from .focus_chips import FocusParams, generate_focus_chips
 from .focus_labels import LabelMap, focus_label_cells, focus_pixel_stats
-from .geometry import BoundingBox, DetectionBatch, ImageSize, boxes_array
+from .geometry import BoundingBox, DetectionBatch, ImageSize
 from .range_labels import filter_detections_by_range
 from .serialization import FormatError
 from .stacking import merge_detections, project_to_image, prune_boundary_detections
@@ -63,26 +63,19 @@ def _map_over_images(fn, payloads):
         return list(pool.map(fn, payloads, chunksize=8))
 
 
-def _gt_columns(index: DatasetIndex, image_ids: list[int]):
-    """Per image: its ground-truth corners (n, 4) and crowd flags (n,)."""
-    boxes = [boxes_array(g.box for g in index.annotations[iid]) for iid in image_ids]
-    crowd = [np.array([g.is_crowd for g in index.annotations[iid]], dtype=bool)
-             for iid in image_ids]
-    return boxes, crowd
-
-
 def cmd_chips_positive(args) -> int:
     cfg = load_config(args.config)
     index = load_dataset(args.annotations)
     image_ids = index.image_ids
     sizes = [index.images[iid].size for iid in image_ids]
-    boxes, crowd = _gt_columns(index, image_ids)
+    gts = [index.annotations[iid] for iid in image_ids]
+    boxes, crowd = [g.boxes for g in gts], [g.crowd for g in gts]
     covers = [positive_cover(boxes, crowd, sizes, spec) for spec in cfg.pyramid]
     records = []
     skipped = []
     for k, image_id in enumerate(image_ids):
         chips, diagnostics = select_positive_chips(
-            index.annotations[image_id], cfg.pyramid, sizes[k], [cover[k] for cover in covers]
+            gts[k], cfg.pyramid, sizes[k], [cover[k] for cover in covers]
         )
         records.extend(ser.chip_to_record(c, image_id) for c in chips)
         skipped.extend(
@@ -110,7 +103,8 @@ def cmd_chips_negative(args) -> int:
         iid for iid in index.image_ids if iid in index.proposals and len(index.proposals[iid].boxes)
     ]
     sizes = [index.images[iid].size for iid in image_ids]
-    boxes, crowd = _gt_columns(index, image_ids)
+    gts = [index.annotations[iid] for iid in image_ids]
+    boxes, crowd = [g.boxes for g in gts], [g.crowd for g in gts]
     proposals = [index.proposals[iid].boxes for iid in image_ids]
     pools: list[list[Chip]] = [[] for _ in image_ids]
     for spec in cfg.pyramid:
@@ -138,11 +132,9 @@ def cmd_chips_negative(args) -> int:
 
 
 def _focus_labels_worker(payload):
-    image_id, gts, original, spec, stride, thresholds = payload
+    image_id, boxes, original, spec, stride, thresholds = payload
     canvas = spec.resolve(original)
-    cells = focus_label_cells(
-        boxes_array(g.box for g in gts), original, canvas, stride, *thresholds
-    )
+    cells = focus_label_cells(boxes, original, canvas, stride, *thresholds)
     return image_id, LabelMap(cells, stride, canvas, *thresholds)
 
 
@@ -157,7 +149,7 @@ def cmd_focus_labels(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     thresholds = (cfg.focus_min_side, cfg.focus_max_side, cfg.focus_ignore_max_side)
     payloads = [
-        (iid, index.annotations[iid], index.images[iid].size, spec, cfg.stride, thresholds)
+        (iid, index.annotations[iid].boxes, index.images[iid].size, spec, cfg.stride, thresholds)
         for iid in index.image_ids
     ]
     for image_id, label_map in _map_over_images(_focus_labels_worker, payloads):

@@ -13,7 +13,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec, boxes_array
+from .geometry import (
+    BoundingBox,
+    GroundTruthInstance,
+    GroundTruthSet,
+    ImageSize,
+    ScaleSpec,
+)
 from .focus_labels import (
     DEFAULT_IGNORE_MAX_SIDE,
     DEFAULT_MAX_SIDE,
@@ -120,7 +126,7 @@ def aggregate_cost_reports(reports: Sequence[CostReport]) -> CostReport:
 
 
 def speedup_upper_bound(
-    gts_by_image: Mapping[object, list[GroundTruthInstance]],
+    gts_by_image: Mapping[object, GroundTruthSet | Sequence[GroundTruthInstance]],
     sizes_by_image: Mapping[object, ImageSize],
     pyramid: list[ScaleSpec],
     min_chip_sizes: Sequence[int],
@@ -156,7 +162,7 @@ def speedup_upper_bound(
     if min(min_chip_sizes) < 1:
         raise ValueError(f"chip sizes must be >= 1: {list(min_chip_sizes)}")
     check_kernel_size(dilation, "dilation")
-    boxes = [boxes_array(g.box for g in gts) for gts in gts_by_image.values()]
+    boxes = [GroundTruthSet.of(gts).boxes for gts in gts_by_image.values()]
     originals = [sizes_by_image[image_id] for image_id in gts_by_image]
     processed = dict.fromkeys(min_chip_sizes, 0.0)
     baseline_total = 0.0
@@ -199,6 +205,27 @@ def speedup_upper_bound(
     ]
 
 
+def _box_areas(
+    gts_by_image: Mapping[object, GroundTruthSet | Sequence[GroundTruthInstance]],
+    sizes_by_image: Mapping[object, ImageSize],
+    exclude_crowd: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every box's area, (x2 - x1) * (y2 - y1) as :attr:`BoundingBox.area`
+    computes it, and the area of its image, image by image in mapping
+    order; crowd boxes are left out when ``exclude_crowd`` is set."""
+    sets = [GroundTruthSet.of(gts) for gts in gts_by_image.values()]
+    boxes = np.concatenate([np.zeros((0, 4)), *(g.boxes for g in sets)])
+    image_areas = np.repeat(
+        [float(sizes_by_image[image_id].area) for image_id in gts_by_image],
+        [len(g) for g in sets],
+    )
+    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    if exclude_crowd:
+        keep = ~np.concatenate([np.zeros(0, dtype=bool), *(g.crowd for g in sets)])
+        return areas[keep], image_areas[keep]
+    return areas, image_areas
+
+
 @dataclass
 class RoiScaleHistogram:
     """Distribution of sqrt(box area) / sqrt(image area) over a dataset."""
@@ -217,7 +244,7 @@ class RoiScaleHistogram:
 
 
 def roi_scale_histogram(
-    gts_by_image: Mapping[object, list[GroundTruthInstance]],
+    gts_by_image: Mapping[object, GroundTruthSet | Sequence[GroundTruthInstance]],
     sizes_by_image: Mapping[object, ImageSize],
     n_bins: int = 50,
     exclude_crowd: bool = False,
@@ -226,23 +253,17 @@ def roi_scale_histogram(
     ``n_bins`` equal bins over [0, 1], 1 <= n_bins <= MAX_HISTOGRAM_BINS."""
     if not 1 <= n_bins <= MAX_HISTOGRAM_BINS:
         raise ValueError(f"bins must be in [1, {MAX_HISTOGRAM_BINS}]: {n_bins}")
-    values = []
-    for image_id, gts in gts_by_image.items():
-        image = sizes_by_image[image_id]
-        denom = math.sqrt(image.area)
-        for gt in gts:
-            if exclude_crowd and gt.is_crowd:
-                continue
-            values.append(math.sqrt(gt.box.area) / denom)
-    if not values:
+    areas, image_areas = _box_areas(gts_by_image, sizes_by_image, exclude_crowd)
+    if not len(areas):
         raise ValueError("no instances in dataset")
-    arr = np.asarray(values)
+    # math.sqrt(box area) / math.sqrt(image area), per box.
+    arr = np.sqrt(areas) / np.sqrt(image_areas)
     counts, edges = np.histogram(arr, bins=n_bins, range=(0.0, 1.0))
     return RoiScaleHistogram(
         bin_edges=edges,
         fractions=counts / counts.sum(),
         deciles=np.percentile(arr, np.arange(10, 100, 10)),
-        n_instances=len(values),
+        n_instances=len(arr),
     )
 
 
@@ -257,7 +278,7 @@ class SizeBandStats:
 
 
 def size_area_fractions(
-    gts_by_image: Mapping[object, list[GroundTruthInstance]],
+    gts_by_image: Mapping[object, GroundTruthSet | Sequence[GroundTruthInstance]],
     sizes_by_image: Mapping[object, ImageSize],
     bands: Sequence[tuple[str, float, float]] = SIZE_BANDS,
     exclude_crowd: bool = False,
@@ -272,30 +293,28 @@ def size_area_fractions(
     if not gts_by_image:
         raise ValueError("no images in dataset")
     total_image_area = 0.0
-    counts = [0] * len(bands)
-    areas = [0.0] * len(bands)
-    n_total = 0
-    for image_id, gts in gts_by_image.items():
+    for image_id in gts_by_image:
         total_image_area += sizes_by_image[image_id].area
-        for gt in gts:
-            if exclude_crowd and gt.is_crowd:
-                continue
-            area = gt.box.area
-            n_total += 1
-            for idx, (_, lo, hi) in enumerate(bands):
-                if lo <= area < hi:
-                    counts[idx] += 1
-                    areas[idx] += area
-                    break
+    areas, _ = _box_areas(gts_by_image, sizes_by_image, exclude_crowd)
+    n_total = len(areas)
     if n_total == 0:
         raise ValueError("no instances in dataset")
+    # Each box goes to the first band that holds it. A band's areas are
+    # added one by one in file order: a pairwise sum could round differently.
+    counts, sums = [], []
+    left = np.ones(n_total, dtype=bool)
+    for _, lo, hi in bands:
+        hit = left & (lo <= areas) & (areas < hi)
+        left &= ~hit
+        counts.append(int(hit.sum()))
+        sums.append(float(np.cumsum(np.append(0.0, areas[hit]))[-1]))
     return [
         SizeBandStats(
             name=name,
             area_lo=lo,
             area_hi=hi,
             instance_fraction=counts[idx] / n_total,
-            area_fraction=areas[idx] / total_image_area,
+            area_fraction=sums[idx] / total_image_area,
             n_instances=counts[idx],
         )
         for idx, (name, lo, hi) in enumerate(bands)

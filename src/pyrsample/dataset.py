@@ -8,7 +8,6 @@ crowd-sourced annotations routinely overshoot by a pixel or two.
 from __future__ import annotations
 
 import json
-import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from math import isfinite
@@ -17,12 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .chips import ProposalSet
-from .geometry import BoundingBox, GroundTruthInstance, ImageSize
+from .geometry import GroundTruthSet, ImageSize
 
 CLAMP_TOL = 1e-9
 # The largest image width or height: a ``.fmap`` header stores the canvas
 # size as uint32.
 MAX_IMAGE_SIDE = 2**32 - 1
+# The largest category id: class ids are int64 columns.
+MAX_CLASS_ID = 2**63 - 1
 
 
 class DatasetError(Exception):
@@ -40,7 +41,6 @@ class DatasetStructureError(DatasetError):
 @dataclass
 class ImageRecord:
     size: ImageSize
-    file_stem: str
 
 
 @dataclass
@@ -48,7 +48,7 @@ class DatasetIndex:
     """Everything the pipeline needs about a dataset, keyed by image id."""
 
     images: dict[int, ImageRecord]
-    annotations: dict[int, list[GroundTruthInstance]]
+    annotations: dict[int, GroundTruthSet]
     proposals: dict[int, ProposalSet] = field(default_factory=dict)
     categories: dict[int, str] = field(default_factory=dict)
     clamp_warnings: int = 0
@@ -101,21 +101,73 @@ def _entry_error(
     return DatasetStructureError(f"{path}: {name}: {problem}")
 
 
-def _clamped_box(
-    x: float, y: float, w: float, h: float, size: ImageSize
-) -> tuple[BoundingBox, bool]:
-    x1, y1, x2, y2 = x, y, x + w, y + h
-    cx1 = min(max(x1, 0.0), size.width)
-    cy1 = min(max(y1, 0.0), size.height)
-    cx2 = min(max(x2, 0.0), size.width)
-    cy2 = min(max(y2, 0.0), size.height)
-    clamped = (
-        abs(cx1 - x1) > CLAMP_TOL
-        or abs(cy1 - y1) > CLAMP_TOL
-        or abs(cx2 - x2) > CLAMP_TOL
-        or abs(cy2 - y2) > CLAMP_TOL
-    )
-    return BoundingBox(cx1, cy1, cx2, cy2), clamped
+def _annotation_rows(path: str | Path, entries: list) -> np.ndarray:
+    """Every annotation's ``bbox`` as an (n, 4) float64 array; raises the
+    error of the first annotation whose image id, bbox or category id is
+    bad, checked in that order."""
+    rows = []
+    for position, entry in enumerate(entries):
+        try:
+            int(entry["image_id"])
+            rows.append(_xywh(entry))
+            class_id = int(entry["category_id"])
+            if not 0 <= class_id <= MAX_CLASS_ID:
+                raise ValueError(f"category_id must be in [0, {MAX_CLASS_ID}]: {class_id}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise _entry_error(path, position, entry, exc) from exc
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+
+
+def _annotation_sets(
+    path: str | Path, entries: list, images: dict[int, ImageRecord]
+) -> tuple[dict[int, GroundTruthSet], int]:
+    """Per image, in ``images`` order, its annotations in file order as a
+    :class:`GroundTruthSet` with boxes clamped to the image, and the number
+    of boxes that clamping moved by more than ``CLAMP_TOL``."""
+    try:
+        image_ids = [int(ann["image_id"]) for ann in entries]
+        class_ids = np.array([int(ann["category_id"]) for ann in entries], dtype=np.int64)
+        crowd = np.array([bool(ann.get("iscrowd", 0)) for ann in entries], dtype=bool)
+        xywh = np.array([ann["bbox"] for ann in entries], dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        xywh = None
+    if (
+        xywh is None
+        or xywh.shape != (len(entries), 4)
+        or not np.isfinite(xywh).all()
+        or (xywh[:, 2:] < 0).any()
+        or (class_ids < 0).any()
+    ):
+        # Raises for the first bad entry, which exists whenever the columns
+        # above could not all be built; otherwise each bbox is four numbers
+        # that only float() reads (such as the string "1234").
+        xywh = _annotation_rows(path, entries)
+    code = {iid: k for k, iid in enumerate(images)}
+    try:
+        owners = np.fromiter(map(code.__getitem__, image_ids), dtype=np.intp, count=len(image_ids))
+    except KeyError:
+        missing = sorted({iid for iid in image_ids if iid not in code})
+        raise DatasetStructureError(
+            f"{path}: annotations reference missing image ids {missing[:20]}"
+        ) from None
+    sizes = [rec.size for rec in images.values()]
+    limits = np.array([(s.width, s.height) * 2 for s in sizes], dtype=np.float64).reshape(-1, 4)
+    limits = limits[owners]
+    # Corners, then the clamp of Python's max(v, 0.0) and min(v, limit),
+    # which keep v on ties, so -0.0 stays -0.0. x + w may overflow to inf
+    # for finite inputs, and the clamp brings it back.
+    with np.errstate(over="ignore"):
+        corners = np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
+    boxes = np.where(0.0 > corners, 0.0, corners)
+    boxes = np.where(limits < boxes, limits, boxes)
+    clamped = int((np.abs(boxes - corners) > CLAMP_TOL).any(axis=1).sum())
+    order = np.argsort(owners, kind="stable")
+    boxes, class_ids, crowd = boxes[order], class_ids[order], crowd[order]
+    ends = np.cumsum(np.bincount(owners, minlength=len(images))).tolist()
+    return {
+        iid: GroundTruthSet(boxes[lo:hi], class_ids[lo:hi], crowd[lo:hi])
+        for iid, lo, hi in zip(images, [0, *ends], ends)
+    }, clamped
 
 
 def load_dataset(
@@ -126,10 +178,10 @@ def load_dataset(
     optionally, a COCO-results proposal file.
 
     Raises DatasetParseError on unreadable or malformed JSON and
-    DatasetStructureError when an image is wider or taller than
-    ``MAX_IMAGE_SIDE``, or annotations or proposals reference image ids
-    that do not exist, lack a required key, or have a negative or
-    non-finite bbox.
+    DatasetStructureError when an image id repeats, an image is wider or
+    taller than ``MAX_IMAGE_SIDE``, or annotations or proposals reference
+    image ids that do not exist, lack a required key, have a negative or
+    non-finite bbox, or (annotations) a category id outside [0, 2^63 - 1].
     """
     data = _read_json(annotation_path)
     if not isinstance(data, dict) or "images" not in data:
@@ -144,13 +196,14 @@ def load_dataset(
             raise DatasetStructureError(
                 f"{annotation_path}: bad image entry {entry!r}: {exc}"
             ) from exc
+        if image_id in images:
+            raise DatasetStructureError(f"{annotation_path}: duplicate image id {image_id}")
         if max(size.width, size.height) > MAX_IMAGE_SIDE:
             raise DatasetStructureError(
                 f"{annotation_path}: image id {image_id}: width and height must be at most "
                 f"{MAX_IMAGE_SIDE}"
             )
-        stem = Path(str(entry.get("file_name", image_id))).stem
-        images[image_id] = ImageRecord(size=size, file_stem=stem)
+        images[image_id] = ImageRecord(size=size)
 
     categories: dict[int, str] = {}
     for cat in _section(data, "categories", annotation_path):
@@ -162,36 +215,14 @@ def load_dataset(
                 f"{annotation_path}: bad category entry {cat!r}: {exc}"
             ) from exc
 
-    annotations: dict[int, list[GroundTruthInstance]] = {iid: [] for iid in images}
-    clamped_count = 0
-    dangling: list[int] = []
-    for position, ann in enumerate(_section(data, "annotations", annotation_path)):
-        try:
-            image_id = int(ann["image_id"])
-            x, y, w, h = _xywh(ann)
-            class_id = int(ann["category_id"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise _entry_error(annotation_path, position, ann, exc) from exc
-        if image_id not in images:
-            dangling.append(image_id)
-            continue
-        box, clamped = _clamped_box(x, y, w, h, images[image_id].size)
-        if clamped:
-            clamped_count += 1
-        annotations[image_id].append(
-            GroundTruthInstance(box=box, class_id=class_id, is_crowd=bool(ann.get("iscrowd", 0)))
-        )
-    if dangling:
-        raise DatasetStructureError(
-            f"{annotation_path}: annotations reference missing image ids "
-            f"{sorted(set(dangling))[:20]}"
-        )
-
+    annotations, clamped = _annotation_sets(
+        annotation_path, _section(data, "annotations", annotation_path), images
+    )
     index = DatasetIndex(
         images=images,
         annotations=annotations,
         categories=categories,
-        clamp_warnings=clamped_count,
+        clamp_warnings=clamped,
     )
     if proposals_path is not None:
         index.proposals = load_proposals(proposals_path, index)

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .geometry import (
     BoundingBox,
     GroundTruthInstance,
+    GroundTruthSet,
     ImageSize,
     ScaleSpec,
     boxes_array,
@@ -228,7 +229,7 @@ class FocusPixelScaleStats:
 
 
 def focus_pixel_stats(
-    gts_by_image: Mapping[object, list[GroundTruthInstance]],
+    gts_by_image: Mapping[object, GroundTruthSet | Sequence[GroundTruthInstance]],
     sizes_by_image: Mapping[object, ImageSize],
     pyramid: list[ScaleSpec],
     stride: int = DEFAULT_STRIDE,
@@ -255,7 +256,7 @@ def focus_pixel_stats(
     missing = [k for k in gts_by_image if k not in sizes_by_image]
     if missing:
         raise ValueError(f"images without a recorded size: {missing[:5]}")
-    boxes = [boxes_array(g.box for g in gts) for gts in gts_by_image.values()]
+    boxes = [GroundTruthSet.of(gts).boxes for gts in gts_by_image.values()]
     originals = [sizes_by_image[image_id] for image_id in gts_by_image]
     n = len(originals)
     stats: dict[int, FocusPixelScaleStats] = {}

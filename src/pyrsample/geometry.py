@@ -133,6 +133,56 @@ class GroundTruthInstance:
             raise ValueError(f"class_id must be >= 0, got {self.class_id}")
 
 
+class GroundTruthSet(Sequence):
+    """One image's ground truth as columns: ``boxes`` (n, 4) float64 corners
+    x1, y1, x2, y2 in the original-image frame, ``class_ids`` (n,) int64 and
+    ``crowd`` (n,) bool.
+
+    The chip cover, the focus path and the dataset statistics work on these
+    arrays. The set is also a read-only sequence of
+    :class:`GroundTruthInstance`, built on access; indexing with a slice, a
+    mask or an index array gives a set.
+    """
+
+    __slots__ = ("boxes", "class_ids", "crowd")
+
+    def __init__(self, boxes: np.ndarray, class_ids: np.ndarray, crowd: np.ndarray) -> None:
+        self.boxes = boxes
+        self.class_ids = class_ids
+        self.crowd = crowd
+
+    @classmethod
+    def of(cls, gts: Sequence[GroundTruthInstance]) -> "GroundTruthSet":
+        """The columns of ``gts``; a set is returned as it is."""
+        if isinstance(gts, cls):
+            return gts
+        return cls(
+            np.array([g.box.as_tuple() for g in gts], dtype=np.float64).reshape(-1, 4),
+            np.array([g.class_id for g in gts], dtype=np.int64),
+            np.array([g.is_crowd for g in gts], dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return len(self.class_ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return GroundTruthInstance(
+                BoundingBox(*self.boxes[key].tolist()),
+                int(self.class_ids[key]),
+                bool(self.crowd[key]),
+            )
+        return GroundTruthSet(self.boxes[key], self.class_ids[key], self.crowd[key])
+
+    def __iter__(self):
+        return map(
+            GroundTruthInstance,
+            (BoundingBox(*corners) for corners in self.boxes.tolist()),
+            self.class_ids.tolist(),
+            self.crowd.tolist(),
+        )
+
+
 @dataclass(frozen=True)
 class Detection:
     """A scored, classified box in a stated frame.

@@ -5,6 +5,7 @@ exhaustive lattice re-scans.
 """
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 
@@ -429,3 +430,96 @@ def attach_gt_oracle(
         elif rect.intersection(box) is not None:
             cropped.append((gt_id, rect.intersection(box)))
     return tuple(covered), tuple(cropped)
+
+
+def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
+    """The per-entry COCO annotation loader: (image sizes in file order,
+    per-image lists of :class:`GroundTruthInstance` in file order, categories,
+    clamp warnings). Each box goes through float() corner by corner and is
+    clamped with Python's ``min`` and ``max``. Raises the errors of
+    ``load_dataset`` with the same messages."""
+    from pyrsample.dataset import (
+        MAX_CLASS_ID,
+        MAX_IMAGE_SIDE,
+        DatasetParseError,
+        DatasetStructureError,
+    )
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise DatasetParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DatasetParseError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(data, dict) or "images" not in data:
+        raise DatasetStructureError(f"{path}: not a COCO annotation file")
+
+    def section(key):
+        entries = data.get(key, [])
+        if not isinstance(entries, list):
+            raise DatasetStructureError(f"{path}: {key!r} must be a JSON array")
+        return entries
+
+    sizes: dict[int, ImageSize] = {}
+    for entry in section("images"):
+        try:
+            image_id = int(entry["id"])
+            size = ImageSize(int(entry["width"]), int(entry["height"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DatasetStructureError(f"{path}: bad image entry {entry!r}: {exc}") from exc
+        if image_id in sizes:
+            raise DatasetStructureError(f"{path}: duplicate image id {image_id}")
+        if max(size.width, size.height) > MAX_IMAGE_SIDE:
+            raise DatasetStructureError(
+                f"{path}: image id {image_id}: width and height must be at most "
+                f"{MAX_IMAGE_SIDE}"
+            )
+        sizes[image_id] = size
+
+    categories: dict[int, str] = {}
+    for cat in section("categories"):
+        try:
+            categories[int(cat["id"])] = str(cat.get("name", cat["id"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DatasetStructureError(f"{path}: bad category entry {cat!r}: {exc}") from exc
+
+    annotations: dict[int, list[GroundTruthInstance]] = {iid: [] for iid in sizes}
+    clamp_warnings = 0
+    dangling = []
+    for position, ann in enumerate(section("annotations")):
+        try:
+            image_id = int(ann["image_id"])
+            x, y, w, h = map(float, ann["bbox"])
+            if not all(math.isfinite(v) for v in (x, y, w, h)):
+                raise ValueError(f"bbox is not finite: {[x, y, w, h]}")
+            if w < 0 or h < 0:
+                raise ValueError(f"negative bbox extent: {[x, y, w, h]}")
+            class_id = int(ann["category_id"])
+            if not 0 <= class_id <= MAX_CLASS_ID:
+                raise ValueError(f"category_id must be in [0, {MAX_CLASS_ID}]: {class_id}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            name = (
+                f"annotation id {ann['id']!r}"
+                if isinstance(ann, dict) and "id" in ann
+                else f"entry {position}"
+            )
+            problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise DatasetStructureError(f"{path}: {name}: {problem}") from exc
+        if image_id not in sizes:
+            dangling.append(image_id)
+            continue
+        size = sizes[image_id]
+        corners = (x, y, x + w, y + h)
+        limits = (size.width, size.height) * 2
+        clamped = tuple(min(max(v, 0.0), limit) for v, limit in zip(corners, limits))
+        if any(abs(c - v) > 1e-9 for c, v in zip(clamped, corners)):
+            clamp_warnings += 1
+        annotations[image_id].append(
+            GroundTruthInstance(BoundingBox(*clamped), class_id, bool(ann.get("iscrowd", 0)))
+        )
+    if dangling:
+        raise DatasetStructureError(
+            f"{path}: annotations reference missing image ids {sorted(set(dangling))[:20]}"
+        )
+    return sizes, annotations, categories, clamp_warnings

@@ -43,6 +43,17 @@ class TestValidate:
         assert main(["validate"]) == 0
         assert "config ok" in capsys.readouterr().out
 
+    def test_runs_as_a_module(self):
+        src = str(Path(pyrsample.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pyrsample", "validate"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("config ok: profile=coco-default")
+
     def test_bad_config_fails_with_error_record(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"pyramid": []}))
@@ -127,8 +138,10 @@ class TestErrorRecords:
     @pytest.mark.parametrize(
         "bad",
         [{"bbox": [10, 10, 5, 5], "image_id": 1},
-         {"bbox": [float("nan"), 10, 5, 5], "image_id": 1, "category_id": 1}],
-        ids=["missing-category", "nan-bbox"],
+         {"bbox": [float("nan"), 10, 5, 5], "image_id": 1, "category_id": 1},
+         {"bbox": [10, 10, 5, 5], "image_id": 1, "category_id": -3},
+         {"bbox": [10, 10, 5, 5], "image_id": 1, "category_id": 2**70}],
+        ids=["missing-category", "nan-bbox", "negative-category", "category-past-int64"],
     )
     def test_bad_annotation(self, small_coco, tmp_path, capsys, bad):
         data = json.loads(small_coco.read_text())
@@ -139,6 +152,15 @@ class TestErrorRecords:
         error = self._only_error(capsys)
         assert error["type"] == "DatasetStructureError"
         assert "annotation id 77" in error["message"]
+
+    def test_duplicate_image_id(self, small_coco, capsys):
+        data = json.loads(small_coco.read_text())
+        data["images"].append({"id": 2, "width": 10, "height": 10})
+        small_coco.write_text(json.dumps(data))
+        assert main(["stats", "areafractions", "--annotations", str(small_coco)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "DatasetStructureError"
+        assert error["message"] == f"{small_coco}: duplicate image id 2"
 
     @pytest.mark.parametrize(
         "change",

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pyrsample.dataset import (
     load_dataset,
     voc_to_coco,
 )
+from pyrsample.geometry import GroundTruthSet
 
 
 def minimal_coco(tmp_path, annotations=None, images=None):
@@ -40,7 +42,6 @@ class TestLoadDataset:
         assert index.image_ids == [1]
         assert len(index.annotations[1]) == 1
         assert index.categories == {3: "thing"}
-        assert index.images[1].file_stem == "img_000001"
 
     def test_bbox_corner_conversion(self, tmp_path):
         index = load_dataset(minimal_coco(tmp_path))
@@ -59,6 +60,52 @@ class TestLoadDataset:
         assert index.clamp_warnings == 1
         clamped = index.annotations[1][0].box
         assert clamped.as_tuple() == (630, 470, 640, 480)
+
+    def test_annotations_are_columns_per_image_in_file_order(self, tmp_path):
+        path = minimal_coco(
+            tmp_path,
+            images=[{"id": 7, "width": 100, "height": 50}, {"id": 2, "width": 640, "height": 480},
+                    {"id": 5, "width": 9, "height": 9}],
+            annotations=[
+                {"id": 1, "image_id": 2, "category_id": 4, "bbox": [1, 2, 3, 4]},
+                {"id": 2, "image_id": 7, "category_id": 0, "bbox": [-0.0, 40, 1e308, 20],
+                 "iscrowd": 1},
+                {"id": 3, "image_id": 2, "category_id": 9, "bbox": [5, 5, 0, 0]},
+            ],
+        )
+        index = load_dataset(path)
+        assert list(index.annotations) == [7, 2, 5]
+        gts = index.annotations[7]
+        assert isinstance(gts, GroundTruthSet)
+        assert gts.boxes.dtype == np.float64 and gts.class_ids.dtype == np.int64
+        # -0.0 is kept, as max(-0.0, 0.0) keeps it; x + w overflows to inf
+        # and is clamped to the width.
+        assert gts.boxes.tolist() == [[0.0, 40.0, 100.0, 50.0]]
+        assert math.copysign(1.0, gts.boxes[0, 0]) == -1.0
+        assert gts.crowd.tolist() == [True]
+        assert index.annotations[2].boxes.tolist() == [[1, 2, 4, 6], [5, 5, 5, 5]]
+        assert index.annotations[2].class_ids.tolist() == [4, 9]
+        assert len(index.annotations[5]) == 0 and index.annotations[5].boxes.shape == (0, 4)
+        assert index.clamp_warnings == 1
+
+    def test_duplicate_image_id_raises(self, tmp_path):
+        path = minimal_coco(
+            tmp_path,
+            images=[{"id": 1, "width": 640, "height": 480}, {"id": 1, "width": 10, "height": 10}],
+        )
+        with pytest.raises(DatasetStructureError, match="duplicate image id 1"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("category_id", [-3, 2**63, 2**70])
+    def test_category_id_out_of_int64_range_names_annotation(self, tmp_path, category_id):
+        path = minimal_coco(
+            tmp_path,
+            annotations=[{"id": 12, "image_id": 1, "category_id": category_id,
+                          "bbox": [0, 0, 5, 5]}],
+        )
+        with pytest.raises(DatasetStructureError,
+                           match=rf"annotation id 12: category_id must be in .*{category_id}"):
+            load_dataset(path)
 
     def test_dangling_image_id_raises(self, tmp_path):
         path = minimal_coco(

@@ -10,6 +10,8 @@ from pyrsample.geometry import (
     Detection,
     DetectionBatch,
     DetectionRow,
+    GroundTruthInstance,
+    GroundTruthSet,
     ImageSize,
     MaxSideTarget,
     ScaleSpec,
@@ -201,3 +203,28 @@ class TestDetectionBatch:
         keep = [True, False, True]
         kept = keep_rows(self.DETS, np.array(keep))
         assert kept == [self.DETS[0], self.DETS[2]] and kept[0] is self.DETS[0]
+
+
+class TestGroundTruthSet:
+    GTS = [
+        GroundTruthInstance(BoundingBox(0, 0, 10, 10), 3),
+        GroundTruthInstance(BoundingBox(5, 5, 6.5, 8), 1, is_crowd=True),
+        GroundTruthInstance(BoundingBox(1, 2, 1, 2), 0),
+    ]
+
+    def test_columns_round_trip(self):
+        gts = GroundTruthSet.of(self.GTS)
+        assert gts.boxes.shape == (3, 4) and gts.boxes.dtype == np.float64
+        assert gts.class_ids.dtype == np.int64 and gts.crowd.dtype == bool
+        assert GroundTruthSet.of(gts) is gts
+        assert list(gts) == self.GTS
+        assert [gts[i] for i in range(len(gts))] == self.GTS
+        empty = GroundTruthSet.of([])
+        assert len(empty) == 0 and empty.boxes.shape == (0, 4) and list(empty) == []
+
+    def test_selection_gives_a_set(self):
+        gts = GroundTruthSet.of(self.GTS)
+        picked = gts[~gts.crowd]
+        assert isinstance(picked, GroundTruthSet)
+        assert list(picked) == [self.GTS[0], self.GTS[2]]
+        assert list(gts[1:]) == self.GTS[1:]

@@ -1,4 +1,5 @@
-"""Fuzzing of ``load_dataset`` through the CLI error contract.
+"""Fuzzing of ``load_dataset`` through the CLI error contract, and against
+the per-entry loader oracle.
 
 Generated COCO annotation files and proposal files mix well-formed entries
 with missing, mistyped, NaN, infinite, huge and out-of-range fields, and
@@ -7,6 +8,10 @@ sometimes replace a whole section or file with junk. Each case runs through
 (annotations). Every run must either exit 0 and write its output, or exit 1
 with exactly one JSON error line on stderr and no output file. A traceback,
 a numpy warning or any other stderr line fails the test.
+
+The same annotation files, and files of clean entries with edge-case
+coordinates, load with the columnar loader exactly as with
+``load_dataset_oracle``: the same boxes bit for bit, or the same error.
 """
 import contextlib
 import io
@@ -18,7 +23,12 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from pyrsample.cli import main
+from pyrsample.dataset import DatasetError, load_dataset
+
+from oracles import load_dataset_oracle
 
 special = st.sampled_from(
     [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 5e-324, 2**70, -(2**70)]
@@ -175,3 +185,73 @@ def test_loaders_exit_cleanly_on_any_input(annotations, proposals):
               "--out", str(neg)], neg)
         _run(["stats", "areafractions", "--annotations", str(ann), "--out", str(fractions)],
              fractions)
+
+
+# Clean files whose corners hit the clamp's edge cases: -0.0, the canvas
+# edge, the smallest subnormal, and x + w overflowing to inf.
+edge_value = st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 640.0, 1e308, -1e308])
+edge_corner = st.one_of(edge_value, coord)
+edge_extent = st.one_of(edge_value.filter(lambda v: not v < 0), extent)
+edge_bbox = st.tuples(edge_corner, edge_corner, edge_extent, edge_extent).map(list)
+edge_annotation_file = st.fixed_dictionaries({
+    "images": st.lists(
+        st.fixed_dictionaries({"id": st.integers(1, 4), **clean_image_fields}),
+        min_size=1, max_size=4, unique_by=lambda image: image["id"],
+    ),
+    "annotations": st.lists(
+        st.fixed_dictionaries({**clean_annotation_fields, "image_id": st.integers(1, 4),
+                               "bbox": edge_bbox}),
+        max_size=12,
+    ),
+})
+
+
+# Many annotations interleaved over three images, so that grouping them by
+# image must keep file order.
+INTERLEAVED = {
+    "images": [{"id": i, "width": 640, "height": 480} for i in (3, 1, 2)],
+    "annotations": [
+        {"id": k, "image_id": 1 + k * 7 % 3, "category_id": k % 5,
+         "bbox": [k, 2 * k, 10 + k % 4, 5], "iscrowd": k % 2}
+        for k in range(64)
+    ],
+}
+
+
+def _outcome(load, path):
+    try:
+        return load(path), None
+    except DatasetError as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(annotation_file | edge_annotation_file)
+@example(INTERLEAVED)
+@example({**GOOD, "images": [*GOOD["images"], {"id": 1, "width": 5, "height": 5}]})
+@example(_with("annotations", 0, "category_id", -3))
+@example(_with("annotations", 0, "category_id", 2**70))
+@example(_with("annotations", 0, "bbox", [-0.0, 1e308, 1e308, 5]))
+@example(_with("annotations", 0, "bbox", "1234"))
+@example(_with("annotations", 0, "image_id", 2**70))
+def test_columnar_loader_matches_the_per_entry_oracle(annotations):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ann.json"
+        path.write_text(json.dumps(annotations))
+        index, error = _outcome(load_dataset, path)
+        want, want_error = _outcome(load_dataset_oracle, path)
+    assert error == want_error
+    if want is None:
+        return
+    sizes, gts, categories, clamp_warnings = want
+    assert list(index.images) == list(sizes)
+    assert index.sizes() == sizes
+    assert list(index.annotations) == list(gts)
+    for image_id, expected in gts.items():
+        got = index.annotations[image_id]
+        boxes = np.array([g.box.as_tuple() for g in expected], dtype=np.float64).reshape(-1, 4)
+        assert got.boxes.tobytes() == boxes.tobytes()
+        assert got.class_ids.tolist() == [g.class_id for g in expected]
+        assert got.crowd.tolist() == [g.is_crowd for g in expected]
+    assert index.categories == categories
+    assert index.clamp_warnings == clamp_warnings
