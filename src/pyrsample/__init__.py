@@ -8,15 +8,13 @@ of detections with (soft-)NMS, plus pixels-processed cost accounting.
 """
 from .geometry import (
     BoundingBox,
-    Detection,
+    DetectionBatch,
     GroundTruthInstance,
     GroundTruthSet,
     ImageSize,
     MaxSideTarget,
     ScaleSpec,
-    encloses,
     iou,
-    rescale_box,
 )
 from .range_labels import (
     AnchorValidity,
@@ -75,8 +73,8 @@ __all__ = [
     "BoundingBox",
     "Chip",
     "CostReport",
-    "Detection",
     "DatasetIndex",
+    "DetectionBatch",
     "FocusParams",
     "GroundTruthInstance",
     "GroundTruthSet",
@@ -98,7 +96,6 @@ __all__ = [
     "coco_default",
     "connected_components",
     "dilate",
-    "encloses",
     "filter_detections_by_range",
     "focus_pixel_stats",
     "generate_focus_chips",
@@ -111,7 +108,6 @@ __all__ = [
     "probability_map_from_labels",
     "project_to_image",
     "prune_boundary_detections",
-    "rescale_box",
     "roi_scale_histogram",
     "sample_negative_chips",
     "select_negative_chips",

@@ -276,7 +276,7 @@ def _level_boxes(
     as (n_images, 2) width, height.
 
     The multiply and the area test are the IEEE operations of
-    :func:`rescale_box` and :func:`classify_box_validity`.
+    :func:`~pyrsample.geometry.rescale_boxes` and :func:`classify_box_validity`.
     """
     canvases = [spec.resolve(original) for original in originals]
     scales = np.array([scale_factors(o, c) for o, c in zip(originals, canvases)]).reshape(-1, 4)

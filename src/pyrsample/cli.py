@@ -9,6 +9,7 @@ stderr; outputs are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -251,9 +252,11 @@ def _read_stack_record(record) -> tuple[int, int, ImageSize, BoundingBox, Detect
     return image_id, scale_id, canvas, chip, DetectionBatch(boxes, scores, class_ids)
 
 
-def _stack(records: list, cfg: PipelineConfig, index: DatasetIndex, source) -> list[dict]:
+def _stack(
+    records: list, cfg: PipelineConfig, index: DatasetIndex, source
+) -> list[tuple[int, DetectionBatch]]:
     """Prune, range-filter and project each per-chip record's detections,
-    then merge them per image; COCO-results records, image by image."""
+    then merge them per image; (image id, merged batch) by image id."""
     by_scale = {s.scale_id: s for s in cfg.pyramid}
     per_image: dict[int, dict[int, list[DetectionBatch]]] = {}
     for position, record in enumerate(records):
@@ -266,18 +269,27 @@ def _stack(records: list, cfg: PipelineConfig, index: DatasetIndex, source) -> l
             raise FormatError(f"detections reference unknown image id {image_id}")
         if scale_id not in by_scale:
             raise FormatError(f"detections reference unknown scale id {scale_id}")
-        dets = prune_boundary_detections(dets, chip, canvas, eps=cfg.boundary_eps)
-        dets = filter_detections_by_range(dets, by_scale[scale_id])
-        dets = project_to_image(dets, canvas, (0.0, 0.0), index.images[image_id].size)
-        per_image.setdefault(image_id, {}).setdefault(scale_id, []).append(dets)
-    out_records = []
-    for image_id in sorted(per_image):
-        by_scale_id = per_image[image_id]
-        groups = [batch for sid in sorted(by_scale_id) for batch in by_scale_id[sid]]
-        out_records.extend(
-            ser.detection_records(merge_detections(groups, cfg.merge), image_id)
-        )
-    return out_records
+        kept = prune_boundary_detections(dets, chip, canvas, eps=cfg.boundary_eps)
+        kept = filter_detections_by_range(kept, by_scale[scale_id])
+        projected = project_to_image(kept, canvas, (0.0, 0.0), index.images[image_id].size)
+        finite = np.isfinite(ser.coco_xywh(projected.boxes)).all(axis=1)
+        if not finite.all():
+            # Pruning and the range filter keep a subsequence and look only
+            # at the box, so the first input row equal to the first bad kept
+            # row is that detection.
+            bad = kept.boxes[finite.argmin()]
+            k = int((dets.boxes == bad).all(axis=1).argmax())
+            raise FormatError(
+                f"{source}: record {position}: detection {k}: bbox is not finite in the "
+                f"original image frame: {record['detections'][k]!r}"
+            )
+        per_image.setdefault(image_id, {}).setdefault(scale_id, []).append(projected)
+    return [
+        (image_id, merge_detections(
+            [batch for sid in sorted(groups) for batch in groups[sid]], cfg.merge
+        ))
+        for image_id, groups in sorted(per_image.items())
+    ]
 
 
 def cmd_stack(args) -> int:
@@ -287,9 +299,10 @@ def cmd_stack(args) -> int:
     # Finite coordinates far outside any canvas can overflow to inf, which the
     # range filter then drops; numpy must not print a warning line for that.
     with np.errstate(over="ignore", invalid="ignore"):
-        out_records = _stack(records, cfg, index, args.detections)
-    ser.save_detection_records(args.out, out_records)
-    print(f"wrote {len(out_records)} merged detections to {args.out}")
+        merged = _stack(records, cfg, index, args.detections)
+    ser.save_detection_records(args.out, merged)
+    n_dets = sum(len(dets) for _, dets in merged)
+    print(f"wrote {n_dets} merged detections to {args.out}")
     return 0
 
 
@@ -420,7 +433,9 @@ def cmd_convert_voc(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="pyrsample",
         description="Scale-normalized image-pyramid sampling tools.",
@@ -511,8 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, DatasetError, FormatError, ValueError, OSError, MemoryError) as exc:

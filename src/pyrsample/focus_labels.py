@@ -142,7 +142,7 @@ def focus_label_cells(
     frame.
 
     The boxes are rescaled to the canvas with the IEEE operations of
-    :func:`~pyrsample.geometry.rescale_box`, and the side thresholds apply to
+    :func:`~pyrsample.geometry.rescale_boxes`, and the side thresholds apply to
     sqrt(area) there; see :func:`build_focus_label_map` for the rules.
     """
     if not (min_side < max_side < ignore_max_side):

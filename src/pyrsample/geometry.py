@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -46,10 +45,6 @@ class BoundingBox:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0
-
     def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
         """Intersection rectangle, or None when the overlap has zero area."""
         x1 = max(self.x1, other.x1)
@@ -69,15 +64,6 @@ class BoundingBox:
             min(self.y1, other.y1),
             max(self.x2, other.x2),
             max(self.y2, other.y2),
-        )
-
-    def clip(self, size: "ImageSize") -> "BoundingBox":
-        """Clamp the box to a canvas of the given size."""
-        return BoundingBox(
-            min(max(self.x1, 0.0), size.width),
-            min(max(self.y1, 0.0), size.height),
-            min(max(self.x2, 0.0), size.width),
-            min(max(self.y2, 0.0), size.height),
         )
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -183,25 +169,6 @@ class GroundTruthSet(Sequence):
         )
 
 
-@dataclass(frozen=True)
-class Detection:
-    """A scored, classified box in a stated frame.
-
-    ``scale_id``/``chip`` record where the detection came from; ``chip`` is
-    None for a full-image pass.
-    """
-
-    box: BoundingBox
-    score: float
-    class_id: int
-    scale_id: int | None = None
-    chip: BoundingBox | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score out of range: {self.score}")
-
-
 class DetectionRow(NamedTuple):
     """One row of a :class:`DetectionBatch`."""
 
@@ -215,9 +182,9 @@ class DetectionBatch(Sequence):
     ``scores`` (n,) float64 and ``class_ids`` (n,) int64, all in one frame.
 
     The kernels in :mod:`pyrsample.stacking` and :mod:`pyrsample.range_labels`
-    work on these arrays. The batch is also a read-only sequence of
+    take and return batches. A batch is also a read-only sequence of
     :class:`DetectionRow` tuples; indexing with a slice, a mask or an index
-    array gives a batch, and :meth:`to_detections` gives the dataclasses.
+    array gives a batch.
     """
 
     __slots__ = ("boxes", "scores", "class_ids")
@@ -230,18 +197,6 @@ class DetectionBatch(Sequence):
     @classmethod
     def empty(cls) -> "DetectionBatch":
         return cls(np.zeros((0, 4)), np.zeros(0), np.zeros(0, dtype=np.int64))
-
-    @classmethod
-    def of(cls, dets: Iterable[Detection]) -> "DetectionBatch":
-        """The columns of ``dets``; a batch is returned as it is."""
-        if isinstance(dets, cls):
-            return dets
-        dets = list(dets)
-        return cls(
-            boxes_array(d.box for d in dets),
-            np.array([d.score for d in dets], dtype=np.float64),
-            np.array([d.class_id for d in dets], dtype=np.int64),
-        )
 
     @classmethod
     def concat(cls, batches: Sequence["DetectionBatch"]) -> "DetectionBatch":
@@ -270,17 +225,6 @@ class DetectionBatch(Sequence):
             DetectionRow._make,
             zip(map(tuple, self.boxes.tolist()), self.scores.tolist(), self.class_ids.tolist()),
         )
-
-    def to_detections(self) -> list[Detection]:
-        return [Detection(BoundingBox(*row.box), row.score, row.class_id) for row in self]
-
-
-def keep_rows(dets: Sequence[Detection], keep: np.ndarray) -> Sequence[Detection]:
-    """The rows of ``dets`` where the boolean ``keep`` is set, in order: a
-    batch for a batch, otherwise a list of the original objects."""
-    if isinstance(dets, DetectionBatch):
-        return dets[keep]
-    return list(compress(dets, keep.tolist()))
 
 
 @dataclass(frozen=True)
@@ -354,36 +298,22 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def rescale_box(b: BoundingBox, from_size: ImageSize, to_size: ImageSize) -> BoundingBox:
-    """Map a box between canvases by independent per-axis factors."""
-    fx = to_size.width / from_size.width
-    fy = to_size.height / from_size.height
-    return BoundingBox(b.x1 * fx, b.y1 * fy, b.x2 * fx, b.y2 * fy)
-
-
 def scale_factors(from_size: ImageSize, to_size: ImageSize) -> tuple[float, float, float, float]:
-    """The per-corner factors (fx, fy, fx, fy) of :func:`rescale_box`."""
+    """The per-corner factors (fx, fy, fx, fy) that map a box between
+    canvases by independent per-axis factors, as the one-box oracle
+    ``rescale_box`` in ``tests/oracles.py`` does."""
     fx = to_size.width / from_size.width
     fy = to_size.height / from_size.height
     return fx, fy, fx, fy
 
 
 def rescale_boxes(boxes: np.ndarray, from_size: ImageSize, to_size: ImageSize) -> np.ndarray:
-    """:func:`rescale_box` for every row of an (n, 4) corner array, with the
-    same IEEE operations."""
+    """Every row of an (n, 4) corner array mapped between canvases, with the
+    same IEEE operations as the oracle ``rescale_box`` in
+    ``tests/oracles.py``."""
     return boxes * scale_factors(from_size, to_size)
 
 
 def boxes_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
     """The (n, 4) float64 corner array x1, y1, x2, y2 of ``boxes``."""
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
-
-
-def encloses(chip: BoundingBox, b: BoundingBox) -> bool:
-    """Closed containment: boundary contact counts as inside."""
-    return (
-        chip.x1 <= b.x1
-        and chip.y1 <= b.y1
-        and b.x2 <= chip.x2
-        and b.y2 <= chip.y2
-    )

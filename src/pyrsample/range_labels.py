@@ -8,19 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    BoundingBox,
-    Detection,
-    DetectionBatch,
-    GroundTruthInstance,
-    ScaleSpec,
-    iou,
-    keep_rows,
-)
+from .geometry import BoundingBox, DetectionBatch, GroundTruthInstance, ScaleSpec, iou
 
 IOU_FOREGROUND = 0.5
 IOU_ANCHOR_INVALIDATE = 0.3
@@ -141,12 +132,6 @@ def valid_area_mask(boxes: np.ndarray, spec: ScaleSpec) -> np.ndarray:
     return (r_min < area) & (area < r_max)
 
 
-def filter_detections_by_range(
-    dets: Sequence[Detection], spec: ScaleSpec
-) -> Sequence[Detection]:
-    """Keep only detections whose area is valid at this level, order preserved.
-
-    A :class:`DetectionBatch` gives a batch, a list gives a list of the same
-    objects.
-    """
-    return keep_rows(dets, valid_area_mask(DetectionBatch.of(dets).boxes, spec))
+def filter_detections_by_range(dets: DetectionBatch, spec: ScaleSpec) -> DetectionBatch:
+    """Keep only detections whose area is valid at this level, order preserved."""
+    return dets[valid_area_mask(dets.boxes, spec)]

@@ -20,6 +20,7 @@ import json
 import os
 import struct
 import tempfile
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .chips import Chip
 from .focus_labels import LabelMap, ProbabilityMap
-from .geometry import BoundingBox, Detection, DetectionBatch, ImageSize
+from .geometry import BoundingBox, DetectionBatch, ImageSize
 
 MAP_MAGIC = b"FMAP"
 _HEADER = struct.Struct("<4s5I2s")
@@ -71,19 +72,6 @@ def chip_to_record(chip: Chip, image_id: int) -> dict:
     }
 
 
-def detection_records(dets: Sequence[Detection], image_id: int) -> list[dict]:
-    """COCO-results records of detections (a list or a batch), in order."""
-    batch = DetectionBatch.of(dets)
-    b = batch.boxes
-    xywh = np.stack([b[:, 0], b[:, 1], b[:, 2] - b[:, 0], b[:, 3] - b[:, 1]], axis=1)
-    return [
-        {"image_id": image_id, "category_id": class_id, "bbox": box, "score": score}
-        for box, class_id, score in zip(
-            xywh.tolist(), batch.class_ids.tolist(), batch.scores.tolist()
-        )
-    ]
-
-
 # Records as ``json.dumps(indent=2, sort_keys=True)`` lays them out inside
 # a list: a COCO-results detection, a chip with one of its cropped boxes,
 # and an uncoverable box. ``%r`` of an int or a finite float is what json
@@ -105,29 +93,16 @@ _DIAGNOSTIC_RECORD = (
     '  {\n    "gt_id": %r,\n    "image_id": %r,\n    "resized_box": [\n      %r,\n'
     '      %r,\n      %r,\n      %r\n    ],\n    "scale_id": %r\n  }'
 )
-_DETECTION_KEYS = {"bbox", "category_id", "image_id", "score"}
 _CHIP_KEYS = {"covered_gt_ids", "cropped_gt", "image_id", "kind", "rect", "scale_id"}
 _DIAGNOSTIC_KEYS = {"gt_id", "image_id", "resized_box", "scale_id"}
 _LISTS = (list, tuple)
 
 
-def _detection_text(record, numbers: list, strings: dict) -> str:
-    """One COCO-results record from :data:`_DETECTION_RECORD`. Its numbers
-    are added to ``numbers`` for the caller to check; raises ``TypeError``
-    or ``ValueError`` where the record does not fit."""
-    if type(record) is not dict or record.keys() != _DETECTION_KEYS:
-        raise TypeError("not a detection record")
-    bbox = record["bbox"]
-    if type(bbox) not in _LISTS:
-        raise TypeError("not a detection record")
-    values = (*bbox, record["category_id"], record["image_id"], record["score"])
-    numbers += values
-    return _DETECTION_RECORD % values
-
-
 def _chip_text(record, numbers: list, strings: dict) -> str:
     """One chip record from :data:`_CHIP_RECORD`, its ``kind`` encoded once
-    per value in ``strings``; see :func:`_detection_text`."""
+    per value in ``strings``. Its numbers are added to ``numbers`` for the
+    caller to check; raises ``TypeError`` or ``ValueError`` where the record
+    does not fit."""
     if type(record) is not dict or record.keys() != _CHIP_KEYS:
         raise TypeError("not a chip record")
     rect, ids, cropped = record["rect"], record["covered_gt_ids"], record["cropped_gt"]
@@ -159,7 +134,7 @@ def _chip_text(record, numbers: list, strings: dict) -> str:
 
 def _diagnostic_text(record, numbers: list, strings: dict) -> str:
     """One uncoverable-box record from :data:`_DIAGNOSTIC_RECORD`; see
-    :func:`_detection_text`."""
+    :func:`_chip_text`."""
     if type(record) is not dict or record.keys() != _DIAGNOSTIC_KEYS:
         raise TypeError("not a diagnostic record")
     box = record["resized_box"]
@@ -203,11 +178,30 @@ def _nested(text: str) -> str:
     return text.replace("\n", "\n  ")
 
 
-def save_detection_records(path: str | Path, records: Sequence[dict]) -> None:
-    """Write ``json.dumps(records, indent=2, sort_keys=True)`` plus a newline,
-    from a template for plain COCO-results records (see
-    :func:`_records_json`)."""
-    atomic_write_text(path, _records_json(list(records), _detection_text) + "\n")
+def coco_xywh(corners: np.ndarray) -> np.ndarray:
+    """The COCO [x, y, w, h] rows of (n, 4) corner rows x1, y1, x2, y2."""
+    return np.concatenate([corners[:, :2], corners[:, 2:] - corners[:, :2]], axis=1)
+
+
+def save_detection_records(
+    path: str | Path, per_image: Iterable[tuple[int, DetectionBatch]]
+) -> None:
+    """Write each image's detections, images in the given order, as the
+    COCO-results records {image_id, category_id, bbox [x, y, w, h], score}:
+    ``json.dumps(records, indent=2, sort_keys=True)`` plus a newline,
+    formatted from the columns with :data:`_DETECTION_RECORD`. Raises
+    ``ValueError`` unless every bbox value and score is finite."""
+    texts = []
+    for image_id, dets in per_image:
+        xywh = coco_xywh(dets.boxes)
+        if not (np.isfinite(xywh).all() and np.isfinite(dets.scores).all()):
+            raise ValueError(f"image {image_id}: a detection bbox or score is not finite")
+        x, y, w, h = xywh.T.tolist()
+        texts += map(
+            _DETECTION_RECORD.__mod__,
+            zip(x, y, w, h, dets.class_ids.tolist(), repeat(image_id), dets.scores.tolist()),
+        )
+    atomic_write_text(path, ("[\n" + ",\n".join(texts) + "\n]" if texts else "[]") + "\n")
 
 
 def save_chip_records(path: str | Path, records: Sequence[dict]) -> None:

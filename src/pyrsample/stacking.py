@@ -9,14 +9,12 @@ the original image frame and combined across scales with (soft-)NMS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, Detection, DetectionBatch, ImageSize, keep_rows
-
-Detections = Sequence[Detection]  # a list of Detection or a DetectionBatch
+from .geometry import BoundingBox, DetectionBatch, ImageSize
 
 HARD = "hard"
 GAUSSIAN = "gaussian"
@@ -51,34 +49,13 @@ class MergePolicy:
             raise ValueError(f"score_floor must be in [0, 1): {self.score_floor}")
 
 
-def boundary_keep_mask(
-    boxes: np.ndarray,
-    chip: BoundingBox,
-    image: ImageSize,
-    eps: float = DEFAULT_BOUNDARY_EPS,
-    border_tol: float = 1e-6,
-) -> np.ndarray:
-    """Rows of the (n, 4) ``boxes`` not flush against an interior chip edge."""
-    discard = np.zeros(len(boxes), dtype=bool)
-    edges = (
-        (0, chip.x1, chip.x1 > border_tol),
-        (1, chip.y1, chip.y1 > border_tol),
-        (2, chip.x2, chip.x2 < image.width - border_tol),
-        (3, chip.y2, chip.y2 < image.height - border_tol),
-    )
-    for column, edge, interior in edges:
-        if interior:
-            discard |= np.abs(boxes[:, column] - edge) <= eps
-    return ~discard
-
-
 def prune_boundary_detections(
-    dets: Detections,
+    dets: DetectionBatch,
     chip: BoundingBox,
     image: ImageSize,
     eps: float = DEFAULT_BOUNDARY_EPS,
     border_tol: float = 1e-6,
-) -> Detections:
+) -> DetectionBatch:
     """Drop detections flush against an interior chip edge.
 
     Detections and the chip rectangle share the resized-image frame. A chip
@@ -87,38 +64,35 @@ def prune_boundary_detections(
     long as every chip edge it touches is a shared border. ``eps`` is the
     touch tolerance in pixels.
     """
-    keep = boundary_keep_mask(DetectionBatch.of(dets).boxes, chip, image, eps, border_tol)
-    return keep_rows(dets, keep)
-
-
-def project_boxes(
-    boxes: np.ndarray,
-    from_canvas: ImageSize,
-    chip_origin: tuple[float, float],
-    original: ImageSize,
-) -> np.ndarray:
-    """Translate (n, 4) boxes by the chip origin, then rescale canvas -> original."""
-    ox, oy = chip_origin
-    fx = original.width / from_canvas.width
-    fy = original.height / from_canvas.height
-    return (boxes + (ox, oy, ox, oy)) * (fx, fy, fx, fy)
+    discard = np.zeros(len(dets), dtype=bool)
+    edges = (
+        (0, chip.x1, chip.x1 > border_tol),
+        (1, chip.y1, chip.y1 > border_tol),
+        (2, chip.x2, chip.x2 < image.width - border_tol),
+        (3, chip.y2, chip.y2 < image.height - border_tol),
+    )
+    for column, edge, interior in edges:
+        if interior:
+            discard |= np.abs(dets.boxes[:, column] - edge) <= eps
+    return dets[~discard]
 
 
 def project_to_image(
-    dets: Detections,
+    dets: DetectionBatch,
     from_canvas: ImageSize,
     chip_origin: tuple[float, float],
     original: ImageSize,
-) -> Detections:
+) -> DetectionBatch:
     """Map chip-local detections to original-image coordinates.
 
     Translates by the chip origin within the resized canvas, then rescales
     canvas -> original. Scores and classes are unchanged.
     """
-    boxes = project_boxes(DetectionBatch.of(dets).boxes, from_canvas, chip_origin, original)
-    if isinstance(dets, DetectionBatch):
-        return DetectionBatch(boxes, dets.scores, dets.class_ids)
-    return [replace(d, box=BoundingBox(*row)) for d, row in zip(dets, boxes.tolist())]
+    ox, oy = chip_origin
+    fx = original.width / from_canvas.width
+    fy = original.height / from_canvas.height
+    boxes = (dets.boxes + (ox, oy, ox, oy)) * (fx, fy, fx, fy)
+    return DetectionBatch(boxes, dets.scores, dets.class_ids)
 
 
 def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -249,23 +223,14 @@ def suppress(
     return positions[order], final[order]
 
 
-def merge_detections(per_scale: Sequence[Detections], policy: MergePolicy) -> Detections:
+def merge_detections(per_scale: Sequence[DetectionBatch], policy: MergePolicy) -> DetectionBatch:
     """Combine per-scale detections (already in the original frame) class-wise.
 
     Suppression runs independently per class in descending score order; the
-    output is one flat list sorted by final score, ties broken by position in
-    the flattened input. Only the flattened sequence matters, not how it was
-    split across scales. Groups that are all batches give a batch; lists of
-    :class:`Detection` give a list of them with their final scores.
+    output is one batch sorted by final score, ties broken by position in
+    the concatenated input. Only the concatenated batch matters, not how it
+    was split across scales.
     """
-    if per_scale and all(isinstance(group, DetectionBatch) for group in per_scale):
-        flat = DetectionBatch.concat(per_scale)
-        positions, scores = suppress(flat.boxes, flat.scores, flat.class_ids, policy)
-        return DetectionBatch(flat.boxes[positions], scores, flat.class_ids[positions])
-    dets = [d for group in per_scale for d in group]
-    flat = DetectionBatch.of(dets)
+    flat = DetectionBatch.concat(per_scale)
     positions, scores = suppress(flat.boxes, flat.scores, flat.class_ids, policy)
-    return [
-        replace(dets[pos], score=score)
-        for pos, score in zip(positions.tolist(), scores.tolist())
-    ]
+    return DetectionBatch(flat.boxes[positions], scores, flat.class_ids[positions])

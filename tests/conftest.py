@@ -2,11 +2,13 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pyrsample.dataset import load_dataset
+from pyrsample.geometry import DetectionBatch
 
 EXCERPT_PATH = Path(__file__).parent.parent / "src" / "pyrsample" / "data" / "excerpt_200.json"
 REFERENCE_PATH = Path(__file__).parent / "data" / "excerpt_reference.json"
@@ -41,3 +43,13 @@ def coco_val2017_path():
 @pytest.fixture(scope="session")
 def excerpt_index():
     return load_dataset(EXCERPT_PATH)
+
+
+def detection_batch(rows) -> DetectionBatch:
+    """A batch of (box, score, class_id) rows, each box x1, y1, x2, y2."""
+    rows = list(rows)
+    return DetectionBatch(
+        np.array([box for box, _, _ in rows], dtype=np.float64).reshape(-1, 4),
+        np.array([score for _, score, _ in rows], dtype=np.float64),
+        np.array([class_id for _, _, class_id in rows], dtype=np.int64),
+    )

@@ -11,7 +11,24 @@ from collections import deque
 
 import numpy as np
 
-from pyrsample.geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec, rescale_box
+from pyrsample.geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec
+
+
+def rescale_box(b: BoundingBox, from_size: ImageSize, to_size: ImageSize) -> BoundingBox:
+    """Map a box between canvases by independent per-axis factors."""
+    fx = to_size.width / from_size.width
+    fy = to_size.height / from_size.height
+    return BoundingBox(b.x1 * fx, b.y1 * fy, b.x2 * fx, b.y2 * fy)
+
+
+def clip_box(b: BoundingBox, size: ImageSize) -> BoundingBox:
+    """Clamp the box to a canvas of the given size."""
+    return BoundingBox(
+        min(max(b.x1, 0.0), size.width),
+        min(max(b.y1, 0.0), size.height),
+        min(max(b.x2, 0.0), size.width),
+        min(max(b.y2, 0.0), size.height),
+    )
 
 
 def iou_oracle(a: BoundingBox, b: BoundingBox) -> float:
@@ -330,12 +347,15 @@ def component_chips_oracle(
     for comp in comps:
         rows = [i for i, _ in comp]
         cols = [j for _, j in comp]
-        pixel = BoundingBox(
-            min(cols) * stride,
-            min(rows) * stride,
-            (max(cols) + 1) * stride,
-            (max(rows) + 1) * stride,
-        ).clip(image)
+        pixel = clip_box(
+            BoundingBox(
+                min(cols) * stride,
+                min(rows) * stride,
+                (max(cols) + 1) * stride,
+                (max(rows) + 1) * stride,
+            ),
+            image,
+        )
         rects.append(expand_to_min_size_oracle(pixel, min_chip_size, image))
     return [
         expand_to_min_size_oracle(r, min_chip_size, image) for r in merge_overlapping_oracle(rects)

@@ -25,7 +25,7 @@ from pyrsample.focus_labels import ProbabilityMap, build_focus_label_map
 from pyrsample.focus_labels import focus_pixel_stats
 from pyrsample.geometry import (
     BoundingBox,
-    Detection,
+    DetectionRow,
     GroundTruthInstance,
     ImageSize,
     ScaleSpec,
@@ -33,8 +33,8 @@ from pyrsample.geometry import (
 from pyrsample.range_labels import assign_roi_labels
 from pyrsample.stacking import MergePolicy, merge_detections, project_to_image, prune_boundary_detections
 
-from conftest import EXCERPT_PATH, REFERENCE_PATH
-from oracles import focus_label_oracle, roi_label_oracle
+from conftest import EXCERPT_PATH, REFERENCE_PATH, detection_batch
+from oracles import clip_box, focus_label_oracle, roi_label_oracle
 
 
 @contextmanager
@@ -187,9 +187,10 @@ def test_criterion_4_focus_chip_properties():
             chips = generate_focus_chips(pm, params, image)
             margin = (params.dilation // 2) * stride
             for i, j in zip(*np.nonzero(cells >= params.threshold)):
-                block = BoundingBox(
-                    j * stride, i * stride, (j + 1) * stride, (i + 1) * stride
-                ).clip(image)
+                block = clip_box(
+                    BoundingBox(j * stride, i * stride, (j + 1) * stride, (i + 1) * stride),
+                    image,
+                )
                 holder = [
                     c for c in chips
                     if c.x1 <= block.x1 and c.y1 <= block.y1
@@ -291,16 +292,16 @@ def test_criterion_7_focus_stacking_frames():
             bx2 = bx1 + float(rng.uniform(0.1, original.width - bx1))
             by2 = by1 + float(rng.uniform(0.1, original.height - by1))
             origin = (float(rng.uniform(0, canvas.width / 2)), float(rng.uniform(0, canvas.height / 2)))
-            chip_local = Detection(
-                box=BoundingBox(
+            chip_local = DetectionRow(
+                (
                     bx1 * fx - origin[0], by1 * fy - origin[1],
                     bx2 * fx - origin[0], by2 * fy - origin[1],
                 ),
-                score=0.5,
-                class_id=1,
+                0.5,
+                1,
             )
-            (back,) = project_to_image([chip_local], canvas, origin, original)
-            for got, want in zip(back.box.as_tuple(), (bx1, by1, bx2, by2)):
+            (back,) = project_to_image(detection_batch([chip_local]), canvas, origin, original)
+            for got, want in zip(back.box, (bx1, by1, bx2, by2)):
                 assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
 
         image = ImageSize(1000, 800)
@@ -310,7 +311,7 @@ def test_criterion_7_focus_stacking_frames():
         full = BoundingBox(0, 0, 1000, 800)
 
         def d(x1, y1, x2, y2):
-            return Detection(box=BoundingBox(x1, y1, x2, y2), score=0.9, class_id=1)
+            return detection_batch([((x1, y1, x2, y2), 0.9, 1)])
 
         cases = [
             (interior, d(200, 200, 300, 300), True),
@@ -323,24 +324,26 @@ def test_criterion_7_focus_stacking_frames():
             (full, d(0, 0, 1000, 800), True),
         ]
         for idx, (chip, det, expect_kept) in enumerate(cases, 1):
-            kept = prune_boundary_detections([det], chip, image)
+            kept = prune_boundary_detections(det, chip, image)
             assert (len(kept) == 1) == expect_kept, f"truth-table case {idx}"
 
 
 def test_criterion_8_soft_nms():
     with criterion(8, "soft-NMS closed forms and the sigma->0 hard-NMS limit"):
-        a = Detection(box=BoundingBox(0, 0, 10, 10), score=0.9, class_id=1)
-        b = Detection(box=BoundingBox(5, 0, 15, 10), score=0.8, class_id=1)  # IoU 1/3 vs a
-        c = Detection(box=BoundingBox(5, 0, 15, 9), score=0.7, class_id=1)
+        a = ((0, 0, 10, 10), 0.9, 1)
+        b = ((5, 0, 15, 10), 0.8, 1)  # IoU 1/3 vs a
+        c = ((5, 0, 15, 9), 0.7, 1)
 
-        out = merge_detections([[a, b]], MergePolicy(mode="gaussian", sigma=0.5))
+        out = merge_detections([detection_batch([a, b])], MergePolicy(mode="gaussian", sigma=0.5))
         assert out[0].score == 0.9
         assert out[1].score == pytest.approx(0.8 * math.exp(-((1 / 3) ** 2) / 0.5))
 
         # three boxes: c is decayed by both kept boxes in score order
         iou_ac = 45 / (100 + 90 - 45)
         iou_bc = 90 / (100 + 90 - 90)
-        out = merge_detections([[a, b, c]], MergePolicy(mode="gaussian", sigma=0.5))
+        out = merge_detections(
+            [detection_batch([a, b, c])], MergePolicy(mode="gaussian", sigma=0.5)
+        )
         b_score = 0.8 * math.exp(-((1 / 3) ** 2) / 0.5)
         c_score = 0.7 * math.exp(-(iou_ac**2) / 0.5) * math.exp(-(iou_bc**2) / 0.5)
         assert [round(x.score, 12) for x in out] == [
@@ -348,7 +351,9 @@ def test_criterion_8_soft_nms():
         ]
 
         # linear mode only decays above the IoU threshold
-        out = merge_detections([[a, b, c]], MergePolicy(mode="linear", iou_threshold=0.5))
+        out = merge_detections(
+            [detection_batch([a, b, c])], MergePolicy(mode="linear", iou_threshold=0.5)
+        )
         scores = {round(x.score, 12) for x in out}
         assert round(0.8, 12) in scores  # IoU 1/3 below threshold
         assert round(0.7 * (1 - iou_bc), 12) in scores
@@ -361,13 +366,8 @@ def test_criterion_8_soft_nms():
                 y1 = float(rng.integers(0, 60))
                 w = float(rng.integers(1, 25))
                 h = float(rng.integers(1, 25))
-                dets.append(
-                    Detection(
-                        box=BoundingBox(x1, y1, x1 + w, y1 + h),
-                        score=float(rng.uniform(0.05, 1.0)),
-                        class_id=1,
-                    )
-                )
+                dets.append(((x1, y1, x1 + w, y1 + h), float(rng.uniform(0.05, 1.0)), 1))
+            dets = detection_batch(dets)
             soft = merge_detections(
                 [dets], MergePolicy(mode="gaussian", sigma=1e-12, score_floor=0.001)
             )

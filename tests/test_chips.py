@@ -27,8 +27,6 @@ from pyrsample.geometry import (
     MaxSideTarget,
     ScaleSpec,
     boxes_array,
-    encloses,
-    rescale_box,
 )
 from pyrsample.range_labels import RoiLabel, assign_roi_labels, classify_box_validity
 
@@ -37,6 +35,7 @@ from oracles import (
     chip_grid_oracle,
     encloses_oracle,
     greedy_cover_oracle,
+    rescale_box,
     select_negative_chips_oracle,
 )
 
@@ -107,7 +106,7 @@ class TestSelectPositiveChips:
         gts = [GroundTruthInstance(square(50, x=100, y=100), class_id=1)]
         chips, diag = select_positive_chips(gts, [flat_spec()], ImageSize(600, 600))
         assert len(chips) == 1 and not diag
-        assert encloses(chips[0].rect, gts[0].box)
+        assert encloses_oracle(chips[0].rect, gts[0].box)
         assert chips[0].covered_gt_ids == (0,)
 
     def test_greedy_prefers_pair(self):
@@ -137,7 +136,7 @@ class TestSelectPositiveChips:
             for gt_id, gt in enumerate(gts):
                 if classify_box_validity(gt.box, pyramid[0]):
                     covered = any(
-                        encloses(c.rect, gt.box) for c in chips
+                        encloses_oracle(c.rect, gt.box) for c in chips
                     )
                     assert covered or gt_id in flagged
 
@@ -197,13 +196,13 @@ class TestSelectPositiveChips:
         remaining = set(range(len(gts)))
         available = [tuple(c.as_tuple()) for c in grid_oracle(size, spec)]
         for chip in chips:
-            gain = sum(1 for t in remaining if encloses(chip.rect, gts[t].box))
+            gain = sum(1 for t in remaining if encloses_oracle(chip.rect, gts[t].box))
             best_other = max(
                 sum(1 for t in remaining if encloses_oracle(BoundingBox(*cell), gts[t].box))
                 for cell in available
             )
             assert gain == best_other
-            remaining -= {t for t in remaining if encloses(chip.rect, gts[t].box)}
+            remaining -= {t for t in remaining if encloses_oracle(chip.rect, gts[t].box)}
             available.remove(tuple(chip.rect.as_tuple()))
 
     def test_chip_shape_and_bounds(self):
@@ -253,7 +252,7 @@ class TestSelectPositiveChips:
         gts = [GroundTruthInstance(square(40, x=100, y=50), class_id=1)]
         chips, _ = select_positive_chips(gts, [spec], ImageSize(400, 300))
         assert len(chips) == 1
-        assert encloses(chips[0].rect, BoundingBox(300, 150, 420, 270))
+        assert encloses_oracle(chips[0].rect, BoundingBox(300, 150, 420, 270))
 
     def test_determinism(self):
         rng = np.random.default_rng(1)
@@ -320,7 +319,7 @@ class TestSelectNegativeChips:
         eligible = [
             b for b in boxes
             if classify_box_validity(b, spec)
-            and not any(encloses(p.rect, b) for p in positives)
+            and not any(encloses_oracle(p.rect, b) for p in positives)
         ]
         for chip in pool:
             n_inside = sum(

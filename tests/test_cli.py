@@ -92,6 +92,10 @@ class TestValidate:
         assert not out.exists()
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 class TestErrorRecords:
     def test_missing_annotations(self, tmp_path, capsys):
         rc = main(
@@ -244,11 +248,17 @@ class TestErrorRecords:
          {"bbox": [10, 10, 150, -0.5]},
          {"score": 1.5},
          {"score": float("nan")},
-         {"chip": [0, 0, float("nan"), 375]}],
+         {"chip": [0, 0, float("nan"), 375]},
+         # a 640x480 image seen on a 320x240 canvas: x + w doubles past the
+         # largest float when projected to the image
+         {"image_id": 1, "canvas": {"width": 320, "height": 240},
+          "bbox": [0, 0, 1e308, 1e-300]}],
         ids=["nan-x", "inf-w", "neg-inf-y", "negative-w", "negative-h", "score-above-1", "nan-score",
-             "nan-chip"],
+             "nan-chip", "overflow-after-projection"],
     )
     def test_stack_bad_detection(self, small_coco, tmp_path, capsys, change):
+        # too small for scale 0, so the range filter drops it before projection
+        small = {"bbox": [5, 5, 10, 10], "score": 0.5, "category_id": 1}
         good = {"bbox": [200, 200, 150, 150], "score": 0.7, "category_id": 1}
         bad = {"bbox": [10, 10, 150, 150], "score": 0.6, "category_id": 1}
         record = {
@@ -256,12 +266,10 @@ class TestErrorRecords:
             "scale_id": 0,
             "canvas": {"width": 500, "height": 375},
             "chip": None,
-            "detections": [good, bad],
+            "detections": [small, good, bad],
         }
-        if "chip" in change:
-            record.update(change)
-        else:
-            bad.update(change)
+        for key, value in change.items():
+            (record if key in record else bad)[key] = value
         det_file = tmp_path / "dets.json"
         det_file.write_text(json.dumps([record]))
         rc = main(
@@ -272,6 +280,8 @@ class TestErrorRecords:
         error = self._only_error(capsys)
         assert error["type"] == "FormatError"
         assert "record 0" in error["message"]
+        if "chip" not in change:
+            assert "detection 2" in error["message"]
         assert not (tmp_path / "merged.json").exists()
 
     def test_zero_stride_map(self, tmp_path, capsys):

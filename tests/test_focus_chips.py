@@ -18,6 +18,7 @@ from pyrsample.focus_labels import ProbabilityMap
 from pyrsample.geometry import BoundingBox, ImageSize
 
 from oracles import (
+    clip_box,
     component_chips_oracle,
     dilate_oracle,
     flood_fill_components,
@@ -353,7 +354,7 @@ class TestGenerateFocusChips:
             s = pm.stride
             margin = (params.dilation // 2) * s
             for i, j in zip(*np.nonzero(pm.cells >= params.threshold)):
-                block = BoundingBox(j * s, i * s, (j + 1) * s, (i + 1) * s).clip(image)
+                block = clip_box(BoundingBox(j * s, i * s, (j + 1) * s, (i + 1) * s), image)
                 inside = [
                     c
                     for c in chips

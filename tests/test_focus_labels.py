@@ -21,10 +21,9 @@ from pyrsample.geometry import (
     ImageSize,
     ScaleSpec,
     boxes_array,
-    rescale_box,
 )
 
-from oracles import focus_label_oracle
+from oracles import focus_label_oracle, rescale_box
 
 
 def square(side, x=0.0, y=0.0):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pyrsample.geometry import (
     BoundingBox,
-    Detection,
     DetectionBatch,
     DetectionRow,
     GroundTruthInstance,
@@ -15,13 +14,12 @@ from pyrsample.geometry import (
     ImageSize,
     MaxSideTarget,
     ScaleSpec,
-    encloses,
     iou,
-    keep_rows,
-    rescale_box,
+    rescale_boxes,
 )
 
-from oracles import iou_oracle
+from conftest import detection_batch
+from oracles import clip_box, encloses_oracle, iou_oracle, rescale_box
 
 
 def box(x1, y1, x2, y2):
@@ -51,10 +49,9 @@ class TestBoundingBox:
         b = box(5, 5, 5, 5)
         assert b.area == 0
 
-    def test_area_and_center(self):
+    def test_area(self):
         b = box(0, 0, 10, 20)
         assert b.area == 200
-        assert b.center == (5, 10)
 
     def test_intersection_and_union_rect(self):
         a, b = box(0, 0, 10, 10), box(5, 5, 15, 15)
@@ -66,7 +63,7 @@ class TestBoundingBox:
         assert a.intersection(box(10, 0, 20, 10)) is None
 
     def test_clip(self):
-        assert box(-5, -5, 20, 30).clip(ImageSize(10, 10)) == box(0, 0, 10, 10)
+        assert clip_box(box(-5, -5, 20, 30), ImageSize(10, 10)) == box(0, 0, 10, 10)
 
 
 class TestIou:
@@ -100,45 +97,53 @@ class TestIou:
             assert iou(a, b) < 1.0
 
 
+def rescaled(b, from_size, to_size):
+    """:func:`rescale_boxes` of one box, checked bit for bit against the
+    one-box oracle."""
+    (row,) = rescale_boxes(np.array([b.as_tuple()]), from_size, to_size).tolist()
+    assert row == list(rescale_box(b, from_size, to_size).as_tuple())
+    return BoundingBox(*row)
+
+
 class TestRescaleBox:
     def test_uniform_double(self):
-        out = rescale_box(box(10, 10, 20, 20), ImageSize(100, 100), ImageSize(200, 200))
+        out = rescaled(box(10, 10, 20, 20), ImageSize(100, 100), ImageSize(200, 200))
         assert out == box(20, 20, 40, 40)
 
     def test_identity(self):
         size = ImageSize(123, 77)
         b = box(3, 4, 50, 60)
-        assert rescale_box(b, size, size) == b
+        assert rescaled(b, size, size) == b
 
     def test_per_axis_factors(self):
-        out = rescale_box(box(0, 0, 50, 25), ImageSize(100, 50), ImageSize(300, 100))
+        out = rescaled(box(0, 0, 50, 25), ImageSize(100, 50), ImageSize(300, 100))
         assert out == box(0, 0, 150, 50)
 
     @given(boxes())
     @settings(max_examples=200)
     def test_composition(self, b):
         a_size, b_size, c_size = ImageSize(100, 80), ImageSize(333, 97), ImageSize(40, 640)
-        via = rescale_box(rescale_box(b, a_size, b_size), b_size, c_size)
-        direct = rescale_box(b, a_size, c_size)
+        via = rescaled(rescaled(b, a_size, b_size), b_size, c_size)
+        direct = rescaled(b, a_size, c_size)
         for got, want in zip(via.as_tuple(), direct.as_tuple()):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 class TestEncloses:
     def test_inside(self):
-        assert encloses(box(0, 0, 512, 512), box(10, 10, 20, 20))
+        assert encloses_oracle(box(0, 0, 512, 512), box(10, 10, 20, 20))
 
     def test_crossing_edge(self):
-        assert not encloses(box(0, 0, 512, 512), box(500, 10, 520, 20))
+        assert not encloses_oracle(box(0, 0, 512, 512), box(500, 10, 520, 20))
 
     def test_boundary_contact_counts(self):
         c = box(0, 0, 512, 512)
-        assert encloses(c, c)
+        assert encloses_oracle(c, c)
 
     @given(boxes(), boxes())
     @settings(max_examples=300)
     def test_mutual_enclosure_is_equality(self, a, b):
-        if encloses(a, b) and encloses(b, a):
+        if encloses_oracle(a, b) and encloses_oracle(b, a):
             assert a == b
 
 
@@ -175,34 +180,35 @@ class TestScaleSpec:
 
 
 class TestDetectionBatch:
-    DETS = [
-        Detection(BoundingBox(0, 0, 10, 10), 0.9, 3),
-        Detection(BoundingBox(5, 5, 6.5, 8), 0.25, 1),
-        Detection(BoundingBox(1, 2, 1, 2), 0.0, 3),
+    ROWS = [
+        DetectionRow((0.0, 0.0, 10.0, 10.0), 0.9, 3),
+        DetectionRow((5.0, 5.0, 6.5, 8.0), 0.25, 1),
+        DetectionRow((1.0, 2.0, 1.0, 2.0), 0.0, 3),
     ]
 
     def test_columns_round_trip(self):
-        batch = DetectionBatch.of(self.DETS)
+        batch = detection_batch(self.ROWS)
         assert batch.boxes.shape == (3, 4) and batch.class_ids.dtype.kind == "i"
-        assert DetectionBatch.of(batch) is batch
-        assert batch.to_detections() == self.DETS
-        assert len(DetectionBatch.of([])) == 0
+        assert list(batch) == self.ROWS
+        assert [batch[i] for i in range(len(batch))] == self.ROWS
+        empty = DetectionBatch.empty()
+        assert len(empty) == 0 and empty.boxes.shape == (0, 4) and list(empty) == []
 
     def test_rows_and_selection(self):
-        batch = DetectionBatch.of(self.DETS)
+        batch = detection_batch(self.ROWS)
         assert batch[1] == DetectionRow((5.0, 5.0, 6.5, 8.0), 0.25, 1)
         assert [row.class_id for row in batch] == [3, 1, 3]
         picked = batch[batch.class_ids == 3]
         assert isinstance(picked, DetectionBatch)
-        assert picked.to_detections() == [self.DETS[0], self.DETS[2]]
+        assert list(picked) == [self.ROWS[0], self.ROWS[2]]
 
     def test_concat_and_keep_rows(self):
-        a, b = DetectionBatch.of(self.DETS[:1]), DetectionBatch.of(self.DETS[1:])
-        assert DetectionBatch.concat([a, b]).to_detections() == self.DETS
+        a, b = detection_batch(self.ROWS[:1]), detection_batch(self.ROWS[1:])
+        assert list(DetectionBatch.concat([a, b])) == self.ROWS
+        assert DetectionBatch.concat([a]) is a
         assert len(DetectionBatch.concat([])) == 0
-        keep = [True, False, True]
-        kept = keep_rows(self.DETS, np.array(keep))
-        assert kept == [self.DETS[0], self.DETS[2]] and kept[0] is self.DETS[0]
+        kept = detection_batch(self.ROWS)[np.array([True, False, True])]
+        assert list(kept) == [self.ROWS[0], self.ROWS[2]]
 
 
 class TestGroundTruthSet:

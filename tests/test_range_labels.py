@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pyrsample.geometry import BoundingBox, Detection, GroundTruthInstance, ScaleSpec
+from pyrsample.geometry import BoundingBox, DetectionRow, GroundTruthInstance, ScaleSpec
 from pyrsample.range_labels import (
     AnchorValidity,
     LabelKind,
@@ -14,6 +14,7 @@ from pyrsample.range_labels import (
     invalidate_anchors,
 )
 
+from conftest import detection_batch
 from oracles import roi_label_oracle
 
 
@@ -175,23 +176,22 @@ class TestInvalidateAnchors:
 
 class TestFilterDetections:
     def test_all_in_range_unchanged(self):
-        dets = [Detection(square(60), 0.9, 1), Detection(square(100), 0.5, 2)]
-        assert filter_detections_by_range(dets, MID_RANGE) == dets
+        dets = detection_batch([(square(60).as_tuple(), 0.9, 1), (square(100).as_tuple(), 0.5, 2)])
+        assert list(filter_detections_by_range(dets, MID_RANGE)) == list(dets)
 
     def test_removes_out_of_range(self):
         spec = spec_with_range(0.0, 80.0**2)
-        dets = [Detection(square(90), 0.9, 1)]
-        assert filter_detections_by_range(dets, spec) == []
+        dets = detection_batch([(square(90).as_tuple(), 0.9, 1)])
+        assert list(filter_detections_by_range(dets, spec)) == []
 
     def test_subsequence_of_input(self):
         rng = np.random.default_rng(3)
         dets = [
-            Detection(_random_box(rng), float(rng.uniform(0, 1)), int(rng.integers(0, 3)))
+            DetectionRow(
+                _random_box(rng).as_tuple(), float(rng.uniform(0, 1)), int(rng.integers(0, 3))
+            )
             for _ in range(50)
         ]
-        kept = filter_detections_by_range(dets, MID_RANGE)
-        it = iter(dets)
-        assert all(any(k is d for d in it) for k in kept), "order not preserved"
-        assert all(classify_box_validity(k.box, MID_RANGE) for k in kept)
-        dropped = [d for d in dets if d not in kept]
-        assert all(not classify_box_validity(d.box, MID_RANGE) for d in dropped)
+        kept = list(filter_detections_by_range(detection_batch(dets), MID_RANGE))
+        valid = [d for d in dets if classify_box_validity(BoundingBox(*d.box), MID_RANGE)]
+        assert kept == valid, "not the valid detections in input order"

@@ -1,16 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyrsample.chips import Chip
 from pyrsample.focus_labels import LabelMap, ProbabilityMap
-from pyrsample.geometry import BoundingBox, Detection, ImageSize
+from pyrsample.geometry import BoundingBox, DetectionBatch, ImageSize
 from pyrsample.serialization import (
     FormatError,
     atomic_write_text,
     chip_to_record,
-    detection_records,
     map_to_debug_json,
     read_map_binary,
     save_chip_records,
@@ -20,6 +22,8 @@ from pyrsample.serialization import (
     write_curve,
     write_map_binary,
 )
+
+from conftest import detection_batch
 
 
 def sample_chip():
@@ -59,66 +63,96 @@ def _json_text(records) -> str:
     return json.dumps(records, indent=2, sort_keys=True) + "\n"
 
 
+def _detection_dicts(per_image) -> list[dict]:
+    """The COCO-results records of (image id, batch) pairs, one row at a time."""
+    return [
+        {"image_id": image_id, "category_id": row.class_id,
+         "bbox": [x1, y1, x2 - x1, y2 - y1], "score": row.score}
+        for image_id, batch in per_image
+        for row in batch
+        for x1, y1, x2, y2 in [row.box]
+    ]
+
+
 class TestSaveDetectionRecords:
-    """The template writer gives exactly the bytes of ``json.dumps``."""
+    """The column writer gives exactly the bytes of ``json.dumps`` of the
+    records."""
 
     SPECIAL = [1.0, 0.0, -0.0, 1e-07, 1e16, 1e+22, 123456789.0, 0.1 + 0.2, 5e-324,
                1.7976931348623157e308, 2.5, 1 / 3]
 
-    def _check(self, tmp_path, records):
+    def _check(self, tmp_path, per_image):
         path = tmp_path / "dets.json"
-        save_detection_records(path, records)
-        assert path.read_text() == _json_text(records)
+        save_detection_records(path, per_image)
+        assert path.read_text() == _json_text(_detection_dicts(per_image))
 
     def test_empty(self, tmp_path):
         self._check(tmp_path, [])
         assert (tmp_path / "dets.json").read_text() == "[]\n"
+        self._check(tmp_path, [(1, DetectionBatch.empty()), (2, DetectionBatch.empty())])
+        assert (tmp_path / "dets.json").read_text() == "[]\n"
 
     def test_random_records(self, tmp_path):
         rng = np.random.default_rng(71)
+
+        def value():
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                return self.SPECIAL[rng.integers(0, len(self.SPECIAL))]
+            if kind == 1:
+                return float(rng.integers(-1000, 1000))
+            return float(rng.uniform(-1e4, 1e4)) * 10.0 ** int(rng.integers(-12, 18))
+
         for _ in range(20):
-            records = []
-            for _ in range(int(rng.integers(1, 40))):
-                def value():
-                    kind = rng.integers(0, 3)
-                    if kind == 0:
-                        return self.SPECIAL[rng.integers(0, len(self.SPECIAL))]
-                    if kind == 1:
-                        return float(rng.integers(-1000, 1000))
-                    return float(rng.uniform(-1e4, 1e4)) * 10.0 ** int(rng.integers(-12, 18))
-                records.append({
-                    "image_id": int(rng.integers(0, 2**62)) if rng.random() < 0.3 else int(rng.integers(0, 100)),
-                    "category_id": int(rng.integers(-5, 2**40)),
-                    "bbox": [value() for _ in range(4)],
-                    "score": value(),
-                })
-            self._check(tmp_path, records)
+            per_image = []
+            for _ in range(int(rng.integers(1, 6))):
+                rows = []
+                for _ in range(int(rng.integers(0, 20))):
+                    x, y, w, h = (value() for _ in range(4))
+                    if not all(map(math.isfinite, (x + w - x, y + h - y))):
+                        w = h = 1.0
+                    rows.append(((x, y, x + w, y + h), value(), int(rng.integers(0, 2**40))))
+                image_id = int(rng.integers(0, 2**62 if rng.random() < 0.3 else 100))
+                per_image.append((image_id, detection_batch(rows)))
+            self._check(tmp_path, per_image)
 
     def test_special_values(self, tmp_path):
-        bbox = [1.0, 1e-07, 1e16, -0.0]
-        records = [{"image_id": 10**30, "category_id": 2**63, "bbox": bbox, "score": 1e-07}]
-        self._check(tmp_path, records)
+        rows = [
+            ((1e-07, -0.0, 1e-07 + 1e16, 2.5), 1e-07, 2**63 - 1),
+            ((5e-324, 1.7976931348623157e308, 5e-324, 1.7976931348623157e308), 5e-324, 0),
+        ]
+        per_image = [(10**30, detection_batch(rows)), (3, detection_batch(rows[::-1]))]
+        self._check(tmp_path, per_image)
         text = (tmp_path / "dets.json").read_text()
-        for literal in ("1.0", "1e-07", "1e+16", "-0.0", str(10**30)):
+        for literal in ("1e-07", "1e+16", "-0.0", "5e-324", "1.7976931348623157e+308",
+                        str(2**63 - 1), str(10**30)):
             assert literal in text
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 2**70),
+        st.lists(st.tuples(
+            st.tuples(*[st.floats(-1e300, 1e300)] * 4),
+            st.floats(0.0, 1.0),
+            st.integers(0, 2**63 - 1),
+        ), max_size=5),
+    ), max_size=4))
+    def test_columns_match_json_dumps(self, tmp_path_factory, images):
+        per_image = [(image_id, detection_batch(rows)) for image_id, rows in images]
+        self._check(tmp_path_factory.mktemp("dets"), per_image)
+
     @pytest.mark.parametrize(
-        "record",
-        [{"image_id": 1, "category_id": True, "bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5},
-         {"image_id": 1, "category_id": 2, "bbox": [0.0, 0.0, 1.0, 1.0], "score": float("nan")},
-         {"image_id": 1, "category_id": 2, "bbox": [0.0, float("inf"), 1.0, 1.0], "score": 0.5},
-         {"image_id": 1, "category_id": 2, "bbox": [0.0, 0.0, 1.0], "score": 0.5},
-         {"image_id": 1, "category_id": 2, "bbox": [0.0, 0.0, 1.0, 1.0], "score": np.float64(0.5)},
-         {"image_id": 1, "category_id": 2, "bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5, "x": None},
-         {"image_id": 1, "bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5, "area": 1.0},
-         {"image_id": 1, "category_id": 2, "bbox": {0: 0.0, 1: 0.0, 2: 1.0, 3: 1.0},
-          "score": 0.5}],
-        ids=["bool-id", "nan-score", "inf-coordinate", "short-bbox", "numpy-float",
-             "extra-key", "other-keys", "bbox-object"],
+        "box, score",
+        [((0.0, float("nan"), 1.0, 1.0), 0.5), ((0.0, 0.0, float("inf"), 1.0), 0.5),
+         ((-1e308, 0.0, 1e308, 1.0), 0.5), ((0.0, 0.0, 1.0, 1.0), float("nan"))],
+        ids=["nan-y", "inf-corner", "overflowing-width", "nan-score"],
     )
-    def test_other_records_fall_back_to_json(self, tmp_path, record):
-        plain = {"image_id": 3, "category_id": 4, "bbox": [1.5, 2.0, 3.0, 4.0], "score": 0.25}
-        self._check(tmp_path, [plain, record])
+    def test_non_finite_values_are_refused(self, tmp_path, box, score):
+        path = tmp_path / "dets.json"
+        per_image = [(1, detection_batch([((0.0, 0.0, 1.0, 1.0), 0.5, 2), (box, score, 2)]))]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            save_detection_records(path, per_image)
+        assert not path.exists()
 
 
 def _random_value(rng):
@@ -212,13 +246,11 @@ class TestSaveChipRecords:
 
 class TestDetectionRecords:
     def test_round_trip(self, tmp_path):
-        det = Detection(box=BoundingBox(10, 20, 40, 60), score=0.75, class_id=5)
-        records = detection_records([det], image_id=7)
-        assert records == [{"image_id": 7, "category_id": 5, "bbox": [10, 20, 30, 40],
-                            "score": 0.75}]
         path = tmp_path / "dets.json"
-        save_detection_records(path, records)
-        assert json.loads(path.read_text()) == records
+        save_detection_records(path, [(7, detection_batch([((10, 20, 40, 60), 0.75, 5)]))])
+        assert json.loads(path.read_text()) == [
+            {"image_id": 7, "category_id": 5, "bbox": [10, 20, 30, 40], "score": 0.75}
+        ]
 
 
 class TestMapBinary:

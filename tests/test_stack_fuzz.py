@@ -78,8 +78,18 @@ detection_file = st.one_of(records, records, records, junk)
 policy = st.sampled_from(["hard", "gaussian", "linear"])
 
 
-def _is_valid_output(records) -> bool:
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _is_valid_output(text: str) -> bool:
+    """The text is strict JSON (no NaN or Infinity) holding COCO-results
+    records sorted by image id, then by descending score."""
     keys = {"image_id", "category_id", "bbox", "score"}
+    try:
+        records = json.loads(text, parse_constant=_reject_constant)
+    except ValueError:
+        return False
     if not isinstance(records, list):
         return False
     for rec in records:
@@ -110,6 +120,9 @@ def _with(path, value):
 @example(_with(("detections", 0, "bbox"), [1e308, 0, 1e308, 10]), "gaussian")
 @example(_with(("detections", 0, "bbox"), "1234"), "hard")
 @example(_with(("chip",), [0, 0, 500, float("nan")]), "linear")
+@example([{"image_id": 1, "scale_id": 0, "canvas": {"width": 320, "height": 240}, "chip": None,
+           "detections": [{"bbox": [0, 0, 1e308, 1e-300], "score": 0.6, "category_id": 1}]}],
+         "gaussian")
 def test_stack_exits_cleanly_on_any_input(data, mode):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -126,7 +139,7 @@ def test_stack_exits_cleanly_on_any_input(data, mode):
                            "--detections", str(tmp / "dets.json"), "--out", str(out)])
         if rc == 0:
             assert stderr.getvalue() == ""
-            assert _is_valid_output(json.loads(out.read_text()))
+            assert _is_valid_output(out.read_text())
         else:
             assert rc == 1
             lines = stderr.getvalue().splitlines()

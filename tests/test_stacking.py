@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pyrsample.geometry import BoundingBox, Detection, DetectionBatch, ImageSize
+from pyrsample.geometry import BoundingBox, DetectionRow, ImageSize, iou
 from pyrsample.stacking import (
     MergePolicy,
     merge_detections,
@@ -12,11 +12,16 @@ from pyrsample.stacking import (
     suppress,
 )
 
+from conftest import detection_batch
 from oracles import hard_nms_oracle, soft_nms_oracle
 
 
 def det(x1, y1, x2, y2, score=0.9, class_id=1):
-    return Detection(box=BoundingBox(x1, y1, x2, y2), score=score, class_id=class_id)
+    return DetectionRow((x1, y1, x2, y2), score, class_id)
+
+
+def batch(*rows):
+    return detection_batch(rows)
 
 
 class TestMergePolicy:
@@ -63,16 +68,16 @@ class TestPruneBoundaryDetections:
             (full_chip, det(0, 0, 1000, 800), True),
         ]
         for idx, (chip, d, expect_kept) in enumerate(cases, 1):
-            kept = prune_boundary_detections([d], chip, image)
+            kept = prune_boundary_detections(batch(d), chip, image)
             assert (len(kept) == 1) == expect_kept, f"truth-table case {idx}"
 
     def test_epsilon_band(self):
         chip = BoundingBox(100, 100, 600, 600)
         nearly_flush = det(100.8, 200, 300, 300)
-        assert prune_boundary_detections([nearly_flush], chip, self.IMAGE) == []
+        assert list(prune_boundary_detections(batch(nearly_flush), chip, self.IMAGE)) == []
         clear = det(101.5, 200, 300, 300)
-        assert prune_boundary_detections([clear], chip, self.IMAGE, eps=1.0) == [clear]
-        assert prune_boundary_detections([clear], chip, self.IMAGE, eps=2.0) == []
+        assert list(prune_boundary_detections(batch(clear), chip, self.IMAGE, eps=1.0)) == [clear]
+        assert list(prune_boundary_detections(batch(clear), chip, self.IMAGE, eps=2.0)) == []
 
     def test_subset_and_idempotent(self):
         rng = np.random.default_rng(2)
@@ -82,22 +87,22 @@ class TestPruneBoundaryDetections:
             x1 = float(rng.uniform(60, 560))
             y1 = float(rng.uniform(60, 560))
             dets.append(det(x1, y1, x1 + float(rng.uniform(0, 40)), y1 + float(rng.uniform(0, 40))))
-        once = prune_boundary_detections(dets, chip, self.IMAGE)
+        once = prune_boundary_detections(batch(*dets), chip, self.IMAGE)
         assert all(d in dets for d in once)
-        assert prune_boundary_detections(once, chip, self.IMAGE) == once
+        assert list(prune_boundary_detections(once, chip, self.IMAGE)) == list(once)
 
 
 class TestProjectToImage:
     def test_identity(self):
         d = det(10, 10, 20, 20)
-        out = project_to_image([d], ImageSize(100, 100), (0, 0), ImageSize(100, 100))
-        assert out == [d]
+        out = project_to_image(batch(d), ImageSize(100, 100), (0, 0), ImageSize(100, 100))
+        assert list(out) == [d]
 
     def test_translate_then_rescale(self):
         # chip at (100, 50) in a 2x canvas of a 100x50 original
         d = det(0, 0, 10, 10)
-        out = project_to_image([d], ImageSize(200, 100), (100, 50), ImageSize(100, 50))
-        assert out[0].box == BoundingBox(50, 25, 55, 30)
+        out = project_to_image(batch(d), ImageSize(200, 100), (100, 50), ImageSize(100, 50))
+        assert out[0].box == (50, 25, 55, 30)
         assert out[0].score == d.score and out[0].class_id == d.class_id
 
     def test_composition_equals_direct(self):
@@ -110,29 +115,29 @@ class TestProjectToImage:
             d = det(x1, y1, x1 + 5, y1 + 5)
             inner_origin = (float(rng.uniform(0, 30)), float(rng.uniform(0, 30)))
             # project into mid frame, then mid -> original with no offset
-            step = project_to_image([d], mid, inner_origin, mid)
+            step = project_to_image(batch(d), mid, inner_origin, mid)
             composed = project_to_image(step, mid, (0, 0), original)
-            direct = project_to_image([d], mid, inner_origin, original)
-            for a, b in zip(composed[0].box.as_tuple(), direct[0].box.as_tuple()):
+            direct = project_to_image(batch(d), mid, inner_origin, original)
+            for a, b in zip(composed[0].box, direct[0].box):
                 assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
 class TestMergeDetections:
     def test_single_detection_unchanged(self):
         d = det(0, 0, 10, 10, score=0.7)
-        assert merge_detections([[d]], MergePolicy(mode="hard")) == [d]
+        assert list(merge_detections([batch(d)], MergePolicy(mode="hard"))) == [d]
 
     def test_hard_nms_identical_boxes(self):
         a = det(0, 0, 10, 10, score=0.9)
         b = det(0, 0, 10, 10, score=0.8)
-        out = merge_detections([[a], [b]], MergePolicy(mode="hard", iou_threshold=0.5))
-        assert out == [a]
+        out = merge_detections([batch(a), batch(b)], MergePolicy(mode="hard", iou_threshold=0.5))
+        assert list(out) == [a]
 
     def test_gaussian_closed_form(self):
         # boxes with IoU 1/3; the lower-scored one is rescored
         a = det(0, 0, 10, 10, score=0.9)
         b = det(5, 0, 15, 10, score=0.8)
-        out = merge_detections([[a, b]], MergePolicy(mode="gaussian", sigma=0.5))
+        out = merge_detections([batch(a, b)], MergePolicy(mode="gaussian", sigma=0.5))
         assert len(out) == 2
         assert out[0].score == 0.9
         assert out[1].score == pytest.approx(0.8 * math.exp(-((1 / 3) ** 2) / 0.5))
@@ -141,7 +146,7 @@ class TestMergeDetections:
         a = det(0, 0, 10, 10, score=0.9)
         b = det(5, 0, 15, 10, score=0.8)  # IoU 1/3 < 0.5: untouched
         c = det(0, 0, 10, 9, score=0.7)  # IoU 0.9 vs a: decayed
-        out = merge_detections([[a, b, c]], MergePolicy(mode="linear", iou_threshold=0.5))
+        out = merge_detections([batch(a, b, c)], MergePolicy(mode="linear", iou_threshold=0.5))
         scores = {round(d.score, 6) for d in out}
         assert 0.9 in scores and 0.8 in scores
         assert round(0.7 * (1 - 0.9), 6) in scores
@@ -150,21 +155,21 @@ class TestMergeDetections:
         a = det(0, 0, 10, 10, score=0.9)
         b = det(0, 0, 10, 10, score=0.8)
         out = merge_detections(
-            [[a, b]], MergePolicy(mode="gaussian", sigma=0.01, score_floor=0.01)
+            [batch(a, b)], MergePolicy(mode="gaussian", sigma=0.01, score_floor=0.01)
         )
-        assert out == [a]
+        assert list(out) == [a]
 
     def test_classes_do_not_suppress_each_other(self):
         a = det(0, 0, 10, 10, score=0.9, class_id=1)
         b = det(0, 0, 10, 10, score=0.8, class_id=2)
-        out = merge_detections([[a, b]], MergePolicy(mode="hard", iou_threshold=0.5))
+        out = merge_detections([batch(a, b)], MergePolicy(mode="hard", iou_threshold=0.5))
         assert len(out) == 2
 
     def test_hard_nms_matches_oracle(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
             boxes, scores = _random_detections(rng)
-            dets = [det(*b.as_tuple(), score=s, class_id=1) for b, s in zip(boxes, scores)]
+            dets = batch(*(det(*b.as_tuple(), score=s) for b, s in zip(boxes, scores)))
             out = merge_detections([dets], MergePolicy(mode="hard", iou_threshold=0.4))
             kept = hard_nms_oracle(boxes, scores, 0.4)
             assert [d.score for d in out] == [scores[i] for i in kept]
@@ -174,35 +179,35 @@ class TestMergeDetections:
         policy = MergePolicy(mode="hard", iou_threshold=0.45)
         for _ in range(50):
             boxes, scores = _random_detections(rng)
-            dets = [det(*b.as_tuple(), score=s, class_id=1) for b, s in zip(boxes, scores)]
-            out = merge_detections([dets], policy)
-            from pyrsample.geometry import iou
+            dets = batch(*(det(*b.as_tuple(), score=s) for b, s in zip(boxes, scores)))
+            out = list(merge_detections([dets], policy))
             for i, a in enumerate(out):
                 for b in out[i + 1 :]:
-                    assert iou(a.box, b.box) <= 0.45
+                    assert iou(BoundingBox(*a.box), BoundingBox(*b.box)) <= 0.45
 
     def test_partition_invariance(self):
         rng = np.random.default_rng(30)
         boxes, scores = _random_detections(rng, n=12)
         dets = [det(*b.as_tuple(), score=s, class_id=i % 3) for i, (b, s) in enumerate(zip(boxes, scores))]
         policy = MergePolicy(mode="gaussian", sigma=0.5)
-        whole = merge_detections([dets], policy)
-        split_a = merge_detections([dets[:5], dets[5:9], dets[9:]], policy)
-        split_b = merge_detections([[d] for d in dets], policy)
+        whole = list(merge_detections([batch(*dets)], policy))
+        parts = [batch(*dets[:5]), batch(*dets[5:9]), batch(*dets[9:])]
+        split_a = list(merge_detections(parts, policy))
+        split_b = list(merge_detections([batch(d) for d in dets], policy))
         assert whole == split_a == split_b
 
     def test_output_sorted_by_score(self):
         rng = np.random.default_rng(40)
         boxes, scores = _random_detections(rng, n=15)
         dets = [det(*b.as_tuple(), score=s, class_id=i % 2) for i, (b, s) in enumerate(zip(boxes, scores))]
-        out = merge_detections([dets], MergePolicy(mode="gaussian"))
+        out = list(merge_detections([batch(*dets)], MergePolicy(mode="gaussian")))
         assert all(a.score >= b.score for a, b in zip(out, out[1:]))
 
     def test_sigma_to_zero_limit_is_any_overlap_suppression(self):
         rng = np.random.default_rng(50)
         for _ in range(100):
             boxes, scores = _random_detections(rng, integer_grid=True)
-            dets = [det(*b.as_tuple(), score=s, class_id=1) for b, s in zip(boxes, scores)]
+            dets = batch(*(det(*b.as_tuple(), score=s) for b, s in zip(boxes, scores)))
             soft = merge_detections(
                 [dets], MergePolicy(mode="gaussian", sigma=1e-12, score_floor=0.001)
             )
@@ -279,9 +284,7 @@ class TestSuppressMatchesOracle:
 
     @staticmethod
     def _check(boxes, scores, classes, policy):
-        columns = DetectionBatch.of(
-            [Detection(b, s, c) for b, s, c in zip(boxes, scores, classes)]
-        )
+        columns = detection_batch(zip((b.as_tuple() for b in boxes), scores, classes))
         positions, final = suppress(columns.boxes, columns.scores, columns.class_ids, policy)
         got = list(zip(positions.tolist(), final.tolist()))
         assert got == _oracle_merge(boxes, scores, classes, policy)
@@ -300,17 +303,6 @@ class TestSuppressMatchesOracle:
         others = _mixed_set(rng, 40, 3, policy.score_floor)
         boxes, scores, classes = (a + b for a, b in zip(others, crowd))
         self._check(boxes, scores, classes, policy)
-
-    def test_batches_give_the_same_detections_as_lists(self):
-        rng = np.random.default_rng(63)
-        boxes, scores, classes = _mixed_set(rng, 30, 3, 0.001)
-        dets = [Detection(b, s, c) for b, s, c in zip(boxes, scores, classes)]
-        for policy in POLICIES:
-            groups = [dets[:10], dets[10:]]
-            from_lists = merge_detections(groups, policy)
-            from_batches = merge_detections([DetectionBatch.of(g) for g in groups], policy)
-            assert isinstance(from_batches, DetectionBatch)
-            assert from_batches.to_detections() == from_lists
 
 
 def _random_detections(rng, n=10, integer_grid=False):
