@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,8 @@ from .focus_chips import FocusParams, generate_focus_chips
 from .focus_labels import LabelMap, focus_label_cells, focus_pixel_stats
 from .geometry import BoundingBox, DetectionBatch, ImageSize
 from .range_labels import filter_detections_by_range
-from .serialization import FormatError
-from .stacking import merge_detections, project_to_image, prune_boundary_detections
+from .serialization import FormatError, json_int
+from .stacking import project_to_image, prune_boundary_detections, suppress
 
 WORKERS_ENV = "PYRSAMPLE_WORKERS"
 
@@ -215,91 +216,206 @@ def _load_stack_records(path: Path) -> list[dict]:
     return data
 
 
-def _read_stack_record(record) -> tuple[int, int, ImageSize, BoundingBox, DetectionBatch]:
-    """Image id, scale id, canvas, chip and the chip's detections, translated
-    from chip-local to canvas coordinates, of one per-chip record."""
-    image_id = int(record["image_id"])
-    scale_id = int(record["scale_id"])
-    canvas = ImageSize(int(record["canvas"]["width"]), int(record["canvas"]["height"]))
-    if record.get("chip") is None:
-        chip = BoundingBox(0.0, 0.0, canvas.width, canvas.height)
-    else:
-        corners = np.array(record["chip"], dtype=np.float64)
-        if corners.shape != (4,) or not np.isfinite(corners).all():
-            raise ValueError(f"chip must be four finite numbers: {record['chip']!r}")
-        chip = BoundingBox(*corners.tolist())
-    entries = record.get("detections", [])
-    n = len(entries)
-    if n == 0:
-        return image_id, scale_id, canvas, chip, DetectionBatch.empty()
-    xywh = np.array([entry["bbox"] for entry in entries], dtype=np.float64)
-    scores = np.array([entry["score"] for entry in entries], dtype=np.float64)
-    class_ids = np.array([int(entry["category_id"]) for entry in entries], dtype=np.int64)
-    if xywh.shape != (n, 4) or scores.shape != (n,):
+@dataclass(frozen=True)
+class _StackRun:
+    """Per-chip detection records as run-wide columns.
+
+    Per record: image id, scale id, canvas (width, height) and chip
+    corners, a chip of ``null`` being the whole canvas. Per detection, in
+    record order and within a record in file order: the record position,
+    the index in the record, and the box in the canvas frame, score and
+    class.
+    """
+
+    image_ids: list[int]
+    scale_ids: list[int]
+    canvases: np.ndarray
+    chips: np.ndarray
+    record: np.ndarray
+    index: np.ndarray
+    dets: DetectionBatch
+
+
+_RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _read_chip(chip, canvas: ImageSize) -> tuple:
+    if chip is None:
+        return (0.0, 0.0, canvas.width, canvas.height)
+    corners = np.array(chip, dtype=np.float64)
+    if corners.shape != (4,) or not np.isfinite(corners).all():
+        raise ValueError(f"chip must be four finite numbers: {chip!r}")
+    return BoundingBox(*corners.tolist()).as_tuple()
+
+
+def _category_ids(entries: list) -> np.ndarray:
+    """Every entry's ``category_id``, in entry order, each one that is not a
+    plain int checked by ``json_int``."""
+    return np.array(
+        [value if type(value) is int else json_int(value, f"detection {k}: category_id")
+         for k, value in enumerate(entry["category_id"] for entry in entries)],
+        dtype=np.int64,
+    )
+
+
+def _parse_stack_records(records: list) -> _StackRun:
+    """The records as one :class:`_StackRun`. Each check runs over the whole
+    run, in the order of one record's checks: ids, canvas and chip, then
+    every bbox, score and category id, then the detection values. So on a
+    single record the first problem raises as reading it alone would."""
+    image_ids, scale_ids, canvases, chips, entries = [], [], [], [], []
+    for record in records:
+        image_ids.append(json_int(record["image_id"], "image_id"))
+        scale_ids.append(json_int(record["scale_id"], "scale_id"))
+        canvas = ImageSize(
+            json_int(record["canvas"]["width"], "canvas width"),
+            json_int(record["canvas"]["height"], "canvas height"),
+        )
+        canvases.append((canvas.width, canvas.height))
+        chips.append(_read_chip(record.get("chip"), canvas))
+        entries.append(record.get("detections", []))
+    counts = np.array(list(map(len, entries)), dtype=np.intp)
+    flat = [entry for group in entries for entry in group]
+    n = len(flat)
+    xywh = np.array([entry["bbox"] for entry in flat], dtype=np.float64)
+    scores = np.array([entry["score"] for entry in flat], dtype=np.float64)
+    class_ids = _category_ids(flat)
+    if n and (xywh.shape != (n, 4) or scores.shape != (n,)):
         raise ValueError("each detection needs a bbox [x, y, w, h] and one score")
-    corners = np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
+    boxes = xywh.reshape(n, 4)
+    not_finite = ~np.isfinite(boxes).all(axis=1)
+    boxes[:, 2:] += boxes[:, :2]  # corners x1, y1, x2, y2
     problems = (
-        (~np.isfinite(xywh).all(axis=1), "bbox coordinates must be finite"),
-        ((corners[:, 2] < corners[:, 0]) | (corners[:, 3] < corners[:, 1]),
+        (not_finite, "bbox coordinates must be finite"),
+        ((boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1]),
          "bbox width and height must be non-negative"),
         (~((0.0 <= scores) & (scores <= 1.0)), "score must be in [0, 1]"),
     )
     for bad, message in problems:
         if bad.any():
             k = int(bad.argmax())
-            raise ValueError(f"detection {k}: {message}: {entries[k]!r}")
-    boxes = corners + (chip.x1, chip.y1, chip.x1, chip.y1)
-    return image_id, scale_id, canvas, chip, DetectionBatch(boxes, scores, class_ids)
+            raise ValueError(f"detection {k}: {message}: {flat[k]!r}")
+    chips = np.array(chips, dtype=np.float64).reshape(-1, 4)
+    record = np.repeat(np.arange(len(records)), counts)
+    origin = chips[record, :2]
+    boxes[:, :2] += origin  # to the canvas frame
+    boxes[:, 2:] += origin
+    index = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    return _StackRun(
+        image_ids, scale_ids, np.array(canvases, dtype=np.float64).reshape(-1, 2), chips,
+        record, index, DetectionBatch(boxes, scores, class_ids),
+    )
+
+
+def _record_problem(record) -> str | None:
+    """Why one record fails to parse on its own, or None."""
+    try:
+        _parse_stack_records([record])
+    except _RECORD_ERRORS as exc:
+        return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return None
+
+
+def _read_stack_records(records: list, source) -> tuple[_StackRun, FormatError | None]:
+    """The columns of every record before the first one that fails to
+    parse, and that record's error; all records and None when none fails.
+    Every check is per record or per detection, so a run that fails to
+    parse holds a record that fails on its own."""
+    try:
+        return _parse_stack_records(records), None
+    except _RECORD_ERRORS:
+        pass
+    problems = enumerate(map(_record_problem, records))
+    position, problem = next((p, text) for p, text in problems if text is not None)
+    error = FormatError(f"{source}: record {position}: {problem}")
+    return _parse_stack_records(records[:position]), error
+
+
+def _kept_rows(
+    run: _StackRun, n_rows: int, scale: np.ndarray, by_scale: dict, eps: float
+) -> np.ndarray:
+    """Which of the first ``n_rows`` rows boundary pruning and the range
+    filter of their record's level keep, grouped by level; ``scale`` holds
+    each record's scale id."""
+    rec = run.record[:n_rows]
+    # Neither kernel reads class ids, so row numbers in their place come out
+    # as the rows each one keeps.
+    dets = DetectionBatch(run.dets.boxes[:n_rows], run.dets.scores[:n_rows],
+                          np.arange(n_rows))
+    kept = prune_boundary_detections(dets, run.chips[rec], run.canvases[rec], eps=eps)
+    level = scale[run.record[kept.class_ids]]
+    return np.concatenate([np.zeros(0, dtype=np.intp)] + [
+        filter_detections_by_range(kept[level == scale_id], by_scale[scale_id]).class_ids
+        for scale_id in np.unique(level).tolist()
+    ])
 
 
 def _stack(
     records: list, cfg: PipelineConfig, index: DatasetIndex, source
 ) -> list[tuple[int, DetectionBatch]]:
-    """Prune, range-filter and project each per-chip record's detections,
-    then merge them per image; (image id, merged batch) by image id."""
+    """Prune, range-filter and project the detections of every per-chip
+    record in one pass, then merge them per image and class; (image id,
+    merged batch) by image id.
+
+    The error raised is the one of the lowest record position with a
+    problem, each record checked in order: parsing, its image and scale
+    ids, then its boxes in the original image frame.
+    """
     by_scale = {s.scale_id: s for s in cfg.pyramid}
-    per_image: dict[int, dict[int, list[DetectionBatch]]] = {}
-    for position, record in enumerate(records):
-        try:
-            image_id, scale_id, canvas, chip, dets = _read_stack_record(record)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise FormatError(f"{source}: record {position}: {problem}") from exc
+    run, error = _read_stack_records(records, source)
+    n_ok = 0
+    for image_id, scale_id in zip(run.image_ids, run.scale_ids):
         if image_id not in index.images:
-            raise FormatError(f"detections reference unknown image id {image_id}")
+            error = FormatError(f"detections reference unknown image id {image_id}")
+            break
         if scale_id not in by_scale:
-            raise FormatError(f"detections reference unknown scale id {scale_id}")
-        kept = prune_boundary_detections(dets, chip, canvas, eps=cfg.boundary_eps)
-        kept = filter_detections_by_range(kept, by_scale[scale_id])
-        projected = project_to_image(kept, canvas, (0.0, 0.0), index.images[image_id].size)
-        finite = np.isfinite(ser.coco_xywh(projected.boxes)).all(axis=1)
-        if not finite.all():
-            # Pruning and the range filter keep a subsequence and look only
-            # at the box, so the first input row equal to the first bad kept
-            # row is that detection.
-            bad = kept.boxes[finite.argmin()]
-            k = int((dets.boxes == bad).all(axis=1).argmax())
-            raise FormatError(
-                f"{source}: record {position}: detection {k}: bbox is not finite in the "
-                f"original image frame: {record['detections'][k]!r}"
-            )
-        per_image.setdefault(image_id, {}).setdefault(scale_id, []).append(projected)
-    return [
-        (image_id, merge_detections(
-            [batch for sid in sorted(groups) for batch in groups[sid]], cfg.merge
-        ))
-        for image_id, groups in sorted(per_image.items())
-    ]
+            error = FormatError(f"detections reference unknown scale id {scale_id}")
+            break
+        n_ok += 1
+    image_ids = sorted(set(run.image_ids[:n_ok]))
+    rank = {image_id: k for k, image_id in enumerate(image_ids)}
+    image = np.array([rank[i] for i in run.image_ids[:n_ok]], dtype=np.intp)
+    scale = np.array(run.scale_ids[:n_ok], dtype=np.int64)
+    sizes = [index.images[i].size for i in run.image_ids[:n_ok]]
+    originals = np.array([(s.width, s.height) for s in sizes], dtype=np.float64).reshape(-1, 2)
+
+    n_rows = int(np.searchsorted(run.record, n_ok))  # the rows of records before n_ok
+    rows = _kept_rows(run, n_rows, scale, by_scale, cfg.boundary_eps)
+    rec = run.record[rows]
+    order = np.lexsort((rows, scale[rec], image[rec]))  # ties in the merge break in this order
+    rows, rec = rows[order], rec[order]
+    projected = project_to_image(run.dets[rows], run.canvases[rec], (0.0, 0.0), originals[rec])
+    finite = np.isfinite(ser.coco_xywh(projected.boxes)).all(axis=1)
+    if not finite.all():
+        row = rows[~finite].min()
+        position, k = int(run.record[row]), int(run.index[row])
+        raise FormatError(
+            f"{source}: record {position}: detection {k}: bbox is not finite in the "
+            f"original image frame: {records[position]['detections'][k]!r}"
+        )
+    if error is not None:
+        raise error
+
+    image = image[rec]
+    classes, class_rank = np.unique(projected.class_ids, return_inverse=True)
+    positions, scores = suppress(
+        projected.boxes, projected.scores, image * len(classes) + class_rank, cfg.merge
+    )
+    order = np.argsort(image[positions], kind="stable")
+    positions, scores = positions[order], scores[order]
+    merged = DetectionBatch(projected.boxes[positions], scores, projected.class_ids[positions])
+    bounds = np.searchsorted(image[positions], np.arange(len(image_ids) + 1)).tolist()
+    return [(image_id, merged[a:b]) for image_id, a, b in zip(image_ids, bounds, bounds[1:])]
 
 
 def cmd_stack(args) -> int:
     cfg = load_config(args.config)
     index = load_dataset(args.annotations)
-    records = _load_stack_records(Path(args.detections))
     # Finite coordinates far outside any canvas can overflow to inf, which the
     # range filter then drops; numpy must not print a warning line for that.
+    # Only _stack holds the JSON records, so they are freed before writing.
     with np.errstate(over="ignore", invalid="ignore"):
-        merged = _stack(records, cfg, index, args.detections)
+        merged = _stack(_load_stack_records(Path(args.detections)), cfg, index, args.detections)
     ser.save_detection_records(args.out, merged)
     n_dets = sum(len(dets) for _, dets in merged)
     print(f"wrote {n_dets} merged detections to {args.out}")

@@ -40,6 +40,19 @@ class FormatError(Exception):
     pass
 
 
+def json_int(value, name: str) -> int:
+    """A JSON integer field: an int, or a float with an integral value.
+
+    Anything else, a fraction, JSON ``true``/``false``, a string or a
+    non-finite number, raises ``ValueError`` naming ``name``; ``int()``
+    would truncate a fraction and read ``true`` as 1."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer: {value!r}")
+
+
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")

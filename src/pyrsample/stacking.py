@@ -49,10 +49,20 @@ class MergePolicy:
             raise ValueError(f"score_floor must be in [0, 1): {self.score_floor}")
 
 
+def _columns(value) -> np.ndarray:
+    """The fields of one rectangle, size or point as float64 scalars, or of
+    an (n, k) array as its k per-row columns."""
+    if isinstance(value, BoundingBox):
+        value = value.as_tuple()
+    elif isinstance(value, ImageSize):
+        value = (value.width, value.height)
+    return np.asarray(value, dtype=np.float64).T
+
+
 def prune_boundary_detections(
     dets: DetectionBatch,
-    chip: BoundingBox,
-    image: ImageSize,
+    chip: BoundingBox | np.ndarray,
+    image: ImageSize | np.ndarray,
     eps: float = DEFAULT_BOUNDARY_EPS,
     border_tol: float = 1e-6,
 ) -> DetectionBatch:
@@ -62,36 +72,44 @@ def prune_boundary_detections(
     edge that coincides with the image border is exempt: touching it never
     discards, so a detection may sit on one or even all shared borders as
     long as every chip edge it touches is a shared border. ``eps`` is the
-    touch tolerance in pixels.
+    touch tolerance in pixels. ``chip`` is one :class:`BoundingBox` or an
+    (n, 4) array holding each row's chip; ``image`` is one
+    :class:`ImageSize` or an (n, 2) array of each row's canvas width and
+    height.
     """
-    discard = np.zeros(len(dets), dtype=bool)
+    x1, y1, x2, y2 = _columns(chip)
+    width, height = _columns(image)
     edges = (
-        (0, chip.x1, chip.x1 > border_tol),
-        (1, chip.y1, chip.y1 > border_tol),
-        (2, chip.x2, chip.x2 < image.width - border_tol),
-        (3, chip.y2, chip.y2 < image.height - border_tol),
+        (0, x1, x1 > border_tol),
+        (1, y1, y1 > border_tol),
+        (2, x2, x2 < width - border_tol),
+        (3, y2, y2 < height - border_tol),
     )
+    discard = np.zeros(len(dets), dtype=bool)
     for column, edge, interior in edges:
-        if interior:
-            discard |= np.abs(dets.boxes[:, column] - edge) <= eps
+        discard |= interior & (np.abs(dets.boxes[:, column] - edge) <= eps)
     return dets[~discard]
 
 
 def project_to_image(
     dets: DetectionBatch,
-    from_canvas: ImageSize,
-    chip_origin: tuple[float, float],
-    original: ImageSize,
+    from_canvas: ImageSize | np.ndarray,
+    chip_origin: tuple[float, float] | np.ndarray,
+    original: ImageSize | np.ndarray,
 ) -> DetectionBatch:
     """Map chip-local detections to original-image coordinates.
 
     Translates by the chip origin within the resized canvas, then rescales
-    canvas -> original. Scores and classes are unchanged.
+    canvas -> original. Scores and classes are unchanged. ``from_canvas``
+    and ``original`` are each one :class:`ImageSize` or an (n, 2) array of
+    per-row widths and heights; ``chip_origin`` is one (x, y) pair or an
+    (n, 2) array.
     """
-    ox, oy = chip_origin
-    fx = original.width / from_canvas.width
-    fy = original.height / from_canvas.height
-    boxes = (dets.boxes + (ox, oy, ox, oy)) * (fx, fy, fx, fy)
+    ox, oy = _columns(chip_origin)
+    (ow, oh), (cw, ch) = _columns(original), _columns(from_canvas)
+    fx, fy = ow / cw, oh / ch
+    offset = np.stack([ox, oy, ox, oy], axis=-1)
+    boxes = (dets.boxes + offset) * np.stack([fx, fy, fx, fy], axis=-1)
     return DetectionBatch(boxes, dets.scores, dets.class_ids)
 
 
@@ -109,21 +127,8 @@ def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return overlap
 
 
-def _class_pairs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of every same-class pair, for rows grouped into
-    consecutive classes of the given sizes: one size x size block per class,
-    blocks in order, each row-major. Memory grows with the sum of squared
-    class sizes, never with the square of the total."""
-    per_row = np.repeat(sizes, sizes)
-    rows = np.repeat(np.arange(len(per_row)), per_row)
-    row_start = np.repeat(np.cumsum(per_row) - per_row, per_row)
-    block_start = np.repeat(np.repeat(np.cumsum(sizes) - sizes, sizes), per_row)
-    cols = block_start + np.arange(len(rows)) - row_start
-    return rows, cols
-
-
 def _rescore_factors(overlap: np.ndarray, policy: MergePolicy) -> np.ndarray:
-    """Soft-NMS multiplier of each pair's overlap. A zero overlap gives
+    """Soft-NMS multiplier of each overlap with a pick. A zero overlap gives
     exactly 1; the Gaussian uses ``math.exp``, not ``np.exp``, which can
     differ by an ulp."""
     if policy.mode == LINEAR:
@@ -135,90 +140,47 @@ def _rescore_factors(overlap: np.ndarray, policy: MergePolicy) -> np.ndarray:
     return factor
 
 
-def _hard_block(survives: np.ndarray, scores: np.ndarray) -> list[int]:
-    """Kept rows of one class under hard NMS, walked in (-score, row) order;
-    ``survives[i, j]`` is False when keeping i suppresses j."""
-    alive = np.ones(len(scores), dtype=bool)
-    kept = []
-    for i in np.lexsort((np.arange(len(scores)), -scores)).tolist():
-        if alive[i]:
-            kept.append(i)
-            alive &= survives[i]
-    return kept
-
-
-def _soft_block(
-    factor: np.ndarray, scores: np.ndarray, lonely: np.ndarray, floor: float
-) -> tuple[list, list]:
-    """Kept rows of one class and their final scores under soft-NMS.
-
-    Pending rows stay in row order, so ``argmax`` (first maximum) picks the
-    highest score with the lowest row, as the per-box loop does. After the
-    first pick has dropped every score under ``floor``, a ``lonely`` row
-    (rescored by no other row of its class) keeps its score for good, so it
-    leaves the loop at once.
-    """
-    pending = np.arange(len(scores))
-    live = scores
-    kept, kept_scores = [], []
-    while pending.size:
-        best = int(live.argmax())
-        row = pending[best]
-        kept.append(row)
-        kept_scores.append(live[best])
-        live = live * factor[row, pending]
-        stay = live >= floor
-        stay[best] = False
-        if len(kept) == 1:
-            done = stay & lonely[pending]
-            kept.extend(pending[done].tolist())
-            kept_scores.extend(live[done].tolist())
-            stay &= ~done
-        pending = pending[stay]
-        live = live[stay]
-    return kept, kept_scores
-
-
 def suppress(
-    boxes: np.ndarray, scores: np.ndarray, class_ids: np.ndarray, policy: MergePolicy
+    boxes: np.ndarray, scores: np.ndarray, groups: np.ndarray, policy: MergePolicy
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(Soft-)NMS of columnar detections, independently per class.
+    """(Soft-)NMS of columnar detections, independently per group.
 
-    Returns the kept positions and their final scores, sorted by final score
-    with ties broken by position. The overlaps of every same-class pair are
-    computed in one pass; each class then reads its own square block.
+    ``groups`` holds one integer key per row; rows with equal keys suppress
+    each other. Returns the kept positions and their final scores, sorted
+    by final score with ties broken by position.
+
+    Every group runs in lockstep: each round picks every live group's best
+    pending row, the first maximum in row order, and rescores (or, in hard
+    mode, drops) only that group's pending rows against it; a rescored row
+    under ``score_floor`` leaves. So there are as many rounds as the
+    largest group has rows, and memory stays linear in the rows.
     """
-    order = np.argsort(class_ids, kind="stable")
-    ids = class_ids[order]
-    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])  # [0] when empty
-    sizes = np.diff(np.r_[starts, len(ids)])
-    rows, cols = _class_pairs(sizes)
-    grouped = boxes[order]
-    overlap = iou_rows(grouped[rows], grouped[cols])
-    if policy.mode == HARD:
-        effect = ~(overlap > policy.iou_threshold)
-    else:
-        effect = _rescore_factors(overlap, policy)
-        effect[rows == cols] = 1.0  # a pick never rescores itself
-    grouped_scores = scores[order]
-    positions, final = [], []
-    offset = 0
-    for start, size in zip(starts.tolist(), sizes.tolist()):
-        block = effect[offset : offset + size * size].reshape(size, size)
-        offset += size * size
-        block_scores = grouped_scores[start : start + size]
-        if size == 1:
-            kept, kept_scores = [0], block_scores
-        elif policy.mode == HARD:
-            kept = _hard_block(block, block_scores)
-            kept_scores = block_scores[kept]
+    pending = np.argsort(groups, kind="stable")
+    key = groups[pending]
+    live = scores[pending]
+    kept = [np.zeros(0, dtype=np.intp)]
+    kept_scores = [np.zeros(0)]
+    while pending.size:
+        n = len(pending)
+        first = np.empty(n, dtype=bool)  # the first pending row of each group
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        group = np.cumsum(first) - 1
+        best = np.maximum.reduceat(live, starts)[group]
+        pick = np.minimum.reduceat(np.where(live == best, np.arange(n), n), starts)
+        kept.append(pending[pick])
+        kept_scores.append(live[pick])
+        overlap = iou_rows(boxes[pending[pick]][group], boxes[pending])
+        if policy.mode == HARD:
+            stay = ~(overlap > policy.iou_threshold)
         else:
-            lonely = (block == 1.0).all(axis=1)
-            kept, kept_scores = _soft_block(block, block_scores, lonely, policy.score_floor)
-        positions.append(order[start + np.asarray(kept, dtype=np.intp)])
-        final.append(np.asarray(kept_scores, dtype=np.float64))
-    positions = np.concatenate(positions)
-    final = np.concatenate(final)
+            live = live * _rescore_factors(overlap, policy)
+            stay = live >= policy.score_floor
+        stay[pick] = False
+        pending, key, live = pending[stay], key[stay], live[stay]
+    positions = np.concatenate(kept)
+    final = np.concatenate(kept_scores)
     order = np.lexsort((positions, -final))
     return positions[order], final[order]
 

@@ -284,6 +284,104 @@ class TestErrorRecords:
             assert "detection 2" in error["message"]
         assert not (tmp_path / "merged.json").exists()
 
+    STACK_RECORD = {
+        "image_id": 2,
+        "scale_id": 0,
+        "canvas": {"width": 500, "height": 375},
+        "chip": None,
+        "detections": [{"bbox": [200, 200, 150, 150], "score": 0.7, "category_id": 1},
+                       {"bbox": [20, 20, 150, 150], "score": 0.6, "category_id": 2}],
+    }
+
+    def _stack_records(self, small_coco, tmp_path, records):
+        det_file = tmp_path / "dets.json"
+        det_file.write_text(json.dumps(records))
+        out = tmp_path / "merged.json"
+        rc = main(["stack", "--annotations", str(small_coco), "--detections", str(det_file),
+                   "--out", str(out)])
+        return rc, out
+
+    @staticmethod
+    def _changed(record, path, value):
+        record = json.loads(json.dumps(record))
+        holder = record
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        return record
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("image_id",), 1.9), (("image_id",), True), (("scale_id",), 0.5),
+         (("scale_id",), False), (("canvas", "width"), 500.5), (("canvas", "height"), "375"),
+         (("detections", 1, "category_id"), 2.7), (("detections", 1, "category_id"), True),
+         (("detections", 1, "category_id"), float("inf"))],
+        ids=["fractional-image", "true-image", "fractional-scale", "false-scale",
+             "fractional-width", "string-height", "fractional-category", "true-category",
+             "infinite-category"],
+    )
+    def test_stack_integer_fields(self, small_coco, tmp_path, capsys, path, value):
+        # int() would truncate 1.9 to image 1 and 2.7 to class 2 and exit 0.
+        good = self.STACK_RECORD
+        records = [good, good, self._changed(good, path, value), good]
+        rc, out = self._stack_records(small_coco, tmp_path, records)
+        assert rc == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "FormatError"
+        name = "canvas " + path[-1] if path[0] == "canvas" else path[-1]
+        detection = "detection 1: " if path[0] == "detections" else ""
+        assert error["message"] == (
+            f"{tmp_path / 'dets.json'}: record 2: {detection}{name} must be an integer: {value!r}")
+        assert not out.exists()
+
+    def test_stack_canvas_too_large_for_a_float(self, small_coco, tmp_path, capsys):
+        # Used to end in an OverflowError traceback when pruning.
+        record = self._changed(self.STACK_RECORD, ("canvas", "width"), 2**1100)
+        rc, out = self._stack_records(small_coco, tmp_path, [self.STACK_RECORD, record])
+        assert rc == 1
+        assert self._only_error(capsys)["message"] == (
+            f"{tmp_path / 'dets.json'}: record 1: int too large to convert to float")
+        assert not out.exists()
+
+    def test_stack_integral_floats_read_as_ints(self, small_coco, tmp_path):
+        as_ints = self._stack_records(small_coco, tmp_path, [self.STACK_RECORD])[1].read_text()
+        record = self._changed(self.STACK_RECORD, ("image_id",), 2.0)
+        record = self._changed(record, ("canvas", "width"), 500.0)
+        record = self._changed(record, ("detections", 1, "category_id"), 2.0)
+        rc, out = self._stack_records(small_coco, tmp_path, [record])
+        assert rc == 0
+        assert out.read_text() == as_ints
+
+    def test_stack_error_names_the_lowest_record(self, small_coco, tmp_path, capsys):
+        # Record 2 parses, but one box overflows once projected to the image;
+        # record 5 lacks a bbox. Record 2 comes first.
+        good = self.STACK_RECORD
+        overflow = self._changed(good, ("image_id",), 1)
+        overflow["canvas"] = {"width": 320, "height": 240}
+        overflow["detections"].append({"bbox": [0, 0, 1e308, 1e-300], "score": 0.6,
+                                       "category_id": 1})
+        no_bbox = self._changed(good, ("detections", 1), {"score": 0.5, "category_id": 1})
+        records = [good, good, overflow, good, good, no_bbox]
+        rc, out = self._stack_records(small_coco, tmp_path, records)
+        assert rc == 1
+        assert self._only_error(capsys)["message"] == (
+            f"{tmp_path / 'dets.json'}: record 2: detection 2: bbox is not finite in the "
+            f"original image frame: {overflow['detections'][2]!r}")
+        assert not out.exists()
+
+    def test_stack_error_names_the_lower_of_two_bad_records(self, small_coco, tmp_path, capsys):
+        good = self.STACK_RECORD
+        bad_score = self._changed(good, ("detections", 1, "score"), 1.5)
+        unknown_image = self._changed(good, ("image_id",), 9)
+        records = [good, unknown_image, good, bad_score]
+        assert self._stack_records(small_coco, tmp_path, records)[0] == 1
+        assert self._only_error(capsys)["message"] == "detections reference unknown image id 9"
+        records = [good, bad_score, good, unknown_image]
+        assert self._stack_records(small_coco, tmp_path, records)[0] == 1
+        assert self._only_error(capsys)["message"] == (
+            f"{tmp_path / 'dets.json'}: record 1: detection 1: score must be in [0, 1]: "
+            f"{bad_score['detections'][1]!r}")
+
     def test_zero_stride_map(self, tmp_path, capsys):
         maps_dir = tmp_path / "pmaps"
         maps_dir.mkdir()
@@ -688,6 +786,31 @@ class TestBoundedResources:
         assert out.read_text() == one_out.read_text()
         if which == "focuspixels":
             assert json.loads(out.read_text())["1"]["fraction"] > 0
+
+    @pytest.mark.parametrize("mode", ["gaussian", "hard"])
+    def test_stack_one_dense_class_stays_within_memory(self, tmp_path, mode):
+        # 6000 disjoint boxes of one class on one image: a pair matrix of the
+        # class would need gigabytes; suppression keeps every box unchanged.
+        coco = {"images": [{"id": 1, "width": 20000, "height": 20000, "file_name": "a.jpg"}],
+                "annotations": [], "categories": [{"id": 1, "name": "thing"}]}
+        n = 6000
+        scores = np.random.default_rng(7).uniform(0.01, 1.0, n).round(6).tolist()
+        dets = [{"bbox": [k % 100 * 200.0, k // 100 * 200.0, 10.0, 10.0], "score": scores[k],
+                 "category_id": 1} for k in range(n)]
+        record = {"image_id": 1, "scale_id": 2, "canvas": {"width": 20000, "height": 20000},
+                  "chip": None, "detections": dets}
+        ann, det_file, config = (tmp_path / name for name in ("ann.json", "dets.json", "cfg.json"))
+        ann.write_text(json.dumps(coco))
+        det_file.write_text(json.dumps([record]))
+        config.write_text(json.dumps({"profile": "coco-default", "merge": {"mode": mode}}))
+        out = tmp_path / "merged.json"
+        proc = run_limited(["stack", "--config", str(config), "--annotations", str(ann),
+                            "--detections", str(det_file), "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        merged = json.loads(out.read_text())
+        assert len(merged) == n
+        assert sorted((r["score"], r["bbox"][:2]) for r in merged) == sorted(
+            (d["score"], d["bbox"][:2]) for d in dets)
 
     def test_huge_bins_exit_with_one_error_line(self, small_coco, tmp_path):
         out = tmp_path / "roi.json"

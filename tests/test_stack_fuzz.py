@@ -3,8 +3,9 @@
 Generated per-chip detection files mix well-formed records with missing,
 mistyped, NaN, infinite and out-of-range fields. Every case must either exit
 0 and write a valid detection file, or exit 1 with exactly one JSON error
-line on stderr and no output file. A traceback, a numpy warning or any other
-stderr line fails the test.
+line on stderr and no output file. An id, canvas side or category id that
+is a fraction or a boolean always exits 1. A traceback, a numpy warning or
+any other stderr line fails the test.
 """
 import contextlib
 import io
@@ -99,6 +100,28 @@ def _is_valid_output(text: str) -> bool:
     return order == sorted(order)
 
 
+def _not_integral(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+
+
+def _has_non_integral_id(data) -> bool:
+    """Some record's image id, scale id, canvas side or detection category id
+    is a fraction, a non-finite float or a boolean."""
+    for rec in data if isinstance(data, list) else []:
+        if not isinstance(rec, dict):
+            continue
+        canvas = rec.get("canvas")
+        canvas = canvas if isinstance(canvas, dict) else {}
+        entries = rec.get("detections")
+        entries = entries if isinstance(entries, list) else []
+        values = [rec.get("image_id"), rec.get("scale_id"), canvas.get("width"),
+                  canvas.get("height")]
+        values += [e.get("category_id") for e in entries if isinstance(e, dict)]
+        if any(map(_not_integral, values)):
+            return True
+    return False
+
+
 GOOD = {"image_id": 2, "scale_id": 0, "canvas": {"width": 500, "height": 375}, "chip": None,
         "detections": [{"bbox": [10, 10, 150, 150], "score": 0.6, "category_id": 1}]}
 
@@ -120,6 +143,9 @@ def _with(path, value):
 @example(_with(("detections", 0, "bbox"), [1e308, 0, 1e308, 10]), "gaussian")
 @example(_with(("detections", 0, "bbox"), "1234"), "hard")
 @example(_with(("chip",), [0, 0, 500, float("nan")]), "linear")
+@example(_with(("image_id",), 1.9), "gaussian")
+@example(_with(("detections", 0, "category_id"), 2.7), "hard")
+@example(_with(("scale_id",), True), "linear")
 @example([{"image_id": 1, "scale_id": 0, "canvas": {"width": 320, "height": 240}, "chip": None,
            "detections": [{"bbox": [0, 0, 1e308, 1e-300], "score": 0.6, "category_id": 1}]}],
          "gaussian")
@@ -138,6 +164,7 @@ def test_stack_exits_cleanly_on_any_input(data, mode):
                            "--annotations", str(tmp / "ann.json"),
                            "--detections", str(tmp / "dets.json"), "--out", str(out)])
         if rc == 0:
+            assert not _has_non_integral_id(data)
             assert stderr.getvalue() == ""
             assert _is_valid_output(out.read_text())
         else:

@@ -92,6 +92,26 @@ class TestPruneBoundaryDetections:
         assert list(prune_boundary_detections(once, chip, self.IMAGE)) == list(once)
 
 
+    def test_per_row_chips_equal_one_chip_at_a_time(self):
+        rng = np.random.default_rng(3)
+        chips = [BoundingBox(100, 100, 600, 600), BoundingBox(0, 100, 500, 600),
+                 BoundingBox(0, 0, 1000, 800), BoundingBox(300.5, 0, 1000, 420)]
+        sizes = [self.IMAGE, self.IMAGE, self.IMAGE, ImageSize(1000, 420)]
+        which = rng.integers(0, len(chips), 400)
+        x1 = np.where(rng.random(400) < 0.3, 100.0, rng.uniform(0, 900, 400))
+        y1 = rng.uniform(0, 400, 400)
+        dets = detection_batch(
+            ((a, b, a + 50.0, b + 50.0), 0.5, k) for k, (a, b) in enumerate(zip(x1, y1)))
+        chip_rows = np.array([chips[w].as_tuple() for w in which])
+        size_rows = np.array([(sizes[w].width, sizes[w].height) for w in which], dtype=float)
+        kept = prune_boundary_detections(dets, chip_rows, size_rows)
+        one_by_one = np.concatenate([
+            prune_boundary_detections(dets[which == w], chip, size).class_ids
+            for w, (chip, size) in enumerate(zip(chips, sizes))])
+        assert kept.class_ids.tolist() == sorted(one_by_one.tolist())
+        assert 0 < len(kept) < len(dets)
+
+
 class TestProjectToImage:
     def test_identity(self):
         d = det(10, 10, 20, 20)
@@ -104,6 +124,21 @@ class TestProjectToImage:
         out = project_to_image(batch(d), ImageSize(200, 100), (100, 50), ImageSize(100, 50))
         assert out[0].box == (50, 25, 55, 30)
         assert out[0].score == d.score and out[0].class_id == d.class_id
+
+    def test_per_row_frames_equal_one_frame_at_a_time(self):
+        rng = np.random.default_rng(16)
+        rows = [(ImageSize(int(rng.integers(50, 800)), int(rng.integers(50, 800))),
+                 (float(rng.uniform(0, 30)), float(rng.uniform(0, 30))),
+                 ImageSize(int(rng.integers(50, 800)), int(rng.integers(50, 800))))
+                for _ in range(50)]
+        dets = detection_batch(((1.0, 2.0, 3.5, 7.0), 0.5, k) for k in range(len(rows)))
+        canvases = np.array([(c.width, c.height) for c, _, _ in rows], dtype=float)
+        origins = np.array([o for _, o, _ in rows])
+        originals = np.array([(s.width, s.height) for _, _, s in rows], dtype=float)
+        out = project_to_image(dets, canvases, origins, originals)
+        for k, (canvas, origin, original) in enumerate(rows):
+            one = project_to_image(dets[k:k + 1], canvas, origin, original)
+            assert out.boxes[k].tolist() == one.boxes[0].tolist()
 
     def test_composition_equals_direct(self):
         rng = np.random.default_rng(15)
@@ -219,12 +254,12 @@ class TestMergeDetections:
                 assert s_det.score == pytest.approx(h_det.score, abs=1e-12)
 
 
-def _oracle_merge(boxes, scores, classes, policy):
-    """(position, score) of every kept box by the per-box oracle, run class
-    by class and sorted by final score, ties by position."""
+def _oracle_merge(boxes, scores, groups, policy):
+    """(position, score) of every kept box by the per-box oracle, run group
+    by group and sorted by final score, ties by position."""
     kept = []
-    for class_id in sorted(set(classes)):
-        members = [i for i, c in enumerate(classes) if c == class_id]
+    for group in sorted(set(groups)):
+        members = [i for i, g in enumerate(groups) if g == group]
         for local, score in soft_nms_oracle(
             [boxes[i] for i in members],
             [scores[i] for i in members],
@@ -303,6 +338,55 @@ class TestSuppressMatchesOracle:
         others = _mixed_set(rng, 40, 3, policy.score_floor)
         boxes, scores, classes = (a + b for a, b in zip(others, crowd))
         self._check(boxes, scores, classes, policy)
+
+
+def _multi_image_set(rng, n_images, policy, crowded):
+    """Rows of several images, interleaved in random order: per image a mixed
+    set, and the crowded class in image ``crowded``; about a tenth of the
+    scores are 0.0. Returns boxes, scores, image ids and class ids."""
+    boxes, scores, images, classes = [], [], [], []
+    for image in range(n_images):
+        n = int(rng.integers(0, 30))
+        parts = [_mixed_set(rng, n, int(rng.integers(1, 4)), policy.score_floor)]
+        if image == crowded:
+            parts.append(_crowd(rng, n=120))
+        for b, s, c in parts:
+            boxes += b
+            scores += [0.0 if rng.random() < 0.1 else v for v in s]
+            classes += c
+            images += [image * 7] * len(b)
+    order = rng.permutation(len(boxes)).tolist()
+    return ([boxes[i] for i in order], [scores[i] for i in order],
+            [images[i] for i in order], [classes[i] for i in order])
+
+
+class TestLockstepGroups:
+    """``suppress`` over (image, class) groups equals the per-box oracles
+    run image by image and class by class: same kept positions, bit-identical
+    scores."""
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: f"{p.mode}-{p.iou_threshold}-{p.sigma}-{p.score_floor}")
+    def test_image_class_groups(self, policy):
+        rng = np.random.default_rng(63)
+        for trial in range(40):
+            n_images = int(rng.integers(1, 6))
+            crowded = trial % 4 if trial % 4 < n_images else -1
+            boxes, scores, images, classes = _multi_image_set(rng, n_images, policy, crowded)
+            pairs = list(zip(images, classes))
+            key = {pair: k for k, pair in enumerate(sorted(set(pairs)))}
+            groups = np.array([key[pair] for pair in pairs], dtype=np.int64)
+            columns = detection_batch(zip((b.as_tuple() for b in boxes), scores, classes))
+            positions, final = suppress(columns.boxes, columns.scores, groups, policy)
+            got = [(p, s.hex()) for p, s in zip(positions.tolist(), final.tolist())]
+            want = [(p, s.hex()) for p, s in _oracle_merge(boxes, scores, pairs, policy)]
+            assert got == want
+            if policy.mode == "hard":
+                for pair in set(pairs):
+                    members = [i for i, p in enumerate(pairs) if p == pair]
+                    kept = hard_nms_oracle([boxes[i] for i in members],
+                                           [scores[i] for i in members], policy.iou_threshold)
+                    assert sorted(members[i] for i in kept) == sorted(
+                        p for p in positions.tolist() if pairs[p] == pair)
 
 
 def _random_detections(rng, n=10, integer_grid=False):
