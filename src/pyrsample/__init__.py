@@ -26,9 +26,9 @@ from .range_labels import (
     invalidate_anchors,
 )
 from .chips import (
-    Chip,
+    ChipBatch,
     ProposalSet,
-    UncoverableGt,
+    UncoverableBoxes,
     sample_negative_chips,
     select_negative_chips,
     select_positive_chips,
@@ -71,7 +71,7 @@ __all__ = [
     "AnchorValidity",
     "BinaryMap",
     "BoundingBox",
-    "Chip",
+    "ChipBatch",
     "CostReport",
     "DatasetIndex",
     "DetectionBatch",
@@ -88,7 +88,7 @@ __all__ = [
     "ProposalSet",
     "RoiLabel",
     "ScaleSpec",
-    "UncoverableGt",
+    "UncoverableBoxes",
     "aggregate_cost_reports",
     "assign_roi_labels",
     "build_focus_label_map",

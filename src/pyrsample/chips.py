@@ -11,20 +11,21 @@ than the canvas.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .focus_chips import _pair_blocks
 from .focus_spans import _count_at_most, _distinct
 from .geometry import (
-    BoundingBox,
     GroundTruthInstance,
     GroundTruthSet,
     ImageSize,
     ScaleSpec,
     boxes_array,
-    rescale_boxes,
     scale_factors,
 )
 from .range_labels import valid_area_mask
@@ -34,21 +35,81 @@ NEGATIVE = "negative"
 FOCUS = "focus"
 
 
-@dataclass(frozen=True)
-class Chip:
-    """A rectangular sub-region pinned to one pyramid level.
+class ChipRow(NamedTuple):
+    """One row of a :class:`ChipBatch`."""
 
-    ``rect`` is in the resized frame of ``scale_id``. ``covered_gt_ids`` are
-    indices of ground-truth boxes completely enclosed by the chip;
-    ``cropped_gt`` holds (gt index, intersection rectangle) for boxes that
-    only partially overlap. Both are in the chip's frame of reference.
+    image_id: int
+    scale_id: int
+    kind: str
+    rect: tuple[float, float, float, float]  # x1, y1, x2, y2
+    covered_gt_ids: tuple[int, ...]
+    cropped_gt: tuple[tuple[int, tuple[float, float, float, float]], ...]
+
+
+def _csr_take(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets of CSR ``rows`` taken in that order, and the index of each
+    of their values in the values of ``offsets``."""
+    first, counts = offsets[rows], offsets[rows + 1] - offsets[rows]
+    taken = np.concatenate([[0], np.cumsum(counts)])
+    return taken, np.repeat(first - taken[:-1], counts) + np.arange(taken[-1])
+
+
+class ChipBatch(Sequence):
+    """Chips of one ``kind`` as columns: ``image_ids`` (p,) int64,
+    ``scale_ids`` (p,) int64 and ``rects`` (p, 4) float64 corners x1, y1,
+    x2, y2 in the resized frame of the chip's scale.
+
+    Ground truth attached to a chip is held as CSR rows over gt ids, each
+    the index of a box in its image's ground truth. Chip i covers the boxes
+    it encloses, ``covered_ids[covered_offsets[i]:covered_offsets[i + 1]]``,
+    and crops the boxes it only overlaps, ``cropped_ids`` over the same
+    range of ``cropped_offsets``, with ``cropped_boxes`` (q, 4) the
+    intersection of each with the chip. Both are in the resized frame of
+    ``scale_id``, like ``rect``, not relative to the chip's origin.
+
+    A batch is also a read-only sequence of :class:`ChipRow` tuples, built
+    on access; a slice, a mask or an index array gives a batch. Without
+    ``covered`` or ``cropped``, no chip holds any.
     """
 
-    rect: BoundingBox
-    scale_id: int
-    kind: str = POSITIVE
-    covered_gt_ids: tuple[int, ...] = ()
-    cropped_gt: tuple[tuple[int, BoundingBox], ...] = ()
+    __slots__ = ("image_ids", "scale_ids", "rects", "kind", "covered_offsets", "covered_ids",
+                 "cropped_offsets", "cropped_ids", "cropped_boxes")
+
+    def __init__(
+        self, image_ids: np.ndarray, scale_ids: np.ndarray, rects: np.ndarray, kind: str,
+        covered: tuple | None = None, cropped: tuple | None = None,
+    ) -> None:
+        self.image_ids, self.scale_ids, self.rects, self.kind = image_ids, scale_ids, rects, kind
+        empty = np.zeros(len(image_ids) + 1, dtype=np.intp), np.zeros(0, dtype=np.int64)
+        self.covered_offsets, self.covered_ids = empty if covered is None else covered
+        self.cropped_offsets, self.cropped_ids, self.cropped_boxes = (
+            (*empty, np.zeros((0, 4))) if cropped is None else cropped
+        )
+
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return next(iter(self[[key]]))
+        rows = np.arange(len(self))[key]
+        covered, at = _csr_take(self.covered_offsets, rows)
+        cropped, cut = _csr_take(self.cropped_offsets, rows)
+        return ChipBatch(
+            self.image_ids[rows], self.scale_ids[rows], self.rects[rows], self.kind,
+            (covered, self.covered_ids[at]),
+            (cropped, self.cropped_ids[cut], self.cropped_boxes[cut]),
+        )
+
+    def __iter__(self):
+        covered, at = self.covered_ids.tolist(), self.covered_offsets.tolist()
+        cropped = list(zip(self.cropped_ids.tolist(), map(tuple, self.cropped_boxes.tolist())))
+        cut = self.cropped_offsets.tolist()
+        return map(
+            ChipRow, self.image_ids.tolist(), self.scale_ids.tolist(), repeat(self.kind),
+            map(tuple, self.rects.tolist()), (tuple(covered[a:b]) for a, b in zip(at, at[1:])),
+            (tuple(cropped[a:b]) for a, b in zip(cut, cut[1:])),
+        )
 
 
 @dataclass(eq=False)
@@ -76,13 +137,20 @@ class ProposalSet:
             raise ValueError(f"proposal score out of range: {self.scores[bad.argmax()]}")
 
 
-@dataclass(frozen=True)
-class UncoverableGt:
-    """A valid ground-truth box no lattice chip can enclose (larger than K)."""
+@dataclass(eq=False)
+class UncoverableBoxes:
+    """Valid ground-truth boxes no lattice chip can enclose (larger than K),
+    as columns: ``image_ids``, ``gt_ids`` and ``scale_ids`` (n,) int64 and
+    ``resized_boxes`` (n, 4) float64 corners in the resized frame of the
+    scale."""
 
-    gt_id: int
-    scale_id: int
-    resized_box: BoundingBox
+    image_ids: np.ndarray
+    gt_ids: np.ndarray
+    scale_ids: np.ndarray
+    resized_boxes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gt_ids)
 
 
 def _lattice_size(extent: np.ndarray, size: int, stride: int) -> np.ndarray:
@@ -293,13 +361,13 @@ def _cover(
     spec: ScaleSpec,
     membership: str,
     min_gain: int,
-) -> list[np.ndarray]:
-    """Per image of ``canvas``, the (p, 4) corners of the cells the greedy
-    cover of its rows of ``boxes`` picks, in pick order."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The greedy cover of each image of ``canvas`` over its rows of
+    ``boxes``: the image index of every cell picked and its (p, 4) corners,
+    by image and then in pick order."""
     first, last = _cell_ranges(boxes, canvas[owners], spec, membership)
     image, row, col = _lockstep_cover(first, last, owners, min_gain)
-    rects = _cell_rects(row, col, canvas[image], spec)
-    return np.split(rects, np.searchsorted(image, np.arange(1, len(canvas))))
+    return image, _cell_rects(row, col, canvas[image], spec)
 
 
 def positive_cover(
@@ -307,10 +375,11 @@ def positive_cover(
     crowd: list[np.ndarray],
     originals: list[ImageSize],
     spec: ScaleSpec,
-) -> list[np.ndarray]:
-    """The positive chips of level ``spec`` for every image at once: per
-    image, the (p, 4) corners of the lattice cells that the greedy cover of
-    its valid non-crowd ground truth picks, in pick order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The positive chips of level ``spec`` for every image at once: the
+    image index and (p, 4) corners of each lattice cell that the greedy
+    cover of its image's valid non-crowd ground truth picks, by image and
+    then in pick order.
 
     Image i's (n_i, 4) ``boxes`` and (n_i,) ``crowd`` flags are in the frame
     of ``originals[i]``.
@@ -320,38 +389,48 @@ def positive_cover(
     return _cover(resized[keep], owners[keep], canvas, spec, "enclose", 1)
 
 
-def _enclosed(
-    boxes: np.ndarray, owners: np.ndarray, rects: np.ndarray, rect_owners: np.ndarray
-) -> np.ndarray:
-    """Mask of the (m, 4) ``boxes`` that some rect of the same owner
-    encloses (closed), compared in blocks of box-rect pairs."""
-    order = np.argsort(rect_owners, kind="stable")
-    rects, rect_owners = rects[order], rect_owners[order]
-    first = np.searchsorted(rect_owners, owners)
-    stop = np.searchsorted(rect_owners, owners, side="right")
-    out = np.zeros(len(boxes), dtype=bool)
+def _attach_gt(
+    rects: np.ndarray, image: np.ndarray, boxes: np.ndarray, owners: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of a chip of the (p, 4) ``rects`` and a box of the (n, 4)
+    ``boxes`` with the same key (``image`` and ``owners``, both
+    non-decreasing) where the chip encloses the box (closed) or overlaps it
+    with positive area: the chip index, the box index, whether the chip
+    encloses the box, and the box clipped to the chip; by chip, then box.
+    Clipping leaves an enclosed box unchanged, and a box overlaps when its
+    clipped extent is positive on both axes, the test of
+    :meth:`BoundingBox.intersection`; pairs go in blocks."""
+    first = np.searchsorted(owners, image)
+    stop = np.searchsorted(owners, image, side="right")
+    parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=bool), np.zeros((0, 4)))]
     for i, j in _pair_blocks(first, stop):
-        inside = (rects[j, :2] <= boxes[i, :2]).all(axis=1)
-        inside &= (rects[j, 2:] >= boxes[i, 2:]).all(axis=1)
-        out[i[inside]] = True
-    return out
+        clipped = np.concatenate(
+            [np.maximum(rects[i, :2], boxes[j, :2]), np.minimum(rects[i, 2:], boxes[j, 2:])],
+            axis=1,
+        )
+        inside = (clipped == boxes[j]).all(axis=1)
+        meets = inside | (clipped[:, 2:] > clipped[:, :2]).all(axis=1)
+        parts.append((i[meets], j[meets], inside[meets], clipped[meets]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def negative_cover(
     boxes: list[np.ndarray],
     originals: list[ImageSize],
     spec: ScaleSpec,
-    positive: list[np.ndarray],
+    positive: tuple[np.ndarray, np.ndarray],
     min_proposals: int = 2,
     membership: str = "center",
-) -> list[np.ndarray]:
-    """The negative chips of level ``spec`` for every image at once: per
-    image, the (p, 4) corners of the lattice cells picked, in pick order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The negative chips of level ``spec`` for every image at once: the
+    image index and (p, 4) corners of each lattice cell picked, by image and
+    then in pick order.
 
     Image i's (n_i, 4) proposal ``boxes`` are in the frame of
     ``originals[i]``; those whose resized area is outside the level's valid
-    range, or that one of the (q_i, 4) ``positive`` chip corners of the
-    image at this level encloses, are dropped. Cells are then greedily
+    range, or that a positive chip of the image at this level encloses, are
+    dropped. ``positive`` holds the image index and (q, 4) corners of those
+    chips, as :func:`positive_cover` gives them. Cells are then greedily
     picked while the best one still covers at least ``min_proposals``
     remaining proposals, by ``membership``: the proposal's center or its
     full enclosure.
@@ -361,50 +440,34 @@ def negative_cover(
     if min_proposals < 1:
         raise ValueError("min_proposals must be >= 1")
     resized, owners, keep, canvas = _level_boxes(boxes, originals, spec)
-    rect_owners = np.repeat(np.arange(len(positive)), [len(p) for p in positive])
-    rects = np.concatenate([np.zeros((0, 4)), *positive])
-    keep[keep] = ~_enclosed(resized[keep], owners[keep], rects, rect_owners)
+    rect_owners, rects = positive
+    order, kept = np.argsort(rect_owners, kind="stable"), np.flatnonzero(keep)
+    _, box, inside, _ = _attach_gt(rects[order], rect_owners[order], resized[kept], owners[kept])
+    keep[kept[box[inside]]] = False
     return _cover(resized[keep], owners[keep], canvas, spec, membership, min_proposals)
 
 
-def _attach_gt(
-    rects: np.ndarray, boxes: np.ndarray
-) -> list[tuple[tuple[int, ...], tuple[tuple[int, BoundingBox], ...]]]:
-    """Per row of the (p, 4) chip corners ``rects``: the indices of the
-    (n, 4) ``boxes`` the chip encloses (closed), and (index, intersection)
-    for every other box that overlaps the chip with positive area, the test
-    of :meth:`BoundingBox.intersection`.
-
-    Both tests read the boxes clipped to each chip, computed for all pairs
-    at once: a box is enclosed when clipping leaves it unchanged, and it
-    overlaps when its clipped extent is positive on both axes.
-    """
-    clipped = np.concatenate(
-        [np.maximum(rects[:, None, :2], boxes[:, :2]), np.minimum(rects[:, None, 2:], boxes[:, 2:])],
-        axis=2,
-    )
-    covered = (clipped == boxes).all(axis=2).tolist()
-    overlap = (clipped[..., 2:] > clipped[..., :2]).all(axis=2).tolist()
-    return [
-        (
-            tuple(i for i, inside in enumerate(row) if inside),
-            tuple(
-                (i, BoundingBox(*corners[i]))
-                for i, (inside, meets) in enumerate(zip(row, hits))
-                if meets and not inside
-            ),
-        )
-        for row, hits, corners in zip(covered, overlap, clipped.tolist())
-    ]
+def _by_image(
+    covers: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-level (image index, (p, 4) corners) ``covers`` stacked by image,
+    then level, then pick order: the image indices, levels and corners."""
+    level = np.repeat(np.arange(len(covers)), [len(image) for image, _ in covers])
+    image = np.concatenate([np.zeros(0, dtype=np.intp), *(image for image, _ in covers)])
+    rects = np.concatenate([np.zeros((0, 4)), *(rects for _, rects in covers)])
+    order = np.lexsort((level, image))
+    return image[order], level[order], rects[order]
 
 
 def select_positive_chips(
-    gts: GroundTruthSet | list[GroundTruthInstance],
+    gts: Sequence[GroundTruthSet | list[GroundTruthInstance]],
     pyramid: list[ScaleSpec],
-    original: ImageSize,
-    rects: list[np.ndarray] | None = None,
-) -> tuple[list[Chip], list[UncoverableGt]]:
-    """Greedy positive-chip selection over all pyramid levels.
+    originals: list[ImageSize],
+    image_ids: Sequence[int],
+) -> tuple[ChipBatch, UncoverableBoxes]:
+    """Greedy positive-chip selection over all pyramid levels, for every
+    image at once: image ``image_ids[i]`` of size ``originals[i]`` has the
+    ground truth ``gts[i]``.
 
     Per level: resize the ground truth, keep the boxes whose resized area is
     valid there, then repeatedly take the lattice chip enclosing the most
@@ -412,83 +475,89 @@ def select_positive_chips(
     with the smallest (row, col) origin. Crowd boxes never count toward
     coverage but are still attached to chips for label assignment.
 
-    Valid boxes too large for any lattice chip are returned as diagnostics
-    rather than silently dropped.
-
-    ``rects`` gives, per level, the chip corners that :func:`positive_cover`
-    picked for this image in a batch of images; by default the cover runs
-    for this image alone.
+    Chips come by image, then level, then pick order. Valid boxes too large
+    for any lattice chip are returned as diagnostics rather than silently
+    dropped, by image, then level, then gt id.
     """
-    gts = GroundTruthSet.of(gts)
-    gt_boxes, crowd = gts.boxes, gts.crowd
-    chips: list[Chip] = []
-    diagnostics: list[UncoverableGt] = []
+    gts = [GroundTruthSet.of(g) for g in gts]
+    n = len(pyramid)
+    not_crowd = ~np.concatenate([np.zeros(0, dtype=bool), *(g.crowd for g in gts)])
+    gt_ids = np.concatenate([np.zeros(0, dtype=np.intp), *(np.arange(len(g)) for g in gts)])
+    covers = []
+    # Per row of every level's boxes: its (image, level) key, gt id, resized
+    # box and whether it must be covered.
+    rows = [(np.zeros(0, dtype=np.intp), gt_ids[:0], np.zeros((0, 4)), not_crowd[:0])]
     for level, spec in enumerate(pyramid):
-        if rects is None:
-            picked = positive_cover([gt_boxes], [crowd], [original], spec)[0]
-        else:
-            picked = rects[level]
-        resized = rescale_boxes(gt_boxes, original, spec.resolve(original))
-        valid = valid_area_mask(resized, spec)
-        enclosed = np.zeros(len(gt_boxes), dtype=bool)
-        attached = _attach_gt(picked, resized) if len(picked) else []
-        for corners, (covered, cropped) in zip(picked.tolist(), attached):
-            enclosed[list(covered)] = True
-            chips.append(
-                Chip(
-                    rect=BoundingBox(*corners),
-                    scale_id=spec.scale_id,
-                    kind=POSITIVE,
-                    covered_gt_ids=covered,
-                    cropped_gt=cropped,
-                )
-            )
-        for gt_id in np.flatnonzero(valid & ~crowd & ~enclosed).tolist():
-            diagnostics.append(
-                UncoverableGt(
-                    gt_id=gt_id,
-                    scale_id=spec.scale_id,
-                    resized_box=BoundingBox(*resized[gt_id].tolist()),
-                )
-            )
-    return chips, diagnostics
+        resized, owners, valid, canvas = _level_boxes([g.boxes for g in gts], originals, spec)
+        keep = valid & not_crowd
+        covers.append(_cover(resized[keep], owners[keep], canvas, spec, "enclose", 1))
+        rows.append((owners * n + level, gt_ids, resized, keep))
+    image, level, rects = _by_image(covers)
+    key, gt, boxes, keep = (np.concatenate(column) for column in zip(*rows))
+    order = np.argsort(key, kind="stable")  # by image, then level, then gt id, as the chips
+    key, gt, boxes, keep = key[order], gt[order], boxes[order], keep[order]
+    chip, box, inside, clipped = _attach_gt(rects, image * n + level, boxes, key)
+    keep[box[inside]] = False
+    gone = np.flatnonzero(keep)  # valid boxes no chip encloses
+    ids = np.asarray(image_ids, dtype=np.int64)
+    scale_ids = np.array([spec.scale_id for spec in pyramid], dtype=np.int64)
+    bounds = np.arange(len(rects) + 1)
+    chips = ChipBatch(
+        ids[image], scale_ids[level], rects, POSITIVE,
+        (np.searchsorted(chip[inside], bounds), gt[box[inside]]),
+        (np.searchsorted(chip[~inside], bounds), gt[box[~inside]], clipped[~inside]),
+    )
+    return chips, UncoverableBoxes(
+        ids[key[gone] // n], gt[gone], scale_ids[key[gone] % n], boxes[gone]
+    )
 
 
 def select_negative_chips(
-    proposals: ProposalSet,
-    positive: list[Chip],
+    gts: Sequence[GroundTruthSet | list[GroundTruthInstance]],
+    proposals: Sequence[ProposalSet],
     pyramid: list[ScaleSpec],
-    original: ImageSize,
+    originals: list[ImageSize],
+    image_ids: Sequence[int],
     min_proposals: int = 2,
     membership: str = "center",
-) -> list[Chip]:
-    """Pool of negative chips covering proposals missed by positive chips.
+) -> ChipBatch:
+    """Pool of negative chips for every image at once: image
+    ``image_ids[i]`` of size ``originals[i]`` has the ground truth
+    ``gts[i]`` and the proposals ``proposals[i]``.
 
-    Per level: proposals enclosed by any positive chip of that level are
-    dropped, as are proposals whose resized area is outside the level's valid
-    range. Lattice chips are then greedily selected while the best chip still
-    covers at least ``min_proposals`` remaining proposals; each selection
-    removes the proposals it covers. ``membership`` decides when a chip
-    covers a proposal: by its center point (default) or by full enclosure.
+    Per level, :func:`negative_cover` covers the proposals that the level's
+    positive chips, those of :func:`select_positive_chips`, do not enclose,
+    with ``min_proposals`` and ``membership``. Chips come by image, then
+    level, then pick order.
     """
-    pool: list[Chip] = []
-    for spec in pyramid:
-        pos_rects = boxes_array([c.rect for c in positive if c.scale_id == spec.scale_id])
-        rects = negative_cover(
-            [proposals.boxes], [original], spec, [pos_rects], min_proposals, membership
-        )[0]
-        pool.extend(
-            Chip(rect=BoundingBox(*rect), scale_id=spec.scale_id, kind=NEGATIVE)
-            for rect in rects.tolist()
+    gts = [GroundTruthSet.of(g) for g in gts]
+    boxes, crowd = [g.boxes for g in gts], [g.crowd for g in gts]
+    image, level, rects = _by_image([
+        negative_cover(
+            [p.boxes for p in proposals], originals, spec,
+            positive_cover(boxes, crowd, originals, spec), min_proposals, membership,
         )
-    return pool
+        for spec in pyramid
+    ])
+    return ChipBatch(
+        np.asarray(image_ids, dtype=np.int64)[image],
+        np.array([spec.scale_id for spec in pyramid], dtype=np.int64)[level],
+        rects,
+        NEGATIVE,
+    )
 
 
-def sample_negative_chips(pool: list[Chip], n_per_image: int, seed: int) -> list[Chip]:
-    """Uniform sample without replacement; the whole pool when it is small."""
+def sample_negative_chips(pool: ChipBatch, n_per_image: int, seed: int) -> ChipBatch:
+    """Per image, a uniform sample of ``n_per_image`` of its chips without
+    replacement, or all of them when it has no more; the chips of an image
+    are consecutive rows of ``pool``. Image ``image_id`` draws with
+    ``random.Random(seed + image_id)``."""
     if n_per_image < 0:
         raise ValueError("n_per_image must be >= 0")
-    if len(pool) <= n_per_image:
-        return list(pool)
-    rng = random.Random(seed)
-    return rng.sample(pool, n_per_image)
+    rows: list[int] = []
+    for image_id, group in groupby(range(len(pool)), key=pool.image_ids.tolist().__getitem__):
+        group = list(group)
+        if len(group) > n_per_image:
+            group = random.Random(seed + image_id).sample(group, n_per_image)
+        rows += group
+    return pool[np.array(rows, dtype=np.intp)]

@@ -22,11 +22,10 @@ import numpy as np
 
 from . import serialization as ser
 from .chips import (
-    NEGATIVE,
-    Chip,
-    negative_cover,
-    positive_cover,
+    FOCUS,
+    ChipBatch,
     sample_negative_chips,
+    select_negative_chips,
     select_positive_chips,
 )
 from .config import ConfigError, PipelineConfig, config_to_dict, load_config, validate_config
@@ -35,17 +34,17 @@ from .costing import (
     size_area_fractions,
     speedup_upper_bound,
 )
-from .dataset import DatasetError, DatasetIndex, load_dataset, voc_to_coco
+from .dataset import MAX_ID, DatasetError, DatasetIndex, load_dataset, voc_to_coco
 from .focus_chips import FocusParams, generate_focus_chips
 from .focus_labels import LabelMap, focus_label_cells, focus_pixel_stats
-from .geometry import BoundingBox, DetectionBatch, ImageSize
+from .geometry import BoundingBox, DetectionBatch, ImageSize, boxes_array
 from .range_labels import filter_detections_by_range
 from .serialization import FormatError, json_int
 from .stacking import project_to_image, prune_boundary_detections, suppress
 
 WORKERS_ENV = "PYRSAMPLE_WORKERS"
 
-_MAP_NAME = re.compile(r"^(?P<image_id>\d+)_s(?P<scale_id>\d+)\.fmap$")
+_MAP_NAME = re.compile(r"^(?P<image_id>[0-9]+)_s(?P<scale_id>[0-9]+)\.fmap$")
 
 
 def _workers() -> int:
@@ -69,32 +68,16 @@ def cmd_chips_positive(args) -> int:
     cfg = load_config(args.config)
     index = load_dataset(args.annotations)
     image_ids = index.image_ids
-    sizes = [index.images[iid].size for iid in image_ids]
-    gts = [index.annotations[iid] for iid in image_ids]
-    boxes, crowd = [g.boxes for g in gts], [g.crowd for g in gts]
-    covers = [positive_cover(boxes, crowd, sizes, spec) for spec in cfg.pyramid]
-    records = []
-    skipped = []
-    for k, image_id in enumerate(image_ids):
-        chips, diagnostics = select_positive_chips(
-            gts[k], cfg.pyramid, sizes[k], [cover[k] for cover in covers]
-        )
-        records.extend(ser.chip_to_record(c, image_id) for c in chips)
-        skipped.extend(
-            {
-                "image_id": image_id,
-                "gt_id": d.gt_id,
-                "scale_id": d.scale_id,
-                "resized_box": list(d.resized_box.as_tuple()),
-            }
-            for d in diagnostics
-        )
-    ser.save_chip_records(args.out, records)
+    chips, uncoverable = select_positive_chips(
+        [index.annotations[iid] for iid in image_ids], cfg.pyramid,
+        [index.images[iid].size for iid in image_ids], image_ids,
+    )
+    ser.save_chip_records(args.out, chips)
     if args.diagnostics:
-        ser.save_uncoverable_records(args.diagnostics, skipped)
-    print(f"wrote {len(records)} positive chips for {len(image_ids)} images to {args.out}")
-    if skipped:
-        print(f"{len(skipped)} valid boxes fit no chip (see --diagnostics)", file=sys.stderr)
+        ser.save_uncoverable_records(args.diagnostics, uncoverable)
+    print(f"wrote {len(chips)} positive chips for {len(image_ids)} images to {args.out}")
+    if len(uncoverable):
+        print(f"{len(uncoverable)} valid boxes fit no chip (see --diagnostics)", file=sys.stderr)
     return 0
 
 
@@ -104,32 +87,14 @@ def cmd_chips_negative(args) -> int:
     image_ids = [
         iid for iid in index.image_ids if iid in index.proposals and len(index.proposals[iid].boxes)
     ]
-    sizes = [index.images[iid].size for iid in image_ids]
-    gts = [index.annotations[iid] for iid in image_ids]
-    boxes, crowd = [g.boxes for g in gts], [g.crowd for g in gts]
-    proposals = [index.proposals[iid].boxes for iid in image_ids]
-    pools: list[list[Chip]] = [[] for _ in image_ids]
-    for spec in cfg.pyramid:
-        positive = positive_cover(boxes, crowd, sizes, spec)
-        negative = negative_cover(
-            proposals, sizes, spec, positive, cfg.min_neg_proposals, cfg.negative_membership
-        )
-        for pool, rects in zip(pools, negative):
-            pool.extend(
-                Chip(rect=BoundingBox(*rect), scale_id=spec.scale_id, kind=NEGATIVE)
-                for rect in rects.tolist()
-            )
-    pool_records = []
-    sampled_records = []
-    for iid, pool in zip(image_ids, pools):
-        sampled = sample_negative_chips(pool, cfg.n_negative_per_image, seed=cfg.seed + iid)
-        pool_records.extend(ser.chip_to_record(c, iid) for c in pool)
-        sampled_records.extend(ser.chip_to_record(c, iid) for c in sampled)
-    ser.save_negative_chip_records(args.out, pool_records, sampled_records)
-    print(
-        f"wrote {len(pool_records)} pool / {len(sampled_records)} sampled negative chips "
-        f"to {args.out}"
+    pool = select_negative_chips(
+        [index.annotations[iid] for iid in image_ids], [index.proposals[iid] for iid in image_ids],
+        cfg.pyramid, [index.images[iid].size for iid in image_ids], image_ids,
+        cfg.min_neg_proposals, cfg.negative_membership,
     )
+    sampled = sample_negative_chips(pool, cfg.n_negative_per_image, seed=cfg.seed)
+    ser.save_negative_chip_records(args.out, pool, sampled)
+    print(f"wrote {len(pool)} pool / {len(sampled)} sampled negative chips to {args.out}")
     return 0
 
 
@@ -178,24 +143,29 @@ def cmd_focus_chips(args) -> int:
         ),
         strict_threshold=cfg.focus_params.strict_threshold,
     )
-    prob_dir = Path(args.probmaps)
-    records = []
-    n_maps = 0
-    for path in sorted(prob_dir.glob("*.fmap")):
+    maps: dict[tuple[int, int], Path] = {}
+    for path in sorted(Path(args.probmaps).glob("*.fmap")):
         match = _MAP_NAME.match(path.name)
         if not match:
             continue
-        image_id = int(match.group("image_id"))
-        scale_id = int(match.group("scale_id"))
-        prob = ser.read_map_binary(path)
-        chips = generate_focus_chips(prob, params, prob.image)  # type: ignore[arg-type]
-        n_maps += 1
-        records.extend(
-            ser.chip_to_record(Chip(rect=rect, scale_id=scale_id, kind="focus"), image_id)
-            for rect in chips
-        )
-    ser.save_chip_records(args.out, records)
-    print(f"wrote {len(records)} focus chips from {n_maps} maps to {args.out}")
+        key = (int(match["image_id"]), int(match["scale_id"]))
+        if max(key) > MAX_ID:
+            raise FormatError(f"{path}: image and scale ids must be at most {MAX_ID}")
+        if key in maps:
+            raise FormatError(
+                f"{maps[key]} and {path} are both the map of image {key[0]} at scale {key[1]}"
+            )
+        maps[key] = path
+    rects = [boxes_array(generate_focus_chips(prob, params, prob.image))  # type: ignore[arg-type]
+             for prob in map(ser.read_map_binary, maps.values())]
+    counts = [len(r) for r in rects]
+    keys = np.array(list(maps), dtype=np.int64).reshape(-1, 2)
+    chips = ChipBatch(
+        np.repeat(keys[:, 0], counts), np.repeat(keys[:, 1], counts),
+        np.concatenate([np.zeros((0, 4)), *rects]), FOCUS,
+    )
+    ser.save_chip_records(args.out, chips)
+    print(f"wrote {len(chips)} focus chips from {len(maps)} maps to {args.out}")
     return 0
 
 

@@ -17,13 +17,14 @@ import numpy as np
 
 from .chips import ProposalSet
 from .geometry import GroundTruthSet, ImageSize
+from .serialization import json_int
 
 CLAMP_TOL = 1e-9
 # The largest image width or height: a ``.fmap`` header stores the canvas
 # size as uint32.
 MAX_IMAGE_SIDE = 2**32 - 1
-# The largest category id: class ids are int64 columns.
-MAX_CLASS_ID = 2**63 - 1
+# The largest image id and category id: both are int64 columns.
+MAX_ID = 2**63 - 1
 
 
 class DatasetError(Exception):
@@ -81,6 +82,11 @@ def _xywh(entry: dict) -> tuple[float, float, float, float]:
     return x, y, w, h
 
 
+def _ints(values, name: str) -> list[int]:
+    """Each of ``values`` read by ``json_int``; a plain int is taken as it is."""
+    return [value if type(value) is int else json_int(value, name) for value in values]
+
+
 def _section(data: dict, key: str, path: str | Path) -> list:
     """The list under ``key`` of a COCO annotation file (empty when absent)."""
     entries = data.get(key, [])
@@ -108,11 +114,11 @@ def _annotation_rows(path: str | Path, entries: list) -> np.ndarray:
     rows = []
     for position, entry in enumerate(entries):
         try:
-            int(entry["image_id"])
+            json_int(entry["image_id"], "image_id")
             rows.append(_xywh(entry))
-            class_id = int(entry["category_id"])
-            if not 0 <= class_id <= MAX_CLASS_ID:
-                raise ValueError(f"category_id must be in [0, {MAX_CLASS_ID}]: {class_id}")
+            class_id = json_int(entry["category_id"], "category_id")
+            if not 0 <= class_id <= MAX_ID:
+                raise ValueError(f"category_id must be in [0, {MAX_ID}]: {class_id}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise _entry_error(path, position, entry, exc) from exc
     return np.array(rows, dtype=np.float64).reshape(-1, 4)
@@ -125,8 +131,9 @@ def _annotation_sets(
     :class:`GroundTruthSet` with boxes clamped to the image, and the number
     of boxes that clamping moved by more than ``CLAMP_TOL``."""
     try:
-        image_ids = [int(ann["image_id"]) for ann in entries]
-        class_ids = np.array([int(ann["category_id"]) for ann in entries], dtype=np.int64)
+        image_ids = _ints((ann["image_id"] for ann in entries), "image_id")
+        class_ids = np.array(_ints((ann["category_id"] for ann in entries), "category_id"),
+                             dtype=np.int64)
         crowd = np.array([bool(ann.get("iscrowd", 0)) for ann in entries], dtype=bool)
         xywh = np.array([ann["bbox"] for ann in entries], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError):
@@ -178,9 +185,10 @@ def load_dataset(
     optionally, a COCO-results proposal file.
 
     Raises DatasetParseError on unreadable or malformed JSON and
-    DatasetStructureError when an image id repeats, an image is wider or
-    taller than ``MAX_IMAGE_SIDE``, or annotations or proposals reference
-    image ids that do not exist, lack a required key, have a negative or
+    DatasetStructureError when an integer field is not one (``json_int``),
+    an image id repeats or is outside int64, an image is wider or taller
+    than ``MAX_IMAGE_SIDE``, or annotations or proposals reference image
+    ids that do not exist, lack a required key, have a negative or
     non-finite bbox, or (annotations) a category id outside [0, 2^63 - 1].
     """
     data = _read_json(annotation_path)
@@ -190,8 +198,10 @@ def load_dataset(
     images: dict[int, ImageRecord] = {}
     for entry in _section(data, "images", annotation_path):
         try:
-            image_id = int(entry["id"])
-            size = ImageSize(int(entry["width"]), int(entry["height"]))
+            image_id = json_int(entry["id"], "id")
+            if not -MAX_ID - 1 <= image_id <= MAX_ID:
+                raise ValueError(f"id must be in [{-MAX_ID - 1}, {MAX_ID}]: {image_id}")
+            size = ImageSize(json_int(entry["width"], "width"), json_int(entry["height"], "height"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DatasetStructureError(
                 f"{annotation_path}: bad image entry {entry!r}: {exc}"
@@ -208,7 +218,7 @@ def load_dataset(
     categories: dict[int, str] = {}
     for cat in _section(data, "categories", annotation_path):
         try:
-            category_id = int(cat["id"])
+            category_id = json_int(cat["id"], "id")
             categories[category_id] = str(cat.get("name", cat["id"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DatasetStructureError(
@@ -242,7 +252,7 @@ def load_proposals(path: str | Path, index: DatasetIndex) -> dict[int, ProposalS
     if not data:
         return {}
     try:
-        image_ids = [int(entry["image_id"]) for entry in data]
+        image_ids = _ints((entry["image_id"] for entry in data), "image_id")
         bboxes = [entry["bbox"] for entry in data]
         scores = np.array([float(entry.get("score", 1.0)) for entry in data], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError):
@@ -287,7 +297,7 @@ def _raise_first_bad_entry(path: str | Path, data: list) -> None:
     score cannot be read, checked in that order."""
     for position, entry in enumerate(data):
         try:
-            int(entry["image_id"])
+            json_int(entry["image_id"], "image_id")
             entry["bbox"]
             float(entry.get("score", 1.0))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -22,13 +22,13 @@ import struct
 import tempfile
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .chips import Chip
+from .chips import ChipBatch, UncoverableBoxes
 from .focus_labels import LabelMap, ProbabilityMap
-from .geometry import BoundingBox, DetectionBatch, ImageSize
+from .geometry import DetectionBatch, ImageSize
 
 MAP_MAGIC = b"FMAP"
 _HEADER = struct.Struct("<4s5I2s")
@@ -70,21 +70,6 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _box_list(b: BoundingBox) -> list[float]:
-    return [b.x1, b.y1, b.x2, b.y2]
-
-
-def chip_to_record(chip: Chip, image_id: int) -> dict:
-    return {
-        "image_id": image_id,
-        "scale_id": chip.scale_id,
-        "rect": _box_list(chip.rect),
-        "kind": chip.kind,
-        "covered_gt_ids": list(chip.covered_gt_ids),
-        "cropped_gt": [[gt_id, _box_list(box)] for gt_id, box in chip.cropped_gt],
-    }
-
-
 # Records as ``json.dumps(indent=2, sort_keys=True)`` lays them out inside
 # a list: a COCO-results detection, a chip with one of its cropped boxes,
 # and an uncoverable box. ``%r`` of an int or a finite float is what json
@@ -106,84 +91,37 @@ _DIAGNOSTIC_RECORD = (
     '  {\n    "gt_id": %r,\n    "image_id": %r,\n    "resized_box": [\n      %r,\n'
     '      %r,\n      %r,\n      %r\n    ],\n    "scale_id": %r\n  }'
 )
-_CHIP_KEYS = {"covered_gt_ids", "cropped_gt", "image_id", "kind", "rect", "scale_id"}
-_DIAGNOSTIC_KEYS = {"gt_id", "image_id", "resized_box", "scale_id"}
-_LISTS = (list, tuple)
 
 
-def _chip_text(record, numbers: list, strings: dict) -> str:
-    """One chip record from :data:`_CHIP_RECORD`, its ``kind`` encoded once
-    per value in ``strings``. Its numbers are added to ``numbers`` for the
-    caller to check; raises ``TypeError`` or ``ValueError`` where the record
-    does not fit."""
-    if type(record) is not dict or record.keys() != _CHIP_KEYS:
-        raise TypeError("not a chip record")
-    rect, ids, cropped = record["rect"], record["covered_gt_ids"], record["cropped_gt"]
-    kind = record["kind"]
-    if not (type(rect) in _LISTS and type(ids) in _LISTS and type(cropped) in _LISTS
-            and type(kind) is str):
-        raise TypeError("not a chip record")
-    numbers += rect
-    numbers += ids
-    numbers += (record["image_id"], record["scale_id"])
-    covered = "[\n      " + ",\n      ".join(map(repr, ids)) + "\n    ]" if ids else "[]"
-    crops = "[]"
-    if cropped:
-        texts = []
-        for gt_id, box in cropped:
-            if type(box) not in _LISTS:
-                raise TypeError("not a cropped box")
-            numbers.append(gt_id)
-            numbers += box
-            texts.append(_CROPPED_BOX % (gt_id, *box))
-        crops = "[\n      " + ",\n      ".join(texts) + "\n    ]"
-    text = strings.get(kind)
-    if text is None:
-        text = strings[kind] = json.dumps(kind)
-    return _CHIP_RECORD % (
-        covered, crops, record["image_id"], text, *rect, record["scale_id"]
-    )
+def _json_array(texts: list[str]) -> str:
+    """The list of record ``texts`` as ``json.dumps(indent=2)`` lays it out."""
+    return "[\n" + ",\n".join(texts) + "\n]" if texts else "[]"
 
 
-def _diagnostic_text(record, numbers: list, strings: dict) -> str:
-    """One uncoverable-box record from :data:`_DIAGNOSTIC_RECORD`; see
-    :func:`_chip_text`."""
-    if type(record) is not dict or record.keys() != _DIAGNOSTIC_KEYS:
-        raise TypeError("not a diagnostic record")
-    box = record["resized_box"]
-    if type(box) not in _LISTS:
-        raise TypeError("not a diagnostic record")
-    values = (record["gt_id"], record["image_id"], *box, record["scale_id"])
-    numbers += values
-    return _DIAGNOSTIC_RECORD % values
+def _csr_lists(items: Iterable[str], offsets: np.ndarray) -> list[str]:
+    """Per CSR row of ``offsets``, its ``items`` as a JSON list that is the
+    value of a record field."""
+    items, offsets = list(items), offsets.tolist()
+    return [
+        "[\n      " + ",\n      ".join(items[a:b]) + "\n    ]" if a < b else "[]"
+        for a, b in zip(offsets, offsets[1:])
+    ]
 
 
-def _record_texts(records: list, text_of):
-    """The records formatted by ``text_of``, one at a time; raises
-    ``TypeError`` at the end unless every number was a plain int or float."""
-    numbers: list = []
-    strings: dict = {}
-    for record in records:
-        yield text_of(record, numbers, strings)
-    if not set(map(type, numbers)) <= {int, float}:
-        raise TypeError("not a plain number")
-
-
-def _records_json(records: list, text_of) -> str:
-    """``json.dumps(records, indent=2, sort_keys=True)``, formatted record by
-    record with ``text_of`` where every record fits its template and every
-    number is a plain finite int or float, which is several times faster;
-    through ``json`` otherwise."""
-    if not records:
-        return "[]"
-    try:
-        # One expression, so that no part of the text outlives its use.
-        text = "[\n" + ",\n".join(_record_texts(records, text_of)) + "\n]"
-        if "inf" not in text and "nan" not in text:
-            return text
-    except (KeyError, TypeError, ValueError):
-        pass
-    return json.dumps(records, indent=2, sort_keys=True)
+def _chips_json(chips: ChipBatch) -> str:
+    """``json.dumps`` of the batch's rows as chip records, ``indent=2`` and
+    ``sort_keys=True``, formatted from the columns with :data:`_CHIP_RECORD`.
+    Raises ``ValueError`` unless every rect and cropped box is finite."""
+    if not (np.isfinite(chips.rects).all() and np.isfinite(chips.cropped_boxes).all()):
+        raise ValueError("a chip rect or cropped box is not finite")
+    covered = _csr_lists(map(repr, chips.covered_ids.tolist()), chips.covered_offsets)
+    crops = zip(chips.cropped_ids.tolist(), *chips.cropped_boxes.T.tolist())
+    cropped = _csr_lists(map(_CROPPED_BOX.__mod__, crops), chips.cropped_offsets)
+    return _json_array(list(map(
+        _CHIP_RECORD.__mod__,
+        zip(covered, cropped, chips.image_ids.tolist(), repeat(json.dumps(chips.kind)),
+            *chips.rects.T.tolist(), chips.scale_ids.tolist()),
+    )))
 
 
 def _nested(text: str) -> str:
@@ -214,35 +152,43 @@ def save_detection_records(
             _DETECTION_RECORD.__mod__,
             zip(x, y, w, h, dets.class_ids.tolist(), repeat(image_id), dets.scores.tolist()),
         )
-    atomic_write_text(path, ("[\n" + ",\n".join(texts) + "\n]" if texts else "[]") + "\n")
+    atomic_write_text(path, _json_array(texts) + "\n")
 
 
-def save_chip_records(path: str | Path, records: Sequence[dict]) -> None:
-    """Write ``json.dumps(records, indent=2, sort_keys=True)`` plus a newline,
-    from a template for plain chip records (see :func:`_records_json`)."""
-    atomic_write_text(path, _records_json(list(records), _chip_text) + "\n")
+def save_chip_records(path: str | Path, chips: ChipBatch) -> None:
+    """Write the chip records of the batch's rows, {image_id, scale_id, rect,
+    kind, covered_gt_ids, cropped_gt}, as ``json.dumps(records, indent=2,
+    sort_keys=True)`` plus a newline. Raises ``ValueError`` unless every
+    rect and cropped box is finite."""
+    atomic_write_text(path, _chips_json(chips) + "\n")
 
 
-def save_negative_chip_records(
-    path: str | Path, pool: Sequence[dict], sampled: Sequence[dict]
-) -> None:
+def save_negative_chip_records(path: str | Path, pool: ChipBatch, sampled: ChipBatch) -> None:
     """Write ``json.dumps({"pool": pool, "sampled": sampled}, indent=2,
-    sort_keys=True)`` plus a newline, from the chip-record template."""
+    sort_keys=True)`` plus a newline, each batch as its chip records (see
+    :func:`save_chip_records`)."""
     atomic_write_text(
         path,
         '{\n  "pool": %s,\n  "sampled": %s\n}\n'
-        % (
-            _nested(_records_json(list(pool), _chip_text)),
-            _nested(_records_json(list(sampled), _chip_text)),
-        ),
+        % (_nested(_chips_json(pool)), _nested(_chips_json(sampled))),
     )
 
 
-def save_uncoverable_records(path: str | Path, records: Sequence[dict]) -> None:
+def save_uncoverable_records(path: str | Path, uncoverable: UncoverableBoxes) -> None:
     """Write the ``--diagnostics`` records {gt_id, image_id, resized_box,
-    scale_id} as ``json.dumps(records, indent=2, sort_keys=True)`` plus a
-    newline, from a template."""
-    atomic_write_text(path, _records_json(list(records), _diagnostic_text) + "\n")
+    scale_id} of the rows as ``json.dumps(records, indent=2,
+    sort_keys=True)`` plus a newline, formatted from the columns with
+    :data:`_DIAGNOSTIC_RECORD`. Raises ``ValueError`` unless every box is
+    finite."""
+    boxes = uncoverable.resized_boxes
+    if not np.isfinite(boxes).all():
+        raise ValueError("an uncoverable box is not finite")
+    texts = map(
+        _DIAGNOSTIC_RECORD.__mod__,
+        zip(uncoverable.gt_ids.tolist(), uncoverable.image_ids.tolist(), *boxes.T.tolist(),
+            uncoverable.scale_ids.tolist()),
+    )
+    atomic_write_text(path, _json_array(list(texts)) + "\n")
 
 
 def write_map_binary(path: str | Path, m: LabelMap | ProbabilityMap) -> None:

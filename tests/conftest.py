@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from pyrsample.dataset import load_dataset
+from pyrsample.chips import ChipBatch
 from pyrsample.geometry import DetectionBatch
 
 EXCERPT_PATH = Path(__file__).parent.parent / "src" / "pyrsample" / "data" / "excerpt_200.json"
@@ -52,4 +53,26 @@ def detection_batch(rows) -> DetectionBatch:
         np.array([box for box, _, _ in rows], dtype=np.float64).reshape(-1, 4),
         np.array([score for _, score, _ in rows], dtype=np.float64),
         np.array([class_id for _, _, class_id in rows], dtype=np.int64),
+    )
+
+
+def chip_batch(rows, kind: str) -> ChipBatch:
+    """A batch of (image_id, scale_id, rect, covered_gt_ids, cropped_gt)
+    rows, each rect x1, y1, x2, y2 and each cropped entry (gt id, box)."""
+    rows = list(rows)
+
+    def offsets(lists):
+        return np.cumsum([0] + [len(items) for items in lists])
+
+    covered = [ids for _, _, _, ids, _ in rows]
+    cropped = [crops for _, _, _, _, crops in rows]
+    flat = [crop for crops in cropped for crop in crops]
+    return ChipBatch(
+        np.array([image_id for image_id, _, _, _, _ in rows], dtype=np.int64),
+        np.array([scale_id for _, scale_id, _, _, _ in rows], dtype=np.int64),
+        np.array([rect for _, _, rect, _, _ in rows], dtype=np.float64).reshape(-1, 4),
+        kind,
+        (offsets(covered), np.array([i for ids in covered for i in ids], dtype=np.int64)),
+        (offsets(cropped), np.array([gt_id for gt_id, _ in flat], dtype=np.int64),
+         np.array([box for _, box in flat], dtype=np.float64).reshape(-1, 4)),
     )

@@ -452,6 +452,16 @@ def attach_gt_oracle(
     return tuple(covered), tuple(cropped)
 
 
+def strict_int(value, name: str) -> int:
+    """A JSON integer field as every reader takes it: an int, or a float
+    with an integral value. A fraction, a boolean, text, null or a
+    non-finite number raises the readers' ``ValueError``."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer: {value!r}")
+    return int(value)
+
+
 def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
     """The per-entry COCO annotation loader: (image sizes in file order,
     per-image lists of :class:`GroundTruthInstance` in file order, categories,
@@ -459,7 +469,7 @@ def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
     clamped with Python's ``min`` and ``max``. Raises the errors of
     ``load_dataset`` with the same messages."""
     from pyrsample.dataset import (
-        MAX_CLASS_ID,
+        MAX_ID,
         MAX_IMAGE_SIDE,
         DatasetParseError,
         DatasetStructureError,
@@ -484,8 +494,11 @@ def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
     sizes: dict[int, ImageSize] = {}
     for entry in section("images"):
         try:
-            image_id = int(entry["id"])
-            size = ImageSize(int(entry["width"]), int(entry["height"]))
+            image_id = strict_int(entry["id"], "id")
+            if not -MAX_ID - 1 <= image_id <= MAX_ID:
+                raise ValueError(f"id must be in [{-MAX_ID - 1}, {MAX_ID}]: {image_id}")
+            size = ImageSize(strict_int(entry["width"], "width"),
+                             strict_int(entry["height"], "height"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DatasetStructureError(f"{path}: bad image entry {entry!r}: {exc}") from exc
         if image_id in sizes:
@@ -500,7 +513,7 @@ def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
     categories: dict[int, str] = {}
     for cat in section("categories"):
         try:
-            categories[int(cat["id"])] = str(cat.get("name", cat["id"]))
+            categories[strict_int(cat["id"], "id")] = str(cat.get("name", cat["id"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DatasetStructureError(f"{path}: bad category entry {cat!r}: {exc}") from exc
 
@@ -509,15 +522,15 @@ def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
     dangling = []
     for position, ann in enumerate(section("annotations")):
         try:
-            image_id = int(ann["image_id"])
+            image_id = strict_int(ann["image_id"], "image_id")
             x, y, w, h = map(float, ann["bbox"])
             if not all(math.isfinite(v) for v in (x, y, w, h)):
                 raise ValueError(f"bbox is not finite: {[x, y, w, h]}")
             if w < 0 or h < 0:
                 raise ValueError(f"negative bbox extent: {[x, y, w, h]}")
-            class_id = int(ann["category_id"])
-            if not 0 <= class_id <= MAX_CLASS_ID:
-                raise ValueError(f"category_id must be in [0, {MAX_CLASS_ID}]: {class_id}")
+            class_id = strict_int(ann["category_id"], "category_id")
+            if not 0 <= class_id <= MAX_ID:
+                raise ValueError(f"category_id must be in [0, {MAX_ID}]: {class_id}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             name = (
                 f"annotation id {ann['id']!r}"

@@ -64,6 +64,7 @@ def test_criterion_1_coverage_guarantee():
         rng = np.random.default_rng(1001)
         start = time.perf_counter()
         n_valid_total = 0
+        scenes, originals = [], []
         for _ in range(1000):
             w = int(rng.integers(100, 2001))
             h = int(rng.integers(100, 2001))
@@ -76,16 +77,22 @@ def test_criterion_1_coverage_guarantee():
                 x = float(rng.uniform(0, w - bw))
                 y = float(rng.uniform(0, h - bh))
                 gts.append(GroundTruthInstance(BoundingBox(x, y, x + bw, y + bh), 1))
-            original = ImageSize(w, h)
-            chips, diagnostics = select_positive_chips(gts, pyramid, original)
-            flagged = {(d.scale_id, d.gt_id) for d in diagnostics}
-            # independent re-check with plain arithmetic
+            scenes.append(gts)
+            originals.append(ImageSize(w, h))
+        chips, diagnostics = select_positive_chips(scenes, pyramid, originals, range(1000))
+        flagged = set(zip(diagnostics.image_ids.tolist(), diagnostics.scale_ids.tolist(),
+                          diagnostics.gt_ids.tolist()))
+        rects = {}
+        for chip in chips:
+            rects.setdefault((chip.image_id, chip.scale_id), []).append(chip.rect)
+        # independent re-check with plain arithmetic
+        for image_id, (gts, original) in enumerate(zip(scenes, originals)):
             for spec in pyramid:
                 canvas = spec.resolve(original)
-                fx = canvas.width / w
-                fy = canvas.height / h
+                fx = canvas.width / original.width
+                fy = canvas.height / original.height
                 r_min, r_max = spec.effective_range
-                scale_chips = [c.rect for c in chips if c.scale_id == spec.scale_id]
+                scale_chips = rects.get((image_id, spec.scale_id), [])
                 for gt_id, gt in enumerate(gts):
                     bx1, by1 = gt.box.x1 * fx, gt.box.y1 * fy
                     bx2, by2 = gt.box.x2 * fx, gt.box.y2 * fy
@@ -93,10 +100,10 @@ def test_criterion_1_coverage_guarantee():
                         continue
                     n_valid_total += 1
                     covered = any(
-                        c.x1 <= bx1 and c.y1 <= by1 and bx2 <= c.x2 and by2 <= c.y2
-                        for c in scale_chips
+                        x1 <= bx1 and y1 <= by1 and bx2 <= x2 and by2 <= y2
+                        for x1, y1, x2, y2 in scale_chips
                     )
-                    assert covered or (spec.scale_id, gt_id) in flagged, (
+                    assert covered or (image_id, spec.scale_id, gt_id) in flagged, (
                         f"valid box silently dropped at scale {spec.scale_id}"
                     )
         elapsed = time.perf_counter() - start

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pyrsample import chips
 from pyrsample.chips import (
-    Chip,
+    ChipBatch,
     ProposalSet,
     _cell_ranges,
     _cell_rects,
@@ -101,12 +101,32 @@ class TestBuildChipGrid:
         assert max(c[3] for c in cells) == 700
 
 
+def select_one(gts, pyramid, size):
+    """:func:`select_positive_chips` on one image, id 0."""
+    return select_positive_chips([gts], pyramid, [size], [0])
+
+
+def chip_box(chip):
+    return BoundingBox(*chip.rect)
+
+
+def random_scene(rng, size, n_max, side_max):
+    """One to ``n_max - 1`` squares of side 4 to ``side_max`` inside ``size``."""
+    gts = []
+    for _ in range(rng.integers(1, n_max)):
+        side = float(rng.uniform(4, side_max))
+        x = float(rng.uniform(0, max(1, size.width - side)))
+        y = float(rng.uniform(0, max(1, size.height - side)))
+        gts.append(GroundTruthInstance(square(side, x, y), class_id=1))
+    return gts
+
+
 class TestSelectPositiveChips:
     def test_single_gt_single_chip(self):
         gts = [GroundTruthInstance(square(50, x=100, y=100), class_id=1)]
-        chips, diag = select_positive_chips(gts, [flat_spec()], ImageSize(600, 600))
-        assert len(chips) == 1 and not diag
-        assert encloses_oracle(chips[0].rect, gts[0].box)
+        chips, diag = select_one(gts, [flat_spec()], ImageSize(600, 600))
+        assert len(chips) == 1 and not len(diag)
+        assert encloses_oracle(chip_box(chips[0]), gts[0].box)
         assert chips[0].covered_gt_ids == (0,)
 
     def test_greedy_prefers_pair(self):
@@ -116,29 +136,24 @@ class TestSelectPositiveChips:
             GroundTruthInstance(square(40, x=300, y=300), class_id=1),
             GroundTruthInstance(square(40, x=1200, y=10), class_id=1),
         ]
-        chips, diag = select_positive_chips(gts, [flat_spec()], ImageSize(1400, 600))
-        assert len(chips) == 2 and not diag
+        chips, diag = select_one(gts, [flat_spec()], ImageSize(1400, 600))
+        assert len(chips) == 2 and not len(diag)
         assert set(chips[0].covered_gt_ids) >= {0, 1}
 
     def test_every_valid_gt_covered(self):
         rng = np.random.default_rng(5)
         pyramid = [flat_spec(K=256, d=32)]
-        for _ in range(30):
-            size = ImageSize(int(rng.integers(100, 900)), int(rng.integers(100, 900)))
-            gts = []
-            for _ in range(rng.integers(1, 12)):
-                side = float(rng.uniform(4, 200))
-                x = float(rng.uniform(0, max(1, size.width - side)))
-                y = float(rng.uniform(0, max(1, size.height - side)))
-                gts.append(GroundTruthInstance(square(side, x, y), class_id=1))
-            chips, diag = select_positive_chips(gts, pyramid, size)
-            flagged = {d.gt_id for d in diag}
+        sizes = [ImageSize(int(rng.integers(100, 900)), int(rng.integers(100, 900)))
+                 for _ in range(30)]
+        scenes = [random_scene(rng, size, 12, 200) for size in sizes]
+        chips, diag = select_positive_chips(scenes, pyramid, sizes, range(30))
+        flagged = set(zip(diag.image_ids.tolist(), diag.gt_ids.tolist()))
+        for image_id, gts in enumerate(scenes):
+            rects = [chip_box(c) for c in chips if c.image_id == image_id]
             for gt_id, gt in enumerate(gts):
                 if classify_box_validity(gt.box, pyramid[0]):
-                    covered = any(
-                        encloses_oracle(c.rect, gt.box) for c in chips
-                    )
-                    assert covered or gt_id in flagged
+                    covered = any(encloses_oracle(rect, gt.box) for rect in rects)
+                    assert covered or (image_id, gt_id) in flagged
 
     def test_attached_gt_matches_per_pair_oracle(self):
         rng = np.random.default_rng(31)
@@ -146,10 +161,11 @@ class TestSelectPositiveChips:
             flat_spec(K=128, d=32),
             ScaleSpec(scale_id=1, target=0.5, chip_size=64, chip_stride=16),
         ]
+        sizes, scenes = [], []
         for _ in range(40):
             size = ImageSize(int(rng.integers(60, 500)), int(rng.integers(60, 500)))
             gts = []
-            for _ in range(rng.integers(1, 12)):
+            for _ in range(rng.integers(0, 12)):
                 # Corners on the chip lattice, zero sides and boxes past the
                 # canvas edge give boundary contact and empty overlaps.
                 x = float(rng.choice([32.0 * rng.integers(0, 8), rng.uniform(0, size.width)]))
@@ -158,29 +174,33 @@ class TestSelectPositiveChips:
                 h = float(rng.choice([0.0, w, rng.uniform(1, 150)]))
                 gts.append(GroundTruthInstance(BoundingBox(x, y, x + w, y + h), class_id=1,
                                                is_crowd=bool(rng.random() < 0.2)))
-            chips, _ = select_positive_chips(gts, pyramid, size)
-            for chip in chips:
-                canvas = pyramid[chip.scale_id].resolve(size)
-                resized = [rescale_box(g.box, size, canvas) for g in gts]
-                want = attach_gt_oracle(chip.rect, resized)
-                assert (chip.covered_gt_ids, chip.cropped_gt) == want
+            sizes.append(size)
+            scenes.append(gts)
+        image_ids = [3 * k + 1 for k in range(40)]
+        chips, _ = select_positive_chips(scenes, pyramid, sizes, image_ids)
+        assert len(chips) > 40
+        for chip in chips:
+            k = image_ids.index(chip.image_id)
+            canvas = pyramid[chip.scale_id].resolve(sizes[k])
+            resized = [rescale_box(g.box, sizes[k], canvas) for g in scenes[k]]
+            covered, cropped = attach_gt_oracle(chip_box(chip), resized)
+            assert chip.covered_gt_ids == covered
+            assert chip.cropped_gt == tuple((gt_id, box.as_tuple()) for gt_id, box in cropped)
 
     def test_matches_greedy_simulation_oracle(self):
         rng = np.random.default_rng(99)
         spec = flat_spec(K=128, d=64)
-        for _ in range(40):
-            size = ImageSize(int(rng.integers(100, 500)), int(rng.integers(100, 500)))
-            gts = []
-            for _ in range(rng.integers(1, 9)):
-                side = float(rng.uniform(4, 100))
-                x = float(rng.uniform(0, max(1, size.width - side)))
-                y = float(rng.uniform(0, max(1, size.height - side)))
-                gts.append(GroundTruthInstance(square(side, x, y), class_id=1))
-            chips, diag = select_positive_chips(gts, [spec], size)
+        sizes = [ImageSize(int(rng.integers(100, 500)), int(rng.integers(100, 500)))
+                 for _ in range(40)]
+        scenes = [random_scene(rng, size, 9, 100) for size in sizes]
+        chips, diag = select_positive_chips(scenes, [spec], sizes, range(40))
+        assert chips.image_ids.tolist() == sorted(chips.image_ids.tolist())
+        for image_id, (size, gts) in enumerate(zip(sizes, scenes)):
             grid = grid_oracle(size, spec)
             picked, uncovered = greedy_cover_oracle(grid, [g.box for g in gts])
-            assert [c.rect for c in chips] == [grid[i] for i in picked]
-            assert sorted(d.gt_id for d in diag) == uncovered
+            mine = chips[chips.image_ids == image_id]
+            assert [chip_box(c) for c in mine] == [grid[i] for i in picked]
+            assert diag.gt_ids[diag.image_ids == image_id].tolist() == uncovered
 
     def test_greedy_step_optimality(self):
         rng = np.random.default_rng(123)
@@ -192,25 +212,26 @@ class TestSelectPositiveChips:
             x = float(rng.uniform(0, size.width - side))
             y = float(rng.uniform(0, size.height - side))
             gts.append(GroundTruthInstance(square(side, x, y), class_id=1))
-        chips, _ = select_positive_chips(gts, [spec], size)
+        chips, _ = select_one(gts, [spec], size)
         remaining = set(range(len(gts)))
         available = [tuple(c.as_tuple()) for c in grid_oracle(size, spec)]
         for chip in chips:
-            gain = sum(1 for t in remaining if encloses_oracle(chip.rect, gts[t].box))
+            rect = chip_box(chip)
+            gain = sum(1 for t in remaining if encloses_oracle(rect, gts[t].box))
             best_other = max(
                 sum(1 for t in remaining if encloses_oracle(BoundingBox(*cell), gts[t].box))
                 for cell in available
             )
             assert gain == best_other
-            remaining -= {t for t in remaining if encloses_oracle(chip.rect, gts[t].box)}
-            available.remove(tuple(chip.rect.as_tuple()))
+            remaining -= {t for t in remaining if encloses_oracle(rect, gts[t].box)}
+            available.remove(chip.rect)
 
     def test_chip_shape_and_bounds(self):
         gts = [GroundTruthInstance(square(30, x=10, y=10), class_id=1)]
         size = ImageSize(400, 900)
-        chips, _ = select_positive_chips(gts, [flat_spec(K=512, d=32)], ImageSize(400, 900))
+        chips, _ = select_one(gts, [flat_spec(K=512, d=32)], ImageSize(400, 900))
         for chip in chips:
-            r = chip.rect
+            r = chip_box(chip)
             assert 0 <= r.x1 <= r.x2 <= size.width
             assert 0 <= r.y1 <= r.y2 <= size.height
             # canvas narrower than K: clipped along x, full K along y
@@ -218,17 +239,19 @@ class TestSelectPositiveChips:
 
     def test_oversized_valid_gt_goes_to_diagnostics(self):
         gts = [GroundTruthInstance(square(600, x=0, y=0), class_id=1)]
-        chips, diag = select_positive_chips(gts, [flat_spec(K=512, d=32)], ImageSize(800, 800))
-        assert chips == []
-        assert len(diag) == 1 and diag[0].gt_id == 0 and diag[0].scale_id == 0
+        chips, diag = select_one(gts, [flat_spec(K=512, d=32)], ImageSize(800, 800))
+        assert len(chips) == 0
+        assert diag.gt_ids.tolist() == [0] and diag.scale_ids.tolist() == [0]
+        assert diag.image_ids.tolist() == [0]
+        assert diag.resized_boxes.tolist() == [[0, 0, 600, 600]]
 
     def test_crowd_boxes_not_covered_but_attached(self):
         gts = [
             GroundTruthInstance(square(700), class_id=1, is_crowd=True),
             GroundTruthInstance(square(40, x=650, y=650), class_id=2),
         ]
-        chips, diag = select_positive_chips(gts, [flat_spec()], ImageSize(800, 800))
-        assert not diag
+        chips, diag = select_one(gts, [flat_spec()], ImageSize(800, 800))
+        assert not len(diag)
         assert len(chips) == 1
         # the crowd box is still recorded as cropped content of the chip
         assert chips[0].covered_gt_ids == (1,)
@@ -239,20 +262,21 @@ class TestSelectPositiveChips:
             GroundTruthInstance(square(40, x=100, y=100), class_id=1),
             GroundTruthInstance(BoundingBox(400, 100, 900, 200), class_id=2),
         ]
-        chips, _ = select_positive_chips(gts, [flat_spec()], ImageSize(1000, 600))
+        chips, _ = select_one(gts, [flat_spec()], ImageSize(1000, 600))
         chip = chips[0]
+        assert chip.cropped_gt
         for gt_id, cropped in chip.cropped_gt:
-            inter = chip.rect.intersection(gts[gt_id].box)
-            assert inter == cropped
+            # in the frame of the level, like the chip, not chip-local
+            assert chip_box(chip).intersection(gts[gt_id].box) == BoundingBox(*cropped)
 
     def test_rescaling_between_frames(self):
         # a 40-px box at 3x becomes 120 px and must be covered in the resized frame
         spec = ScaleSpec(scale_id=2, target=3.0, valid_range=(0.0, math.inf),
                          chip_size=256, chip_stride=32)
         gts = [GroundTruthInstance(square(40, x=100, y=50), class_id=1)]
-        chips, _ = select_positive_chips(gts, [spec], ImageSize(400, 300))
+        chips, _ = select_one(gts, [spec], ImageSize(400, 300))
         assert len(chips) == 1
-        assert encloses_oracle(chips[0].rect, BoundingBox(300, 150, 420, 270))
+        assert encloses_oracle(chip_box(chips[0]), BoundingBox(300, 150, 420, 270))
 
     def test_determinism(self):
         rng = np.random.default_rng(1)
@@ -262,21 +286,27 @@ class TestSelectPositiveChips:
                                        float(rng.uniform(0, 500))), class_id=1)
             for _ in range(12)
         ]
-        first = select_positive_chips(gts, [flat_spec()], ImageSize(640, 640))
-        second = select_positive_chips(gts, [flat_spec()], ImageSize(640, 640))
-        assert first == second
+        first, _ = select_one(gts, [flat_spec()], ImageSize(640, 640))
+        second, _ = select_one(gts, [flat_spec()], ImageSize(640, 640))
+        assert len(first) and list(first) == list(second)
+
+
+def negative_one(proposals, gts, pyramid, size, **kwargs):
+    """:func:`select_negative_chips` on one image, id 0."""
+    return select_negative_chips([gts], [proposals], pyramid, [size], [0], **kwargs)
 
 
 class TestSelectNegativeChips:
     def test_all_proposals_inside_positives(self):
-        positives = [Chip(rect=BoundingBox(0, 0, 512, 512), scale_id=0)]
+        # One box makes the positive chip (0, 0, 512, 512), the whole canvas.
+        gts = [GroundTruthInstance(square(30, x=200, y=200), class_id=1)]
         proposals = ProposalSet(
             boxes=[square(30, x=10, y=10), square(40, x=100, y=100)], scores=[0.9, 0.8]
         )
-        pool = select_negative_chips(
-            proposals, positives, [flat_spec()], ImageSize(512, 512), min_proposals=1
-        )
-        assert pool == []
+        pool = negative_one(proposals, gts, [flat_spec()], ImageSize(512, 512), min_proposals=1)
+        assert len(pool) == 0
+        assert len(negative_one(proposals, [], [flat_spec()], ImageSize(512, 512),
+                                min_proposals=1)) == 1
 
     def test_cluster_covered_by_one_chip(self):
         proposals = ProposalSet(
@@ -284,9 +314,7 @@ class TestSelectNegativeChips:
                    square(20, x=700, y=760)],
             scores=[0.5, 0.5, 0.5],
         )
-        pool = select_negative_chips(
-            proposals, [], [flat_spec()], ImageSize(1600, 1600), min_proposals=2
-        )
+        pool = negative_one(proposals, [], [flat_spec()], ImageSize(1600, 1600), min_proposals=2)
         assert len(pool) == 1
         assert pool[0].kind == "negative"
 
@@ -295,10 +323,8 @@ class TestSelectNegativeChips:
             boxes=[square(20, x=10, y=10), square(20, x=1500, y=1500)],
             scores=[0.5, 0.5],
         )
-        pool = select_negative_chips(
-            proposals, [], [flat_spec()], ImageSize(2100, 2100), min_proposals=2
-        )
-        assert pool == []
+        pool = negative_one(proposals, [], [flat_spec()], ImageSize(2100, 2100), min_proposals=2)
+        assert len(pool) == 0
 
     def test_selected_chips_cover_enough_eligible_proposals(self):
         rng = np.random.default_rng(17)
@@ -312,20 +338,19 @@ class TestSelectNegativeChips:
             boxes.append(square(side, x, y))
         proposals = ProposalSet(boxes=boxes, scores=[0.5] * len(boxes))
         gts = [GroundTruthInstance(square(60, x=50, y=50), class_id=1)]
-        positives, _ = select_positive_chips(gts, [spec], size)
-        pool = select_negative_chips(
-            proposals, positives, [spec], size, min_proposals=3
-        )
+        positives, _ = select_one(gts, [spec], size)
+        pool = negative_one(proposals, gts, [spec], size, min_proposals=3)
+        assert len(pool)
         eligible = [
             b for b in boxes
             if classify_box_validity(b, spec)
-            and not any(encloses_oracle(p.rect, b) for p in positives)
+            and not any(encloses_oracle(chip_box(p), b) for p in positives)
         ]
         for chip in pool:
+            x1, y1, x2, y2 = chip.rect
             n_inside = sum(
                 1 for b in eligible
-                if chip.rect.x1 <= (b.x1 + b.x2) / 2 <= chip.rect.x2
-                and chip.rect.y1 <= (b.y1 + b.y2) / 2 <= chip.rect.y2
+                if x1 <= (b.x1 + b.x2) / 2 <= x2 and y1 <= (b.y1 + b.y2) / 2 <= y2
             )
             assert n_inside >= 3
 
@@ -334,41 +359,62 @@ class TestSelectNegativeChips:
         proposals = ProposalSet(
             boxes=[square(100, x=10, y=10), square(100, x=60, y=60)], scores=[0.5, 0.5]
         )
-        pool = select_negative_chips(
-            proposals, [], [spec], ImageSize(1000, 1000), min_proposals=2
-        )
-        assert pool == []
+        pool = negative_one(proposals, [], [spec], ImageSize(1000, 1000), min_proposals=2)
+        assert len(pool) == 0
 
     @pytest.mark.parametrize("block", range(4))
     def test_matches_per_proposal_oracle(self, block):
+        # Per seed: every image of the case in one whole-run call against the
+        # oracle image by image, its positives being the positive cover; and
+        # each image's level covers against arbitrary positive rects.
         for seed in range(block * 100, block * 100 + 100):
-            boxes, positive, pyramid, original = _negative_case(seed)
+            pyramid, images = _negative_case(seed)
             membership = ("center", "enclose")[seed % 2]
             min_proposals = 1 + seed // 2 % 3
-            proposals = ProposalSet(boxes=boxes, scores=[0.5] * len(boxes))
+            image_ids = [30 - 7 * k for k in range(len(images))]  # not sorted
+            sizes = [original for original, _, _, _ in images]
+            scenes = [gts for _, _, gts, _ in images]
             pool = select_negative_chips(
-                proposals, positive, pyramid, original,
-                min_proposals=min_proposals, membership=membership,
+                scenes, [ProposalSet(boxes=b, scores=[0.5] * len(b)) for _, b, _, _ in images],
+                pyramid, sizes, image_ids, min_proposals=min_proposals, membership=membership,
             )
-            expected = select_negative_chips_oracle(
-                boxes, [(c.scale_id, c.rect) for c in positive], pyramid, original,
-                min_proposals, membership,
-            )
-            assert [(c.scale_id, c.rect.as_tuple()) for c in pool] == expected, seed
-            assert all(c.kind == "negative" for c in pool)
+            positives, _ = select_positive_chips(scenes, pyramid, sizes, image_ids)
+            assert pool.kind == "negative"
+            want = []
+            for image_id, (original, boxes, _, positive) in zip(image_ids, images):
+                mine = [(c.scale_id, chip_box(c)) for c in positives if c.image_id == image_id]
+                want += [(image_id, *chip) for chip in select_negative_chips_oracle(
+                    boxes, mine, pyramid, original, min_proposals, membership
+                )]
+                expected = select_negative_chips_oracle(
+                    boxes, positive, pyramid, original, min_proposals, membership
+                )
+                got = []
+                for spec in pyramid:
+                    rects = np.array([r.as_tuple() for scale_id, r in positive
+                                      if scale_id == spec.scale_id]).reshape(-1, 4)
+                    _, cells = negative_cover(
+                        [boxes_array(boxes)], [original], spec,
+                        (np.zeros(len(rects), dtype=np.intp), rects), min_proposals, membership,
+                    )
+                    got += [(spec.scale_id, tuple(r)) for r in cells.tolist()]
+                assert got == expected, seed
+            assert [(c.image_id, c.scale_id, c.rect) for c in pool] == want, seed
 
 
 def _negative_case(seed):
-    """A seeded proposal set, pyramid and positive chips for the oracle.
+    """A seeded pyramid and one to three images for the oracle, each with
+    its size, proposals, ground truth and arbitrary positive rects.
 
     Boxes sit on a 4-px grid of the original frame, so under the factors 0.5,
     1 and 2 their corners and centers land on chip borders and the canvas
     edge, and squares of side r/f have resized areas exactly at the range
     endpoints r^2. Zero-width and zero-height boxes and free floats are
     mixed in; the other targets give factors that are not powers of two.
+    Positive rects are lattice cells or free rects, some at a scale id the
+    pyramid does not have.
     """
     rng = random.Random(seed)
-    original = ImageSize(rng.choice([64, 96, 128, 160]), rng.choice([64, 96, 120, 160]))
     size = rng.choice([32, 48, 64])
     stride = rng.choice([8, 16, size])
     r_lo, r_hi = rng.choice([(4, 24), (8, 32), (0, 16), (12, 12.5)])
@@ -387,9 +433,8 @@ def _negative_case(seed):
             rng.sample(targets[:3], 1) + rng.sample(targets, rng.randint(0, 2))
         )
     ]
-    w, h = original.width, original.height
-    boxes = []
-    for _ in range(rng.randint(0, 40)):
+
+    def grid_box(w, h):
         kind = rng.choice(["grid", "grid", "edge", "endpoint", "zero", "float"])
         x1, y1 = rng.randrange(0, w + 1, 4), rng.randrange(0, h + 1, 4)
         bw, bh = rng.randrange(0, 48, 4), rng.randrange(0, 48, 4)
@@ -404,19 +449,30 @@ def _negative_case(seed):
         elif kind == "float":
             x1, y1 = rng.uniform(0, w), rng.uniform(0, h)
             bw, bh = rng.uniform(0, 40), rng.uniform(0, 40)
-        boxes.append(BoundingBox(x1, y1, min(x1 + bw, w), min(y1 + bh, h)))
-    positive = []
-    for spec in pyramid + [ScaleSpec(scale_id=9, target=1.0)]:
-        canvas = spec.resolve(original)
-        cells = chip_grid_oracle(canvas.width, canvas.height, spec.chip_size, spec.chip_stride)
-        for _ in range(rng.randint(0, 2)):
-            if rng.random() < 0.7:
-                rect = BoundingBox(*rng.choice(cells))
-            else:
-                x, y = rng.randrange(0, canvas.width, 4), rng.randrange(0, canvas.height, 4)
-                rect = BoundingBox(x, y, x + rng.randrange(8, 80, 4), y + rng.randrange(8, 80, 4))
-            positive.append(Chip(rect=rect, scale_id=spec.scale_id))
-    return boxes, positive, pyramid, original
+        return BoundingBox(x1, y1, min(x1 + bw, w), min(y1 + bh, h))
+
+    images = []
+    for _ in range(rng.randint(1, 3)):
+        original = ImageSize(rng.choice([64, 96, 128, 160]), rng.choice([64, 96, 120, 160]))
+        w, h = original.width, original.height
+        boxes = [grid_box(w, h) for _ in range(rng.randint(0, 40))]
+        gts = [GroundTruthInstance(grid_box(w, h), class_id=1, is_crowd=rng.random() < 0.2)
+               for _ in range(rng.randint(0, 4))]
+        positive = []
+        for spec in pyramid + [ScaleSpec(scale_id=9, target=1.0)]:
+            canvas = spec.resolve(original)
+            cells = chip_grid_oracle(canvas.width, canvas.height, spec.chip_size,
+                                     spec.chip_stride)
+            for _ in range(rng.randint(0, 2)):
+                if rng.random() < 0.7:
+                    rect = BoundingBox(*rng.choice(cells))
+                else:
+                    x, y = rng.randrange(0, canvas.width, 4), rng.randrange(0, canvas.height, 4)
+                    rect = BoundingBox(x, y, x + rng.randrange(8, 80, 4),
+                                       y + rng.randrange(8, 80, 4))
+                positive.append((spec.scale_id, rect))
+        images.append((original, boxes, gts, positive))
+    return pyramid, images
 
 
 class TestProposalSet:
@@ -438,31 +494,47 @@ class TestProposalSet:
             ProposalSet(boxes=np.array(boxes, dtype=float), scores=scores)
 
 
+def negative_pool(counts: dict) -> ChipBatch:
+    """A pool of ``counts[image_id]`` chips per image, in that order; chip k
+    of an image has x1 = 32 k."""
+    image_ids = np.repeat(list(counts), list(counts.values())).astype(np.int64)
+    x = np.concatenate([np.zeros(0)] + [32.0 * np.arange(n) for n in counts.values()])
+    rects = np.stack([x, 0 * x, x + 512, 0 * x + 512], axis=1)
+    return ChipBatch(image_ids, np.zeros(len(x), dtype=np.int64), rects, "negative")
+
+
 class TestSampleNegativeChips:
     def test_empty_pool(self):
-        assert sample_negative_chips([], 2, seed=0) == []
+        assert len(sample_negative_chips(negative_pool({}), 2, seed=0)) == 0
 
     def test_small_pool_returned_whole(self):
-        pool = [Chip(rect=square(512), scale_id=0, kind="negative")] * 2
-        assert sample_negative_chips(pool, 5, seed=3) == pool
+        pool = negative_pool({4: 2, 9: 5})
+        assert list(sample_negative_chips(pool, 5, seed=3)) == list(pool)
 
     def test_determinism(self):
-        pool = [
-            Chip(rect=square(512, x=32 * i), scale_id=0, kind="negative") for i in range(5)
-        ]
+        pool = negative_pool({0: 5})
         a = sample_negative_chips(pool, 2, seed=123)
         b = sample_negative_chips(pool, 2, seed=123)
-        assert a == b and len(a) == 2
+        assert list(a) == list(b) and len(a) == 2
+
+    def test_matches_a_sample_of_each_image_rows(self):
+        counts = {12: 7, 3: 2, 40: 30, 5: 3, 6: 0, 1: 9}
+        pool = negative_pool(counts)
+        rows = list(pool)
+        for seed, k in [(0, 2), (17, 3), (5, 0), (9, 30)]:
+            want = []
+            for image_id in counts:
+                mine = [row for row in rows if row.image_id == image_id]
+                if len(mine) > k:
+                    mine = random.Random(seed + image_id).sample(mine, k)
+                want += mine
+            assert list(sample_negative_chips(pool, k, seed=seed)) == want
 
     def test_uniform_within_3_sigma(self):
-        pool = [
-            Chip(rect=square(512, x=32 * i), scale_id=0, kind="negative") for i in range(5)
-        ]
+        # Image i draws with seed i: 10^5 independent draws in one call.
         draws = 100_000
-        counts = Counter()
-        for seed in range(draws):
-            for chip in sample_negative_chips(pool, 2, seed=seed):
-                counts[chip.rect.x1] += 1
+        sampled = sample_negative_chips(negative_pool(dict.fromkeys(range(draws), 5)), 2, seed=0)
+        counts = Counter(sampled.rects[:, 0].tolist())
         p = 2 / 5
         sigma = math.sqrt(draws * p * (1 - p))
         for i in range(5):
@@ -478,17 +550,14 @@ class TestExcerptChipStatistics:
 
         ref = json.loads(REFERENCE_PATH.read_text())["positive_chips"]
         pyramid = coco_default().pyramid
-        total = 0
-        uncoverable = 0
-        for iid in excerpt_index.image_ids:
-            chips, diag = select_positive_chips(
-                excerpt_index.annotations[iid], pyramid, excerpt_index.images[iid].size
-            )
-            total += len(chips)
-            uncoverable += len(diag)
-        mean = total / len(excerpt_index.image_ids)
+        image_ids = excerpt_index.image_ids
+        chips, diag = select_positive_chips(
+            [excerpt_index.annotations[iid] for iid in image_ids], pyramid,
+            [excerpt_index.images[iid].size for iid in image_ids], image_ids,
+        )
+        mean = len(chips) / len(image_ids)
         assert mean == pytest.approx(ref["mean_per_image"], abs=1e-12)
-        assert uncoverable == ref["n_uncoverable"]
+        assert len(diag) == ref["n_uncoverable"]
         # with the default two sampled negatives this lands in the usual
         # handful-of-chips-per-image regime
         assert 1.0 <= mean <= 8.0
@@ -588,11 +657,12 @@ class TestCoverKernel:
     @given(cover_case())
     def test_positive_cover_matches_greedy_oracle(self, case):
         spec, images = case
-        got = positive_cover([b for _, b, _, _ in images],
-                             [np.array(c, dtype=bool) for _, _, c, _ in images],
-                             [size for size, _, _, _ in images], spec)
-        assert len(got) == len(images)
-        for rects, (size, boxes, crowd, _) in zip(got, images):
+        image, cells = positive_cover([b for _, b, _, _ in images],
+                                      [np.array(c, dtype=bool) for _, _, c, _ in images],
+                                      [size for size, _, _, _ in images], spec)
+        assert np.array_equal(image, np.sort(image))
+        for k, (size, boxes, crowd, _) in enumerate(images):
+            rects = cells[image == k]
             canvas = spec.resolve(size)
             grid = [BoundingBox(*cell) for cell in chip_grid_oracle(
                 canvas.width, canvas.height, spec.chip_size, spec.chip_stride)]
@@ -606,11 +676,15 @@ class TestCoverKernel:
     @given(cover_case(), st.sampled_from(["center", "enclose"]), st.integers(1, 3))
     def test_negative_cover_matches_oracle(self, case, membership, min_gain):
         spec, images = case
-        got = negative_cover([b for _, b, _, _ in images], [size for size, _, _, _ in images],
-                             spec, [np.array(p, dtype=float).reshape(-1, 4)
-                                    for _, _, _, p in images],
-                             min_proposals=min_gain, membership=membership)
-        for rects, (size, boxes, _, positive) in zip(got, images):
+        positives = [np.array(p, dtype=float).reshape(-1, 4) for _, _, _, p in images]
+        owners = np.repeat(np.arange(len(images)), [len(p) for p in positives])
+        image, cells = negative_cover(
+            [b for _, b, _, _ in images], [size for size, _, _, _ in images], spec,
+            (owners, np.concatenate(positives)), min_proposals=min_gain, membership=membership,
+        )
+        assert np.array_equal(image, np.sort(image))
+        for k, (size, boxes, _, positive) in enumerate(images):
+            rects = cells[image == k]
             want = select_negative_chips_oracle(
                 [BoundingBox(*b) for b in boxes.tolist()],
                 [(spec.scale_id, BoundingBox(*p)) for p in positive],
@@ -619,18 +693,21 @@ class TestCoverKernel:
 
     def test_one_image_calls_match_the_batch(self):
         rng = np.random.default_rng(8)
-        spec = flat_spec(K=64, d=24)
-        sizes = [ImageSize(200, 150), ImageSize(64, 40), ImageSize(300, 90)]
+        pyramid = [flat_spec(K=64, d=24), flat_spec(scale_id=1, K=32, d=8, r=(0.0, 900.0))]
+        sizes = [ImageSize(200, 150), ImageSize(64, 40), ImageSize(300, 90), ImageSize(90, 90)]
         gts = [[GroundTruthInstance(square(float(rng.uniform(4, 60)), float(rng.uniform(0, 140)),
                                            float(rng.uniform(0, 30))), class_id=1)
                 for _ in range(6)] for _ in sizes]
-        boxes = [boxes_array(g.box for g in image) for image in gts]
-        crowd = [np.zeros(len(image), dtype=bool) for image in gts]
-        batch = positive_cover(boxes, crowd, sizes, spec)
-        for image, size, rects in zip(gts, sizes, batch):
-            alone, diagnostics = select_positive_chips(image, [spec], size)
-            assert [c.rect.as_tuple() for c in alone] == [tuple(r) for r in rects.tolist()]
-            assert select_positive_chips(image, [spec], size, [rects]) == (alone, diagnostics)
+        image_ids = [50, 7, 8, 1]
+        chips, diagnostics = select_positive_chips(gts, pyramid, sizes, image_ids)
+        assert len(chips) > len(sizes) and len(diagnostics)
+        # The batch is the one-image batches one after another, in input order.
+        alone = [select_positive_chips([image], pyramid, [size], [image_id])
+                 for image, size, image_id in zip(gts, sizes, image_ids)]
+        assert list(chips) == [row for batch, _ in alone for row in batch]
+        for column in ("image_ids", "gt_ids", "scale_ids", "resized_boxes"):
+            want = np.concatenate([getattr(missed, column) for _, missed in alone])
+            assert np.array_equal(getattr(diagnostics, column), want)
 
     def test_blocks_do_not_change_the_cover(self, monkeypatch):
         # Many images of different grids, covered in one block and with
@@ -643,9 +720,9 @@ class TestCoverKernel:
         for size in sizes:
             xy = rng.uniform(0, [size.width, size.height], size=(int(rng.integers(0, 30)), 2))
             boxes.append(np.concatenate([xy, xy + rng.uniform(0, 40, size=xy.shape)], axis=1))
-        none = [np.zeros((0, 4))] * len(sizes)
+        none = (np.zeros(0, dtype=np.intp), np.zeros((0, 4)))
         together = negative_cover(boxes, sizes, spec, none, min_proposals=2)
         monkeypatch.setattr(chips, "_COVER_BLOCK", 1)
         alone = negative_cover(boxes, sizes, spec, none, min_proposals=2)
-        assert sum(len(r) for r in together) > 40
+        assert len(together[0]) > 40
         assert all(np.array_equal(a, b) for a, b in zip(together, alone))

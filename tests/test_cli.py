@@ -211,6 +211,99 @@ class TestErrorRecords:
         assert not (tmp_path / "neg.json").exists()
 
     @pytest.mark.parametrize(
+        "section, key, value",
+        [("images", "width", 640.9), ("images", "height", True), ("images", "id", 1.5),
+         ("annotations", "image_id", 1.9), ("annotations", "category_id", 1.5),
+         ("annotations", "category_id", True), ("categories", "id", 1.5),
+         ("categories", "id", "1"), ("proposals", "image_id", 1.9),
+         ("proposals", "image_id", False)],
+        ids=["fractional-width", "true-height", "fractional-image-id",
+             "fractional-annotation-image-id", "fractional-category", "true-category",
+             "fractional-category-entry-id", "text-category-entry-id",
+             "fractional-proposal-image-id", "false-proposal-image-id"],
+    )
+    def test_integer_fields_are_strict(self, small_coco, tmp_path, capsys, section, key, value):
+        # int() would read 640.9 as 640 and true as 1, and the run would exit 0.
+        data = json.loads(small_coco.read_text())
+        data["categories"][0]["id"] = 1
+        proposals = [{"image_id": 1, "bbox": [300, 200, 40, 40], "score": 0.5}]
+        entry = proposals[0] if section == "proposals" else data[section][0]
+        entry[key] = value
+        small_coco.write_text(json.dumps(data))
+        props = tmp_path / "props.json"
+        props.write_text(json.dumps(proposals))
+        out = tmp_path / "chips.json"
+        argv = ["chips", "negative", "--proposals", str(props)] if section == "proposals" \
+            else ["chips", "positive"]
+        assert main([*argv, "--annotations", str(small_coco), "--out", str(out)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "DatasetStructureError"
+        assert f"{key} must be an integer: {value!r}" in error["message"]
+        assert (str(props) if section == "proposals" else str(small_coco)) in error["message"]
+        assert not out.exists()
+
+    def test_integral_floats_read_as_ints(self, small_coco, tmp_path):
+        outs = []
+        for name, as_float in (("ints", False), ("floats", True)):
+            data = json.loads(small_coco.read_text())
+            if as_float:
+                for image in data["images"]:
+                    image.update({k: float(image[k]) for k in ("id", "width", "height")})
+                for ann in data["annotations"]:
+                    ann.update({k: float(ann[k]) for k in ("image_id", "category_id")})
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            outs.append(tmp_path / f"{name}-chips.json")
+            assert main(["chips", "positive", "--annotations", str(path), "--out",
+                         str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("image_id", [2**63, -(2**63) - 1])
+    def test_image_id_past_int64(self, small_coco, tmp_path, capsys, image_id):
+        data = json.loads(small_coco.read_text())
+        data["images"].append({"id": image_id, "width": 10, "height": 10})
+        small_coco.write_text(json.dumps(data))
+        out = tmp_path / "chips.json"
+        assert main(["chips", "positive", "--annotations", str(small_coco),
+                     "--out", str(out)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "DatasetStructureError" and str(image_id) in error["message"]
+        assert not out.exists()
+
+    def test_two_files_for_one_focus_map(self, tmp_path, capsys):
+        # 7_s1.fmap and 007_s1.fmap both name image 7 at scale 1; their chips
+        # would overlap.
+        maps_dir = tmp_path / "pmaps"
+        maps_dir.mkdir()
+        cells = np.zeros((4, 4))
+        cells[1, 1] = 0.9
+        pm = ProbabilityMap(cells=cells, stride=32, image=ImageSize(128, 128))
+        for name in ("7_s1.fmap", "007_s1.fmap"):
+            write_map_binary(maps_dir / name, pm)
+        out = tmp_path / "fchips.json"
+        assert main(["focus", "chips", "--probmaps", str(maps_dir), "--out", str(out)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "FormatError"
+        assert str(maps_dir / "7_s1.fmap") in error["message"]
+        assert str(maps_dir / "007_s1.fmap") in error["message"]
+        assert not out.exists()
+
+    def test_focus_map_ids_are_ascii_digits(self, tmp_path, capsys):
+        # "\u0667" is ARABIC-INDIC DIGIT SEVEN, which \d matches and int() reads as 7.
+        maps_dir = tmp_path / "pmaps"
+        maps_dir.mkdir()
+        cells = np.zeros((4, 4))
+        cells[1, 1] = 0.9
+        pm = ProbabilityMap(cells=cells, stride=32, image=ImageSize(128, 128))
+        for name in ("7_s1.fmap", "\u0667_s1.fmap"):
+            write_map_binary(maps_dir / name, pm)
+        out = tmp_path / "fchips.json"
+        assert main(["focus", "chips", "--probmaps", str(maps_dir), "--out", str(out),
+                     "--min-chip-size", "8"]) == 0
+        assert "from 1 maps" in capsys.readouterr().out
+        assert [r["image_id"] for r in json.loads(out.read_text())] == [7]
+
+    @pytest.mark.parametrize(
         "path",
         [("canvas",), ("image_id",), ("scale_id",),
          ("detections", 0, "bbox"), ("detections", 0, "score"),

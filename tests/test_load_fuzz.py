@@ -187,6 +187,42 @@ def test_loaders_exit_cleanly_on_any_input(annotations, proposals):
              fractions)
 
 
+# Every integer field of the annotation and proposal files, by section.
+INTEGER_FIELDS = [("images", "id"), ("images", "width"), ("images", "height"),
+                  ("annotations", "image_id"), ("annotations", "category_id"),
+                  ("categories", "id"), ("proposals", "image_id")]
+not_an_integer = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not v.is_integer()),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(INTEGER_FIELDS), not_an_integer)
+@example(("images", "width"), 640.9)
+@example(("annotations", "image_id"), 1.9)
+@example(("annotations", "category_id"), True)
+def test_a_fraction_or_boolean_in_an_integer_field_exits_1(field, value):
+    section, key = field
+    annotations, proposals = json.loads(json.dumps(GOOD)), json.loads(json.dumps(GOOD_PROPOSALS))
+    (proposals if section == "proposals" else annotations[section])[0][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        ann, props, out = tmp / "ann.json", tmp / "props.json", tmp / "neg.json"
+        ann.write_text(json.dumps(annotations))
+        props.write_text(json.dumps(proposals))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            rc = main(["chips", "negative", "--annotations", str(ann), "--proposals", str(props),
+                       "--out", str(out)])
+        assert rc == 1 and not out.exists()
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "DatasetStructureError"
+    assert f"{key} must be an integer: {value!r}" in error["message"]
+
+
 # Clean files whose corners hit the clamp's edge cases: -0.0, the canvas
 # edge, the smallest subnormal, and x + w overflowing to inf.
 edge_value = st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 640.0, 1e308, -1e308])

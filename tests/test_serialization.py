@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pyrsample.chips import Chip
+from pyrsample.chips import UncoverableBoxes
 from pyrsample.focus_labels import LabelMap, ProbabilityMap
-from pyrsample.geometry import BoundingBox, DetectionBatch, ImageSize
+from pyrsample.geometry import DetectionBatch, ImageSize
 from pyrsample.serialization import (
     FormatError,
     atomic_write_text,
-    chip_to_record,
     map_to_debug_json,
     read_map_binary,
     save_chip_records,
@@ -23,18 +22,10 @@ from pyrsample.serialization import (
     write_map_binary,
 )
 
-from conftest import detection_batch
+from conftest import chip_batch, detection_batch
 
 
-def sample_chip():
-    return Chip(
-        rect=BoundingBox(32, 64, 544, 576),
-        scale_id=1,
-        kind="positive",
-        covered_gt_ids=(0, 2),
-        cropped_gt=((3, BoundingBox(32, 64, 100, 90)),),
-    )
-
+SAMPLE_ROW = (42, 1, (32, 64, 544, 576), (0, 2), ((3, (32, 64, 100, 90)),))
 
 SAMPLE_RECORD = {
     "image_id": 42,
@@ -49,14 +40,16 @@ SAMPLE_RECORD = {
 class TestChipRecords:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "chips.json"
-        save_chip_records(path, [chip_to_record(sample_chip(), image_id=42)])
+        save_chip_records(path, chip_batch([SAMPLE_ROW], "positive"))
         assert json.loads(path.read_text()) == [SAMPLE_RECORD]
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "chips.json"
-        records = [chip_to_record(sample_chip(), 1), chip_to_record(sample_chip(), 2)]
-        save_chip_records(path, records)
-        assert json.loads(path.read_text()) == records
+        save_chip_records(path, chip_batch([(1, *SAMPLE_ROW[1:]), (2, *SAMPLE_ROW[1:])],
+                                           "positive"))
+        assert json.loads(path.read_text()) == [
+            {**SAMPLE_RECORD, "image_id": 1}, {**SAMPLE_RECORD, "image_id": 2}
+        ]
 
 
 def _json_text(records) -> str:
@@ -164,84 +157,128 @@ def _random_value(rng):
     return float(rng.uniform(0, 1e4)) * 10.0 ** int(rng.integers(-12, 18))
 
 
-def _random_chip_records(rng, n):
+def _random_chip_rows(rng, n):
     return [
-        {
-            "image_id": int(rng.integers(0, 2**62)),
-            "scale_id": int(rng.integers(0, 4)),
-            "kind": str(rng.choice(["positive", "negative", "focus"])),
-            "rect": [_random_value(rng) for _ in range(4)],
-            "covered_gt_ids": [int(v) for v in rng.integers(0, 10**6, int(rng.integers(0, 4)))],
-            "cropped_gt": [
-                [int(rng.integers(0, 100)), [_random_value(rng) for _ in range(4)]]
+        (
+            int(rng.integers(-(2**62), 2**62)),
+            int(rng.integers(0, 4)),
+            tuple(_random_value(rng) for _ in range(4)),
+            tuple(int(v) for v in rng.integers(0, 10**6, int(rng.integers(0, 4)))),
+            tuple(
+                (int(rng.integers(0, 100)), tuple(_random_value(rng) for _ in range(4)))
                 for _ in range(int(rng.integers(0, 3)))
-            ],
-        }
+            ),
+        )
         for _ in range(n)
     ]
 
 
+def _records(batch) -> list[dict]:
+    """The chip records of a batch, one row at a time."""
+    return [row._asdict() for row in batch]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+int64 = st.integers(-(2**63), 2**63 - 1)
+chip_rows = st.lists(st.tuples(
+    int64, int64, st.tuples(*[finite] * 4),
+    st.lists(int64, max_size=3),
+    st.lists(st.tuples(int64, st.tuples(*[finite] * 4)), max_size=3),
+), max_size=5)
+
+
 class TestSaveChipRecords:
     """The chip, negative-pool and diagnostics writers give exactly the bytes
-    of ``json.dumps``."""
+    of ``json.dumps`` of the rows."""
 
     def test_random_records(self, tmp_path):
         rng = np.random.default_rng(72)
         path = tmp_path / "chips.json"
         for n in [0, 1, 2, 5, 30]:
-            records = _random_chip_records(rng, n)
-            save_chip_records(path, records)
-            assert path.read_text() == _json_text(records)
+            batch = chip_batch(_random_chip_rows(rng, n), str(rng.choice(["positive", "focus"])))
+            save_chip_records(path, batch)
+            assert path.read_text() == _json_text(_records(batch))
 
     def test_records_of_chips(self, tmp_path):
         path = tmp_path / "chips.json"
-        records = [chip_to_record(sample_chip(), 7), chip_to_record(Chip(
-            rect=BoundingBox(0.5, 0.0, 1e16, 1e-07), scale_id=0, kind="focus"), 8)]
-        save_chip_records(path, records)
-        assert path.read_text() == _json_text(records)
+        batch = chip_batch([SAMPLE_ROW, (8, 0, (0.5, 0.0, 1e16, 1e-07), (), ())], "focus")
+        save_chip_records(path, batch)
+        assert path.read_text() == _json_text(_records(batch))
+        assert '"rect": [\n      0.5,\n      0.0,\n      1e+16,\n      1e-07\n    ]' in \
+            path.read_text()
 
     def test_negative_pool(self, tmp_path):
         rng = np.random.default_rng(73)
         path = tmp_path / "neg.json"
         for n_pool, n_sampled in [(0, 0), (3, 0), (0, 2), (6, 4)]:
-            pool = _random_chip_records(rng, n_pool)
-            sampled = _random_chip_records(rng, n_sampled)
+            pool = chip_batch(_random_chip_rows(rng, n_pool), "negative")
+            sampled = chip_batch(_random_chip_rows(rng, n_sampled), "negative")
             save_negative_chip_records(path, pool, sampled)
-            assert path.read_text() == _json_text({"pool": pool, "sampled": sampled})
+            assert path.read_text() == _json_text(
+                {"pool": _records(pool), "sampled": _records(sampled)})
 
     def test_diagnostics(self, tmp_path):
         rng = np.random.default_rng(74)
         path = tmp_path / "diag.json"
         for n in [0, 1, 7]:
-            records = [
-                {"image_id": int(rng.integers(0, 2**40)), "gt_id": int(rng.integers(0, 50)),
-                 "scale_id": int(rng.integers(0, 3)),
-                 "resized_box": [_random_value(rng) for _ in range(4)]}
-                for _ in range(n)
-            ]
-            save_uncoverable_records(path, records)
-            assert path.read_text() == _json_text(records)
+            uncoverable = UncoverableBoxes(
+                rng.integers(0, 2**40, n), rng.integers(0, 50, n), rng.integers(0, 3, n),
+                np.array([[_random_value(rng) for _ in range(4)] for _ in range(n)]).reshape(-1, 4),
+            )
+            save_uncoverable_records(path, uncoverable)
+            assert path.read_text() == _json_text([
+                {"gt_id": gt_id, "image_id": image_id, "resized_box": box, "scale_id": scale_id}
+                for image_id, gt_id, scale_id, box in zip(
+                    uncoverable.image_ids.tolist(), uncoverable.gt_ids.tolist(),
+                    uncoverable.scale_ids.tolist(), uncoverable.resized_boxes.tolist())
+            ])
+
+    @settings(max_examples=200, deadline=None)
+    @given(chip_rows, chip_rows, st.text(max_size=6))
+    def test_writers_match_json_dumps(self, tmp_path_factory, rows, more_rows, kind):
+        path = tmp_path_factory.mktemp("chips") / "chips.json"
+        pool, sampled = chip_batch(rows, kind), chip_batch(more_rows, kind)
+        save_chip_records(path, pool)
+        assert path.read_text() == _json_text(_records(pool))
+        save_negative_chip_records(path, pool, sampled)
+        assert path.read_text() == _json_text(
+            {"pool": _records(pool), "sampled": _records(sampled)})
+        uncoverable = UncoverableBoxes(pool.image_ids, pool.covered_offsets[1:],
+                                       pool.scale_ids, pool.rects)
+        save_uncoverable_records(path, uncoverable)
+        assert path.read_text() == _json_text([
+            {"gt_id": gt_id, "image_id": row.image_id, "resized_box": row.rect,
+             "scale_id": row.scale_id}
+            for row, gt_id in zip(pool, pool.covered_offsets[1:].tolist())
+        ])
+
+    @pytest.mark.parametrize("kind", ['fo"cus\u00e9\n', "infocus"],
+                             ids=["escaped-kind", "kind-with-inf"])
+    def test_kinds_are_written_as_json(self, tmp_path, kind):
+        path = tmp_path / "chips.json"
+        batch = chip_batch([SAMPLE_ROW, (7, 2, (0.0, 1.5, 2.0, 3.0), (), ())], kind)
+        save_chip_records(path, batch)
+        assert path.read_text() == _json_text(_records(batch))
+        assert json.loads(path.read_text())[0]["kind"] == kind
 
     @pytest.mark.parametrize(
-        "change",
-        [{"image_id": True}, {"rect": [0.0, float("nan"), 1.0, 1.0]},
-         {"cropped_gt": [[1, [0.0, 0.0, float("inf"), 1.0]]]}, {"rect": [0.0, 0.0, 1.0]},
-         {"rect": [np.float64(0.5), 0.0, 1.0, 1.0]}, {"rect": (0.0, 0.0, 1.0, 1.0)},
-         {"kind": 'fo"cus\u00e9\n'}, {"kind": "infocus"}, {"extra": None},
-         {"cropped_gt": [[1, [0.0, 0.0, 1.0, 1.0], 2]]}, {"covered_gt_ids": [1.5, 2]},
-         {"covered_gt_ids": [3, True]}, {"cropped_gt": [[False, [0.0, 0.0, 1.0, 1.0]]]}],
-        ids=["bool-id", "nan-rect", "inf-crop", "short-rect", "numpy-float", "tuple-rect",
-             "escaped-kind", "kind-with-inf", "extra-key", "long-crop", "float-id",
-             "bool-covered", "bool-cropped"],
+        "row",
+        [(1, 0, (0.0, float("nan"), 1.0, 1.0), (), ()),
+         (1, 0, (0.0, 0.0, 1.0, 1.0), (), ((1, (0.0, 0.0, float("inf"), 1.0)),))],
+        ids=["nan-rect", "inf-crop"],
     )
-    def test_other_records_fall_back_to_json(self, tmp_path, change):
-        plain = _random_chip_records(np.random.default_rng(75), 1)[0]
+    def test_non_finite_values_are_refused(self, tmp_path, row):
         path = tmp_path / "chips.json"
-        records = [plain, {**plain, **change}]
-        save_chip_records(path, records)
-        assert path.read_text() == _json_text(records)
-        save_negative_chip_records(path, records, records[1:])
-        assert path.read_text() == _json_text({"pool": records, "sampled": records[1:]})
+        batch = chip_batch([SAMPLE_ROW, row], "positive")
+        with pytest.raises(ValueError):
+            save_chip_records(path, batch)
+        with pytest.raises(ValueError):
+            save_negative_chip_records(path, batch[:1], batch)
+        boxes = np.concatenate([batch.rects, batch.cropped_boxes])
+        ids = np.zeros(len(boxes), dtype=np.int64)
+        with pytest.raises(ValueError):
+            save_uncoverable_records(path, UncoverableBoxes(ids, ids, ids, boxes))
+        assert not path.exists()
 
 
 class TestDetectionRecords:
