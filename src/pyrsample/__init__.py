@@ -9,19 +9,13 @@ of detections with (soft-)NMS, plus pixels-processed cost accounting.
 from .geometry import (
     BoundingBox,
     DetectionBatch,
-    GroundTruthInstance,
     GroundTruthSet,
     ImageSize,
     MaxSideTarget,
     ScaleSpec,
-    iou,
 )
 from .range_labels import (
-    AnchorValidity,
-    LabelKind,
-    RoiLabel,
     assign_roi_labels,
-    classify_box_validity,
     filter_detections_by_range,
     invalidate_anchors,
 )
@@ -68,7 +62,6 @@ from .dataset import DatasetIndex, load_dataset, voc_to_coco
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorValidity",
     "BinaryMap",
     "BoundingBox",
     "ChipBatch",
@@ -76,23 +69,19 @@ __all__ = [
     "DatasetIndex",
     "DetectionBatch",
     "FocusParams",
-    "GroundTruthInstance",
     "GroundTruthSet",
     "ImageSize",
-    "LabelKind",
     "LabelMap",
     "MaxSideTarget",
     "MergePolicy",
     "PipelineConfig",
     "ProbabilityMap",
     "ProposalSet",
-    "RoiLabel",
     "ScaleSpec",
     "UncoverableBoxes",
     "aggregate_cost_reports",
     "assign_roi_labels",
     "build_focus_label_map",
-    "classify_box_validity",
     "coco_default",
     "connected_components",
     "dilate",
@@ -100,7 +89,6 @@ __all__ = [
     "focus_pixel_stats",
     "generate_focus_chips",
     "invalidate_anchors",
-    "iou",
     "load_config",
     "load_dataset",
     "merge_detections",

@@ -20,14 +20,7 @@ import numpy as np
 
 from .focus_chips import _pair_blocks
 from .focus_spans import _count_at_most, _distinct
-from .geometry import (
-    GroundTruthInstance,
-    GroundTruthSet,
-    ImageSize,
-    ScaleSpec,
-    boxes_array,
-    scale_factors,
-)
+from .geometry import GroundTruthSet, ImageSize, ScaleSpec, scale_factors
 from .range_labels import valid_area_mask
 
 POSITIVE = "positive"
@@ -115,18 +108,13 @@ class ChipBatch(Sequence):
 @dataclass(eq=False)
 class ProposalSet:
     """Scored region proposals in the original-image frame: ``boxes`` (n, 4)
-    float64 corners x1, y1, x2, y2 and ``scores`` (n,) float64 in [0, 1].
-
-    A sequence of :class:`BoundingBox` is accepted for ``boxes`` and stored
-    as the array.
-    """
+    float64 corners x1, y1, x2, y2 and ``scores`` (n,) float64 in [0, 1]."""
 
     boxes: np.ndarray
     scores: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.boxes, np.ndarray):
-            self.boxes = boxes_array(self.boxes)
+        self.boxes = np.asarray(self.boxes, dtype=np.float64)
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if self.boxes.shape != (len(self.scores), 4):
             raise ValueError("boxes must be (n, 4) with one score per box")
@@ -344,7 +332,8 @@ def _level_boxes(
     as (n_images, 2) width, height.
 
     The multiply and the area test are the IEEE operations of
-    :func:`~pyrsample.geometry.rescale_boxes` and :func:`classify_box_validity`.
+    :func:`~pyrsample.geometry.rescale_boxes` and
+    :func:`~pyrsample.range_labels.valid_area_mask`.
     """
     canvases = [spec.resolve(original) for original in originals]
     scales = np.array([scale_factors(o, c) for o, c in zip(originals, canvases)]).reshape(-1, 4)
@@ -460,7 +449,7 @@ def _by_image(
 
 
 def select_positive_chips(
-    gts: Sequence[GroundTruthSet | list[GroundTruthInstance]],
+    gts: Sequence[GroundTruthSet],
     pyramid: list[ScaleSpec],
     originals: list[ImageSize],
     image_ids: Sequence[int],
@@ -479,7 +468,6 @@ def select_positive_chips(
     for any lattice chip are returned as diagnostics rather than silently
     dropped, by image, then level, then gt id.
     """
-    gts = [GroundTruthSet.of(g) for g in gts]
     n = len(pyramid)
     not_crowd = ~np.concatenate([np.zeros(0, dtype=bool), *(g.crowd for g in gts)])
     gt_ids = np.concatenate([np.zeros(0, dtype=np.intp), *(np.arange(len(g)) for g in gts)])
@@ -513,7 +501,7 @@ def select_positive_chips(
 
 
 def select_negative_chips(
-    gts: Sequence[GroundTruthSet | list[GroundTruthInstance]],
+    gts: Sequence[GroundTruthSet],
     proposals: Sequence[ProposalSet],
     pyramid: list[ScaleSpec],
     originals: list[ImageSize],
@@ -530,7 +518,6 @@ def select_negative_chips(
     with ``min_proposals`` and ``membership``. Chips come by image, then
     level, then pick order.
     """
-    gts = [GroundTruthSet.of(g) for g in gts]
     boxes, crowd = [g.boxes for g in gts], [g.crowd for g in gts]
     image, level, rects = _by_image([
         negative_cover(

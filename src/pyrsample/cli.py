@@ -39,7 +39,7 @@ from .focus_chips import FocusParams, generate_focus_chips
 from .focus_labels import LabelMap, focus_label_cells, focus_pixel_stats
 from .geometry import BoundingBox, DetectionBatch, ImageSize, boxes_array
 from .range_labels import filter_detections_by_range
-from .serialization import FormatError, json_int
+from .serialization import FormatError, json_int, json_number
 from .stacking import project_to_image, prune_boundary_detections, suppress
 
 WORKERS_ENV = "PYRSAMPLE_WORKERS"
@@ -218,14 +218,11 @@ def _read_chip(chip, canvas: ImageSize) -> tuple:
     return BoundingBox(*corners.tolist()).as_tuple()
 
 
-def _category_ids(entries: list) -> np.ndarray:
-    """Every entry's ``category_id``, in entry order, each one that is not a
-    plain int checked by ``json_int``."""
-    return np.array(
-        [value if type(value) is int else json_int(value, f"detection {k}: category_id")
-         for k, value in enumerate(entry["category_id"] for entry in entries)],
-        dtype=np.int64,
-    )
+def _detection_column(entries: list, key: str, read, plain: type) -> list:
+    """Every entry's ``key``, in entry order, each one whose type is not
+    ``plain`` read by ``read`` (``json_int`` or ``json_number``)."""
+    return [value if type(value) is plain else read(value, f"detection {k}: {key}")
+            for k, value in enumerate(entry[key] for entry in entries)]
 
 
 def _parse_stack_records(records: list) -> _StackRun:
@@ -248,10 +245,10 @@ def _parse_stack_records(records: list) -> _StackRun:
     flat = [entry for group in entries for entry in group]
     n = len(flat)
     xywh = np.array([entry["bbox"] for entry in flat], dtype=np.float64)
-    scores = np.array([entry["score"] for entry in flat], dtype=np.float64)
-    class_ids = _category_ids(flat)
-    if n and (xywh.shape != (n, 4) or scores.shape != (n,)):
-        raise ValueError("each detection needs a bbox [x, y, w, h] and one score")
+    scores = np.array(_detection_column(flat, "score", json_number, float), dtype=np.float64)
+    class_ids = np.array(_detection_column(flat, "category_id", json_int, int), dtype=np.int64)
+    if n and xywh.shape != (n, 4):
+        raise ValueError("each detection needs a bbox [x, y, w, h]")
     boxes = xywh.reshape(n, 4)
     not_finite = ~np.isfinite(boxes).all(axis=1)
     boxes[:, 2:] += boxes[:, :2]  # corners x1, y1, x2, y2

@@ -13,13 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import (
-    BoundingBox,
-    GroundTruthInstance,
-    GroundTruthSet,
-    ImageSize,
-    ScaleSpec,
-)
+from .geometry import GroundTruthSet, ImageSize, ScaleSpec
 from .focus_labels import (
     DEFAULT_IGNORE_MAX_SIDE,
     DEFAULT_MAX_SIDE,
@@ -83,29 +77,30 @@ class CostReport:
 
 
 def pixels_processed(
-    chips_per_scale: Mapping[int, Sequence[BoundingBox] | str],
+    chips_per_scale: Mapping[int, np.ndarray | str],
     pyramid: list[ScaleSpec],
     original: ImageSize,
 ) -> CostReport:
     """Per-image cost report for one chip assignment.
 
-    ``chips_per_scale`` maps scale_id to either a list of chip rectangles
-    (already clipped to the canvas), the marker ``FULL_IMAGE`` for a
-    full-canvas pass, or an empty list for a skipped scale. Scales absent
-    from the mapping are skipped.
+    ``chips_per_scale`` maps scale_id to either an (n, 4) array of chip
+    corners x1, y1, x2, y2 (already clipped to the canvas) or the marker
+    ``FULL_IMAGE`` for a full-canvas pass. A scale absent from the mapping,
+    or with no chips, is skipped. Chip areas are added in chip order.
     """
     per_scale: dict[int, float] = {}
     baseline: dict[int, float] = {}
     for spec in pyramid:
         canvas = spec.resolve(original)
         baseline[spec.scale_id] = float(canvas.area)
-        work = chips_per_scale.get(spec.scale_id, [])
+        work = chips_per_scale.get(spec.scale_id, np.zeros((0, 4)))
         if isinstance(work, str):
             if work != FULL_IMAGE:
                 raise ValueError(f"unknown scale marker: {work!r}")
             per_scale[spec.scale_id] = float(canvas.area)
         else:
-            per_scale[spec.scale_id] = float(sum(chip.area for chip in work))
+            areas = (work[:, 2] - work[:, 0]) * (work[:, 3] - work[:, 1])
+            per_scale[spec.scale_id] = float(sum(areas.tolist()))
     return CostReport(per_scale_pixels=per_scale, baseline_per_scale=baseline)
 
 
@@ -126,7 +121,7 @@ def aggregate_cost_reports(reports: Sequence[CostReport]) -> CostReport:
 
 
 def speedup_upper_bound(
-    gts_by_image: Mapping[object, GroundTruthSet | Sequence[GroundTruthInstance]],
+    gts_by_image: Mapping[object, GroundTruthSet],
     sizes_by_image: Mapping[object, ImageSize],
     pyramid: list[ScaleSpec],
     min_chip_sizes: Sequence[int],
@@ -162,7 +157,7 @@ def speedup_upper_bound(
     if min(min_chip_sizes) < 1:
         raise ValueError(f"chip sizes must be >= 1: {list(min_chip_sizes)}")
     check_kernel_size(dilation, "dilation")
-    boxes = [GroundTruthSet.of(gts).boxes for gts in gts_by_image.values()]
+    boxes = [gts.boxes for gts in gts_by_image.values()]
     originals = [sizes_by_image[image_id] for image_id in gts_by_image]
     processed = dict.fromkeys(min_chip_sizes, 0.0)
     baseline_total = 0.0
@@ -206,14 +201,14 @@ def speedup_upper_bound(
 
 
 def _box_areas(
-    gts_by_image: Mapping[object, GroundTruthSet | Sequence[GroundTruthInstance]],
+    gts_by_image: Mapping[object, GroundTruthSet],
     sizes_by_image: Mapping[object, ImageSize],
     exclude_crowd: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Every box's area, (x2 - x1) * (y2 - y1) as :attr:`BoundingBox.area`
-    computes it, and the area of its image, image by image in mapping
-    order; crowd boxes are left out when ``exclude_crowd`` is set."""
-    sets = [GroundTruthSet.of(gts) for gts in gts_by_image.values()]
+    """Every box's area, (x2 - x1) * (y2 - y1), and the area of its image,
+    image by image in mapping order; crowd boxes are left out when
+    ``exclude_crowd`` is set."""
+    sets = list(gts_by_image.values())
     boxes = np.concatenate([np.zeros((0, 4)), *(g.boxes for g in sets)])
     image_areas = np.repeat(
         [float(sizes_by_image[image_id].area) for image_id in gts_by_image],
@@ -244,7 +239,7 @@ class RoiScaleHistogram:
 
 
 def roi_scale_histogram(
-    gts_by_image: Mapping[object, GroundTruthSet | Sequence[GroundTruthInstance]],
+    gts_by_image: Mapping[object, GroundTruthSet],
     sizes_by_image: Mapping[object, ImageSize],
     n_bins: int = 50,
     exclude_crowd: bool = False,
@@ -278,7 +273,7 @@ class SizeBandStats:
 
 
 def size_area_fractions(
-    gts_by_image: Mapping[object, GroundTruthSet | Sequence[GroundTruthInstance]],
+    gts_by_image: Mapping[object, GroundTruthSet],
     sizes_by_image: Mapping[object, ImageSize],
     bands: Sequence[tuple[str, float, float]] = SIZE_BANDS,
     exclude_crowd: bool = False,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .chips import ProposalSet
 from .geometry import GroundTruthSet, ImageSize
-from .serialization import json_int
+from .serialization import json_int, json_number
 
 CLAMP_TOL = 1e-9
 # The largest image width or height: a ``.fmap`` header stores the canvas
@@ -87,6 +87,15 @@ def _ints(values, name: str) -> list[int]:
     return [value if type(value) is int else json_int(value, name) for value in values]
 
 
+def _crowd_flag(value) -> bool:
+    """An annotation's ``iscrowd``: 0 or 1 (an integer field, so 1.0 is 1),
+    or ``false`` or ``true``. Anything else raises ``ValueError``; ``bool()``
+    would read the text ``"0"`` as crowd."""
+    if type(value) in (bool, int, float) and value in (0, 1):
+        return bool(value)
+    raise ValueError(f"iscrowd must be 0, 1, false or true: {value!r}")
+
+
 def _section(data: dict, key: str, path: str | Path) -> list:
     """The list under ``key`` of a COCO annotation file (empty when absent)."""
     entries = data.get(key, [])
@@ -109,8 +118,8 @@ def _entry_error(
 
 def _annotation_rows(path: str | Path, entries: list) -> np.ndarray:
     """Every annotation's ``bbox`` as an (n, 4) float64 array; raises the
-    error of the first annotation whose image id, bbox or category id is
-    bad, checked in that order."""
+    error of the first annotation whose image id, bbox, category id or
+    crowd flag is bad, checked in that order."""
     rows = []
     for position, entry in enumerate(entries):
         try:
@@ -119,6 +128,7 @@ def _annotation_rows(path: str | Path, entries: list) -> np.ndarray:
             class_id = json_int(entry["category_id"], "category_id")
             if not 0 <= class_id <= MAX_ID:
                 raise ValueError(f"category_id must be in [0, {MAX_ID}]: {class_id}")
+            _crowd_flag(entry.get("iscrowd", 0))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise _entry_error(path, position, entry, exc) from exc
     return np.array(rows, dtype=np.float64).reshape(-1, 4)
@@ -134,7 +144,7 @@ def _annotation_sets(
         image_ids = _ints((ann["image_id"] for ann in entries), "image_id")
         class_ids = np.array(_ints((ann["category_id"] for ann in entries), "category_id"),
                              dtype=np.int64)
-        crowd = np.array([bool(ann.get("iscrowd", 0)) for ann in entries], dtype=bool)
+        crowd = np.array([_crowd_flag(ann.get("iscrowd", 0)) for ann in entries], dtype=bool)
         xywh = np.array([ann["bbox"] for ann in entries], dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError):
         xywh = None
@@ -189,7 +199,9 @@ def load_dataset(
     an image id repeats or is outside int64, an image is wider or taller
     than ``MAX_IMAGE_SIDE``, or annotations or proposals reference image
     ids that do not exist, lack a required key, have a negative or
-    non-finite bbox, or (annotations) a category id outside [0, 2^63 - 1].
+    non-finite bbox, or (annotations) a category id outside [0, 2^63 - 1] or
+    an ``iscrowd`` other than 0, 1, ``false`` or ``true``, or (proposals) a
+    score that is not a JSON number (``json_number``).
     """
     data = _read_json(annotation_path)
     if not isinstance(data, dict) or "images" not in data:
@@ -254,7 +266,11 @@ def load_proposals(path: str | Path, index: DatasetIndex) -> dict[int, ProposalS
     try:
         image_ids = _ints((entry["image_id"] for entry in data), "image_id")
         bboxes = [entry["bbox"] for entry in data]
-        scores = np.array([float(entry.get("score", 1.0)) for entry in data], dtype=np.float64)
+        scores = np.array(
+            [score if type(score) is float else json_number(score, "score")
+             for score in (entry.get("score", 1.0) for entry in data)],
+            dtype=np.float64,
+        )
     except (KeyError, TypeError, ValueError, OverflowError):
         _raise_first_bad_entry(path, data)
         raise
@@ -299,7 +315,7 @@ def _raise_first_bad_entry(path: str | Path, data: list) -> None:
         try:
             json_int(entry["image_id"], "image_id")
             entry["bbox"]
-            float(entry.get("score", 1.0))
+            json_number(entry.get("score", 1.0), "score")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise _entry_error(path, position, entry, exc) from exc
 

@@ -11,19 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .geometry import (
-    BoundingBox,
-    GroundTruthInstance,
-    GroundTruthSet,
-    ImageSize,
-    ScaleSpec,
-    boxes_array,
-    rescale_boxes,
-)
+from .geometry import GroundTruthSet, ImageSize, ScaleSpec, rescale_boxes
 
 DEFAULT_STRIDE = 32
 DEFAULT_MIN_SIDE = 5.0
@@ -176,14 +168,15 @@ def focus_label_cells(
 
 
 def build_focus_label_map(
-    gts: Iterable[GroundTruthInstance | BoundingBox],
+    boxes: np.ndarray,
     image: ImageSize,
     stride: int = DEFAULT_STRIDE,
     min_side: float = DEFAULT_MIN_SIDE,
     max_side: float = DEFAULT_MAX_SIDE,
     ignore_max_side: float = DEFAULT_IGNORE_MAX_SIDE,
 ) -> LabelMap:
-    """Rasterize ground truth into a {1, 0, -1} focus label map.
+    """Rasterize the (n, 4) corner rows ``boxes`` into a {1, 0, -1} focus
+    label map.
 
     Boxes must already be in the (re-scaled) frame the map describes; the
     side-length thresholds apply to sqrt(area) in that frame. A cell takes
@@ -194,7 +187,6 @@ def build_focus_label_map(
     ``ignore_max_side`` fall in the ignore band; sides beyond
     ``ignore_max_side`` are plain background and mark nothing.
     """
-    boxes = boxes_array(gt.box if isinstance(gt, GroundTruthInstance) else gt for gt in gts)
     return LabelMap(
         cells=focus_label_cells(
             boxes, image, image, stride, min_side, max_side, ignore_max_side
@@ -229,7 +221,7 @@ class FocusPixelScaleStats:
 
 
 def focus_pixel_stats(
-    gts_by_image: Mapping[object, GroundTruthSet | Sequence[GroundTruthInstance]],
+    gts_by_image: Mapping[object, GroundTruthSet],
     sizes_by_image: Mapping[object, ImageSize],
     pyramid: list[ScaleSpec],
     stride: int = DEFAULT_STRIDE,
@@ -256,7 +248,7 @@ def focus_pixel_stats(
     missing = [k for k in gts_by_image if k not in sizes_by_image]
     if missing:
         raise ValueError(f"images without a recorded size: {missing[:5]}")
-    boxes = [GroundTruthSet.of(gts).boxes for gts in gts_by_image.values()]
+    boxes = [gts.boxes for gts in gts_by_image.values()]
     originals = [sizes_by_image[image_id] for image_id in gts_by_image]
     n = len(originals)
     stats: dict[int, FocusPixelScaleStats] = {}

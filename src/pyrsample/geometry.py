@@ -106,67 +106,30 @@ class MaxSideTarget:
 ScaleTarget = ImageSize | MaxSideTarget | float
 
 
-@dataclass(frozen=True)
-class GroundTruthInstance:
-    """A ground-truth box with its class, in the original-image frame."""
-
-    box: BoundingBox
-    class_id: int
-    is_crowd: bool = False
-
-    def __post_init__(self) -> None:
-        if self.class_id < 0:
-            raise ValueError(f"class_id must be >= 0, got {self.class_id}")
-
-
-class GroundTruthSet(Sequence):
+class GroundTruthSet:
     """One image's ground truth as columns: ``boxes`` (n, 4) float64 corners
     x1, y1, x2, y2 in the original-image frame, ``class_ids`` (n,) int64 and
     ``crowd`` (n,) bool.
 
-    The chip cover, the focus path and the dataset statistics work on these
-    arrays. The set is also a read-only sequence of
-    :class:`GroundTruthInstance`, built on access; indexing with a slice, a
-    mask or an index array gives a set.
+    The chip cover, the range labels, the focus path and the dataset
+    statistics work on these arrays. ``len`` is the row count, and indexing
+    with a slice, a mask or an index array gives a set; a set is not
+    iterable.
     """
 
     __slots__ = ("boxes", "class_ids", "crowd")
+    __iter__ = None
 
     def __init__(self, boxes: np.ndarray, class_ids: np.ndarray, crowd: np.ndarray) -> None:
         self.boxes = boxes
         self.class_ids = class_ids
         self.crowd = crowd
 
-    @classmethod
-    def of(cls, gts: Sequence[GroundTruthInstance]) -> "GroundTruthSet":
-        """The columns of ``gts``; a set is returned as it is."""
-        if isinstance(gts, cls):
-            return gts
-        return cls(
-            np.array([g.box.as_tuple() for g in gts], dtype=np.float64).reshape(-1, 4),
-            np.array([g.class_id for g in gts], dtype=np.int64),
-            np.array([g.is_crowd for g in gts], dtype=bool),
-        )
-
     def __len__(self) -> int:
         return len(self.class_ids)
 
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return GroundTruthInstance(
-                BoundingBox(*self.boxes[key].tolist()),
-                int(self.class_ids[key]),
-                bool(self.crowd[key]),
-            )
+    def __getitem__(self, key) -> "GroundTruthSet":
         return GroundTruthSet(self.boxes[key], self.class_ids[key], self.crowd[key])
-
-    def __iter__(self):
-        return map(
-            GroundTruthInstance,
-            (BoundingBox(*corners) for corners in self.boxes.tolist()),
-            self.class_ids.tolist(),
-            self.crowd.tolist(),
-        )
 
 
 class DetectionRow(NamedTuple):
@@ -279,23 +242,6 @@ class ScaleSpec:
             max(1, round(original.width * factor)),
             max(1, round(original.height * factor)),
         )
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes in the same frame.
-
-    Returns 0 for disjoint boxes and whenever the union is degenerate
-    (both boxes zero-area), 1 only for identical positive-area boxes.
-    """
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    union = a.area + b.area - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
 
 
 def scale_factors(from_size: ImageSize, to_size: ImageSize) -> tuple[float, float, float, float]:

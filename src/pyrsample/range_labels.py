@@ -6,130 +6,75 @@ background. Areas are always measured in the resized frame of the level.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
-from .geometry import BoundingBox, DetectionBatch, GroundTruthInstance, ScaleSpec, iou
+from .focus_chips import _pair_blocks
+from .geometry import DetectionBatch, GroundTruthSet, ScaleSpec
+from .stacking import iou_rows
 
 IOU_FOREGROUND = 0.5
 IOU_ANCHOR_INVALIDATE = 0.3
 
-
-class LabelKind(Enum):
-    FOREGROUND = "foreground"
-    BACKGROUND = "background"
-    IGNORE = "ignore"
+FOREGROUND = 1
+BACKGROUND = 0
+IGNORE = -1
 
 
-@dataclass(frozen=True)
-class RoiLabel:
-    """Training label for one RoI: a foreground class, background, or ignore.
-
-    ``numeric`` follows the conventional encoding: the ground-truth class id
-    for foreground, 0 for background, -1 for ignore.
-    """
-
-    kind: LabelKind
-    class_id: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is LabelKind.FOREGROUND:
-            if self.class_id is None or self.class_id < 0:
-                raise ValueError("foreground label needs a valid class_id")
-        elif self.class_id is not None:
-            raise ValueError(f"{self.kind.value} label cannot carry a class_id")
-
-    @classmethod
-    def foreground(cls, class_id: int) -> "RoiLabel":
-        return cls(LabelKind.FOREGROUND, class_id)
-
-    @classmethod
-    def background(cls) -> "RoiLabel":
-        return cls(LabelKind.BACKGROUND)
-
-    @classmethod
-    def ignore(cls) -> "RoiLabel":
-        return cls(LabelKind.IGNORE)
-
-    @property
-    def numeric(self) -> int:
-        if self.kind is LabelKind.FOREGROUND:
-            assert self.class_id is not None
-            return self.class_id
-        return 0 if self.kind is LabelKind.BACKGROUND else -1
-
-
-class AnchorValidity(Enum):
-    TRAIN = "train"
-    INVALIDATED = "invalidated"
-
-
-def classify_box_validity(box: BoundingBox, spec: ScaleSpec) -> bool:
-    """True iff the box area lies strictly inside the level's valid range.
-
-    Areas exactly equal to either endpoint are invalid. The box must already
-    be in the resized frame of ``spec``.
-    """
+def valid_area_mask(boxes: np.ndarray, spec: ScaleSpec) -> np.ndarray:
+    """Rows of the (n, 4) ``boxes`` whose area lies strictly inside the
+    level's effective range; an area equal to either endpoint is invalid.
+    The boxes must already be in the resized frame of ``spec``."""
     r_min, r_max = spec.effective_range
-    return r_min < box.area < r_max
+    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    return (r_min < area) & (area < r_max)
+
+
+def _iou_blocks(boxes: np.ndarray, gt_boxes: np.ndarray):
+    """The IoU of every row of the (n, 4) ``boxes`` with every row of the
+    (m, 4) ``gt_boxes``, per block of rows of ``boxes`` holding about
+    ``focus_chips._PAIR_BLOCK`` pairs: the row indices and their (rows, m) IoU matrix."""
+    m = len(gt_boxes)
+    for i, j in _pair_blocks(np.zeros(len(boxes), dtype=np.intp), np.full(len(boxes), m)):
+        yield i[::m], iou_rows(gt_boxes[j], boxes[i]).reshape(-1, m)
 
 
 def assign_roi_labels(
-    rois: list[BoundingBox],
-    gts: list[GroundTruthInstance],
-    spec: ScaleSpec,
-) -> list[RoiLabel]:
-    """Label each RoI against the ground truth at one pyramid level.
+    rois: np.ndarray, gts: GroundTruthSet, spec: ScaleSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label each row of the (n, 4) ``rois`` against one image's ground
+    truth at one pyramid level, both in the level's resized frame.
 
-    Out-of-range RoIs are ignored. In-range RoIs become foreground when their
-    best IoU against any ground-truth box reaches 0.5 (ties broken by lowest
-    ground-truth index), background otherwise. With no ground truth, every
-    in-range RoI is background.
+    Returns (labels, class_ids): ``labels`` (n,) int8 holds 1 for
+    foreground, 0 for background and -1 for ignore, and ``class_ids`` (n,)
+    int64 the matched class of a foreground RoI and -1 elsewhere.
+    Out-of-range RoIs are ignored. In-range RoIs become foreground when
+    their best IoU against any ground-truth box reaches 0.5, matched to the
+    lowest ground-truth index among the best, and background otherwise.
+    With no ground truth, every in-range RoI is background.
     """
-    labels: list[RoiLabel] = []
-    for roi in rois:
-        if not classify_box_validity(roi, spec):
-            labels.append(RoiLabel.ignore())
-            continue
-        best_iou = 0.0
-        best_class: int | None = None
-        for gt in gts:
-            overlap = iou(gt.box, roi)
-            if overlap > best_iou:
-                best_iou = overlap
-                best_class = gt.class_id
-        if best_iou >= IOU_FOREGROUND and best_class is not None:
-            labels.append(RoiLabel.foreground(best_class))
-        else:
-            labels.append(RoiLabel.background())
-    return labels
+    valid = np.flatnonzero(valid_area_mask(rois, spec))
+    labels = np.full(len(rois), IGNORE, dtype=np.int8)
+    labels[valid] = BACKGROUND
+    class_ids = np.full(len(rois), -1, dtype=np.int64)
+    for rows, overlap in _iou_blocks(rois[valid], gts.boxes):
+        best = overlap.argmax(axis=1)  # the first maximum of each row
+        hit = overlap[np.arange(len(rows)), best] >= IOU_FOREGROUND
+        labels[valid[rows[hit]]] = FOREGROUND
+        class_ids[valid[rows[hit]]] = gts.class_ids[best[hit]]
+    return labels, class_ids
 
 
-def invalidate_anchors(
-    anchors: list[BoundingBox],
-    gts: list[GroundTruthInstance],
-    spec: ScaleSpec,
-) -> list[AnchorValidity]:
-    """Flag anchors overlapping an out-of-range ground-truth box.
+def invalidate_anchors(anchors: np.ndarray, gts: GroundTruthSet, spec: ScaleSpec) -> np.ndarray:
+    """Which rows of the (n, 4) ``anchors`` overlap an out-of-range
+    ground-truth box, as an (n,) bool array.
 
     An anchor is invalidated (excluded from training) when its IoU with any
     invalid ground-truth box exceeds 0.3 strictly.
     """
-    invalid_gts = [gt for gt in gts if not classify_box_validity(gt.box, spec)]
-    flags = []
-    for anchor in anchors:
-        invalid = any(iou(anchor, gt.box) > IOU_ANCHOR_INVALIDATE for gt in invalid_gts)
-        flags.append(AnchorValidity.INVALIDATED if invalid else AnchorValidity.TRAIN)
-    return flags
-
-
-def valid_area_mask(boxes: np.ndarray, spec: ScaleSpec) -> np.ndarray:
-    """Rows of the (n, 4) ``boxes`` that :func:`classify_box_validity` accepts."""
-    r_min, r_max = spec.effective_range
-    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-    return (r_min < area) & (area < r_max)
+    invalid = np.zeros(len(anchors), dtype=bool)
+    for rows, overlap in _iou_blocks(anchors, gts.boxes[~valid_area_mask(gts.boxes, spec)]):
+        invalid[rows] = (overlap > IOU_ANCHOR_INVALIDATE).any(axis=1)
+    return invalid
 
 
 def filter_detections_by_range(dets: DetectionBatch, spec: ScaleSpec) -> DetectionBatch:

@@ -53,6 +53,17 @@ def json_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer: {value!r}")
 
 
+def json_number(value, name: str) -> float:
+    """A JSON number field as a float: an int or a float.
+
+    Anything else, JSON ``true``/``false``, a string or ``null``, raises
+    ``ValueError`` naming ``name``; ``float()`` would read ``"0.5"`` and
+    ``true``."""
+    if type(value) is float or type(value) is int:
+        return float(value)
+    raise ValueError(f"{name} must be a number: {value!r}")
+
+
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")

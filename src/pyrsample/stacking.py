@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, DetectionBatch, ImageSize
+from .geometry import DetectionBatch, ImageSize
 
 HARD = "hard"
 GAUSSIAN = "gaussian"
@@ -52,16 +52,14 @@ class MergePolicy:
 def _columns(value) -> np.ndarray:
     """The fields of one rectangle, size or point as float64 scalars, or of
     an (n, k) array as its k per-row columns."""
-    if isinstance(value, BoundingBox):
-        value = value.as_tuple()
-    elif isinstance(value, ImageSize):
+    if isinstance(value, ImageSize):
         value = (value.width, value.height)
     return np.asarray(value, dtype=np.float64).T
 
 
 def prune_boundary_detections(
     dets: DetectionBatch,
-    chip: BoundingBox | np.ndarray,
+    chip: tuple[float, float, float, float] | np.ndarray,
     image: ImageSize | np.ndarray,
     eps: float = DEFAULT_BOUNDARY_EPS,
     border_tol: float = 1e-6,
@@ -72,8 +70,8 @@ def prune_boundary_detections(
     edge that coincides with the image border is exempt: touching it never
     discards, so a detection may sit on one or even all shared borders as
     long as every chip edge it touches is a shared border. ``eps`` is the
-    touch tolerance in pixels. ``chip`` is one :class:`BoundingBox` or an
-    (n, 4) array holding each row's chip; ``image`` is one
+    touch tolerance in pixels. ``chip`` is one (x1, y1, x2, y2) rectangle
+    or an (n, 4) array holding each row's chip; ``image`` is one
     :class:`ImageSize` or an (n, 2) array of each row's canvas width and
     height.
     """
@@ -115,14 +113,17 @@ def project_to_image(
 
 def iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of each row of the (m, 4) boxes ``a`` with the same row of ``b``,
-    entry by entry the same float operations as :func:`pyrsample.geometry.iou`."""
+    in the same frame: 0 for boxes that do not overlap with positive area
+    and whenever the union is degenerate (both boxes zero-area), 1 only for
+    identical positive-area boxes. Entry by entry these are the float
+    operations of the one-pair oracle ``iou_oracle`` in ``tests/oracles.py``."""
     ix = np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0])
     iy = np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1])
     inter = ix * iy
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = area_a + area_b - inter
-    overlap = np.zeros_like(inter)
+    overlap = np.zeros(inter.shape)
     np.divide(inter, union, out=overlap, where=~((ix <= 0) | (iy <= 0) | (union <= 0)))
     return overlap
 

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from pyrsample.dataset import load_dataset
 from pyrsample.chips import ChipBatch
-from pyrsample.geometry import DetectionBatch
+from pyrsample.geometry import DetectionBatch, GroundTruthSet
 
 EXCERPT_PATH = Path(__file__).parent.parent / "src" / "pyrsample" / "data" / "excerpt_200.json"
 REFERENCE_PATH = Path(__file__).parent / "data" / "excerpt_reference.json"
@@ -44,6 +44,23 @@ def coco_val2017_path():
 @pytest.fixture(scope="session")
 def excerpt_index():
     return load_dataset(EXCERPT_PATH)
+
+
+def gt_set(rows) -> GroundTruthSet:
+    """One image's ground truth from (box, class_id) or (box, class_id,
+    is_crowd) rows, such as the oracles' ``Gt`` tuples; each box is a
+    ``BoundingBox``."""
+    rows = [(*row, False)[:3] for row in rows]
+    return GroundTruthSet(
+        np.array([box.as_tuple() for box, _, _ in rows], dtype=np.float64).reshape(-1, 4),
+        np.array([class_id for _, class_id, _ in rows], dtype=np.int64),
+        np.array([is_crowd for _, _, is_crowd in rows], dtype=bool),
+    )
+
+
+def gt_sets(rows_by_image: dict) -> dict:
+    """Per image id, the :func:`gt_set` of its rows."""
+    return {image_id: gt_set(rows) for image_id, rows in rows_by_image.items()}
 
 
 def detection_batch(rows) -> DetectionBatch:

@@ -8,10 +8,20 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
-from pyrsample.geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec
+from pyrsample.geometry import BoundingBox, ImageSize, ScaleSpec
+
+
+class Gt(NamedTuple):
+    """A ground-truth box with its class and crowd flag, in the frame of its
+    image: the oracles' one-row form of ground truth."""
+
+    box: BoundingBox
+    class_id: int
+    is_crowd: bool = False
 
 
 def rescale_box(b: BoundingBox, from_size: ImageSize, to_size: ImageSize) -> BoundingBox:
@@ -43,26 +53,43 @@ def iou_oracle(a: BoundingBox, b: BoundingBox) -> float:
 
 def roi_label_oracle(
     roi: BoundingBox,
-    gts: list[GroundTruthInstance],
+    gts: list[Gt],
     r_min: float,
     r_max: float,
-) -> int:
+) -> tuple[int, int]:
     """Literal piecewise evaluation of the per-RoI label rule.
 
-    Returns the matched ground-truth class for foreground, 0 for background,
-    -1 for out-of-range.
+    Returns (label, class id): (1, the matched ground-truth class) for
+    foreground, (0, -1) for background and (-1, -1) for out-of-range. The
+    match is the first ground-truth box with the highest IoU.
     """
     area = roi.area
     if area <= r_min or area >= r_max:
-        return -1
+        return -1, -1
     best_iou, best_class = 0.0, None
     for gt in gts:
         overlap = iou_oracle(gt.box, roi)
         if overlap > best_iou:
             best_iou, best_class = overlap, gt.class_id
     if best_iou >= 0.5 and best_class is not None:
-        return best_class
-    return 0
+        return 1, best_class
+    return 0, -1
+
+
+def anchor_validity_oracle(
+    anchor: BoundingBox,
+    gts: list[Gt],
+    r_min: float,
+    r_max: float,
+) -> bool:
+    """True when the anchor is invalidated: its IoU with some ground-truth
+    box whose area is outside the open range (r_min, r_max) exceeds 0.3."""
+    for gt in gts:
+        if r_min < gt.box.area < r_max:
+            continue
+        if iou_oracle(anchor, gt.box) > 0.3:
+            return True
+    return False
 
 
 def focus_label_oracle(
@@ -464,7 +491,7 @@ def strict_int(value, name: str) -> int:
 
 def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
     """The per-entry COCO annotation loader: (image sizes in file order,
-    per-image lists of :class:`GroundTruthInstance` in file order, categories,
+    per-image lists of :class:`Gt` in file order, categories,
     clamp warnings). Each box goes through float() corner by corner and is
     clamped with Python's ``min`` and ``max``. Raises the errors of
     ``load_dataset`` with the same messages."""
@@ -517,7 +544,7 @@ def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DatasetStructureError(f"{path}: bad category entry {cat!r}: {exc}") from exc
 
-    annotations: dict[int, list[GroundTruthInstance]] = {iid: [] for iid in sizes}
+    annotations: dict[int, list[Gt]] = {iid: [] for iid in sizes}
     clamp_warnings = 0
     dangling = []
     for position, ann in enumerate(section("annotations")):
@@ -531,6 +558,9 @@ def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
             class_id = strict_int(ann["category_id"], "category_id")
             if not 0 <= class_id <= MAX_ID:
                 raise ValueError(f"category_id must be in [0, {MAX_ID}]: {class_id}")
+            is_crowd = ann.get("iscrowd", 0)
+            if is_crowd not in (False, True):  # 0, 1, 0.0, 1.0, false or true
+                raise ValueError(f"iscrowd must be 0, 1, false or true: {is_crowd!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             name = (
                 f"annotation id {ann['id']!r}"
@@ -548,9 +578,7 @@ def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
         clamped = tuple(min(max(v, 0.0), limit) for v, limit in zip(corners, limits))
         if any(abs(c - v) > 1e-9 for c, v in zip(clamped, corners)):
             clamp_warnings += 1
-        annotations[image_id].append(
-            GroundTruthInstance(BoundingBox(*clamped), class_id, bool(ann.get("iscrowd", 0)))
-        )
+        annotations[image_id].append(Gt(BoundingBox(*clamped), class_id, bool(is_crowd)))
     if dangling:
         raise DatasetStructureError(
             f"{path}: annotations reference missing image ids {sorted(set(dangling))[:20]}"

@@ -23,18 +23,12 @@ from pyrsample.dataset import load_dataset
 from pyrsample.focus_chips import FocusParams, generate_focus_chips
 from pyrsample.focus_labels import ProbabilityMap, build_focus_label_map
 from pyrsample.focus_labels import focus_pixel_stats
-from pyrsample.geometry import (
-    BoundingBox,
-    DetectionRow,
-    GroundTruthInstance,
-    ImageSize,
-    ScaleSpec,
-)
-from pyrsample.range_labels import assign_roi_labels
+from pyrsample.geometry import BoundingBox, DetectionRow, ImageSize, ScaleSpec, boxes_array
+from pyrsample.range_labels import assign_roi_labels, invalidate_anchors
 from pyrsample.stacking import MergePolicy, merge_detections, project_to_image, prune_boundary_detections
 
-from conftest import EXCERPT_PATH, REFERENCE_PATH, detection_batch
-from oracles import clip_box, focus_label_oracle, roi_label_oracle
+from conftest import EXCERPT_PATH, REFERENCE_PATH, detection_batch, gt_set
+from oracles import Gt, anchor_validity_oracle, clip_box, focus_label_oracle, roi_label_oracle
 
 
 @contextmanager
@@ -76,10 +70,12 @@ def test_criterion_1_coverage_guarantee():
                 bh = min(side / aspect, h - 1.0)
                 x = float(rng.uniform(0, w - bw))
                 y = float(rng.uniform(0, h - bh))
-                gts.append(GroundTruthInstance(BoundingBox(x, y, x + bw, y + bh), 1))
+                gts.append(Gt(BoundingBox(x, y, x + bw, y + bh), 1))
             scenes.append(gts)
             originals.append(ImageSize(w, h))
-        chips, diagnostics = select_positive_chips(scenes, pyramid, originals, range(1000))
+        chips, diagnostics = select_positive_chips(
+            [gt_set(gts) for gts in scenes], pyramid, originals, range(1000)
+        )
         flagged = set(zip(diagnostics.image_ids.tolist(), diagnostics.scale_ids.tolist(),
                           diagnostics.gt_ids.tolist()))
         rects = {}
@@ -113,7 +109,7 @@ def test_criterion_1_coverage_guarantee():
 
 
 def test_criterion_2_label_oracle():
-    with criterion(2, "per-RoI labels match literal piecewise rule on 10^4 triples"):
+    with criterion(2, "RoI labels and anchor flags match the literal rules on 10^4 triples"):
         rng = np.random.default_rng(1002)
         for trial in range(10_000):
             r_min_side = int(rng.integers(0, 120))
@@ -133,7 +129,7 @@ def test_criterion_2_label_oracle():
                 x, y = rng.uniform(0, 300, 2)
                 roi = BoundingBox(x, y, x + float(rng.uniform(0, 250)), y + float(rng.uniform(0, 250)))
             gts = [
-                GroundTruthInstance(
+                Gt(
                     BoundingBox(
                         gx, gy, gx + float(rng.uniform(0, 250)), gy + float(rng.uniform(0, 250))
                     ),
@@ -141,9 +137,12 @@ def test_criterion_2_label_oracle():
                 )
                 for gx, gy in rng.uniform(0, 300, (int(rng.integers(0, 4)), 2))
             ]
-            got = assign_roi_labels([roi], gts, spec)[0].numeric
+            labels, class_ids = assign_roi_labels(boxes_array([roi]), gt_set(gts), spec)
+            got = (int(labels[0]), int(class_ids[0]))
             want = roi_label_oracle(roi, gts, r_min, r_max)
             assert got == want, f"trial {trial}: got {got}, oracle {want}"
+            invalid = bool(invalidate_anchors(boxes_array([roi]), gt_set(gts), spec)[0])
+            assert invalid == anchor_validity_oracle(roi, gts, r_min, r_max), f"trial {trial}"
 
 
 def test_criterion_3_focus_label_oracle():
@@ -168,7 +167,7 @@ def test_criterion_3_focus_label_oracle():
                 small = float(rng.uniform(6, 63))
                 boxes.append(BoundingBox(cx, cy, cx + big, cy + big))
                 boxes.append(BoundingBox(cx + 2, cy + 2, cx + 2 + small, cy + 2 + small))
-            got = build_focus_label_map(boxes, image, stride).cells
+            got = build_focus_label_map(boxes_array(boxes), image, stride).cells
             want = focus_label_oracle(boxes, image, stride, 5.0, 64.0, 90.0)
             assert (got == want).all(), f"trial {trial}"
 
@@ -312,10 +311,10 @@ def test_criterion_7_focus_stacking_frames():
                 assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
 
         image = ImageSize(1000, 800)
-        interior = BoundingBox(100, 100, 600, 600)
-        left = BoundingBox(0, 100, 500, 600)
-        corner = BoundingBox(0, 0, 500, 500)
-        full = BoundingBox(0, 0, 1000, 800)
+        interior = (100, 100, 600, 600)
+        left = (0, 100, 500, 600)
+        corner = (0, 0, 500, 500)
+        full = (0, 0, 1000, 800)
 
         def d(x1, y1, x2, y2):
             return detection_batch([((x1, y1, x2, y2), 0.9, 1)])

@@ -20,17 +20,12 @@ from pyrsample.chips import (
     select_negative_chips,
     select_positive_chips,
 )
-from pyrsample.geometry import (
-    BoundingBox,
-    GroundTruthInstance,
-    ImageSize,
-    MaxSideTarget,
-    ScaleSpec,
-    boxes_array,
-)
-from pyrsample.range_labels import RoiLabel, assign_roi_labels, classify_box_validity
+from pyrsample.geometry import BoundingBox, ImageSize, MaxSideTarget, ScaleSpec, boxes_array
+from pyrsample.range_labels import assign_roi_labels, valid_area_mask
 
+from conftest import gt_set
 from oracles import (
+    Gt,
     attach_gt_oracle,
     chip_grid_oracle,
     encloses_oracle,
@@ -102,8 +97,13 @@ class TestBuildChipGrid:
 
 
 def select_one(gts, pyramid, size):
-    """:func:`select_positive_chips` on one image, id 0."""
-    return select_positive_chips([gts], pyramid, [size], [0])
+    """:func:`select_positive_chips` on one image, id 0, from its ``Gt`` rows."""
+    return select_positive_chips([gt_set(gts)], pyramid, [size], [0])
+
+
+def is_valid(box, spec):
+    """Whether :func:`valid_area_mask` keeps the one box."""
+    return bool(valid_area_mask(np.array([box.as_tuple()]), spec)[0])
 
 
 def chip_box(chip):
@@ -117,13 +117,13 @@ def random_scene(rng, size, n_max, side_max):
         side = float(rng.uniform(4, side_max))
         x = float(rng.uniform(0, max(1, size.width - side)))
         y = float(rng.uniform(0, max(1, size.height - side)))
-        gts.append(GroundTruthInstance(square(side, x, y), class_id=1))
+        gts.append(Gt(square(side, x, y), class_id=1))
     return gts
 
 
 class TestSelectPositiveChips:
     def test_single_gt_single_chip(self):
-        gts = [GroundTruthInstance(square(50, x=100, y=100), class_id=1)]
+        gts = [Gt(square(50, x=100, y=100), class_id=1)]
         chips, diag = select_one(gts, [flat_spec()], ImageSize(600, 600))
         assert len(chips) == 1 and not len(diag)
         assert encloses_oracle(chip_box(chips[0]), gts[0].box)
@@ -132,9 +132,9 @@ class TestSelectPositiveChips:
     def test_greedy_prefers_pair(self):
         # two boxes coverable together, one far away: greedy takes the pair first
         gts = [
-            GroundTruthInstance(square(40, x=10, y=10), class_id=1),
-            GroundTruthInstance(square(40, x=300, y=300), class_id=1),
-            GroundTruthInstance(square(40, x=1200, y=10), class_id=1),
+            Gt(square(40, x=10, y=10), class_id=1),
+            Gt(square(40, x=300, y=300), class_id=1),
+            Gt(square(40, x=1200, y=10), class_id=1),
         ]
         chips, diag = select_one(gts, [flat_spec()], ImageSize(1400, 600))
         assert len(chips) == 2 and not len(diag)
@@ -146,12 +146,13 @@ class TestSelectPositiveChips:
         sizes = [ImageSize(int(rng.integers(100, 900)), int(rng.integers(100, 900)))
                  for _ in range(30)]
         scenes = [random_scene(rng, size, 12, 200) for size in sizes]
-        chips, diag = select_positive_chips(scenes, pyramid, sizes, range(30))
+        chips, diag = select_positive_chips([gt_set(g) for g in scenes], pyramid, sizes,
+                                            range(30))
         flagged = set(zip(diag.image_ids.tolist(), diag.gt_ids.tolist()))
         for image_id, gts in enumerate(scenes):
             rects = [chip_box(c) for c in chips if c.image_id == image_id]
             for gt_id, gt in enumerate(gts):
-                if classify_box_validity(gt.box, pyramid[0]):
+                if is_valid(gt.box, pyramid[0]):
                     covered = any(encloses_oracle(rect, gt.box) for rect in rects)
                     assert covered or (image_id, gt_id) in flagged
 
@@ -172,12 +173,12 @@ class TestSelectPositiveChips:
                 y = float(rng.choice([32.0 * rng.integers(0, 8), rng.uniform(0, size.height)]))
                 w = float(rng.choice([0.0, 32.0, 64.0, rng.uniform(1, 150)]))
                 h = float(rng.choice([0.0, w, rng.uniform(1, 150)]))
-                gts.append(GroundTruthInstance(BoundingBox(x, y, x + w, y + h), class_id=1,
-                                               is_crowd=bool(rng.random() < 0.2)))
+                gts.append(Gt(BoundingBox(x, y, x + w, y + h), class_id=1,
+                              is_crowd=bool(rng.random() < 0.2)))
             sizes.append(size)
             scenes.append(gts)
         image_ids = [3 * k + 1 for k in range(40)]
-        chips, _ = select_positive_chips(scenes, pyramid, sizes, image_ids)
+        chips, _ = select_positive_chips([gt_set(g) for g in scenes], pyramid, sizes, image_ids)
         assert len(chips) > 40
         for chip in chips:
             k = image_ids.index(chip.image_id)
@@ -193,7 +194,8 @@ class TestSelectPositiveChips:
         sizes = [ImageSize(int(rng.integers(100, 500)), int(rng.integers(100, 500)))
                  for _ in range(40)]
         scenes = [random_scene(rng, size, 9, 100) for size in sizes]
-        chips, diag = select_positive_chips(scenes, [spec], sizes, range(40))
+        chips, diag = select_positive_chips([gt_set(g) for g in scenes], [spec], sizes,
+                                            range(40))
         assert chips.image_ids.tolist() == sorted(chips.image_ids.tolist())
         for image_id, (size, gts) in enumerate(zip(sizes, scenes)):
             grid = grid_oracle(size, spec)
@@ -211,7 +213,7 @@ class TestSelectPositiveChips:
             side = float(rng.uniform(4, 100))
             x = float(rng.uniform(0, size.width - side))
             y = float(rng.uniform(0, size.height - side))
-            gts.append(GroundTruthInstance(square(side, x, y), class_id=1))
+            gts.append(Gt(square(side, x, y), class_id=1))
         chips, _ = select_one(gts, [spec], size)
         remaining = set(range(len(gts)))
         available = [tuple(c.as_tuple()) for c in grid_oracle(size, spec)]
@@ -227,7 +229,7 @@ class TestSelectPositiveChips:
             available.remove(chip.rect)
 
     def test_chip_shape_and_bounds(self):
-        gts = [GroundTruthInstance(square(30, x=10, y=10), class_id=1)]
+        gts = [Gt(square(30, x=10, y=10), class_id=1)]
         size = ImageSize(400, 900)
         chips, _ = select_one(gts, [flat_spec(K=512, d=32)], ImageSize(400, 900))
         for chip in chips:
@@ -238,7 +240,7 @@ class TestSelectPositiveChips:
             assert r.width == 400 and r.height == 512
 
     def test_oversized_valid_gt_goes_to_diagnostics(self):
-        gts = [GroundTruthInstance(square(600, x=0, y=0), class_id=1)]
+        gts = [Gt(square(600, x=0, y=0), class_id=1)]
         chips, diag = select_one(gts, [flat_spec(K=512, d=32)], ImageSize(800, 800))
         assert len(chips) == 0
         assert diag.gt_ids.tolist() == [0] and diag.scale_ids.tolist() == [0]
@@ -247,8 +249,8 @@ class TestSelectPositiveChips:
 
     def test_crowd_boxes_not_covered_but_attached(self):
         gts = [
-            GroundTruthInstance(square(700), class_id=1, is_crowd=True),
-            GroundTruthInstance(square(40, x=650, y=650), class_id=2),
+            Gt(square(700), class_id=1, is_crowd=True),
+            Gt(square(40, x=650, y=650), class_id=2),
         ]
         chips, diag = select_one(gts, [flat_spec()], ImageSize(800, 800))
         assert not len(diag)
@@ -259,8 +261,8 @@ class TestSelectPositiveChips:
 
     def test_cropped_gt_is_intersection(self):
         gts = [
-            GroundTruthInstance(square(40, x=100, y=100), class_id=1),
-            GroundTruthInstance(BoundingBox(400, 100, 900, 200), class_id=2),
+            Gt(square(40, x=100, y=100), class_id=1),
+            Gt(BoundingBox(400, 100, 900, 200), class_id=2),
         ]
         chips, _ = select_one(gts, [flat_spec()], ImageSize(1000, 600))
         chip = chips[0]
@@ -273,7 +275,7 @@ class TestSelectPositiveChips:
         # a 40-px box at 3x becomes 120 px and must be covered in the resized frame
         spec = ScaleSpec(scale_id=2, target=3.0, valid_range=(0.0, math.inf),
                          chip_size=256, chip_stride=32)
-        gts = [GroundTruthInstance(square(40, x=100, y=50), class_id=1)]
+        gts = [Gt(square(40, x=100, y=50), class_id=1)]
         chips, _ = select_one(gts, [spec], ImageSize(400, 300))
         assert len(chips) == 1
         assert encloses_oracle(chip_box(chips[0]), BoundingBox(300, 150, 420, 270))
@@ -281,9 +283,9 @@ class TestSelectPositiveChips:
     def test_determinism(self):
         rng = np.random.default_rng(1)
         gts = [
-            GroundTruthInstance(square(float(rng.uniform(10, 80)),
-                                       float(rng.uniform(0, 500)),
-                                       float(rng.uniform(0, 500))), class_id=1)
+            Gt(square(float(rng.uniform(10, 80)),
+                      float(rng.uniform(0, 500)),
+                      float(rng.uniform(0, 500))), class_id=1)
             for _ in range(12)
         ]
         first, _ = select_one(gts, [flat_spec()], ImageSize(640, 640))
@@ -292,16 +294,17 @@ class TestSelectPositiveChips:
 
 
 def negative_one(proposals, gts, pyramid, size, **kwargs):
-    """:func:`select_negative_chips` on one image, id 0."""
-    return select_negative_chips([gts], [proposals], pyramid, [size], [0], **kwargs)
+    """:func:`select_negative_chips` on one image, id 0, from its ``Gt`` rows."""
+    return select_negative_chips([gt_set(gts)], [proposals], pyramid, [size], [0], **kwargs)
 
 
 class TestSelectNegativeChips:
     def test_all_proposals_inside_positives(self):
         # One box makes the positive chip (0, 0, 512, 512), the whole canvas.
-        gts = [GroundTruthInstance(square(30, x=200, y=200), class_id=1)]
+        gts = [Gt(square(30, x=200, y=200), class_id=1)]
         proposals = ProposalSet(
-            boxes=[square(30, x=10, y=10), square(40, x=100, y=100)], scores=[0.9, 0.8]
+            boxes=boxes_array([square(30, x=10, y=10), square(40, x=100, y=100)]),
+            scores=[0.9, 0.8],
         )
         pool = negative_one(proposals, gts, [flat_spec()], ImageSize(512, 512), min_proposals=1)
         assert len(pool) == 0
@@ -310,8 +313,8 @@ class TestSelectNegativeChips:
 
     def test_cluster_covered_by_one_chip(self):
         proposals = ProposalSet(
-            boxes=[square(20, x=700, y=700), square(20, x=750, y=700),
-                   square(20, x=700, y=760)],
+            boxes=boxes_array([square(20, x=700, y=700), square(20, x=750, y=700),
+                               square(20, x=700, y=760)]),
             scores=[0.5, 0.5, 0.5],
         )
         pool = negative_one(proposals, [], [flat_spec()], ImageSize(1600, 1600), min_proposals=2)
@@ -320,7 +323,7 @@ class TestSelectNegativeChips:
 
     def test_far_singletons_below_threshold(self):
         proposals = ProposalSet(
-            boxes=[square(20, x=10, y=10), square(20, x=1500, y=1500)],
+            boxes=boxes_array([square(20, x=10, y=10), square(20, x=1500, y=1500)]),
             scores=[0.5, 0.5],
         )
         pool = negative_one(proposals, [], [flat_spec()], ImageSize(2100, 2100), min_proposals=2)
@@ -336,14 +339,14 @@ class TestSelectNegativeChips:
             x = float(rng.uniform(0, size.width - side))
             y = float(rng.uniform(0, size.height - side))
             boxes.append(square(side, x, y))
-        proposals = ProposalSet(boxes=boxes, scores=[0.5] * len(boxes))
-        gts = [GroundTruthInstance(square(60, x=50, y=50), class_id=1)]
+        proposals = ProposalSet(boxes=boxes_array(boxes), scores=[0.5] * len(boxes))
+        gts = [Gt(square(60, x=50, y=50), class_id=1)]
         positives, _ = select_one(gts, [spec], size)
         pool = negative_one(proposals, gts, [spec], size, min_proposals=3)
         assert len(pool)
         eligible = [
             b for b in boxes
-            if classify_box_validity(b, spec)
+            if is_valid(b, spec)
             and not any(encloses_oracle(chip_box(p), b) for p in positives)
         ]
         for chip in pool:
@@ -357,7 +360,8 @@ class TestSelectNegativeChips:
     def test_out_of_range_proposals_not_counted(self):
         spec = flat_spec(r=(0.0, 30.0**2))
         proposals = ProposalSet(
-            boxes=[square(100, x=10, y=10), square(100, x=60, y=60)], scores=[0.5, 0.5]
+            boxes=boxes_array([square(100, x=10, y=10), square(100, x=60, y=60)]),
+            scores=[0.5, 0.5],
         )
         pool = negative_one(proposals, [], [spec], ImageSize(1000, 1000), min_proposals=2)
         assert len(pool) == 0
@@ -373,9 +377,10 @@ class TestSelectNegativeChips:
             min_proposals = 1 + seed // 2 % 3
             image_ids = [30 - 7 * k for k in range(len(images))]  # not sorted
             sizes = [original for original, _, _, _ in images]
-            scenes = [gts for _, _, gts, _ in images]
+            scenes = [gt_set(gts) for _, _, gts, _ in images]
             pool = select_negative_chips(
-                scenes, [ProposalSet(boxes=b, scores=[0.5] * len(b)) for _, b, _, _ in images],
+                scenes,
+                [ProposalSet(boxes=boxes_array(b), scores=[0.5] * len(b)) for _, b, _, _ in images],
                 pyramid, sizes, image_ids, min_proposals=min_proposals, membership=membership,
             )
             positives, _ = select_positive_chips(scenes, pyramid, sizes, image_ids)
@@ -456,7 +461,7 @@ def _negative_case(seed):
         original = ImageSize(rng.choice([64, 96, 128, 160]), rng.choice([64, 96, 120, 160]))
         w, h = original.width, original.height
         boxes = [grid_box(w, h) for _ in range(rng.randint(0, 40))]
-        gts = [GroundTruthInstance(grid_box(w, h), class_id=1, is_crowd=rng.random() < 0.2)
+        gts = [Gt(grid_box(w, h), class_id=1, is_crowd=rng.random() < 0.2)
                for _ in range(rng.randint(0, 4))]
         positive = []
         for spec in pyramid + [ScaleSpec(scale_id=9, target=1.0)]:
@@ -477,7 +482,7 @@ def _negative_case(seed):
 
 class TestProposalSet:
     def test_boxes_become_an_array(self):
-        proposals = ProposalSet(boxes=[square(10), square(4, x=2)], scores=[0.5, 1])
+        proposals = ProposalSet(boxes=[[0, 0, 10, 10], [2, 0, 6, 4]], scores=[0.5, 1])
         assert proposals.boxes.dtype == np.float64
         assert proposals.boxes.tolist() == [[0, 0, 10, 10], [2, 0, 6, 4]]
         assert proposals.scores.tolist() == [0.5, 1.0]
@@ -570,21 +575,22 @@ class TestAssignChipLabels:
     SPEC = ScaleSpec(scale_id=0, target=1.0, valid_range=(32.0**2, 150.0**2),
                      chip_size=512, chip_stride=32)
 
+    def labels(self, rois, gts):
+        labels, class_ids = assign_roi_labels(boxes_array(rois), gt_set(gts), self.SPEC)
+        return list(zip(labels.tolist(), class_ids.tolist()))
+
     def test_cropped_gt_validates_small_proposal(self):
         # fragment of a large box, cropped to the chip: proposals matching it win
-        cropped = GroundTruthInstance(BoundingBox(400, 0, 512, 120), class_id=6)
+        cropped = Gt(BoundingBox(400, 0, 512, 120), class_id=6)
         proposal = BoundingBox(400, 0, 512, 100)  # IoU 100/120 > 0.5, area in range
-        labels = assign_roi_labels([proposal], [cropped], self.SPEC)
-        assert labels == [RoiLabel.foreground(6)]
+        assert self.labels([proposal], [cropped]) == [(1, 6)]
 
     def test_out_of_range_proposal_ignored(self):
-        labels = assign_roi_labels([square(200)], [], self.SPEC)
-        assert labels == [RoiLabel.ignore()]
+        assert self.labels([square(200)], []) == [(-1, -1)]
 
     def test_low_iou_background(self):
-        gt = GroundTruthInstance(square(60, x=400, y=400), class_id=2)
-        labels = assign_roi_labels([square(60)], [gt], self.SPEC)
-        assert labels == [RoiLabel.background()]
+        gt = Gt(square(60, x=400, y=400), class_id=2)
+        assert self.labels([square(60)], [gt]) == [(0, -1)]
 
 
 # Cover-kernel cases: a level of side-K chips at stride d (which need not
@@ -668,7 +674,7 @@ class TestCoverKernel:
                 canvas.width, canvas.height, spec.chip_size, spec.chip_stride)]
             resized = [rescale_box(BoundingBox(*b), size, canvas) for b in boxes.tolist()]
             targets = [box for box, is_crowd in zip(resized, crowd)
-                       if classify_box_validity(box, spec) and not is_crowd]
+                       if is_valid(box, spec) and not is_crowd]
             picked, _ = greedy_cover_oracle(grid, targets)
             assert [tuple(r) for r in rects.tolist()] == [grid[i].as_tuple() for i in picked]
 
@@ -695,9 +701,9 @@ class TestCoverKernel:
         rng = np.random.default_rng(8)
         pyramid = [flat_spec(K=64, d=24), flat_spec(scale_id=1, K=32, d=8, r=(0.0, 900.0))]
         sizes = [ImageSize(200, 150), ImageSize(64, 40), ImageSize(300, 90), ImageSize(90, 90)]
-        gts = [[GroundTruthInstance(square(float(rng.uniform(4, 60)), float(rng.uniform(0, 140)),
-                                           float(rng.uniform(0, 30))), class_id=1)
-                for _ in range(6)] for _ in sizes]
+        gts = [gt_set([Gt(square(float(rng.uniform(4, 60)), float(rng.uniform(0, 140)),
+                                 float(rng.uniform(0, 30))), class_id=1)
+                       for _ in range(6)]) for _ in sizes]
         image_ids = [50, 7, 8, 1]
         chips, diagnostics = select_positive_chips(gts, pyramid, sizes, image_ids)
         assert len(chips) > len(sizes) and len(diagnostics)

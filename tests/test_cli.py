@@ -242,6 +242,33 @@ class TestErrorRecords:
         assert (str(props) if section == "proposals" else str(small_coco)) in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, rule",
+        [("annotations", "iscrowd", "0", "0, 1, false or true"),
+         ("annotations", "iscrowd", 2, "0, 1, false or true"),
+         ("proposals", "score", "0.5", "a number"), ("proposals", "score", True, "a number")],
+        ids=["text-crowd", "two-crowd", "text-score", "true-score"],
+    )
+    def test_flag_and_score_fields_are_strict(self, small_coco, tmp_path, capsys, section, key,
+                                              value, rule):
+        # bool() would read "0" as crowd and float() would read "0.5" and true.
+        data = json.loads(small_coco.read_text())
+        proposals = [{"image_id": 1, "bbox": [300, 200, 40, 40], "score": 0.5}]
+        (proposals if section == "proposals" else data[section])[0][key] = value
+        small_coco.write_text(json.dumps(data))
+        props = tmp_path / "props.json"
+        props.write_text(json.dumps(proposals))
+        out = tmp_path / "chips.json"
+        argv = ["chips", "negative", "--proposals", str(props)] if section == "proposals" \
+            else ["chips", "positive"]
+        assert main([*argv, "--annotations", str(small_coco), "--out", str(out)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "DatasetStructureError"
+        name = "entry 0" if section == "proposals" else "annotation id 1"
+        source = props if section == "proposals" else small_coco
+        assert error["message"] == f"{source}: {name}: {key} must be {rule}: {value!r}"
+        assert not out.exists()
+
     def test_integral_floats_read_as_ints(self, small_coco, tmp_path):
         outs = []
         for name, as_float in (("ints", False), ("floats", True)):
@@ -425,6 +452,19 @@ class TestErrorRecords:
         detection = "detection 1: " if path[0] == "detections" else ""
         assert error["message"] == (
             f"{tmp_path / 'dets.json'}: record 2: {detection}{name} must be an integer: {value!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
+    def test_stack_score_must_be_a_number(self, small_coco, tmp_path, capsys, value):
+        # A numpy float array would read "0.5" and true, and null as NaN.
+        good = self.STACK_RECORD
+        records = [good, good, self._changed(good, ("detections", 1, "score"), value)]
+        rc, out = self._stack_records(small_coco, tmp_path, records)
+        assert rc == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "FormatError"
+        assert error["message"] == (
+            f"{tmp_path / 'dets.json'}: record 2: detection 1: score must be a number: {value!r}")
         assert not out.exists()
 
     def test_stack_canvas_too_large_for_a_float(self, small_coco, tmp_path, capsys):

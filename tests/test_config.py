@@ -3,6 +3,7 @@ import math
 import re
 from operator import attrgetter
 
+import numpy as np
 import pytest
 
 from pyrsample.config import (
@@ -18,8 +19,12 @@ from pyrsample.config import (
 from pyrsample.focus_chips import FocusParams
 from pyrsample.geometry import ImageSize, MaxSideTarget, ScaleSpec
 from pyrsample.stacking import MergePolicy
-from pyrsample.range_labels import classify_box_validity
-from pyrsample.geometry import BoundingBox
+from pyrsample.range_labels import valid_area_mask
+
+
+def valid_sides(sides, spec):
+    """Which square sides (boxes at the origin) are valid at ``spec``."""
+    return valid_area_mask(np.array([[0.0, 0.0, side, side] for side in sides]), spec).tolist()
 
 
 class TestCocoDefault:
@@ -35,22 +40,20 @@ class TestCocoDefault:
 
     def test_every_area_valid_somewhere(self):
         cfg = coco_default()
-        for side in (1, 10, 33, 80, 100, 121, 200, 1000, 5000):
-            box = BoundingBox(0, 0, side, side)
-            assert any(classify_box_validity(box, s) for s in cfg.pyramid), side
+        sides = [1, 10, 33, 80, 100, 121, 200, 1000, 5000]
+        valid = np.array([valid_sides(sides, s) for s in cfg.pyramid])
+        assert valid.any(axis=0).all(), sides
 
     def test_finest_scale_takes_small_areas(self):
         cfg = coco_default()
         finest = cfg.pyramid[-1]
         assert finest.resolve(ImageSize(100, 100)).width == 300
-        assert classify_box_validity(BoundingBox(0, 0, 60, 60), finest)
-        assert not classify_box_validity(BoundingBox(0, 0, 200, 200), finest)
+        assert valid_sides([60, 200], finest) == [True, False]
 
     def test_coarsest_scale_takes_large_areas(self):
         coarsest = coco_default().pyramid[0]
         assert isinstance(coarsest.target, MaxSideTarget)
-        assert classify_box_validity(BoundingBox(0, 0, 200, 200), coarsest)
-        assert not classify_box_validity(BoundingBox(0, 0, 60, 60), coarsest)
+        assert valid_sides([200, 60], coarsest) == [True, False]
 
 
 class TestRoundTrip:

@@ -14,9 +14,10 @@ from pyrsample.costing import (
 )
 from pyrsample.focus_chips import binary_dilate, chips_from_bounds, component_bounds
 from pyrsample.focus_labels import FOCUS, focus_label_cells
-from pyrsample.geometry import BoundingBox, GroundTruthInstance, ImageSize, ScaleSpec, boxes_array
+from pyrsample.geometry import BoundingBox, ImageSize, ScaleSpec, boxes_array
 
-from oracles import speedup_upper_bound_oracle
+from conftest import gt_sets
+from oracles import Gt, speedup_upper_bound_oracle
 
 
 def square(side, x=0.0, y=0.0):
@@ -44,14 +45,16 @@ class TestPixelsProcessed:
 
     def test_skipped_top_scale(self):
         specs = pyramid()
-        report = pixels_processed({0: FULL_IMAGE, 1: FULL_IMAGE, 2: []}, specs, ORIGINAL)
+        report = pixels_processed(
+            {0: FULL_IMAGE, 1: FULL_IMAGE, 2: boxes_array([])}, specs, ORIGINAL
+        )
         areas = [s.resolve(ORIGINAL).area for s in specs]
         assert report.processed_pixels == pytest.approx(areas[0] + areas[1])
         assert report.speedup == pytest.approx(sum(areas) / (areas[0] + areas[1]))
 
     def test_chip_areas_summed(self):
-        chips = [square(100), square(50, x=200)]
-        report = pixels_processed({0: chips, 1: [], 2: []}, pyramid(), ORIGINAL)
+        chips = boxes_array([square(100), square(50, x=200)])
+        report = pixels_processed({0: chips}, pyramid(), ORIGINAL)
         assert report.per_scale_pixels[0] == pytest.approx(100**2 + 50**2)
 
     def test_published_resolution_pair(self):
@@ -74,8 +77,8 @@ class TestAggregate:
         rng = np.random.default_rng(6)
         reports = []
         for _ in range(10):
-            chips = [square(float(rng.uniform(10, 300)))]
-            reports.append(pixels_processed({0: chips, 1: FULL_IMAGE, 2: []}, pyramid(), ORIGINAL))
+            chips = boxes_array([square(float(rng.uniform(10, 300)))])
+            reports.append(pixels_processed({0: chips, 1: FULL_IMAGE}, pyramid(), ORIGINAL))
         total = aggregate_cost_reports(reports)
         assert total.n_images == 10
         mean_processed = sum(r.processed_pixels for r in reports) / 10
@@ -92,7 +95,7 @@ class TestAggregate:
 class TestSpeedupUpperBound:
     def _dataset_with_focus_at_every_scale(self):
         # side 15 px: re-scaled sides 9.6 / 25 / 45 are all in (5, 64)
-        gts = {1: [GroundTruthInstance(square(15, x=100, y=100), class_id=1)]}
+        gts = gt_sets({1: [Gt(square(15, x=100, y=100), class_id=1)]})
         sizes = {1: ORIGINAL}
         return gts, sizes
 
@@ -115,7 +118,7 @@ class TestSpeedupUpperBound:
         for iid in range(8):
             sizes[iid] = ImageSize(int(rng.integers(300, 900)), int(rng.integers(300, 900)))
             gts[iid] = [
-                GroundTruthInstance(
+                Gt(
                     square(float(rng.uniform(6, 40)),
                            float(rng.uniform(0, 200)),
                            float(rng.uniform(0, 200))),
@@ -124,7 +127,7 @@ class TestSpeedupUpperBound:
                 for _ in range(rng.integers(0, 6))
             ]
         ks = [32, 64, 128, 256, 512, 1024]
-        curve = speedup_upper_bound(gts, sizes, pyramid(), ks)
+        curve = speedup_upper_bound(gt_sets(gts), sizes, pyramid(), ks)
         speeds = [s for _, s in curve]
         assert all(a >= b - 1e-12 for a, b in zip(speeds, speeds[1:]))
 
@@ -164,7 +167,7 @@ class TestSpeedupUpperBound:
                     x = min(float(rng.choice([32.0 * rng.integers(0, 10), rng.uniform(0, w)])), w)
                     y = min(float(rng.choice([32.0 * rng.integers(0, 10), rng.uniform(0, h)])), h)
                     box = BoundingBox(x, y, min(x + bw, w), min(y + bh, h))
-                    gts[iid].append(GroundTruthInstance(box, class_id=1))
+                    gts[iid].append(Gt(box, class_id=1))
             kwargs = dict(
                 dilation=int(rng.choice([1, 3, 5])),
                 process_coarsest_fully=bool(rng.integers(0, 2)),
@@ -172,13 +175,12 @@ class TestSpeedupUpperBound:
             ks = [int(k) for k in rng.choice([1, 7, 32, 64, 100, 256, 3000], 4, replace=False)]
             spec = pyramids[trial % 2]
             want = speedup_upper_bound_oracle(gts, sizes, spec, ks, **kwargs)
-            assert speedup_upper_bound(gts, sizes, spec, ks, **kwargs) == want, trial
+            assert speedup_upper_bound(gt_sets(gts), sizes, spec, ks, **kwargs) == want, trial
 
     def test_gt_chips_respect_min_size(self):
         gts, sizes = self._dataset_with_focus_at_every_scale()
         canvas = pyramid()[2].resolve(sizes[1])
-        boxes = boxes_array(g.box for g in gts[1])
-        focus = focus_label_cells(boxes, sizes[1], canvas) == FOCUS
+        focus = focus_label_cells(gts[1].boxes, sizes[1], canvas) == FOCUS
         bounds = component_bounds(binary_dilate(focus, 3))
         chips, _ = chips_from_bounds(
             bounds, np.zeros(len(bounds), dtype=np.intp),
@@ -190,21 +192,21 @@ class TestSpeedupUpperBound:
 
 class TestRoiScaleHistogram:
     def test_whole_image_object_is_point_mass_at_one(self):
-        gts = {1: [GroundTruthInstance(square(100), class_id=1)]}
+        gts = {1: [Gt(square(100), class_id=1)]}
         sizes = {1: ImageSize(100, 100)}
-        hist = roi_scale_histogram(gts, sizes, n_bins=10)
+        hist = roi_scale_histogram(gt_sets(gts), sizes, n_bins=10)
         assert hist.fractions[-1] == 1.0
         assert hist.fractions[:-1].sum() == 0.0
 
     def test_two_equal_mass_bins(self):
         gts = {
             1: [
-                GroundTruthInstance(square(10), class_id=1),
-                GroundTruthInstance(square(50), class_id=1),
+                Gt(square(10), class_id=1),
+                Gt(square(50), class_id=1),
             ]
         }
         sizes = {1: ImageSize(100, 100)}
-        hist = roi_scale_histogram(gts, sizes, n_bins=10)
+        hist = roi_scale_histogram(gt_sets(gts), sizes, n_bins=10)
         nonzero = hist.fractions[hist.fractions > 0]
         assert len(nonzero) == 2 and (nonzero == 0.5).all()
 
@@ -215,30 +217,30 @@ class TestRoiScaleHistogram:
         for iid in range(5):
             sizes[iid] = ImageSize(640, 480)
             gts[iid] = [
-                GroundTruthInstance(square(float(rng.uniform(1, 400))), class_id=1)
+                Gt(square(float(rng.uniform(1, 400))), class_id=1)
                 for _ in range(6)
             ]
-        hist = roi_scale_histogram(gts, sizes)
+        hist = roi_scale_histogram(gt_sets(gts), sizes)
         assert hist.fractions.sum() == pytest.approx(1.0, abs=1e-9)
         assert hist.n_instances == 30
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            roi_scale_histogram({1: []}, {1: ImageSize(10, 10)})
+            roi_scale_histogram(gt_sets({1: []}), {1: ImageSize(10, 10)})
 
 
 class TestSizeAreaFractions:
     def test_all_small(self):
-        gts = {1: [GroundTruthInstance(square(10), class_id=1) for _ in range(4)]}
+        gts = {1: [Gt(square(10), class_id=1) for _ in range(4)]}
         sizes = {1: ImageSize(640, 480)}
-        bands = size_area_fractions(gts, sizes)
+        bands = size_area_fractions(gt_sets(gts), sizes)
         assert bands[0].name == "small" and bands[0].instance_fraction == 1.0
         assert bands[1].instance_fraction == 0.0
 
     def test_whole_image_large_box(self):
-        gts = {1: [GroundTruthInstance(square(100), class_id=1)]}
+        gts = {1: [Gt(square(100), class_id=1)]}
         sizes = {1: ImageSize(100, 100)}
-        bands = size_area_fractions(gts, sizes)
+        bands = size_area_fractions(gt_sets(gts), sizes)
         assert bands[2].name == "large"
         assert bands[2].area_fraction == pytest.approx(1.0)
 
@@ -246,23 +248,23 @@ class TestSizeAreaFractions:
         rng = np.random.default_rng(12)
         gts = {
             1: [
-                GroundTruthInstance(square(float(rng.uniform(1, 300))), class_id=1)
+                Gt(square(float(rng.uniform(1, 300))), class_id=1)
                 for _ in range(50)
             ]
         }
         sizes = {1: ImageSize(1000, 1000)}
-        bands = size_area_fractions(gts, sizes)
+        bands = size_area_fractions(gt_sets(gts), sizes)
         assert sum(b.instance_fraction for b in bands) == pytest.approx(1.0, abs=1e-9)
 
     def test_band_boundaries_half_open(self):
         gts = {
             1: [
-                GroundTruthInstance(square(32), class_id=1),   # area == 32^2 -> medium
-                GroundTruthInstance(square(96), class_id=1),   # area == 96^2 -> large
+                Gt(square(32), class_id=1),   # area == 32^2 -> medium
+                Gt(square(96), class_id=1),   # area == 96^2 -> large
             ]
         }
         sizes = {1: ImageSize(640, 640)}
-        bands = size_area_fractions(gts, sizes)
+        bands = size_area_fractions(gt_sets(gts), sizes)
         assert bands[0].n_instances == 0
         assert bands[1].n_instances == 1
         assert bands[2].n_instances == 1

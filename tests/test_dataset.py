@@ -45,8 +45,7 @@ class TestLoadDataset:
 
     def test_bbox_corner_conversion(self, tmp_path):
         index = load_dataset(minimal_coco(tmp_path))
-        box = index.annotations[1][0].box
-        assert box.as_tuple() == (10, 10, 30, 30)
+        assert index.annotations[1].boxes.tolist() == [[10, 10, 30, 30]]
 
     def test_clamping_counts(self, tmp_path):
         path = minimal_coco(
@@ -58,8 +57,7 @@ class TestLoadDataset:
         )
         index = load_dataset(path)
         assert index.clamp_warnings == 1
-        clamped = index.annotations[1][0].box
-        assert clamped.as_tuple() == (630, 470, 640, 480)
+        assert index.annotations[1].boxes[0].tolist() == [630, 470, 640, 480]
 
     def test_annotations_are_columns_per_image_in_file_order(self, tmp_path):
         path = minimal_coco(
@@ -139,7 +137,33 @@ class TestLoadDataset:
             ],
         )
         index = load_dataset(path)
-        assert index.annotations[1][0].is_crowd
+        assert index.annotations[1].crowd.tolist() == [True]
+
+    @pytest.mark.parametrize("flag, crowd", [(0, False), (1, True), (False, False),
+                                             (True, True), (1.0, True)])
+    def test_crowd_flag_values(self, tmp_path, flag, crowd):
+        path = minimal_coco(
+            tmp_path,
+            annotations=[
+                {"id": 1, "image_id": 1, "category_id": 3, "bbox": [0, 0, 5, 5], "iscrowd": flag}
+            ],
+        )
+        assert load_dataset(path).annotations[1].crowd.tolist() == [crowd]
+
+    @pytest.mark.parametrize("flag", ["0", "1", 2, -1, 0.5, None, [1]])
+    def test_crowd_flag_other_than_0_1_false_true_raises(self, tmp_path, flag):
+        path = minimal_coco(
+            tmp_path,
+            annotations=[
+                {"id": 1, "image_id": 1, "category_id": 3, "bbox": [0, 0, 5, 5]},
+                {"id": 8, "image_id": 1, "category_id": 3, "bbox": [0, 0, 5, 5], "iscrowd": flag},
+            ],
+        )
+        with pytest.raises(DatasetStructureError) as info:
+            load_dataset(path)
+        assert str(info.value) == (
+            f"{path}: annotation id 8: iscrowd must be 0, 1, false or true: {flag!r}"
+        )
 
     def test_proposals(self, tmp_path):
         ann = minimal_coco(tmp_path)
@@ -189,6 +213,20 @@ class TestLoadDataset:
         )
         with pytest.raises(DatasetStructureError, match=r"props\.json: entry 1: score"):
             load_dataset(ann, proposals_path=props)
+
+    @pytest.mark.parametrize("score", ["0.5", True, False, None, [0.5]])
+    def test_proposal_score_that_is_not_a_number_names_entry(self, tmp_path, score):
+        ann = minimal_coco(tmp_path)
+        props = tmp_path / "props.json"
+        props.write_text(
+            json.dumps(
+                [{"image_id": 1, "bbox": [0, 0, 5, 5], "score": 1},
+                 {"image_id": 1, "bbox": [1, 1, 5, 5], "score": score}]
+            )
+        )
+        with pytest.raises(DatasetStructureError) as info:
+            load_dataset(ann, proposals_path=props)
+        assert str(info.value) == f"{props}: entry 1: score must be a number: {score!r}"
 
     def test_dangling_proposal_raises(self, tmp_path):
         ann = minimal_coco(tmp_path)
@@ -244,9 +282,8 @@ class TestVocConversion:
         index = load_dataset(out)
         assert len(index.image_ids) == 2
         assert len(index.annotations[1]) == 2
-        box = index.annotations[1][0].box
         # 1-based inclusive corners become 0-based half-open
-        assert box.as_tuple() == (48, 240, 62, 252)
+        assert index.annotations[1].boxes[0].tolist() == [48, 240, 62, 252]
         assert set(index.categories.values()) == {"dog", "person"}
 
     def test_empty_dir_raises(self, tmp_path):

@@ -15,15 +15,10 @@ from pyrsample.focus_labels import (
     grid_shape,
     probability_map_from_labels,
 )
-from pyrsample.geometry import (
-    BoundingBox,
-    GroundTruthInstance,
-    ImageSize,
-    ScaleSpec,
-    boxes_array,
-)
+from pyrsample.geometry import BoundingBox, ImageSize, ScaleSpec, boxes_array
 
-from oracles import focus_label_oracle, rescale_box
+from conftest import gt_sets
+from oracles import Gt, focus_label_oracle, rescale_box
 
 
 def square(side, x=0.0, y=0.0):
@@ -34,7 +29,7 @@ IMG = ImageSize(320, 320)
 
 
 def build(boxes, image=IMG, stride=32):
-    return build_focus_label_map(boxes, image, stride=stride)
+    return build_focus_label_map(boxes_array(boxes), image, stride=stride)
 
 
 class TestGridGeometry:
@@ -44,7 +39,7 @@ class TestGridGeometry:
     def test_ceil_shape(self, w, h, s):
         shape = grid_shape(ImageSize(w, h), s)
         assert shape == (math.ceil(h / s), math.ceil(w / s))
-        lm = build_focus_label_map([], ImageSize(w, h), stride=s)
+        lm = build([], ImageSize(w, h), stride=s)
         assert lm.cells.shape == shape
 
     def test_map_shape_validation(self):
@@ -113,17 +108,15 @@ class TestBuildFocusLabelMap:
         lm = build([])
         assert (lm.cells == 0).all()
 
-    def test_accepts_instances_and_boxes(self):
-        gt = GroundTruthInstance(square(30, x=64, y=64), class_id=1)
-        assert (build([gt]).cells == build([gt.box]).cells).all()
-
     def test_zero_area_box_marks_nothing(self):
         lm = build([BoundingBox(50, 50, 50, 50)])
         assert (lm.cells == 0).all()
 
     def test_bad_thresholds_rejected(self):
         with pytest.raises(ValueError):
-            build_focus_label_map([], IMG, min_side=64, max_side=5, ignore_max_side=90)
+            build_focus_label_map(
+                boxes_array([]), IMG, min_side=64, max_side=5, ignore_max_side=90
+            )
 
     def test_matches_per_cell_oracle(self):
         rng = np.random.default_rng(21)
@@ -138,7 +131,7 @@ class TestBuildFocusLabelMap:
                 x = float(rng.uniform(-10, max(-9.0, w - bw / 2)))
                 y = float(rng.uniform(-10, max(-9.0, h - bh / 2)))
                 boxes.append(BoundingBox(x, y, x + bw, y + bh))
-            got = build_focus_label_map(boxes, image).cells
+            got = build(boxes, image).cells
             want = focus_label_oracle(boxes, image, 32, 5.0, 64.0, 90.0)
             assert (got == want).all()
 
@@ -182,7 +175,7 @@ class TestBuildFocusLabelMap:
         ]:
             image = ImageSize(1200, 1200)
             scaled = BoundingBox(*(v * factor for v in original.as_tuple()))
-            lm = build_focus_label_map([scaled], image)
+            lm = build([scaled], image)
             i = int(scaled.y1 // 32)
             j = int(scaled.x1 // 32)
             assert lm.cells[i, j] == expected, f"factor {factor}"
@@ -202,7 +195,7 @@ class TestFocusPixelStats:
 
     def test_fully_covered_image(self):
         # one fm-block image fully covered by a focus-sized object
-        gts = {1: [GroundTruthInstance(square(63), class_id=1)]}
+        gts = gt_sets({1: [Gt(square(63), class_id=1)]})
         sizes = {1: ImageSize(64, 64)}
         stats = focus_pixel_stats(gts, sizes, self.pyramid())
         assert stats[0].fraction == 1.0
@@ -214,17 +207,18 @@ class TestFocusPixelStats:
         for iid in range(10):
             sizes[iid] = ImageSize(400, 300)
             gts[iid] = [
-                GroundTruthInstance(square(float(rng.uniform(6, 63)),
-                                           float(rng.uniform(0, 300)),
-                                           float(rng.uniform(0, 200))), class_id=1)
+                Gt(square(float(rng.uniform(6, 63)),
+                          float(rng.uniform(0, 300)),
+                          float(rng.uniform(0, 200))), class_id=1)
                 for _ in range(rng.integers(0, 5))
             ]
+        gts = gt_sets(gts)
         plain = focus_pixel_stats(gts, sizes, self.pyramid(), dilation=1)
         dilated = focus_pixel_stats(gts, sizes, self.pyramid(), dilation=3)
         assert dilated[0].fraction_dilated >= plain[0].fraction
 
     def test_projected_area_counts_cells(self):
-        gts = {1: [GroundTruthInstance(square(30, x=64, y=64), class_id=1)]}
+        gts = gt_sets({1: [Gt(square(30, x=64, y=64), class_id=1)]})
         sizes = {1: ImageSize(320, 320)}
         stats = focus_pixel_stats(gts, sizes, self.pyramid())
         n_cells = (stats[0].mean_projected_area / 32**2)
@@ -235,12 +229,12 @@ class TestFocusPixelStats:
             focus_pixel_stats({}, {}, self.pyramid())
 
     def test_missing_size_raises(self):
-        gts = {1: []}
+        gts = gt_sets({1: []})
         with pytest.raises(ValueError):
             focus_pixel_stats(gts, {}, self.pyramid())
 
     @pytest.mark.parametrize("dilation", [0, -3, 2])
     def test_bad_dilation_raises(self, dilation):
-        gts = {1: [GroundTruthInstance(square(30, x=64, y=64), class_id=1)]}
+        gts = gt_sets({1: [Gt(square(30, x=64, y=64), class_id=1)]})
         with pytest.raises(ValueError):
             focus_pixel_stats(gts, {1: IMG}, self.pyramid(), dilation=dilation)

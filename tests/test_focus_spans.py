@@ -14,16 +14,11 @@ from pyrsample.costing import speedup_upper_bound
 from pyrsample.focus_chips import binary_dilate, chips_from_bounds, component_bounds
 from pyrsample.focus_labels import FOCUS, focus_label_cells, focus_pixel_stats
 from pyrsample.focus_spans import dilate_spans, focus_spans, span_components, union_cells
-from pyrsample.geometry import (
-    BoundingBox,
-    GroundTruthInstance,
-    ImageSize,
-    MaxSideTarget,
-    ScaleSpec,
-    boxes_array,
-)
+from pyrsample.geometry import BoundingBox, ImageSize, MaxSideTarget, ScaleSpec, boxes_array
 
+from conftest import gt_sets
 from oracles import (
+    Gt,
     component_chips_oracle,
     flood_fill_components,
     focus_pixel_stats_oracle,
@@ -69,7 +64,7 @@ def datasets(draw):
             )
             bw = draw(SIDES)
             bh = draw(st.one_of(st.just(bw), SIDES, st.just(max(bw, 1.0) / 8.0)))
-            gts[iid].append(GroundTruthInstance(BoundingBox(x, y, x + bw, y + bh), class_id=1))
+            gts[iid].append(Gt(BoundingBox(x, y, x + bw, y + bh), class_id=1))
     return gts, sizes, stride, draw(st.sampled_from(PYRAMIDS))
 
 
@@ -124,9 +119,9 @@ def test_statistics_match_per_cell_oracles(data, dilation, ks, coarsest_fully, r
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(focus_spans_module, "_ROW_BLOCK", row_block)
         got = speedup_upper_bound(
-            gts, sizes, pyramid, ks, process_coarsest_fully=coarsest_fully, **kwargs
+            gt_sets(gts), sizes, pyramid, ks, process_coarsest_fully=coarsest_fully, **kwargs
         )
-        stats = focus_pixel_stats(gts, sizes, pyramid, **kwargs)
+        stats = focus_pixel_stats(gt_sets(gts), sizes, pyramid, **kwargs)
     assert got == speedup_upper_bound_oracle(
         gts, sizes, pyramid, ks, process_coarsest_fully=coarsest_fully, **kwargs
     )
@@ -244,11 +239,10 @@ def test_statistics_hold_one_block_of_images():
     # levels, which take tens of MB as one batch.
     pyramid = PYRAMIDS[1]
     sizes = {i: ImageSize(640, 480) for i in range(2000)}
-    gts = {
-        i: [GroundTruthInstance(BoundingBox(x, x, x + 20.0, x + 20.0), class_id=1)
-            for x in range(0, 600, 30)]
+    gts = gt_sets({
+        i: [Gt(BoundingBox(x, x, x + 20.0, x + 20.0), class_id=1) for x in range(0, 600, 30)]
         for i in sizes
-    }
+    })
     peaks = []
     for run in (lambda: speedup_upper_bound(gts, sizes, pyramid, [64, 256]),
                 lambda: focus_pixel_stats(gts, sizes, pyramid)):
@@ -258,8 +252,8 @@ def test_statistics_hold_one_block_of_images():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # The per-image box arrays take about 1.5 MB, and blocks of images and
-    # of union cells a few MB more; one batch of all images takes 16-25 MB.
+    # Blocks of images and of union cells take a few MB; one batch of all
+    # images takes 16-25 MB.
     assert max(peaks) < 8 * 2**20, peaks
 
 

@@ -9,16 +9,15 @@ from pyrsample.geometry import (
     BoundingBox,
     DetectionBatch,
     DetectionRow,
-    GroundTruthInstance,
     GroundTruthSet,
     ImageSize,
     MaxSideTarget,
     ScaleSpec,
-    iou,
     rescale_boxes,
 )
+from pyrsample.stacking import iou_rows
 
-from conftest import detection_batch
+from conftest import detection_batch, gt_set
 from oracles import clip_box, encloses_oracle, iou_oracle, rescale_box
 
 
@@ -66,6 +65,12 @@ class TestBoundingBox:
         assert clip_box(box(-5, -5, 20, 30), ImageSize(10, 10)) == box(0, 0, 10, 10)
 
 
+def iou(a, b):
+    """:func:`iou_rows` of one pair of boxes."""
+    (value,) = iou_rows(np.array([a.as_tuple()]), np.array([b.as_tuple()])).tolist()
+    return value
+
+
 class TestIou:
     def test_identity(self):
         assert iou(box(0, 0, 10, 10), box(0, 0, 10, 10)) == 1.0
@@ -82,11 +87,14 @@ class TestIou:
         assert iou(z, z) == 0.0
         assert iou(z, box(0, 0, 10, 10)) == 0.0
 
-    @given(boxes(), boxes())
+    @given(st.lists(st.tuples(boxes(), boxes()), max_size=20))
     @settings(max_examples=300)
-    def test_symmetric_and_matches_oracle(self, a, b):
-        assert iou(a, b) == iou(b, a)
-        assert iou(a, b) == pytest.approx(iou_oracle(a, b), abs=1e-12)
+    def test_symmetric_and_matches_oracle(self, pairs):
+        a = np.array([p.as_tuple() for p, _ in pairs]).reshape(-1, 4)
+        b = np.array([q.as_tuple() for _, q in pairs]).reshape(-1, 4)
+        want = [iou_oracle(p, q) for p, q in pairs]
+        assert iou_rows(a, b).tolist() == want
+        assert iou_rows(b, a).tolist() == want
 
     @given(boxes(), boxes())
     @settings(max_examples=300)
@@ -212,25 +220,32 @@ class TestDetectionBatch:
 
 
 class TestGroundTruthSet:
-    GTS = [
-        GroundTruthInstance(BoundingBox(0, 0, 10, 10), 3),
-        GroundTruthInstance(BoundingBox(5, 5, 6.5, 8), 1, is_crowd=True),
-        GroundTruthInstance(BoundingBox(1, 2, 1, 2), 0),
+    ROWS = [
+        (BoundingBox(0, 0, 10, 10), 3, False),
+        (BoundingBox(5, 5, 6.5, 8), 1, True),
+        (BoundingBox(1, 2, 1, 2), 0, False),
     ]
 
+    @staticmethod
+    def rows(gts):
+        return list(zip(map(tuple, gts.boxes.tolist()), gts.class_ids.tolist(),
+                        gts.crowd.tolist()))
+
     def test_columns_round_trip(self):
-        gts = GroundTruthSet.of(self.GTS)
+        gts = gt_set(self.ROWS)
         assert gts.boxes.shape == (3, 4) and gts.boxes.dtype == np.float64
         assert gts.class_ids.dtype == np.int64 and gts.crowd.dtype == bool
-        assert GroundTruthSet.of(gts) is gts
-        assert list(gts) == self.GTS
-        assert [gts[i] for i in range(len(gts))] == self.GTS
-        empty = GroundTruthSet.of([])
-        assert len(empty) == 0 and empty.boxes.shape == (0, 4) and list(empty) == []
+        assert len(gts) == 3
+        assert self.rows(gts) == [(box.as_tuple(), c, crowd) for box, c, crowd in self.ROWS]
+        with pytest.raises(TypeError):
+            iter(gts)
+        empty = gt_set([])
+        assert len(empty) == 0 and empty.boxes.shape == (0, 4) and self.rows(empty) == []
 
     def test_selection_gives_a_set(self):
-        gts = GroundTruthSet.of(self.GTS)
-        picked = gts[~gts.crowd]
-        assert isinstance(picked, GroundTruthSet)
-        assert list(picked) == [self.GTS[0], self.GTS[2]]
-        assert list(gts[1:]) == self.GTS[1:]
+        gts = gt_set(self.ROWS)
+        for key, want in [(~gts.crowd, [0, 2]), (slice(1, None), [1, 2]),
+                          (np.array([2, 0]), [2, 0])]:
+            picked = gts[key]
+            assert isinstance(picked, GroundTruthSet)
+            assert self.rows(picked) == [self.rows(gts)[k] for k in want]

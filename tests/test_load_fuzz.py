@@ -270,6 +270,8 @@ def _outcome(load, path):
 @example(_with("annotations", 0, "bbox", [-0.0, 1e308, 1e308, 5]))
 @example(_with("annotations", 0, "bbox", "1234"))
 @example(_with("annotations", 0, "image_id", 2**70))
+@example(_with("annotations", 0, "iscrowd", "0"))
+@example(_with("annotations", 0, "iscrowd", 1.0))
 def test_columnar_loader_matches_the_per_entry_oracle(annotations):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ann.json"

@@ -24,6 +24,10 @@ def test_quick_tour_runs_on_the_excerpt():
          scope)
     assert len(scope["chips"]) and len(scope["uncoverable"]) == 0
     assert [k for k, _ in scope["curve"]] == [64, 128, 256, 512]
+    # Each box is an RoI with IoU 1 against itself: foreground when in range.
+    labels, classes, gts = scope["labels"], scope["classes"], scope["gts"]
+    assert len(labels) == len(gts) and set(labels.tolist()) <= {1, -1} and (labels == 1).any()
+    assert (classes == gts.class_ids)[labels == 1].all() and (classes[labels == -1] == -1).all()
 
 
 def test_every_public_name_resolves():
