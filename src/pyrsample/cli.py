@@ -16,6 +16,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,9 @@ from .costing import (
 from .dataset import MAX_ID, DatasetError, DatasetIndex, load_dataset, voc_to_coco
 from .focus_chips import FocusParams, generate_focus_chips
 from .focus_labels import LabelMap, focus_label_cells, focus_pixel_stats
-from .geometry import BoundingBox, DetectionBatch, ImageSize, boxes_array
+from .geometry import DetectionBatch, ImageSize, boxes_array
 from .range_labels import filter_detections_by_range
-from .serialization import FormatError, json_int, json_number
+from .serialization import FormatError, json_ints, json_number_rows, json_numbers
 from .stacking import project_to_image, prune_boundary_detections, suppress
 
 WORKERS_ENV = "PYRSAMPLE_WORKERS"
@@ -170,20 +171,16 @@ def cmd_focus_chips(args) -> int:
 
 
 def _load_stack_records(path: Path) -> list[dict]:
-    if path.is_dir():
-        records = []
-        for child in sorted(path.glob("*.json")):
-            with open(child, "r", encoding="utf-8") as fh:
-                part = json.load(fh)
-            if not isinstance(part, list):
-                raise FormatError(f"{child}: per-chip detection file must be a JSON array")
-            records.extend(part)
-        return records
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, list):
-        raise FormatError(f"{path}: per-chip detection file must be a JSON array")
-    return data
+    """The records of a per-chip detection file, or of every ``*.json`` file
+    of a directory in name order."""
+    records = []
+    for child in sorted(path.glob("*.json")) if path.is_dir() else [path]:
+        with open(child, "r", encoding="utf-8") as fh:
+            part = json.load(fh)
+        if not isinstance(part, list):
+            raise FormatError(f"{child}: per-chip detection file must be a JSON array")
+        records.extend(part)
+    return records
 
 
 @dataclass(frozen=True)
@@ -206,50 +203,33 @@ class _StackRun:
     dets: DetectionBatch
 
 
-_RECORD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
-
-
-def _read_chip(chip, canvas: ImageSize) -> tuple:
-    if chip is None:
-        return (0.0, 0.0, canvas.width, canvas.height)
-    corners = np.array(chip, dtype=np.float64)
-    if corners.shape != (4,) or not np.isfinite(corners).all():
-        raise ValueError(f"chip must be four finite numbers: {chip!r}")
-    return BoundingBox(*corners.tolist()).as_tuple()
-
-
-def _detection_column(entries: list, key: str, read, plain: type) -> list:
-    """Every entry's ``key``, in entry order, each one whose type is not
-    ``plain`` read by ``read`` (``json_int`` or ``json_number``)."""
-    return [value if type(value) is plain else read(value, f"detection {k}: {key}")
-            for k, value in enumerate(entry[key] for entry in entries)]
-
-
 def _parse_stack_records(records: list) -> _StackRun:
-    """The records as one :class:`_StackRun`. Each check runs over the whole
-    run, in the order of one record's checks: ids, canvas and chip, then
-    every bbox, score and category id, then the detection values. So on a
-    single record the first problem raises as reading it alone would."""
-    image_ids, scale_ids, canvases, chips, entries = [], [], [], [], []
-    for record in records:
-        image_ids.append(json_int(record["image_id"], "image_id"))
-        scale_ids.append(json_int(record["scale_id"], "scale_id"))
-        canvas = ImageSize(
-            json_int(record["canvas"]["width"], "canvas width"),
-            json_int(record["canvas"]["height"], "canvas height"),
-        )
-        canvases.append((canvas.width, canvas.height))
-        chips.append(_read_chip(record.get("chip"), canvas))
-        entries.append(record.get("detections", []))
+    """The records as one :class:`_StackRun`. Each field is checked over
+    all records in the order of one record's checks: ids, canvas, chip,
+    then every detection's bbox, score and category id, then the detection
+    values."""
+    image_ids = json_ints([record["image_id"] for record in records], "image_id")
+    scale_ids = json_ints([record["scale_id"] for record in records], "scale_id")
+    canvas = [record["canvas"] for record in records]
+    widths = json_ints([c["width"] for c in canvas], "canvas width")
+    heights = json_ints([c["height"] for c in canvas], "canvas height")
+    for width, height in zip(widths, heights):
+        ImageSize(width, height)
+    given = [record.get("chip") for record in records]
+    rows = [[0, 0, w, h] if chip is None else chip for chip, w, h in zip(given, widths, heights)]
+    chips = json_number_rows(rows, 4, "chip")
+    x1, y1, x2, y2 = chips.T
+    ordered = np.isfinite(chips).all(axis=1) & (x1 <= x2) & (y1 <= y2)
+    if not ordered.all():
+        raise ValueError("chip must be four finite numbers with x1 <= x2 and y1 <= y2: "
+                         f"{given[ordered.argmin()]!r}")
+    entries = [record.get("detections", []) for record in records]
     counts = np.array(list(map(len, entries)), dtype=np.intp)
-    flat = [entry for group in entries for entry in group]
-    n = len(flat)
-    xywh = np.array([entry["bbox"] for entry in flat], dtype=np.float64)
-    scores = np.array(_detection_column(flat, "score", json_number, float), dtype=np.float64)
-    class_ids = np.array(_detection_column(flat, "category_id", json_int, int), dtype=np.int64)
-    if n and xywh.shape != (n, 4):
-        raise ValueError("each detection needs a bbox [x, y, w, h]")
-    boxes = xywh.reshape(n, 4)
+    flat = list(chain.from_iterable(entries))
+    boxes = json_number_rows([entry["bbox"] for entry in flat], 4, "detection {}: bbox")
+    scores = json_numbers([entry["score"] for entry in flat], "detection {}: score")
+    class_ids = json_ints([entry["category_id"] for entry in flat], "detection {}: category_id")
+    class_ids = np.array(class_ids, dtype=np.int64)
     not_finite = ~np.isfinite(boxes).all(axis=1)
     boxes[:, 2:] += boxes[:, :2]  # corners x1, y1, x2, y2
     problems = (
@@ -262,40 +242,15 @@ def _parse_stack_records(records: list) -> _StackRun:
         if bad.any():
             k = int(bad.argmax())
             raise ValueError(f"detection {k}: {message}: {flat[k]!r}")
-    chips = np.array(chips, dtype=np.float64).reshape(-1, 4)
     record = np.repeat(np.arange(len(records)), counts)
     origin = chips[record, :2]
     boxes[:, :2] += origin  # to the canvas frame
     boxes[:, 2:] += origin
-    index = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
     return _StackRun(
-        image_ids, scale_ids, np.array(canvases, dtype=np.float64).reshape(-1, 2), chips,
-        record, index, DetectionBatch(boxes, scores, class_ids),
+        image_ids, scale_ids, np.array([widths, heights], dtype=np.float64).T.reshape(-1, 2),
+        chips, record, index, DetectionBatch(boxes, scores, class_ids),
     )
-
-
-def _record_problem(record) -> str | None:
-    """Why one record fails to parse on its own, or None."""
-    try:
-        _parse_stack_records([record])
-    except _RECORD_ERRORS as exc:
-        return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-    return None
-
-
-def _read_stack_records(records: list, source) -> tuple[_StackRun, FormatError | None]:
-    """The columns of every record before the first one that fails to
-    parse, and that record's error; all records and None when none fails.
-    Every check is per record or per detection, so a run that fails to
-    parse holds a record that fails on its own."""
-    try:
-        return _parse_stack_records(records), None
-    except _RECORD_ERRORS:
-        pass
-    problems = enumerate(map(_record_problem, records))
-    position, problem = next((p, text) for p, text in problems if text is not None)
-    error = FormatError(f"{source}: record {position}: {problem}")
-    return _parse_stack_records(records[:position]), error
 
 
 def _kept_rows(
@@ -329,7 +284,10 @@ def _stack(
     ids, then its boxes in the original image frame.
     """
     by_scale = {s.scale_id: s for s in cfg.pyramid}
-    run, error = _read_stack_records(records, source)
+    run, error = ser.read_entries(
+        records, _parse_stack_records,
+        lambda position, _, problem: FormatError(f"{source}: record {position}: {problem}"),
+    )
     n_ok = 0
     for image_id, scale_id in zip(run.image_ids, run.scale_ids):
         if image_id not in index.images:
@@ -352,7 +310,7 @@ def _stack(
     order = np.lexsort((rows, scale[rec], image[rec]))  # ties in the merge break in this order
     rows, rec = rows[order], rec[order]
     projected = project_to_image(run.dets[rows], run.canvases[rec], (0.0, 0.0), originals[rec])
-    finite = np.isfinite(ser.coco_xywh(projected.boxes)).all(axis=1)
+    finite = np.isfinite(ser.coco_bboxes(projected.boxes)).all(axis=1)
     if not finite.all():
         row = rows[~finite].min()
         position, k = int(run.record[row]), int(run.index[row])

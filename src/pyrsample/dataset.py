@@ -10,14 +10,13 @@ from __future__ import annotations
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
 from .chips import ProposalSet
 from .geometry import GroundTruthSet, ImageSize
-from .serialization import json_int, json_number
+from .serialization import json_int, json_ints, json_number_rows, json_numbers, read_entries
 
 CLAMP_TOL = 1e-9
 # The largest image width or height: a ``.fmap`` header stores the canvas
@@ -72,21 +71,6 @@ def _read_json(path: str | Path) -> object:
         raise DatasetParseError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _xywh(entry: dict) -> tuple[float, float, float, float]:
-    """An entry's ``bbox`` as four finite floats with non-negative extent."""
-    x, y, w, h = map(float, entry["bbox"])
-    if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
-        raise ValueError(f"bbox is not finite: {[x, y, w, h]}")
-    if w < 0 or h < 0:
-        raise ValueError(f"negative bbox extent: {[x, y, w, h]}")
-    return x, y, w, h
-
-
-def _ints(values, name: str) -> list[int]:
-    """Each of ``values`` read by ``json_int``; a plain int is taken as it is."""
-    return [value if type(value) is int else json_int(value, name) for value in values]
-
-
 def _crowd_flag(value) -> bool:
     """An annotation's ``iscrowd``: 0 or 1 (an integer field, so 1.0 is 1),
     or ``false`` or ``true``. Anything else raises ``ValueError``; ``bool()``
@@ -104,34 +88,45 @@ def _section(data: dict, key: str, path: str | Path) -> list:
     return entries
 
 
-def _entry_error(
-    path: str | Path, position: int, entry: object, exc: Exception
-) -> DatasetStructureError:
-    """Error naming an annotation by its id, or a results entry by position."""
-    if isinstance(entry, dict) and "id" in entry:
-        name = f"annotation id {entry['id']!r}"
-    else:
-        name = f"entry {position}"
-    problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-    return DatasetStructureError(f"{path}: {name}: {problem}")
+def _require(ok: np.ndarray, message: str, values: np.ndarray) -> None:
+    """Raise ``ValueError``: ``message`` and the first row of ``values`` not ``ok``."""
+    if not ok.all():
+        raise ValueError(f"{message}: {values[int(ok.argmin())].tolist()}")
 
 
-def _annotation_rows(path: str | Path, entries: list) -> np.ndarray:
-    """Every annotation's ``bbox`` as an (n, 4) float64 array; raises the
-    error of the first annotation whose image id, bbox, category id or
-    crowd flag is bad, checked in that order."""
-    rows = []
-    for position, entry in enumerate(entries):
-        try:
-            json_int(entry["image_id"], "image_id")
-            rows.append(_xywh(entry))
-            class_id = json_int(entry["category_id"], "category_id")
-            if not 0 <= class_id <= MAX_ID:
-                raise ValueError(f"category_id must be in [0, {MAX_ID}]: {class_id}")
-            _crowd_flag(entry.get("iscrowd", 0))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise _entry_error(path, position, entry, exc) from exc
-    return np.array(rows, dtype=np.float64).reshape(-1, 4)
+def _bbox_rows(bboxes: list) -> np.ndarray:
+    """The ``bbox`` of each entry as an (n, 4) float64 array of finite
+    numbers with non-negative extent."""
+    xywh = json_number_rows(bboxes, 4, "bbox")
+    _require(np.isfinite(xywh).all(axis=1), "bbox is not finite", xywh)
+    _require((xywh[:, 2] >= 0) & (xywh[:, 3] >= 0), "negative bbox extent", xywh)
+    return xywh
+
+
+def _annotation_columns(entries: list) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The image ids, (n, 4) xywh boxes, category ids and crowd flags of
+    annotation entries, each field checked in that order."""
+    image_ids = json_ints([ann["image_id"] for ann in entries], "image_id")
+    xywh = _bbox_rows([ann["bbox"] for ann in entries])
+    class_ids = json_ints([ann["category_id"] for ann in entries], "category_id")
+    bad = next((v for v in class_ids if not 0 <= v <= MAX_ID), None)
+    if bad is not None:
+        raise ValueError(f"category_id must be in [0, {MAX_ID}]: {bad}")
+    crowd = [_crowd_flag(ann.get("iscrowd", 0)) for ann in entries]
+    return image_ids, xywh, np.array(class_ids, dtype=np.int64), np.array(crowd, dtype=bool)
+
+
+def _columns(path: str | Path, entries: list, parse):
+    """``parse(entries)``; or raise the error of the first entry that it
+    fails on, naming an annotation by its id and a results entry by its
+    position."""
+    columns, bad = read_entries(entries, parse, lambda *bad: bad)
+    if bad is None:
+        return columns
+    position, entry, problem = bad
+    has_id = isinstance(entry, dict) and "id" in entry
+    name = f"annotation id {entry['id']!r}" if has_id else f"entry {position}"
+    raise DatasetStructureError(f"{path}: {name}: {problem}")
 
 
 def _annotation_sets(
@@ -140,25 +135,7 @@ def _annotation_sets(
     """Per image, in ``images`` order, its annotations in file order as a
     :class:`GroundTruthSet` with boxes clamped to the image, and the number
     of boxes that clamping moved by more than ``CLAMP_TOL``."""
-    try:
-        image_ids = _ints((ann["image_id"] for ann in entries), "image_id")
-        class_ids = np.array(_ints((ann["category_id"] for ann in entries), "category_id"),
-                             dtype=np.int64)
-        crowd = np.array([_crowd_flag(ann.get("iscrowd", 0)) for ann in entries], dtype=bool)
-        xywh = np.array([ann["bbox"] for ann in entries], dtype=np.float64)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        xywh = None
-    if (
-        xywh is None
-        or xywh.shape != (len(entries), 4)
-        or not np.isfinite(xywh).all()
-        or (xywh[:, 2:] < 0).any()
-        or (class_ids < 0).any()
-    ):
-        # Raises for the first bad entry, which exists whenever the columns
-        # above could not all be built; otherwise each bbox is four numbers
-        # that only float() reads (such as the string "1234").
-        xywh = _annotation_rows(path, entries)
+    image_ids, xywh, class_ids, crowd = _columns(path, entries, _annotation_columns)
     code = {iid: k for k, iid in enumerate(images)}
     try:
         owners = np.fromiter(map(code.__getitem__, image_ids), dtype=np.intp, count=len(image_ids))
@@ -194,14 +171,10 @@ def load_dataset(
     """Build a DatasetIndex from a COCO-format annotation file and,
     optionally, a COCO-results proposal file.
 
-    Raises DatasetParseError on unreadable or malformed JSON and
-    DatasetStructureError when an integer field is not one (``json_int``),
-    an image id repeats or is outside int64, an image is wider or taller
-    than ``MAX_IMAGE_SIDE``, or annotations or proposals reference image
-    ids that do not exist, lack a required key, have a negative or
-    non-finite bbox, or (annotations) a category id outside [0, 2^63 - 1] or
-    an ``iscrowd`` other than 0, 1, ``false`` or ``true``, or (proposals) a
-    score that is not a JSON number (``json_number``).
+    Raises DatasetParseError on unreadable or malformed JSON, and
+    DatasetStructureError naming the first entry that breaks the README's
+    input rule: integer fields are read by ``json_int``, bbox and score
+    values by ``json_number``, and each value must lie in its field's range.
     """
     data = _read_json(annotation_path)
     if not isinstance(data, dict) or "images" not in data:
@@ -251,6 +224,18 @@ def load_dataset(
     return index
 
 
+def _proposal_columns(entries: list) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The image ids, (n, 4) xywh boxes and scores of results entries, each
+    checked in the order image id, bbox present, score a number, bbox four
+    finite numbers with non-negative extent, score in [0, 1]."""
+    image_ids = json_ints([entry["image_id"] for entry in entries], "image_id")
+    bboxes = [entry["bbox"] for entry in entries]
+    scores = json_numbers([entry.get("score", 1.0) for entry in entries], "score")
+    xywh = _bbox_rows(bboxes)
+    _require((0.0 <= scores) & (scores <= 1.0), "score not in [0, 1]", scores)
+    return image_ids, xywh, scores
+
+
 def load_proposals(path: str | Path, index: DatasetIndex) -> dict[int, ProposalSet]:
     """COCO-results-format proposals ([{image_id, bbox, score}, ...]).
 
@@ -263,27 +248,7 @@ def load_proposals(path: str | Path, index: DatasetIndex) -> dict[int, ProposalS
         raise DatasetStructureError(f"{path}: results file must be a JSON array")
     if not data:
         return {}
-    try:
-        image_ids = _ints((entry["image_id"] for entry in data), "image_id")
-        bboxes = [entry["bbox"] for entry in data]
-        scores = np.array(
-            [score if type(score) is float else json_number(score, "score")
-             for score in (entry.get("score", 1.0) for entry in data)],
-            dtype=np.float64,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError):
-        _raise_first_bad_entry(path, data)
-        raise
-    xywh = _bbox_array(path, data, bboxes)
-    problems = (
-        (~np.isfinite(xywh).all(axis=1), "bbox is not finite", xywh),
-        ((xywh[:, 2] < 0) | (xywh[:, 3] < 0), "negative bbox extent", xywh),
-        (~((0.0 <= scores) & (scores <= 1.0)), "score not in [0, 1]", scores),
-    )
-    for bad, message, values in problems:
-        if bad.any():
-            k = int(bad.argmax())
-            raise _entry_error(path, k, data[k], ValueError(f"{message}: {values[k].tolist()}"))
+    image_ids, xywh, scores = _columns(path, data, _proposal_columns)
     first_seen = dict.fromkeys(image_ids)
     dangling = [iid for iid in first_seen if iid not in index.images]
     if dangling:
@@ -306,36 +271,6 @@ def load_proposals(path: str | Path, index: DatasetIndex) -> dict[int, ProposalS
         iid: ProposalSet(boxes=b, scores=sc)
         for iid, b, sc in zip(first_seen, np.split(boxes, cuts), np.split(scores, cuts))
     }
-
-
-def _raise_first_bad_entry(path: str | Path, data: list) -> None:
-    """Raise the error of the first results entry whose image id, bbox or
-    score cannot be read, checked in that order."""
-    for position, entry in enumerate(data):
-        try:
-            json_int(entry["image_id"], "image_id")
-            entry["bbox"]
-            json_number(entry.get("score", 1.0), "score")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise _entry_error(path, position, entry, exc) from exc
-
-
-def _bbox_array(path: str | Path, data: list, bboxes: list) -> np.ndarray:
-    """Every results entry's ``bbox`` as an (n, 4) float64 array; when one is
-    not four numbers, the error names the first such entry."""
-    try:
-        xywh = np.array(bboxes, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        xywh = None
-    if xywh is not None and xywh.shape == (len(bboxes), 4):
-        return xywh
-    rows = []
-    for position, entry in enumerate(data):
-        try:
-            rows.append(_xywh(entry))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise _entry_error(path, position, entry, exc) from exc
-    return np.array(rows, dtype=np.float64)
 
 
 def voc_to_coco(voc_dir: str | Path) -> dict:

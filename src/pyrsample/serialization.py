@@ -20,7 +20,7 @@ import json
 import os
 import struct
 import tempfile
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -62,6 +62,82 @@ def json_number(value, name: str) -> float:
     if type(value) is float or type(value) is int:
         return float(value)
     raise ValueError(f"{name} must be a number: {value!r}")
+
+
+# What reading a malformed JSON entry raises.
+_ENTRY_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+_NUMBER_TYPES = {int, float}
+
+
+def json_ints(values: list, name: str) -> list[int]:
+    """``values`` read by :func:`json_int`; a ``{}`` in ``name`` becomes the
+    position of the value that an error names."""
+    if set(map(type, values)) <= {int}:
+        return values
+    return [value if type(value) is int else json_int(value, name.format(k))
+            for k, value in enumerate(values)]
+
+
+def json_numbers(values: list, name: str) -> np.ndarray:
+    """``values`` read by :func:`json_number`, in order, as a float64 array;
+    a ``{}`` in ``name`` becomes the position of the value that an error
+    names."""
+    if set(map(type, values)) <= _NUMBER_TYPES:
+        return np.array(values, dtype=np.float64)
+    return np.array([json_number(value, name.format(k)) for k, value in enumerate(values)])
+
+
+def _number_row(row, width: int, name: str) -> np.ndarray:
+    if type(row) is not list or len(row) != width:
+        raise ValueError(f"{name} must be {width} numbers: {row!r}")
+    return json_numbers(row, name)
+
+
+def json_number_rows(rows: list, width: int, name: str) -> np.ndarray:
+    """``rows``, each a JSON array of ``width`` numbers, as an (n, width)
+    float64 array, each row read by :func:`json_numbers`. A row that is not
+    an array of ``width`` values raises ``ValueError``. Errors name the
+    first bad row, and a ``{}`` in ``name`` becomes its position."""
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
+        values = list(chain.from_iterable(rows))
+        if set(map(type, values)) <= _NUMBER_TYPES:
+            return np.array(values, dtype=np.float64).reshape(-1, width)
+    return np.array([_number_row(row, width, name.format(k)) for k, row in enumerate(rows)])
+
+
+def _parse_error(parse, entries: list) -> Exception | None:
+    """What ``parse(entries)`` raises of :data:`_ENTRY_ERRORS`, or None."""
+    try:
+        parse(entries)
+    except _ENTRY_ERRORS as exc:
+        return exc
+    return None
+
+
+def read_entries(entries: list, parse, error):
+    """``(parse(entries), None)``; or, when ``parse`` fails, the parse of the
+    entries before the first bad one and ``error(position, entry, problem)``
+    for that entry, ``problem`` being the text of its own failure.
+
+    ``parse`` builds columns from a list of entries and checks each entry on
+    its own, so a run of entries fails exactly when it holds a bad entry.
+    The first bad entry is then found by halving, which costs about one more
+    full parse."""
+    try:
+        return parse(entries), None
+    except _ENTRY_ERRORS as exc:
+        if not entries:
+            raise
+        failure, lo, hi = exc, 0, len(entries)
+    # entries[:lo] parse; entries[lo:hi] holds a bad entry, and failure is
+    # the error of parsing them, or None once that is not known.
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        failure = _parse_error(parse, entries[lo:mid])
+        lo, hi = (lo, mid) if failure else (mid, hi)
+    failure = failure or _parse_error(parse, entries[lo:hi])
+    problem = f"missing key {failure}" if isinstance(failure, KeyError) else str(failure)
+    return parse(entries[:lo]), error(lo, entries[lo], problem)
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
@@ -140,7 +216,7 @@ def _nested(text: str) -> str:
     return text.replace("\n", "\n  ")
 
 
-def coco_xywh(corners: np.ndarray) -> np.ndarray:
+def coco_bboxes(corners: np.ndarray) -> np.ndarray:
     """The COCO [x, y, w, h] rows of (n, 4) corner rows x1, y1, x2, y2."""
     return np.concatenate([corners[:, :2], corners[:, 2:] - corners[:, :2]], axis=1)
 
@@ -155,7 +231,7 @@ def save_detection_records(
     ``ValueError`` unless every bbox value and score is finite."""
     texts = []
     for image_id, dets in per_image:
-        xywh = coco_xywh(dets.boxes)
+        xywh = coco_bboxes(dets.boxes)
         if not (np.isfinite(xywh).all() and np.isfinite(dets.scores).all()):
             raise ValueError(f"image {image_id}: a detection bbox or score is not finite")
         x, y, w, h = xywh.T.tolist()

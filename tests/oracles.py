@@ -489,26 +489,62 @@ def strict_int(value, name: str) -> int:
     return int(value)
 
 
-def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
-    """The per-entry COCO annotation loader: (image sizes in file order,
-    per-image lists of :class:`Gt` in file order, categories,
-    clamp warnings). Each box goes through float() corner by corner and is
-    clamped with Python's ``min`` and ``max``. Raises the errors of
-    ``load_dataset`` with the same messages."""
-    from pyrsample.dataset import (
-        MAX_ID,
-        MAX_IMAGE_SIDE,
-        DatasetParseError,
-        DatasetStructureError,
-    )
+def strict_number(value, name: str) -> float:
+    """A JSON number field as every reader takes it: an int or a float, as a
+    float. A boolean, text, null or any other value raises the readers'
+    ``ValueError``; an int too large for a float raises ``OverflowError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number: {value!r}")
+    return float(value)
+
+
+def _oracle_xywh(bbox) -> tuple[float, float, float, float]:
+    """An entry's ``bbox`` as the loaders read it: four JSON numbers, finite,
+    with non-negative width and height, checked in that order."""
+    if not isinstance(bbox, list) or len(bbox) != 4:
+        raise ValueError(f"bbox must be 4 numbers: {bbox!r}")
+    x, y, w, h = (strict_number(v, "bbox") for v in bbox)
+    if not all(math.isfinite(v) for v in (x, y, w, h)):
+        raise ValueError(f"bbox is not finite: {[x, y, w, h]}")
+    if w < 0 or h < 0:
+        raise ValueError(f"negative bbox extent: {[x, y, w, h]}")
+    return x, y, w, h
+
+
+def _oracle_json(path):
+    from pyrsample.dataset import DatasetParseError
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise DatasetParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _oracle_entry_error(path, position, entry, exc):
+    """The loaders' error for a bad annotation or results entry."""
+    from pyrsample.dataset import DatasetStructureError
+
+    name = (
+        f"annotation id {entry['id']!r}"
+        if isinstance(entry, dict) and "id" in entry
+        else f"entry {position}"
+    )
+    problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return DatasetStructureError(f"{path}: {name}: {problem}")
+
+
+def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
+    """The per-entry COCO annotation loader: (image sizes in file order,
+    per-image lists of :class:`Gt` in file order, categories,
+    clamp warnings). Each bbox value goes through :func:`strict_number`, and
+    each box is clamped with Python's ``min`` and ``max``. Raises the errors of
+    ``load_dataset`` with the same messages."""
+    from pyrsample.dataset import MAX_ID, MAX_IMAGE_SIDE, DatasetStructureError
+
+    data = _oracle_json(path)
     if not isinstance(data, dict) or "images" not in data:
         raise DatasetStructureError(f"{path}: not a COCO annotation file")
 
@@ -550,11 +586,7 @@ def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
     for position, ann in enumerate(section("annotations")):
         try:
             image_id = strict_int(ann["image_id"], "image_id")
-            x, y, w, h = map(float, ann["bbox"])
-            if not all(math.isfinite(v) for v in (x, y, w, h)):
-                raise ValueError(f"bbox is not finite: {[x, y, w, h]}")
-            if w < 0 or h < 0:
-                raise ValueError(f"negative bbox extent: {[x, y, w, h]}")
+            x, y, w, h = _oracle_xywh(ann["bbox"])
             class_id = strict_int(ann["category_id"], "category_id")
             if not 0 <= class_id <= MAX_ID:
                 raise ValueError(f"category_id must be in [0, {MAX_ID}]: {class_id}")
@@ -562,13 +594,7 @@ def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
             if is_crowd not in (False, True):  # 0, 1, 0.0, 1.0, false or true
                 raise ValueError(f"iscrowd must be 0, 1, false or true: {is_crowd!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            name = (
-                f"annotation id {ann['id']!r}"
-                if isinstance(ann, dict) and "id" in ann
-                else f"entry {position}"
-            )
-            problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            raise DatasetStructureError(f"{path}: {name}: {problem}") from exc
+            raise _oracle_entry_error(path, position, ann, exc) from exc
         if image_id not in sizes:
             dangling.append(image_id)
             continue
@@ -584,3 +610,43 @@ def load_dataset_oracle(path) -> tuple[dict, dict, dict, int]:
             f"{path}: annotations reference missing image ids {sorted(set(dangling))[:20]}"
         )
     return sizes, annotations, categories, clamp_warnings
+
+
+def load_proposals_oracle(path, sizes: dict) -> dict[int, tuple[list, list]]:
+    """The per-entry COCO-results proposal loader over the image ``sizes`` of
+    an annotation file: per image, in order of its first proposal, its
+    clamped corner boxes and scores in file order. Each entry is checked in
+    the order image id, bbox present, score a number (1.0 when absent),
+    bbox, score in [0, 1]; each corner is clamped with ``max(0.0, v)``
+    (0.0 on a tie, as ``np.maximum`` gives) and then ``min(v, limit)``.
+    Raises the errors of ``load_proposals`` with the same messages."""
+    from pyrsample.dataset import DatasetStructureError
+
+    data = _oracle_json(path)
+    if not isinstance(data, list):
+        raise DatasetStructureError(f"{path}: results file must be a JSON array")
+    rows = []
+    for position, entry in enumerate(data):
+        try:
+            image_id = strict_int(entry["image_id"], "image_id")
+            bbox = entry["bbox"]
+            score = strict_number(entry.get("score", 1.0), "score")
+            x, y, w, h = _oracle_xywh(bbox)
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"score not in [0, 1]: {score}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise _oracle_entry_error(path, position, entry, exc) from exc
+        rows.append((image_id, (x, y, x + w, y + h), score))
+    dangling = sorted({image_id for image_id, _, _ in rows if image_id not in sizes})
+    if dangling:
+        raise DatasetStructureError(
+            f"{path}: proposals reference missing image ids {dangling[:20]}"
+        )
+    proposals: dict[int, tuple[list, list]] = {}
+    for image_id, corners, score in rows:
+        size = sizes[image_id]
+        limits = (size.width, size.height) * 2
+        boxes, scores = proposals.setdefault(image_id, ([], []))
+        boxes.append(tuple(min(max(0.0, v), limit) for v, limit in zip(corners, limits)))
+        scores.append(score)
+    return proposals

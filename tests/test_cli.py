@@ -269,6 +269,60 @@ class TestErrorRecords:
         assert error["message"] == f"{source}: {name}: {key} must be {rule}: {value!r}"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, bbox, problem",
+        [("annotations", ["100", "100", "15", "15"], "bbox must be a number: '100'"),
+         ("annotations", [100, 100, True, 15], "bbox must be a number: True"),
+         ("annotations", "1234", "bbox must be 4 numbers: '1234'"),
+         ("proposals", ["10", "10", True, "50"], "bbox must be a number: '10'"),
+         ("proposals", [10, 10, 50, False], "bbox must be a number: False")],
+        ids=["text-annotation", "true-annotation", "text-annotation-bbox", "text-proposal",
+             "false-proposal"],
+    )
+    def test_bbox_values_must_be_numbers(self, small_coco, tmp_path, capsys, section, bbox,
+                                         problem):
+        # float() and a numpy float array read "100" as 100, true as 1 and
+        # the text "1234" as [1, 2, 3, 4], and the run would exit 0.
+        data = json.loads(small_coco.read_text())
+        proposals = [{"image_id": 1, "bbox": [300, 200, 40, 40], "score": 0.5},
+                     {"image_id": 2, "bbox": [10, 10, 40, 40], "score": 0.5}]
+        (proposals if section == "proposals" else data[section])[1]["bbox"] = bbox
+        small_coco.write_text(json.dumps(data))
+        props = tmp_path / "props.json"
+        props.write_text(json.dumps(proposals))
+        out = tmp_path / "chips.json"
+        argv = ["chips", "negative", "--proposals", str(props)] if section == "proposals" \
+            else ["chips", "positive"]
+        assert main([*argv, "--annotations", str(small_coco), "--out", str(out)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "DatasetStructureError"
+        name = "entry 1" if section == "proposals" else "annotation id 2"
+        source = props if section == "proposals" else small_coco
+        assert error["message"] == f"{source}: {name}: {problem}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "first, problem",
+        [({"bbox": [10, 10, -5, 50]}, "negative bbox extent: [10.0, 10.0, -5.0, 50.0]"),
+         ({"score": 1.5}, "score not in [0, 1]: 1.5")],
+        ids=["negative-width", "score-above-1"],
+    )
+    def test_proposal_error_names_the_first_bad_entry(self, small_coco, tmp_path, capsys,
+                                                      first, problem):
+        # Running each check over the whole file named entry 1, whose bbox
+        # is not finite, before entry 0.
+        proposals = [{"image_id": 1, "bbox": [10, 10, 40, 50], "score": 0.5, **first},
+                     {"image_id": 1, "bbox": [10, 10, float("inf"), 50], "score": 0.5}]
+        props = tmp_path / "props.json"
+        props.write_text(json.dumps(proposals))
+        out = tmp_path / "neg.json"
+        assert main(["chips", "negative", "--annotations", str(small_coco),
+                     "--proposals", str(props), "--out", str(out)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "DatasetStructureError"
+        assert error["message"] == f"{props}: entry 0: {problem}"
+        assert not out.exists()
+
     def test_integral_floats_read_as_ints(self, small_coco, tmp_path):
         outs = []
         for name, as_float in (("ints", False), ("floats", True)):
@@ -465,6 +519,29 @@ class TestErrorRecords:
         assert error["type"] == "FormatError"
         assert error["message"] == (
             f"{tmp_path / 'dets.json'}: record 2: detection 1: score must be a number: {value!r}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "path, value, problem",
+        [(("detections", 1, "bbox"), ["20", "20", "150", "150"],
+          "detection 1: bbox must be a number: '20'"),
+         (("detections", 1, "bbox"), [10, 10, True, "50"],
+          "detection 1: bbox must be a number: True"),
+         (("chip",), ["0", "0", "500", "375"], "chip must be a number: '0'"),
+         (("chip",), [0, 0, 500, True], "chip must be a number: True")],
+        ids=["text-bbox", "true-bbox", "text-chip", "true-chip"],
+    )
+    def test_stack_bbox_and_chip_values_must_be_numbers(self, small_coco, tmp_path, capsys, path,
+                                                        value, problem):
+        # A numpy float array reads "20" as 20 and true as 1, and the
+        # detection would be merged and written as numbers.
+        good = self.STACK_RECORD
+        records = [good, good, self._changed(good, path, value)]
+        rc, out = self._stack_records(small_coco, tmp_path, records)
+        assert rc == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "FormatError"
+        assert error["message"] == f"{tmp_path / 'dets.json'}: record 2: {problem}"
         assert not out.exists()
 
     def test_stack_canvas_too_large_for_a_float(self, small_coco, tmp_path, capsys):

@@ -12,6 +12,12 @@ a numpy warning or any other stderr line fails the test.
 The same annotation files, and files of clean entries with edge-case
 coordinates, load with the columnar loader exactly as with
 ``load_dataset_oracle``: the same boxes bit for bit, or the same error.
+Proposal files load with ``load_proposals`` exactly as with
+``load_proposals_oracle``.
+
+These tests run without Hypothesis's shrink phase: a failure is reported
+as generated, because shrinking one that only generation finds ran for
+minutes with hundreds of MB of memory.
 """
 import contextlib
 import io
@@ -20,15 +26,17 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
 from pyrsample.cli import main
-from pyrsample.dataset import DatasetError, load_dataset
+from pyrsample.dataset import DatasetError, load_dataset, load_proposals
 
-from oracles import load_dataset_oracle
+from oracles import load_dataset_oracle, load_proposals_oracle
+
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 special = st.sampled_from(
     [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 5e-324, 2**70, -(2**70)]
@@ -163,7 +171,7 @@ def _run(argv: list[str], out: Path) -> None:
         assert not out.exists()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(annotation_file, proposal_file)
 @example(_with("images", 0, "id", float("inf")), GOOD_PROPOSALS)
 @example(_with("categories", 0, "id", float("inf")), GOOD_PROPOSALS)
@@ -261,7 +269,7 @@ def _outcome(load, path):
         return None, (type(exc), str(exc))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True, phases=NO_SHRINK)
 @given(annotation_file | edge_annotation_file)
 @example(INTERLEAVED)
 @example({**GOOD, "images": [*GOOD["images"], {"id": 1, "width": 5, "height": 5}]})
@@ -272,6 +280,8 @@ def _outcome(load, path):
 @example(_with("annotations", 0, "image_id", 2**70))
 @example(_with("annotations", 0, "iscrowd", "0"))
 @example(_with("annotations", 0, "iscrowd", 1.0))
+@example(_with("annotations", 0, "bbox", ["100", "100", "15", "15"]))
+@example(_with("annotations", 0, "bbox", [2**1100, "1", 1, 1]))
 def test_columnar_loader_matches_the_per_entry_oracle(annotations):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ann.json"
@@ -293,3 +303,42 @@ def test_columnar_loader_matches_the_per_entry_oracle(annotations):
         assert got.crowd.tolist() == [g.is_crowd for g in expected]
     assert index.categories == categories
     assert index.clamp_warnings == clamp_warnings
+
+
+# Two images for the proposal files; image 2 is narrow, so that clamping
+# moves many boxes.
+PROPOSAL_IMAGES = {"images": [{"id": 1, "width": 640, "height": 480},
+                              {"id": 2, "width": 37, "height": 700}]}
+edge_proposal_file = st.lists(
+    st.fixed_dictionaries({**clean_proposal_fields, "bbox": edge_bbox}), max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, phases=NO_SHRINK)
+@given(st.one_of(proposal_file, entries(proposal_fields), edge_proposal_file))
+@example([{"image_id": 1, "bbox": [10, 10, -5, 50]},
+          {"image_id": 1, "bbox": [10, 10, float("inf"), 50]}])
+@example([{"image_id": 1, "bbox": [10, 10, 5, 50], "score": 1.5},
+          {"image_id": 1, "bbox": [10, 10, float("inf"), 50]}])
+@example([{"image_id": 2, "bbox": [1, 1, 5, 5]}, {"image_id": 1, "bbox": ["10", "10", True, "50"]}])
+@example([{"image_id": 1, "bbox": "1234", "score": 0.5}])
+@example([{"image_id": 2, "bbox": [-0.0, 5e-324, 1e308, 1e308], "score": 0.5},
+          {"image_id": 1, "bbox": [5, 5, 5, 5], "score": 1}, {"image_id": 2, "bbox": [1, 2, 3, 4]}])
+@example([{"image_id": 1, "bbox": [1, 1, 5, 5], "score": True}, {"id": 4, "image_id": 1.5}])
+@example([{"image_id": 7, "bbox": [1, 1, 5, 5]}, {"image_id": 1, "bbox": [1, 1, 5, 5]},
+          {"image_id": 3, "bbox": [1, 1, 5, 5]}])
+def test_proposals_load_as_the_per_entry_oracle_loads_them(proposals):
+    with tempfile.TemporaryDirectory() as tmp:
+        ann, path = Path(tmp) / "ann.json", Path(tmp) / "props.json"
+        ann.write_text(json.dumps(PROPOSAL_IMAGES))
+        path.write_text(json.dumps(proposals))
+        got, error = _outcome(lambda p: load_proposals(p, load_dataset(ann)), path)
+        want, want_error = _outcome(lambda p: load_proposals_oracle(p, load_dataset_oracle(ann)[0]),
+                                    path)
+    assert error == want_error
+    if want is None:
+        return
+    assert list(got) == list(want)
+    for image_id, (boxes, scores) in want.items():
+        assert got[image_id].boxes.tobytes() == np.array(boxes, dtype=np.float64).tobytes()
+        assert got[image_id].scores.tobytes() == np.array(scores, dtype=np.float64).tobytes()

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from pyrsample.geometry import DetectionBatch, ImageSize
 from pyrsample.serialization import (
     FormatError,
     atomic_write_text,
+    json_number_rows,
     map_to_debug_json,
+    read_entries,
     read_map_binary,
     save_chip_records,
     save_detection_records,
@@ -352,3 +355,79 @@ class TestWriters:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
         assert lines[1] == "64 9.5"
+
+
+def _count_parse(calls: list):
+    """A columnar parse of int entries that records each call's size. Its
+    error for several entries names the largest negative one, not the
+    first: only the error of an entry parsed alone names that entry."""
+    def parse(entries):
+        calls.append(len(entries))
+        negative = [e for e in entries if e is not None and e < 0]
+        if negative:
+            raise ValueError(f"{max(negative)} is negative")
+        if None in entries:
+            raise KeyError("value")
+        return sum(entries)
+    return parse
+
+
+def _scan(entries, parse):
+    """The one-entry-at-a-time reading that :func:`read_entries` replaces."""
+    for position, entry in enumerate(entries):
+        try:
+            parse([entry])
+        except KeyError as exc:
+            return parse(entries[:position]), (position, entry, f"missing key {exc}")
+        except ValueError as exc:
+            return parse(entries[:position]), (position, entry, str(exc))
+    return parse(entries), None
+
+
+class TestReadEntries:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 100, 1000, 1025])
+    def test_matches_a_one_entry_scan_within_the_call_bound(self, n):
+        rng = random.Random(n)
+        for _ in range(30):
+            entries = [rng.randrange(100) for _ in range(n)]
+            for position in rng.sample(range(n), rng.choice([1, 1, min(n, 3)])):
+                entries[position] = rng.choice([-1 - rng.randrange(5), None])
+            calls = []
+            got = read_entries(entries, _count_parse(calls), lambda *error: error)
+            assert got == _scan(entries, _count_parse([]))
+            assert len(calls) <= 2 * math.ceil(math.log2(n)) + 2
+
+    def test_clean_entries_parse_once(self):
+        calls = []
+        assert read_entries([3, 4], _count_parse(calls), None) == (7, None)
+        assert calls == [2]
+
+
+class TestJsonNumberRows:
+    def test_ints_and_floats_become_float64_rows(self):
+        rows = json_number_rows([[1, 2.5, 2**70, -0.0], [0, 0, 1e308, 5]], 4, "bbox")
+        assert rows.dtype == np.float64 and rows.shape == (2, 4)
+        assert rows.tolist() == [[1.0, 2.5, float(2**70), -0.0], [0.0, 0.0, 1e308, 5.0]]
+        assert json_number_rows([], 4, "bbox").shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [(["10", 10, 5, 5], "bbox must be a number: '10'"),
+         ([10, 10, True, 5], "bbox must be a number: True"),
+         ([10, None, 5, 5], "bbox must be a number: None"),
+         ([10, 10, 5], "bbox must be 4 numbers: [10, 10, 5]"),
+         ("1234", "bbox must be 4 numbers: '1234'"),
+         ({"x": 1}, "bbox must be 4 numbers: {'x': 1}")],
+    )
+    def test_anything_else_names_the_first_bad_row(self, row, problem):
+        with pytest.raises(ValueError) as info:
+            json_number_rows([[1, 2, 3, 4], row, ["x"]], 4, "bbox")
+        assert str(info.value) == problem
+
+    def test_a_placeholder_in_the_name_takes_the_row_position(self):
+        with pytest.raises(ValueError, match=r"^detection 1: bbox must be a number: '2'$"):
+            json_number_rows([[1, 2, 3, 4], [1, "2", 3, 4]], 4, "detection {}: bbox")
+
+    def test_an_int_too_large_for_a_float_overflows(self):
+        with pytest.raises(OverflowError):
+            json_number_rows([[0, 0, 2**1100, 1]], 4, "chip")
