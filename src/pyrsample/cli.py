@@ -36,9 +36,9 @@ from .costing import (
     speedup_upper_bound,
 )
 from .dataset import MAX_ID, DatasetError, DatasetIndex, load_dataset, voc_to_coco
-from .focus_chips import FocusParams, generate_focus_chips
+from .focus_chips import FocusParams, chips_from_maps
 from .focus_labels import LabelMap, focus_label_cells, focus_pixel_stats
-from .geometry import DetectionBatch, ImageSize, boxes_array
+from .geometry import DetectionBatch, ImageSize
 from .range_labels import filter_detections_by_range
 from .serialization import FormatError, json_ints, json_number_rows, json_numbers
 from .stacking import project_to_image, prune_boundary_detections, suppress
@@ -148,7 +148,7 @@ def cmd_focus_chips(args) -> int:
     for path in sorted(Path(args.probmaps).glob("*.fmap")):
         match = _MAP_NAME.match(path.name)
         if not match:
-            continue
+            raise FormatError(f"{path}: map file names must be <image_id>_s<scale_id>.fmap")
         key = (int(match["image_id"]), int(match["scale_id"]))
         if max(key) > MAX_ID:
             raise FormatError(f"{path}: image and scale ids must be at most {MAX_ID}")
@@ -157,14 +157,9 @@ def cmd_focus_chips(args) -> int:
                 f"{maps[key]} and {path} are both the map of image {key[0]} at scale {key[1]}"
             )
         maps[key] = path
-    rects = [boxes_array(generate_focus_chips(prob, params, prob.image))  # type: ignore[arg-type]
-             for prob in map(ser.read_map_binary, maps.values())]
-    counts = [len(r) for r in rects]
-    keys = np.array(list(maps), dtype=np.int64).reshape(-1, 2)
-    chips = ChipBatch(
-        np.repeat(keys[:, 0], counts), np.repeat(keys[:, 1], counts),
-        np.concatenate([np.zeros((0, 4)), *rects]), FOCUS,
-    )
+    rects, owners = chips_from_maps(map(ser.read_map_binary, maps.values()), params)
+    keys = np.array(list(maps), dtype=np.int64).reshape(-1, 2)[owners]
+    chips = ChipBatch(keys[:, 0], keys[:, 1], rects, FOCUS)
     ser.save_chip_records(args.out, chips)
     print(f"wrote {len(chips)} focus chips from {len(maps)} maps to {args.out}")
     return 0
@@ -224,8 +219,14 @@ def _parse_stack_records(records: list) -> _StackRun:
         raise ValueError("chip must be four finite numbers with x1 <= x2 and y1 <= y2: "
                          f"{given[ordered.argmin()]!r}")
     entries = [record.get("detections", []) for record in records]
+    if not set(map(type, entries)) <= {list}:
+        entry = next(e for e in entries if type(e) is not list)
+        raise ValueError(f"detections must be a JSON array: {entry!r}")
     counts = np.array(list(map(len, entries)), dtype=np.intp)
     flat = list(chain.from_iterable(entries))
+    if not set(map(type, flat)) <= {dict}:
+        k, entry = next((k, e) for k, e in enumerate(flat) if type(e) is not dict)
+        raise ValueError(f"detection {k} must be a JSON object: {entry!r}")
     boxes = json_number_rows([entry["bbox"] for entry in flat], 4, "detection {}: bbox")
     scores = json_numbers([entry["score"] for entry in flat], "detection {}: score")
     class_ids = json_ints([entry["category_id"] for entry in flat], "detection {}: category_id")

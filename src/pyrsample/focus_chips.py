@@ -4,16 +4,20 @@ The pipeline turns a feature-map probability grid into a small set of
 non-overlapping image rectangles: binarize at a threshold, dilate so nothing
 interesting sits on a chip border, extract 8-connected components, take each
 component's enclosing rectangle in pixel coordinates, grow it to a minimum
-side, and merge rectangles until none overlap.
+side, and merge rectangles until none overlap. A thresholded map is kept
+only as its horizontal runs of set cells, one-row spans that the span
+kernels of :mod:`pyrsample.focus_spans` dilate and label for many maps at
+once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .geometry import BoundingBox, ImageSize
-from .focus_labels import ProbabilityMap, check_grid
+from .focus_labels import LabelMap, ProbabilityMap, check_grid
 
 
 @dataclass(frozen=True)
@@ -50,14 +54,20 @@ class BinaryMap:
         check_grid(self.cells, self.image, self.stride)
 
 
+def _set_cells(cells: np.ndarray, threshold: float, strict: bool) -> np.ndarray:
+    """The bool mask of ``cells`` at or above ``threshold`` (above it when
+    ``strict``). Float cells are compared in float64, so a float32 cell is
+    never set by a threshold that rounds down to it."""
+    if cells.dtype.kind == "f":
+        cells = cells.astype(np.float64, copy=False)
+    return cells > threshold if strict else cells >= threshold
+
+
 def threshold_map(p: ProbabilityMap, threshold: float, strict: bool = False) -> BinaryMap:
     """Binarize a probability map; the comparison is inclusive by default."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold out of range: {threshold}")
-    if strict:
-        cells = p.cells > threshold
-    else:
-        cells = p.cells >= threshold
+    cells = _set_cells(p.cells, threshold, strict)
     return BinaryMap(cells=cells.astype(np.uint8), stride=p.stride, image=p.image)
 
 
@@ -95,17 +105,9 @@ def dilate(bm: BinaryMap, size: int) -> BinaryMap:
     )
 
 
-def component_bounds(mask: np.ndarray) -> np.ndarray:
-    """The (m, 4) int64 cell bounds min_col, min_row, max_col, max_row of
-    the 8-connected components of the 1-cells of a 2-D mask, ordered by
-    each component's first cell in scan order.
-
-    Run-based labeling (He et al., IEEE TIP 2008): the horizontal runs of
-    1-cells come from one ``np.diff`` over the zero-padded mask, and runs in
-    adjacent rows whose column spans overlap or meet diagonally are joined
-    by a union-find over runs. It is the dense reference for
-    :func:`pyrsample.focus_spans.span_components`.
-    """
+def _runs(mask: np.ndarray) -> np.ndarray:
+    """The horizontal runs of 1-cells of a 2-D mask in scan order, as (r, 4)
+    one-row spans j0, i, j1, i + 1 of half-open cell ranges."""
     h, w = mask.shape
     width = w + 2
     padded = np.zeros((h, width), dtype=bool)
@@ -113,50 +115,32 @@ def component_bounds(mask: np.ndarray) -> np.ndarray:
     # Flat positions row * width + column + 1 of each run's first cell and of
     # the zero just past its last cell, alternating, in scan order.
     edges = np.flatnonzero(np.diff(padded.ravel())) + 1
-    if len(edges) == 0:
-        return np.zeros((0, 4), dtype=np.int64)
-    starts, ends = edges[0::2], edges[1::2]
-    # Run b in the next row touches run a (8-connectivity) when its span
-    # reaches a's span widened by one column. Positions increase along the
-    # runs, so the runs touching a form the index range lo[a]:hi[a].
-    lo = np.searchsorted(ends, starts + width, side="left").tolist()
-    hi = np.searchsorted(starts, ends + width, side="right").tolist()
-    rows = starts // width
-    offsets = rows * width + 1
-    first_cols = (starts - offsets).tolist()
-    end_cols = (ends - offsets).tolist()
-    rows = rows.tolist()
+    rows, first = np.divmod(edges[0::2], width)
+    return np.column_stack([first - 1, rows, edges[1::2] - rows * width - 1, rows + 1])
 
-    # Union-find over runs.
-    parent = list(range(len(rows)))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+def _join_runs(runs: np.ndarray, owners: np.ndarray, gap: int):
+    """Runs of many masks in scan order, mask by mask, with the runs of one
+    row that lie at most ``gap`` cells apart joined into one: the runs of
+    each mask dilated along its rows by ``gap // 2`` cells per side, before
+    they are widened. Returns the joined runs and their owners."""
+    apart = np.ones(len(runs) + 1, dtype=bool)
+    apart[1:-1] = ((runs[1:, 0] - runs[:-1, 2] > gap) | (runs[1:, 1] != runs[:-1, 1])
+                   | (owners[1:] != owners[:-1]))
+    first = apart[:-1]
+    return np.column_stack([runs[first, :2], runs[apart[1:], 2:]]), owners[first]
 
-    for a in range(len(rows)):
-        for b in range(lo[a], hi[a]):
-            parent[find(b)] = find(a)
 
-    # Runs are visited in scan order, so components come out ordered by their
-    # first run and each one lists its runs row-major.
-    runs: dict[int, list[int]] = {}
-    for i in range(len(rows)):
-        runs.setdefault(find(i), []).append(i)
-    return np.array(
-        [
-            (
-                min([first_cols[i] for i in members]),
-                rows[members[0]],
-                max([end_cols[i] for i in members]) - 1,
-                rows[members[-1]],
-            )
-            for members in runs.values()
-        ],
-        dtype=np.int64,
-    )
+def component_bounds(mask: np.ndarray) -> np.ndarray:
+    """The (m, 4) int64 cell bounds min_col, min_row, max_col, max_row of
+    the 8-connected components of the 1-cells of a 2-D mask, ordered by
+    each component's first cell in scan order: the
+    :func:`~pyrsample.focus_spans.span_components` of the mask's runs.
+    """
+    from .focus_spans import span_components
+
+    runs = _runs(mask)
+    return span_components(runs, np.zeros(len(runs), dtype=np.intp))[0]
 
 
 def connected_components(bm: BinaryMap) -> np.ndarray:
@@ -281,10 +265,78 @@ def generate_focus_chips(
             f"map was built for {p.image.width}x{p.image.height}, "
             f"got image {image.width}x{image.height}"
         )
-    bm = threshold_map(p, params.threshold, strict=params.strict_threshold)
-    bm = dilate(bm, params.dilation)
-    bounds = connected_components(bm)
-    return chips_from_components(bounds, p.stride, params.min_chip_size, image)
+    chips, _ = chips_from_maps([p], params)
+    return [BoundingBox(*row) for row in chips.tolist()]
+
+
+# Cell runs that chips_from_maps holds at once, which bounds its
+# temporaries; a map with more runs is a block of its own.
+_RUN_BLOCK = 1 << 16
+
+
+def chips_from_maps(
+    maps: Iterable[ProbabilityMap | LabelMap], params: FocusParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The focus chips of a sequence of maps: the (c, 4) chip corners in
+    the pixel frame of each map's image, and the (c,) position in ``maps``
+    of each chip's map, chips grouped by map in map order.
+
+    The maps are read one at a time. Each map's cells are thresholded as
+    :func:`threshold_map` does, and only the horizontal runs of set cells
+    are kept. Consecutive maps whose runs make about ``_RUN_BLOCK`` rows
+    are chipped as one block, so maps may differ in stride, grid and
+    canvas. The chips of each map are those of :func:`generate_focus_chips`.
+    """
+    parts = [(np.zeros((0, 4)), np.zeros(0, dtype=np.intp))]
+    # Per map of the current block: its runs, and its stride, grid and canvas.
+    runs: list[np.ndarray] = []
+    shapes: list[tuple[int, int, int, int, int]] = []
+    held = first = 0
+    for n, m in enumerate(maps):
+        r = _runs(_set_cells(m.cells, params.threshold, params.strict_threshold))
+        if runs and held + len(r) > _RUN_BLOCK:
+            parts.append(_block_chips(runs, shapes, params, first))
+            runs, shapes, held, first = [], [], 0, n
+        runs.append(r)
+        shapes.append((m.stride, *m.cells.shape[::-1], m.image.width, m.image.height))
+        held += len(r)
+    if runs:
+        parts.append(_block_chips(runs, shapes, params, first))
+    chips, owners = zip(*parts)
+    return np.concatenate(chips), np.concatenate(owners)
+
+
+def _block_chips(
+    runs: list[np.ndarray],
+    shapes: list[tuple[int, int, int, int, int]],
+    params: FocusParams,
+    first: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The focus chips of a block of maps that starts at map position
+    ``first``, given as each map's runs and its stride, grid width and
+    height and canvas width and height: the chip corners and each chip's
+    map position.
+
+    The runs are dilated and labelled as spans
+    (:func:`~pyrsample.focus_spans.dilate_spans`,
+    :func:`~pyrsample.focus_spans.span_components`), and every component
+    goes through one :func:`chips_from_bounds` call with its map's stride.
+    """
+    from .focus_spans import dilate_spans, span_components
+
+    on = np.repeat(np.arange(len(runs)), [len(r) for r in runs])
+    stride, grid_w, grid_h, width, height = np.array(shapes, dtype=np.int64).T
+    # Runs that the dilation makes overlap are joined first, so the spans
+    # follow the dilated masks; their union is the same. A gap within a row
+    # is narrower than the grid, so a radius capped at the widest grid
+    # joins the same runs.
+    radius = min(params.dilation // 2, int(grid_w.max()))
+    joined, on = _join_runs(np.concatenate(runs), on, 2 * radius)
+    grown = dilate_spans(joined, on, np.column_stack([grid_w, grid_h]), params.dilation)
+    bounds, on = span_components(grown, on)
+    rects, on = chips_from_bounds(bounds, on, np.column_stack([width, height]),
+                                  stride[on][:, None], params.min_chip_size)
+    return rects, on + first
 
 
 def chips_from_components(
@@ -292,7 +344,7 @@ def chips_from_components(
 ) -> list[BoundingBox]:
     """The focus chips of one map's (m, 4) component cell bounds, as
     :func:`component_bounds` gives them: :func:`chips_from_bounds` for a
-    single map. The tail of :func:`generate_focus_chips`.
+    single map.
     """
     chips, _ = chips_from_bounds(
         bounds, np.zeros(len(bounds), dtype=np.intp), np.array([[image.width, image.height]]),
@@ -305,7 +357,7 @@ def chips_from_bounds(
     bounds: np.ndarray,
     maps: np.ndarray,
     limits: np.ndarray,
-    stride: int,
+    stride: int | np.ndarray,
     min_chip_size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Focus chips of many maps: the (m, 4) chip corners and the (m,) map
@@ -314,12 +366,14 @@ def chips_from_bounds(
     ``bounds`` holds cell bounds min_col, min_row, max_col, max_row per
     component, as :func:`component_bounds` gives them, with rows grouped by
     their non-decreasing map index ``maps``; ``limits`` holds each map's
-    canvas (width, height). Each component's pixel rectangle, clipped to its
-    canvas, is grown to ``min_chip_size``. Then, per map, rectangles that
-    overlap are merged into their enclosing rectangle until none overlap:
-    the partition of :func:`merge_overlapping`, with groups in the order of
-    their first member. Every group's rectangle is grown once more, as the
-    per-rectangle pipeline did, so the outputs match it exactly.
+    canvas (width, height), and ``stride`` is one for all rows or an (m, 1)
+    array of each row's map stride. Each component's pixel rectangle,
+    clipped to its canvas, is grown to ``min_chip_size``. Then, per map,
+    rectangles that overlap are merged into their enclosing rectangle until
+    none overlap: the partition of :func:`merge_overlapping`, with groups in
+    the order of their first member. Every group's rectangle is grown once
+    more, as the per-rectangle pipeline did, so the outputs match it
+    exactly.
     """
     limit = limits[maps]
     pixel = np.minimum((bounds + (0, 0, 1, 1)) * stride, limit[:, [0, 1, 0, 1]])

@@ -180,25 +180,47 @@ def _count_at_most(
 
 def span_components(spans: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 8-connected components of each map's union of spans: (c, 4) int64
-    cell bounds min_col, min_row, max_col, max_row and (c,) map indices, in
-    the order of :func:`~pyrsample.focus_chips.component_bounds` map by map.
+    cell bounds min_col, min_row, max_col, max_row and (c,) map indices,
+    ordered by map, then by each component's first cell in scan order.
     """
-    # Distinct spans sorted by (map, i0, j0): the spans that can touch span s
-    # from below are the ones after it whose i0 is at most its i1, and each
-    # component's least span holds its first cell in scan order. (Unlike
-    # np.unique with an axis, lexsort does not import numpy.ma.)
+    # Distinct spans sorted by (map, i0, j0), so each component's least span
+    # holds its first cell in scan order. (Unlike np.unique with an axis,
+    # lexsort does not import numpy.ma.)
     rows = np.column_stack([owners, spans[:, [1, 0, 3, 2]]])
     rows = rows[np.lexsort(rows.T[::-1])]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     owners, spans = rows[new, 0], rows[new][:, [2, 1, 4, 3]]
     n = len(spans)
+    j0, i0, j1, i1 = spans.T
+    # The spans of one map with one first row form a group, sorted by j0.
+    # The spans that can touch span s from below lie in the groups from its
+    # own to the last whose first row is at most its i1.
+    first = np.ones(n, dtype=bool)
+    first[1:] = (owners[1:] != owners[:-1]) | (i0[1:] != i0[:-1])
+    group = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    group_stop = _count_at_most(owners[starts], i0[starts], owners, i1)
+    # Keys group * width + column rank order (group, column) in int64, as
+    # width is at most 2n. In group g, the candidates of span s run from lo,
+    # the first span whose running max of j1 in the group reaches j0_s (none
+    # before it ends at or after j0_s), to hi, past the last with
+    # j0 <= j1_s. Both (span, group) and (span, candidate) pairs come in
+    # blocks.
+    _, rank = np.unique(np.concatenate([j0, j1]), return_inverse=True)
+    width = int(rank.max(initial=0)) + 1
+    starts_key = group * width + rank[:n]
+    reach_key = np.maximum.accumulate(group * width + rank[n:])
     label = np.arange(n)
-    stop = _count_at_most(owners, spans[:, 1], owners, spans[:, 3])
-    for s, t in _pair_blocks(np.arange(1, n + 1), stop):
-        touch = (spans[s, 0] <= spans[t, 2]) & (spans[t, 0] <= spans[s, 2])
-        if touch.any():
-            label = _join(label, s[touch], t[touch])
+    for s, g in _pair_blocks(group, group_stop):
+        lo = np.searchsorted(reach_key, g * width + rank[s], side="left")
+        hi = np.searchsorted(starts_key, g * width + rank[n + s], side="right")
+        for k, t in _pair_blocks(lo, hi):
+            u = s[k]
+            # Each touching pair is found from its lesser span.
+            touch = (t > u) & (j1[t] >= j0[u])
+            if touch.any():
+                label = _join(label, u[touch], t[touch])
     lo, hi = spans[:, :2].copy(), spans[:, 2:].copy()
     moved = np.flatnonzero(label != np.arange(n))
     np.minimum.at(lo, label[moved], spans[moved, :2])

@@ -168,6 +168,16 @@ def flood_fill_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
     return comps
 
 
+def component_bounds_oracle(mask: np.ndarray) -> list[list[int]]:
+    """Cell bounds min_col, min_row, max_col, max_row of each component of
+    :func:`flood_fill_components`, in its order."""
+    bounds = []
+    for comp in flood_fill_components(mask):
+        rows, cols = [i for i, _ in comp], [j for _, j in comp]
+        bounds.append([min(cols), min(rows), max(cols), max(rows)])
+    return bounds
+
+
 def encloses_oracle(outer: BoundingBox, inner: BoundingBox) -> bool:
     return (
         outer.x1 <= inner.x1 <= inner.x2 <= outer.x2

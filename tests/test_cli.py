@@ -11,7 +11,8 @@ import pytest
 import pyrsample
 from pyrsample import cli
 from pyrsample.cli import main
-from pyrsample.focus_labels import ProbabilityMap
+from pyrsample.focus_chips import FocusParams, generate_focus_chips
+from pyrsample.focus_labels import LabelMap, ProbabilityMap
 from pyrsample.geometry import ImageSize
 from pyrsample.serialization import read_map_binary, write_map_binary
 
@@ -380,9 +381,27 @@ class TestErrorRecords:
             write_map_binary(maps_dir / name, pm)
         out = tmp_path / "fchips.json"
         assert main(["focus", "chips", "--probmaps", str(maps_dir), "--out", str(out),
-                     "--min-chip-size", "8"]) == 0
-        assert "from 1 maps" in capsys.readouterr().out
-        assert [r["image_id"] for r in json.loads(out.read_text())] == [7]
+                     "--min-chip-size", "8"]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "FormatError"
+        assert error["message"].startswith(f"{maps_dir / chr(0x667)}_s1.fmap: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["notes.fmap", "1_2.fmap", "1_s2_b.fmap", "-1_s2.fmap"])
+    def test_focus_map_names_follow_one_pattern(self, tmp_path, capsys, name):
+        # A map whose name holds no image and scale id used to be skipped.
+        maps_dir = tmp_path / "pmaps"
+        maps_dir.mkdir()
+        pm = ProbabilityMap(cells=np.full((4, 4), 0.9), stride=32, image=ImageSize(128, 128))
+        for path in ("1_s1.fmap", name):
+            write_map_binary(maps_dir / path, pm)
+        out = tmp_path / "fchips.json"
+        assert main(["focus", "chips", "--probmaps", str(maps_dir), "--out", str(out)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "FormatError"
+        assert error["message"] == (
+            f"{maps_dir / name}: map file names must be <image_id>_s<scale_id>.fmap")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "path",
@@ -458,12 +477,13 @@ class TestErrorRecords:
             assert "detection 2" in error["message"]
         assert not (tmp_path / "merged.json").exists()
 
+    STACK_DETECTION = {"bbox": [200, 200, 150, 150], "score": 0.7, "category_id": 1}
     STACK_RECORD = {
         "image_id": 2,
         "scale_id": 0,
         "canvas": {"width": 500, "height": 375},
         "chip": None,
-        "detections": [{"bbox": [200, 200, 150, 150], "score": 0.7, "category_id": 1},
+        "detections": [STACK_DETECTION,
                        {"bbox": [20, 20, 150, 150], "score": 0.6, "category_id": 2}],
     }
 
@@ -543,6 +563,37 @@ class TestErrorRecords:
         assert error["type"] == "FormatError"
         assert error["message"] == f"{tmp_path / 'dets.json'}: record 2: {problem}"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value, problem",
+        [({}, "detections must be a JSON array: {}"),
+         ("", "detections must be a JSON array: ''"),
+         (None, "detections must be a JSON array: None"),
+         ({"bbox": [1, 2, 3, 4]}, "detections must be a JSON array: {'bbox': [1, 2, 3, 4]}"),
+         ([STACK_DETECTION, 5], "detection 1 must be a JSON object: 5"),
+         ([STACK_DETECTION, [1, 2, 3, 4]], "detection 1 must be a JSON object: [1, 2, 3, 4]")],
+        ids=["object", "text", "null", "one-detection-object", "number-detection",
+             "list-detection"],
+    )
+    def test_stack_detections_must_be_an_array_of_objects(self, small_coco, tmp_path, capsys,
+                                                          value, problem):
+        # {} and "" have a length, and used to read as no detections.
+        good = self.STACK_RECORD
+        records = [good, self._changed(good, ("detections",), value), good]
+        rc, out = self._stack_records(small_coco, tmp_path, records)
+        assert rc == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "FormatError"
+        assert error["message"] == f"{tmp_path / 'dets.json'}: record 1: {problem}"
+        assert not out.exists()
+
+    def test_stack_record_without_detections_has_none(self, small_coco, tmp_path):
+        good = self.STACK_RECORD
+        empty = self._changed(good, ("detections",), [])
+        del empty["detections"]
+        rc, out = self._stack_records(small_coco, tmp_path, [good, empty])
+        assert rc == 0
+        assert out.read_text() == self._stack_records(small_coco, tmp_path, [good])[1].read_text()
 
     def test_stack_canvas_too_large_for_a_float(self, small_coco, tmp_path, capsys):
         # Used to end in an OverflowError traceback when pruning.
@@ -733,6 +784,38 @@ class TestFocusPipeline:
         records = json.loads(out.read_text())
         assert len(records) == 1
         assert records[0]["rect"] == [320.0, 192.0, 416.0, 288.0]
+
+
+    def test_maps_of_mixed_strides_match_one_map_calls(self, tmp_path):
+        # One directory holds label and probability maps of three strides;
+        # each map's chips are those of generate_focus_chips, in name order.
+        rng = np.random.default_rng(3)
+        maps_dir = tmp_path / "pmaps"
+        maps_dir.mkdir()
+        maps = {}
+        for k, stride in enumerate([8, 32, 16, 32, 8]):
+            h, w = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            image = ImageSize(w * stride - int(rng.integers(0, stride)),
+                              h * stride - int(rng.integers(0, stride)))
+            cells = rng.random((h, w)) * (rng.random((h, w)) < 0.2)
+            if k % 2:
+                m = LabelMap(cells=(cells > 0).astype(np.int8), stride=stride, image=image)
+            else:
+                m = ProbabilityMap(cells=cells.astype(np.float32), stride=stride, image=image)
+            maps[f"{k}_s{k % 3}.fmap"] = m
+            write_map_binary(maps_dir / f"{k}_s{k % 3}.fmap", m)
+        out = tmp_path / "fchips.json"
+        assert main(["focus", "chips", "--probmaps", str(maps_dir), "--out", str(out),
+                     "--threshold", "0.3", "--dilation", "3", "--min-chip-size", "48"]) == 0
+        params = FocusParams(threshold=0.3, dilation=3, min_chip_size=48)
+        want = [
+            (int(name.split("_")[0]), list(chip.as_tuple()))
+            for name in sorted(maps)
+            for chip in generate_focus_chips(read_map_binary(maps_dir / name), params,
+                                             maps[name].image)
+        ]
+        records = json.loads(out.read_text())
+        assert want and [(r["image_id"], r["rect"]) for r in records] == want
 
 
 class TestStack:

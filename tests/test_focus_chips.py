@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from pyrsample import focus_chips
 from pyrsample.focus_chips import (
@@ -7,6 +11,7 @@ from pyrsample.focus_chips import (
     FocusParams,
     binary_dilate,
     chips_from_bounds,
+    chips_from_maps,
     component_bounds,
     connected_components,
     dilate,
@@ -14,11 +19,12 @@ from pyrsample.focus_chips import (
     merge_overlapping,
     threshold_map,
 )
-from pyrsample.focus_labels import ProbabilityMap
+from pyrsample.focus_labels import LabelMap, ProbabilityMap
 from pyrsample.geometry import BoundingBox, ImageSize
 
 from oracles import (
     clip_box,
+    component_bounds_oracle,
     component_chips_oracle,
     dilate_oracle,
     flood_fill_components,
@@ -130,16 +136,6 @@ class TestDilate:
         assert (binary_dilate(mask[:, :1], 2_000_000_001) == mask[:, :1].any()).all()
 
 
-def oracle_bounds(mask):
-    """Cell bounds min_col, min_row, max_col, max_row of each component of
-    :func:`flood_fill_components`, in its order."""
-    bounds = []
-    for comp in flood_fill_components(mask):
-        rows, cols = [i for i, _ in comp], [j for _, j in comp]
-        bounds.append([min(cols), min(rows), max(cols), max(rows)])
-    return bounds
-
-
 class TestConnectedComponents:
     def test_empty_map(self):
         bounds = connected_components(binary(np.zeros((5, 5), dtype=np.uint8)))
@@ -159,7 +155,7 @@ class TestConnectedComponents:
 
     def test_matches_flood_fill_oracle(self):
         for mask in _oracle_masks():
-            want = oracle_bounds(mask)
+            want = component_bounds_oracle(mask)
             assert connected_components(binary(mask.astype(np.uint8))).tolist() == want
             assert component_bounds(mask).tolist() == want
 
@@ -395,3 +391,88 @@ class TestGenerateFocusChips:
         low = generate_focus_chips(pm, FocusParams(threshold=0.3, dilation=1, min_chip_size=8), pm.image)
         high = generate_focus_chips(pm, FocusParams(threshold=0.8, dilation=1, min_chip_size=8), pm.image)
         assert sum(c.area for c in high) <= sum(c.area for c in low)
+
+
+# Thresholds and probabilities at and next to each other. A float32 cell of
+# 0.7 is 0.699999988...: a float32 comparison would set it at threshold 0.7.
+THRESHOLDS = [0.0, 0.5, 0.7, 1.0]
+PROBABILITIES = [0.0, 0.25, float(np.nextafter(0.5, 0.0)), 0.5, 0.7, 1.0]
+
+
+@st.composite
+def focus_maps(draw):
+    """A label or probability map with a grid of up to 12 x 12 cells, mixed,
+    all at the lowest value or all at the highest."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    stride = draw(st.sampled_from([1, 8, 32]))
+    # Canvases up to one stride smaller than the grid clip the last cells.
+    image = ImageSize(draw(st.integers((w - 1) * stride + 1, w * stride)),
+                      draw(st.integers((h - 1) * stride + 1, h * stride)))
+    labels = draw(st.booleans())
+    values = [-1, 0, 1] if labels else PROBABILITIES
+    fill = draw(st.sampled_from(["mixed", "lowest", "highest"]))
+    if fill == "mixed":
+        cells = draw(st.lists(st.sampled_from(values), min_size=h * w, max_size=h * w))
+    else:
+        cells = [values[0] if fill == "lowest" else values[-1]] * (h * w)
+    if labels:
+        return LabelMap(np.array(cells, dtype=np.int8).reshape(h, w), stride, image)
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    return ProbabilityMap(np.array(cells, dtype=dtype).reshape(h, w), stride, image)
+
+
+@pytest.mark.parametrize("run_block", [focus_chips._RUN_BLOCK, 1, 5])
+@settings(max_examples=120, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    maps=st.lists(focus_maps(), max_size=6),
+    threshold=st.sampled_from(THRESHOLDS),
+    strict=st.booleans(),
+    # 25 and 2 * 10^9 + 1 are wider than any grid drawn.
+    dilation=st.sampled_from([1, 3, 25, 2_000_000_001]),
+    min_chip_size=st.sampled_from([1, 8, 64, 3000]),
+    pair_block=st.sampled_from([focus_chips._PAIR_BLOCK, 1, 5]),
+)
+@example(maps=[ProbabilityMap(np.full((2, 3), 0.7, dtype=np.float32), 8, ImageSize(24, 16)),
+               LabelMap(np.ones((1, 1), dtype=np.int8), 8, ImageSize(8, 8))],
+         threshold=0.7, strict=False, dilation=1, min_chip_size=1, pair_block=1)
+def test_chips_of_many_maps_match_per_map_oracles(run_block, maps, threshold, strict, dilation,
+                                                  min_chip_size, pair_block):
+    # Small run blocks split the maps over many blocks, and small pair
+    # blocks split the pair scans of labelling and merging.
+    params = FocusParams(threshold=threshold, dilation=dilation, min_chip_size=min_chip_size,
+                         strict_threshold=strict)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(focus_chips, "_RUN_BLOCK", run_block)
+        patch.setattr(focus_chips, "_PAIR_BLOCK", pair_block)
+        chips, owners = chips_from_maps(iter(maps), params)
+    assert (np.diff(owners) >= 0).all()
+    for n, m in enumerate(maps):
+        # Each cell is compared as a Python float, that is in float64.
+        mask = np.array([[float(c) > threshold if strict else float(c) >= threshold
+                          for c in row] for row in m.cells.tolist()], dtype=bool)
+        comps = flood_fill_components(dilate_oracle(mask, dilation))
+        want = component_chips_oracle(comps, m.stride, min_chip_size, m.image)
+        assert chips[owners == n].tolist() == [list(r.as_tuple()) for r in want], n
+
+
+def _tall_maps(n_maps, rows):
+    """All-set maps two cells wide, made one at a time: one run per row and
+    one component each."""
+    cells = np.ones((rows, 2))
+    for _ in range(n_maps):
+        yield ProbabilityMap(cells, 8, ImageSize(16, 8 * rows))
+
+
+def test_chips_from_maps_hold_one_block_of_runs():
+    tracemalloc.start()
+    try:
+        chips, owners = chips_from_maps(_tall_maps(100, 4096), FocusParams(min_chip_size=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert owners.tolist() == list(range(100))
+    assert chips.tolist() == [[0.0, 0.0, 16.0, 32768.0]] * 100
+    # The 409,600 runs of all maps at once take about 125 MB of
+    # temporaries; a block of about 2^16 runs takes about 26 MB.
+    assert peak < 40 * 2**20, peak

@@ -1,6 +1,6 @@
-"""The grid-free ground-truth focus path against the dense kernels and the
-per-cell oracles: spans, union counts, dilation, components and chips of
-many maps at once, and the two statistics built on them."""
+"""The grid-free ground-truth focus path against the per-cell oracles:
+spans, union counts, dilation, components and chips of many maps at once,
+and the two statistics built on them."""
 import tracemalloc
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import pyrsample.focus_spans as focus_spans_module
 from pyrsample import focus_chips
 from pyrsample.costing import speedup_upper_bound
-from pyrsample.focus_chips import binary_dilate, chips_from_bounds, component_bounds
+from pyrsample.focus_chips import binary_dilate, chips_from_bounds
 from pyrsample.focus_labels import FOCUS, focus_label_cells, focus_pixel_stats
 from pyrsample.focus_spans import dilate_spans, focus_spans, span_components, union_cells
 from pyrsample.geometry import BoundingBox, ImageSize, MaxSideTarget, ScaleSpec, boxes_array
@@ -19,6 +19,7 @@ from pyrsample.geometry import BoundingBox, ImageSize, MaxSideTarget, ScaleSpec,
 from conftest import gt_sets
 from oracles import (
     Gt,
+    component_bounds_oracle,
     component_chips_oracle,
     flood_fill_components,
     focus_pixel_stats_oracle,
@@ -78,8 +79,9 @@ SETTINGS = dict(
     data=datasets(),
     dilation=st.sampled_from([1, 3, 5, 7]),
     ks=st.lists(st.sampled_from(KS), min_size=1, max_size=4, unique=True),
+    pair_block=st.sampled_from([focus_chips._PAIR_BLOCK, 1, 5]),
 )
-def test_batched_spans_match_dense_kernels_per_map(data, dilation, ks):
+def test_batched_spans_match_dense_kernels_per_map(data, dilation, ks, pair_block):
     gts, sizes, stride, pyramid = data
     boxes = [boxes_array(g.box for g in gts[i]) for i in gts]
     originals = [sizes[i] for i in gts]
@@ -88,7 +90,10 @@ def test_batched_spans_match_dense_kernels_per_map(data, dilation, ks):
     dilated = dilate_spans(spans, owners, grids, dilation)
     counts = union_cells(spans, owners, len(maps))
     dilated_counts = union_cells(dilated, owners, len(maps))
-    bounds, comp_maps = span_components(dilated, owners)
+    # Small pair blocks split the labelling's pair scans.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(focus_chips, "_PAIR_BLOCK", pair_block)
+        bounds, comp_maps = span_components(dilated, owners)
     limits = np.array([(c.width, c.height) for _, c in maps])
     per_k = [chips_from_bounds(bounds, comp_maps, limits, stride, k) for k in ks]
     for m, (i, canvas) in enumerate(maps):
@@ -97,7 +102,7 @@ def test_batched_spans_match_dense_kernels_per_map(data, dilation, ks):
         assert tuple(grids[m]) == mask.shape[::-1]
         assert counts[m] == mask.sum()
         assert dilated_counts[m] == grown.sum()
-        assert bounds[comp_maps == m].tolist() == component_bounds(grown).tolist()
+        assert bounds[comp_maps == m].tolist() == component_bounds_oracle(grown)
         comps = flood_fill_components(grown)
         for k, (chips, chip_maps) in zip(ks, per_k):
             want = component_chips_oracle(comps, stride, k, canvas)
@@ -185,6 +190,38 @@ def test_random_bounds_of_many_maps_match_oracle(monkeypatch, pair_block):
             for m, rows in enumerate(by_map):
                 want = _oracle_chips(rows, stride, k, images[m])
                 assert chips[chip_maps == m].tolist() == want, (trial, k, m)
+
+
+@pytest.mark.parametrize("pair_block", [focus_chips._PAIR_BLOCK, 1, 5])
+def test_components_of_random_nested_spans_match_flood_fill(monkeypatch, pair_block):
+    # Many spans on small grids nest and overlap within one first row, so a
+    # span often reaches a row's span past narrower ones that start after
+    # it; spans come in no particular order.
+    monkeypatch.setattr(focus_chips, "_PAIR_BLOCK", pair_block)
+    rng = np.random.default_rng(41)
+    for trial in range(150):
+        n_maps = int(rng.integers(1, 5))
+        grids = rng.integers(1, 13, (n_maps, 2))
+        owners = rng.integers(0, n_maps, int(rng.integers(0, 30)))
+        lo = rng.integers(0, grids[owners])
+        hi = np.minimum(lo + 1 + rng.integers(0, 8, lo.shape) * rng.integers(0, 2, lo.shape),
+                        grids[owners])
+        spans = np.concatenate([lo, hi], axis=1).reshape(-1, 4)
+        masks = [np.zeros((h, w), dtype=bool) for w, h in grids.tolist()]
+        for (j0, i0, j1, i1), m in zip(spans.tolist(), owners.tolist()):
+            masks[m][i0:i1, j0:j1] = True
+        bounds, comp_maps = span_components(spans, owners)
+        assert (np.diff(comp_maps) >= 0).all(), trial
+        for m, mask in enumerate(masks):
+            assert bounds[comp_maps == m].tolist() == component_bounds_oracle(mask), (trial, m)
+
+
+def test_span_reaches_a_wide_span_past_narrow_ones():
+    # Row 1 holds [0, 10) with [1, 2) and [3, 4) inside it; the span on
+    # row 0 at columns 6-7 touches only the wide one.
+    spans = np.array([[6, 0, 8, 1], [0, 1, 10, 2], [1, 1, 2, 2], [3, 1, 4, 2]])
+    bounds, comp_maps = span_components(spans, np.zeros(4, dtype=np.intp))
+    assert bounds.tolist() == [[0, 0, 9, 1]] and comp_maps.tolist() == [0]
 
 
 @pytest.mark.parametrize("cell_block", [focus_spans_module._CELL_BLOCK, 1, 40])
