@@ -403,6 +403,22 @@ def _attach_gt(
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+def _enclosed(
+    rects: np.ndarray, image: np.ndarray, boxes: np.ndarray, owners: np.ndarray
+) -> np.ndarray:
+    """Which of the (n, 4) ``boxes`` some chip of the (p, 4) ``rects`` with
+    the same key (``image`` and ``owners``, both non-decreasing) encloses
+    (closed). For finite boxes this is the ``inside`` of :func:`_attach_gt`,
+    since max(r, b) == b exactly when r <= b, without the clipping."""
+    first = np.searchsorted(owners, image)
+    stop = np.searchsorted(owners, image, side="right")
+    enclosed = np.zeros(len(boxes), dtype=bool)
+    for i, j in _pair_blocks(first, stop):
+        inside = (rects[i, :2] <= boxes[j, :2]) & (boxes[j, 2:] <= rects[i, 2:])
+        enclosed[j[inside.all(axis=1)]] = True
+    return enclosed
+
+
 def negative_cover(
     boxes: list[np.ndarray],
     originals: list[ImageSize],
@@ -431,8 +447,7 @@ def negative_cover(
     resized, owners, keep, canvas = _level_boxes(boxes, originals, spec)
     rect_owners, rects = positive
     order, kept = np.argsort(rect_owners, kind="stable"), np.flatnonzero(keep)
-    _, box, inside, _ = _attach_gt(rects[order], rect_owners[order], resized[kept], owners[kept])
-    keep[kept[box[inside]]] = False
+    keep[kept[_enclosed(rects[order], rect_owners[order], resized[kept], owners[kept])]] = False
     return _cover(resized[keep], owners[keep], canvas, spec, membership, min_proposals)
 
 

@@ -339,8 +339,9 @@ def cmd_stack(args) -> int:
     index = load_dataset(args.annotations)
     # Finite coordinates far outside any canvas can overflow to inf, which the
     # range filter then drops; numpy must not print a warning line for that.
-    # Only _stack holds the JSON records, so they are freed before writing.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Only _stack holds the JSON records, so they are freed before writing,
+    # and the cyclic collector is held off while they are alive.
+    with np.errstate(over="ignore", invalid="ignore"), ser.gc_paused():
         merged = _stack(_load_stack_records(Path(args.detections)), cfg, index, args.detections)
     ser.save_detection_records(args.out, merged)
     n_dets = sum(len(dets) for _, dets in merged)

@@ -16,7 +16,14 @@ import numpy as np
 
 from .chips import ProposalSet
 from .geometry import GroundTruthSet, ImageSize
-from .serialization import json_int, json_ints, json_number_rows, json_numbers, read_entries
+from .serialization import (
+    _parse_error,
+    gc_paused,
+    json_ints,
+    json_number_rows,
+    json_numbers,
+    read_entries,
+)
 
 CLAMP_TOL = 1e-9
 # The largest image width or height: a ``.fmap`` header stores the canvas
@@ -71,13 +78,17 @@ def _read_json(path: str | Path) -> object:
         raise DatasetParseError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _crowd_flag(value) -> bool:
-    """An annotation's ``iscrowd``: 0 or 1 (an integer field, so 1.0 is 1),
-    or ``false`` or ``true``. Anything else raises ``ValueError``; ``bool()``
-    would read the text ``"0"`` as crowd."""
-    if type(value) in (bool, int, float) and value in (0, 1):
-        return bool(value)
-    raise ValueError(f"iscrowd must be 0, 1, false or true: {value!r}")
+def _crowd_flags(values: list) -> np.ndarray:
+    """Annotations' ``iscrowd`` values as a bool array: each 0 or 1 (an
+    integer field, so 1.0 is 1), or ``false`` or ``true``. Anything else
+    raises ``ValueError`` naming the first such value; ``bool()`` would read
+    the text ``"0"`` as crowd."""
+    # A list or object value is unhashable, so the set of values is built
+    # only once every value is known to be a number.
+    if not (set(map(type, values)) <= {bool, int, float} and set(values) <= {0, 1}):
+        bad = next(v for v in values if not (type(v) in (bool, int, float) and v in (0, 1)))
+        raise ValueError(f"iscrowd must be 0, 1, false or true: {bad!r}")
+    return np.array(values, dtype=bool)
 
 
 def _section(data: dict, key: str, path: str | Path) -> list:
@@ -112,8 +123,8 @@ def _annotation_columns(entries: list) -> tuple[list[int], np.ndarray, np.ndarra
     bad = next((v for v in class_ids if not 0 <= v <= MAX_ID), None)
     if bad is not None:
         raise ValueError(f"category_id must be in [0, {MAX_ID}]: {bad}")
-    crowd = [_crowd_flag(ann.get("iscrowd", 0)) for ann in entries]
-    return image_ids, xywh, np.array(class_ids, dtype=np.int64), np.array(crowd, dtype=bool)
+    crowd = _crowd_flags([ann.get("iscrowd", 0) for ann in entries])
+    return image_ids, xywh, np.array(class_ids, dtype=np.int64), crowd
 
 
 def _columns(path: str | Path, entries: list, parse):
@@ -164,6 +175,38 @@ def _annotation_sets(
     }, clamped
 
 
+def _image_columns(entries: list) -> tuple[list[int], list[ImageSize]]:
+    """The ids and sizes of image entries, each entry checked in the order
+    id, id range, width, height, then a positive size."""
+    image_ids = json_ints([entry["id"] for entry in entries], "id")
+    bad = next((v for v in image_ids if not -MAX_ID - 1 <= v <= MAX_ID), None)
+    if bad is not None:
+        raise ValueError(f"id must be in [{-MAX_ID - 1}, {MAX_ID}]: {bad}")
+    widths = json_ints([entry["width"] for entry in entries], "width")
+    heights = json_ints([entry["height"] for entry in entries], "height")
+    return image_ids, list(map(ImageSize, widths, heights))
+
+
+def _category_columns(entries: list) -> tuple[list[int], list[str]]:
+    """The ids and names of category entries; a category without a name is
+    named by its id as written."""
+    category_ids = json_ints([cat["id"] for cat in entries], "id")
+    return category_ids, [str(cat.get("name", cat["id"])) for cat in entries]
+
+
+def _section_columns(path: str | Path, data: dict, key: str, parse, kind: str):
+    """``parse`` of the ``key`` section of an annotation file as
+    :func:`read_entries` gives it: the columns of the entries before the
+    first bad one, and a :class:`DatasetStructureError` naming that entry
+    as a bad ``kind`` entry with its own error, or None."""
+    def error(position, entry, problem):
+        return DatasetStructureError(
+            f"{path}: bad {kind} entry {entry!r}: {_parse_error(parse, [entry])}"
+        )
+
+    return read_entries(_section(data, key, path), parse, error)
+
+
 def load_dataset(
     annotation_path: str | Path,
     proposals_path: str | Path | None = None,
@@ -175,53 +218,48 @@ def load_dataset(
     DatasetStructureError naming the first entry that breaks the README's
     input rule: integer fields are read by ``json_int``, bbox and score
     values by ``json_number``, and each value must lie in its field's range.
+    The cyclic garbage collector is held off while the decoded files are
+    alive (see :func:`~pyrsample.serialization.gc_paused`).
     """
-    data = _read_json(annotation_path)
-    if not isinstance(data, dict) or "images" not in data:
-        raise DatasetStructureError(f"{annotation_path}: not a COCO annotation file")
+    with gc_paused():
+        data = _read_json(annotation_path)
+        if not isinstance(data, dict) or "images" not in data:
+            raise DatasetStructureError(f"{annotation_path}: not a COCO annotation file")
 
-    images: dict[int, ImageRecord] = {}
-    for entry in _section(data, "images", annotation_path):
-        try:
-            image_id = json_int(entry["id"], "id")
-            if not -MAX_ID - 1 <= image_id <= MAX_ID:
-                raise ValueError(f"id must be in [{-MAX_ID - 1}, {MAX_ID}]: {image_id}")
-            size = ImageSize(json_int(entry["width"], "width"), json_int(entry["height"], "height"))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DatasetStructureError(
-                f"{annotation_path}: bad image entry {entry!r}: {exc}"
-            ) from exc
-        if image_id in images:
-            raise DatasetStructureError(f"{annotation_path}: duplicate image id {image_id}")
-        if max(size.width, size.height) > MAX_IMAGE_SIDE:
-            raise DatasetStructureError(
-                f"{annotation_path}: image id {image_id}: width and height must be at most "
-                f"{MAX_IMAGE_SIDE}"
-            )
-        images[image_id] = ImageRecord(size=size)
+        (image_ids, sizes), error = _section_columns(
+            annotation_path, data, "images", _image_columns, "image"
+        )
+        images: dict[int, ImageRecord] = {}
+        for image_id, size in zip(image_ids, sizes):
+            if image_id in images:
+                raise DatasetStructureError(f"{annotation_path}: duplicate image id {image_id}")
+            if max(size.width, size.height) > MAX_IMAGE_SIDE:
+                raise DatasetStructureError(
+                    f"{annotation_path}: image id {image_id}: width and height must be at "
+                    f"most {MAX_IMAGE_SIDE}"
+                )
+            images[image_id] = ImageRecord(size=size)
+        if error is not None:
+            raise error
 
-    categories: dict[int, str] = {}
-    for cat in _section(data, "categories", annotation_path):
-        try:
-            category_id = json_int(cat["id"], "id")
-            categories[category_id] = str(cat.get("name", cat["id"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DatasetStructureError(
-                f"{annotation_path}: bad category entry {cat!r}: {exc}"
-            ) from exc
+        (category_ids, names), error = _section_columns(
+            annotation_path, data, "categories", _category_columns, "category"
+        )
+        if error is not None:
+            raise error
 
-    annotations, clamped = _annotation_sets(
-        annotation_path, _section(data, "annotations", annotation_path), images
-    )
-    index = DatasetIndex(
-        images=images,
-        annotations=annotations,
-        categories=categories,
-        clamp_warnings=clamped,
-    )
-    if proposals_path is not None:
-        index.proposals = load_proposals(proposals_path, index)
-    return index
+        annotations, clamped = _annotation_sets(
+            annotation_path, _section(data, "annotations", annotation_path), images
+        )
+        index = DatasetIndex(
+            images=images,
+            annotations=annotations,
+            categories=dict(zip(category_ids, names)),
+            clamp_warnings=clamped,
+        )
+        if proposals_path is not None:
+            index.proposals = load_proposals(proposals_path, index)
+        return index
 
 
 def _proposal_columns(entries: list) -> tuple[list[int], np.ndarray, np.ndarray]:

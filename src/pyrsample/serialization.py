@@ -16,10 +16,12 @@ temp-file + atomic rename, so a failed run never leaves partial output.
 """
 from __future__ import annotations
 
+import gc
 import json
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable
@@ -38,6 +40,23 @@ DTYPE_PROBS = b"f4"
 
 class FormatError(Exception):
     pass
+
+
+@contextmanager
+def gc_paused():
+    """Hold the cyclic garbage collector off, then restore the state found.
+
+    Hold it while a decoded JSON tree is alive: the tree holds no reference
+    cycles, and reference counting frees it, yet its containers would
+    otherwise trigger repeated collections that traverse all of them. The
+    collector stays off on exit when it was off on entry, so uses nest."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def json_int(value, name: str) -> int:

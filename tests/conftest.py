@@ -1,3 +1,4 @@
+import gc
 import os
 import sys
 from pathlib import Path
@@ -39,6 +40,18 @@ def find_coco_val2017() -> Path | None:
 @pytest.fixture(scope="session")
 def coco_val2017_path():
     return find_coco_val2017()
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic garbage collector switched on or off, as the param says,
+    for the test; it is switched back on afterwards."""
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    yield request.param
+    gc.enable()
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,10 @@ from pyrsample import chips
 from pyrsample.chips import (
     ChipBatch,
     ProposalSet,
+    _attach_gt,
     _cell_ranges,
     _cell_rects,
+    _enclosed,
     _lattice_size,
     negative_cover,
     positive_cover,
@@ -696,6 +698,40 @@ class TestCoverKernel:
                 [(spec.scale_id, BoundingBox(*p)) for p in positive],
                 [spec], size, min_gain, membership)
             assert [(spec.scale_id, tuple(r)) for r in rects.tolist()] == want
+
+    def test_enclosure_filter_drops_what_attach_gt_encloses(self):
+        # negative_cover drops the proposals a positive chip encloses by four
+        # comparisons; the clip-and-compare ``inside`` of _attach_gt is the
+        # reference. Canvases narrower than a chip clip it at the edge, many
+        # proposals are flush with a chip edge, and zeros come in both signs.
+        rng = np.random.default_rng(13)
+        spec = flat_spec(K=64, d=16)
+        dropped = kept = 0
+        for _ in range(200):
+            n_images = int(rng.integers(1, 5))
+            canvas = rng.integers(24, 160, size=(n_images, 2)).astype(float)
+            image = np.repeat(np.arange(n_images), rng.integers(0, 4, n_images))
+            rects = _cell_rects(rng.integers(0, 8, len(image)), rng.integers(0, 8, len(image)),
+                                canvas[image], spec)
+            owners = np.repeat(np.arange(n_images), rng.integers(0, 12, n_images))
+            corners = rng.integers(0, 161, size=(len(owners), 2, 2)).astype(float)
+            boxes = np.concatenate([corners.min(axis=1), corners.max(axis=1)], axis=1)
+            # Proposals that copy a chip of their image, or a chip with some
+            # corners moved in or out by a pixel.
+            for k in np.flatnonzero(rng.random(len(owners)) < 0.5):
+                mine = rects[image == owners[k]]
+                if len(mine):
+                    boxes[k] = mine[rng.integers(len(mine))] + rng.integers(-1, 2, 4) * (
+                        rng.random(4) < 0.3
+                    )
+            for a in (rects, boxes):
+                a[(a == 0) & (rng.random(a.shape) < 0.5)] = -0.0
+            _, box, inside, _ = _attach_gt(rects, image, boxes, owners)
+            want = np.zeros(len(boxes), dtype=bool)
+            want[box[inside]] = True
+            assert np.array_equal(_enclosed(rects, image, boxes, owners), want)
+            dropped, kept = dropped + want.sum(), kept + (~want).sum()
+        assert dropped > 100 and kept > 100
 
     def test_one_image_calls_match_the_batch(self):
         rng = np.random.default_rng(8)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import struct
@@ -17,6 +18,15 @@ from pyrsample.geometry import ImageSize
 from pyrsample.serialization import read_map_binary, write_map_binary
 
 from conftest import EXCERPT_PATH
+
+
+@pytest.fixture(autouse=True)
+def collector_state_kept():
+    """Every command leaves the cyclic collector as it found it, whether it
+    succeeds or fails."""
+    enabled = gc.isenabled()
+    yield
+    assert gc.isenabled() == enabled
 
 
 @pytest.fixture
@@ -879,6 +889,43 @@ class TestStack:
         # the record's canvas equals the original size, so projection is identity
         assert records[0]["bbox"][0] == pytest.approx(10.0)
         assert records[0]["bbox"][2] == pytest.approx(150.0)
+
+    @pytest.mark.parametrize(
+        "records, rc",
+        [
+            ([{"image_id": 2, "scale_id": 0, "canvas": {"width": 500, "height": 375},
+               "detections": [{"bbox": [10, 10, 150, 150], "score": 0.6, "category_id": 1}]}],
+             0),
+            ([{"image_id": 2, "scale_id": 0, "canvas": {"width": 500, "height": 375},
+               "detections": [{"bbox": [10, 10, 150, 150], "score": 2.0, "category_id": 1}]}],
+             1),
+            ({"not": "an array"}, 1),
+            ("[{", 1),
+        ],
+        ids=["ok", "bad-score", "not-an-array", "malformed-json"],
+    )
+    def test_collector_is_off_while_records_are_alive_and_restored(
+        self, small_coco, tmp_path, monkeypatch, capsys, collector, records, rc
+    ):
+        det_file = tmp_path / "dets.json"
+        det_file.write_text(records if isinstance(records, str) else json.dumps(records))
+        seen = []
+
+        def spy(fn):
+            def call(*args):
+                seen.append((fn.__name__, gc.isenabled()))
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(cli, "_load_stack_records", spy(cli._load_stack_records))
+        monkeypatch.setattr(cli, "_stack", spy(cli._stack))
+        assert main(["stack", "--annotations", str(small_coco), "--detections", str(det_file),
+                     "--out", str(tmp_path / "merged.json")]) == rc
+        if rc:
+            assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert seen and seen[0] == ("_load_stack_records", False)
+        assert all(enabled is False for _, enabled in seen)
+        assert gc.isenabled() is collector
 
 
 class TestStats:

@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
 
+from pyrsample import dataset
 from pyrsample.dataset import (
     DatasetParseError,
     DatasetStructureError,
@@ -86,6 +88,47 @@ class TestLoadDataset:
         assert len(index.annotations[5]) == 0 and index.annotations[5].boxes.shape == (0, 4)
         assert index.clamp_warnings == 1
 
+    @pytest.mark.parametrize(
+        "images, categories, message",
+        [
+            ([{"id": 1, "width": 640}], [], "bad image entry {'id': 1, 'width': 640}: 'height'"),
+            ([{"id": 1, "width": 5, "height": 5}, {"id": 2, "width": 5.5, "height": 5}], [],
+             "bad image entry {'id': 2, 'width': 5.5, 'height': 5}: width must be an integer: 5.5"),
+            ([{"id": 2**63, "width": 5, "height": 5}], [],
+             f"bad image entry {{'id': {2**63}, 'width': 5, 'height': 5}}: id must be in "
+             f"[{-2**63}, {2**63 - 1}]: {2**63}"),
+            ([{"id": 1, "width": 5, "height": 0}], [],
+             "bad image entry {'id': 1, 'width': 5, 'height': 0}: image size must be "
+             "positive: 5x0"),
+            # The first problem in file order wins, whatever its kind.
+            ([{"id": 1, "width": 5, "height": 5}, {"id": 1, "width": 5, "height": 5}, 7], [],
+             "duplicate image id 1"),
+            ([{"id": 3, "width": 2**32, "height": 5}, {"id": 4}], [],
+             "image id 3: width and height must be at most 4294967295"),
+            ([{"id": 1, "width": 5, "height": 5}], [{"id": 1}, {"name": "x"}],
+             "bad category entry {'name': 'x'}: 'id'"),
+            ([{"id": 1, "width": 5, "height": 5}], [{"id": True, "name": "x"}],
+             "bad category entry {'id': True, 'name': 'x'}: id must be an integer: True"),
+            ([{"id": 1, "width": 5, "height": 5}], ["cat"],
+             "bad category entry 'cat': string indices must be integers, not 'str'"),
+        ],
+    )
+    def test_bad_image_or_category_entry_names_the_first(self, tmp_path, images, categories,
+                                                         message):
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps({"images": images, "categories": categories}))
+        with pytest.raises(DatasetStructureError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_categories_keep_the_last_name_of_an_id(self, tmp_path):
+        path = tmp_path / "ann.json"
+        path.write_text(json.dumps({
+            "images": [], "categories": [{"id": 4, "name": "a"}, {"id": 2}, {"id": 4.0, "name": 7}],
+        }))
+        categories = load_dataset(path).categories
+        assert categories == {4: "7", 2: "2"} and list(categories) == [4, 2]
+
     def test_duplicate_image_id_raises(self, tmp_path):
         path = minimal_coco(
             tmp_path,
@@ -140,7 +183,8 @@ class TestLoadDataset:
         assert index.annotations[1].crowd.tolist() == [True]
 
     @pytest.mark.parametrize("flag, crowd", [(0, False), (1, True), (False, False),
-                                             (True, True), (1.0, True)])
+                                             (True, True), (1.0, True), (0.0, False),
+                                             (-0.0, False)])
     def test_crowd_flag_values(self, tmp_path, flag, crowd):
         path = minimal_coco(
             tmp_path,
@@ -253,6 +297,51 @@ class TestLoadDataset:
             paths = {f"{kind}_path": results}
         with pytest.raises(DatasetStructureError, match=name):
             load_dataset(ann, **paths)
+
+
+BAD_PROPOSALS = [{"image_id": 1, "bbox": [0, 0, 10, 10], "score": 2.0}]
+
+
+class TestCollectorPause:
+    """``load_dataset`` holds the cyclic collector off while decoded JSON is
+    alive and leaves it as it found it, whether it returns or raises."""
+
+    @pytest.mark.parametrize(
+        "annotations, proposals, error",
+        [
+            (None, None, None),
+            (None, [{"image_id": 1, "bbox": [0, 0, 10, 10], "score": 0.5}], None),
+            ("{not json", None, DatasetParseError),
+            ({"images": [{"id": 1, "width": 0, "height": 5}]}, None, DatasetStructureError),
+            (None, BAD_PROPOSALS, DatasetStructureError),
+        ],
+        ids=["annotations", "with-proposals", "malformed-json", "bad-image", "bad-proposal"],
+    )
+    def test_state_is_restored(self, tmp_path, monkeypatch, collector, annotations, proposals,
+                               error):
+        if annotations is None:
+            ann = minimal_coco(tmp_path)
+        else:
+            ann = tmp_path / "given.json"
+            ann.write_text(annotations if isinstance(annotations, str) else json.dumps(annotations))
+        paths = {}
+        if proposals is not None:
+            paths["proposals_path"] = tmp_path / "props.json"
+            paths["proposals_path"].write_text(json.dumps(proposals))
+        decoding = []
+
+        def load(fh):
+            decoding.append(gc.isenabled())
+            return json.loads(fh.read())
+
+        monkeypatch.setattr(dataset.json, "load", load)
+        if error is None:
+            load_dataset(ann, **paths)
+        else:
+            with pytest.raises(error):
+                load_dataset(ann, **paths)
+        assert decoding == [False] * (1 + (proposals is not None))
+        assert gc.isenabled() is collector
 
 
 VOC_XML = """<annotation>

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from pyrsample.geometry import DetectionBatch, ImageSize
 from pyrsample.serialization import (
     FormatError,
     atomic_write_text,
+    gc_paused,
     json_number_rows,
     map_to_debug_json,
     read_entries,
@@ -401,6 +403,20 @@ class TestReadEntries:
         calls = []
         assert read_entries([3, 4], _count_parse(calls), None) == (7, None)
         assert calls == [2]
+
+
+class TestGcPaused:
+    def test_off_inside_and_restored_on_exit_and_on_raise(self, collector):
+        with gc_paused():
+            assert not gc.isenabled()
+            with gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()  # nested use keeps it off
+        assert gc.isenabled() is collector
+        with pytest.raises(KeyError):
+            with gc_paused():
+                raise KeyError("x")
+        assert gc.isenabled() is collector
 
 
 class TestJsonNumberRows:
