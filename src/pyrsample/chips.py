@@ -20,7 +20,7 @@ import numpy as np
 
 from .focus_chips import _pair_blocks
 from .focus_spans import _count_at_most, _distinct
-from .geometry import GroundTruthSet, ImageSize, ScaleSpec, scale_factors
+from .geometry import GroundTruthSet, ImageSize, ScaleSpec, canvas_sizes, scale_factors, size_array
 from .range_labels import valid_area_mask
 
 POSITIVE = "positive"
@@ -236,20 +236,26 @@ def _cover_blocks(n_rows: np.ndarray, n_cols: np.ndarray):
 def _rect_counts(img, r0, r1, c0, c1, shape) -> np.ndarray:
     """The int32 grids of ``shape`` (images, rows, cols) holding at each cell
     the number of half-open rectangles [r0, r1) x [c0, c1) of image ``img``
-    over it: a 2-D difference array and its cumulative sums."""
+    over it: a 2-D difference array and its running sums along each row,
+    then along each column.
+
+    Every row of the difference array sums to 0, and so does every column of
+    an image, so one running sum over the flat array is the per-row sums,
+    and one down the columns of all images' rows stacked is the per-column
+    sums.
+    """
     n, rows, cols = shape
     stride = cols + 1
     base = img * ((rows + 1) * stride)
-    size = n * (rows + 1) * stride
-    diff = np.bincount(
-        np.concatenate([base + r0 * stride + c0, base + r1 * stride + c1]), minlength=size
-    ) - np.bincount(
-        np.concatenate([base + r0 * stride + c1, base + r1 * stride + c0]), minlength=size
-    )
-    diff = diff.reshape(n, rows + 1, stride)
-    return np.cumsum(np.cumsum(diff, axis=1, dtype=np.int32), axis=2, dtype=np.int32)[
-        :, :rows, :cols
-    ]
+    diff = np.zeros(n * (rows + 1) * stride, dtype=np.int32)
+    # An int32 value keeps np.add.at on its fast path; a Python int does not.
+    for value, (a, b) in ((1, (c0, c1)), (-1, (c1, c0))):
+        np.add.at(diff, np.concatenate([base + r0 * stride + a, base + r1 * stride + b]),
+                  np.int32(value))
+    np.cumsum(diff, out=diff)
+    stacked = diff.reshape(-1, stride)
+    np.cumsum(stacked, axis=0, out=stacked)
+    return diff.reshape(n, rows + 1, stride)[:, :rows, :cols]
 
 
 def _lockstep_cover(
@@ -335,12 +341,11 @@ def _level_boxes(
     :func:`~pyrsample.geometry.rescale_boxes` and
     :func:`~pyrsample.range_labels.valid_area_mask`.
     """
-    canvases = [spec.resolve(original) for original in originals]
-    scales = np.array([scale_factors(o, c) for o, c in zip(originals, canvases)]).reshape(-1, 4)
+    sizes = size_array(originals)
+    canvas = canvas_sizes(spec, sizes)
     owners = np.repeat(np.arange(len(boxes)), [len(b) for b in boxes])
-    resized = np.concatenate([np.zeros((0, 4)), *boxes]) * scales[owners]
-    canvas = np.array([(c.width, c.height) for c in canvases], dtype=np.float64)
-    return resized, owners, valid_area_mask(resized, spec), canvas.reshape(-1, 2)
+    resized = np.concatenate([np.zeros((0, 4)), *boxes]) * scale_factors(sizes, canvas)[owners]
+    return resized, owners, valid_area_mask(resized, spec), canvas.astype(np.float64)
 
 
 def _cover(

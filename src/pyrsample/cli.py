@@ -38,7 +38,7 @@ from .costing import (
 from .dataset import MAX_ID, DatasetError, DatasetIndex, load_dataset, voc_to_coco
 from .focus_chips import FocusParams, chips_from_maps
 from .focus_labels import LabelMap, focus_label_cells, focus_pixel_stats
-from .geometry import DetectionBatch, ImageSize
+from .geometry import DetectionBatch, ImageSize, canvas_sizes, size_array
 from .range_labels import filter_detections_by_range
 from .serialization import FormatError, json_ints, json_number_rows, json_numbers
 from .stacking import project_to_image, prune_boundary_detections, suppress
@@ -100,8 +100,7 @@ def cmd_chips_negative(args) -> int:
 
 
 def _focus_labels_worker(payload):
-    image_id, boxes, original, spec, stride, thresholds = payload
-    canvas = spec.resolve(original)
+    image_id, boxes, original, canvas, stride, thresholds = payload
     cells = focus_label_cells(boxes, original, canvas, stride, *thresholds)
     return image_id, LabelMap(cells, stride, canvas, *thresholds)
 
@@ -112,13 +111,14 @@ def cmd_focus_labels(args) -> int:
     by_id = {s.scale_id: s for s in cfg.pyramid}
     if args.scale not in by_id:
         raise ConfigError(f"scale {args.scale} not in pyramid {sorted(by_id)}")
-    spec = by_id[args.scale]
+    sizes = [index.images[iid].size for iid in index.image_ids]
+    canvases = canvas_sizes(by_id[args.scale], size_array(sizes)).tolist()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     thresholds = (cfg.focus_min_side, cfg.focus_max_side, cfg.focus_ignore_max_side)
     payloads = [
-        (iid, index.annotations[iid].boxes, index.images[iid].size, spec, cfg.stride, thresholds)
-        for iid in index.image_ids
+        (iid, index.annotations[iid].boxes, size, ImageSize(*canvas), cfg.stride, thresholds)
+        for iid, size, canvas in zip(index.image_ids, sizes, canvases)
     ]
     for image_id, label_map in _map_over_images(_focus_labels_worker, payloads):
         path = out_dir / f"{image_id}_s{args.scale}.fmap"

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import GroundTruthSet, ImageSize, ScaleSpec
+from .geometry import GroundTruthSet, ImageSize, ScaleSpec, canvas_sizes, size_array
 from .focus_labels import (
     DEFAULT_IGNORE_MAX_SIDE,
     DEFAULT_MAX_SIDE,
@@ -158,46 +158,50 @@ def speedup_upper_bound(
         raise ValueError(f"chip sizes must be >= 1: {list(min_chip_sizes)}")
     check_kernel_size(dilation, "dilation")
     boxes = [gts.boxes for gts in gts_by_image.values()]
-    originals = [sizes_by_image[image_id] for image_id in gts_by_image]
+    originals = size_array(sizes_by_image[image_id] for image_id in gts_by_image)
+    # Per (image, level): the canvas and its area as a float64 product, which
+    # rounds as the int area converts.
+    canvases = np.zeros((len(originals), len(pyramid), 2), dtype=np.int64)
+    for level, spec in enumerate(pyramid):
+        canvases[:, level] = canvas_sizes(spec, originals)
+    areas = canvases[..., 0] * canvases[..., 1].astype(np.float64)
+    # The levels that are maps; the coarsest may be charged as a full pass.
+    mapped = np.arange(int(process_coarsest_fully), len(pyramid))
     processed = dict.fromkeys(min_chip_sizes, 0.0)
-    baseline_total = 0.0
     for lo, hi in image_blocks(boxes, len(pyramid)):
-        # Per (image, level): the canvas area of a full pass, or None for a map.
-        charges: list[int | None] = []
-        maps: list[tuple[int, ImageSize]] = []
-        for i in range(lo, hi):
-            for level, spec in enumerate(pyramid):
-                canvas = spec.resolve(originals[i])
-                baseline_total += canvas.area
-                if process_coarsest_fully and level == 0:
-                    charges.append(canvas.area)
-                else:
-                    charges.append(None)
-                    maps.append((i, canvas))
+        images = np.repeat(np.arange(lo, hi), len(mapped))
+        limits = canvases[lo:hi, mapped].reshape(-1, 2)
         spans, owners, grids = focus_spans(
-            boxes, originals, maps, stride, min_side, max_side, ignore_max_side
+            boxes, originals, images, limits, stride, min_side, max_side, ignore_max_side
         )
         bounds, comp_maps = span_components(dilate_spans(spans, owners, grids, dilation), owners)
-        limits = np.array([(c.width, c.height) for _, c in maps], dtype=np.int64).reshape(-1, 2)
+        # Per (image, level) of the block: the area charged for a full pass,
+        # or the map's chip area.
+        charges = areas[lo:hi].copy()
         for k in min_chip_sizes:
             chips, chip_maps = chips_from_bounds(bounds, comp_maps, limits, stride, k)
-            areas = ((chips[:, 2] - chips[:, 0]) * (chips[:, 3] - chips[:, 1])).tolist()
-            cuts = np.searchsorted(chip_maps, np.arange(len(maps) + 1)).tolist()
-            total = processed[k]
-            m = 0
-            for charge in charges:
-                if charge is not None:
-                    total += charge
-                    continue
-                if cuts[m] < cuts[m + 1]:
-                    # A Python sum in chip order, as a per-chip loop would add them.
-                    total += sum(areas[cuts[m] : cuts[m + 1]])
-                m += 1
-            processed[k] = total
+            chip_areas = (chips[:, 2] - chips[:, 0]) * (chips[:, 3] - chips[:, 1])
+            charges[:, mapped] = _map_sums(chip_areas, chip_maps, len(images)).reshape(hi - lo, -1)
+            processed[k] = float(np.cumsum(np.append(processed[k], charges))[-1])
+    # Every sum adds its terms one by one, in (image, level) order.
+    baseline_total = float(np.cumsum(np.append(0.0, areas))[-1])
     return [
         (k, math.inf if processed[k] == 0 else baseline_total / processed[k])
         for k in min_chip_sizes
     ]
+
+
+def _map_sums(values: np.ndarray, maps: np.ndarray, n_maps: int) -> np.ndarray:
+    """Per map, the sum of its ``values`` added one by one in order, as a
+    Python loop adds them; ``maps`` is non-decreasing. All maps take their
+    p-th value at once."""
+    sums = np.zeros(n_maps)
+    first = np.searchsorted(maps, np.arange(n_maps))
+    count = np.bincount(maps, minlength=n_maps)
+    for p in range(int(count.max(initial=0))):
+        has = np.flatnonzero(count > p)
+        sums[has] += values[first[has] + p]
+    return sums
 
 
 def _box_areas(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .chips import ProposalSet
-from .geometry import GroundTruthSet, ImageSize
+from .geometry import MAX_IMAGE_SIDE, GroundTruthSet, ImageSize
 from .serialization import (
     _parse_error,
     gc_paused,
@@ -26,9 +26,6 @@ from .serialization import (
 )
 
 CLAMP_TOL = 1e-9
-# The largest image width or height: a ``.fmap`` header stores the canvas
-# size as uint32.
-MAX_IMAGE_SIDE = 2**32 - 1
 # The largest image id and category id: both are int64 columns.
 MAX_ID = 2**63 - 1
 

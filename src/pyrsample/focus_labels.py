@@ -9,13 +9,12 @@ Positive labels take precedence when several objects overlap one block.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .geometry import GroundTruthSet, ImageSize, ScaleSpec, rescale_boxes
+from .geometry import GroundTruthSet, ImageSize, ScaleSpec, canvas_sizes, rescale_boxes, size_array
 
 DEFAULT_STRIDE = 32
 DEFAULT_MIN_SIDE = 5.0
@@ -28,8 +27,9 @@ IGNORE = -1
 
 
 def grid_shape(image: ImageSize, stride: int) -> tuple[int, int]:
-    """(rows, columns) of the cell grid for an image at a feature-map stride."""
-    return math.ceil(image.height / stride), math.ceil(image.width / stride)
+    """(rows, columns) of the cell grid for an image at a feature-map stride:
+    each side ceil-divided by the stride."""
+    return -(-image.height // stride), -(-image.width // stride)
 
 
 def check_grid(cells: np.ndarray, image: ImageSize, stride: int) -> None:
@@ -249,27 +249,31 @@ def focus_pixel_stats(
     if missing:
         raise ValueError(f"images without a recorded size: {missing[:5]}")
     boxes = [gts.boxes for gts in gts_by_image.values()]
-    originals = [sizes_by_image[image_id] for image_id in gts_by_image]
+    originals = size_array(sizes_by_image[image_id] for image_id in gts_by_image)
     n = len(originals)
+    blocks = list(image_blocks(boxes, 1))
+    cell_area = stride * stride
     stats: dict[int, FocusPixelScaleStats] = {}
     for spec in pyramid:
-        maps = [(i, spec.resolve(original)) for i, original in enumerate(originals)]
+        canvases = canvas_sizes(spec, originals)
         counts: list[int] = []
         total_cells = 0
         dilated = 0
-        for lo, hi in image_blocks(boxes, 1):
+        for lo, hi in blocks:
             spans, owners, grids = focus_spans(
-                boxes, originals, maps[lo:hi], stride, min_side, max_side, ignore_max_side
+                boxes, originals, np.arange(lo, hi), canvases[lo:hi], stride,
+                min_side, max_side, ignore_max_side,
             )
             counts += union_cells(spans, owners, hi - lo).tolist()
-            total_cells += sum(w * h for w, h in grids.tolist())
+            # A grid side is below 2^32, so each product fits uint64.
+            total_cells += sum(np.prod(grids, axis=1, dtype=np.uint64).tolist())
             grown = dilate_spans(spans, owners, grids, dilation)
             dilated += int(union_cells(grown, owners, hi - lo).sum())
-        projected = 0.0
-        canvas_area = 0.0
-        for count, (_, canvas) in zip(counts, maps):
-            projected += count * stride * stride
-            canvas_area += canvas.area
+        # Both means add their terms one by one in image order. A canvas area
+        # is a float64 product, which rounds as the exact int product does.
+        projected = float(np.cumsum([0.0, *(count * cell_area for count in counts)])[-1])
+        areas = canvases[:, 0] * canvases[:, 1].astype(np.float64)
+        canvas_area = float(np.cumsum(np.append(0.0, areas))[-1])
         stats[spec.scale_id] = FocusPixelScaleStats(
             scale_id=spec.scale_id,
             focus_cells=sum(counts),

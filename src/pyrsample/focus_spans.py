@@ -24,25 +24,29 @@ from __future__ import annotations
 import numpy as np
 
 from .focus_chips import _blocks, _join, _pair_blocks
-from .focus_labels import _cell_spans, grid_shape
-from .geometry import ImageSize, scale_factors
+from .focus_labels import _cell_spans
+from .geometry import scale_factors
 
 
 def focus_spans(
     boxes: list[np.ndarray],
-    originals: list[ImageSize],
-    maps: list[tuple[int, ImageSize]],
+    originals: np.ndarray,
+    images: np.ndarray,
+    canvases: np.ndarray,
     stride: int,
     min_side: float,
     max_side: float,
     ignore_max_side: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The non-empty focus spans of every map: (m, 4) spans, (m,) map indices
-    in map order, and each map's grid as (n_maps, 2) (width, height) cells.
+    """The non-empty focus spans of every map: (s, 4) spans, (s,) map
+    indices in map order, and each map's grid as (m, 2) (width, height)
+    cells.
 
-    Map ``(i, canvas)`` is image i's (n, 4) ``boxes`` in the frame of
-    ``originals[i]``, rescaled to ``canvas`` with the IEEE operations of
-    :func:`~pyrsample.geometry.rescale_boxes`. A box marks focus cells when
+    Map k is image ``images[k]``'s (n, 4) ``boxes``, in the frame of its
+    row of the (n_images, 2) int ``originals``, rescaled to the map's row of
+    the (m, 2) int ``canvases`` with the IEEE operations of
+    :func:`~pyrsample.geometry.rescale_boxes`; its grid is the canvas
+    ceil-divided by ``stride``. A box marks focus cells when
     min_side < sqrt(area) < max_side there, as in
     :func:`~pyrsample.focus_labels.focus_label_cells`.
     """
@@ -50,13 +54,11 @@ def focus_spans(
         raise ValueError(
             f"thresholds must increase: {min_side}, {max_side}, {ignore_max_side}"
         )
-    grids = np.array([grid_shape(c, stride)[::-1] for _, c in maps], dtype=np.int64)
-    grids = grids.reshape(-1, 2)
-    per_map = [len(boxes[i]) for i, _ in maps]
-    owners = np.repeat(np.arange(len(maps)), per_map)
-    scales = np.array([scale_factors(originals[i], c) for i, c in maps]).reshape(-1, 4)
-    stacked = np.concatenate([np.zeros((0, 4)), *(boxes[i] for i, _ in maps)])
-    resized = stacked * scales[owners]
+    grids = -(-canvases // stride)
+    picked = [boxes[i] for i in images.tolist()]
+    owners = np.repeat(np.arange(len(picked)), [len(b) for b in picked])
+    scales = scale_factors(originals[images], canvases)
+    resized = np.concatenate([np.zeros((0, 4)), *picked]) * scales[owners]
     extent = resized[:, 2:] - resized[:, :2]
     side = np.sqrt(extent[:, 0] * extent[:, 1])
     focus = (min_side < side) & (side < max_side)

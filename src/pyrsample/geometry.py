@@ -13,6 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+# The largest canvas width or height, original or resized: a ``.fmap``
+# header stores the canvas size as uint32.
+MAX_IMAGE_SIDE = 2**32 - 1
+
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -229,35 +233,76 @@ class ScaleSpec:
         return r_min, r_max
 
     def resolve(self, original: ImageSize) -> ImageSize:
-        """Resized canvas for an original image at this pyramid level."""
-        if isinstance(self.target, ImageSize):
-            return self.target
-        if isinstance(self.target, MaxSideTarget):
-            factor = self.target.max_side / original.max_side
-        else:
-            factor = float(self.target)
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive: {factor}")
-        return ImageSize(
-            max(1, round(original.width * factor)),
-            max(1, round(original.height * factor)),
+        """Resized canvas for an original image at this pyramid level: the
+        one-row case of :func:`canvas_sizes`."""
+        ((width, height),) = canvas_sizes(self, size_array([original])).tolist()
+        return ImageSize(width, height)
+
+
+def size_array(sizes: Iterable[ImageSize]) -> np.ndarray:
+    """The (n, 2) int64 (width, height) rows of ``sizes``."""
+    return np.array([(s.width, s.height) for s in sizes], dtype=np.int64).reshape(-1, 2)
+
+
+def _check_side(spec: ScaleSpec, side: float) -> None:
+    """Raise ``ValueError`` unless ``side``, a canvas side at level
+    ``spec``, is at most ``MAX_IMAGE_SIDE``, which NaN never is."""
+    if not side <= MAX_IMAGE_SIDE:
+        raise ValueError(
+            f"scale {spec.scale_id}: a canvas side of {side} pixels is not finite or passes "
+            f"{MAX_IMAGE_SIDE}, the largest a .fmap header can hold"
         )
 
 
-def scale_factors(from_size: ImageSize, to_size: ImageSize) -> tuple[float, float, float, float]:
-    """The per-corner factors (fx, fy, fx, fy) that map a box between
-    canvases by independent per-axis factors, as the one-box oracle
-    ``rescale_box`` in ``tests/oracles.py`` does."""
-    fx = to_size.width / from_size.width
-    fy = to_size.height / from_size.height
-    return fx, fy, fx, fy
+def canvas_sizes(spec: ScaleSpec, originals: np.ndarray) -> np.ndarray:
+    """The (n, 2) int64 canvases (width, height) at level ``spec`` of the
+    (n, 2) int64 original sizes ``originals``.
+
+    An :class:`ImageSize` target is every canvas. Otherwise the factor is
+    ``max_side / max(w, h)`` for a :class:`MaxSideTarget`, or the float
+    target; each side is ``w * factor`` and ``h * factor`` in float64,
+    rounded half to even (as ``round`` rounds) and at least 1. Raises
+    ``ValueError`` for a factor that is not positive, and for a canvas side
+    that is not finite or passes ``MAX_IMAGE_SIDE``, before any float is
+    cast to an integer.
+    """
+    originals = np.asarray(originals, dtype=np.int64).reshape(-1, 2)
+    target = spec.target
+    if isinstance(target, ImageSize):
+        _check_side(spec, target.max_side)
+        return np.tile(np.array([target.width, target.height], dtype=np.int64), (len(originals), 1))
+    if isinstance(target, MaxSideTarget):
+        # max_side / m * m rounds to max_side for every side m below 2^32, so
+        # this is the check of the longer canvas side, made before max_side
+        # becomes a float.
+        _check_side(spec, target.max_side)
+        factor = target.max_side / originals.max(axis=1)
+    else:
+        factor = float(target)
+        if factor <= 0:
+            raise ValueError(f"scale factor must be positive: {factor}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sides = np.maximum(np.rint(originals * np.reshape(factor, (-1, 1))), 1.0)
+    bad = ~(sides <= MAX_IMAGE_SIDE)
+    if bad.any():
+        _check_side(spec, sides[bad][0])
+    return sides.astype(np.int64)
+
+
+def scale_factors(originals: np.ndarray, canvases: np.ndarray) -> np.ndarray:
+    """The per-corner factors (fx, fy, fx, fy) that map boxes from each of
+    the (m, 2) ``originals`` to its (m, 2) canvas by independent per-axis
+    factors, canvas / original, as the one-box oracle ``rescale_box`` in
+    ``tests/oracles.py`` does."""
+    factors = np.asarray(canvases) / np.asarray(originals)
+    return np.concatenate([factors, factors], axis=-1)
 
 
 def rescale_boxes(boxes: np.ndarray, from_size: ImageSize, to_size: ImageSize) -> np.ndarray:
     """Every row of an (n, 4) corner array mapped between canvases, with the
     same IEEE operations as the oracle ``rescale_box`` in
     ``tests/oracles.py``."""
-    return boxes * scale_factors(from_size, to_size)
+    return boxes * scale_factors(size_array([from_size]), size_array([to_size]))
 
 
 def boxes_array(boxes: Iterable[BoundingBox]) -> np.ndarray:

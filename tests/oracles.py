@@ -12,7 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from pyrsample.geometry import BoundingBox, ImageSize, ScaleSpec
+from pyrsample.dataset import MAX_IMAGE_SIDE
+from pyrsample.geometry import BoundingBox, ImageSize, MaxSideTarget, ScaleSpec
 
 
 class Gt(NamedTuple):
@@ -22,6 +23,32 @@ class Gt(NamedTuple):
     box: BoundingBox
     class_id: int
     is_crowd: bool = False
+
+
+def resolve_oracle(spec: ScaleSpec, original: ImageSize) -> ImageSize:
+    """The canvas of an original image at a pyramid level, one image at a
+    time: an ``ImageSize`` target as it is; otherwise each side times the
+    factor (``max_side`` over the longer side, or the float target),
+    rounded by Python's ``round`` and at least 1. A factor that is not
+    positive, or a canvas side that is not finite or passes
+    ``MAX_IMAGE_SIDE``, raises ``ValueError``."""
+    target = spec.target
+    if isinstance(target, ImageSize):
+        width, height = target.width, target.height
+    else:
+        if isinstance(target, MaxSideTarget):
+            factor = target.max_side / max(original.width, original.height)
+        else:
+            factor = float(target)
+        if not factor > 0:
+            raise ValueError(f"scale factor must be positive: {factor}")
+        sides = [original.width * factor, original.height * factor]
+        if not all(math.isfinite(side) for side in sides):
+            raise ValueError(f"canvas sides are not finite: {sides}")
+        width, height = (max(1, round(side)) for side in sides)
+    if max(width, height) > MAX_IMAGE_SIDE:
+        raise ValueError(f"canvas side above {MAX_IMAGE_SIDE}: {width}x{height}")
+    return ImageSize(width, height)
 
 
 def rescale_box(b: BoundingBox, from_size: ImageSize, to_size: ImageSize) -> BoundingBox:
@@ -254,7 +281,7 @@ def select_negative_chips_oracle(
 
     pool = []
     for spec in pyramid:
-        canvas = spec.resolve(original)
+        canvas = resolve_oracle(spec, original)
         fx = canvas.width / original.width
         fy = canvas.height / original.height
         r_min, r_max = spec.effective_range
@@ -420,7 +447,7 @@ def speedup_upper_bound_oracle(
     for image_id, gts in gts_by_image.items():
         original = sizes_by_image[image_id]
         for level, spec in enumerate(pyramid):
-            canvas = spec.resolve(original)
+            canvas = resolve_oracle(spec, original)
             baseline_total += canvas.area
             if process_coarsest_fully and level == 0:
                 for k in min_chip_sizes:
@@ -459,7 +486,7 @@ def focus_pixel_stats_oracle(
         projected = canvas_area = 0.0
         for image_id, gts in gts_by_image.items():
             original = sizes_by_image[image_id]
-            canvas = spec.resolve(original)
+            canvas = resolve_oracle(spec, original)
             resized = [rescale_box(g.box, original, canvas) for g in gts]
             mask = focus_label_oracle(
                 resized, canvas, stride, min_side, max_side, ignore_max_side

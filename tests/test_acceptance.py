@@ -28,7 +28,14 @@ from pyrsample.range_labels import assign_roi_labels, invalidate_anchors
 from pyrsample.stacking import MergePolicy, merge_detections, project_to_image, prune_boundary_detections
 
 from conftest import EXCERPT_PATH, REFERENCE_PATH, detection_batch, gt_set
-from oracles import Gt, anchor_validity_oracle, clip_box, focus_label_oracle, roi_label_oracle
+from oracles import (
+    Gt,
+    anchor_validity_oracle,
+    clip_box,
+    focus_label_oracle,
+    resolve_oracle,
+    roi_label_oracle,
+)
 
 
 @contextmanager
@@ -84,7 +91,7 @@ def test_criterion_1_coverage_guarantee():
         # independent re-check with plain arithmetic
         for image_id, (gts, original) in enumerate(zip(scenes, originals)):
             for spec in pyramid:
-                canvas = spec.resolve(original)
+                canvas = resolve_oracle(spec, original)
                 fx = canvas.width / original.width
                 fy = canvas.height / original.height
                 r_min, r_max = spec.effective_range
@@ -290,7 +297,7 @@ def test_criterion_7_focus_stacking_frames():
             original = ImageSize(int(rng.integers(50, 1000)), int(rng.integers(50, 1000)))
             factor = float(rng.uniform(0.3, 4.0))
             spec = ScaleSpec(scale_id=0, target=factor)
-            canvas = spec.resolve(original)
+            canvas = resolve_oracle(spec, original)
             fx = canvas.width / original.width
             fy = canvas.height / original.height
             bx1 = float(rng.uniform(0, original.width * 0.8))

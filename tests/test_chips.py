@@ -16,6 +16,7 @@ from pyrsample.chips import (
     _cell_rects,
     _enclosed,
     _lattice_size,
+    _rect_counts,
     negative_cover,
     positive_cover,
     sample_negative_chips,
@@ -32,6 +33,7 @@ from oracles import (
     chip_grid_oracle,
     encloses_oracle,
     greedy_cover_oracle,
+    resolve_oracle,
     rescale_box,
     select_negative_chips_oracle,
 )
@@ -184,7 +186,7 @@ class TestSelectPositiveChips:
         assert len(chips) > 40
         for chip in chips:
             k = image_ids.index(chip.image_id)
-            canvas = pyramid[chip.scale_id].resolve(sizes[k])
+            canvas = resolve_oracle(pyramid[chip.scale_id], sizes[k])
             resized = [rescale_box(g.box, sizes[k], canvas) for g in scenes[k]]
             covered, cropped = attach_gt_oracle(chip_box(chip), resized)
             assert chip.covered_gt_ids == covered
@@ -467,7 +469,7 @@ def _negative_case(seed):
                for _ in range(rng.randint(0, 4))]
         positive = []
         for spec in pyramid + [ScaleSpec(scale_id=9, target=1.0)]:
-            canvas = spec.resolve(original)
+            canvas = resolve_oracle(spec, original)
             cells = chip_grid_oracle(canvas.width, canvas.height, spec.chip_size,
                                      spec.chip_stride)
             for _ in range(rng.randint(0, 2)):
@@ -610,7 +612,7 @@ def cover_case(draw):
     images = []
     for _ in range(draw(st.integers(1, 4))):
         w, h = (int(draw(st.integers(4, 80)) / factor) for _ in range(2))
-        canvas = spec.resolve(ImageSize(w, h))
+        canvas = resolve_oracle(spec, ImageSize(w, h))
 
         def coord(extent):
             lines = sorted({0, extent, max(extent - K, 0), *range(0, extent + 1, d),
@@ -641,7 +643,7 @@ class TestCoverKernel:
     def test_cell_ranges_match_enumerated_lattice(self, case):
         spec, images = case
         for size, boxes, _, _ in images:
-            canvas = spec.resolve(size)
+            canvas = resolve_oracle(spec, size)
             resized = boxes * ((canvas.width / size.width, canvas.height / size.height) * 2)
             cells = np.array(chip_grid_oracle(canvas.width, canvas.height, spec.chip_size,
                                               spec.chip_stride), dtype=float)
@@ -671,7 +673,7 @@ class TestCoverKernel:
         assert np.array_equal(image, np.sort(image))
         for k, (size, boxes, crowd, _) in enumerate(images):
             rects = cells[image == k]
-            canvas = spec.resolve(size)
+            canvas = resolve_oracle(spec, size)
             grid = [BoundingBox(*cell) for cell in chip_grid_oracle(
                 canvas.width, canvas.height, spec.chip_size, spec.chip_stride)]
             resized = [rescale_box(BoundingBox(*b), size, canvas) for b in boxes.tolist()]
@@ -698,6 +700,28 @@ class TestCoverKernel:
                 [(spec.scale_id, BoundingBox(*p)) for p in positive],
                 [spec], size, min_gain, membership)
             assert [(spec.scale_id, tuple(r)) for r in rects.tolist()] == want
+
+    def test_rect_counts_match_per_cell_counts(self):
+        # Empty rectangle lists, 1 x 1 grids, empty rectangles, rectangles
+        # that reach the far row or column edge, and many images at once.
+        rng = np.random.default_rng(17)
+        shapes = [(1, 1, 1), (3, 1, 1), (1, 1, 9), (1, 7, 1), (1, 5, 6), (60, 4, 3), (9, 12, 15)]
+        for trial in range(120):
+            n, rows, cols = shapes[trial % len(shapes)]
+            m = [0, 1, 2, 40][trial % 4]
+            img = rng.integers(0, n, m)
+            r = np.sort(rng.integers(0, rows + 1, (m, 2)), axis=1)
+            c = np.sort(rng.integers(0, cols + 1, (m, 2)), axis=1)
+            far = rng.random(m) < 0.3
+            r[far, 1], c[far, 1] = rows, cols
+            want = np.zeros((n, rows, cols), dtype=np.int64)
+            for i, r0, r1, c0, c1 in zip(img, r[:, 0], r[:, 1], c[:, 0], c[:, 1]):
+                for row in range(r0, r1):
+                    for col in range(c0, c1):
+                        want[i, row, col] += 1
+            got = _rect_counts(img, r[:, 0], r[:, 1], c[:, 0], c[:, 1], (n, rows, cols))
+            assert got.dtype == np.int32 and got.shape == (n, rows, cols)
+            assert got.tolist() == want.tolist(), trial
 
     def test_enclosure_filter_drops_what_attach_gt_encloses(self):
         # negative_cover drops the proposals a positive chip encloses by four

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,41 @@ class TestErrorRecords:
         assert error["type"] == "DatasetStructureError"
         assert "image id 2" in error["message"] and str(2**32 - 1) in error["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "factor, width, kind",
+        # 1e300 fails the config's 640 x 480 probe. 2^22 passes it, with a
+        # 2,684,354,560-pixel side, and fails on a 2000-pixel-wide image.
+        [(1e300, 640, "ConfigError"), (2.0**22, 2000, "ValueError")],
+        ids=["probe", "image"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["chips", "positive", "--diagnostics", "{diag}"], ["focus", "labels", "--scale", "0"],
+         ["stats", "focuspixels"], ["stats", "speedup"]],
+        ids=lambda argv: "-".join(a for a in argv if not a.startswith(("-", "{")) and a != "0"),
+    )
+    def test_canvas_side_past_the_map_header(self, tmp_path, capsys, factor, width, kind, argv):
+        # A level whose canvas side passes 2^32 - 1 used to end stats
+        # focuspixels and speedup in an OverflowError traceback, and chips
+        # positive in exit 0 with a numpy warning and no chip for a valid box.
+        ann, cfg, diag = tmp_path / "ann.json", tmp_path / "cfg.json", tmp_path / "diag.json"
+        ann.write_text(json.dumps({
+            "images": [{"id": 1, "width": width, "height": 480}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [100, 100, 15, 15]}],
+            "categories": [{"id": 1, "name": "a"}],
+        }))
+        cfg.write_text(json.dumps({"pyramid": [{"scale_id": 0, "target": {"factor": factor}}]}))
+        out = tmp_path / "out"
+        argv = [a.replace("{diag}", str(diag)) for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*argv, "--annotations", str(ann), "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        error = self._only_error(capsys)
+        assert error["type"] == kind and str(2**32 - 1) in error["message"]
+        assert not diag.exists()
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "bad",

@@ -17,7 +17,7 @@ from pyrsample.focus_labels import FOCUS, focus_label_cells
 from pyrsample.geometry import BoundingBox, ImageSize, ScaleSpec, boxes_array
 
 from conftest import gt_sets
-from oracles import Gt, speedup_upper_bound_oracle
+from oracles import Gt, resolve_oracle, speedup_upper_bound_oracle
 
 
 def square(side, x=0.0, y=0.0):
@@ -48,7 +48,7 @@ class TestPixelsProcessed:
         report = pixels_processed(
             {0: FULL_IMAGE, 1: FULL_IMAGE, 2: boxes_array([])}, specs, ORIGINAL
         )
-        areas = [s.resolve(ORIGINAL).area for s in specs]
+        areas = [resolve_oracle(s, ORIGINAL).area for s in specs]
         assert report.processed_pixels == pytest.approx(areas[0] + areas[1])
         assert report.speedup == pytest.approx(sum(areas) / (areas[0] + areas[1]))
 
@@ -179,7 +179,7 @@ class TestSpeedupUpperBound:
 
     def test_gt_chips_respect_min_size(self):
         gts, sizes = self._dataset_with_focus_at_every_scale()
-        canvas = pyramid()[2].resolve(sizes[1])
+        canvas = resolve_oracle(pyramid()[2], sizes[1])
         focus = focus_label_cells(gts[1].boxes, sizes[1], canvas) == FOCUS
         bounds = component_bounds(binary_dilate(focus, 3))
         chips, _ = chips_from_bounds(

@@ -14,7 +14,14 @@ from pyrsample.costing import speedup_upper_bound
 from pyrsample.focus_chips import binary_dilate, chips_from_bounds
 from pyrsample.focus_labels import FOCUS, focus_label_cells, focus_pixel_stats
 from pyrsample.focus_spans import dilate_spans, focus_spans, span_components, union_cells
-from pyrsample.geometry import BoundingBox, ImageSize, MaxSideTarget, ScaleSpec, boxes_array
+from pyrsample.geometry import (
+    BoundingBox,
+    ImageSize,
+    MaxSideTarget,
+    ScaleSpec,
+    boxes_array,
+    size_array,
+)
 
 from conftest import gt_sets
 from oracles import (
@@ -23,6 +30,7 @@ from oracles import (
     component_chips_oracle,
     flood_fill_components,
     focus_pixel_stats_oracle,
+    resolve_oracle,
     speedup_upper_bound_oracle,
 )
 
@@ -85,8 +93,12 @@ def test_batched_spans_match_dense_kernels_per_map(data, dilation, ks, pair_bloc
     gts, sizes, stride, pyramid = data
     boxes = [boxes_array(g.box for g in gts[i]) for i in gts]
     originals = [sizes[i] for i in gts]
-    maps = [(i, spec.resolve(o)) for spec in pyramid for i, o in enumerate(originals)]
-    spans, owners, grids = focus_spans(boxes, originals, maps, stride, 5.0, 64.0, 90.0)
+    maps = [(i, resolve_oracle(spec, o)) for spec in pyramid for i, o in enumerate(originals)]
+    images = np.array([i for i, _ in maps], dtype=np.intp)
+    canvases = np.array([(c.width, c.height) for _, c in maps]).reshape(-1, 2)
+    spans, owners, grids = focus_spans(
+        boxes, size_array(originals), images, canvases, stride, 5.0, 64.0, 90.0
+    )
     dilated = dilate_spans(spans, owners, grids, dilation)
     counts = union_cells(spans, owners, len(maps))
     dilated_counts = union_cells(dilated, owners, len(maps))
@@ -296,9 +308,10 @@ def test_statistics_hold_one_block_of_images():
 
 def test_huge_dilation_spans_equal_full_extent():
     boxes = [np.array([[40.0, 40.0, 60.0, 60.0]]), np.zeros((0, 4))]
-    originals = [ImageSize(300, 100), ImageSize(50, 50)]
-    maps = [(0, originals[0]), (1, originals[1])]
-    spans, owners, grids = focus_spans(boxes, originals, maps, 32, 5.0, 64.0, 90.0)
+    originals = np.array([[300, 100], [50, 50]])
+    spans, owners, grids = focus_spans(
+        boxes, originals, np.arange(2), originals, 32, 5.0, 64.0, 90.0
+    )
     huge = dilate_spans(spans, owners, grids, 2 * 10**30 + 1)
     assert huge.tolist() == dilate_spans(spans, owners, grids, 2 * 10 + 1).tolist()
     assert huge.tolist() == [[0, 0, 10, 4]]
@@ -307,8 +320,10 @@ def test_huge_dilation_spans_equal_full_extent():
 
 def test_no_focus_anywhere():
     boxes = [np.array([[0.0, 0.0, 200.0, 200.0], [5.0, 5.0, 6.0, 6.0]])]
-    originals = [ImageSize(300, 300)]
-    spans, owners, grids = focus_spans(boxes, originals, [(0, originals[0])], 32, 5.0, 64.0, 90.0)
+    originals = np.array([[300, 300]])
+    spans, owners, grids = focus_spans(
+        boxes, originals, np.arange(1), originals, 32, 5.0, 64.0, 90.0
+    )
     assert spans.shape == (0, 4) and owners.shape == (0,)
     bounds, comp_maps = span_components(spans, owners)
     assert bounds.shape == (0, 4) and comp_maps.shape == (0,)
@@ -317,5 +332,5 @@ def test_no_focus_anywhere():
 
 def test_thresholds_must_increase():
     with pytest.raises(ValueError):
-        focus_spans([np.zeros((0, 4))], [ImageSize(10, 10)], [(0, ImageSize(10, 10))],
-                     32, 64.0, 5.0, 90.0)
+        focus_spans([np.zeros((0, 4))], np.array([[10, 10]]), np.arange(1), np.array([[10, 10]]),
+                    32, 64.0, 5.0, 90.0)

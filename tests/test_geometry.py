@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pyrsample.geometry import (
@@ -13,12 +14,13 @@ from pyrsample.geometry import (
     ImageSize,
     MaxSideTarget,
     ScaleSpec,
+    canvas_sizes,
     rescale_boxes,
 )
 from pyrsample.stacking import iou_rows
 
 from conftest import detection_batch, gt_set
-from oracles import clip_box, encloses_oracle, iou_oracle, rescale_box
+from oracles import clip_box, encloses_oracle, iou_oracle, rescale_box, resolve_oracle
 
 
 def box(x1, y1, x2, y2):
@@ -185,6 +187,66 @@ class TestScaleSpec:
     def test_image_size_invariants(self):
         with pytest.raises(ValueError):
             ImageSize(0, 10)
+
+
+SIDES = st.one_of(st.integers(1, 2**32 - 1), st.integers(1, 2000),
+                  st.sampled_from([1, 2, 5, 7, 2**31, 2**32 - 2, 2**32 - 1]))
+TARGETS = st.one_of(
+    st.floats(1e-12, 1e12),
+    # Products that land on .5, factors that clamp a side to 1, and
+    # factors that are not positive or finite.
+    st.sampled_from([0.5, 1.5, 1.667, 3.0, 1.0, 2.0**-40, 1e300, 1e308, math.inf,
+                     math.nan, 0.0, -1.0]),
+    st.builds(MaxSideTarget, st.one_of(st.integers(1, 2**33), st.sampled_from(
+        [2**32 - 2, 2**32 - 1, 2**32]))),
+    st.builds(ImageSize, st.integers(1, 2**33), st.integers(1, 2**33)),
+)
+
+
+class TestCanvasSizes:
+    """:func:`canvas_sizes` against the one-image oracle, and
+    :meth:`ScaleSpec.resolve` as its one-row case."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(target=TARGETS, originals=st.lists(st.tuples(SIDES, SIDES), min_size=1, max_size=6))
+    @example(target=0.5, originals=[(5, 7), (7, 5), (1, 1)])  # 2.5 and 3.5
+    @example(target=1.5, originals=[(7, 3), (5, 1)])  # 10.5, 4.5, 7.5 and 1.5
+    @example(target=MaxSideTarget(512), originals=[(640, 640), (480, 640), (640, 480)])
+    @example(target=MaxSideTarget(3), originals=[(2**32 - 1, 1)])  # the short side clamps
+    @example(target=1.0, originals=[(2**32 - 1, 2**32 - 1)])  # on the bound
+    @example(target=1.0 + 2.0**-40, originals=[(2**32 - 1, 1)])  # just past it
+    @example(target=MaxSideTarget(2**32 - 1), originals=[(3, 3), (1, 2)])
+    @example(target=MaxSideTarget(2**32), originals=[(3, 3)])
+    @example(target=ImageSize(2**32, 1), originals=[(3, 3)])
+    @example(target=1e308, originals=[(2**32 - 1, 2)])  # overflows to inf
+    def test_matches_the_oracle_row_by_row(self, target, originals):
+        spec = ScaleSpec(scale_id=4, target=target)
+        sizes = [ImageSize(w, h) for w, h in originals]
+        try:
+            want = [resolve_oracle(spec, size) for size in sizes]
+        except ValueError:
+            want = None
+        # No float may reach an integer cast, or numpy warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want is None:
+                with pytest.raises(ValueError):
+                    canvas_sizes(spec, np.array(originals))
+                return
+            got = canvas_sizes(spec, np.array(originals))
+            assert got.dtype == np.int64 and got.shape == (len(originals), 2)
+            assert got.tolist() == [[c.width, c.height] for c in want]
+            assert [spec.resolve(size) for size in sizes] == want
+
+    def test_no_images(self):
+        for target in (2.0, MaxSideTarget(8), ImageSize(3, 4)):
+            got = canvas_sizes(ScaleSpec(scale_id=0, target=target), np.zeros((0, 2)))
+            assert got.shape == (0, 2) and got.dtype == np.int64
+
+    def test_error_names_the_level_and_the_bound(self):
+        spec = ScaleSpec(scale_id=7, target=1e300)
+        with pytest.raises(ValueError, match=r"scale 7: .* 4294967295"):
+            spec.resolve(ImageSize(640, 480))
 
 
 class TestDetectionBatch:
