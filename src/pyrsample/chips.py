@@ -20,7 +20,7 @@ import numpy as np
 
 from .focus_chips import _pair_blocks
 from .focus_spans import _count_at_most, _distinct
-from .geometry import GroundTruthSet, ImageSize, ScaleSpec, canvas_sizes, scale_factors, size_array
+from .geometry import GroundTruthSet, ImageSize, ScaleSpec, canvas_sizes, level_boxes, size_array
 from .range_labels import valid_area_mask
 
 POSITIVE = "positive"
@@ -337,14 +337,12 @@ def _level_boxes(
     mask of rows whose resized area is valid there, and each image's canvas
     as (n_images, 2) width, height.
 
-    The multiply and the area test are the IEEE operations of
-    :func:`~pyrsample.geometry.rescale_boxes` and
-    :func:`~pyrsample.range_labels.valid_area_mask`.
+    The rescale is :func:`~pyrsample.geometry.level_boxes` and the area
+    test :func:`~pyrsample.range_labels.valid_area_mask`.
     """
     sizes = size_array(originals)
     canvas = canvas_sizes(spec, sizes)
-    owners = np.repeat(np.arange(len(boxes)), [len(b) for b in boxes])
-    resized = np.concatenate([np.zeros((0, 4)), *boxes]) * scale_factors(sizes, canvas)[owners]
+    resized, owners = level_boxes(boxes, sizes, np.arange(len(boxes)), canvas)
     return resized, owners, valid_area_mask(resized, spec), canvas.astype(np.float64)
 
 

@@ -137,6 +137,20 @@ def _columns(path: str | Path, entries: list, parse):
     raise DatasetStructureError(f"{path}: {name}: {problem}")
 
 
+def _clamped_corners(boxes: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """Turn the (n, 4) xywh rows ``boxes`` into corners in place, and return
+    them clamped to the (n, 4) ``limits`` (width, height, width, height) as
+    Python's min(max(v, 0.0), limit) clamps them: v is kept on ties, so -0.0
+    stays -0.0. A limit is at least 1, so clamping to it first gives the
+    same result. x + w may overflow to inf for finite inputs, and the clamp
+    brings it back."""
+    with np.errstate(over="ignore"):
+        boxes[:, 2:] += boxes[:, :2]
+    clamped = np.minimum(boxes, limits)
+    clamped[clamped < 0.0] = 0.0
+    return clamped
+
+
 def _annotation_sets(
     path: str | Path, entries: list, images: dict[int, ImageRecord]
 ) -> tuple[dict[int, GroundTruthSet], int]:
@@ -154,15 +168,8 @@ def _annotation_sets(
         ) from None
     sizes = [rec.size for rec in images.values()]
     limits = np.array([(s.width, s.height) * 2 for s in sizes], dtype=np.float64).reshape(-1, 4)
-    limits = limits[owners]
-    # Corners, then the clamp of Python's max(v, 0.0) and min(v, limit),
-    # which keep v on ties, so -0.0 stays -0.0. x + w may overflow to inf
-    # for finite inputs, and the clamp brings it back.
-    with np.errstate(over="ignore"):
-        corners = np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
-    boxes = np.where(0.0 > corners, 0.0, corners)
-    boxes = np.where(limits < boxes, limits, boxes)
-    clamped = int((np.abs(boxes - corners) > CLAMP_TOL).any(axis=1).sum())
+    boxes = _clamped_corners(xywh, limits[owners])  # xywh now holds the corners
+    clamped = int((np.abs(boxes - xywh) > CLAMP_TOL).any(axis=1).sum())
     order = np.argsort(owners, kind="stable")
     boxes, class_ids, crowd = boxes[order], class_ids[order], crowd[order]
     ends = np.cumsum(np.bincount(owners, minlength=len(images))).tolist()
@@ -293,14 +300,10 @@ def load_proposals(path: str | Path, index: DatasetIndex) -> dict[int, ProposalS
     code = {iid: k for k, iid in enumerate(first_seen)}
     codes = np.fromiter(map(code.__getitem__, image_ids), dtype=np.intp, count=len(image_ids))
     order = np.argsort(codes, kind="stable")
-    codes, scores, boxes = codes[order], scores[order], xywh[order]
-    # Corners, clamped to the image, in place: x + w may overflow to inf for
-    # finite inputs, and the clamp brings it back.
-    with np.errstate(over="ignore"):
-        boxes[:, 2:] += boxes[:, :2]
+    codes, scores, xywh = codes[order], scores[order], xywh[order]
     sizes = [index.images[iid].size for iid in first_seen]
     limits = np.array([(s.width, s.height) * 2 for s in sizes], dtype=np.float64)
-    np.minimum(np.maximum(boxes, 0.0, out=boxes), limits[codes], out=boxes)
+    boxes = _clamped_corners(xywh, limits[codes])
     cuts = np.cumsum(np.bincount(codes))[:-1]
     return {
         iid: ProposalSet(boxes=b, scores=sc)

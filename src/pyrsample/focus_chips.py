@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import BoundingBox, ImageSize
+from .geometry import BoundingBox, ImageSize, boxes_array
 from .focus_labels import LabelMap, ProbabilityMap, check_grid
 
 
@@ -216,37 +216,55 @@ def _join(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             label = jumped
 
 
+def _merge(rects: np.ndarray, maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per map, the (m, 4) corner rows ``rects`` replaced by the enclosing
+    rectangle of each group that overlapping rectangles join, until no two
+    overlap: the (g, 4) group rectangles and the index of each group's
+    first member, by map, then first member. ``maps`` holds each row's
+    non-decreasing map index; rectangles that only share an edge do not
+    overlap.
+
+    Because rectangles only grow, the partition is unique. A group's
+    rectangle is kept at its least member, its label; only a map where
+    groups merged can hold a new overlap, so each round compares the groups
+    of those maps alone.
+    """
+    lo, hi = rects[:, :2].copy(), rects[:, 2:].copy()
+    rows = label = np.arange(len(rects))
+    candidates = rows
+    while True:
+        on = maps[candidates]
+        joined = label
+        for i, j in _pair_blocks(
+            np.arange(1, len(on) + 1), np.searchsorted(on, on, side="right")
+        ):
+            a, b = candidates[i], candidates[j]
+            overlap = (np.minimum(hi[a], hi[b]) > np.maximum(lo[a], lo[b])).all(axis=1)
+            if overlap.any():
+                joined = _join(joined, a[overlap], b[overlap])
+        if joined is label:
+            break
+        moved = np.flatnonzero(joined != label)
+        label = joined
+        np.minimum.at(lo, label[moved], lo[moved])
+        np.maximum.at(hi, label[moved], hi[moved])
+        merged = np.zeros(int(maps[-1]) + 1, dtype=bool)
+        merged[maps[moved]] = True
+        candidates = np.flatnonzero((label == rows) & merged[maps])
+    roots = np.flatnonzero(label == rows)
+    return np.concatenate([lo[roots], hi[roots]], axis=1), roots
+
+
 def merge_overlapping(rects: list[BoundingBox]) -> list[BoundingBox]:
     """Replace overlapping rectangles by their joint enclosing rectangle until
     no two overlap; rectangles that only share an edge do not overlap.
 
-    Rectangles are inserted one at a time into a pairwise non-overlapping
-    list. An insert absorbs every kept rectangle it overlaps and, once grown,
-    is tested again, so no pair scan restarts from the beginning. Because
-    rectangles only grow, the resulting partition of the input is unique:
-    groups are listed in the order of their first member in ``rects``, each
-    as the enclosing rectangle of its members. :func:`chips_from_bounds`
-    finds the same partition for many maps at once.
+    Groups are listed in the order of their first member in ``rects``, each
+    as the enclosing rectangle of its members: the merge of
+    :func:`chips_from_bounds` for one map.
     """
-    # Slots are in the order of each group's first member; an absorbed group
-    # leaves None behind so that the other slots keep their order.
-    merged: list[BoundingBox | None] = []
-    for rect in rects:
-        slot = len(merged)
-        grown = True
-        while grown:
-            grown = False
-            for k, other in enumerate(merged):
-                if other is not None and rect.intersection(other) is not None:
-                    rect = other.union_rect(rect)
-                    merged[k] = None
-                    slot = min(slot, k)
-                    grown = True
-        if slot == len(merged):
-            merged.append(rect)
-        else:
-            merged[slot] = rect
-    return [rect for rect in merged if rect is not None]
+    merged, _ = _merge(boxes_array(rects), np.zeros(len(rects), dtype=np.intp))
+    return [BoundingBox(*row) for row in merged.tolist()]
 
 
 def generate_focus_chips(
@@ -370,40 +388,14 @@ def chips_from_bounds(
     array of each row's map stride. Each component's pixel rectangle,
     clipped to its canvas, is grown to ``min_chip_size``. Then, per map,
     rectangles that overlap are merged into their enclosing rectangle until
-    none overlap: the partition of :func:`merge_overlapping`, with groups in
-    the order of their first member. Every group's rectangle is grown once
-    more, as the per-rectangle pipeline did, so the outputs match it
-    exactly.
+    none overlap (:func:`_merge`, the merge of :func:`merge_overlapping`),
+    with groups in the order of their first member. Every group's rectangle
+    is grown once more, as the per-rectangle pipeline did, so the outputs
+    match it exactly.
     """
     limit = limits[maps]
     pixel = np.minimum((bounds + (0, 0, 1, 1)) * stride, limit[:, [0, 1, 0, 1]])
     limit = limit.astype(np.float64)
     grown = _grow(pixel.astype(np.float64), min_chip_size, limit)
-    # A group's enclosing rectangle is kept at its least member, its label.
-    lo, hi = grown[:, :2].copy(), grown[:, 2:].copy()
-    rows = label = np.arange(len(bounds))
-    # Only a map where groups merged can hold a new overlap, so each round
-    # compares the groups of those maps alone.
-    candidates = rows
-    while True:
-        on = maps[candidates]
-        joined = label
-        for i, j in _pair_blocks(
-            np.arange(1, len(on) + 1), np.searchsorted(on, on, side="right")
-        ):
-            a, b = candidates[i], candidates[j]
-            overlap = (np.minimum(hi[a], hi[b]) > np.maximum(lo[a], lo[b])).all(axis=1)
-            if overlap.any():
-                joined = _join(joined, a[overlap], b[overlap])
-        if joined is label:
-            break
-        moved = np.flatnonzero(joined != label)
-        label = joined
-        np.minimum.at(lo, label[moved], lo[moved])
-        np.maximum.at(hi, label[moved], hi[moved])
-        merged = np.zeros(len(limits), dtype=bool)
-        merged[maps[moved]] = True
-        candidates = np.flatnonzero((label == rows) & merged[maps])
-    roots = np.flatnonzero(label == rows)
-    rects = np.concatenate([lo[roots], hi[roots]], axis=1)
+    rects, roots = _merge(grown, maps)
     return _grow(rects, min_chip_size, limit[roots]), maps[roots]

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .geometry import GroundTruthSet, ImageSize, ScaleSpec, canvas_sizes, rescale_boxes, size_array
+from .geometry import GroundTruthSet, ImageSize, ScaleSpec, canvas_sizes, level_boxes, size_array
 
 DEFAULT_STRIDE = 32
 DEFAULT_MIN_SIDE = 5.0
@@ -120,6 +120,25 @@ def _cell_spans(
     return np.minimum(np.maximum(ends, 0), limits).astype(np.intp)
 
 
+def _focus_rows(
+    boxes: list[np.ndarray], originals: np.ndarray, images: np.ndarray, canvases: np.ndarray,
+    min_side: float, max_side: float, ignore_max_side: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The front end of the focus spans: every map's boxes rescaled to its
+    canvas by :func:`~pyrsample.geometry.level_boxes`, their map indices,
+    and per row whether it is focus, min_side < sqrt(area) < max_side
+    there, and whether it is marked, sqrt(area) <= ignore_max_side. Marked
+    rows that are not focus are ignore; only marked rows have finite
+    corners for certain.
+    """
+    if not (min_side < max_side < ignore_max_side):
+        raise ValueError(f"thresholds must increase: {min_side}, {max_side}, {ignore_max_side}")
+    resized, owners = level_boxes(boxes, originals, images, canvases)
+    extent = resized[:, 2:] - resized[:, :2]
+    side = np.sqrt(extent[:, 0] * extent[:, 1])
+    return resized, owners, (min_side < side) & (side < max_side), side <= ignore_max_side
+
+
 def focus_label_cells(
     boxes: np.ndarray,
     original: ImageSize,
@@ -131,32 +150,18 @@ def focus_label_cells(
 ) -> np.ndarray:
     """The {1, 0, -1} int8 label cells of ``canvas`` at ``stride`` for the
     (n, 4) corner array ``boxes`` of one image, given in the ``original``
-    frame.
-
-    The boxes are rescaled to the canvas with the IEEE operations of
-    :func:`~pyrsample.geometry.rescale_boxes`, and the side thresholds apply to
-    sqrt(area) there; see :func:`build_focus_label_map` for the rules.
+    frame: the one-map case of :func:`_focus_rows`, whose marked rows are
+    painted as cell spans; see :func:`build_focus_label_map` for the rules.
     """
-    if not (min_side < max_side < ignore_max_side):
-        raise ValueError(
-            f"thresholds must increase: {min_side}, {max_side}, {ignore_max_side}"
-        )
+    resized, _, focus, marked = _focus_rows(
+        [boxes], size_array([original]), np.zeros(1, dtype=np.intp), size_array([canvas]),
+        min_side, max_side, ignore_max_side,
+    )
     h, w = grid_shape(canvas, stride)
     cells = np.zeros((h, w), dtype=np.int8)
-    if not len(boxes):
-        return cells
-    resized = rescale_boxes(boxes, original, canvas)
-    extent = resized[:, 2:] - resized[:, :2]
-    side = np.sqrt(extent[:, 0] * extent[:, 1])
-    # Ignore sides are the rest of [0, ignore_max_side]: up to min_side and
-    # from max_side on. Only marked boxes have finite corners for certain,
-    # so only they are turned into cell ranges.
-    marked = side <= ignore_max_side
-    if not marked.any():
-        return cells
-    side = side[marked]
-    focus = ((min_side < side) & (side < max_side)).tolist()
+    # Only marked rows have finite corners for certain, so only they get spans.
     spans = _cell_spans(resized[marked], stride, (w, h, w, h)).tolist()
+    focus = focus[marked].tolist()
     for (j0, i0, j1, i1), is_focus in zip(spans, focus):
         if not is_focus:
             cells[i0:i1, j0:j1] = IGNORE
@@ -268,7 +273,7 @@ def focus_pixel_stats(
             # A grid side is below 2^32, so each product fits uint64.
             total_cells += sum(np.prod(grids, axis=1, dtype=np.uint64).tolist())
             grown = dilate_spans(spans, owners, grids, dilation)
-            dilated += int(union_cells(grown, owners, hi - lo).sum())
+            dilated += sum(union_cells(grown, owners, hi - lo).tolist())
         # Both means add their terms one by one in image order. A canvas area
         # is a float64 product, which rounds as the exact int product does.
         projected = float(np.cumsum([0.0, *(count * cell_area for count in counts)])[-1])

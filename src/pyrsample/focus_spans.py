@@ -24,8 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .focus_chips import _blocks, _join, _pair_blocks
-from .focus_labels import _cell_spans
-from .geometry import scale_factors
+from .focus_labels import _cell_spans, _focus_rows
 
 
 def focus_spans(
@@ -44,24 +43,16 @@ def focus_spans(
 
     Map k is image ``images[k]``'s (n, 4) ``boxes``, in the frame of its
     row of the (n_images, 2) int ``originals``, rescaled to the map's row of
-    the (m, 2) int ``canvases`` with the IEEE operations of
-    :func:`~pyrsample.geometry.rescale_boxes`; its grid is the canvas
-    ceil-divided by ``stride``. A box marks focus cells when
-    min_side < sqrt(area) < max_side there, as in
-    :func:`~pyrsample.focus_labels.focus_label_cells`.
+    the (m, 2) int ``canvases`` by
+    :func:`~pyrsample.geometry.level_boxes`; its grid is the canvas
+    ceil-divided by ``stride``. Its focus boxes are those of
+    :func:`~pyrsample.focus_labels.focus_label_cells`, by the one side rule
+    of :func:`~pyrsample.focus_labels._focus_rows`.
     """
-    if not (min_side < max_side < ignore_max_side):
-        raise ValueError(
-            f"thresholds must increase: {min_side}, {max_side}, {ignore_max_side}"
-        )
+    resized, owners, focus, _ = _focus_rows(
+        boxes, originals, images, canvases, min_side, max_side, ignore_max_side
+    )
     grids = -(-canvases // stride)
-    picked = [boxes[i] for i in images.tolist()]
-    owners = np.repeat(np.arange(len(picked)), [len(b) for b in picked])
-    scales = scale_factors(originals[images], canvases)
-    resized = np.concatenate([np.zeros((0, 4)), *picked]) * scales[owners]
-    extent = resized[:, 2:] - resized[:, :2]
-    side = np.sqrt(extent[:, 0] * extent[:, 1])
-    focus = (min_side < side) & (side < max_side)
     owners = owners[focus]
     spans = _cell_spans(resized[focus], stride, np.tile(grids[owners], 2))
     keep = (spans[:, 2] > spans[:, 0]) & (spans[:, 3] > spans[:, 1])
@@ -110,7 +101,7 @@ _CELL_BLOCK = 1 << 16
 
 
 def union_cells(spans: np.ndarray, owners: np.ndarray, n_maps: int) -> np.ndarray:
-    """The (n_maps,) int64 count of cells in each map's union of spans.
+    """The (n_maps,) uint64 count of cells in each map's union of spans.
 
     Per map, the distinct column and row edges of its spans cut the plane
     into elementary rectangles. Each span adds +1 at its first row edge and
@@ -118,14 +109,15 @@ def union_cells(spans: np.ndarray, owners: np.ndarray, n_maps: int) -> np.ndarra
     sum along each column's row edges then holds the number of spans over
     each elementary rectangle, and the covered ones add their cell area.
     Maps are taken in blocks of about ``_CELL_BLOCK`` rectangles and
-    span-column pairs.
+    span-column pairs. Edges are below 2^32, so every area and count is
+    taken in uint64; a sum over maps may not fit it.
     """
-    out = np.zeros(n_maps, dtype=np.int64)
+    out = np.zeros(n_maps, dtype=np.uint64)
     m = len(spans)
     if not m:
         return out
     order = np.argsort(owners, kind="stable")
-    spans = spans[order]
+    spans = spans[order].astype(np.uint64)
     maps, seg = np.unique(owners[order], return_inverse=True)
     both = np.concatenate([seg, seg])
     xs, x_seg, xi = _distinct(both, np.concatenate([spans[:, 0], spans[:, 2]]))

@@ -289,20 +289,22 @@ def canvas_sizes(spec: ScaleSpec, originals: np.ndarray) -> np.ndarray:
     return sides.astype(np.int64)
 
 
-def scale_factors(originals: np.ndarray, canvases: np.ndarray) -> np.ndarray:
-    """The per-corner factors (fx, fy, fx, fy) that map boxes from each of
-    the (m, 2) ``originals`` to its (m, 2) canvas by independent per-axis
-    factors, canvas / original, as the one-box oracle ``rescale_box`` in
-    ``tests/oracles.py`` does."""
-    factors = np.asarray(canvases) / np.asarray(originals)
-    return np.concatenate([factors, factors], axis=-1)
+def level_boxes(
+    boxes: Sequence[np.ndarray], originals: np.ndarray, images: np.ndarray, canvases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every map's boxes rescaled to its canvas, stacked by map: the (n, 4)
+    corners and the (n,) map index of each row.
 
-
-def rescale_boxes(boxes: np.ndarray, from_size: ImageSize, to_size: ImageSize) -> np.ndarray:
-    """Every row of an (n, 4) corner array mapped between canvases, with the
-    same IEEE operations as the oracle ``rescale_box`` in
-    ``tests/oracles.py``."""
-    return boxes * scale_factors(size_array([from_size]), size_array([to_size]))
+    Map k is image ``images[k]``'s (n_i, 4) ``boxes``, in the frame of its
+    row of the (n_images, 2) int ``originals``, mapped to row k of the
+    (m, 2) int ``canvases`` by independent per-axis factors, canvas /
+    original, with the IEEE operations of the one-box oracle ``rescale_box``
+    in ``tests/oracles.py``. An image may be the map of many levels.
+    """
+    picked = [boxes[i] for i in images.tolist()]
+    owners = np.repeat(np.arange(len(picked)), [len(b) for b in picked])
+    factors = np.tile(np.asarray(canvases) / np.asarray(originals)[images], 2)
+    return np.concatenate([np.zeros((0, 4)), *picked]) * factors[owners], owners
 
 
 def boxes_array(boxes: Iterable[BoundingBox]) -> np.ndarray:

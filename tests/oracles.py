@@ -654,8 +654,8 @@ def load_proposals_oracle(path, sizes: dict) -> dict[int, tuple[list, list]]:
     an annotation file: per image, in order of its first proposal, its
     clamped corner boxes and scores in file order. Each entry is checked in
     the order image id, bbox present, score a number (1.0 when absent),
-    bbox, score in [0, 1]; each corner is clamped with ``max(0.0, v)``
-    (0.0 on a tie, as ``np.maximum`` gives) and then ``min(v, limit)``.
+    bbox, score in [0, 1]; each corner is clamped with ``max(v, 0.0)`` and
+    then ``min(v, limit)``, which keep v on a tie, as for annotations.
     Raises the errors of ``load_proposals`` with the same messages."""
     from pyrsample.dataset import DatasetStructureError
 
@@ -684,6 +684,6 @@ def load_proposals_oracle(path, sizes: dict) -> dict[int, tuple[list, list]]:
         size = sizes[image_id]
         limits = (size.width, size.height) * 2
         boxes, scores = proposals.setdefault(image_id, ([], []))
-        boxes.append(tuple(min(max(0.0, v), limit) for v, limit in zip(corners, limits)))
+        boxes.append(tuple(min(max(v, 0.0), limit) for v, limit in zip(corners, limits)))
         scores.append(score)
     return proposals

@@ -994,6 +994,26 @@ class TestStats:
         for entry in payload.values():
             assert entry["fraction_dilated"] >= entry["fraction"]
 
+    def test_focuspixels_counts_past_int64(self, tmp_path):
+        # (2^32 - 1)^2 focus cells on one image, past 2^63: int64 counts
+        # wrapped and wrote a negative fraction.
+        side = 2**32 - 1
+        ann, cfg, out = tmp_path / "ann.json", tmp_path / "cfg.json", tmp_path / "fp.json"
+        ann.write_text(json.dumps({
+            "images": [{"id": 1, "width": side, "height": side}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": [0, 0, side, side]}],
+            "categories": [{"id": 1, "name": "a"}],
+        }))
+        cfg.write_text(json.dumps({
+            "pyramid": [{"scale_id": 0, "target": {"factor": 1}}],
+            "focus": {"stride": 1, "max_side": 1e12, "ignore_max_side": 2e12},
+        }))
+        assert main(["stats", "focuspixels", "--dilation", "1", "--annotations", str(ann),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        entry = json.loads(out.read_text())["0"]
+        assert entry["fraction"] == entry["fraction_dilated"] == 1.0
+        assert entry["mean_projected_area"] > 0
+
     def test_speedup(self, small_coco, tmp_path):
         out = tmp_path / "sp.json"
         assert main(

@@ -14,6 +14,8 @@ from pyrsample.dataset import (
 )
 from pyrsample.geometry import GroundTruthSet
 
+from oracles import load_dataset_oracle, load_proposals_oracle
+
 
 def minimal_coco(tmp_path, annotations=None, images=None):
     data = {
@@ -244,6 +246,20 @@ class TestLoadDataset:
         assert proposals[2].boxes.tolist() == [[90, 0, 100, 15], [10, 10, 10, 15]]
         assert proposals[2].scores.tolist() == [0.5, 1.0]
         assert proposals[1].boxes.tolist() == [[0.5, 1, 2.5, 4]]
+
+    def test_proposal_corners_clamp_as_annotation_corners(self, tmp_path):
+        ann = minimal_coco(tmp_path, [], images=[{"id": 7, "width": 100, "height": 50}])
+        props = tmp_path / "props.json"
+        props.write_text(json.dumps([{"image_id": 7, "bbox": [-0.0, 40, 1e308, 20]},
+                                     {"image_id": 7, "bbox": [-3, -0.0, 5, 1e308]}]))
+        boxes = load_dataset(ann, proposals_path=props).proposals[7].boxes
+        # -0.0 is kept, as max(-0.0, 0.0) keeps it; x + w and y + h overflow
+        # to inf and are clamped to the image.
+        assert boxes.tolist() == [[0.0, 40.0, 100.0, 50.0], [0.0, 0.0, 2.0, 50.0]]
+        assert np.signbit(boxes).tolist() == [[True, False, False, False],
+                                              [False, True, False, False]]
+        want, _ = load_proposals_oracle(props, load_dataset_oracle(ann)[0])[7]
+        assert boxes.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
     @pytest.mark.parametrize("score", [2.0, -0.25, float("nan")], ids=["above-1", "negative", "nan"])
     def test_bad_proposal_score_names_entry(self, tmp_path, score):

@@ -334,3 +334,17 @@ def test_thresholds_must_increase():
     with pytest.raises(ValueError):
         focus_spans([np.zeros((0, 4))], np.array([[10, 10]]), np.arange(1), np.array([[10, 10]]),
                     32, 64.0, 5.0, 90.0)
+
+
+def test_counts_past_int64_do_not_wrap():
+    # One box over a 4294967295 x 4294967295 image at factor 1 and stride 1
+    # makes (2^32 - 1)^2 focus cells, past 2^63; int64 counts read
+    # -8589934591.
+    side = 2**32 - 1
+    sizes = {1: ImageSize(side, side)}
+    gts = gt_sets({1: [Gt(BoundingBox(0.0, 0.0, side, side), 1, False)]})
+    (stats,) = focus_pixel_stats(gts, sizes, [ScaleSpec(scale_id=0, target=1.0)], stride=1,
+                                 max_side=1e12, ignore_max_side=2e12, dilation=1).values()
+    assert stats.focus_cells == stats.focus_cells_dilated == stats.total_cells == side * side
+    assert stats.fraction == stats.fraction_dilated == 1.0
+    assert stats.mean_projected_area == float(side * side)

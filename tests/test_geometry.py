@@ -15,7 +15,8 @@ from pyrsample.geometry import (
     MaxSideTarget,
     ScaleSpec,
     canvas_sizes,
-    rescale_boxes,
+    level_boxes,
+    size_array,
 )
 from pyrsample.stacking import iou_rows
 
@@ -108,11 +109,81 @@ class TestIou:
 
 
 def rescaled(b, from_size, to_size):
-    """:func:`rescale_boxes` of one box, checked bit for bit against the
-    one-box oracle."""
-    (row,) = rescale_boxes(np.array([b.as_tuple()]), from_size, to_size).tolist()
+    """:func:`level_boxes` of one box on one map, checked bit for bit
+    against the one-box oracle."""
+    resized, owners = level_boxes(
+        [np.array([b.as_tuple()])], size_array([from_size]), np.zeros(1, dtype=np.intp),
+        size_array([to_size]),
+    )
+    assert owners.tolist() == [0]
+    (row,) = resized.tolist()
     assert row == list(rescale_box(b, from_size, to_size).as_tuple())
     return BoundingBox(*row)
+
+
+# Valid level targets: factors, longer-side caps and explicit sizes.
+LEVEL_TARGETS = st.one_of(
+    st.floats(0.01, 8.0),
+    st.sampled_from([0.5, 1.0, 1.5, 1.667, 3.0]),
+    st.builds(MaxSideTarget, st.integers(1, 3000)),
+    st.builds(ImageSize, st.integers(1, 3000), st.integers(1, 3000)),
+)
+corner = st.one_of(coords, st.floats(-1e9, 1e9), st.sampled_from([-0.0, 0.0, 5e-324, 1e308]))
+
+
+@st.composite
+def corner_boxes(draw):
+    x1, x2 = sorted((draw(corner), draw(corner)))
+    y1, y2 = sorted((draw(corner), draw(corner)))
+    return BoundingBox(x1, y1, x2, y2)
+
+
+class TestLevelBoxes:
+    """:func:`level_boxes` against the one-box oracle ``rescale_box``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        sizes=st.lists(st.tuples(st.integers(1, 3000), st.integers(1, 3000)), min_size=1,
+                       max_size=5),
+        image_boxes=st.lists(st.lists(corner_boxes(), max_size=4), min_size=5, max_size=5),
+        targets=st.lists(LEVEL_TARGETS, min_size=1, max_size=3),
+        extra=st.lists(st.integers(0, 4), max_size=6),
+    )
+    @example(sizes=[(640, 480), (480, 640)], image_boxes=[[box(10, 10, 20, 30)], [], [], [], []],
+             targets=[MaxSideTarget(512), 2.0, ImageSize(100, 50)], extra=[1, 0, 0])
+    def test_matches_the_oracle_bit_for_bit(self, sizes, image_boxes, targets, extra):
+        originals = [ImageSize(w, h) for w, h in sizes]
+        boxes = image_boxes[: len(sizes)]
+        arrays = [np.array([b.as_tuple() for b in bs]).reshape(-1, 4) for bs in boxes]
+        # Every image at every level, in level order, then images picked
+        # again in any order; each map has its image's canvas at its level.
+        maps = [(i, level) for level in range(len(targets)) for i in range(len(sizes))]
+        maps += [(i % len(sizes), i % len(targets)) for i in extra]
+        specs = [ScaleSpec(scale_id=k, target=t) for k, t in enumerate(targets)]
+        canvases = [resolve_oracle(specs[level], originals[i]) for i, level in maps]
+        images = np.array([i for i, _ in maps], dtype=np.intp)
+        with np.errstate(over="ignore"):  # 1e308 may pass the largest float
+            resized, owners = level_boxes(arrays, size_array(originals), images,
+                                          size_array(canvases))
+        want = [
+            rescale_box(b, originals[i], canvas).as_tuple()
+            for (i, _), canvas in zip(maps, canvases) for b in boxes[i]
+        ]
+        assert resized.dtype == np.float64 and resized.shape == (len(want), 4)
+        assert resized.tobytes() == np.array(want, dtype=np.float64).reshape(-1, 4).tobytes()
+        assert owners.tolist() == [k for k, (i, _) in enumerate(maps) for _ in boxes[i]]
+
+    def test_no_maps_and_no_boxes(self):
+        resized, owners = level_boxes(
+            [np.zeros((0, 4))], np.array([[10, 10]]), np.zeros(0, dtype=np.intp),
+            np.zeros((0, 2), dtype=np.int64),
+        )
+        assert resized.shape == (0, 4) and owners.shape == (0,)
+        resized, owners = level_boxes(
+            [np.zeros((0, 4))] * 2, np.array([[10, 10], [3, 4]]), np.array([1, 0, 1]),
+            np.array([[20, 20], [5, 5], [6, 8]]),
+        )
+        assert resized.shape == (0, 4) and owners.shape == (0,)
 
 
 class TestRescaleBox:
