@@ -20,7 +20,7 @@ import numpy as np
 
 from .focus_chips import _pair_blocks
 from .focus_spans import _count_at_most, _distinct
-from .geometry import GroundTruthSet, ImageSize, ScaleSpec, canvas_sizes, level_boxes, size_array
+from .geometry import GroundTruthSet, ScaleSpec, canvas_sizes, csr_take, level_boxes
 from .range_labels import valid_area_mask
 
 POSITIVE = "positive"
@@ -37,14 +37,6 @@ class ChipRow(NamedTuple):
     rect: tuple[float, float, float, float]  # x1, y1, x2, y2
     covered_gt_ids: tuple[int, ...]
     cropped_gt: tuple[tuple[int, tuple[float, float, float, float]], ...]
-
-
-def _csr_take(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The offsets of CSR ``rows`` taken in that order, and the index of each
-    of their values in the values of ``offsets``."""
-    first, counts = offsets[rows], offsets[rows + 1] - offsets[rows]
-    taken = np.concatenate([[0], np.cumsum(counts)])
-    return taken, np.repeat(first - taken[:-1], counts) + np.arange(taken[-1])
 
 
 class ChipBatch(Sequence):
@@ -86,8 +78,8 @@ class ChipBatch(Sequence):
         if isinstance(key, (int, np.integer)):
             return next(iter(self[[key]]))
         rows = np.arange(len(self))[key]
-        covered, at = _csr_take(self.covered_offsets, rows)
-        cropped, cut = _csr_take(self.cropped_offsets, rows)
+        covered, at = csr_take(self.covered_offsets, rows)
+        cropped, cut = csr_take(self.cropped_offsets, rows)
         return ChipBatch(
             self.image_ids[rows], self.scale_ids[rows], self.rects[rows], self.kind,
             (covered, self.covered_ids[at]),
@@ -108,7 +100,10 @@ class ChipBatch(Sequence):
 @dataclass(eq=False)
 class ProposalSet:
     """Scored region proposals in the original-image frame: ``boxes`` (n, 4)
-    float64 corners x1, y1, x2, y2 and ``scores`` (n,) float64 in [0, 1]."""
+    float64 corners x1, y1, x2, y2 and ``scores`` (n,) float64 in [0, 1].
+    As with :class:`~pyrsample.geometry.GroundTruthSet`, ``len`` is the row
+    count, indexing with a slice, a mask or an index array gives a set, and
+    a set is not iterable."""
 
     boxes: np.ndarray
     scores: np.ndarray
@@ -123,6 +118,14 @@ class ProposalSet:
         bad = ~((0.0 <= self.scores) & (self.scores <= 1.0))
         if bad.any():
             raise ValueError(f"proposal score out of range: {self.scores[bad.argmax()]}")
+
+    __iter__ = None
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, key) -> "ProposalSet":
+        return ProposalSet(self.boxes[key], self.scores[key])
 
 
 @dataclass(eq=False)
@@ -222,7 +225,8 @@ def _cover_blocks(n_rows: np.ndarray, n_cols: np.ndarray):
     """Blocks of image indices, in order of candidate rows, whose padded
     grids (images x most rows x most columns) hold about ``_COVER_BLOCK``
     cells."""
-    order = np.lexsort((n_cols, n_rows))
+    # Counts are below 2^31, so one int64 key orders by rows, then columns.
+    order = np.argsort(n_rows.astype(np.int64) << 32 | n_cols, kind="stable")
     start, widest = 0, 0
     for k, (rows, cols) in enumerate(zip(n_rows[order].tolist(), n_cols[order].tolist())):
         if k > start and (k - start + 1) * rows * max(widest, cols) > _COVER_BLOCK:
@@ -330,19 +334,19 @@ def _lockstep_cover(
 
 
 def _level_boxes(
-    boxes: list[np.ndarray], originals: list[ImageSize], spec: ScaleSpec
+    boxes: np.ndarray, offsets: np.ndarray, sizes: np.ndarray, spec: ScaleSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every image's (n_i, 4) ``boxes`` rescaled from its original size to
-    its canvas at ``spec``, stacked: the boxes, their image indices, the
-    mask of rows whose resized area is valid there, and each image's canvas
-    as (n_images, 2) width, height.
+    """Every image's rows of the run-wide (N, 4) ``boxes``, cut by the
+    (n + 1,) ``offsets``, rescaled from its row of the (n, 2) ``sizes`` to
+    its canvas at ``spec``: the boxes, their image indices, the mask of
+    rows whose resized area is valid there, and each image's canvas as
+    (n, 2) width, height.
 
     The rescale is :func:`~pyrsample.geometry.level_boxes` and the area
     test :func:`~pyrsample.range_labels.valid_area_mask`.
     """
-    sizes = size_array(originals)
     canvas = canvas_sizes(spec, sizes)
-    resized, owners = level_boxes(boxes, sizes, np.arange(len(boxes)), canvas)
+    resized, owners = level_boxes(boxes, offsets, sizes, np.arange(len(canvas)), canvas)
     return resized, owners, valid_area_mask(resized, spec), canvas.astype(np.float64)
 
 
@@ -363,21 +367,18 @@ def _cover(
 
 
 def positive_cover(
-    boxes: list[np.ndarray],
-    crowd: list[np.ndarray],
-    originals: list[ImageSize],
-    spec: ScaleSpec,
+    gts: GroundTruthSet, offsets: np.ndarray, sizes: np.ndarray, spec: ScaleSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """The positive chips of level ``spec`` for every image at once: the
     image index and (p, 4) corners of each lattice cell that the greedy
     cover of its image's valid non-crowd ground truth picks, by image and
     then in pick order.
 
-    Image i's (n_i, 4) ``boxes`` and (n_i,) ``crowd`` flags are in the frame
-    of ``originals[i]``.
+    Image i's ground truth is rows ``offsets[i]:offsets[i + 1]`` of the
+    run-wide ``gts``, in the frame of its row of the (n, 2) ``sizes``.
     """
-    resized, owners, valid, canvas = _level_boxes(boxes, originals, spec)
-    keep = valid & ~np.concatenate([np.zeros(0, dtype=bool), *crowd])
+    resized, owners, valid, canvas = _level_boxes(gts.boxes, offsets, sizes, spec)
+    keep = valid & ~gts.crowd
     return _cover(resized[keep], owners[keep], canvas, spec, "enclose", 1)
 
 
@@ -423,8 +424,9 @@ def _enclosed(
 
 
 def negative_cover(
-    boxes: list[np.ndarray],
-    originals: list[ImageSize],
+    boxes: np.ndarray,
+    offsets: np.ndarray,
+    sizes: np.ndarray,
     spec: ScaleSpec,
     positive: tuple[np.ndarray, np.ndarray],
     min_proposals: int = 2,
@@ -434,8 +436,9 @@ def negative_cover(
     image index and (p, 4) corners of each lattice cell picked, by image and
     then in pick order.
 
-    Image i's (n_i, 4) proposal ``boxes`` are in the frame of
-    ``originals[i]``; those whose resized area is outside the level's valid
+    Image i's proposals are rows ``offsets[i]:offsets[i + 1]`` of the
+    run-wide (N, 4) ``boxes``, in the frame of its row of the (n, 2)
+    ``sizes``; those whose resized area is outside the level's valid
     range, or that a positive chip of the image at this level encloses, are
     dropped. ``positive`` holds the image index and (q, 4) corners of those
     chips, as :func:`positive_cover` gives them. Cells are then greedily
@@ -447,7 +450,7 @@ def negative_cover(
         raise ValueError(f"unknown membership rule: {membership}")
     if min_proposals < 1:
         raise ValueError("min_proposals must be >= 1")
-    resized, owners, keep, canvas = _level_boxes(boxes, originals, spec)
+    resized, owners, keep, canvas = _level_boxes(boxes, offsets, sizes, spec)
     rect_owners, rects = positive
     order, kept = np.argsort(rect_owners, kind="stable"), np.flatnonzero(keep)
     keep[kept[_enclosed(rects[order], rect_owners[order], resized[kept], owners[kept])]] = False
@@ -462,19 +465,21 @@ def _by_image(
     level = np.repeat(np.arange(len(covers)), [len(image) for image, _ in covers])
     image = np.concatenate([np.zeros(0, dtype=np.intp), *(image for image, _ in covers)])
     rects = np.concatenate([np.zeros((0, 4)), *(rects for _, rects in covers)])
-    order = np.lexsort((level, image))
+    order = np.argsort(image * len(covers) + level, kind="stable")
     return image[order], level[order], rects[order]
 
 
 def select_positive_chips(
-    gts: Sequence[GroundTruthSet],
+    gts: GroundTruthSet,
+    offsets: np.ndarray,
     pyramid: list[ScaleSpec],
-    originals: list[ImageSize],
-    image_ids: Sequence[int],
+    sizes: np.ndarray,
+    image_ids: np.ndarray,
 ) -> tuple[ChipBatch, UncoverableBoxes]:
     """Greedy positive-chip selection over all pyramid levels, for every
-    image at once: image ``image_ids[i]`` of size ``originals[i]`` has the
-    ground truth ``gts[i]``.
+    image at once: image i, with id ``image_ids[i]`` and size ``sizes[i]``
+    (width, height), has rows ``offsets[i]:offsets[i + 1]`` of the run-wide
+    ground truth ``gts``; ``offsets`` runs from 0 to ``len(gts)``.
 
     Per level: resize the ground truth, keep the boxes whose resized area is
     valid there, then repeatedly take the lattice chip enclosing the most
@@ -487,14 +492,14 @@ def select_positive_chips(
     dropped, by image, then level, then gt id.
     """
     n = len(pyramid)
-    not_crowd = ~np.concatenate([np.zeros(0, dtype=bool), *(g.crowd for g in gts)])
-    gt_ids = np.concatenate([np.zeros(0, dtype=np.intp), *(np.arange(len(g)) for g in gts)])
+    not_crowd = ~gts.crowd
+    gt_ids = np.arange(len(gts)) - np.repeat(offsets[:-1], np.diff(offsets))
     covers = []
     # Per row of every level's boxes: its (image, level) key, gt id, resized
     # box and whether it must be covered.
     rows = [(np.zeros(0, dtype=np.intp), gt_ids[:0], np.zeros((0, 4)), not_crowd[:0])]
     for level, spec in enumerate(pyramid):
-        resized, owners, valid, canvas = _level_boxes([g.boxes for g in gts], originals, spec)
+        resized, owners, valid, canvas = _level_boxes(gts.boxes, offsets, sizes, spec)
         keep = valid & not_crowd
         covers.append(_cover(resized[keep], owners[keep], canvas, spec, "enclose", 1))
         rows.append((owners * n + level, gt_ids, resized, keep))
@@ -519,28 +524,31 @@ def select_positive_chips(
 
 
 def select_negative_chips(
-    gts: Sequence[GroundTruthSet],
-    proposals: Sequence[ProposalSet],
+    gts: GroundTruthSet,
+    gt_offsets: np.ndarray,
+    proposals: ProposalSet,
+    proposal_offsets: np.ndarray,
     pyramid: list[ScaleSpec],
-    originals: list[ImageSize],
-    image_ids: Sequence[int],
+    sizes: np.ndarray,
+    image_ids: np.ndarray,
     min_proposals: int = 2,
     membership: str = "center",
 ) -> ChipBatch:
-    """Pool of negative chips for every image at once: image
-    ``image_ids[i]`` of size ``originals[i]`` has the ground truth
-    ``gts[i]`` and the proposals ``proposals[i]``.
+    """Pool of negative chips for every image at once: image i, with id
+    ``image_ids[i]`` and size ``sizes[i]``, has rows
+    ``gt_offsets[i]:gt_offsets[i + 1]`` of the run-wide ground truth
+    ``gts`` and rows ``proposal_offsets[i]:proposal_offsets[i + 1]`` of the
+    run-wide ``proposals``.
 
     Per level, :func:`negative_cover` covers the proposals that the level's
     positive chips, those of :func:`select_positive_chips`, do not enclose,
     with ``min_proposals`` and ``membership``. Chips come by image, then
     level, then pick order.
     """
-    boxes, crowd = [g.boxes for g in gts], [g.crowd for g in gts]
     image, level, rects = _by_image([
         negative_cover(
-            [p.boxes for p in proposals], originals, spec,
-            positive_cover(boxes, crowd, originals, spec), min_proposals, membership,
+            proposals.boxes, proposal_offsets, sizes, spec,
+            positive_cover(gts, gt_offsets, sizes, spec), min_proposals, membership,
         )
         for spec in pyramid
     ])

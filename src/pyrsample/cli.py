@@ -37,8 +37,8 @@ from .costing import (
 )
 from .dataset import MAX_ID, DatasetError, DatasetIndex, load_dataset, voc_to_coco
 from .focus_chips import FocusParams, chips_from_maps
-from .focus_labels import LabelMap, focus_label_cells, focus_pixel_stats
-from .geometry import DetectionBatch, ImageSize, canvas_sizes, size_array
+from .focus_labels import MAX_MAP_CELLS, LabelMap, focus_label_cells, focus_pixel_stats
+from .geometry import DetectionBatch, ImageSize, canvas_sizes
 from .range_labels import filter_detections_by_range
 from .serialization import FormatError, json_ints, json_number_rows, json_numbers
 from .stacking import project_to_image, prune_boundary_detections, suppress
@@ -65,18 +65,23 @@ def _map_over_images(fn, payloads):
         return list(pool.map(fn, payloads, chunksize=8))
 
 
+def _in_id_order(index: DatasetIndex, keep: np.ndarray | None = None) -> DatasetIndex:
+    """The images of ``index`` in ascending id order; only those where the
+    per-image mask ``keep`` is set, when it is given."""
+    order = np.argsort(index.image_ids)
+    return index.take(order if keep is None else order[keep[order]])
+
+
 def cmd_chips_positive(args) -> int:
     cfg = load_config(args.config)
-    index = load_dataset(args.annotations)
-    image_ids = index.image_ids
+    index = _in_id_order(load_dataset(args.annotations))
     chips, uncoverable = select_positive_chips(
-        [index.annotations[iid] for iid in image_ids], cfg.pyramid,
-        [index.images[iid].size for iid in image_ids], image_ids,
+        index.gt_set, index.gt_offsets, cfg.pyramid, index.sizes, index.image_ids
     )
     ser.save_chip_records(args.out, chips)
     if args.diagnostics:
         ser.save_uncoverable_records(args.diagnostics, uncoverable)
-    print(f"wrote {len(chips)} positive chips for {len(image_ids)} images to {args.out}")
+    print(f"wrote {len(chips)} positive chips for {len(index.image_ids)} images to {args.out}")
     if len(uncoverable):
         print(f"{len(uncoverable)} valid boxes fit no chip (see --diagnostics)", file=sys.stderr)
     return 0
@@ -85,13 +90,11 @@ def cmd_chips_positive(args) -> int:
 def cmd_chips_negative(args) -> int:
     cfg = load_config(args.config)
     index = load_dataset(args.annotations, proposals_path=args.proposals)
-    image_ids = [
-        iid for iid in index.image_ids if iid in index.proposals and len(index.proposals[iid].boxes)
-    ]
+    index = _in_id_order(index, np.diff(index.proposal_offsets) > 0)
     pool = select_negative_chips(
-        [index.annotations[iid] for iid in image_ids], [index.proposals[iid] for iid in image_ids],
-        cfg.pyramid, [index.images[iid].size for iid in image_ids], image_ids,
-        cfg.min_neg_proposals, cfg.negative_membership,
+        index.gt_set, index.gt_offsets, index.proposal_set, index.proposal_offsets,
+        cfg.pyramid, index.sizes, index.image_ids, cfg.min_neg_proposals,
+        cfg.negative_membership,
     )
     sampled = sample_negative_chips(pool, cfg.n_negative_per_image, seed=cfg.seed)
     ser.save_negative_chip_records(args.out, pool, sampled)
@@ -107,18 +110,30 @@ def _focus_labels_worker(payload):
 
 def cmd_focus_labels(args) -> int:
     cfg = load_config(args.config)
-    index = load_dataset(args.annotations)
+    index = _in_id_order(load_dataset(args.annotations))
     by_id = {s.scale_id: s for s in cfg.pyramid}
     if args.scale not in by_id:
         raise ConfigError(f"scale {args.scale} not in pyramid {sorted(by_id)}")
-    sizes = [index.images[iid].size for iid in index.image_ids]
-    canvases = canvas_sizes(by_id[args.scale], size_array(sizes)).tolist()
+    canvases = canvas_sizes(by_id[args.scale], index.sizes)
+    # A grid side is below 2^32, so each product fits uint64.
+    cells = np.prod(-(-canvases // cfg.stride), axis=1, dtype=np.uint64)
+    over = np.flatnonzero(cells > MAX_MAP_CELLS)
+    if len(over):
+        k = over[0]
+        raise ValueError(
+            f"image {index.image_ids[k]}: its label map at scale {args.scale} would hold "
+            f"{cells[k]} cells, more than the {MAX_MAP_CELLS} a map may hold"
+        )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     thresholds = (cfg.focus_min_side, cfg.focus_max_side, cfg.focus_ignore_max_side)
+    bounds = index.gt_offsets.tolist()
     payloads = [
-        (iid, index.annotations[iid].boxes, size, ImageSize(*canvas), cfg.stride, thresholds)
-        for iid, size, canvas in zip(index.image_ids, sizes, canvases)
+        (iid, index.gt_set.boxes[lo:hi], ImageSize(*size), ImageSize(*canvas), cfg.stride,
+         thresholds)
+        for iid, lo, hi, size, canvas in zip(
+            index.image_ids.tolist(), bounds, bounds[1:], index.sizes.tolist(), canvases.tolist()
+        )
     ]
     for image_id, label_map in _map_over_images(_focus_labels_worker, payloads):
         path = out_dir / f"{image_id}_s{args.scale}.fmap"
@@ -289,9 +304,10 @@ def _stack(
         records, _parse_stack_records,
         lambda position, _, problem: FormatError(f"{source}: record {position}: {problem}"),
     )
+    row_of = dict(zip(index.image_ids.tolist(), range(len(index.image_ids))))
     n_ok = 0
     for image_id, scale_id in zip(run.image_ids, run.scale_ids):
-        if image_id not in index.images:
+        if image_id not in row_of:
             error = FormatError(f"detections reference unknown image id {image_id}")
             break
         if scale_id not in by_scale:
@@ -302,8 +318,7 @@ def _stack(
     rank = {image_id: k for k, image_id in enumerate(image_ids)}
     image = np.array([rank[i] for i in run.image_ids[:n_ok]], dtype=np.intp)
     scale = np.array(run.scale_ids[:n_ok], dtype=np.int64)
-    sizes = [index.images[i].size for i in run.image_ids[:n_ok]]
-    originals = np.array([(s.width, s.height) for s in sizes], dtype=np.float64).reshape(-1, 2)
+    originals = index.sizes[[row_of[i] for i in run.image_ids[:n_ok]]].astype(np.float64)
 
     n_rows = int(np.searchsorted(run.record, n_ok))  # the rows of records before n_ok
     rows = _kept_rows(run, n_rows, scale, by_scale, cfg.boundary_eps)
@@ -349,18 +364,14 @@ def cmd_stack(args) -> int:
     return 0
 
 
-def _stats_common(args) -> tuple[PipelineConfig, DatasetIndex, dict, dict]:
+def cmd_stats(args) -> int:
     cfg = load_config(args.config)
     index = load_dataset(args.annotations)
-    return cfg, index, index.annotations, index.sizes()
-
-
-def cmd_stats(args) -> int:
-    cfg, index, gts, sizes = _stats_common(args)
+    columns = (index.gt_set, index.gt_offsets, index.sizes)
     out = Path(args.out) if args.out else None
     dilation = cfg.focus_params.dilation if args.dilation is None else args.dilation
     if args.which == "roiscale":
-        hist = roi_scale_histogram(gts, sizes, n_bins=args.bins)
+        hist = roi_scale_histogram(*columns, n_bins=args.bins)
         payload = {
             "n_instances": hist.n_instances,
             "deciles": [float(v) for v in hist.deciles],
@@ -382,7 +393,7 @@ def cmd_stats(args) -> int:
             )
         print(f"roi scale deciles: {[round(float(v), 4) for v in hist.deciles]}")
     elif args.which == "areafractions":
-        bands = size_area_fractions(gts, sizes)
+        bands = size_area_fractions(*columns)
         payload = {
             band.name: {
                 "instance_fraction": band.instance_fraction,
@@ -400,8 +411,7 @@ def cmd_stats(args) -> int:
             )
     elif args.which == "focuspixels":
         stats = focus_pixel_stats(
-            gts,
-            sizes,
+            *columns,
             cfg.pyramid,
             stride=cfg.stride,
             min_side=cfg.focus_min_side,
@@ -428,8 +438,7 @@ def cmd_stats(args) -> int:
     elif args.which == "speedup":
         ks = [int(v) for v in args.k.split(",")]
         curve = speedup_upper_bound(
-            gts,
-            sizes,
+            *columns,
             cfg.pyramid,
             ks,
             stride=cfg.stride,

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import GroundTruthSet, ImageSize, ScaleSpec, canvas_sizes, size_array
+from .geometry import GroundTruthSet, ImageSize, ScaleSpec, canvas_sizes
 from .focus_labels import (
     DEFAULT_IGNORE_MAX_SIDE,
     DEFAULT_MAX_SIDE,
@@ -121,8 +121,9 @@ def aggregate_cost_reports(reports: Sequence[CostReport]) -> CostReport:
 
 
 def speedup_upper_bound(
-    gts_by_image: Mapping[object, GroundTruthSet],
-    sizes_by_image: Mapping[object, ImageSize],
+    gts: GroundTruthSet,
+    offsets: np.ndarray,
+    sizes: np.ndarray,
     pyramid: list[ScaleSpec],
     min_chip_sizes: Sequence[int],
     stride: int = DEFAULT_STRIDE,
@@ -134,6 +135,8 @@ def speedup_upper_bound(
 ) -> list[tuple[int, float]]:
     """Speed-up attainable with perfectly predicted focus regions.
 
+    Image i has size ``sizes[i]`` (width, height) and the rows
+    ``offsets[i]:offsets[i + 1]`` of the run-wide ground truth ``gts``.
     For every image and pyramid level, ground-truth focus cells (probability
     1 on focus labels, 0 elsewhere) are turned into chips with the standard
     generation pipeline, sweeping the minimum chip side ``k``; the same ``k``
@@ -148,7 +151,7 @@ def speedup_upper_bound(
     their components are shared by every ``k``. Each map's chip areas are
     summed in chip order and added map by map in (image, level) order.
     """
-    if not gts_by_image:
+    if not len(sizes):
         raise ValueError("no images in dataset")
     if not min_chip_sizes:
         raise ValueError("no chip sizes to sweep")
@@ -157,22 +160,21 @@ def speedup_upper_bound(
     if min(min_chip_sizes) < 1:
         raise ValueError(f"chip sizes must be >= 1: {list(min_chip_sizes)}")
     check_kernel_size(dilation, "dilation")
-    boxes = [gts.boxes for gts in gts_by_image.values()]
-    originals = size_array(sizes_by_image[image_id] for image_id in gts_by_image)
     # Per (image, level): the canvas and its area as a float64 product, which
     # rounds as the int area converts.
-    canvases = np.zeros((len(originals), len(pyramid), 2), dtype=np.int64)
+    canvases = np.zeros((len(sizes), len(pyramid), 2), dtype=np.int64)
     for level, spec in enumerate(pyramid):
-        canvases[:, level] = canvas_sizes(spec, originals)
+        canvases[:, level] = canvas_sizes(spec, sizes)
     areas = canvases[..., 0] * canvases[..., 1].astype(np.float64)
     # The levels that are maps; the coarsest may be charged as a full pass.
     mapped = np.arange(int(process_coarsest_fully), len(pyramid))
     processed = dict.fromkeys(min_chip_sizes, 0.0)
-    for lo, hi in image_blocks(boxes, len(pyramid)):
+    for lo, hi in image_blocks(offsets, len(pyramid)):
         images = np.repeat(np.arange(lo, hi), len(mapped))
         limits = canvases[lo:hi, mapped].reshape(-1, 2)
         spans, owners, grids = focus_spans(
-            boxes, originals, images, limits, stride, min_side, max_side, ignore_max_side
+            gts.boxes, offsets, sizes, images, limits, stride, min_side, max_side,
+            ignore_max_side,
         )
         bounds, comp_maps = span_components(dilate_spans(spans, owners, grids, dilation), owners)
         # Per (image, level) of the block: the area charged for a full pass,
@@ -204,24 +206,22 @@ def _map_sums(values: np.ndarray, maps: np.ndarray, n_maps: int) -> np.ndarray:
     return sums
 
 
+def _image_areas(sizes: np.ndarray) -> np.ndarray:
+    """The area of each of the (n, 2) int ``sizes`` as a float64 product,
+    which rounds as the exact int product does."""
+    return sizes[:, 0] * sizes[:, 1].astype(np.float64)
+
+
 def _box_areas(
-    gts_by_image: Mapping[object, GroundTruthSet],
-    sizes_by_image: Mapping[object, ImageSize],
-    exclude_crowd: bool,
+    gts: GroundTruthSet, offsets: np.ndarray, sizes: np.ndarray, exclude_crowd: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every box's area, (x2 - x1) * (y2 - y1), and the area of its image,
-    image by image in mapping order; crowd boxes are left out when
-    ``exclude_crowd`` is set."""
-    sets = list(gts_by_image.values())
-    boxes = np.concatenate([np.zeros((0, 4)), *(g.boxes for g in sets)])
-    image_areas = np.repeat(
-        [float(sizes_by_image[image_id].area) for image_id in gts_by_image],
-        [len(g) for g in sets],
-    )
+    in run order; crowd boxes are left out when ``exclude_crowd`` is set."""
+    boxes = gts.boxes
+    image_areas = np.repeat(_image_areas(sizes), np.diff(offsets))
     areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
     if exclude_crowd:
-        keep = ~np.concatenate([np.zeros(0, dtype=bool), *(g.crowd for g in sets)])
-        return areas[keep], image_areas[keep]
+        return areas[~gts.crowd], image_areas[~gts.crowd]
     return areas, image_areas
 
 
@@ -243,16 +243,19 @@ class RoiScaleHistogram:
 
 
 def roi_scale_histogram(
-    gts_by_image: Mapping[object, GroundTruthSet],
-    sizes_by_image: Mapping[object, ImageSize],
+    gts: GroundTruthSet,
+    offsets: np.ndarray,
+    sizes: np.ndarray,
     n_bins: int = 50,
     exclude_crowd: bool = False,
 ) -> RoiScaleHistogram:
     """Normalized histogram of object scale relative to its image, in
-    ``n_bins`` equal bins over [0, 1], 1 <= n_bins <= MAX_HISTOGRAM_BINS."""
+    ``n_bins`` equal bins over [0, 1], 1 <= n_bins <= MAX_HISTOGRAM_BINS.
+    Image i has size ``sizes[i]`` and the rows ``offsets[i]:offsets[i + 1]``
+    of the run-wide ground truth ``gts``."""
     if not 1 <= n_bins <= MAX_HISTOGRAM_BINS:
         raise ValueError(f"bins must be in [1, {MAX_HISTOGRAM_BINS}]: {n_bins}")
-    areas, image_areas = _box_areas(gts_by_image, sizes_by_image, exclude_crowd)
+    areas, image_areas = _box_areas(gts, offsets, sizes, exclude_crowd)
     if not len(areas):
         raise ValueError("no instances in dataset")
     # math.sqrt(box area) / math.sqrt(image area), per box.
@@ -277,8 +280,9 @@ class SizeBandStats:
 
 
 def size_area_fractions(
-    gts_by_image: Mapping[object, GroundTruthSet],
-    sizes_by_image: Mapping[object, ImageSize],
+    gts: GroundTruthSet,
+    offsets: np.ndarray,
+    sizes: np.ndarray,
     bands: Sequence[tuple[str, float, float]] = SIZE_BANDS,
     exclude_crowd: bool = False,
 ) -> list[SizeBandStats]:
@@ -287,14 +291,15 @@ def size_area_fractions(
     The area fraction of a band is the summed box area of its instances over
     the summed area of all images, so it answers "how much of the dataset's
     pixels do objects of this size cover". Bands are half-open [lo, hi) in
-    squared pixels of the original frame.
+    squared pixels of the original frame. Image i has size ``sizes[i]`` and
+    the rows ``offsets[i]:offsets[i + 1]`` of the run-wide ground truth
+    ``gts``.
     """
-    if not gts_by_image:
+    if not len(sizes):
         raise ValueError("no images in dataset")
-    total_image_area = 0.0
-    for image_id in gts_by_image:
-        total_image_area += sizes_by_image[image_id].area
-    areas, _ = _box_areas(gts_by_image, sizes_by_image, exclude_crowd)
+    # Image areas are added one by one in image order, as a Python loop adds them.
+    total_image_area = float(np.cumsum(np.append(0.0, _image_areas(sizes)))[-1])
+    areas, _ = _box_areas(gts, offsets, sizes, exclude_crowd)
     n_total = len(areas)
     if n_total == 0:
         raise ValueError("no instances in dataset")

@@ -10,7 +10,6 @@ Positive labels take precedence when several objects overlap one block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -20,6 +19,10 @@ DEFAULT_STRIDE = 32
 DEFAULT_MIN_SIDE = 5.0
 DEFAULT_MAX_SIDE = 64.0
 DEFAULT_IGNORE_MAX_SIDE = 90.0
+
+# The most cells a dense label map may hold, so that the annotations cannot
+# ask ``focus labels`` for an arbitrary allocation: 256 MiB of int8 cells.
+MAX_MAP_CELLS = 1 << 28
 
 FOCUS = 1
 BACKGROUND = 0
@@ -121,8 +124,8 @@ def _cell_spans(
 
 
 def _focus_rows(
-    boxes: list[np.ndarray], originals: np.ndarray, images: np.ndarray, canvases: np.ndarray,
-    min_side: float, max_side: float, ignore_max_side: float,
+    boxes: np.ndarray, offsets: np.ndarray, originals: np.ndarray, images: np.ndarray,
+    canvases: np.ndarray, min_side: float, max_side: float, ignore_max_side: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The front end of the focus spans: every map's boxes rescaled to its
     canvas by :func:`~pyrsample.geometry.level_boxes`, their map indices,
@@ -133,7 +136,7 @@ def _focus_rows(
     """
     if not (min_side < max_side < ignore_max_side):
         raise ValueError(f"thresholds must increase: {min_side}, {max_side}, {ignore_max_side}")
-    resized, owners = level_boxes(boxes, originals, images, canvases)
+    resized, owners = level_boxes(boxes, offsets, originals, images, canvases)
     extent = resized[:, 2:] - resized[:, :2]
     side = np.sqrt(extent[:, 0] * extent[:, 1])
     return resized, owners, (min_side < side) & (side < max_side), side <= ignore_max_side
@@ -154,8 +157,8 @@ def focus_label_cells(
     painted as cell spans; see :func:`build_focus_label_map` for the rules.
     """
     resized, _, focus, marked = _focus_rows(
-        [boxes], size_array([original]), np.zeros(1, dtype=np.intp), size_array([canvas]),
-        min_side, max_side, ignore_max_side,
+        boxes, np.array([0, len(boxes)]), size_array([original]), np.zeros(1, dtype=np.intp),
+        size_array([canvas]), min_side, max_side, ignore_max_side,
     )
     h, w = grid_shape(canvas, stride)
     cells = np.zeros((h, w), dtype=np.int8)
@@ -226,8 +229,9 @@ class FocusPixelScaleStats:
 
 
 def focus_pixel_stats(
-    gts_by_image: Mapping[object, GroundTruthSet],
-    sizes_by_image: Mapping[object, ImageSize],
+    gts: GroundTruthSet,
+    offsets: np.ndarray,
+    sizes: np.ndarray,
     pyramid: list[ScaleSpec],
     stride: int = DEFAULT_STRIDE,
     min_side: float = DEFAULT_MIN_SIDE,
@@ -237,6 +241,8 @@ def focus_pixel_stats(
 ) -> dict[int, FocusPixelScaleStats]:
     """Dataset-level focus-cell fractions per pyramid level.
 
+    Image i has size ``sizes[i]`` (width, height) and the rows
+    ``offsets[i]:offsets[i + 1]`` of the run-wide ground truth ``gts``.
     For each level: rescale every image's ground truth, take its focus mask,
     and accumulate focus-cell counts before and after binary dilation of the
     mask by a ``dilation`` x ``dilation`` square kernel (odd, >= 1). The
@@ -248,25 +254,23 @@ def focus_pixel_stats(
     from .focus_spans import dilate_spans, focus_spans, image_blocks, union_cells
 
     check_kernel_size(dilation, "dilation")
-    if not gts_by_image:
+    n = len(sizes)
+    if not n:
         raise ValueError("no images in dataset")
-    missing = [k for k in gts_by_image if k not in sizes_by_image]
-    if missing:
-        raise ValueError(f"images without a recorded size: {missing[:5]}")
-    boxes = [gts.boxes for gts in gts_by_image.values()]
-    originals = size_array(sizes_by_image[image_id] for image_id in gts_by_image)
-    n = len(originals)
-    blocks = list(image_blocks(boxes, 1))
+    if len(offsets) != n + 1:
+        raise ValueError(f"images without a recorded size: {len(offsets) - 1} with ground "
+                         f"truth, {n} with a size")
+    blocks = list(image_blocks(offsets, 1))
     cell_area = stride * stride
     stats: dict[int, FocusPixelScaleStats] = {}
     for spec in pyramid:
-        canvases = canvas_sizes(spec, originals)
+        canvases = canvas_sizes(spec, sizes)
         counts: list[int] = []
         total_cells = 0
         dilated = 0
         for lo, hi in blocks:
             spans, owners, grids = focus_spans(
-                boxes, originals, np.arange(lo, hi), canvases[lo:hi], stride,
+                gts.boxes, offsets, sizes, np.arange(lo, hi), canvases[lo:hi], stride,
                 min_side, max_side, ignore_max_side,
             )
             counts += union_cells(spans, owners, hi - lo).tolist()

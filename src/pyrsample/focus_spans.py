@@ -28,7 +28,8 @@ from .focus_labels import _cell_spans, _focus_rows
 
 
 def focus_spans(
-    boxes: list[np.ndarray],
+    boxes: np.ndarray,
+    offsets: np.ndarray,
     originals: np.ndarray,
     images: np.ndarray,
     canvases: np.ndarray,
@@ -41,16 +42,17 @@ def focus_spans(
     indices in map order, and each map's grid as (m, 2) (width, height)
     cells.
 
-    Map k is image ``images[k]``'s (n, 4) ``boxes``, in the frame of its
-    row of the (n_images, 2) int ``originals``, rescaled to the map's row of
-    the (m, 2) int ``canvases`` by
+    Map k is image ``images[k]``'s rows ``offsets[i]:offsets[i + 1]`` of the
+    run-wide (N, 4) ``boxes``, in the frame of its row of the (n_images, 2)
+    int ``originals``, rescaled to the map's row of the (m, 2) int
+    ``canvases`` by
     :func:`~pyrsample.geometry.level_boxes`; its grid is the canvas
     ceil-divided by ``stride``. Its focus boxes are those of
     :func:`~pyrsample.focus_labels.focus_label_cells`, by the one side rule
     of :func:`~pyrsample.focus_labels._focus_rows`.
     """
     resized, owners, focus, _ = _focus_rows(
-        boxes, originals, images, canvases, min_side, max_side, ignore_max_side
+        boxes, offsets, originals, images, canvases, min_side, max_side, ignore_max_side
     )
     grids = -(-canvases // stride)
     owners = owners[focus]
@@ -71,28 +73,38 @@ def dilate_spans(
     return np.minimum(np.maximum(grown, 0), np.tile(grids[owners], 2))
 
 
+def _packed(owners: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The int64 keys owner * 2^32 + value, which order the pairs (owner,
+    value) lexicographically: owners in [0, 2^31) and values in [0, 2^32)."""
+    return owners.astype(np.int64) << 32 | values.astype(np.int64)
+
+
 def _distinct(owners: np.ndarray, values: np.ndarray):
     """Per owner, the sorted distinct ``values``: the distinct values, their
-    owners, and the index of each input into them."""
-    order = np.lexsort((values, owners))
-    v, o = values[order], owners[order]
-    new = np.ones(len(v), dtype=bool)
-    new[1:] = (v[1:] != v[:-1]) | (o[1:] != o[:-1])
-    index = np.empty(len(v), dtype=np.intp)
+    owners, and the index of each input into them. Owners lie in [0, 2^31)
+    and values in [0, 2^32)."""
+    key = _packed(owners, values)
+    order = np.argsort(key)
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    index = np.empty(len(key), dtype=np.intp)
     index[order] = np.cumsum(new) - 1
-    return v[new], o[new], index
+    first = order[new]
+    return values[first], owners[first], index
 
 
 # Box rows, one per box and map, that the statistics rescale at once, which
 # bounds the temporaries of a batch of images.
-_ROW_BLOCK = 1 << 12
+_ROW_BLOCK = 1 << 14
 
 
-def image_blocks(boxes: list[np.ndarray], n_levels: int):
-    """Ranges [lo, hi) of consecutive images whose ``boxes`` at ``n_levels``
-    levels make about ``_ROW_BLOCK`` rows; an image counts one row more per
-    level for its map."""
-    return _blocks((np.array([len(b) for b in boxes]) + 1) * n_levels, _ROW_BLOCK)
+def image_blocks(offsets: np.ndarray, n_levels: int):
+    """Ranges [lo, hi) of consecutive images whose boxes, rows
+    ``offsets[i]:offsets[i + 1]`` of the run, make about ``_ROW_BLOCK`` rows
+    at ``n_levels`` levels; an image counts one row more per level for its
+    map."""
+    return _blocks((np.diff(offsets) + 1) * n_levels, _ROW_BLOCK)
 
 
 # Elementary rectangles plus span-column pairs that union_cells holds at
@@ -159,17 +171,11 @@ def _count_at_most(
     owners: np.ndarray, keys: np.ndarray, query_owners: np.ndarray, queries: np.ndarray
 ) -> np.ndarray:
     """For each i, the number of pairs (owners[j], keys[j]) that are at most
-    (query_owners[i], queries[i]) in lexicographic order."""
-    n = len(keys)
-    is_query = np.repeat([False, True], [n, len(queries)])
-    order = np.lexsort(
-        (is_query, np.concatenate([keys, queries]), np.concatenate([owners, query_owners]))
+    (query_owners[i], queries[i]) in lexicographic order. Owners lie in
+    [0, 2^31), and keys and queries in [0, 2^32)."""
+    return np.searchsorted(
+        np.sort(_packed(owners, keys)), _packed(query_owners, queries), side="right"
     )
-    keys_so_far = np.cumsum(~is_query[order])
-    asked = is_query[order]
-    out = np.empty(len(queries), dtype=np.intp)
-    out[order[asked] - n] = keys_so_far[asked]
-    return out
 
 
 def span_components(spans: np.ndarray, owners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -76,6 +76,31 @@ def gt_sets(rows_by_image: dict) -> dict:
     return {image_id: gt_set(rows) for image_id, rows in rows_by_image.items()}
 
 
+def box_columns(boxes: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per-image (n_i, 4) box arrays as run-wide columns: the stacked
+    (N, 4) boxes and their (n + 1,) offsets."""
+    return np.concatenate([np.zeros((0, 4)), *boxes]), np.cumsum([0] + [len(b) for b in boxes])
+
+
+def gt_columns(rows_by_image: dict, sizes_by_image: dict) -> tuple:
+    """The run-wide columns of a dataset given per image id, images in the
+    order of ``rows_by_image``: one :class:`GroundTruthSet` of every image's
+    rows (a set, or rows for :func:`gt_set`), their (n + 1,) offsets, and
+    the (n, 2) int64 sizes (width, height) from ``sizes_by_image``."""
+    sets = [g if isinstance(g, GroundTruthSet) else gt_set(g) for g in rows_by_image.values()]
+    sizes = [sizes_by_image[image_id] for image_id in rows_by_image]
+    boxes, offsets = box_columns([g.boxes for g in sets])
+    return (
+        GroundTruthSet(
+            boxes,
+            np.concatenate([np.zeros(0, dtype=np.int64), *(g.class_ids for g in sets)]),
+            np.concatenate([np.zeros(0, dtype=bool), *(g.crowd for g in sets)]),
+        ),
+        offsets,
+        np.array([(s.width, s.height) for s in sizes], dtype=np.int64).reshape(-1, 2),
+    )
+
+
 def detection_batch(rows) -> DetectionBatch:
     """A batch of (box, score, class_id) rows, each box x1, y1, x2, y2."""
     rows = list(rows)

@@ -212,6 +212,38 @@ def encloses_oracle(outer: BoundingBox, inner: BoundingBox) -> bool:
     )
 
 
+def distinct_oracle(owners: np.ndarray, values: np.ndarray):
+    """The lexsort form of ``focus_spans._distinct``: per owner, the sorted
+    distinct ``values``, their owners, and the index of each input into
+    them."""
+    order = np.lexsort((values, owners))
+    v, o = values[order], owners[order]
+    new = np.ones(len(v), dtype=bool)
+    new[1:] = (v[1:] != v[:-1]) | (o[1:] != o[:-1])
+    index = np.empty(len(v), dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return v[new], o[new], index
+
+
+def count_at_most_oracle(
+    owners: np.ndarray, keys: np.ndarray, query_owners: np.ndarray, queries: np.ndarray
+) -> np.ndarray:
+    """The lexsort form of ``focus_spans._count_at_most``: for each i, the
+    number of pairs (owners[j], keys[j]) at most (query_owners[i],
+    queries[i]) in lexicographic order. Pairs and queries are sorted
+    together, a pair before an equal query."""
+    n = len(keys)
+    is_query = np.repeat([False, True], [n, len(queries)])
+    order = np.lexsort(
+        (is_query, np.concatenate([keys, queries]), np.concatenate([owners, query_owners]))
+    )
+    keys_so_far = np.cumsum(~is_query[order])
+    asked = is_query[order]
+    out = np.empty(len(queries), dtype=np.intp)
+    out[order[asked] - n] = keys_so_far[asked]
+    return out
+
+
 def greedy_cover_oracle(
     cells: list[BoundingBox], targets: list[BoundingBox]
 ) -> tuple[list[int], list[int]]:

@@ -27,7 +27,7 @@ from pyrsample.geometry import BoundingBox, DetectionRow, ImageSize, ScaleSpec, 
 from pyrsample.range_labels import assign_roi_labels, invalidate_anchors
 from pyrsample.stacking import MergePolicy, merge_detections, project_to_image, prune_boundary_detections
 
-from conftest import EXCERPT_PATH, REFERENCE_PATH, detection_batch, gt_set
+from conftest import EXCERPT_PATH, REFERENCE_PATH, detection_batch, gt_columns, gt_set
 from oracles import (
     Gt,
     anchor_validity_oracle,
@@ -80,9 +80,8 @@ def test_criterion_1_coverage_guarantee():
                 gts.append(Gt(BoundingBox(x, y, x + bw, y + bh), 1))
             scenes.append(gts)
             originals.append(ImageSize(w, h))
-        chips, diagnostics = select_positive_chips(
-            [gt_set(gts) for gts in scenes], pyramid, originals, range(1000)
-        )
+        gts, offsets, sizes = gt_columns(dict(enumerate(scenes)), dict(enumerate(originals)))
+        chips, diagnostics = select_positive_chips(gts, offsets, pyramid, sizes, np.arange(1000))
         flagged = set(zip(diagnostics.image_ids.tolist(), diagnostics.scale_ids.tolist(),
                           diagnostics.gt_ids.tolist()))
         rects = {}
@@ -227,14 +226,14 @@ def test_criterion_5_annotation_statistics(coco_val2017_path):
         start = time.perf_counter()
         index, real = _dataset(coco_val2017_path)
         cfg = coco_default()
-        gts, sizes = index.annotations, index.sizes()
+        columns = (index.gt_set, index.gt_offsets, index.sizes)
 
-        bands = {b.name: b for b in size_area_fractions(gts, sizes)}
+        bands = {b.name: b for b in size_area_fractions(*columns)}
         # the published claim: ~40% of instances are small yet cover ~0.3% of area
         assert bands["small"].instance_fraction == pytest.approx(0.40, abs=0.03)
         assert bands["small"].area_fraction == pytest.approx(0.003, abs=0.002)
 
-        stats = focus_pixel_stats(gts, sizes, cfg.pyramid, dilation=3)
+        stats = focus_pixel_stats(*columns, cfg.pyramid, dilation=3)
         finest = max(stats)
         middle = sorted(stats)[-2]
         if real:
@@ -245,7 +244,7 @@ def test_criterion_5_annotation_statistics(coco_val2017_path):
             assert stats[middle].fraction_dilated == pytest.approx(0.18, abs=0.02)
         else:
             ref = _load_reference()
-            assert index.image_ids == list(range(1, ref["n_images"] + 1))
+            assert index.image_ids.tolist() == list(range(1, ref["n_images"] + 1))
             for sid, s in stats.items():
                 want = ref["focus_pixels"][str(sid)]
                 assert s.fraction == pytest.approx(want["fraction"], abs=1e-12)
@@ -273,7 +272,7 @@ def test_criterion_6_speedup_upper_bound(coco_val2017_path):
         cfg = coco_default()
         ks = [32, 64, 128, 256, 512]
         curve = speedup_upper_bound(
-            index.annotations, index.sizes(), cfg.pyramid, ks, dilation=3
+            index.gt_set, index.gt_offsets, index.sizes, cfg.pyramid, ks, dilation=3
         )
         speeds = dict(curve)
         ordered = [speeds[k] for k in ks]

@@ -23,10 +23,18 @@ from pyrsample.chips import (
     select_negative_chips,
     select_positive_chips,
 )
-from pyrsample.geometry import BoundingBox, ImageSize, MaxSideTarget, ScaleSpec, boxes_array
+from pyrsample.geometry import (
+    BoundingBox,
+    GroundTruthSet,
+    ImageSize,
+    MaxSideTarget,
+    ScaleSpec,
+    boxes_array,
+    size_array,
+)
 from pyrsample.range_labels import assign_roi_labels, valid_area_mask
 
-from conftest import gt_set
+from conftest import box_columns, gt_columns, gt_set
 from oracles import (
     Gt,
     attach_gt_oracle,
@@ -100,9 +108,26 @@ class TestBuildChipGrid:
         assert max(c[3] for c in cells) == 700
 
 
+def positive_chips(gts, pyramid, sizes, image_ids):
+    """:func:`select_positive_chips` on per-image ground truth (sets or
+    ``Gt`` rows) and ``ImageSize``s."""
+    columns, offsets, size_rows = gt_columns(dict(enumerate(gts)), dict(enumerate(sizes)))
+    return select_positive_chips(columns, offsets, pyramid, size_rows, image_ids)
+
+
+def negative_chips(gts, proposals, pyramid, sizes, image_ids, **kwargs):
+    """:func:`select_negative_chips` on per-image ground truth, per-image
+    ``ProposalSet``s and ``ImageSize``s."""
+    columns, offsets, size_rows = gt_columns(dict(enumerate(gts)), dict(enumerate(sizes)))
+    boxes, proposal_offsets = box_columns([p.boxes for p in proposals])
+    scores = np.concatenate([np.zeros(0), *(p.scores for p in proposals)])
+    return select_negative_chips(columns, offsets, ProposalSet(boxes, scores), proposal_offsets,
+                                 pyramid, size_rows, image_ids, **kwargs)
+
+
 def select_one(gts, pyramid, size):
     """:func:`select_positive_chips` on one image, id 0, from its ``Gt`` rows."""
-    return select_positive_chips([gt_set(gts)], pyramid, [size], [0])
+    return positive_chips([gts], pyramid, [size], [0])
 
 
 def is_valid(box, spec):
@@ -150,7 +175,7 @@ class TestSelectPositiveChips:
         sizes = [ImageSize(int(rng.integers(100, 900)), int(rng.integers(100, 900)))
                  for _ in range(30)]
         scenes = [random_scene(rng, size, 12, 200) for size in sizes]
-        chips, diag = select_positive_chips([gt_set(g) for g in scenes], pyramid, sizes,
+        chips, diag = positive_chips(scenes, pyramid, sizes,
                                             range(30))
         flagged = set(zip(diag.image_ids.tolist(), diag.gt_ids.tolist()))
         for image_id, gts in enumerate(scenes):
@@ -182,7 +207,7 @@ class TestSelectPositiveChips:
             sizes.append(size)
             scenes.append(gts)
         image_ids = [3 * k + 1 for k in range(40)]
-        chips, _ = select_positive_chips([gt_set(g) for g in scenes], pyramid, sizes, image_ids)
+        chips, _ = positive_chips(scenes, pyramid, sizes, image_ids)
         assert len(chips) > 40
         for chip in chips:
             k = image_ids.index(chip.image_id)
@@ -198,7 +223,7 @@ class TestSelectPositiveChips:
         sizes = [ImageSize(int(rng.integers(100, 500)), int(rng.integers(100, 500)))
                  for _ in range(40)]
         scenes = [random_scene(rng, size, 9, 100) for size in sizes]
-        chips, diag = select_positive_chips([gt_set(g) for g in scenes], [spec], sizes,
+        chips, diag = positive_chips(scenes, [spec], sizes,
                                             range(40))
         assert chips.image_ids.tolist() == sorted(chips.image_ids.tolist())
         for image_id, (size, gts) in enumerate(zip(sizes, scenes)):
@@ -299,7 +324,7 @@ class TestSelectPositiveChips:
 
 def negative_one(proposals, gts, pyramid, size, **kwargs):
     """:func:`select_negative_chips` on one image, id 0, from its ``Gt`` rows."""
-    return select_negative_chips([gt_set(gts)], [proposals], pyramid, [size], [0], **kwargs)
+    return negative_chips([gts], [proposals], pyramid, [size], [0], **kwargs)
 
 
 class TestSelectNegativeChips:
@@ -382,12 +407,12 @@ class TestSelectNegativeChips:
             image_ids = [30 - 7 * k for k in range(len(images))]  # not sorted
             sizes = [original for original, _, _, _ in images]
             scenes = [gt_set(gts) for _, _, gts, _ in images]
-            pool = select_negative_chips(
+            pool = negative_chips(
                 scenes,
                 [ProposalSet(boxes=boxes_array(b), scores=[0.5] * len(b)) for _, b, _, _ in images],
                 pyramid, sizes, image_ids, min_proposals=min_proposals, membership=membership,
             )
-            positives, _ = select_positive_chips(scenes, pyramid, sizes, image_ids)
+            positives, _ = positive_chips(scenes, pyramid, sizes, image_ids)
             assert pool.kind == "negative"
             want = []
             for image_id, (original, boxes, _, positive) in zip(image_ids, images):
@@ -403,7 +428,7 @@ class TestSelectNegativeChips:
                     rects = np.array([r.as_tuple() for scale_id, r in positive
                                       if scale_id == spec.scale_id]).reshape(-1, 4)
                     _, cells = negative_cover(
-                        [boxes_array(boxes)], [original], spec,
+                        boxes_array(boxes), np.array([0, len(boxes)]), size_array([original]), spec,
                         (np.zeros(len(rects), dtype=np.intp), rects), min_proposals, membership,
                     )
                     got += [(spec.scale_id, tuple(r)) for r in cells.tolist()]
@@ -559,10 +584,11 @@ class TestExcerptChipStatistics:
 
         ref = json.loads(REFERENCE_PATH.read_text())["positive_chips"]
         pyramid = coco_default().pyramid
-        image_ids = excerpt_index.image_ids
+        index = excerpt_index
+        image_ids = index.image_ids
+        assert image_ids.tolist() == sorted(image_ids.tolist())
         chips, diag = select_positive_chips(
-            [excerpt_index.annotations[iid] for iid in image_ids], pyramid,
-            [excerpt_index.images[iid].size for iid in image_ids], image_ids,
+            index.gt_set, index.gt_offsets, pyramid, index.sizes, image_ids
         )
         mean = len(chips) / len(image_ids)
         assert mean == pytest.approx(ref["mean_per_image"], abs=1e-12)
@@ -667,9 +693,13 @@ class TestCoverKernel:
     @given(cover_case())
     def test_positive_cover_matches_greedy_oracle(self, case):
         spec, images = case
-        image, cells = positive_cover([b for _, b, _, _ in images],
-                                      [np.array(c, dtype=bool) for _, _, c, _ in images],
-                                      [size for size, _, _, _ in images], spec)
+        boxes, offsets = box_columns([b for _, b, _, _ in images])
+        crowd = np.concatenate([np.zeros(0, dtype=bool),
+                                *(np.array(c, dtype=bool) for _, _, c, _ in images)])
+        image, cells = positive_cover(
+            GroundTruthSet(boxes, np.zeros(len(boxes), dtype=np.int64), crowd), offsets,
+            size_array([size for size, _, _, _ in images]), spec,
+        )
         assert np.array_equal(image, np.sort(image))
         for k, (size, boxes, crowd, _) in enumerate(images):
             rects = cells[image == k]
@@ -689,7 +719,8 @@ class TestCoverKernel:
         positives = [np.array(p, dtype=float).reshape(-1, 4) for _, _, _, p in images]
         owners = np.repeat(np.arange(len(images)), [len(p) for p in positives])
         image, cells = negative_cover(
-            [b for _, b, _, _ in images], [size for size, _, _, _ in images], spec,
+            *box_columns([b for _, b, _, _ in images]),
+            size_array([size for size, _, _, _ in images]), spec,
             (owners, np.concatenate(positives)), min_proposals=min_gain, membership=membership,
         )
         assert np.array_equal(image, np.sort(image))
@@ -765,10 +796,10 @@ class TestCoverKernel:
                                  float(rng.uniform(0, 30))), class_id=1)
                        for _ in range(6)]) for _ in sizes]
         image_ids = [50, 7, 8, 1]
-        chips, diagnostics = select_positive_chips(gts, pyramid, sizes, image_ids)
+        chips, diagnostics = positive_chips(gts, pyramid, sizes, image_ids)
         assert len(chips) > len(sizes) and len(diagnostics)
         # The batch is the one-image batches one after another, in input order.
-        alone = [select_positive_chips([image], pyramid, [size], [image_id])
+        alone = [positive_chips([image], pyramid, [size], [image_id])
                  for image, size, image_id in zip(gts, sizes, image_ids)]
         assert list(chips) == [row for batch, _ in alone for row in batch]
         for column in ("image_ids", "gt_ids", "scale_ids", "resized_boxes"):
@@ -787,8 +818,9 @@ class TestCoverKernel:
             xy = rng.uniform(0, [size.width, size.height], size=(int(rng.integers(0, 30)), 2))
             boxes.append(np.concatenate([xy, xy + rng.uniform(0, 40, size=xy.shape)], axis=1))
         none = (np.zeros(0, dtype=np.intp), np.zeros((0, 4)))
-        together = negative_cover(boxes, sizes, spec, none, min_proposals=2)
+        columns = (*box_columns(boxes), size_array(sizes), spec, none)
+        together = negative_cover(*columns, min_proposals=2)
         monkeypatch.setattr(chips, "_COVER_BLOCK", 1)
-        alone = negative_cover(boxes, sizes, spec, none, min_proposals=2)
+        alone = negative_cover(*columns, min_proposals=2)
         assert len(together[0]) > 40
         assert all(np.array_equal(a, b) for a, b in zip(together, alone))

@@ -13,12 +13,24 @@ import pytest
 import pyrsample
 from pyrsample import cli
 from pyrsample.cli import main
+from pyrsample.config import coco_default
 from pyrsample.focus_chips import FocusParams, generate_focus_chips
 from pyrsample.focus_labels import LabelMap, ProbabilityMap
-from pyrsample.geometry import ImageSize
+from pyrsample.geometry import BoundingBox, ImageSize
 from pyrsample.serialization import read_map_binary, write_map_binary
 
 from conftest import EXCERPT_PATH
+from oracles import (
+    chip_grid_oracle,
+    focus_pixel_stats_oracle,
+    greedy_cover_oracle,
+    load_dataset_oracle,
+    load_proposals_oracle,
+    rescale_box,
+    resolve_oracle,
+    select_negative_chips_oracle,
+    speedup_upper_bound_oracle,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -964,6 +976,101 @@ class TestStack:
         assert gc.isenabled() is collector
 
 
+class TestImageOrder:
+    """A file whose image ids are not sorted, with an image without boxes
+    and one without proposals between the others: the statistics sum in
+    file order and the chip commands work in ascending id order, each as its
+    oracle does."""
+
+    IDS = [7, 2, 11, 5, 3]
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        rng = np.random.default_rng(5)
+        sizes = {7: (640, 480), 2: (500, 375), 11: (300, 620), 5: (420, 420), 3: (160, 90)}
+        annotations = []
+        for k in range(24):
+            image_id = [7, 11, 5, 3][k % 4]  # image 2 has no boxes
+            w, h = sizes[image_id]
+            side = float(rng.choice([4.0, 12.0, 30.0, 70.0, rng.uniform(2, 150)]))
+            x, y = float(rng.uniform(0, w - 1)), float(rng.uniform(0, h - 1))
+            annotations.append({"id": k + 1, "image_id": image_id, "category_id": 1,
+                                "bbox": [x, y, side, side * float(rng.uniform(0.5, 2))],
+                                "iscrowd": int(k % 7 == 6)})
+        coco = {"images": [{"id": i, "width": w, "height": h} for i, (w, h) in sizes.items()],
+                "annotations": annotations, "categories": [{"id": 1, "name": "thing"}]}
+        proposals = []
+        for k in range(60):
+            image_id = [3, 7, 2, 11][k % 4]  # image 5 has no proposals
+            w, h = sizes[image_id]
+            x, y = float(rng.uniform(0, w)), float(rng.uniform(0, h))
+            proposals.append({"image_id": image_id, "score": 0.5,
+                              "bbox": [x, y, float(rng.uniform(5, 90)), float(rng.uniform(5, 90))]})
+        ann, props = tmp_path / "ann.json", tmp_path / "props.json"
+        ann.write_text(json.dumps(coco))
+        props.write_text(json.dumps(proposals))
+        return ann, props
+
+    def test_statistics_sum_in_file_order(self, files, tmp_path):
+        ann, _ = files
+        cfg = coco_default()
+        sizes, gts, _, _ = load_dataset_oracle(ann)
+        assert list(sizes) == self.IDS
+        thresholds = dict(stride=cfg.stride, min_side=cfg.focus_min_side,
+                          max_side=cfg.focus_max_side, ignore_max_side=cfg.focus_ignore_max_side,
+                          dilation=cfg.focus_params.dilation)
+        out = tmp_path / "speedup.json"
+        assert main(["stats", "speedup", "--annotations", str(ann), "--out", str(out)]) == 0
+        want = speedup_upper_bound_oracle(gts, sizes, cfg.pyramid, [64, 128, 256, 512],
+                                          **thresholds)
+        assert [tuple(point) for point in json.loads(out.read_text())["curve"]] == want
+        out = tmp_path / "focus.json"
+        assert main(["stats", "focuspixels", "--annotations", str(ann), "--out", str(out)]) == 0
+        got = json.loads(out.read_text())
+        for scale_id, (focus, total, dilated, projected, canvas) in focus_pixel_stats_oracle(
+            gts, sizes, cfg.pyramid, **thresholds
+        ).items():
+            assert got[str(scale_id)] == {
+                "fraction": focus / total, "fraction_dilated": dilated / total,
+                "mean_projected_area": projected, "mean_canvas_area": canvas,
+            }
+
+    def test_chips_come_in_id_order(self, files, tmp_path):
+        ann, props = files
+        cfg = coco_default()
+        sizes, gts, _, _ = load_dataset_oracle(ann)
+        proposals = load_proposals_oracle(props, sizes)
+        positive, negative = tmp_path / "pos.json", tmp_path / "neg.json"
+        assert main(["chips", "positive", "--annotations", str(ann), "--out", str(positive)]) == 0
+        assert main(["chips", "negative", "--annotations", str(ann), "--proposals", str(props),
+                     "--out", str(negative)]) == 0
+        want_positive, want_negative = [], []
+        for image_id in sorted(sizes):
+            original, mine = sizes[image_id], []
+            for spec in cfg.pyramid:
+                canvas = resolve_oracle(spec, original)
+                grid = [BoundingBox(*rect) for rect in chip_grid_oracle(
+                    canvas.width, canvas.height, spec.chip_size, spec.chip_stride)]
+                r_min, r_max = spec.effective_range
+                resized = [rescale_box(g.box, original, canvas) for g in gts[image_id]
+                           if not g.is_crowd]
+                picked, _ = greedy_cover_oracle(
+                    grid, [box for box in resized if r_min < box.area < r_max])
+                mine += [(spec.scale_id, grid[i]) for i in picked]
+            want_positive += [(image_id, scale_id, list(r.as_tuple())) for scale_id, r in mine]
+            if image_id in proposals:
+                boxes = [BoundingBox(*b) for b in proposals[image_id][0]]
+                want_negative += [(image_id, scale_id, list(rect)) for scale_id, rect in
+                                  select_negative_chips_oracle(
+                                      boxes, mine, cfg.pyramid, original,
+                                      cfg.min_neg_proposals, cfg.negative_membership)]
+        got = [(r["image_id"], r["scale_id"], r["rect"]) for r in json.loads(positive.read_text())]
+        assert got == want_positive and {i for i, _, _ in got} == {3, 5, 7, 11}
+        pool = json.loads(negative.read_text())["pool"]
+        got = [(r["image_id"], r["scale_id"], r["rect"]) for r in pool]
+        assert got == want_negative and {i for i, _, _ in got} == {2, 7, 11}
+
+
 class TestStats:
     def test_areafractions_on_excerpt(self, tmp_path, capsys):
         out = tmp_path / "bands.json"
@@ -1207,6 +1314,46 @@ class TestBoundedResources:
         assert len(merged) == n
         assert sorted((r["score"], r["bbox"][:2]) for r in merged) == sorted(
             (d["score"], d["bbox"][:2]) for d in dets)
+
+    def test_focus_labels_refuse_a_map_past_the_cell_bound(self, tmp_path):
+        # One 10^6 x 10^6 image at scale 1 (x1.667, stride 32) makes a map of
+        # 52094 x 52094 int8 cells, 2.5 GiB: under a 1 GiB address space the
+        # allocation would fail with a MemoryError, and without a limit it
+        # would be made. The bound refuses it before any map is allocated.
+        data = {
+            "images": [{"id": 3, "width": 10**6, "height": 10**6, "file_name": "a.jpg"}],
+            "annotations": [{"id": 1, "image_id": 3, "category_id": 1,
+                             "bbox": [5000.0, 7000.0, 20.0, 20.0], "iscrowd": 0}],
+            "categories": [{"id": 1, "name": "thing"}],
+        }
+        ann, out = tmp_path / "huge.json", tmp_path / "maps"
+        ann.write_text(json.dumps(data))
+        proc = run_limited(["focus", "labels", "--annotations", str(ann), "--scale", "1",
+                            "--out", str(out)], limit=1024**3)
+        assert assert_error_contract(proc) == {
+            "type": "ValueError",
+            "message": f"image 3: its label map at scale 1 would hold {52094**2} cells, "
+                       f"more than the {2**28} a map may hold",
+        }
+        assert not out.exists()
+
+    def test_focus_labels_cell_bound_is_inclusive(self, small_coco, tmp_path, capsys,
+                                                  monkeypatch):
+        # Image 1 (640 x 480) at scale 2 (x3) is 60 x 45 cells; image 2
+        # (500 x 375) is 47 x 36.
+        for bound, rc in ((60 * 45, 0), (60 * 45 - 1, 1)):
+            monkeypatch.setattr(cli, "MAX_MAP_CELLS", bound)
+            out = tmp_path / f"maps_{bound}"
+            assert main(["focus", "labels", "--annotations", str(small_coco), "--scale", "2",
+                         "--out", str(out)]) == rc
+        assert sorted(p.name for p in (tmp_path / f"maps_{60 * 45}").iterdir()) == [
+            "1_s2.fmap", "2_s2.fmap"]
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"]["message"] == (
+            f"image 1: its label map at scale 2 would hold 2700 cells, more than the 2699 a map "
+            f"may hold"
+        )
+        assert not (tmp_path / f"maps_{60 * 45 - 1}").exists()
 
     def test_huge_bins_exit_with_one_error_line(self, small_coco, tmp_path):
         out = tmp_path / "roi.json"

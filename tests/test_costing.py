@@ -16,7 +16,7 @@ from pyrsample.focus_chips import binary_dilate, chips_from_bounds, component_bo
 from pyrsample.focus_labels import FOCUS, focus_label_cells
 from pyrsample.geometry import BoundingBox, ImageSize, ScaleSpec, boxes_array
 
-from conftest import gt_sets
+from conftest import gt_columns, gt_sets
 from oracles import Gt, resolve_oracle, speedup_upper_bound_oracle
 
 
@@ -102,13 +102,13 @@ class TestSpeedupUpperBound:
     def test_huge_min_chip_gives_speedup_one(self):
         gts, sizes = self._dataset_with_focus_at_every_scale()
         curve = speedup_upper_bound(
-            gts, sizes, pyramid(), [10_000], process_coarsest_fully=True
+            *gt_columns(gts, sizes), pyramid(), [10_000], process_coarsest_fully=True
         )
         assert curve[0][1] == pytest.approx(1.0)
 
     def test_tiny_focus_region_gives_large_speedup(self):
         gts, sizes = self._dataset_with_focus_at_every_scale()
-        (_, speedup), = speedup_upper_bound(gts, sizes, pyramid(), [64])
+        (_, speedup), = speedup_upper_bound(*gt_columns(gts, sizes), pyramid(), [64])
         assert speedup > 3.0
 
     def test_monotone_non_increasing_in_k(self):
@@ -127,25 +127,25 @@ class TestSpeedupUpperBound:
                 for _ in range(rng.integers(0, 6))
             ]
         ks = [32, 64, 128, 256, 512, 1024]
-        curve = speedup_upper_bound(gt_sets(gts), sizes, pyramid(), ks)
+        curve = speedup_upper_bound(*gt_columns(gts, sizes), pyramid(), ks)
         speeds = [s for _, s in curve]
         assert all(a >= b - 1e-12 for a, b in zip(speeds, speeds[1:]))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            speedup_upper_bound({}, {}, pyramid(), [64])
+            speedup_upper_bound(*gt_columns({}, {}), pyramid(), [64])
 
     @pytest.mark.parametrize("ks", [[64, 64], [0], [-64], [64, 128, 64]])
     def test_repeated_or_non_positive_k_rejected(self, ks):
         gts, sizes = self._dataset_with_focus_at_every_scale()
         with pytest.raises(ValueError):
-            speedup_upper_bound(gts, sizes, pyramid(), ks)
+            speedup_upper_bound(*gt_columns(gts, sizes), pyramid(), ks)
 
     @pytest.mark.parametrize("dilation", [0, -3, 2, 4])
     def test_bad_dilation_rejected(self, dilation):
         gts, sizes = self._dataset_with_focus_at_every_scale()
         with pytest.raises(ValueError):
-            speedup_upper_bound(gts, sizes, pyramid(), [64], dilation=dilation)
+            speedup_upper_bound(*gt_columns(gts, sizes), pyramid(), [64], dilation=dilation)
 
     def test_matches_per_k_oracle(self):
         rng = np.random.default_rng(12)
@@ -175,7 +175,7 @@ class TestSpeedupUpperBound:
             ks = [int(k) for k in rng.choice([1, 7, 32, 64, 100, 256, 3000], 4, replace=False)]
             spec = pyramids[trial % 2]
             want = speedup_upper_bound_oracle(gts, sizes, spec, ks, **kwargs)
-            assert speedup_upper_bound(gt_sets(gts), sizes, spec, ks, **kwargs) == want, trial
+            assert speedup_upper_bound(*gt_columns(gts, sizes), spec, ks, **kwargs) == want, trial
 
     def test_gt_chips_respect_min_size(self):
         gts, sizes = self._dataset_with_focus_at_every_scale()
@@ -194,7 +194,7 @@ class TestRoiScaleHistogram:
     def test_whole_image_object_is_point_mass_at_one(self):
         gts = {1: [Gt(square(100), class_id=1)]}
         sizes = {1: ImageSize(100, 100)}
-        hist = roi_scale_histogram(gt_sets(gts), sizes, n_bins=10)
+        hist = roi_scale_histogram(*gt_columns(gts, sizes), n_bins=10)
         assert hist.fractions[-1] == 1.0
         assert hist.fractions[:-1].sum() == 0.0
 
@@ -206,7 +206,7 @@ class TestRoiScaleHistogram:
             ]
         }
         sizes = {1: ImageSize(100, 100)}
-        hist = roi_scale_histogram(gt_sets(gts), sizes, n_bins=10)
+        hist = roi_scale_histogram(*gt_columns(gts, sizes), n_bins=10)
         nonzero = hist.fractions[hist.fractions > 0]
         assert len(nonzero) == 2 and (nonzero == 0.5).all()
 
@@ -220,27 +220,27 @@ class TestRoiScaleHistogram:
                 Gt(square(float(rng.uniform(1, 400))), class_id=1)
                 for _ in range(6)
             ]
-        hist = roi_scale_histogram(gt_sets(gts), sizes)
+        hist = roi_scale_histogram(*gt_columns(gts, sizes))
         assert hist.fractions.sum() == pytest.approx(1.0, abs=1e-9)
         assert hist.n_instances == 30
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            roi_scale_histogram(gt_sets({1: []}), {1: ImageSize(10, 10)})
+            roi_scale_histogram(*gt_columns({1: []}, {1: ImageSize(10, 10)}))
 
 
 class TestSizeAreaFractions:
     def test_all_small(self):
         gts = {1: [Gt(square(10), class_id=1) for _ in range(4)]}
         sizes = {1: ImageSize(640, 480)}
-        bands = size_area_fractions(gt_sets(gts), sizes)
+        bands = size_area_fractions(*gt_columns(gts, sizes))
         assert bands[0].name == "small" and bands[0].instance_fraction == 1.0
         assert bands[1].instance_fraction == 0.0
 
     def test_whole_image_large_box(self):
         gts = {1: [Gt(square(100), class_id=1)]}
         sizes = {1: ImageSize(100, 100)}
-        bands = size_area_fractions(gt_sets(gts), sizes)
+        bands = size_area_fractions(*gt_columns(gts, sizes))
         assert bands[2].name == "large"
         assert bands[2].area_fraction == pytest.approx(1.0)
 
@@ -253,7 +253,7 @@ class TestSizeAreaFractions:
             ]
         }
         sizes = {1: ImageSize(1000, 1000)}
-        bands = size_area_fractions(gt_sets(gts), sizes)
+        bands = size_area_fractions(*gt_columns(gts, sizes))
         assert sum(b.instance_fraction for b in bands) == pytest.approx(1.0, abs=1e-9)
 
     def test_band_boundaries_half_open(self):
@@ -264,11 +264,11 @@ class TestSizeAreaFractions:
             ]
         }
         sizes = {1: ImageSize(640, 640)}
-        bands = size_area_fractions(gt_sets(gts), sizes)
+        bands = size_area_fractions(*gt_columns(gts, sizes))
         assert bands[0].n_instances == 0
         assert bands[1].n_instances == 1
         assert bands[2].n_instances == 1
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            size_area_fractions({}, {})
+            size_area_fractions(*gt_columns({}, {}))

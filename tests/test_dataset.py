@@ -43,7 +43,8 @@ def minimal_coco(tmp_path, annotations=None, images=None):
 class TestLoadDataset:
     def test_minimal_file(self, tmp_path):
         index = load_dataset(minimal_coco(tmp_path))
-        assert index.image_ids == [1]
+        assert index.image_ids.tolist() == [1]
+        assert index.sizes.tolist() == [[640, 480]]
         assert len(index.annotations[1]) == 1
         assert index.categories == {3: "thing"}
 
@@ -89,6 +90,10 @@ class TestLoadDataset:
         assert index.annotations[2].class_ids.tolist() == [4, 9]
         assert len(index.annotations[5]) == 0 and index.annotations[5].boxes.shape == (0, 4)
         assert index.clamp_warnings == 1
+        # The views are keyed by id alone, and map every image.
+        assert 4 not in index.annotations and "7" not in index.annotations
+        assert index.annotations[np.int64(2)].class_ids.tolist() == [4, 9]
+        assert list(index.proposals) == [7, 2, 5] and len(index.proposals[7]) == 0
 
     @pytest.mark.parametrize(
         "images, categories, message",
@@ -240,8 +245,10 @@ class TestLoadDataset:
                 ]
             )
         )
-        proposals = load_dataset(ann, proposals_path=props).proposals
-        assert list(proposals) == [2, 1]
+        index = load_dataset(ann, proposals_path=props)
+        assert index.proposal_offsets.tolist() == [0, 1, 3]
+        proposals = index.proposals
+        assert list(proposals) == [1, 2]  # the order of the images
         assert proposals[2].boxes.dtype == np.float64
         assert proposals[2].boxes.tolist() == [[90, 0, 100, 15], [10, 10, 10, 15]]
         assert proposals[2].scores.tolist() == [0.5, 1.0]

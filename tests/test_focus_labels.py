@@ -17,7 +17,7 @@ from pyrsample.focus_labels import (
 )
 from pyrsample.geometry import BoundingBox, ImageSize, ScaleSpec, boxes_array
 
-from conftest import gt_sets
+from conftest import gt_columns
 from oracles import Gt, focus_label_oracle, rescale_box
 
 
@@ -195,9 +195,8 @@ class TestFocusPixelStats:
 
     def test_fully_covered_image(self):
         # one fm-block image fully covered by a focus-sized object
-        gts = gt_sets({1: [Gt(square(63), class_id=1)]})
-        sizes = {1: ImageSize(64, 64)}
-        stats = focus_pixel_stats(gts, sizes, self.pyramid())
+        columns = gt_columns({1: [Gt(square(63), class_id=1)]}, {1: ImageSize(64, 64)})
+        stats = focus_pixel_stats(*columns, self.pyramid())
         assert stats[0].fraction == 1.0
 
     def test_dilation_never_decreases_fraction(self):
@@ -212,29 +211,30 @@ class TestFocusPixelStats:
                           float(rng.uniform(0, 200))), class_id=1)
                 for _ in range(rng.integers(0, 5))
             ]
-        gts = gt_sets(gts)
-        plain = focus_pixel_stats(gts, sizes, self.pyramid(), dilation=1)
-        dilated = focus_pixel_stats(gts, sizes, self.pyramid(), dilation=3)
+        columns = gt_columns(gts, sizes)
+        plain = focus_pixel_stats(*columns, self.pyramid(), dilation=1)
+        dilated = focus_pixel_stats(*columns, self.pyramid(), dilation=3)
         assert dilated[0].fraction_dilated >= plain[0].fraction
 
     def test_projected_area_counts_cells(self):
-        gts = gt_sets({1: [Gt(square(30, x=64, y=64), class_id=1)]})
-        sizes = {1: ImageSize(320, 320)}
-        stats = focus_pixel_stats(gts, sizes, self.pyramid())
+        columns = gt_columns({1: [Gt(square(30, x=64, y=64), class_id=1)]},
+                             {1: ImageSize(320, 320)})
+        stats = focus_pixel_stats(*columns, self.pyramid())
         n_cells = (stats[0].mean_projected_area / 32**2)
         assert n_cells == stats[0].focus_cells
 
     def test_empty_dataset_raises(self):
         with pytest.raises(ValueError):
-            focus_pixel_stats({}, {}, self.pyramid())
+            focus_pixel_stats(*gt_columns({}, {}), self.pyramid())
 
     def test_missing_size_raises(self):
-        gts = gt_sets({1: []})
-        with pytest.raises(ValueError):
-            focus_pixel_stats(gts, {}, self.pyramid())
+        # Offsets for two images, a size for one.
+        gts, _, sizes = gt_columns({1: []}, {1: IMG})
+        with pytest.raises(ValueError, match="without a recorded size"):
+            focus_pixel_stats(gts, np.zeros(3, dtype=np.intp), sizes, self.pyramid())
 
     @pytest.mark.parametrize("dilation", [0, -3, 2])
     def test_bad_dilation_raises(self, dilation):
-        gts = gt_sets({1: [Gt(square(30, x=64, y=64), class_id=1)]})
+        columns = gt_columns({1: [Gt(square(30, x=64, y=64), class_id=1)]}, {1: IMG})
         with pytest.raises(ValueError):
-            focus_pixel_stats(gts, {1: IMG}, self.pyramid(), dilation=dilation)
+            focus_pixel_stats(*columns, self.pyramid(), dilation=dilation)

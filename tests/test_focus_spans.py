@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pyrsample.focus_spans as focus_spans_module
@@ -23,11 +23,13 @@ from pyrsample.geometry import (
     size_array,
 )
 
-from conftest import gt_sets
+from conftest import box_columns, gt_columns
 from oracles import (
     Gt,
     component_bounds_oracle,
     component_chips_oracle,
+    count_at_most_oracle,
+    distinct_oracle,
     flood_fill_components,
     focus_pixel_stats_oracle,
     resolve_oracle,
@@ -97,7 +99,7 @@ def test_batched_spans_match_dense_kernels_per_map(data, dilation, ks, pair_bloc
     images = np.array([i for i, _ in maps], dtype=np.intp)
     canvases = np.array([(c.width, c.height) for _, c in maps]).reshape(-1, 2)
     spans, owners, grids = focus_spans(
-        boxes, size_array(originals), images, canvases, stride, 5.0, 64.0, 90.0
+        *box_columns(boxes), size_array(originals), images, canvases, stride, 5.0, 64.0, 90.0
     )
     dilated = dilate_spans(spans, owners, grids, dilation)
     counts = union_cells(spans, owners, len(maps))
@@ -136,9 +138,9 @@ def test_statistics_match_per_cell_oracles(data, dilation, ks, coarsest_fully, r
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(focus_spans_module, "_ROW_BLOCK", row_block)
         got = speedup_upper_bound(
-            gt_sets(gts), sizes, pyramid, ks, process_coarsest_fully=coarsest_fully, **kwargs
+            *gt_columns(gts, sizes), pyramid, ks, process_coarsest_fully=coarsest_fully, **kwargs
         )
-        stats = focus_pixel_stats(gt_sets(gts), sizes, pyramid, **kwargs)
+        stats = focus_pixel_stats(*gt_columns(gts, sizes), pyramid, **kwargs)
     assert got == speedup_upper_bound_oracle(
         gts, sizes, pyramid, ks, process_coarsest_fully=coarsest_fully, **kwargs
     )
@@ -148,6 +150,32 @@ def test_statistics_match_per_cell_oracles(data, dilation, ks, coarsest_fully, r
               s.mean_canvas_area)
         for sid, s in stats.items()
     } == want
+
+
+# Owners near 2^31 and values near 2^32, the top of the packed keys' ranges,
+# and small ones, drawn from few choices so that keys repeat.
+OWNERS = st.one_of(st.integers(0, 3), st.integers(2**31 - 3, 2**31 - 1))
+VALUES = st.one_of(st.integers(0, 4), st.integers(2**32 - 3, 2**32 - 1))
+PAIRS = st.lists(st.tuples(OWNERS, VALUES), max_size=40)
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(pairs=PAIRS, queries=PAIRS, dtype=st.sampled_from([np.int64, np.uint64]))
+@example(pairs=[], queries=[], dtype=np.int64)
+@example(pairs=[(2**31 - 1, 2**32 - 1)] * 3 + [(0, 0)], queries=[(2**31 - 1, 2**32 - 1)],
+         dtype=np.uint64)
+def test_packed_keys_match_the_lexsort_forms(pairs, queries, dtype):
+    # The cover passes int64 lattice indices and union_cells uint64 edges.
+    owners = np.array([o for o, _ in pairs], dtype=np.intp)
+    values = np.array([v for _, v in pairs], dtype=dtype)
+    for got, want in zip(focus_spans_module._distinct(owners, values),
+                         distinct_oracle(owners, values)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    query_owners = np.array([o for o, _ in queries], dtype=np.intp)
+    query_values = np.array([v for _, v in queries], dtype=dtype)
+    got = focus_spans_module._count_at_most(owners, values, query_owners, query_values)
+    want = count_at_most_oracle(owners, values, query_owners, query_values)
+    assert got.tolist() == want.tolist()
 
 
 def _oracle_chips(bounds, stride, k, image):
@@ -288,13 +316,13 @@ def test_statistics_hold_one_block_of_images():
     # levels, which take tens of MB as one batch.
     pyramid = PYRAMIDS[1]
     sizes = {i: ImageSize(640, 480) for i in range(2000)}
-    gts = gt_sets({
+    columns = gt_columns({
         i: [Gt(BoundingBox(x, x, x + 20.0, x + 20.0), class_id=1) for x in range(0, 600, 30)]
         for i in sizes
-    })
+    }, sizes)
     peaks = []
-    for run in (lambda: speedup_upper_bound(gts, sizes, pyramid, [64, 256]),
-                lambda: focus_pixel_stats(gts, sizes, pyramid)):
+    for run in (lambda: speedup_upper_bound(*columns, pyramid, [64, 256]),
+                lambda: focus_pixel_stats(*columns, pyramid)):
         tracemalloc.start()
         try:
             run()
@@ -310,7 +338,7 @@ def test_huge_dilation_spans_equal_full_extent():
     boxes = [np.array([[40.0, 40.0, 60.0, 60.0]]), np.zeros((0, 4))]
     originals = np.array([[300, 100], [50, 50]])
     spans, owners, grids = focus_spans(
-        boxes, originals, np.arange(2), originals, 32, 5.0, 64.0, 90.0
+        *box_columns(boxes), originals, np.arange(2), originals, 32, 5.0, 64.0, 90.0
     )
     huge = dilate_spans(spans, owners, grids, 2 * 10**30 + 1)
     assert huge.tolist() == dilate_spans(spans, owners, grids, 2 * 10 + 1).tolist()
@@ -322,7 +350,7 @@ def test_no_focus_anywhere():
     boxes = [np.array([[0.0, 0.0, 200.0, 200.0], [5.0, 5.0, 6.0, 6.0]])]
     originals = np.array([[300, 300]])
     spans, owners, grids = focus_spans(
-        boxes, originals, np.arange(1), originals, 32, 5.0, 64.0, 90.0
+        *box_columns(boxes), originals, np.arange(1), originals, 32, 5.0, 64.0, 90.0
     )
     assert spans.shape == (0, 4) and owners.shape == (0,)
     bounds, comp_maps = span_components(spans, owners)
@@ -332,8 +360,8 @@ def test_no_focus_anywhere():
 
 def test_thresholds_must_increase():
     with pytest.raises(ValueError):
-        focus_spans([np.zeros((0, 4))], np.array([[10, 10]]), np.arange(1), np.array([[10, 10]]),
-                    32, 64.0, 5.0, 90.0)
+        focus_spans(np.zeros((0, 4)), np.array([0, 0]), np.array([[10, 10]]), np.arange(1),
+                    np.array([[10, 10]]), 32, 64.0, 5.0, 90.0)
 
 
 def test_counts_past_int64_do_not_wrap():
@@ -342,8 +370,8 @@ def test_counts_past_int64_do_not_wrap():
     # -8589934591.
     side = 2**32 - 1
     sizes = {1: ImageSize(side, side)}
-    gts = gt_sets({1: [Gt(BoundingBox(0.0, 0.0, side, side), 1, False)]})
-    (stats,) = focus_pixel_stats(gts, sizes, [ScaleSpec(scale_id=0, target=1.0)], stride=1,
+    columns = gt_columns({1: [Gt(BoundingBox(0.0, 0.0, side, side), 1, False)]}, sizes)
+    (stats,) = focus_pixel_stats(*columns, [ScaleSpec(scale_id=0, target=1.0)], stride=1,
                                  max_side=1e12, ignore_max_side=2e12, dilation=1).values()
     assert stats.focus_cells == stats.focus_cells_dilated == stats.total_cells == side * side
     assert stats.fraction == stats.fraction_dilated == 1.0

@@ -20,7 +20,7 @@ from pyrsample.geometry import (
 )
 from pyrsample.stacking import iou_rows
 
-from conftest import detection_batch, gt_set
+from conftest import box_columns, detection_batch, gt_set
 from oracles import clip_box, encloses_oracle, iou_oracle, rescale_box, resolve_oracle
 
 
@@ -112,8 +112,8 @@ def rescaled(b, from_size, to_size):
     """:func:`level_boxes` of one box on one map, checked bit for bit
     against the one-box oracle."""
     resized, owners = level_boxes(
-        [np.array([b.as_tuple()])], size_array([from_size]), np.zeros(1, dtype=np.intp),
-        size_array([to_size]),
+        np.array([b.as_tuple()]), np.array([0, 1]), size_array([from_size]),
+        np.zeros(1, dtype=np.intp), size_array([to_size]),
     )
     assert owners.tolist() == [0]
     (row,) = resized.tolist()
@@ -163,7 +163,7 @@ class TestLevelBoxes:
         canvases = [resolve_oracle(specs[level], originals[i]) for i, level in maps]
         images = np.array([i for i, _ in maps], dtype=np.intp)
         with np.errstate(over="ignore"):  # 1e308 may pass the largest float
-            resized, owners = level_boxes(arrays, size_array(originals), images,
+            resized, owners = level_boxes(*box_columns(arrays), size_array(originals), images,
                                           size_array(canvases))
         want = [
             rescale_box(b, originals[i], canvas).as_tuple()
@@ -175,13 +175,13 @@ class TestLevelBoxes:
 
     def test_no_maps_and_no_boxes(self):
         resized, owners = level_boxes(
-            [np.zeros((0, 4))], np.array([[10, 10]]), np.zeros(0, dtype=np.intp),
+            np.zeros((0, 4)), np.array([0, 0]), np.array([[10, 10]]), np.zeros(0, dtype=np.intp),
             np.zeros((0, 2), dtype=np.int64),
         )
         assert resized.shape == (0, 4) and owners.shape == (0,)
         resized, owners = level_boxes(
-            [np.zeros((0, 4))] * 2, np.array([[10, 10], [3, 4]]), np.array([1, 0, 1]),
-            np.array([[20, 20], [5, 5], [6, 8]]),
+            np.zeros((0, 4)), np.array([0, 0, 0]), np.array([[10, 10], [3, 4]]),
+            np.array([1, 0, 1]), np.array([[20, 20], [5, 5], [6, 8]]),
         )
         assert resized.shape == (0, 4) and owners.shape == (0,)
 

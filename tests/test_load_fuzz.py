@@ -13,7 +13,8 @@ The same annotation files, and files of clean entries with edge-case
 coordinates, load with the columnar loader exactly as with
 ``load_dataset_oracle``: the same boxes bit for bit, or the same error.
 Proposal files load with ``load_proposals`` exactly as with
-``load_proposals_oracle``.
+``load_proposals_oracle``. Both loaders give run-wide columns, and each
+image's rows, cut by the offsets, are compared.
 
 These tests run without Hypothesis's shrink phase: a failure is reported
 as generated, because shrinking one that only generation finds ran for
@@ -292,15 +293,19 @@ def test_columnar_loader_matches_the_per_entry_oracle(annotations):
     if want is None:
         return
     sizes, gts, categories, clamp_warnings = want
-    assert list(index.images) == list(sizes)
-    assert index.sizes() == sizes
+    assert index.image_ids.tolist() == list(sizes)
+    assert index.sizes.tolist() == [[s.width, s.height] for s in sizes.values()]
     assert list(index.annotations) == list(gts)
-    for image_id, expected in gts.items():
-        got = index.annotations[image_id]
+    bounds = index.gt_offsets.tolist()
+    assert len(bounds) == len(sizes) + 1 and bounds[0] == 0 and bounds[-1] == len(index.gt_set)
+    # The run-wide rows cut by the offsets, and the per-image view, are the
+    # oracle's rows of each image.
+    for (image_id, expected), lo, hi in zip(gts.items(), bounds, bounds[1:]):
         boxes = np.array([g.box.as_tuple() for g in expected], dtype=np.float64).reshape(-1, 4)
-        assert got.boxes.tobytes() == boxes.tobytes()
-        assert got.class_ids.tolist() == [g.class_id for g in expected]
-        assert got.crowd.tolist() == [g.is_crowd for g in expected]
+        for got in (index.gt_set[lo:hi], index.annotations[image_id]):
+            assert got.boxes.tobytes() == boxes.tobytes()
+            assert got.class_ids.tolist() == [g.class_id for g in expected]
+            assert got.crowd.tolist() == [g.is_crowd for g in expected]
     assert index.categories == categories
     assert index.clamp_warnings == clamp_warnings
 
@@ -332,13 +337,19 @@ def test_proposals_load_as_the_per_entry_oracle_loads_them(proposals):
         ann, path = Path(tmp) / "ann.json", Path(tmp) / "props.json"
         ann.write_text(json.dumps(PROPOSAL_IMAGES))
         path.write_text(json.dumps(proposals))
-        got, error = _outcome(lambda p: load_proposals(p, load_dataset(ann)), path)
+        index = load_dataset(ann)
+        got, error = _outcome(lambda p: load_proposals(p, index), path)
         want, want_error = _outcome(lambda p: load_proposals_oracle(p, load_dataset_oracle(ann)[0]),
                                     path)
     assert error == want_error
     if want is None:
         return
-    assert list(got) == list(want)
-    for image_id, (boxes, scores) in want.items():
-        assert got[image_id].boxes.tobytes() == np.array(boxes, dtype=np.float64).tobytes()
-        assert got[image_id].scores.tobytes() == np.array(scores, dtype=np.float64).tobytes()
+    proposals, offsets = got
+    bounds = offsets.tolist()
+    assert bounds[0] == 0 and bounds[-1] == len(proposals)
+    # Each image's rows cut by the offsets, in the images' order; an image
+    # without proposals has none.
+    for image_id, lo, hi in zip(index.image_ids.tolist(), bounds, bounds[1:]):
+        boxes, scores = want.get(image_id, ([], []))
+        assert proposals.boxes[lo:hi].tobytes() == np.array(boxes, dtype=np.float64).tobytes()
+        assert proposals.scores[lo:hi].tobytes() == np.array(scores, dtype=np.float64).tobytes()
