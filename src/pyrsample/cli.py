@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -36,33 +34,21 @@ from .costing import (
     speedup_upper_bound,
 )
 from .dataset import MAX_ID, DatasetError, DatasetIndex, load_dataset, voc_to_coco
-from .focus_chips import FocusParams, chips_from_maps
-from .focus_labels import MAX_MAP_CELLS, LabelMap, focus_label_cells, focus_pixel_stats
+from .focus_chips import FocusParams, _blocks, chips_from_maps
+from .focus_labels import MAX_MAP_CELLS, focus_label_maps, focus_pixel_stats
 from .geometry import DetectionBatch, ImageSize, canvas_sizes
 from .range_labels import filter_detections_by_range
 from .serialization import FormatError, json_ints, json_number_rows, json_numbers
 from .stacking import project_to_image, prune_boundary_detections, suppress
 
+# No command reads this variable; ``perfbench`` still clears it.
 WORKERS_ENV = "PYRSAMPLE_WORKERS"
 
+# The most label cells ``focus labels`` paints before writing them: 16 MiB
+# of int8 cells. A map that alone holds more is painted alone.
+_LABEL_BLOCK = 1 << 24
+
 _MAP_NAME = re.compile(r"^(?P<image_id>[0-9]+)_s(?P<scale_id>[0-9]+)\.fmap$")
-
-
-def _workers() -> int:
-    """Worker processes from ``PYRSAMPLE_WORKERS``, clamped to [1, cpu count]."""
-    try:
-        requested = int(os.environ.get(WORKERS_ENV, "1"))
-    except ValueError:
-        return 1
-    return max(1, min(requested, os.cpu_count() or 1))
-
-
-def _map_over_images(fn, payloads):
-    n = _workers()
-    if n <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, payloads, chunksize=8))
 
 
 def _in_id_order(index: DatasetIndex, keep: np.ndarray | None = None) -> DatasetIndex:
@@ -102,12 +88,6 @@ def cmd_chips_negative(args) -> int:
     return 0
 
 
-def _focus_labels_worker(payload):
-    image_id, boxes, original, canvas, stride, thresholds = payload
-    cells = focus_label_cells(boxes, original, canvas, stride, *thresholds)
-    return image_id, LabelMap(cells, stride, canvas, *thresholds)
-
-
 def cmd_focus_labels(args) -> int:
     cfg = load_config(args.config)
     index = _in_id_order(load_dataset(args.annotations))
@@ -127,23 +107,21 @@ def cmd_focus_labels(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     thresholds = (cfg.focus_min_side, cfg.focus_max_side, cfg.focus_ignore_max_side)
-    bounds = index.gt_offsets.tolist()
-    payloads = [
-        (iid, index.gt_set.boxes[lo:hi], ImageSize(*size), ImageSize(*canvas), cfg.stride,
-         thresholds)
-        for iid, lo, hi, size, canvas in zip(
-            index.image_ids.tolist(), bounds, bounds[1:], index.sizes.tolist(), canvases.tolist()
+    for lo, hi in _blocks(cells, _LABEL_BLOCK):
+        maps = focus_label_maps(
+            index.gt_set.boxes, index.gt_offsets, index.sizes, np.arange(lo, hi),
+            canvases[lo:hi], cfg.stride, *thresholds,
         )
-    ]
-    for image_id, label_map in _map_over_images(_focus_labels_worker, payloads):
-        path = out_dir / f"{image_id}_s{args.scale}.fmap"
-        ser.write_map_binary(path, label_map)
-        if args.json:
-            ser.atomic_write_text(
-                path.with_suffix(".json"),
-                json.dumps(ser.map_to_debug_json(label_map), sort_keys=True) + "\n",
-            )
-    print(f"wrote {len(payloads)} label maps to {out_dir}")
+        for image_id, label_map in zip(index.image_ids[lo:hi].tolist(), maps):
+            path = out_dir / f"{image_id}_s{args.scale}.fmap"
+            ser.write_map_binary(path, label_map)
+            if args.json:
+                ser.atomic_write_text(
+                    path.with_suffix(".json"),
+                    json.dumps(ser.map_to_debug_json(label_map), sort_keys=True) + "\n",
+                )
+        del maps, label_map  # freed before the next block is painted
+    print(f"wrote {len(cells)} label maps to {out_dir}")
     return 0
 
 

@@ -350,9 +350,10 @@ def load_dataset(
             categories=dict(zip(category_ids, names)),
             clamp_warnings=clamped,
         )
+        del data  # freed while the collector is off, so no collection walks it
         if proposals_path is not None:
             index.proposal_set, index.proposal_offsets = load_proposals(proposals_path, index)
-        return index
+    return index
 
 
 def _proposal_columns(entries: list) -> tuple[list[int], np.ndarray, np.ndarray]:

@@ -142,6 +142,39 @@ def _focus_rows(
     return resized, owners, (min_side < side) & (side < max_side), side <= ignore_max_side
 
 
+def focus_label_maps(
+    boxes: np.ndarray, offsets: np.ndarray, originals: np.ndarray, images: np.ndarray,
+    canvases: np.ndarray, stride: int, min_side: float, max_side: float, ignore_max_side: float,
+) -> list[LabelMap]:
+    """The focus :class:`LabelMap` of every map, in map order.
+
+    Map k is image ``images[k]``'s rows ``offsets[i]:offsets[i + 1]`` of
+    the run-wide (N, 4) ``boxes``, in the frame of its row of the
+    (n_images, 2) int ``originals``, rescaled to row k of the (m, 2) int
+    ``canvases`` by :func:`_focus_rows`; see :func:`build_focus_label_map`
+    for the rules. The cell spans of every marked row are painted in one
+    loop over all maps, every ignore span before every focus span.
+    """
+    resized, owners, focus, marked = _focus_rows(
+        boxes, offsets, originals, images, canvases, min_side, max_side, ignore_max_side
+    )
+    grids = -(-canvases // stride)
+    cells = [np.zeros((h, w), dtype=np.int8) for w, h in grids.tolist()]
+    # Only marked rows have finite corners for certain, so only they get
+    # spans. Focus labels are painted last so they take precedence.
+    rows = np.flatnonzero(marked)
+    labels = np.where(focus[rows], FOCUS, IGNORE)
+    order = np.argsort(labels, kind="stable")
+    rows, labels = rows[order], labels[order]
+    spans = _cell_spans(resized[rows], stride, np.tile(grids[owners[rows]], 2))
+    for k, (j0, i0, j1, i1), label in zip(owners[rows].tolist(), spans.tolist(), labels.tolist()):
+        cells[k][i0:i1, j0:j1] = label
+    return [
+        LabelMap(c, stride, ImageSize(w, h), min_side, max_side, ignore_max_side)
+        for c, (w, h) in zip(cells, canvases.tolist())
+    ]
+
+
 def focus_label_cells(
     boxes: np.ndarray,
     original: ImageSize,
@@ -153,26 +186,13 @@ def focus_label_cells(
 ) -> np.ndarray:
     """The {1, 0, -1} int8 label cells of ``canvas`` at ``stride`` for the
     (n, 4) corner array ``boxes`` of one image, given in the ``original``
-    frame: the one-map case of :func:`_focus_rows`, whose marked rows are
-    painted as cell spans; see :func:`build_focus_label_map` for the rules.
+    frame: the one-map case of :func:`focus_label_maps`.
     """
-    resized, _, focus, marked = _focus_rows(
+    (label_map,) = focus_label_maps(
         boxes, np.array([0, len(boxes)]), size_array([original]), np.zeros(1, dtype=np.intp),
-        size_array([canvas]), min_side, max_side, ignore_max_side,
+        size_array([canvas]), stride, min_side, max_side, ignore_max_side,
     )
-    h, w = grid_shape(canvas, stride)
-    cells = np.zeros((h, w), dtype=np.int8)
-    # Only marked rows have finite corners for certain, so only they get spans.
-    spans = _cell_spans(resized[marked], stride, (w, h, w, h)).tolist()
-    focus = focus[marked].tolist()
-    for (j0, i0, j1, i1), is_focus in zip(spans, focus):
-        if not is_focus:
-            cells[i0:i1, j0:j1] = IGNORE
-    # Focus labels are painted last so they take precedence over ignores.
-    for (j0, i0, j1, i1), is_focus in zip(spans, focus):
-        if is_focus:
-            cells[i0:i1, j0:j1] = FOCUS
-    return cells
+    return label_map.cells
 
 
 def build_focus_label_map(
@@ -195,16 +215,8 @@ def build_focus_label_map(
     ``ignore_max_side`` fall in the ignore band; sides beyond
     ``ignore_max_side`` are plain background and mark nothing.
     """
-    return LabelMap(
-        cells=focus_label_cells(
-            boxes, image, image, stride, min_side, max_side, ignore_max_side
-        ),
-        stride=stride,
-        image=image,
-        min_side=min_side,
-        max_side=max_side,
-        ignore_max_side=ignore_max_side,
-    )
+    cells = focus_label_cells(boxes, image, image, stride, min_side, max_side, ignore_max_side)
+    return LabelMap(cells, stride, image, min_side, max_side, ignore_max_side)
 
 
 @dataclass

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -763,13 +764,6 @@ class TestChipsPositive:
         for r in records:
             assert set(r) == {"image_id", "scale_id", "rect", "kind", "covered_gt_ids", "cropped_gt"}
 
-    def test_worker_count_clamped_to_cpus(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        monkeypatch.setenv(cli.WORKERS_ENV, str(10**9))
-        assert cli._workers() == 3
-        monkeypatch.setenv(cli.WORKERS_ENV, "-5")
-        assert cli._workers() == 1
-
 
 class TestChipsNegative:
     def test_pool_and_sample(self, small_coco, tmp_path):
@@ -817,15 +811,6 @@ class TestFocusPipeline:
         assert records and all(r["kind"] == "focus" for r in records)
         by_image = {r["image_id"] for r in records}
         assert 1 in by_image
-
-    def test_worker_pool_matches_sequential(self, small_coco, tmp_path, monkeypatch):
-        argv = ["focus", "labels", "--annotations", str(small_coco), "--scale", "2", "--json"]
-        assert main([*argv, "--out", str(tmp_path / "seq")]) == 0
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
-        assert main([*argv, "--out", str(tmp_path / "par")]) == 0
-        seq, par = (sorted((tmp_path / d).iterdir()) for d in ("seq", "par"))
-        assert [f.name for f in seq] == [f.name for f in par] and len(seq) == 4
-        assert all(a.read_bytes() == b.read_bytes() for a, b in zip(seq, par))
 
     def test_chips_from_probability_maps(self, small_coco, tmp_path):
         maps_dir = tmp_path / "pmaps"
@@ -1354,6 +1339,35 @@ class TestBoundedResources:
             f"may hold"
         )
         assert not (tmp_path / f"maps_{60 * 45 - 1}").exists()
+
+    def test_focus_labels_hold_one_block_of_maps(self, tmp_path):
+        # Scale 0 fits each 1000 x 1000 image in 512 x 512 pixels, so at
+        # stride 1 each of the 160 maps holds 2^18 cells: 40 MiB in all,
+        # against 16 MiB in one block of maps.
+        n = 160
+        data = {
+            "images": [{"id": i, "width": 1000, "height": 1000} for i in range(1, n + 1)],
+            "annotations": [
+                {"id": i * 10 + k, "image_id": i, "category_id": 1,
+                 "bbox": [k * 90.0, i % 700, 4.0 + 9 * k, 20.0], "iscrowd": 0}
+                for i in range(1, n + 1) for k in range(10)
+            ],
+            "categories": [{"id": 1, "name": "thing"}],
+        }
+        ann, config, out = tmp_path / "ann.json", tmp_path / "cfg.json", tmp_path / "maps"
+        ann.write_text(json.dumps(data))
+        config.write_text(json.dumps({"profile": "coco-default", "focus": {"stride": 1}}))
+        tracemalloc.start()
+        try:
+            assert main(["focus", "labels", "--config", str(config), "--annotations", str(ann),
+                         "--scale", "0", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        maps = [read_map_binary(out / f"{i}_s0.fmap") for i in range(1, n + 1)]
+        assert {m.cells.shape for m in maps} == {(512, 512)}
+        assert all((m.cells == 1).any() for m in maps)
+        assert peak < 24 * 2**20, peak
 
     def test_huge_bins_exit_with_one_error_line(self, small_coco, tmp_path):
         out = tmp_path / "roi.json"

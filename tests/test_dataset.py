@@ -14,6 +14,7 @@ from pyrsample.dataset import (
 )
 from pyrsample.geometry import GroundTruthSet
 
+from conftest import EXCERPT_PATH
 from oracles import load_dataset_oracle, load_proposals_oracle
 
 
@@ -365,6 +366,32 @@ class TestCollectorPause:
                 load_dataset(ann, **paths)
         assert decoding == [False] * (1 + (proposals is not None))
         assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("with_proposals", [False, True], ids=["annotations", "with-proposals"])
+    def test_no_collection_runs_while_loading(self, tmp_path, with_proposals):
+        # The decoded files hold thousands of containers. Were they alive when
+        # the collector came back, its first young collection would walk them.
+        paths = {}
+        if with_proposals:
+            paths["proposals_path"] = tmp_path / "props.json"
+            paths["proposals_path"].write_text(json.dumps([
+                {"image_id": image["id"], "bbox": [0, 0, 10, 10], "score": 0.5}
+                for image in json.loads(EXCERPT_PATH.read_text())["images"]
+            ] * 5))
+        assert gc.isenabled()
+        gc.collect()
+        runs = []
+
+        def note(phase, info):
+            if phase == "start":
+                runs.append(info["generation"])
+
+        gc.callbacks.append(note)
+        try:
+            load_dataset(EXCERPT_PATH, **paths)
+        finally:
+            gc.callbacks.remove(note)
+        assert runs == []
 
 
 VOC_XML = """<annotation>

@@ -1,9 +1,16 @@
+import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pyrsample import cli
 from pyrsample.focus_labels import (
     FOCUS,
     IGNORE,
@@ -11,14 +18,16 @@ from pyrsample.focus_labels import (
     ProbabilityMap,
     build_focus_label_map,
     focus_label_cells,
+    focus_label_maps,
     focus_pixel_stats,
     grid_shape,
     probability_map_from_labels,
 )
-from pyrsample.geometry import BoundingBox, ImageSize, ScaleSpec, boxes_array
+from pyrsample.geometry import BoundingBox, ImageSize, ScaleSpec, boxes_array, size_array
+from pyrsample.serialization import read_map_binary
 
-from conftest import gt_columns
-from oracles import Gt, focus_label_oracle, rescale_box
+from conftest import box_columns, gt_columns
+from oracles import Gt, clip_box, focus_label_oracle, rescale_box
 
 
 def square(side, x=0.0, y=0.0):
@@ -70,6 +79,34 @@ class TestGridGeometry:
             else:
                 with pytest.raises(ValueError):
                     LabelMap(cells=cells, stride=32, image=image)
+
+
+# The config levels of the whole-run test, by scale id.
+FACTORS = (0.5, 1.0, 1.667, 2.0)
+# Box sides that are min_side, max_side or ignore_max_side at factor 1 or 2.
+EDGE_SIDES = (0.0, 2.5, 5.0, 32.0, 45.0, 64.0, 90.0)
+
+
+@st.composite
+def label_run(draw):
+    """A ``focus labels`` run: stride, scale id, block bound in cells, and
+    images (id, width, height, xywh boxes) in file order. Ids come in any
+    order, and the first image has no boxes."""
+    stride = draw(st.sampled_from([1, 7, 32]))
+    extent = max(40, 12 * stride)
+    ids = draw(st.lists(st.integers(0, 10**9), min_size=2, max_size=6, unique=True))
+    coordinate = st.builds(lambda k: float(stride * k), st.integers(-1, 14)) | st.floats(
+        -20.0, extent + 20.0)
+    images = []
+    for k, image_id in enumerate(ids):
+        w, h = draw(st.integers(1, extent)), draw(st.integers(1, extent))
+        boxes = []
+        for _ in range(draw(st.integers(0, 6)) if k else 0):
+            bw = draw(st.sampled_from(EDGE_SIDES) | st.floats(0.0, 120.0))
+            bh = draw(st.sampled_from([0.0, bw]) | st.floats(0.0, 120.0))
+            boxes.append([draw(coordinate), draw(coordinate), bw, bh])
+        images.append((image_id, w, h, boxes))
+    return stride, draw(st.integers(0, len(FACTORS) - 1)), draw(st.integers(1, 3000)), images
 
 
 class TestBuildFocusLabelMap:
@@ -161,6 +198,75 @@ class TestBuildFocusLabelMap:
             want = focus_label_oracle(resized, canvas, stride, 5.0, 64.0, 90.0)
             assert got.dtype == np.int8
             assert (got == want).all(), trial
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(run=label_run())
+    @example(run=(1, 3, 1000, [
+        (9, 12, 12, []),
+        (2, 40, 30, [[3.0, 3.0, 2.5, 2.5], [30.0, -5.0, 32.0, 45.0], [50.0, 0.0, 9.0, 9.0]]),
+        (5, 1, 1, [[0.0, 0.0, 1.0, 1.0]]),
+    ]))
+    def test_whole_run_maps_match_per_cell_oracle(self, run):
+        stride, scale_id, block, images = run
+        factor = FACTORS[scale_id]
+        config = {"profile": "coco-default", "focus": {"stride": stride},
+                  "pyramid": [{"scale_id": k, "target": {"factor": f}}
+                              for k, f in enumerate(FACTORS)]}
+        coco = {
+            "images": [{"id": i, "width": w, "height": h} for i, w, h, _ in images],
+            "annotations": [
+                {"id": k, "image_id": i, "category_id": 1, "bbox": bbox}
+                for k, (i, bbox) in enumerate([(i, b) for i, _, _, bs in images for b in bs])
+            ],
+            "categories": [{"id": 1, "name": "thing"}],
+        }
+        originals = [ImageSize(w, h) for _, w, h, _ in images]
+        canvases = [ImageSize(max(1, round(w * factor)), max(1, round(h * factor)))
+                    for _, w, h, _ in images]
+        drawn = [[BoundingBox(x, y, x + bw, y + bh) for x, y, bw, bh in boxes]
+                 for _, _, _, boxes in images]
+        painted = []
+
+        def painter(*args):
+            maps = focus_label_maps(*args)
+            painted.append([m.cells.size for m in maps])
+            return maps
+
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "_LABEL_BLOCK", block), \
+                mock.patch.object(cli, "focus_label_maps", painter):
+            tmp = Path(tmp)
+            (tmp / "cfg.json").write_text(json.dumps(config))
+            (tmp / "ann.json").write_text(json.dumps(coco))
+            assert cli.main(["focus", "labels", "--config", str(tmp / "cfg.json"),
+                             "--annotations", str(tmp / "ann.json"), "--scale", str(scale_id),
+                             "--out", str(tmp / "maps")]) == 0
+            written = {path.name: read_map_binary(path) for path in (tmp / "maps").iterdir()}
+        assert sorted(written) == sorted(f"{i}_s{scale_id}.fmap" for i, _, _, _ in images)
+        for (image_id, _, _, _), boxes, original, canvas in zip(
+                images, drawn, originals, canvases):
+            got = written[f"{image_id}_s{scale_id}.fmap"]
+            # The loader clamps the boxes to their image.
+            resized = [rescale_box(clip_box(b, original), original, canvas) for b in boxes]
+            assert got.image == canvas and got.stride == stride
+            assert (got.cells == focus_label_oracle(resized, canvas, stride, 5.0, 64.0, 90.0)).all()
+        # Blocks come in ascending id order, each within the bound or one map.
+        order = sorted(range(len(images)), key=lambda k: images[k][0])
+        sizes = [grid_shape(canvases[k], stride) for k in order]
+        assert [n for block_sizes in painted for n in block_sizes] == [h * w for h, w in sizes]
+        assert all(sum(n) <= block or len(n) == 1 for n in painted)
+
+        # The painter itself on the boxes as drawn, some past the canvas.
+        boxes, offsets = box_columns([boxes_array(b) for b in drawn])
+        maps = focus_label_maps(
+            boxes, offsets, size_array(originals), np.arange(len(images))[::-1],
+            size_array(canvases[::-1]), stride, 5.0, 64.0, 90.0,
+        )
+        for label_map, boxes, original, canvas in zip(
+                maps, drawn[::-1], originals[::-1], canvases[::-1]):
+            resized = [rescale_box(b, original, canvas) for b in boxes]
+            want = focus_label_oracle(resized, canvas, stride, 5.0, 64.0, 90.0)
+            assert label_map.cells.dtype == np.int8 and (label_map.cells == want).all()
 
     def test_scale_sweep_crosses_breakpoints(self):
         # one object, swept across resize factors: its label tracks the
