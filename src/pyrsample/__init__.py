@@ -7,7 +7,6 @@ focus-chip extraction for coarse-to-fine inference, and cross-scale stacking
 of detections with (soft-)NMS, plus pixels-processed cost accounting.
 """
 from .geometry import (
-    BoundingBox,
     DetectionBatch,
     GroundTruthSet,
     ImageSize,
@@ -27,15 +26,8 @@ from .chips import (
     select_negative_chips,
     select_positive_chips,
 )
-from .focus_labels import (
-    LabelMap,
-    ProbabilityMap,
-    build_focus_label_map,
-    focus_pixel_stats,
-    probability_map_from_labels,
-)
+from .focus_labels import FocusMap, build_focus_label_map, focus_pixel_stats
 from .focus_chips import (
-    BinaryMap,
     FocusParams,
     connected_components,
     dilate,
@@ -62,20 +54,17 @@ from .dataset import DatasetIndex, load_dataset, voc_to_coco
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryMap",
-    "BoundingBox",
     "ChipBatch",
     "CostReport",
     "DatasetIndex",
     "DetectionBatch",
+    "FocusMap",
     "FocusParams",
     "GroundTruthSet",
     "ImageSize",
-    "LabelMap",
     "MaxSideTarget",
     "MergePolicy",
     "PipelineConfig",
-    "ProbabilityMap",
     "ProposalSet",
     "ScaleSpec",
     "UncoverableBoxes",
@@ -93,7 +82,6 @@ __all__ = [
     "load_dataset",
     "merge_detections",
     "pixels_processed",
-    "probability_map_from_labels",
     "project_to_image",
     "prune_boundary_detections",
     "roi_scale_histogram",

@@ -391,8 +391,7 @@ def _attach_gt(
     with positive area: the chip index, the box index, whether the chip
     encloses the box, and the box clipped to the chip; by chip, then box.
     Clipping leaves an enclosed box unchanged, and a box overlaps when its
-    clipped extent is positive on both axes, the test of
-    :meth:`BoundingBox.intersection`; pairs go in blocks."""
+    clipped extent is positive on both axes; pairs go in blocks."""
     first = np.searchsorted(owners, image)
     stop = np.searchsorted(owners, image, side="right")
     parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=bool), np.zeros((0, 4)))]

@@ -33,7 +33,7 @@ from .costing import (
     size_area_fractions,
     speedup_upper_bound,
 )
-from .dataset import MAX_ID, DatasetError, DatasetIndex, load_dataset, voc_to_coco
+from .dataset import MAX_ID, DatasetError, DatasetIndex, _id_rows, load_dataset, voc_to_coco
 from .focus_chips import FocusParams, _blocks, chips_from_maps
 from .focus_labels import MAX_MAP_CELLS, focus_label_maps, focus_pixel_stats
 from .geometry import DetectionBatch, ImageSize, canvas_sizes
@@ -282,21 +282,19 @@ def _stack(
         records, _parse_stack_records,
         lambda position, _, problem: FormatError(f"{source}: record {position}: {problem}"),
     )
-    row_of = dict(zip(index.image_ids.tolist(), range(len(index.image_ids))))
-    n_ok = 0
-    for image_id, scale_id in zip(run.image_ids, run.scale_ids):
-        if image_id not in row_of:
-            error = FormatError(f"detections reference unknown image id {image_id}")
-            break
-        if scale_id not in by_scale:
-            error = FormatError(f"detections reference unknown scale id {scale_id}")
-            break
-        n_ok += 1
-    image_ids = sorted(set(run.image_ids[:n_ok]))
-    rank = {image_id: k for k, image_id in enumerate(image_ids)}
-    image = np.array([rank[i] for i in run.image_ids[:n_ok]], dtype=np.intp)
+    at, known_image = _id_rows(index.image_ids, run.image_ids)
+    _, known_scale = _id_rows(np.array(list(by_scale), dtype=np.int64), run.scale_ids)
+    unknown = ~(known_image & known_scale)
+    n_ok = int(unknown.argmax()) if unknown.any() else len(unknown)
+    if n_ok < len(unknown):
+        what, value = (("image", run.image_ids[n_ok]) if not known_image[n_ok]
+                       else ("scale", run.scale_ids[n_ok]))
+        error = FormatError(f"detections reference unknown {what} id {value}")
+    at = at[:n_ok]
+    image_ids, image = np.unique(index.image_ids[at], return_inverse=True)
+    image_ids = image_ids.tolist()
     scale = np.array(run.scale_ids[:n_ok], dtype=np.int64)
-    originals = index.sizes[[row_of[i] for i in run.image_ids[:n_ok]]].astype(np.float64)
+    originals = index.sizes[at].astype(np.float64)
 
     n_rows = int(np.searchsorted(run.record, n_ok))  # the rows of records before n_ok
     rows = _kept_rows(run, n_rows, scale, by_scale, cfg.boundary_eps)

@@ -201,19 +201,27 @@ def _clamped_corners(boxes: np.ndarray, limits: np.ndarray) -> np.ndarray:
     return clamped
 
 
-def _rows_of(path: str | Path, image_ids: np.ndarray, wanted: list, what: str) -> np.ndarray:
-    """The row in ``image_ids`` of each id of ``wanted``, by a binary search
-    over the sorted ids. Raises ``DatasetStructureError`` naming ``what``
-    and the least 20 ids of ``wanted`` that are no image's."""
-    rows, found = np.zeros(len(wanted), dtype=np.intp), np.zeros(len(wanted), dtype=bool)
+def _id_rows(ids: np.ndarray, wanted: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The row in the unique int64 ``ids`` of each int of ``wanted``, and
+    whether it is there, by one binary search over the sorted ids; an int
+    past int64 is in no row."""
     try:
-        query = np.array(wanted, dtype=np.int64)
-    except OverflowError:  # an id past int64 is no image's
-        query = None
-    if query is not None and len(image_ids):
-        order = np.argsort(image_ids)
-        rows = order[np.minimum(np.searchsorted(image_ids, query, sorter=order), len(order) - 1)]
-        found = image_ids[rows] == query
+        query, fits = np.array(wanted, dtype=np.int64), True
+    except OverflowError:
+        fits = np.array([-MAX_ID - 1 <= v <= MAX_ID for v in wanted], dtype=bool)
+        query = np.array([v if ok else 0 for v, ok in zip(wanted, fits.tolist())], dtype=np.int64)
+    if not len(ids):
+        return np.zeros(len(wanted), dtype=np.intp), np.zeros(len(wanted), dtype=bool)
+    order = np.argsort(ids)
+    rows = order[np.minimum(np.searchsorted(ids, query, sorter=order), len(order) - 1)]
+    return rows, (ids[rows] == query) & fits
+
+
+def _rows_of(path: str | Path, image_ids: np.ndarray, wanted: list, what: str) -> np.ndarray:
+    """The row in ``image_ids`` of each id of ``wanted`` (:func:`_id_rows`).
+    Raises ``DatasetStructureError`` naming ``what`` and the least 20 ids of
+    ``wanted`` that are no image's."""
+    rows, found = _id_rows(image_ids, wanted)
     if not found.all():
         missing = sorted(set(wanted).difference(image_ids.tolist()))
         raise DatasetStructureError(f"{path}: {what} reference missing image ids {missing[:20]}")

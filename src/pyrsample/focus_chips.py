@@ -1,13 +1,13 @@
-"""Chip generation from a probability map: threshold, dilate, connect, merge.
+"""Chip generation from a focus map: threshold, dilate, connect, merge.
 
-The pipeline turns a feature-map probability grid into a small set of
-non-overlapping image rectangles: binarize at a threshold, dilate so nothing
-interesting sits on a chip border, extract 8-connected components, take each
-component's enclosing rectangle in pixel coordinates, grow it to a minimum
-side, and merge rectangles until none overlap. A thresholded map is kept
-only as its horizontal runs of set cells, one-row spans that the span
-kernels of :mod:`pyrsample.focus_spans` dilate and label for many maps at
-once.
+The pipeline turns a feature-map grid of probabilities or labels into a
+small set of non-overlapping image rectangles: binarize at a threshold,
+dilate so nothing interesting sits on a chip border, extract 8-connected
+components, take each component's enclosing rectangle in pixel
+coordinates, grow it to a minimum side, and merge rectangles until none
+overlap. A thresholded map is kept only as its horizontal runs of set
+cells, one-row spans that the span kernels of :mod:`pyrsample.focus_spans`
+dilate and label for many maps at once.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import BoundingBox, ImageSize, boxes_array
-from .focus_labels import LabelMap, ProbabilityMap, check_grid
+from .geometry import ImageSize
+from .focus_labels import FocusMap
 
 
 @dataclass(frozen=True)
@@ -42,18 +42,6 @@ class FocusParams:
             raise ValueError(f"min_chip_size must be >= 1: {self.min_chip_size}")
 
 
-@dataclass
-class BinaryMap:
-    """{0, 1} grid with the geometry of its source probability map."""
-
-    cells: np.ndarray
-    stride: int
-    image: ImageSize
-
-    def __post_init__(self) -> None:
-        check_grid(self.cells, self.image, self.stride)
-
-
 def _set_cells(cells: np.ndarray, threshold: float, strict: bool) -> np.ndarray:
     """The bool mask of ``cells`` at or above ``threshold`` (above it when
     ``strict``). Float cells are compared in float64, so a float32 cell is
@@ -63,12 +51,13 @@ def _set_cells(cells: np.ndarray, threshold: float, strict: bool) -> np.ndarray:
     return cells > threshold if strict else cells >= threshold
 
 
-def threshold_map(p: ProbabilityMap, threshold: float, strict: bool = False) -> BinaryMap:
-    """Binarize a probability map; the comparison is inclusive by default."""
+def threshold_map(p: FocusMap, threshold: float, strict: bool = False) -> FocusMap:
+    """Binarize a map into a 0/1 label map; the comparison is inclusive by
+    default."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold out of range: {threshold}")
     cells = _set_cells(p.cells, threshold, strict)
-    return BinaryMap(cells=cells.astype(np.uint8), stride=p.stride, image=p.image)
+    return FocusMap(cells=cells.astype(np.uint8), stride=p.stride, image=p.image)
 
 
 def check_kernel_size(size: int, name: str = "kernel size") -> None:
@@ -96,9 +85,9 @@ def binary_dilate(mask: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def dilate(bm: BinaryMap, size: int) -> BinaryMap:
-    """Dilate a binary map with a square size x size structuring element."""
-    return BinaryMap(
+def dilate(bm: FocusMap, size: int) -> FocusMap:
+    """Dilate a 0/1 map with a square size x size structuring element."""
+    return FocusMap(
         cells=binary_dilate(bm.cells, size).astype(np.uint8),
         stride=bm.stride,
         image=bm.image,
@@ -143,8 +132,8 @@ def component_bounds(mask: np.ndarray) -> np.ndarray:
     return span_components(runs, np.zeros(len(runs), dtype=np.intp))[0]
 
 
-def connected_components(bm: BinaryMap) -> np.ndarray:
-    """The :func:`component_bounds` of a binary map's 1-cells."""
+def connected_components(bm: FocusMap) -> np.ndarray:
+    """The :func:`component_bounds` of a 0/1 map's 1-cells."""
     return component_bounds(bm.cells)
 
 
@@ -255,28 +244,27 @@ def _merge(rects: np.ndarray, maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.concatenate([lo[roots], hi[roots]], axis=1), roots
 
 
-def merge_overlapping(rects: list[BoundingBox]) -> list[BoundingBox]:
-    """Replace overlapping rectangles by their joint enclosing rectangle until
-    no two overlap; rectangles that only share an edge do not overlap.
+def merge_overlapping(rects: np.ndarray) -> np.ndarray:
+    """The (n, 4) corner rows ``rects`` with overlapping rectangles replaced
+    by their joint enclosing rectangle until no two overlap; rectangles
+    that only share an edge do not overlap.
 
     Groups are listed in the order of their first member in ``rects``, each
     as the enclosing rectangle of its members: the merge of
     :func:`chips_from_bounds` for one map.
     """
-    merged, _ = _merge(boxes_array(rects), np.zeros(len(rects), dtype=np.intp))
-    return [BoundingBox(*row) for row in merged.tolist()]
+    merged, _ = _merge(rects, np.zeros(len(rects), dtype=np.intp))
+    return merged
 
 
-def generate_focus_chips(
-    p: ProbabilityMap, params: FocusParams, image: ImageSize
-) -> list[BoundingBox]:
-    """Enclosing chips for all above-threshold regions of a probability map.
+def generate_focus_chips(p: FocusMap, params: FocusParams, image: ImageSize) -> np.ndarray:
+    """Enclosing chips for all above-threshold regions of a map.
 
-    Returns rectangles in the image-pixel frame: cell (i, j) projects to the
-    pixel block [j*s, (j+1)*s] x [i*s, (i+1)*s], clamped to the canvas. Every
-    above-threshold cell ends up inside exactly one output chip; chips are
-    pairwise non-overlapping and at least ``min_chip_size`` per side (or the
-    full canvas extent, whichever is smaller).
+    Returns (n, 4) corner rows in the image-pixel frame: cell (i, j)
+    projects to the pixel block [j*s, (j+1)*s] x [i*s, (i+1)*s], clamped to
+    the canvas. Every above-threshold cell ends up inside exactly one output
+    chip; chips are pairwise non-overlapping and at least ``min_chip_size``
+    per side (or the full canvas extent, whichever is smaller).
     """
     if (image.width, image.height) != (p.image.width, p.image.height):
         raise ValueError(
@@ -284,7 +272,7 @@ def generate_focus_chips(
             f"got image {image.width}x{image.height}"
         )
     chips, _ = chips_from_maps([p], params)
-    return [BoundingBox(*row) for row in chips.tolist()]
+    return chips
 
 
 # Cell runs that chips_from_maps holds at once, which bounds its
@@ -293,7 +281,7 @@ _RUN_BLOCK = 1 << 16
 
 
 def chips_from_maps(
-    maps: Iterable[ProbabilityMap | LabelMap], params: FocusParams
+    maps: Iterable[FocusMap], params: FocusParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """The focus chips of a sequence of maps: the (c, 4) chip corners in
     the pixel frame of each map's image, and the (c,) position in ``maps``
@@ -359,16 +347,16 @@ def _block_chips(
 
 def chips_from_components(
     bounds: np.ndarray, stride: int, min_chip_size: int, image: ImageSize
-) -> list[BoundingBox]:
-    """The focus chips of one map's (m, 4) component cell bounds, as
-    :func:`component_bounds` gives them: :func:`chips_from_bounds` for a
-    single map.
+) -> np.ndarray:
+    """The (n, 4) focus chip corners of one map's (m, 4) component cell
+    bounds, as :func:`component_bounds` gives them: :func:`chips_from_bounds`
+    for a single map.
     """
     chips, _ = chips_from_bounds(
         bounds, np.zeros(len(bounds), dtype=np.intp), np.array([[image.width, image.height]]),
         stride, min_chip_size,
     )
-    return [BoundingBox(*row) for row in chips.tolist()]
+    return chips
 
 
 def chips_from_bounds(

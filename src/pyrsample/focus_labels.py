@@ -25,7 +25,6 @@ DEFAULT_IGNORE_MAX_SIDE = 90.0
 MAX_MAP_CELLS = 1 << 28
 
 FOCUS = 1
-BACKGROUND = 0
 IGNORE = -1
 
 
@@ -47,54 +46,32 @@ def check_grid(cells: np.ndarray, image: ImageSize, stride: int) -> None:
 
 
 @dataclass
-class LabelMap:
-    """Stride-s grid of {1, 0, -1} focus labels for one resized image.
+class FocusMap:
+    """Stride-s grid of one resized image: focus labels in training, or
+    predicted probabilities at inference.
 
     ``cells`` is row-major with one row per cell row of the image; cell
     (i, j) corresponds to the pixel block [j*s, (j+1)*s) x [i*s, (i+1)*s).
+    The cell dtype picks the value rule: bool or integer cells are labels
+    in {1, 0, -1}, so a thresholded map is 0/1, and float cells are
+    probabilities in [0, 1], NaN refused.
     """
 
     cells: np.ndarray
     stride: int
     image: ImageSize
-    min_side: float = DEFAULT_MIN_SIDE
-    max_side: float = DEFAULT_MAX_SIDE
-    ignore_max_side: float = DEFAULT_IGNORE_MAX_SIDE
 
     def __post_init__(self) -> None:
         check_grid(self.cells, self.image, self.stride)
         cells = self.cells
-        if np.issubdtype(cells.dtype, np.integer):
-            # For integers the set test is a range test, without a temporary.
-            bad = cells.size > 0 and (cells.min() < IGNORE or cells.max() > FOCUS)
-        else:
-            bad = (~np.isin(cells, (FOCUS, BACKGROUND, IGNORE))).any()
-        if bad:
+        if cells.dtype.kind == "f":
+            # Written so that a NaN cell, which compares false both ways, fails.
+            if cells.size and not (cells.min() >= 0.0 and cells.max() <= 1.0):
+                raise ValueError("probabilities must lie in [0, 1]")
+        elif cells.dtype.kind not in "biu":
+            raise ValueError(f"map cells must be bool, integer or float: {cells.dtype}")
+        elif cells.size and (cells.min() < IGNORE or cells.max() > FOCUS):
             raise ValueError("label cells must be 1, 0 or -1")
-
-
-@dataclass
-class ProbabilityMap:
-    """Real-valued [0, 1] map with the same geometry as a LabelMap."""
-
-    cells: np.ndarray
-    stride: int
-    image: ImageSize
-
-    def __post_init__(self) -> None:
-        check_grid(self.cells, self.image, self.stride)
-        # Written so that a NaN cell, which compares false both ways, fails.
-        if self.cells.size and not (self.cells.min() >= 0.0 and self.cells.max() <= 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
-
-
-def probability_map_from_labels(label_map: LabelMap) -> ProbabilityMap:
-    """Probability 1.0 on focus cells, 0.0 elsewhere (a perfect predictor)."""
-    return ProbabilityMap(
-        cells=(label_map.cells == FOCUS).astype(np.float64),
-        stride=label_map.stride,
-        image=label_map.image,
-    )
 
 
 # Flips the sign of the high corners, so that one floor serves both ends:
@@ -145,8 +122,8 @@ def _focus_rows(
 def focus_label_maps(
     boxes: np.ndarray, offsets: np.ndarray, originals: np.ndarray, images: np.ndarray,
     canvases: np.ndarray, stride: int, min_side: float, max_side: float, ignore_max_side: float,
-) -> list[LabelMap]:
-    """The focus :class:`LabelMap` of every map, in map order.
+) -> list[FocusMap]:
+    """The focus label :class:`FocusMap` of every map, in map order.
 
     Map k is image ``images[k]``'s rows ``offsets[i]:offsets[i + 1]`` of
     the run-wide (N, 4) ``boxes``, in the frame of its row of the
@@ -169,10 +146,7 @@ def focus_label_maps(
     spans = _cell_spans(resized[rows], stride, np.tile(grids[owners[rows]], 2))
     for k, (j0, i0, j1, i1), label in zip(owners[rows].tolist(), spans.tolist(), labels.tolist()):
         cells[k][i0:i1, j0:j1] = label
-    return [
-        LabelMap(c, stride, ImageSize(w, h), min_side, max_side, ignore_max_side)
-        for c, (w, h) in zip(cells, canvases.tolist())
-    ]
+    return [FocusMap(c, stride, ImageSize(w, h)) for c, (w, h) in zip(cells, canvases.tolist())]
 
 
 def focus_label_cells(
@@ -202,7 +176,7 @@ def build_focus_label_map(
     min_side: float = DEFAULT_MIN_SIDE,
     max_side: float = DEFAULT_MAX_SIDE,
     ignore_max_side: float = DEFAULT_IGNORE_MAX_SIDE,
-) -> LabelMap:
+) -> FocusMap:
     """Rasterize the (n, 4) corner rows ``boxes`` into a {1, 0, -1} focus
     label map.
 
@@ -216,7 +190,7 @@ def build_focus_label_map(
     ``ignore_max_side`` are plain background and mark nothing.
     """
     cells = focus_label_cells(boxes, image, image, stride, min_side, max_side, ignore_max_side)
-    return LabelMap(cells, stride, image, min_side, max_side, ignore_max_side)
+    return FocusMap(cells, stride, image)
 
 
 @dataclass

@@ -19,62 +19,6 @@ MAX_IMAGE_SIDE = 2**32 - 1
 
 
 @dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned rectangle with corners (x1, y1) <= (x2, y2).
-
-    Zero-area (degenerate) boxes are legal inputs everywhere; they have IoU 0
-    against every box, including themselves.
-    """
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self) -> None:
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise ValueError(
-                f"corners out of order: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
-        """Intersection rectangle, or None when the overlap has zero area."""
-        x1 = max(self.x1, other.x1)
-        x2 = min(self.x2, other.x2)
-        if x2 <= x1:
-            return None
-        y1 = max(self.y1, other.y1)
-        y2 = min(self.y2, other.y2)
-        if y2 <= y1:
-            return None
-        return BoundingBox(x1, y1, x2, y2)
-
-    def union_rect(self, other: "BoundingBox") -> "BoundingBox":
-        """Smallest rectangle enclosing both boxes."""
-        return BoundingBox(
-            min(self.x1, other.x1),
-            min(self.y1, other.y1),
-            max(self.x2, other.x2),
-            max(self.y2, other.y2),
-        )
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
-
-
-@dataclass(frozen=True)
 class ImageSize:
     """Canvas size in whole pixels."""
 
@@ -320,7 +264,3 @@ def level_boxes(
     resized = np.take(boxes, at, axis=0) * np.repeat(factors, counts, axis=0)
     return resized, np.repeat(np.arange(len(images)), counts)
 
-
-def boxes_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
-    """The (n, 4) float64 corner array x1, y1, x2, y2 of ``boxes``."""
-    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)

@@ -8,11 +8,11 @@ Chip records serialize as::
      "cropped_gt": [[gt_id, [x1, y1, x2, y2]], ...]}
 
 Detections use COCO-results records {image_id, category_id, bbox, score}
-with bbox in [x, y, w, h]. Label and probability maps have a dense binary
-layout: magic ``FMAP``, cell grid width/height, stride, image width/height
-(all uint32 little-endian), a 2-byte dtype tag (``i1`` labels / ``f4``
-probabilities), then the row-major payload. All writers go through a
-temp-file + atomic rename, so a failed run never leaves partial output.
+with bbox in [x, y, w, h]. Focus maps have a dense binary layout: magic
+``FMAP``, cell grid width/height, stride, image width/height (all uint32
+little-endian), a 2-byte dtype tag (``i1`` labels / ``f4`` probabilities),
+then the row-major payload. All writers go through a temp-file + atomic
+rename, so a failed run never leaves partial output.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import gc
 import json
 import os
 import struct
-import tempfile
 from contextlib import contextmanager
 from itertools import chain, repeat
 from pathlib import Path
@@ -29,13 +28,15 @@ from typing import Iterable
 import numpy as np
 
 from .chips import ChipBatch, UncoverableBoxes
-from .focus_labels import LabelMap, ProbabilityMap
+from .focus_labels import FocusMap
 from .geometry import DetectionBatch, ImageSize
 
 MAP_MAGIC = b"FMAP"
 _HEADER = struct.Struct("<4s5I2s")
 DTYPE_LABELS = b"i1"
 DTYPE_PROBS = b"f4"
+# The cells of each dtype tag, as the file holds them.
+_CELL_DTYPES = {DTYPE_LABELS: np.dtype("i1"), DTYPE_PROBS: np.dtype("<f4")}
 
 
 class FormatError(Exception):
@@ -160,8 +161,17 @@ def read_entries(entries: list, parse, error):
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+    """Write ``payload`` to a new temporary file next to ``path``, then
+    rename it over ``path``. The temporary file is created with mode 0o666,
+    so the umask applies as it does to a plain ``open``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    while True:
+        tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
@@ -297,11 +307,14 @@ def save_uncoverable_records(path: str | Path, uncoverable: UncoverableBoxes) ->
     atomic_write_text(path, _json_array(list(texts)) + "\n")
 
 
-def write_map_binary(path: str | Path, m: LabelMap | ProbabilityMap) -> None:
-    if isinstance(m, LabelMap):
-        dtype_tag, dtype = DTYPE_LABELS, np.int8
-    else:
-        dtype_tag, dtype = DTYPE_PROBS, np.float32
+def _dtype_tag(m: FocusMap) -> bytes:
+    """The ``.fmap`` dtype tag of a map: ``f4`` for float cells, ``i1`` for
+    label cells."""
+    return DTYPE_PROBS if m.cells.dtype.kind == "f" else DTYPE_LABELS
+
+
+def write_map_binary(path: str | Path, m: FocusMap) -> None:
+    dtype_tag = _dtype_tag(m)
     header = _HEADER.pack(
         MAP_MAGIC,
         m.cells.shape[1],
@@ -311,10 +324,13 @@ def write_map_binary(path: str | Path, m: LabelMap | ProbabilityMap) -> None:
         m.image.height,
         dtype_tag,
     )
-    atomic_write_bytes(path, header + np.ascontiguousarray(m.cells, dtype=dtype).tobytes())
+    cells = np.ascontiguousarray(m.cells, dtype=_CELL_DTYPES[dtype_tag])
+    atomic_write_bytes(path, header + cells.tobytes())
 
 
-def read_map_binary(path: str | Path) -> LabelMap | ProbabilityMap:
+def read_map_binary(path: str | Path) -> FocusMap:
+    """The map of a ``.fmap`` file, its cells the file's own int8 or
+    float32 values, read in place from the file's bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -324,28 +340,25 @@ def read_map_binary(path: str | Path) -> LabelMap | ProbabilityMap:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if stride == 0:
         raise FormatError(f"{path}: stride must be positive")
-    payload = raw[_HEADER.size :]
-    dtype = {DTYPE_LABELS: np.dtype(np.int8), DTYPE_PROBS: np.dtype(np.float32)}.get(dtype_tag)
+    dtype = _CELL_DTYPES.get(dtype_tag)
     if dtype is None:
         raise FormatError(f"{path}: unknown dtype tag {dtype_tag!r}")
-    if len(payload) != w_cells * h_cells * dtype.itemsize:
+    count, payload = w_cells * h_cells, len(raw) - _HEADER.size
+    if payload != count * dtype.itemsize:
         raise FormatError(
-            f"{path}: payload holds {len(payload)} bytes, header says "
+            f"{path}: payload holds {payload} bytes, header says "
             f"{w_cells}x{h_cells} cells of {dtype.itemsize} bytes"
         )
-    grid = np.frombuffer(payload, dtype=dtype).reshape(h_cells, w_cells)
+    grid = np.frombuffer(raw, dtype, count, _HEADER.size).reshape(h_cells, w_cells)
     try:
-        image = ImageSize(img_w, img_h)
-        if dtype_tag == DTYPE_LABELS:
-            return LabelMap(cells=grid.astype(np.int8), stride=stride, image=image)
-        return ProbabilityMap(cells=grid.astype(np.float64), stride=stride, image=image)
+        return FocusMap(cells=grid, stride=stride, image=ImageSize(img_w, img_h))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def map_to_debug_json(m: LabelMap | ProbabilityMap) -> dict:
+def map_to_debug_json(m: FocusMap) -> dict:
     return {
-        "dtype": "labels" if isinstance(m, LabelMap) else "probabilities",
+        "dtype": "probabilities" if _dtype_tag(m) == DTYPE_PROBS else "labels",
         "width_cells": int(m.cells.shape[1]),
         "height_cells": int(m.cells.shape[0]),
         "stride": m.stride,

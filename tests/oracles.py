@@ -8,12 +8,67 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from collections.abc import Iterable
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from pyrsample.dataset import MAX_IMAGE_SIDE
-from pyrsample.geometry import BoundingBox, ImageSize, MaxSideTarget, ScaleSpec
+from pyrsample.geometry import ImageSize, MaxSideTarget, ScaleSpec
+
+
+@dataclass(frozen=True)
+class BoundingBox:
+    """The oracles' own box: one axis-aligned rectangle with corners
+    (x1, y1) <= (x2, y2), compared by value. The library takes (n, 4)
+    corner arrays instead (:func:`boxes_array`).
+
+    Zero-area (degenerate) boxes are legal; they have IoU 0 against every
+    box, including themselves.
+    """
+
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+    def __post_init__(self) -> None:
+        if self.x2 < self.x1 or self.y2 < self.y1:
+            raise ValueError(
+                f"corners out of order: ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
+            )
+
+    @property
+    def width(self) -> float:
+        return self.x2 - self.x1
+
+    @property
+    def height(self) -> float:
+        return self.y2 - self.y1
+
+    @property
+    def area(self) -> float:
+        return self.width * self.height
+
+    def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
+        """Intersection rectangle, or None when the overlap has zero area."""
+        x1, x2 = max(self.x1, other.x1), min(self.x2, other.x2)
+        y1, y2 = max(self.y1, other.y1), min(self.y2, other.y2)
+        return None if x2 <= x1 or y2 <= y1 else BoundingBox(x1, y1, x2, y2)
+
+    def union_rect(self, other: "BoundingBox") -> "BoundingBox":
+        """Smallest rectangle enclosing both boxes."""
+        return BoundingBox(min(self.x1, other.x1), min(self.y1, other.y1),
+                           max(self.x2, other.x2), max(self.y2, other.y2))
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.x1, self.y1, self.x2, self.y2)
+
+
+def boxes_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
+    """The (n, 4) float64 corner array x1, y1, x2, y2 of ``boxes``."""
+    return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
 class Gt(NamedTuple):

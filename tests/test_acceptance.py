@@ -21,16 +21,18 @@ from pyrsample.config import coco_default
 from pyrsample.costing import size_area_fractions, speedup_upper_bound
 from pyrsample.dataset import load_dataset
 from pyrsample.focus_chips import FocusParams, generate_focus_chips
-from pyrsample.focus_labels import ProbabilityMap, build_focus_label_map
+from pyrsample.focus_labels import FocusMap, build_focus_label_map
 from pyrsample.focus_labels import focus_pixel_stats
-from pyrsample.geometry import BoundingBox, DetectionRow, ImageSize, ScaleSpec, boxes_array
+from pyrsample.geometry import DetectionRow, ImageSize, ScaleSpec
 from pyrsample.range_labels import assign_roi_labels, invalidate_anchors
 from pyrsample.stacking import MergePolicy, merge_detections, project_to_image, prune_boundary_detections
 
 from conftest import EXCERPT_PATH, REFERENCE_PATH, detection_batch, gt_columns, gt_set
 from oracles import (
+    BoundingBox,
     Gt,
     anchor_validity_oracle,
+    boxes_array,
     clip_box,
     focus_label_oracle,
     resolve_oracle,
@@ -190,13 +192,13 @@ def test_criterion_4_focus_chip_properties():
                 int(rng.integers((hc - 1) * stride + 1, hc * stride + 1)),
             )
             cells = rng.random((hc, wc))
-            pm = ProbabilityMap(cells=cells, stride=stride, image=image)
+            pm = FocusMap(cells=cells, stride=stride, image=image)
             params = FocusParams(
                 threshold=float(rng.uniform(0.55, 0.95)),
                 dilation=int(rng.choice([1, 3, 5])),
                 min_chip_size=int(rng.choice([8, 64, 200, 700])),
             )
-            chips = generate_focus_chips(pm, params, image)
+            chips = [BoundingBox(*c) for c in generate_focus_chips(pm, params, image).tolist()]
             margin = (params.dilation // 2) * stride
             for i, j in zip(*np.nonzero(cells >= params.threshold)):
                 block = clip_box(

@@ -23,21 +23,15 @@ from pyrsample.chips import (
     select_negative_chips,
     select_positive_chips,
 )
-from pyrsample.geometry import (
-    BoundingBox,
-    GroundTruthSet,
-    ImageSize,
-    MaxSideTarget,
-    ScaleSpec,
-    boxes_array,
-    size_array,
-)
+from pyrsample.geometry import GroundTruthSet, ImageSize, MaxSideTarget, ScaleSpec, size_array
 from pyrsample.range_labels import assign_roi_labels, valid_area_mask
 
 from conftest import box_columns, gt_columns, gt_set
 from oracles import (
+    BoundingBox,
     Gt,
     attach_gt_oracle,
+    boxes_array,
     chip_grid_oracle,
     encloses_oracle,
     greedy_cover_oracle,

@@ -16,12 +16,13 @@ from pyrsample import cli
 from pyrsample.cli import main
 from pyrsample.config import coco_default
 from pyrsample.focus_chips import FocusParams, generate_focus_chips
-from pyrsample.focus_labels import LabelMap, ProbabilityMap
-from pyrsample.geometry import BoundingBox, ImageSize
+from pyrsample.focus_labels import FocusMap
+from pyrsample.geometry import ImageSize
 from pyrsample.serialization import read_map_binary, write_map_binary
 
 from conftest import EXCERPT_PATH
 from oracles import (
+    BoundingBox,
     chip_grid_oracle,
     focus_pixel_stats_oracle,
     greedy_cover_oracle,
@@ -418,7 +419,7 @@ class TestErrorRecords:
         maps_dir.mkdir()
         cells = np.zeros((4, 4))
         cells[1, 1] = 0.9
-        pm = ProbabilityMap(cells=cells, stride=32, image=ImageSize(128, 128))
+        pm = FocusMap(cells=cells, stride=32, image=ImageSize(128, 128))
         for name in ("7_s1.fmap", "007_s1.fmap"):
             write_map_binary(maps_dir / name, pm)
         out = tmp_path / "fchips.json"
@@ -435,7 +436,7 @@ class TestErrorRecords:
         maps_dir.mkdir()
         cells = np.zeros((4, 4))
         cells[1, 1] = 0.9
-        pm = ProbabilityMap(cells=cells, stride=32, image=ImageSize(128, 128))
+        pm = FocusMap(cells=cells, stride=32, image=ImageSize(128, 128))
         for name in ("7_s1.fmap", "\u0667_s1.fmap"):
             write_map_binary(maps_dir / name, pm)
         out = tmp_path / "fchips.json"
@@ -451,7 +452,7 @@ class TestErrorRecords:
         # A map whose name holds no image and scale id used to be skipped.
         maps_dir = tmp_path / "pmaps"
         maps_dir.mkdir()
-        pm = ProbabilityMap(cells=np.full((4, 4), 0.9), stride=32, image=ImageSize(128, 128))
+        pm = FocusMap(cells=np.full((4, 4), 0.9), stride=32, image=ImageSize(128, 128))
         for path in ("1_s1.fmap", name):
             write_map_binary(maps_dir / path, pm)
         out = tmp_path / "fchips.json"
@@ -702,6 +703,29 @@ class TestErrorRecords:
             f"{tmp_path / 'dets.json'}: record 1: detection 1: score must be in [0, 1]: "
             f"{bad_score['detections'][1]!r}")
 
+    def test_stack_unknown_ids_name_the_first_record(self, small_coco, tmp_path, capsys):
+        good = self.STACK_RECORD
+        unknown_scale = self._changed(good, ("scale_id",), 7)
+        unknown_image = self._changed(good, ("image_id",), 9)
+        records = [good, unknown_scale, good, unknown_image]
+        rc, out = self._stack_records(small_coco, tmp_path, records)
+        assert rc == 1
+        assert self._only_error(capsys)["message"] == "detections reference unknown scale id 7"
+        assert not out.exists()
+        # In one record, the image id is checked before the scale id.
+        both = self._changed(unknown_scale, ("image_id",), 9)
+        assert self._stack_records(small_coco, tmp_path, [good, both])[0] == 1
+        assert self._only_error(capsys)["message"] == "detections reference unknown image id 9"
+
+    @pytest.mark.parametrize("image_id", [2**63, -(2**63) - 1, 2**70])
+    def test_stack_image_id_past_int64_is_unknown(self, small_coco, tmp_path, capsys, image_id):
+        records = [self.STACK_RECORD, self._changed(self.STACK_RECORD, ("image_id",), image_id)]
+        rc, out = self._stack_records(small_coco, tmp_path, records)
+        assert rc == 1
+        assert self._only_error(capsys)["message"] == (
+            f"detections reference unknown image id {image_id}")
+        assert not out.exists()
+
     def test_zero_stride_map(self, tmp_path, capsys):
         maps_dir = tmp_path / "pmaps"
         maps_dir.mkdir()
@@ -817,7 +841,7 @@ class TestFocusPipeline:
         maps_dir.mkdir()
         cells = np.zeros((15, 20))
         cells[7, 11] = 0.9
-        pm = ProbabilityMap(cells=cells, stride=32, image=ImageSize(640, 480))
+        pm = FocusMap(cells=cells, stride=32, image=ImageSize(640, 480))
         write_map_binary(maps_dir / "1_s2.fmap", pm)
         out = tmp_path / "fchips.json"
         assert main(
@@ -842,9 +866,9 @@ class TestFocusPipeline:
                               h * stride - int(rng.integers(0, stride)))
             cells = rng.random((h, w)) * (rng.random((h, w)) < 0.2)
             if k % 2:
-                m = LabelMap(cells=(cells > 0).astype(np.int8), stride=stride, image=image)
+                m = FocusMap(cells=(cells > 0).astype(np.int8), stride=stride, image=image)
             else:
-                m = ProbabilityMap(cells=cells.astype(np.float32), stride=stride, image=image)
+                m = FocusMap(cells=cells.astype(np.float32), stride=stride, image=image)
             maps[f"{k}_s{k % 3}.fmap"] = m
             write_map_binary(maps_dir / f"{k}_s{k % 3}.fmap", m)
         out = tmp_path / "fchips.json"
@@ -852,10 +876,10 @@ class TestFocusPipeline:
                      "--threshold", "0.3", "--dilation", "3", "--min-chip-size", "48"]) == 0
         params = FocusParams(threshold=0.3, dilation=3, min_chip_size=48)
         want = [
-            (int(name.split("_")[0]), list(chip.as_tuple()))
+            (int(name.split("_")[0]), chip)
             for name in sorted(maps)
             for chip in generate_focus_chips(read_map_binary(maps_dir / name), params,
-                                             maps[name].image)
+                                             maps[name].image).tolist()
         ]
         records = json.loads(out.read_text())
         assert want and [(r["image_id"], r["rect"]) for r in records] == want
@@ -1413,7 +1437,7 @@ class TestBoundedResources:
         cells = np.zeros((15, 20))
         cells[7, 11] = 0.9
         write_map_binary(maps_dir / "1_s2.fmap",
-                         ProbabilityMap(cells=cells, stride=32, image=ImageSize(640, 480)))
+                         FocusMap(cells=cells, stride=32, image=ImageSize(640, 480)))
 
         def run(dilation):
             out = tmp_path / "fchips.json"

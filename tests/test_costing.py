@@ -14,10 +14,10 @@ from pyrsample.costing import (
 )
 from pyrsample.focus_chips import binary_dilate, chips_from_bounds, component_bounds
 from pyrsample.focus_labels import FOCUS, focus_label_cells
-from pyrsample.geometry import BoundingBox, ImageSize, ScaleSpec, boxes_array
+from pyrsample.geometry import ImageSize, ScaleSpec
 
 from conftest import gt_columns, gt_sets
-from oracles import Gt, resolve_oracle, speedup_upper_bound_oracle
+from oracles import BoundingBox, Gt, boxes_array, resolve_oracle, speedup_upper_bound_oracle
 
 
 def square(side, x=0.0, y=0.0):

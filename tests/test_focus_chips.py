@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pyrsample import focus_chips
 from pyrsample.focus_chips import (
-    BinaryMap,
     FocusParams,
     binary_dilate,
     chips_from_bounds,
@@ -19,10 +18,12 @@ from pyrsample.focus_chips import (
     merge_overlapping,
     threshold_map,
 )
-from pyrsample.focus_labels import LabelMap, ProbabilityMap
-from pyrsample.geometry import BoundingBox, ImageSize
+from pyrsample.focus_labels import FocusMap
+from pyrsample.geometry import ImageSize
 
 from oracles import (
+    BoundingBox,
+    boxes_array,
     clip_box,
     component_bounds_oracle,
     component_chips_oracle,
@@ -35,13 +36,13 @@ from oracles import (
 def prob_map(cells, stride=32):
     cells = np.asarray(cells, dtype=np.float64)
     h, w = cells.shape
-    return ProbabilityMap(cells=cells, stride=stride, image=ImageSize(w * stride, h * stride))
+    return FocusMap(cells=cells, stride=stride, image=ImageSize(w * stride, h * stride))
 
 
 def binary(cells, stride=32):
     cells = np.asarray(cells, dtype=np.uint8)
     h, w = cells.shape
-    return BinaryMap(cells=cells, stride=stride, image=ImageSize(w * stride, h * stride))
+    return FocusMap(cells=cells, stride=stride, image=ImageSize(w * stride, h * stride))
 
 
 class TestFocusParams:
@@ -230,31 +231,21 @@ class TestExpandAndMerge:
         assert out == [[0, 0, 60, 80]]
 
     def test_merge_fixpoint(self):
-        rects = [
-            BoundingBox(0, 0, 10, 10),
-            BoundingBox(8, 0, 18, 10),
-            BoundingBox(16, 0, 26, 10),
-        ]
-        merged = merge_overlapping(rects)
-        assert merged == [BoundingBox(0, 0, 26, 10)]
+        rects = np.array([[0, 0, 10, 10], [8, 0, 18, 10], [16, 0, 26, 10]], dtype=np.float64)
+        assert merge_overlapping(rects).tolist() == [[0, 0, 26, 10]]
 
     def test_merge_keeps_disjoint(self):
-        rects = [BoundingBox(0, 0, 10, 10), BoundingBox(20, 20, 30, 30)]
-        assert merge_overlapping(rects) == rects
+        rects = np.array([[0, 0, 10, 10], [20, 20, 30, 30]], dtype=np.float64)
+        assert merge_overlapping(rects).tolist() == rects.tolist()
 
     def test_touching_edges_do_not_merge(self):
-        rects = [BoundingBox(0, 0, 10, 10), BoundingBox(10, 0, 20, 10)]
-        assert merge_overlapping(rects) == rects
-
+        rects = np.array([[0, 0, 10, 10], [10, 0, 20, 10]], dtype=np.float64)
+        assert merge_overlapping(rects).tolist() == rects.tolist()
 
     def test_grown_insert_absorbs_earlier_miss(self):
         # C misses A, absorbs B, and the grown C then overlaps A.
-        rects = [
-            BoundingBox(0, 0, 2, 2),
-            BoundingBox(1.5, 3, 4, 5),
-            BoundingBox(3, 1, 5, 4),
-        ]
-        assert merge_overlapping(rects) == [BoundingBox(0, 0, 5, 5)]
+        rects = np.array([[0, 0, 2, 2], [1.5, 3, 4, 5], [3, 1, 5, 4]])
+        assert merge_overlapping(rects).tolist() == [[0, 0, 5, 5]]
 
     def test_matches_restart_fixpoint_oracle(self):
         rng = np.random.default_rng(5)
@@ -268,7 +259,8 @@ class TestExpandAndMerge:
                 BoundingBox(float(x), float(y), float(x + w), float(y + h))
                 for (x, y), (w, h) in zip(corners, sides)
             ]
-            assert merge_overlapping(rects) == merge_overlapping_oracle(rects)
+            want = [list(r.as_tuple()) for r in merge_overlapping_oracle(rects)]
+            assert merge_overlapping(boxes_array(rects)).tolist() == want
 
 
 class TestChipsForSizes:
@@ -297,7 +289,8 @@ class TestChipsForSizes:
 
 class TestGenerateFocusChips:
     def test_all_zero_map(self):
-        assert generate_focus_chips(prob_map(np.zeros((8, 8))), FocusParams(), ImageSize(256, 256)) == []
+        chips = generate_focus_chips(prob_map(np.zeros((8, 8))), FocusParams(), ImageSize(256, 256))
+        assert chips.shape == (0, 4)
 
     def test_single_cell_hand_trace(self):
         cells = np.zeros((10, 10))
@@ -307,7 +300,7 @@ class TestGenerateFocusChips:
             pm, FocusParams(threshold=0.5, dilation=3, min_chip_size=8), pm.image
         )
         # dilated block spans cells (3..5, 3..5) -> pixels [96, 192] on both axes
-        assert chips == [BoundingBox(96, 96, 192, 192)]
+        assert chips.tolist() == [[96, 96, 192, 192]]
 
     def test_min_size_merges_neighbors(self):
         cells = np.zeros((10, 10))
@@ -319,7 +312,7 @@ class TestGenerateFocusChips:
         )
         assert len(chips) == 1
         # the merged chip encloses both original blocks
-        assert chips[0].x1 <= 64 and chips[0].x2 >= 256
+        assert chips[0, 0] <= 64 and chips[0, 2] >= 256
 
     def test_mismatched_image_rejected(self):
         pm = prob_map(np.zeros((4, 4)))
@@ -334,7 +327,7 @@ class TestGenerateFocusChips:
             int(rng.integers((w - 1) * stride + 1, w * stride + 1)),
             int(rng.integers((h - 1) * stride + 1, h * stride + 1)),
         )
-        pm = ProbabilityMap(cells=cells, stride=stride, image=image)
+        pm = FocusMap(cells=cells, stride=stride, image=image)
         params = FocusParams(
             threshold=0.5,
             dilation=int(rng.choice([1, 3, 5])),
@@ -346,7 +339,7 @@ class TestGenerateFocusChips:
         rng = np.random.default_rng(77)
         for _ in range(60):
             pm, params, image = self._random_case(rng)
-            chips = generate_focus_chips(pm, params, image)
+            chips = [BoundingBox(*c) for c in generate_focus_chips(pm, params, image).tolist()]
             s = pm.stride
             margin = (params.dilation // 2) * s
             for i, j in zip(*np.nonzero(pm.cells >= params.threshold)):
@@ -390,7 +383,10 @@ class TestGenerateFocusChips:
         pm = prob_map(cells)
         low = generate_focus_chips(pm, FocusParams(threshold=0.3, dilation=1, min_chip_size=8), pm.image)
         high = generate_focus_chips(pm, FocusParams(threshold=0.8, dilation=1, min_chip_size=8), pm.image)
-        assert sum(c.area for c in high) <= sum(c.area for c in low)
+        def area(chips):
+            return ((chips[:, 2] - chips[:, 0]) * (chips[:, 3] - chips[:, 1])).sum()
+
+        assert area(high) <= area(low)
 
 
 # Thresholds and probabilities at and next to each other. A float32 cell of
@@ -416,9 +412,9 @@ def focus_maps(draw):
     else:
         cells = [values[0] if fill == "lowest" else values[-1]] * (h * w)
     if labels:
-        return LabelMap(np.array(cells, dtype=np.int8).reshape(h, w), stride, image)
+        return FocusMap(np.array(cells, dtype=np.int8).reshape(h, w), stride, image)
     dtype = draw(st.sampled_from([np.float64, np.float32]))
-    return ProbabilityMap(np.array(cells, dtype=dtype).reshape(h, w), stride, image)
+    return FocusMap(np.array(cells, dtype=dtype).reshape(h, w), stride, image)
 
 
 @pytest.mark.parametrize("run_block", [focus_chips._RUN_BLOCK, 1, 5])
@@ -433,8 +429,8 @@ def focus_maps(draw):
     min_chip_size=st.sampled_from([1, 8, 64, 3000]),
     pair_block=st.sampled_from([focus_chips._PAIR_BLOCK, 1, 5]),
 )
-@example(maps=[ProbabilityMap(np.full((2, 3), 0.7, dtype=np.float32), 8, ImageSize(24, 16)),
-               LabelMap(np.ones((1, 1), dtype=np.int8), 8, ImageSize(8, 8))],
+@example(maps=[FocusMap(np.full((2, 3), 0.7, dtype=np.float32), 8, ImageSize(24, 16)),
+               FocusMap(np.ones((1, 1), dtype=np.int8), 8, ImageSize(8, 8))],
          threshold=0.7, strict=False, dilation=1, min_chip_size=1, pair_block=1)
 def test_chips_of_many_maps_match_per_map_oracles(run_block, maps, threshold, strict, dilation,
                                                   min_chip_size, pair_block):
@@ -461,7 +457,7 @@ def _tall_maps(n_maps, rows):
     one component each."""
     cells = np.ones((rows, 2))
     for _ in range(n_maps):
-        yield ProbabilityMap(cells, 8, ImageSize(16, 8 * rows))
+        yield FocusMap(cells, 8, ImageSize(16, 8 * rows))
 
 
 def test_chips_from_maps_hold_one_block_of_runs():

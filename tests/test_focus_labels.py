@@ -14,20 +14,19 @@ from pyrsample import cli
 from pyrsample.focus_labels import (
     FOCUS,
     IGNORE,
-    LabelMap,
-    ProbabilityMap,
+    FocusMap,
     build_focus_label_map,
     focus_label_cells,
     focus_label_maps,
     focus_pixel_stats,
     grid_shape,
-    probability_map_from_labels,
 )
-from pyrsample.geometry import BoundingBox, ImageSize, ScaleSpec, boxes_array, size_array
+from pyrsample.focus_chips import FocusParams, chips_from_maps
+from pyrsample.geometry import ImageSize, ScaleSpec, size_array
 from pyrsample.serialization import read_map_binary
 
 from conftest import box_columns, gt_columns
-from oracles import Gt, clip_box, focus_label_oracle, rescale_box
+from oracles import BoundingBox, Gt, boxes_array, clip_box, focus_label_oracle, rescale_box
 
 
 def square(side, x=0.0, y=0.0):
@@ -53,32 +52,38 @@ class TestGridGeometry:
 
     def test_map_shape_validation(self):
         with pytest.raises(ValueError):
-            LabelMap(cells=np.zeros((3, 3), dtype=np.int8), stride=32, image=IMG)
+            FocusMap(cells=np.zeros((3, 3), dtype=np.int8), stride=32, image=IMG)
         with pytest.raises(ValueError):
-            ProbabilityMap(cells=np.full((10, 10), 1.5), stride=32, image=IMG)
+            FocusMap(cells=np.full((10, 10), 1.5), stride=32, image=IMG)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 1.5])
     def test_probability_outside_unit_interval_rejected(self, bad):
         cells = np.full((10, 10), 0.5)
         cells[3, 4] = bad
         with pytest.raises(ValueError):
-            ProbabilityMap(cells=cells, stride=32, image=IMG)
+            FocusMap(cells=cells, stride=32, image=IMG)
 
     @pytest.mark.parametrize(
         "dtype", [np.int8, np.int16, np.int64, np.uint8, np.uint64, np.float32, np.float64, bool]
     )
     def test_label_values_accepted_as_by_set_membership(self, dtype):
+        # The cell dtype picks the rule: bool and integer cells are labels,
+        # accepted by membership in {1, 0, -1}; float cells are
+        # probabilities, accepted in [0, 1].
         image = ImageSize(96, 32)
         for values in ([-1, 0, 1], [0, 1, 1], [2, 0, 0], [-2, 0, 1], [127, 0, 0], [0.5, 0, 0]):
             with np.errstate(invalid="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 cells = np.array([values], dtype=np.float64).astype(dtype)
-            accepted = np.isin(cells, (FOCUS, 0, IGNORE)).all()
+            if cells.dtype.kind == "f":
+                accepted = ((0.0 <= cells) & (cells <= 1.0)).all()
+            else:
+                accepted = np.isin(cells, (FOCUS, 0, IGNORE)).all()
             if accepted:
-                LabelMap(cells=cells, stride=32, image=image)
+                FocusMap(cells=cells, stride=32, image=image)
             else:
                 with pytest.raises(ValueError):
-                    LabelMap(cells=cells, stride=32, image=image)
+                    FocusMap(cells=cells, stride=32, image=image)
 
 
 # The config levels of the whole-run test, by scale id.
@@ -289,10 +294,18 @@ class TestBuildFocusLabelMap:
 
 class TestProbabilityFromLabels:
     def test_perfect_predictor(self):
-        lm = build([square(30, x=64, y=64), square(80, x=200, y=200)])
-        pm = probability_map_from_labels(lm)
-        assert pm.cells.max() == 1.0
-        assert ((pm.cells == 1.0) == (lm.cells == FOCUS)).all()
+        # A label map gives the chips of its perfect predictor, probability
+        # 1 on focus cells and 0 elsewhere, at every threshold in (0, 1].
+        lm = build([square(30, x=64, y=64), square(80, x=200, y=200), square(3, x=10, y=10)])
+        assert (lm.cells == IGNORE).any() and (lm.cells == FOCUS).any()
+        pm = FocusMap((lm.cells == FOCUS).astype(np.float64), lm.stride, lm.image)
+        for threshold in (0.25, 1.0):
+            for strict in (False, True):
+                params = FocusParams(threshold=threshold, min_chip_size=8,
+                                     strict_threshold=strict and threshold < 1.0)
+                got = chips_from_maps([lm], params)[0]
+                assert got.tolist() == chips_from_maps([pm], params)[0].tolist()
+                assert len(got)
 
 
 class TestFocusPixelStats:

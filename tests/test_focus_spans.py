@@ -14,18 +14,13 @@ from pyrsample.costing import speedup_upper_bound
 from pyrsample.focus_chips import binary_dilate, chips_from_bounds
 from pyrsample.focus_labels import FOCUS, focus_label_cells, focus_pixel_stats
 from pyrsample.focus_spans import dilate_spans, focus_spans, span_components, union_cells
-from pyrsample.geometry import (
-    BoundingBox,
-    ImageSize,
-    MaxSideTarget,
-    ScaleSpec,
-    boxes_array,
-    size_array,
-)
+from pyrsample.geometry import ImageSize, MaxSideTarget, ScaleSpec, size_array
 
 from conftest import box_columns, gt_columns
 from oracles import (
+    BoundingBox,
     Gt,
+    boxes_array,
     component_bounds_oracle,
     component_chips_oracle,
     count_at_most_oracle,

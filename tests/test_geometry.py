@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pyrsample.geometry import (
-    BoundingBox,
     DetectionBatch,
     DetectionRow,
     GroundTruthSet,
@@ -21,7 +20,7 @@ from pyrsample.geometry import (
 from pyrsample.stacking import iou_rows
 
 from conftest import box_columns, detection_batch, gt_set
-from oracles import clip_box, encloses_oracle, iou_oracle, rescale_box, resolve_oracle
+from oracles import BoundingBox, clip_box, encloses_oracle, iou_oracle, rescale_box, resolve_oracle
 
 
 def box(x1, y1, x2, y2):
@@ -41,6 +40,8 @@ def boxes(draw):
 
 
 class TestBoundingBox:
+    """The oracles' own box type; the library takes (n, 4) corner arrays."""
+
     def test_rejects_misordered_corners(self):
         with pytest.raises(ValueError):
             BoundingBox(10, 0, 5, 10)

@@ -1,4 +1,5 @@
-"""Fuzzing of ``read_map_binary`` through the CLI error contract.
+"""Fuzzing of ``read_map_binary``, on its own and through the CLI error
+contract.
 
 Generated ``.fmap`` files are well-formed maps, some with one or two fields
 broken: a truncated or extended file, a bad magic, a zero or wrong stride,
@@ -7,7 +8,10 @@ that are NaN, infinite or outside the valid range. Each case runs through
 ``focus chips``. A run must exit 0 and write its output when every map is
 well-formed by the literal rules of the format below, and otherwise exit 1
 with exactly one JSON error line on stderr and no output file. A
-traceback, a numpy warning or any other stderr line fails the test.
+traceback, a numpy warning or any other stderr line fails the test. On
+its own, ``read_map_binary`` gives a well-formed file's cells in the file's
+own dtype, which ``write_map_binary`` writes back byte for byte, and raises
+``FormatError`` for any other file.
 """
 import contextlib
 import io
@@ -18,10 +22,12 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pyrsample.cli import main
+from pyrsample.serialization import FormatError, read_map_binary, write_map_binary
 
 HEADER = struct.Struct("<4s5I2s")
 U32 = st.integers(0, 2**32 - 1)
@@ -135,3 +141,24 @@ def test_focus_chips_exits_cleanly_on_any_map(files):
             error = json.loads(lines[0])["error"]
             assert error["type"] and error["message"]
             assert not out.exists()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fmap_file())
+@example(_map([0.9, np.nan, 0.1, 0.0]))
+@example(_map([0, 1, 2, -1], tag=b"i1", dtype=np.int8))
+@example(_map([1, 0, 0, -1], tag=b"i1", dtype=np.int8))
+def test_read_map_binary_keeps_the_files_cells(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "1_s1.fmap"
+        path.write_bytes(raw)
+        if not well_formed(raw):
+            with pytest.raises(FormatError):
+                read_map_binary(path)
+            return
+        m = read_map_binary(path)
+        tag = HEADER.unpack_from(raw)[-1]
+        assert m.cells.dtype == {b"i1": np.int8, b"f4": np.float32}[tag]
+        assert m.cells.tobytes() == raw[HEADER.size:]
+        write_map_binary(path, m)
+        assert path.read_bytes() == raw

@@ -1,14 +1,18 @@
 """No orphans under ``src/pyrsample/``: every module-level private function
-or constant is used somewhere under ``src/`` outside its own definition,
-and every name a module imports is used in that module (or exported in its
-``__all__``). A deletion that leaves a helper or an import behind fails
-here."""
+or constant is used somewhere under ``src/`` outside its own definition;
+every module-level public function or class is named somewhere under
+``src/``, ``tests/``, ``perfbench/`` or ``scripts/``, or in the README,
+outside its own definition; and every name a module imports is used in that
+module (or exported in its ``__all__``). A deletion that leaves a helper, a
+wrapper or an import behind fails here."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pyrsample"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pyrsample"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -36,6 +40,18 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def _named(node: ast.AST) -> set[str]:
+    """The names that ``node`` reads or imports, and its string constants,
+    which is how ``perfbench`` names the functions it traces."""
+    names = _used(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.alias):
+            names.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
 def test_private_definitions_have_a_use():
     assert "cli.py" in TREES
     statements = [(module, s) for module, tree in TREES.items() for s in tree.body]
@@ -46,6 +62,25 @@ def test_private_definitions_have_a_use():
         for name in _defined(statement)
         if _private(name) and not any(name in u for j, u in enumerate(uses) if j != k)
     ]
+    assert orphans == []
+
+
+def test_public_definitions_have_a_use():
+    outside = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for folder in ("tests", "perfbench", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            outside |= _named(ast.parse(path.read_text(), str(path)))
+    named = {module: [_named(s) for s in tree.body] for module, tree in TREES.items()}
+    orphans = []
+    for module, tree in TREES.items():
+        elsewhere = outside.union(*(n for m, ns in named.items() if m != module for n in ns))
+        for k, statement in enumerate(tree.body):
+            if (isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not statement.name.startswith("_")
+                    and statement.name not in elsewhere.union(
+                        *(n for j, n in enumerate(named[module]) if j != k))):
+                orphans.append(f"{module}: {statement.name}")
+    assert "cli.py" in TREES and "FocusMap" in outside
     assert orphans == []
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pyrsample import focus_chips
-from pyrsample.geometry import BoundingBox, DetectionRow, ScaleSpec, boxes_array
+from pyrsample.geometry import DetectionRow, ScaleSpec
 from pyrsample.range_labels import (
     assign_roi_labels,
     filter_detections_by_range,
@@ -15,7 +15,7 @@ from pyrsample.range_labels import (
 )
 
 from conftest import detection_batch, gt_set
-from oracles import Gt, anchor_validity_oracle, roi_label_oracle
+from oracles import BoundingBox, Gt, anchor_validity_oracle, boxes_array, roi_label_oracle
 
 
 def square(side, x=0.0, y=0.0):

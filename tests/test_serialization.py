@@ -1,15 +1,19 @@
 import gc
 import json
 import math
+import os
 import random
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pyrsample.chips import UncoverableBoxes
-from pyrsample.focus_labels import LabelMap, ProbabilityMap
+from pyrsample.focus_chips import threshold_map
+from pyrsample.focus_labels import FocusMap
 from pyrsample.geometry import DetectionBatch, ImageSize
 from pyrsample.serialization import (
     FormatError,
@@ -295,25 +299,82 @@ class TestDetectionRecords:
         ]
 
 
+@st.composite
+def map_grids(draw, dtype, elements):
+    """A stride, an image and a cell grid of that image at the stride."""
+    stride = draw(st.integers(1, 40))
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    image = ImageSize(draw(st.integers((w - 1) * stride + 1, w * stride)),
+                      draw(st.integers((h - 1) * stride + 1, h * stride)))
+    return draw(hnp.arrays(dtype, (h, w), elements=elements)), stride, image
+
+
+LABEL_GRIDS = map_grids(np.int8, st.sampled_from([-1, 0, 1]))
+PROBABILITY_GRIDS = map_grids(np.float32, st.floats(0.0, 1.0, width=32))
+
+
 class TestMapBinary:
     def test_label_map_round_trip(self, tmp_path):
         cells = np.array([[1, 0, -1], [0, 1, 0]], dtype=np.int8)
-        lm = LabelMap(cells=cells, stride=32, image=ImageSize(96, 64))
+        lm = FocusMap(cells=cells, stride=32, image=ImageSize(96, 64))
         path = tmp_path / "m.fmap"
         write_map_binary(path, lm)
         again = read_map_binary(path)
-        assert isinstance(again, LabelMap)
+        assert again.cells.dtype == np.int8
         assert (again.cells == cells).all()
         assert again.stride == 32 and again.image == lm.image
 
     def test_probability_map_round_trip(self, tmp_path):
         cells = np.linspace(0, 1, 12).reshape(3, 4)
-        pm = ProbabilityMap(cells=cells, stride=16, image=ImageSize(64, 48))
+        pm = FocusMap(cells=cells, stride=16, image=ImageSize(64, 48))
         path = tmp_path / "p.fmap"
         write_map_binary(path, pm)
         again = read_map_binary(path)
-        assert isinstance(again, ProbabilityMap)
-        assert np.allclose(again.cells, cells, atol=1e-7)
+        assert again.cells.dtype == np.float32
+        assert (again.cells == cells.astype(np.float32)).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=st.one_of(LABEL_GRIDS, PROBABILITY_GRIDS))
+    def test_cells_round_trip_in_their_own_dtype(self, tmp_path_factory, grid):
+        cells, stride, image = grid
+        path = tmp_path_factory.mktemp("maps") / "m.fmap"
+        write_map_binary(path, FocusMap(cells, stride, image))
+        raw = path.read_bytes()
+        again = read_map_binary(path)
+        assert again.cells.dtype == cells.dtype and again.cells.shape == cells.shape
+        assert again.cells.tobytes() == cells.tobytes()
+        assert again.stride == stride and again.image == image
+        write_map_binary(path, again)
+        assert path.read_bytes() == raw
+
+    @pytest.mark.parametrize("cells, problem", [
+        (np.array([[2, 0]], dtype=np.int8), "label"),
+        (np.array([[-2, 0]], dtype=np.int64), "label"),
+        (np.array([[255, 0]], dtype=np.uint8), "label"),
+        (np.array([[0.5, -0.25]]), "probabilities"),
+        (np.array([[1.5, 0.0]], dtype=np.float32), "probabilities"),
+        (np.array([[np.nan, 0.0]]), "probabilities"),
+        (np.array([[np.inf, 0.0]]), "probabilities"),
+        (np.array([["1", "0"]]), "bool, integer or float"),
+        (np.zeros((2, 2), dtype=np.int8), "does not match image"),
+        (np.zeros((1, 3)), "does not match image"),
+    ], ids=["int8-2", "int64-minus-2", "uint8-255", "below-0", "above-1", "nan", "inf", "str",
+            "label-shape", "probability-shape"])
+    def test_cells_outside_their_rule_are_refused(self, cells, problem):
+        with pytest.raises(ValueError, match=problem):
+            FocusMap(cells, 32, ImageSize(64, 32))
+
+    def test_a_thresholded_map_writes_as_labels(self, tmp_path):
+        pm = FocusMap(np.array([[0.2, 0.7]]), 32, ImageSize(64, 32))
+        bm = threshold_map(pm, 0.5)
+        assert bm.cells.tolist() == [[0, 1]]
+        path = tmp_path / "t.fmap"
+        write_map_binary(path, bm)
+        assert path.read_bytes()[24:26] == b"i1"
+        again = read_map_binary(path)
+        assert again.cells.dtype == np.int8 and again.cells.tolist() == [[0, 1]]
+        assert map_to_debug_json(bm)["dtype"] == "labels"
+        assert map_to_debug_json(pm)["dtype"] == "probabilities"
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "t.fmap"
@@ -329,7 +390,7 @@ class TestMapBinary:
 
     def test_debug_json_round_trip(self, tmp_path):
         cells = np.array([[1, -1], [0, 1]], dtype=np.int8)
-        lm = LabelMap(cells=cells, stride=32, image=ImageSize(64, 48))
+        lm = FocusMap(cells=cells, stride=32, image=ImageSize(64, 48))
         path = tmp_path / "m.json"
         atomic_write_text(path, json.dumps(map_to_debug_json(lm)))
         assert json.loads(path.read_text()) == {
@@ -339,6 +400,18 @@ class TestMapBinary:
 
 
 class TestWriters:
+    def test_outputs_follow_the_umask(self, tmp_path):
+        pm = FocusMap(np.array([[0.2, 0.7]]), 32, ImageSize(64, 32))
+        old = os.umask(0o022)
+        try:
+            save_chip_records(tmp_path / "chips.json", chip_batch([SAMPLE_ROW], "positive"))
+            write_map_binary(tmp_path / "1_s0.fmap", pm)
+        finally:
+            os.umask(old)
+        for name in ("chips.json", "1_s0.fmap"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644, name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["1_s0.fmap", "chips.json"]
+
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "out.txt"
         atomic_write_text(path, "hello")

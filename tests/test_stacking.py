@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pyrsample.geometry import BoundingBox, DetectionRow, ImageSize
+from pyrsample.geometry import DetectionRow, ImageSize
 from pyrsample.stacking import (
     MergePolicy,
     merge_detections,
@@ -13,7 +13,7 @@ from pyrsample.stacking import (
 )
 
 from conftest import detection_batch
-from oracles import hard_nms_oracle, iou_oracle, soft_nms_oracle
+from oracles import BoundingBox, hard_nms_oracle, iou_oracle, soft_nms_oracle
 
 
 def det(x1, y1, x2, y2, score=0.9, class_id=1):
