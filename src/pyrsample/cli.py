@@ -137,8 +137,11 @@ def cmd_focus_chips(args) -> int:
         ),
         strict_threshold=cfg.focus_params.strict_threshold,
     )
+    probmaps = Path(args.probmaps)
+    if not probmaps.is_dir():
+        raise FormatError(f"{args.probmaps}: --probmaps must name a directory of .fmap files")
     maps: dict[tuple[int, int], Path] = {}
-    for path in sorted(Path(args.probmaps).glob("*.fmap")):
+    for path in sorted(probmaps.glob("*.fmap")):
         match = _MAP_NAME.match(path.name)
         if not match:
             raise FormatError(f"{path}: map file names must be <image_id>_s<scale_id>.fmap")
@@ -163,8 +166,7 @@ def _load_stack_records(path: Path) -> list[dict]:
     of a directory in name order."""
     records = []
     for child in sorted(path.glob("*.json")) if path.is_dir() else [path]:
-        with open(child, "r", encoding="utf-8") as fh:
-            part = json.load(fh)
+        part = ser.load_json(child, FormatError)
         if not isinstance(part, list):
             raise FormatError(f"{child}: per-chip detection file must be a JSON array")
         records.extend(part)

@@ -7,11 +7,11 @@ crowd-sourced annotations routinely overshoot by a pixel or two.
 """
 from __future__ import annotations
 
-import json
 import xml.etree.ElementTree as ET
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,9 @@ from .serialization import (
     json_ints,
     json_number_rows,
     json_numbers,
+    load_json,
     read_entries,
+    read_json_array,
 )
 
 CLAMP_TOL = 1e-9
@@ -117,12 +119,9 @@ class DatasetIndex:
 
 def _read_json(path: str | Path) -> object:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return load_json(path, DatasetParseError)
     except OSError as exc:
         raise DatasetParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetParseError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _crowd_flags(values: list) -> np.ndarray:
@@ -383,11 +382,21 @@ def load_proposals(path: str | Path, index: DatasetIndex) -> tuple[ProposalSet, 
     image, with boxes clamped to the image, and the (n + 1,) offsets of the
     images' rows. A missing score counts as 1.0; a score outside [0, 1] is
     an error.
+
+    A large file is decoded in pieces on every available CPU
+    (:func:`~pyrsample.serialization.read_json_array`). A file too small to
+    cut, or one that fails that way, is read whole here, in one process,
+    which names any error.
     """
-    data = _read_json(path)
-    if not isinstance(data, list):
-        raise DatasetStructureError(f"{path}: results file must be a JSON array")
-    owner_ids, xywh, scores = _columns(path, data, _proposal_columns)
+    pieces = read_json_array(path, _proposal_columns)
+    if pieces is None:
+        data = _read_json(path)
+        if not isinstance(data, list):
+            raise DatasetStructureError(f"{path}: results file must be a JSON array")
+        owner_ids, xywh, scores = _columns(path, data, _proposal_columns)
+    else:
+        ids, xywh, scores = zip(*pieces)
+        owner_ids, xywh, scores = list(chain(*ids)), np.concatenate(xywh), np.concatenate(scores)
     owners = _rows_of(path, index.image_ids, owner_ids, "proposals")
     order, offsets, _, boxes = _grouped(owners, xywh, index.sizes)
     return ProposalSet(boxes, np.take(scores, order)), offsets

@@ -13,13 +13,21 @@ with bbox in [x, y, w, h]. Focus maps have a dense binary layout: magic
 little-endian), a 2-byte dtype tag (``i1`` labels / ``f4`` probabilities),
 then the row-major payload. All writers go through a temp-file + atomic
 rename, so a failed run never leaves partial output.
+
+Large JSON-array inputs decode on every available CPU (see
+:func:`read_json_array`).
 """
 from __future__ import annotations
 
 import gc
 import json
 import os
+import pickle
+import re
+import signal
 import struct
+import sys
+import warnings
 from contextlib import contextmanager
 from itertools import chain, repeat
 from pathlib import Path
@@ -158,6 +166,166 @@ def read_entries(entries: list, parse, error):
     failure = failure or _parse_error(parse, entries[lo:hi])
     problem = f"missing key {failure}" if isinstance(failure, KeyError) else str(failure)
     return parse(entries[:lo]), error(lo, entries[lo], problem)
+
+
+def load_json(path: str | Path, error: type[Exception]):
+    """The JSON value of the UTF-8 file at ``path``. Text that is not UTF-8
+    or not JSON raises ``error`` naming the file; a file that cannot be read
+    raises ``OSError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise error(f"malformed JSON in {path}: {exc}") from exc
+
+
+# The fewest characters a piece of a split JSON array holds. Forking a child
+# and its copy-on-write faults cost 20-30 ms, so two pieces of a file below
+# about 4 MB decode slower than the whole file in one process.
+MIN_PIECE_CHARS = 2 << 20
+_JSON_SPACE = " \t\n\r"
+# An array's opening bracket, and its first element's opening text up to
+# the element's first colon.
+_ARRAY_OPEN = re.compile(r"[ \t\n\r]*(\[)[ \t\n\r]*(\{[^:]*:)")
+
+
+def _piece_count(chars: int) -> int:
+    """How many pieces a JSON array of ``chars`` characters is cut into: one
+    per CPU in the process's affinity set, each of at least
+    :data:`MIN_PIECE_CHARS` characters; below 2 it stays whole, as it
+    always does off Linux or without ``os.fork``."""
+    if not (sys.platform.startswith("linux") and hasattr(os, "fork")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), chars // MIN_PIECE_CHARS)
+
+
+def _piece_spans(text: str) -> list[tuple[int, int]]:
+    """Where ``text``, a JSON array of objects, is cut into pieces: per
+    piece, the position of the ``[`` or ``,`` before its first element and
+    of the ``,`` or ``]`` after its last. Empty when the text stays whole.
+
+    There are :func:`_piece_count` pieces. Each cut is the first ``,`` at or
+    after an even share of the text that is followed, after JSON whitespace,
+    by the first element's opening text up to its first ``:``. A cut may
+    still land inside a string or a nested value; :func:`_piece_columns`
+    refuses such a piece."""
+    pieces = _piece_count(len(text))
+    first = _ARRAY_OPEN.match(text) if pieces > 1 else None
+    if first is None:
+        return []
+    close = len(text)
+    while text[close - 1] in _JSON_SPACE:
+        close -= 1
+    if text[close - 1] != "]":
+        return []
+    cut = re.compile(f",[{_JSON_SPACE}]*{re.escape(first[2])}")
+    ends = []
+    for k in range(1, pieces):
+        at = cut.search(text, max(k * len(text) // pieces, ends[-1] + 1 if ends else 0))
+        if at is None:
+            break
+        ends.append(at.start())
+    starts = [first.start(1), *ends]
+    return list(zip(starts, [*ends, close - 1])) if ends else []
+
+
+def _piece_columns(text: str, span: tuple[int, int], build):
+    """``build`` of the elements of one piece of ``text`` (see
+    :func:`_piece_spans`), decoded with the collector held off. Raises
+    ``ValueError`` unless the piece is a non-empty JSON array."""
+    start, end = span
+    with gc_paused():
+        entries = json.loads("[" + text[start + 1:end] + "]")
+        if not entries:
+            raise ValueError("a piece of a split JSON array holds no element")
+        return build(entries)
+
+
+def _fork_piece(text: str, span: tuple[int, int], build) -> tuple[int, int]:
+    """Fork a child that writes the pickled :func:`_piece_columns` of one
+    piece to a pipe and exits 0, or exits 1 when they fail; the child's pid
+    and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        # From Python 3.12 a fork in a process with threads (numpy's BLAS
+        # pool) warns in the parent after the child exists; were warnings
+        # errors, the parent would lose the pid. The child runs no BLAS.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pickle.dump(_piece_columns(text, span, build), pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
+def _split_columns(text: str, spans: list[tuple[int, int]], build) -> list:
+    """The :func:`_piece_columns` of every piece, in order: the first
+    decoded here, each other one in a forked child. Raises when a fork
+    fails, a piece fails or a child does not exit 0. Every child is reaped
+    before this returns or raises, and killed first when it raises before
+    every pipe is read to its end."""
+    children, payloads, codes = [], [], []
+    try:
+        for span in spans[1:]:
+            children.append(_fork_piece(text, span, build))
+        first = _piece_columns(text, spans[0], build)
+        for _, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        for pid, read in children:
+            if len(payloads) < len(children):
+                os.kill(pid, signal.SIGKILL)
+            os.close(read)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    if any(codes):
+        raise ChildProcessError("a child decoding a piece did not exit 0")
+    return [first, *map(pickle.loads, payloads)]
+
+
+def read_json_array(path: str | Path, build) -> list | None:
+    """``build``'s columns of the elements of the JSON array in the UTF-8
+    file at ``path``, one value per piece of the file in file order; or
+    None, and then the caller reads the file on its own one-process path,
+    which names any error as it always has.
+
+    ``build`` takes a list of elements and checks every one, as the
+    ``parse`` of :func:`read_entries` does; it must call no traced function
+    and no BLAS, since it also runs in forked children. A file of at least
+    two pieces (:func:`_piece_spans`) is decoded on as many CPUs: each piece
+    after the first in a child that sends its pickled columns back through
+    a pipe, while this process decodes the first.
+
+    Correctness never rests on where the cuts land. When every piece
+    decodes as a non-empty array, the pieces joined by their commas are the
+    file, so their elements are the file's elements in order. Anything else
+    gives None: a file too small to cut, one that cannot be read or is not
+    UTF-8, a failed fork, a piece that is not a non-empty array, a
+    ``build`` error in any piece, or a child that exits with any code but
+    0."""
+    try:
+        # A file's size in bytes bounds its length in characters, so a file
+        # too small to cut is left to the caller unread.
+        if _piece_count(os.path.getsize(path)) < 2:
+            return None
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        spans = _piece_spans(text)
+        return _split_columns(text, spans, build) if spans else None
+    except Exception:
+        return None
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:

@@ -643,7 +643,7 @@ def _oracle_json(path):
             return json.load(fh)
     except OSError as exc:
         raise DatasetParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatasetParseError(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pyrsample
-from pyrsample import cli
+from pyrsample import cli, serialization
 from pyrsample.cli import main
 from pyrsample.config import coco_default
 from pyrsample.focus_chips import FocusParams, generate_focus_chips
@@ -753,6 +753,56 @@ class TestErrorRecords:
         assert "1_s0.fmap" in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_probmaps_must_be_a_directory(self, tmp_path, capsys, kind):
+        # Used to exit 0 and write no chips from 0 maps.
+        probmaps = tmp_path / "pmaps"
+        if kind == "file":
+            probmaps.write_bytes(b"")
+        out = tmp_path / "o.json"
+        assert main(["focus", "chips", "--probmaps", str(probmaps), "--out", str(out)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "FormatError"
+        assert error["message"] == (
+            f"{probmaps}: --probmaps must name a directory of .fmap files")
+        assert not out.exists()
+
+    def test_empty_probmaps_directory_gives_no_chips(self, tmp_path):
+        (tmp_path / "pmaps").mkdir()
+        out = tmp_path / "o.json"
+        assert main(["focus", "chips", "--probmaps", str(tmp_path / "pmaps"),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == []
+
+    @pytest.mark.parametrize("junk", [b"[\xff]", b'[{"image_id": 1,'], ids=["not-utf8", "not-json"])
+    @pytest.mark.parametrize("which", ["annotations", "proposals"])
+    def test_undecodable_dataset_file_is_named(self, small_coco, tmp_path, capsys, junk, which):
+        path = small_coco if which == "annotations" else tmp_path / "props.json"
+        path.write_bytes(junk)
+        out = tmp_path / "neg.json"
+        assert main(["chips", "negative", "--annotations", str(small_coco),
+                     "--proposals", str(tmp_path / "props.json"), "--out", str(out)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "DatasetParseError"
+        assert error["message"].startswith(f"malformed JSON in {path}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("junk", [b"[\xff]", b'[{"image_id": 1,'], ids=["not-utf8", "not-json"])
+    def test_undecodable_stack_file_is_named(self, small_coco, tmp_path, capsys, junk):
+        # In a directory, the error names the one file that does not decode.
+        folder = tmp_path / "dets"
+        folder.mkdir()
+        (folder / "a.json").write_text(json.dumps([self.STACK_RECORD]))
+        (folder / "b.json").write_bytes(junk)
+        (folder / "c.json").write_text(json.dumps([self.STACK_RECORD]))
+        out = tmp_path / "merged.json"
+        assert main(["stack", "--annotations", str(small_coco), "--detections", str(folder),
+                     "--out", str(out)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "FormatError"
+        assert error["message"].startswith(f"malformed JSON in {folder / 'b.json'}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("ks", ["64,64", "0", "-64", "64,128,64"])
     def test_speedup_bad_k(self, small_coco, tmp_path, capsys, ks):
         out = tmp_path / "sp.json"
@@ -771,6 +821,17 @@ class TestErrorRecords:
         assert rc == 1
         assert self._only_error(capsys)["type"] == "ValueError"
         assert not out.exists()
+
+
+class TestErrorRecordsInPieces(TestErrorRecords):
+    """Every error case above with its proposal file decoded in pieces:
+    files of 16 characters or more per piece split, on four CPUs. The same
+    error line comes out."""
+
+    @pytest.fixture(autouse=True)
+    def in_pieces(self, monkeypatch):
+        monkeypatch.setattr(serialization, "MIN_PIECE_CHARS", 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
 
 
 class TestChipsPositive:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from pyrsample import dataset
 from pyrsample.dataset import (
     DatasetParseError,
     DatasetStructureError,
@@ -358,7 +357,7 @@ class TestCollectorPause:
             decoding.append(gc.isenabled())
             return json.loads(fh.read())
 
-        monkeypatch.setattr(dataset.json, "load", load)
+        monkeypatch.setattr(json, "load", load)
         if error is None:
             load_dataset(ann, **paths)
         else:
