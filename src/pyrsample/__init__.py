@@ -4,7 +4,8 @@ The library covers four pieces of a multi-scale detection pipeline that need
 no trained network: valid-range labeling of boxes per pyramid level, greedy
 positive/negative chip generation for training, focus-pixel label maps and
 focus-chip extraction for coarse-to-fine inference, and cross-scale stacking
-of detections with (soft-)NMS, plus pixels-processed cost accounting.
+of detections with (soft-)NMS, plus the pixel-cost speed-up bound of
+perfectly predicted focus regions.
 """
 from .geometry import (
     DetectionBatch,
@@ -41,9 +42,6 @@ from .stacking import (
     prune_boundary_detections,
 )
 from .costing import (
-    CostReport,
-    aggregate_cost_reports,
-    pixels_processed,
     roi_scale_histogram,
     size_area_fractions,
     speedup_upper_bound,
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChipBatch",
-    "CostReport",
     "DatasetIndex",
     "DetectionBatch",
     "FocusMap",
@@ -68,7 +65,6 @@ __all__ = [
     "ProposalSet",
     "ScaleSpec",
     "UncoverableBoxes",
-    "aggregate_cost_reports",
     "assign_roi_labels",
     "build_focus_label_map",
     "coco_default",
@@ -81,7 +77,6 @@ __all__ = [
     "load_config",
     "load_dataset",
     "merge_detections",
-    "pixels_processed",
     "project_to_image",
     "prune_boundary_detections",
     "roi_scale_histogram",

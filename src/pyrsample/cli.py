@@ -48,7 +48,7 @@ WORKERS_ENV = "PYRSAMPLE_WORKERS"
 # of int8 cells. A map that alone holds more is painted alone.
 _LABEL_BLOCK = 1 << 24
 
-_MAP_NAME = re.compile(r"^(?P<image_id>[0-9]+)_s(?P<scale_id>[0-9]+)\.fmap$")
+_MAP_NAME = re.compile(r"^(?P<image_id>-?[0-9]+)_s(?P<scale_id>-?[0-9]+)\.fmap$")
 
 
 def _in_id_order(index: DatasetIndex, keep: np.ndarray | None = None) -> DatasetIndex:
@@ -146,8 +146,8 @@ def cmd_focus_chips(args) -> int:
         if not match:
             raise FormatError(f"{path}: map file names must be <image_id>_s<scale_id>.fmap")
         key = (int(match["image_id"]), int(match["scale_id"]))
-        if max(key) > MAX_ID:
-            raise FormatError(f"{path}: image and scale ids must be at most {MAX_ID}")
+        if not -MAX_ID - 1 <= min(key) <= max(key) <= MAX_ID:
+            raise FormatError(f"{path}: image and scale ids must be in [{-MAX_ID - 1}, {MAX_ID}]")
         if key in maps:
             raise FormatError(
                 f"{maps[key]} and {path} are both the map of image {key[0]} at scale {key[1]}"

@@ -14,6 +14,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
+from .dataset import MAX_ID
 from .focus_chips import FocusParams
 from .geometry import ImageSize, MaxSideTarget, ScaleSpec, ScaleTarget
 from .stacking import MergePolicy
@@ -111,11 +112,15 @@ _TYPES.update((key, get_type_hints(ScaleSpec)[key]) for key in _LEVEL_KEYS)
 
 
 def _decode(kind: type, value, where: str):
-    """The codec of a field of scalar type ``kind``: what ``kind(value)`` accepts."""
+    """The codec of a field of scalar type ``kind``: what ``kind(value)``
+    accepts, an integer only in int64 range, as the commands hold it."""
     try:
-        return kind(value)
+        decoded = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: cannot read {value!r} as {kind.__name__}") from exc
+    if kind is int and not -MAX_ID - 1 <= decoded <= MAX_ID:
+        raise ConfigError(f"{where}: must be in [{-MAX_ID - 1}, {MAX_ID}]: {value!r}")
+    return decoded
 
 
 def _json(kind: type, value, where: str):

@@ -1,19 +1,19 @@
-"""Pixels-processed accounting and annotation-only dataset statistics.
+"""Pixel-cost bounds and annotation-only dataset statistics.
 
-Everything here works from boxes and chip rectangles alone: processed-pixel
-totals per pyramid level, theoretical speed-up bounds from ground-truth
-focus maps, the distribution of object scale relative to image scale, and
-instance/area fractions per size band.
+Everything here works from boxes alone: the speed-up attainable with
+perfectly predicted focus regions, charged in pixels over the whole run
+against the full pyramid, the distribution of object scale relative to
+image scale, and instance/area fractions per size band.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import GroundTruthSet, ImageSize, ScaleSpec, canvas_sizes
+from .geometry import GroundTruthSet, ScaleSpec, canvas_sizes
 from .focus_labels import (
     DEFAULT_IGNORE_MAX_SIDE,
     DEFAULT_MAX_SIDE,
@@ -22,8 +22,6 @@ from .focus_labels import (
 )
 from .focus_chips import check_kernel_size, chips_from_bounds
 from .focus_spans import dilate_spans, focus_spans, image_blocks, span_components
-
-FULL_IMAGE = "full"
 
 # Upper bound on histogram bins, so that a bin count cannot ask for an
 # arbitrary allocation.
@@ -35,89 +33,6 @@ SIZE_BANDS = (
     ("medium", 32.0**2, 96.0**2),
     ("large", 96.0**2, math.inf),
 )
-
-
-@dataclass
-class CostReport:
-    """Processed-pixel accounting versus a full-pyramid baseline.
-
-    Additive over images: an aggregate report is the field-wise sum of the
-    per-image reports with ``n_images`` accumulated, so per-image means stay
-    comparable across datasets.
-    """
-
-    per_scale_pixels: dict[int, float]
-    baseline_per_scale: dict[int, float]
-    n_images: int = 1
-
-    @property
-    def processed_pixels(self) -> float:
-        return sum(self.per_scale_pixels.values())
-
-    @property
-    def baseline_pixels(self) -> float:
-        return sum(self.baseline_per_scale.values())
-
-    @property
-    def speedup(self) -> float:
-        processed = self.processed_pixels
-        if processed == 0:
-            return math.inf
-        return self.baseline_pixels / processed
-
-    @property
-    def mean_processed_side(self) -> float:
-        """sqrt(mean processed pixels per image), the side-length convention
-        used when quoting average resolutions."""
-        return math.sqrt(self.processed_pixels / self.n_images)
-
-    @property
-    def mean_baseline_side(self) -> float:
-        return math.sqrt(self.baseline_pixels / self.n_images)
-
-
-def pixels_processed(
-    chips_per_scale: Mapping[int, np.ndarray | str],
-    pyramid: list[ScaleSpec],
-    original: ImageSize,
-) -> CostReport:
-    """Per-image cost report for one chip assignment.
-
-    ``chips_per_scale`` maps scale_id to either an (n, 4) array of chip
-    corners x1, y1, x2, y2 (already clipped to the canvas) or the marker
-    ``FULL_IMAGE`` for a full-canvas pass. A scale absent from the mapping,
-    or with no chips, is skipped. Chip areas are added in chip order.
-    """
-    per_scale: dict[int, float] = {}
-    baseline: dict[int, float] = {}
-    for spec in pyramid:
-        canvas = spec.resolve(original)
-        baseline[spec.scale_id] = float(canvas.area)
-        work = chips_per_scale.get(spec.scale_id, np.zeros((0, 4)))
-        if isinstance(work, str):
-            if work != FULL_IMAGE:
-                raise ValueError(f"unknown scale marker: {work!r}")
-            per_scale[spec.scale_id] = float(canvas.area)
-        else:
-            areas = (work[:, 2] - work[:, 0]) * (work[:, 3] - work[:, 1])
-            per_scale[spec.scale_id] = float(sum(areas.tolist()))
-    return CostReport(per_scale_pixels=per_scale, baseline_per_scale=baseline)
-
-
-def aggregate_cost_reports(reports: Sequence[CostReport]) -> CostReport:
-    """Field-wise sum of per-image reports."""
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    per_scale: dict[int, float] = {}
-    baseline: dict[int, float] = {}
-    n = 0
-    for report in reports:
-        for sid, px in report.per_scale_pixels.items():
-            per_scale[sid] = per_scale.get(sid, 0.0) + px
-        for sid, px in report.baseline_per_scale.items():
-            baseline[sid] = baseline.get(sid, 0.0) + px
-        n += report.n_images
-    return CostReport(per_scale_pixels=per_scale, baseline_per_scale=baseline, n_images=n)
 
 
 def speedup_upper_bound(

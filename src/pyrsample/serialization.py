@@ -181,7 +181,11 @@ def load_json(path: str | Path, error: type[Exception]):
 
 # The fewest characters a piece of a split JSON array holds. Forking a child
 # and its copy-on-write faults cost 20-30 ms, so two pieces of a file below
-# about 4 MB decode slower than the whole file in one process.
+# about 4 MB decode slower than the whole file in one process. On a 2-core
+# Xeon VM the split lifts perfbench's train-chips from 684-696 images/s on one
+# CPU to 779-814, but after a fork every page the parent writes faults again:
+# through it, stack's 3.0 MB per-chip file cost focus-infer 17% (198-201 to
+# 164-168 images/s), so stack reads its files whole.
 MIN_PIECE_CHARS = 2 << 20
 _JSON_SPACE = " \t\n\r"
 # An array's opening bracket, and its first element's opening text up to

@@ -14,7 +14,7 @@ import pytest
 import pyrsample
 from pyrsample import cli, serialization
 from pyrsample.cli import main
-from pyrsample.config import coco_default
+from pyrsample.config import coco_default, config_to_dict
 from pyrsample.focus_chips import FocusParams, generate_focus_chips
 from pyrsample.focus_labels import FocusMap
 from pyrsample.geometry import ImageSize
@@ -115,6 +115,42 @@ class TestValidate:
         assert len(lines) == 1
         error = json.loads(lines[0])["error"]
         assert error["type"] == "ConfigError" and "stride" in error["message"]
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "owner, key, argv",
+        [
+            ("pyramid[0]", "scale_id", "validate"),
+            ("pyramid[0]", "scale_id", "chips positive"),
+            ("pyramid[1]", "chip_size", "validate"),
+            ("pyramid[1]", "chip_size", "chips positive"),
+            ("focus", "stride", "validate"),
+            ("focus", "stride", "stats focuspixels"),
+            ("focus", "stride", "stats speedup"),
+        ],
+    )
+    def test_integers_past_int64_are_refused(
+        self, small_coco, tmp_path, capsys, owner, key, argv
+    ):
+        # A scale id or focus stride of 2^70 passed validate and then ended
+        # the command in an OverflowError traceback.
+        config = config_to_dict(coco_default())
+        owners = {"pyramid[0]": config["pyramid"][0], "pyramid[1]": config["pyramid"][1],
+                  "focus": config["focus"]}
+        owners[owner][key] = 2**70
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.json"
+        inputs = [] if argv == "validate" else ["--annotations", str(small_coco),
+                                                "--out", str(out)]
+        assert main([*argv.split(), "--config", str(cfg), *inputs]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "type": "ConfigError",
+            "message": f"{owner}.{key}: must be in [{-(2**63)}, {2**63 - 1}]: {2**70}",
+        }
         assert not out.exists()
 
 
@@ -447,7 +483,7 @@ class TestErrorRecords:
         assert error["message"].startswith(f"{maps_dir / chr(0x667)}_s1.fmap: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("name", ["notes.fmap", "1_2.fmap", "1_s2_b.fmap", "-1_s2.fmap"])
+    @pytest.mark.parametrize("name", ["notes.fmap", "1_2.fmap", "1_s2_b.fmap", "+1_s2.fmap"])
     def test_focus_map_names_follow_one_pattern(self, tmp_path, capsys, name):
         # A map whose name holds no image and scale id used to be skipped.
         maps_dir = tmp_path / "pmaps"
@@ -461,6 +497,22 @@ class TestErrorRecords:
         assert error["type"] == "FormatError"
         assert error["message"] == (
             f"{maps_dir / name}: map file names must be <image_id>_s<scale_id>.fmap")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name", [f"{2**63}_s1.fmap", f"1_s{2**63}.fmap", f"{-(2**63) - 1}_s1.fmap"])
+    def test_focus_map_ids_past_int64(self, tmp_path, capsys, name):
+        maps_dir = tmp_path / "pmaps"
+        maps_dir.mkdir()
+        pm = FocusMap(cells=np.full((4, 4), 0.9), stride=32, image=ImageSize(128, 128))
+        for path in (f"{-(2**63)}_s{2**63 - 1}.fmap", name):
+            write_map_binary(maps_dir / path, pm)
+        out = tmp_path / "fchips.json"
+        assert main(["focus", "chips", "--probmaps", str(maps_dir), "--out", str(out)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "FormatError"
+        assert error["message"] == (
+            f"{maps_dir / name}: image and scale ids must be in [{-(2**63)}, {2**63 - 1}]")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -896,6 +948,42 @@ class TestFocusPipeline:
         assert records and all(r["kind"] == "focus" for r in records)
         by_image = {r["image_id"] for r in records}
         assert 1 in by_image
+
+    def test_negative_ids_round_trip(self, small_coco, tmp_path):
+        # Image ids and config scale ids may be negative; focus chips reads
+        # back every map name that focus labels writes.
+        data = json.loads(small_coco.read_text())
+        data["images"][0]["id"] = -5
+        for ann in data["annotations"]:
+            ann["image_id"] = -5 if ann["image_id"] == 1 else ann["image_id"]
+        small_coco.write_text(json.dumps(data))
+        config = config_to_dict(coco_default())
+        config["pyramid"][2]["scale_id"] = -1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        maps_dir = tmp_path / "maps"
+        assert main(["focus", "labels", "--annotations", str(small_coco), "--config", str(cfg),
+                     "--scale", "-1", "--out", str(maps_dir)]) == 0
+        assert sorted(f.name for f in maps_dir.glob("*.fmap")) == ["-5_s-1.fmap", "2_s-1.fmap"]
+        out = tmp_path / "fchips.json"
+        assert main(["focus", "chips", "--probmaps", str(maps_dir), "--config", str(cfg),
+                     "--out", str(out), "--threshold", "1"]) == 0
+        records = json.loads(out.read_text())
+        assert {r["scale_id"] for r in records} == {-1}
+        assert -5 in {r["image_id"] for r in records}
+
+    @pytest.mark.parametrize("min_chip_size", [1, 64])
+    def test_excerpt_labels_then_chips(self, tmp_path, capsys, min_chip_size):
+        maps_dir = tmp_path / "maps"
+        for scale in ("1", "2"):
+            assert main(["focus", "labels", "--annotations", str(EXCERPT_PATH), "--scale", scale,
+                         "--out", str(maps_dir)]) == 0
+        out = tmp_path / "fchips.json"
+        assert main(["focus", "chips", "--probmaps", str(maps_dir), "--out", str(out),
+                     "--threshold", "1", "--min-chip-size", str(min_chip_size)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"wrote 783 focus chips from 400 maps to {out}")
+        assert len(json.loads(out.read_text())) == 783
 
     def test_chips_from_probability_maps(self, small_coco, tmp_path):
         maps_dir = tmp_path / "pmaps"

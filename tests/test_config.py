@@ -110,6 +110,17 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match=re.escape(where)):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("value", [-(2**63), 2**63 - 1])
+    def test_integers_take_int64(self, value):
+        assert config_from_dict({"chips": {"seed": value}}).seed == value
+
+    @pytest.mark.parametrize("value", [-(2**63) - 1, 2**63, 1e30])
+    def test_integers_past_int64_name_their_place(self, value):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"pyramid": [{"scale_id": 0, "target": {"max_side": value}}]})
+        assert str(info.value) == (
+            f"pyramid[0].target.max_side: must be in [{-(2**63)}, {2**63 - 1}]: {value!r}")
+
     def test_retired_stacking_key_still_loads(self, tmp_path):
         # prune_before_range_filter was removed: both filters are per-detection
         # predicates, so their order never changed an output. Unknown keys

@@ -1,13 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
 from pyrsample.costing import (
-    FULL_IMAGE,
-    CostReport,
-    aggregate_cost_reports,
-    pixels_processed,
     roi_scale_histogram,
     size_area_fractions,
     speedup_upper_bound,
@@ -17,7 +11,7 @@ from pyrsample.focus_labels import FOCUS, focus_label_cells
 from pyrsample.geometry import ImageSize, ScaleSpec
 
 from conftest import gt_columns, gt_sets
-from oracles import BoundingBox, Gt, boxes_array, resolve_oracle, speedup_upper_bound_oracle
+from oracles import BoundingBox, Gt, resolve_oracle, speedup_upper_bound_oracle
 
 
 def square(side, x=0.0, y=0.0):
@@ -33,63 +27,6 @@ def pyramid():
 
 
 ORIGINAL = ImageSize(640, 480)
-
-
-class TestPixelsProcessed:
-    def test_full_everywhere_speedup_one(self):
-        report = pixels_processed(
-            {0: FULL_IMAGE, 1: FULL_IMAGE, 2: FULL_IMAGE}, pyramid(), ORIGINAL
-        )
-        assert report.speedup == pytest.approx(1.0)
-        assert report.processed_pixels == report.baseline_pixels
-
-    def test_skipped_top_scale(self):
-        specs = pyramid()
-        report = pixels_processed(
-            {0: FULL_IMAGE, 1: FULL_IMAGE, 2: boxes_array([])}, specs, ORIGINAL
-        )
-        areas = [resolve_oracle(s, ORIGINAL).area for s in specs]
-        assert report.processed_pixels == pytest.approx(areas[0] + areas[1])
-        assert report.speedup == pytest.approx(sum(areas) / (areas[0] + areas[1]))
-
-    def test_chip_areas_summed(self):
-        chips = boxes_array([square(100), square(50, x=200)])
-        report = pixels_processed({0: chips}, pyramid(), ORIGINAL)
-        assert report.per_scale_pixels[0] == pytest.approx(100**2 + 50**2)
-
-    def test_published_resolution_pair(self):
-        # mean processed side 1175 versus baseline side 1910 is a 2.64x area ratio
-        report = CostReport(
-            per_scale_pixels={0: 1175.0**2},
-            baseline_per_scale={0: 1910.0**2},
-        )
-        assert report.speedup == pytest.approx(1910**2 / 1175**2)
-        assert report.speedup == pytest.approx(2.64, abs=0.01)
-        assert report.mean_processed_side == pytest.approx(1175.0)
-
-    def test_unknown_marker_rejected(self):
-        with pytest.raises(ValueError):
-            pixels_processed({0: "everything"}, pyramid(), ORIGINAL)
-
-
-class TestAggregate:
-    def test_dataset_equals_mean_of_per_image(self):
-        rng = np.random.default_rng(6)
-        reports = []
-        for _ in range(10):
-            chips = boxes_array([square(float(rng.uniform(10, 300)))])
-            reports.append(pixels_processed({0: chips, 1: FULL_IMAGE}, pyramid(), ORIGINAL))
-        total = aggregate_cost_reports(reports)
-        assert total.n_images == 10
-        mean_processed = sum(r.processed_pixels for r in reports) / 10
-        assert total.processed_pixels / total.n_images == pytest.approx(mean_processed)
-        mean_baseline = sum(r.baseline_pixels for r in reports) / 10
-        assert total.baseline_pixels / total.n_images == pytest.approx(mean_baseline)
-        assert total.mean_processed_side == pytest.approx(math.sqrt(mean_processed))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_cost_reports([])
 
 
 class TestSpeedupUpperBound:
