@@ -47,7 +47,7 @@ from .costing import (
     speedup_upper_bound,
 )
 from .config import PipelineConfig, coco_default, load_config, validate_config
-from .dataset import DatasetIndex, load_dataset, voc_to_coco
+from .dataset import DatasetIndex, load_dataset
 
 __version__ = "0.1.0"
 
@@ -87,5 +87,4 @@ __all__ = [
     "speedup_upper_bound",
     "threshold_map",
     "validate_config",
-    "voc_to_coco",
 ]

@@ -2,8 +2,8 @@
 
 Commands cover chip generation from annotations and proposals, focus label
 map export, chip generation from probability maps, cross-scale stacking of
-per-chip detections, dataset statistics, config validation, and a VOC to
-COCO converter. Failures exit nonzero with a one-line JSON error record on
+per-chip detections, dataset statistics and config validation. Failures,
+usage errors among them, exit nonzero with a one-line JSON error record on
 stderr; outputs are written atomically.
 """
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .costing import (
     size_area_fractions,
     speedup_upper_bound,
 )
-from .dataset import MAX_ID, DatasetError, DatasetIndex, _id_rows, load_dataset, voc_to_coco
+from .dataset import MAX_ID, DatasetError, DatasetIndex, _id_rows, load_dataset
 from .focus_chips import FocusParams, _blocks, chips_from_maps
 from .focus_labels import MAX_MAP_CELLS, focus_label_maps, focus_pixel_stats
 from .geometry import DetectionBatch, ImageSize, canvas_sizes
@@ -342,99 +342,96 @@ def cmd_stack(args) -> int:
     return 0
 
 
-def cmd_stats(args) -> int:
+def _stats_columns(args) -> tuple[PipelineConfig, tuple]:
+    """The config of a ``stats`` report and the ground truth, offsets and
+    sizes of its annotation file."""
     cfg = load_config(args.config)
     index = load_dataset(args.annotations)
-    columns = (index.gt_set, index.gt_offsets, index.sizes)
-    out = Path(args.out) if args.out else None
+    return cfg, (index.gt_set, index.gt_offsets, index.sizes)
+
+
+def _write_report(args, payload: dict) -> None:
+    """A ``stats`` report's payload as JSON to ``--out``, when it is given."""
+    if args.out:
+        ser.atomic_write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def cmd_stats_roiscale(args) -> int:
+    _, columns = _stats_columns(args)
+    hist = roi_scale_histogram(*columns, n_bins=args.bins)
+    _write_report(args, {
+        "n_instances": hist.n_instances,
+        "deciles": [float(v) for v in hist.deciles],
+        "decile_spread": hist.decile_spread,
+        "bin_edges": [float(v) for v in hist.bin_edges],
+        "fractions": [float(v) for v in hist.fractions],
+    })
+    if args.curve:
+        edges = hist.bin_edges.tolist()
+        centers = [(a + b) / 2.0 for a, b in zip(edges[:-1], edges[1:])]
+        ser.write_curve(args.curve, "relative-scale fraction-of-instances",
+                        zip(centers, hist.fractions.tolist()))
+    print(f"roi scale deciles: {[round(float(v), 4) for v in hist.deciles]}")
+    return 0
+
+
+def cmd_stats_areafractions(args) -> int:
+    _, columns = _stats_columns(args)
+    bands = size_area_fractions(*columns)
+    _write_report(args, {
+        band.name: {
+            "instance_fraction": band.instance_fraction,
+            "area_fraction": band.area_fraction,
+            "n_instances": band.n_instances,
+        }
+        for band in bands
+    })
+    for band in bands:
+        print(
+            f"{band.name}: {band.instance_fraction:.1%} of instances, "
+            f"{band.area_fraction:.2%} of image area"
+        )
+    return 0
+
+
+def _focus_settings(cfg: PipelineConfig, args) -> dict:
+    """The config's focus-map stride and thresholds, and the ``--dilation``
+    of a report, or the config's focus dilation when it is not given."""
     dilation = cfg.focus_params.dilation if args.dilation is None else args.dilation
-    if args.which == "roiscale":
-        hist = roi_scale_histogram(*columns, n_bins=args.bins)
-        payload = {
-            "n_instances": hist.n_instances,
-            "deciles": [float(v) for v in hist.deciles],
-            "decile_spread": hist.decile_spread,
-            "bin_edges": [float(v) for v in hist.bin_edges],
-            "fractions": [float(v) for v in hist.fractions],
+    return dict(stride=cfg.stride, min_side=cfg.focus_min_side, max_side=cfg.focus_max_side,
+                ignore_max_side=cfg.focus_ignore_max_side, dilation=dilation)
+
+
+def cmd_stats_focuspixels(args) -> int:
+    cfg, columns = _stats_columns(args)
+    focus = _focus_settings(cfg, args)
+    stats = focus_pixel_stats(*columns, cfg.pyramid, **focus)
+    _write_report(args, {
+        str(sid): {
+            "fraction": s.fraction,
+            "fraction_dilated": s.fraction_dilated,
+            "mean_projected_area": s.mean_projected_area,
+            "mean_canvas_area": s.mean_canvas_area,
         }
-        if out:
-            ser.atomic_write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        if args.curve:
-            centers = [
-                (float(a) + float(b)) / 2.0
-                for a, b in zip(hist.bin_edges[:-1], hist.bin_edges[1:])
-            ]
-            ser.write_curve(
-                args.curve,
-                "relative-scale fraction-of-instances",
-                zip(centers, (float(v) for v in hist.fractions)),
-            )
-        print(f"roi scale deciles: {[round(float(v), 4) for v in hist.deciles]}")
-    elif args.which == "areafractions":
-        bands = size_area_fractions(*columns)
-        payload = {
-            band.name: {
-                "instance_fraction": band.instance_fraction,
-                "area_fraction": band.area_fraction,
-                "n_instances": band.n_instances,
-            }
-            for band in bands
-        }
-        if out:
-            ser.atomic_write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        for band in bands:
-            print(
-                f"{band.name}: {band.instance_fraction:.1%} of instances, "
-                f"{band.area_fraction:.2%} of image area"
-            )
-    elif args.which == "focuspixels":
-        stats = focus_pixel_stats(
-            *columns,
-            cfg.pyramid,
-            stride=cfg.stride,
-            min_side=cfg.focus_min_side,
-            max_side=cfg.focus_max_side,
-            ignore_max_side=cfg.focus_ignore_max_side,
-            dilation=dilation,
-        )
-        payload = {
-            str(sid): {
-                "fraction": s.fraction,
-                "fraction_dilated": s.fraction_dilated,
-                "mean_projected_area": s.mean_projected_area,
-                "mean_canvas_area": s.mean_canvas_area,
-            }
-            for sid, s in stats.items()
-        }
-        if out:
-            ser.atomic_write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        for sid, s in sorted(stats.items()):
-            print(
-                f"scale {sid}: {s.fraction:.2%} focus cells "
-                f"({s.fraction_dilated:.2%} after {dilation}x{dilation} dilation)"
-            )
-    elif args.which == "speedup":
-        ks = [int(v) for v in args.k.split(",")]
-        curve = speedup_upper_bound(
-            *columns,
-            cfg.pyramid,
-            ks,
-            stride=cfg.stride,
-            min_side=cfg.focus_min_side,
-            max_side=cfg.focus_max_side,
-            ignore_max_side=cfg.focus_ignore_max_side,
-            dilation=dilation,
-            process_coarsest_fully=not args.chips_at_coarsest,
-        )
-        payload = {"curve": [[k, s] for k, s in curve]}
-        if out:
-            ser.atomic_write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        if args.curve:
-            ser.write_curve(args.curve, "min-chip-size speedup", curve)
-        for k, s in curve:
-            print(f"k={k}: speedup {s:.2f}x")
-    else:
-        raise ConfigError(f"unknown stats report {args.which!r}")
+        for sid, s in stats.items()
+    })
+    dilation = focus["dilation"]
+    for sid, s in sorted(stats.items()):
+        print(f"scale {sid}: {s.fraction:.2%} focus cells "
+              f"({s.fraction_dilated:.2%} after {dilation}x{dilation} dilation)")
+    return 0
+
+
+def cmd_stats_speedup(args) -> int:
+    cfg, columns = _stats_columns(args)
+    ks = [int(v) for v in args.k.split(",")]
+    curve = speedup_upper_bound(*columns, cfg.pyramid, ks, **_focus_settings(cfg, args),
+                                process_coarsest_fully=not args.chips_at_coarsest)
+    _write_report(args, {"curve": [[k, s] for k, s in curve]})
+    if args.curve:
+        ser.write_curve(args.curve, "min-chip-size speedup", curve)
+    for k, s in curve:
+        print(f"k={k}: speedup {s:.2f}x")
     return 0
 
 
@@ -453,20 +450,23 @@ def cmd_show_config(args) -> int:
     return 0
 
 
-def cmd_convert_voc(args) -> int:
-    data = voc_to_coco(args.voc_dir)
-    ser.atomic_write_text(args.out, json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(
-        f"wrote {len(data['images'])} images / {len(data['annotations'])} annotations "
-        f"to {args.out}"
-    )
-    return 0
+class UsageError(Exception):
+    """A command line that the parser does not accept."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and through its subparsers every nested one,
+    whose usage errors raise :class:`UsageError` instead of printing the
+    usage and exiting 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pyrsample",
         description="Scale-normalized image-pyramid sampling tools.",
     )
@@ -513,29 +513,38 @@ def build_parser() -> argparse.ArgumentParser:
     stack.set_defaults(func=cmd_stack)
 
     stats = sub.add_parser("stats", help="annotation-only dataset statistics")
-    stats.add_argument("which", choices=["roiscale", "areafractions", "focuspixels", "speedup"])
-    stats.add_argument("--config", default=None)
-    stats.add_argument("--annotations", required=True)
-    stats.add_argument("--out", default=None)
-    stats.add_argument("--curve", default=None, help="gnuplot-compatible curve output")
-    stats.add_argument(
+    stats_sub = stats.add_subparsers(dest="stats_command", required=True)
+
+    def report(name: str, func, summary: str) -> argparse.ArgumentParser:
+        """A ``stats`` report's subparser, with the flags every report reads."""
+        report_parser = stats_sub.add_parser(name, help=summary)
+        report_parser.add_argument("--config", default=None)
+        report_parser.add_argument("--annotations", required=True)
+        report_parser.add_argument("--out", default=None)
+        report_parser.set_defaults(func=func)
+        return report_parser
+
+    dilation_help = "odd focus-mask dilation in cells (default: the config's focus dilation)"
+    curve_help = "gnuplot-compatible curve output"
+    roiscale = report("roiscale", cmd_stats_roiscale, "object scale relative to its image")
+    roiscale.add_argument(
         "--bins", type=int, default=50, help="roi-scale histogram bins, 1 to 100000"
     )
-    stats.add_argument(
-        "--dilation",
-        type=int,
-        default=None,
-        help="odd focus-mask dilation in cells (default: the config's focus dilation)",
-    )
-    stats.add_argument(
+    roiscale.add_argument("--curve", default=None, help=curve_help)
+    report("areafractions", cmd_stats_areafractions, "instance and area fractions per size band")
+    focuspixels = report("focuspixels", cmd_stats_focuspixels, "focus-cell fractions per level")
+    focuspixels.add_argument("--dilation", type=int, default=None, help=dilation_help)
+    speedup = report("speedup", cmd_stats_speedup, "speed-up bound over minimum chip sizes")
+    speedup.add_argument(
         "--k", default="64,128,256,512", help="comma-separated distinct chip sizes >= 1"
     )
-    stats.add_argument(
+    speedup.add_argument("--dilation", type=int, default=None, help=dilation_help)
+    speedup.add_argument("--curve", default=None, help=curve_help)
+    speedup.add_argument(
         "--chips-at-coarsest",
         action="store_true",
         help="also generate chips at the coarsest scale instead of a full pass",
     )
-    stats.set_defaults(func=cmd_stats)
 
     val = sub.add_parser("validate", help="check config invariants")
     val.add_argument("--config", default=None)
@@ -545,21 +554,15 @@ def build_parser() -> argparse.ArgumentParser:
     show.add_argument("--config", default=None)
     show.set_defaults(func=cmd_show_config)
 
-    convert = sub.add_parser("convert", help="dataset format converters")
-    convert_sub = convert.add_subparsers(dest="convert_command", required=True)
-    voc = convert_sub.add_parser("voc", help="PASCAL VOC XML directory to COCO JSON")
-    voc.add_argument("--voc-dir", required=True)
-    voc.add_argument("--out", required=True)
-    voc.set_defaults(func=cmd_convert_voc)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, DatasetError, FormatError, ValueError, OSError, MemoryError) as exc:
+    except (UsageError, ConfigError, DatasetError, FormatError, ValueError, OSError,
+            MemoryError) as exc:
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(record), file=sys.stderr)
         return 1

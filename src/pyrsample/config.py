@@ -202,6 +202,10 @@ def config_from_dict(data) -> PipelineConfig:
     return cfg
 
 
+# The image size on which validate_config resolves every pyramid level.
+_PROBE = ImageSize(640, 480)
+
+
 def load_config(path: str | Path | None) -> PipelineConfig:
     """Read a JSON config and apply the hard checks of
     :func:`validate_config`; None loads the default profile."""
@@ -219,14 +223,12 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     return cfg
 
 
-def validate_config(
-    cfg: PipelineConfig, probe: ImageSize = ImageSize(640, 480)
-) -> list[str]:
+def validate_config(cfg: PipelineConfig) -> list[str]:
     """Check config invariants; returns warnings, raises ConfigError on
     violations.
 
-    Resolution ordering is evaluated on a probe image size since targets mix
-    explicit sizes, factors, and max-side caps.
+    Resolution ordering is evaluated on the :data:`_PROBE` image size since
+    targets mix explicit sizes, factors, and max-side caps.
     """
     if not cfg.pyramid:
         raise ConfigError("pyramid has no levels")
@@ -236,15 +238,15 @@ def validate_config(
             raise ConfigError(f"duplicate scale_id {spec.scale_id}")
         seen_ids.add(spec.scale_id)
     try:
-        areas = [spec.resolve(probe).area for spec in cfg.pyramid]
+        areas = [spec.resolve(_PROBE).area for spec in cfg.pyramid]
     except (ValueError, OverflowError) as exc:
         raise ConfigError(
-            f"a pyramid level does not resolve on probe {probe.width}x{probe.height}: {exc}"
+            f"a pyramid level does not resolve on probe {_PROBE.width}x{_PROBE.height}: {exc}"
         ) from exc
     if any(b <= a for a, b in zip(areas, areas[1:])):
         raise ConfigError(
             f"pyramid levels must be ordered by increasing resolution "
-            f"(probe {probe.width}x{probe.height} resolves to areas {areas})"
+            f"(probe {_PROBE.width}x{_PROBE.height} resolves to areas {areas})"
         )
     warnings = []
     intervals = sorted(spec.effective_range for spec in cfg.pyramid)

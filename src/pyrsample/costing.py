@@ -128,15 +128,13 @@ def _image_areas(sizes: np.ndarray) -> np.ndarray:
 
 
 def _box_areas(
-    gts: GroundTruthSet, offsets: np.ndarray, sizes: np.ndarray, exclude_crowd: bool
+    gts: GroundTruthSet, offsets: np.ndarray, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every box's area, (x2 - x1) * (y2 - y1), and the area of its image,
-    in run order; crowd boxes are left out when ``exclude_crowd`` is set."""
+    in run order, crowd boxes included."""
     boxes = gts.boxes
     image_areas = np.repeat(_image_areas(sizes), np.diff(offsets))
     areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-    if exclude_crowd:
-        return areas[~gts.crowd], image_areas[~gts.crowd]
     return areas, image_areas
 
 
@@ -162,7 +160,6 @@ def roi_scale_histogram(
     offsets: np.ndarray,
     sizes: np.ndarray,
     n_bins: int = 50,
-    exclude_crowd: bool = False,
 ) -> RoiScaleHistogram:
     """Normalized histogram of object scale relative to its image, in
     ``n_bins`` equal bins over [0, 1], 1 <= n_bins <= MAX_HISTOGRAM_BINS.
@@ -170,7 +167,7 @@ def roi_scale_histogram(
     of the run-wide ground truth ``gts``."""
     if not 1 <= n_bins <= MAX_HISTOGRAM_BINS:
         raise ValueError(f"bins must be in [1, {MAX_HISTOGRAM_BINS}]: {n_bins}")
-    areas, image_areas = _box_areas(gts, offsets, sizes, exclude_crowd)
+    areas, image_areas = _box_areas(gts, offsets, sizes)
     if not len(areas):
         raise ValueError("no instances in dataset")
     # math.sqrt(box area) / math.sqrt(image area), per box.
@@ -198,10 +195,9 @@ def size_area_fractions(
     gts: GroundTruthSet,
     offsets: np.ndarray,
     sizes: np.ndarray,
-    bands: Sequence[tuple[str, float, float]] = SIZE_BANDS,
-    exclude_crowd: bool = False,
 ) -> list[SizeBandStats]:
-    """Instance and image-area fractions per object-size band.
+    """Instance and image-area fractions per object-size band of
+    :data:`SIZE_BANDS`, crowd boxes included.
 
     The area fraction of a band is the summed box area of its instances over
     the summed area of all images, so it answers "how much of the dataset's
@@ -214,7 +210,7 @@ def size_area_fractions(
         raise ValueError("no images in dataset")
     # Image areas are added one by one in image order, as a Python loop adds them.
     total_image_area = float(np.cumsum(np.append(0.0, _image_areas(sizes)))[-1])
-    areas, _ = _box_areas(gts, offsets, sizes, exclude_crowd)
+    areas, _ = _box_areas(gts, offsets, sizes)
     n_total = len(areas)
     if n_total == 0:
         raise ValueError("no instances in dataset")
@@ -222,7 +218,7 @@ def size_area_fractions(
     # added one by one in file order: a pairwise sum could round differently.
     counts, sums = [], []
     left = np.ones(n_total, dtype=bool)
-    for _, lo, hi in bands:
+    for _, lo, hi in SIZE_BANDS:
         hit = left & (lo <= areas) & (areas < hi)
         left &= ~hit
         counts.append(int(hit.sum()))
@@ -236,6 +232,6 @@ def size_area_fractions(
             area_fraction=sums[idx] / total_image_area,
             n_instances=counts[idx],
         )
-        for idx, (name, lo, hi) in enumerate(bands)
+        for idx, (name, lo, hi) in enumerate(SIZE_BANDS)
     ]
 

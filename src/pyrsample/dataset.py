@@ -7,7 +7,6 @@ crowd-sourced annotations routinely overshoot by a pixel or two.
 """
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -401,58 +400,3 @@ def load_proposals(path: str | Path, index: DatasetIndex) -> tuple[ProposalSet, 
     order, offsets, _, boxes = _grouped(owners, xywh, index.sizes)
     return ProposalSet(boxes, np.take(scores, order)), offsets
 
-
-def voc_to_coco(voc_dir: str | Path) -> dict:
-    """Convert a directory of PASCAL-VOC XML annotations to a COCO-format dict.
-
-    VOC stores 1-based inclusive pixel corners; these become 0-based
-    [x, y, w, h] records. Image ids are assigned in sorted filename order.
-    """
-    voc_dir = Path(voc_dir)
-    xml_files = sorted(voc_dir.glob("*.xml"))
-    if not xml_files:
-        raise DatasetStructureError(f"no VOC XML files found in {voc_dir}")
-    images = []
-    annotations = []
-    class_names: dict[str, int] = {}
-    ann_id = 1
-    for image_id, xml_path in enumerate(xml_files, start=1):
-        try:
-            root = ET.parse(xml_path).getroot()
-        except ET.ParseError as exc:
-            raise DatasetParseError(f"malformed XML in {xml_path}: {exc}") from exc
-        size = root.find("size")
-        if size is None:
-            raise DatasetStructureError(f"{xml_path}: missing <size>")
-        width = int(size.findtext("width", "0"))
-        height = int(size.findtext("height", "0"))
-        filename = root.findtext("filename", xml_path.stem)
-        images.append(
-            {"id": image_id, "width": width, "height": height, "file_name": filename}
-        )
-        for obj in root.findall("object"):
-            name = obj.findtext("name", "unknown")
-            if name not in class_names:
-                class_names[name] = len(class_names) + 1
-            bnd = obj.find("bndbox")
-            if bnd is None:
-                continue
-            xmin = float(bnd.findtext("xmin", "0")) - 1.0
-            ymin = float(bnd.findtext("ymin", "0")) - 1.0
-            xmax = float(bnd.findtext("xmax", "0"))
-            ymax = float(bnd.findtext("ymax", "0"))
-            annotations.append(
-                {
-                    "id": ann_id,
-                    "image_id": image_id,
-                    "category_id": class_names[name],
-                    "bbox": [xmin, ymin, xmax - xmin, ymax - ymin],
-                    "area": (xmax - xmin) * (ymax - ymin),
-                    "iscrowd": 0,
-                }
-            )
-            ann_id += 1
-    categories = [
-        {"id": cid, "name": name} for name, cid in sorted(class_names.items(), key=lambda t: t[1])
-    ]
-    return {"images": images, "annotations": annotations, "categories": categories}

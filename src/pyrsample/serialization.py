@@ -169,13 +169,13 @@ def read_entries(entries: list, parse, error):
 
 
 def load_json(path: str | Path, error: type[Exception]):
-    """The JSON value of the UTF-8 file at ``path``. Text that is not UTF-8
-    or not JSON raises ``error`` naming the file; a file that cannot be read
-    raises ``OSError``."""
+    """The JSON value of the UTF-8 file at ``path``. Text that is not UTF-8,
+    not JSON or nested too deeply to decode raises ``error`` naming the
+    file; a file that cannot be read raises ``OSError``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise error(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -21,6 +21,8 @@ GAUSSIAN = "gaussian"
 LINEAR = "linear"
 
 DEFAULT_BOUNDARY_EPS = 1.0
+# A chip edge this close to the image border, in pixels, is that border.
+_BORDER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ def prune_boundary_detections(
     chip: tuple[float, float, float, float] | np.ndarray,
     image: ImageSize | np.ndarray,
     eps: float = DEFAULT_BOUNDARY_EPS,
-    border_tol: float = 1e-6,
 ) -> DetectionBatch:
     """Drop detections flush against an interior chip edge.
 
@@ -78,10 +79,10 @@ def prune_boundary_detections(
     x1, y1, x2, y2 = _columns(chip)
     width, height = _columns(image)
     edges = (
-        (0, x1, x1 > border_tol),
-        (1, y1, y1 > border_tol),
-        (2, x2, x2 < width - border_tol),
-        (3, y2, y2 < height - border_tol),
+        (0, x1, x1 > _BORDER_TOL),
+        (1, y1, y1 > _BORDER_TOL),
+        (2, x2, x2 < width - _BORDER_TOL),
+        (3, y2, y2 < height - _BORDER_TOL),
     )
     discard = np.zeros(len(dets), dtype=bool)
     for column, edge, interior in edges:

@@ -855,6 +855,24 @@ class TestErrorRecords:
         assert error["message"].startswith(f"malformed JSON in {folder / 'b.json'}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("which", ["annotations", "proposals", "detections"])
+    def test_deeply_nested_json_is_named(self, small_coco, tmp_path, capsys, which):
+        # Too deep for Python's decoder, which raises RecursionError.
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 200_000 + "]" * 200_000)
+        argv = {
+            "annotations": ["stats", "roiscale", "--annotations", str(nested)],
+            "proposals": ["chips", "negative", "--annotations", str(small_coco),
+                          "--proposals", str(nested)],
+            "detections": ["stack", "--annotations", str(small_coco), "--detections", str(nested)],
+        }[which]
+        out = tmp_path / "o.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        error = self._only_error(capsys)
+        assert error["type"] == ("FormatError" if which == "detections" else "DatasetParseError")
+        assert error["message"].startswith(f"malformed JSON in {nested}: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("ks", ["64,64", "0", "-64", "64,128,64"])
     def test_speedup_bad_k(self, small_coco, tmp_path, capsys, ks):
         out = tmp_path / "sp.json"
@@ -1338,6 +1356,44 @@ def assert_error_contract(proc: subprocess.CompletedProcess) -> dict | None:
     return json.loads(lines[0])["error"]
 
 
+class TestUsageErrors:
+    """A command line the parser does not accept exits 1 with one JSON
+    ``UsageError`` line, as any other failure does."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["roiscale", "--annotations", "{ann}", "--bins", "abc"], "--bins"),
+         (["roiscale"], "--annotations"),
+         (["areafractions", "--annotations", "{ann}", "--bins", "7"], "--bins"),
+         (["areafractions", "--annotations", "{ann}", "--dilation", "2"], "--dilation"),
+         (["focuspixels", "--annotations", "{ann}", "--curve", "{curve}"], "--curve"),
+         (["focuspixels", "--annotations", "{ann}", "--k", "3"], "--k"),
+         (["roiscale", "--annotations", "{ann}", "--chips-at-coarsest"], "--chips-at-coarsest")],
+        ids=["bad-int", "missing-annotations", "bins-on-areafractions",
+             "dilation-on-areafractions", "curve-on-focuspixels", "k-on-focuspixels",
+             "chips-at-coarsest-on-roiscale"],
+    )
+    def test_stats_usage_error_is_one_line(self, small_coco, tmp_path, argv, flag):
+        out, curve = tmp_path / "o.json", tmp_path / "fp.dat"
+        argv = [a.format(ann=small_coco, curve=curve) for a in argv]
+        proc = run_limited(["stats", *argv, "--out", str(out)])
+        error = assert_error_contract(proc)
+        assert error is not None and error["type"] == "UsageError"
+        assert error["message"].startswith("pyrsample") and flag in error["message"]
+        assert not out.exists() and not curve.exists()
+
+    @pytest.mark.parametrize("argv", [[], ["convert", "voc"], ["stats", "cost"]])
+    def test_unknown_or_missing_command(self, argv):
+        error = assert_error_contract(run_limited(argv))
+        assert error is not None and error["type"] == "UsageError"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["stats", "speedup", "--help"]])
+    def test_help_exits_zero(self, argv):
+        proc = run_limited(argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("usage: pyrsample")
+
+
 class TestBoundedResources:
     @pytest.fixture
     def huge_image(self, tmp_path):
@@ -1597,21 +1653,3 @@ class TestBoundedResources:
         records = run("2000000001")
         assert records == run("41")
         assert [r["rect"] for r in records] == [[0.0, 0.0, 640.0, 480.0]]
-
-
-class TestConvertVoc:
-    def test_convert_then_load(self, tmp_path):
-        voc = tmp_path / "voc"
-        voc.mkdir()
-        (voc / "img1.xml").write_text(
-            "<annotation><filename>img1.jpg</filename>"
-            "<size><width>200</width><height>100</height></size>"
-            "<object><name>cat</name>"
-            "<bndbox><xmin>11</xmin><ymin>21</ymin><xmax>50</xmax><ymax>60</ymax></bndbox>"
-            "</object></annotation>"
-        )
-        out = tmp_path / "coco.json"
-        assert main(["convert", "voc", "--voc-dir", str(voc), "--out", str(out)]) == 0
-        data = json.loads(out.read_text())
-        assert data["images"][0]["width"] == 200
-        assert data["annotations"][0]["bbox"] == [10, 20, 40, 40]

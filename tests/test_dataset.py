@@ -9,7 +9,6 @@ from pyrsample.dataset import (
     DatasetParseError,
     DatasetStructureError,
     load_dataset,
-    voc_to_coco,
 )
 from pyrsample.geometry import GroundTruthSet
 
@@ -391,39 +390,3 @@ class TestCollectorPause:
         finally:
             gc.callbacks.remove(note)
         assert runs == []
-
-
-VOC_XML = """<annotation>
-  <filename>scene_{idx}.jpg</filename>
-  <size><width>500</width><height>375</height><depth>3</depth></size>
-  <object>
-    <name>dog</name>
-    <bndbox><xmin>49</xmin><ymin>241</ymin><xmax>62</xmax><ymax>252</ymax></bndbox>
-  </object>
-  <object>
-    <name>person</name>
-    <bndbox><xmin>11</xmin><ymin>1</ymin><xmax>500</xmax><ymax>375</ymax></bndbox>
-  </object>
-</annotation>
-"""
-
-
-class TestVocConversion:
-    def test_round_trip_through_loader(self, tmp_path):
-        voc = tmp_path / "voc"
-        voc.mkdir()
-        for idx in range(2):
-            (voc / f"scene_{idx}.xml").write_text(VOC_XML.format(idx=idx))
-        data = voc_to_coco(voc)
-        out = tmp_path / "converted.json"
-        out.write_text(json.dumps(data))
-        index = load_dataset(out)
-        assert len(index.image_ids) == 2
-        assert len(index.annotations[1]) == 2
-        # 1-based inclusive corners become 0-based half-open
-        assert index.annotations[1].boxes[0].tolist() == [48, 240, 62, 252]
-        assert set(index.categories.values()) == {"dog", "person"}
-
-    def test_empty_dir_raises(self, tmp_path):
-        with pytest.raises(DatasetStructureError):
-            voc_to_coco(tmp_path)

@@ -1,8 +1,13 @@
-"""The README's library quick tour runs, and the public names resolve."""
+"""The README's library quick tour runs, its CLI examples parse, and the
+public names resolve."""
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import pyrsample
+from pyrsample import cli
 
 from conftest import EXCERPT_PATH
 
@@ -34,3 +39,29 @@ def test_every_public_name_resolves():
     assert len(set(pyrsample.__all__)) == len(pyrsample.__all__)
     for name in pyrsample.__all__:
         assert getattr(pyrsample, name) is not None, name
+
+
+def cli_commands() -> list[list[str]]:
+    """The arguments of every ``pyrsample`` command in the README's CLI
+    bash block, with backslash continuations joined and comments stripped."""
+    text = README.read_text()
+    section = text[text.index("## CLI"):]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    return [argv[1:] for argv in commands if argv[:1] == ["pyrsample"]]
+
+
+def test_readme_cli_block_has_every_command():
+    named = {tuple(argv[:2]) if argv[0] in ("chips", "focus", "stats") else (argv[0],)
+             for argv in cli_commands()}
+    assert named == {("validate",), ("show-config",), ("chips", "positive"),
+                     ("chips", "negative"), ("focus", "labels"), ("focus", "chips"),
+                     ("stack",), ("stats", "areafractions"), ("stats", "roiscale"),
+                     ("stats", "focuspixels"), ("stats", "speedup")}
+
+
+@pytest.mark.parametrize("argv", cli_commands(), ids=" ".join)
+def test_readme_cli_command_parses(argv):
+    # Parse only: a subcommand or flag the CLI no longer has fails here.
+    cli.build_parser().parse_args(argv)
