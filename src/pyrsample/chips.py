@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .focus_chips import _pair_blocks
-from .focus_spans import _count_at_most, _distinct
+from .focus_spans import _count_at_most, _distinct, _pair_blocks
 from .geometry import GroundTruthSet, ScaleSpec, canvas_sizes, csr_take, level_boxes
 from .range_labels import valid_area_mask
 

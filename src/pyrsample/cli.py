@@ -34,8 +34,9 @@ from .costing import (
     speedup_upper_bound,
 )
 from .dataset import MAX_ID, DatasetError, DatasetIndex, _id_rows, load_dataset
-from .focus_chips import FocusParams, _blocks, chips_from_maps
+from .focus_chips import FocusParams, chips_from_maps
 from .focus_labels import MAX_MAP_CELLS, focus_label_maps, focus_pixel_stats
+from .focus_spans import _blocks
 from .geometry import DetectionBatch, ImageSize, canvas_sizes
 from .range_labels import filter_detections_by_range
 from .serialization import FormatError, json_ints, json_number_rows, json_numbers
@@ -424,8 +425,7 @@ def cmd_stats_focuspixels(args) -> int:
 
 def cmd_stats_speedup(args) -> int:
     cfg, columns = _stats_columns(args)
-    ks = [int(v) for v in args.k.split(",")]
-    curve = speedup_upper_bound(*columns, cfg.pyramid, ks, **_focus_settings(cfg, args),
+    curve = speedup_upper_bound(*columns, cfg.pyramid, args.k, **_focus_settings(cfg, args),
                                 process_coarsest_fully=not args.chips_at_coarsest)
     _write_report(args, {"curve": [[k, s] for k, s in curve]})
     if args.curve:
@@ -461,6 +461,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
+
+
+def _int_list(text: str) -> list[int]:
+    """The comma-separated integers of a flag such as ``--k``."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
 
 
 @functools.cache
@@ -536,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     focuspixels.add_argument("--dilation", type=int, default=None, help=dilation_help)
     speedup = report("speedup", cmd_stats_speedup, "speed-up bound over minimum chip sizes")
     speedup.add_argument(
-        "--k", default="64,128,256,512", help="comma-separated distinct chip sizes >= 1"
+        "--k", type=_int_list, default="64,128,256,512",
+        help="comma-separated distinct chip sizes >= 1",
     )
     speedup.add_argument("--dilation", type=int, default=None, help=dilation_help)
     speedup.add_argument("--curve", default=None, help=curve_help)

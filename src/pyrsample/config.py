@@ -16,8 +16,14 @@ from typing import get_type_hints
 
 from .dataset import MAX_ID
 from .focus_chips import FocusParams
+from .focus_labels import (
+    DEFAULT_IGNORE_MAX_SIDE,
+    DEFAULT_MAX_SIDE,
+    DEFAULT_MIN_SIDE,
+    DEFAULT_STRIDE,
+)
 from .geometry import ImageSize, MaxSideTarget, ScaleSpec, ScaleTarget
-from .stacking import MergePolicy
+from .stacking import DEFAULT_BOUNDARY_EPS, MergePolicy
 
 
 class ConfigError(Exception):
@@ -31,13 +37,13 @@ class PipelineConfig:
     n_negative_per_image: int = 2
     seed: int = 0
     negative_membership: str = "center"
-    stride: int = 32
-    focus_min_side: float = 5.0
-    focus_max_side: float = 64.0
-    focus_ignore_max_side: float = 90.0
+    stride: int = DEFAULT_STRIDE
+    focus_min_side: float = DEFAULT_MIN_SIDE
+    focus_max_side: float = DEFAULT_MAX_SIDE
+    focus_ignore_max_side: float = DEFAULT_IGNORE_MAX_SIDE
     focus_params: FocusParams = field(default_factory=FocusParams)
     merge: MergePolicy = field(default_factory=MergePolicy)
-    boundary_eps: float = 1.0
+    boundary_eps: float = DEFAULT_BOUNDARY_EPS
     profile: str = "custom"
 
 

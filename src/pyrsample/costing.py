@@ -13,15 +13,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import GroundTruthSet, ScaleSpec, canvas_sizes
+from .focus_chips import chips_from_bounds
 from .focus_labels import (
+    DEFAULT_DILATION,
     DEFAULT_IGNORE_MAX_SIDE,
     DEFAULT_MAX_SIDE,
     DEFAULT_MIN_SIDE,
     DEFAULT_STRIDE,
 )
-from .focus_chips import check_kernel_size, chips_from_bounds
-from .focus_spans import dilate_spans, focus_spans, image_blocks, span_components
+from .focus_spans import check_kernel_size, dilated_focus_spans, span_components
+from .geometry import GroundTruthSet, ScaleSpec, pyramid_canvases
 
 # Upper bound on histogram bins, so that a bin count cannot ask for an
 # arbitrary allocation.
@@ -45,7 +46,7 @@ def speedup_upper_bound(
     min_side: float = DEFAULT_MIN_SIDE,
     max_side: float = DEFAULT_MAX_SIDE,
     ignore_max_side: float = DEFAULT_IGNORE_MAX_SIDE,
-    dilation: int = 3,
+    dilation: int = DEFAULT_DILATION,
     process_coarsest_fully: bool = True,
 ) -> list[tuple[int, float]]:
     """Speed-up attainable with perfectly predicted focus regions.
@@ -77,28 +78,24 @@ def speedup_upper_bound(
     check_kernel_size(dilation, "dilation")
     # Per (image, level): the canvas and its area as a float64 product, which
     # rounds as the int area converts.
-    canvases = np.zeros((len(sizes), len(pyramid), 2), dtype=np.int64)
-    for level, spec in enumerate(pyramid):
-        canvases[:, level] = canvas_sizes(spec, sizes)
+    canvases = pyramid_canvases(pyramid, sizes)
     areas = canvases[..., 0] * canvases[..., 1].astype(np.float64)
     # The levels that are maps; the coarsest may be charged as a full pass.
     mapped = np.arange(int(process_coarsest_fully), len(pyramid))
     processed = dict.fromkeys(min_chip_sizes, 0.0)
-    for lo, hi in image_blocks(offsets, len(pyramid)):
-        images = np.repeat(np.arange(lo, hi), len(mapped))
+    for lo, hi, _, grown, owners, _ in dilated_focus_spans(
+        gts.boxes, offsets, sizes, canvases, mapped, stride, min_side, max_side,
+        ignore_max_side, dilation,
+    ):
+        bounds, comp_maps = span_components(grown, owners)
         limits = canvases[lo:hi, mapped].reshape(-1, 2)
-        spans, owners, grids = focus_spans(
-            gts.boxes, offsets, sizes, images, limits, stride, min_side, max_side,
-            ignore_max_side,
-        )
-        bounds, comp_maps = span_components(dilate_spans(spans, owners, grids, dilation), owners)
         # Per (image, level) of the block: the area charged for a full pass,
         # or the map's chip area.
         charges = areas[lo:hi].copy()
         for k in min_chip_sizes:
             chips, chip_maps = chips_from_bounds(bounds, comp_maps, limits, stride, k)
             chip_areas = (chips[:, 2] - chips[:, 0]) * (chips[:, 3] - chips[:, 1])
-            charges[:, mapped] = _map_sums(chip_areas, chip_maps, len(images)).reshape(hi - lo, -1)
+            charges[:, mapped] = _map_sums(chip_areas, chip_maps, len(limits)).reshape(hi - lo, -1)
             processed[k] = float(np.cumsum(np.append(processed[k], charges))[-1])
     # Every sum adds its terms one by one, in (image, level) order.
     baseline_total = float(np.cumsum(np.append(0.0, areas))[-1])

@@ -16,8 +16,9 @@ from typing import Iterable
 
 import numpy as np
 
+from .focus_labels import DEFAULT_DILATION, FocusMap
+from .focus_spans import _join, _pair_blocks, check_kernel_size, dilate_spans, span_components
 from .geometry import ImageSize
-from .focus_labels import FocusMap
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class FocusParams:
     """
 
     threshold: float = 0.5
-    dilation: int = 3
+    dilation: int = DEFAULT_DILATION
     min_chip_size: int = 64
     strict_threshold: bool = False
 
@@ -60,38 +61,19 @@ def threshold_map(p: FocusMap, threshold: float, strict: bool = False) -> FocusM
     return FocusMap(cells=cells.astype(np.uint8), stride=p.stride, image=p.image)
 
 
-def check_kernel_size(size: int, name: str = "kernel size") -> None:
-    """Raise ``ValueError`` unless ``size`` is an odd square kernel side >= 1."""
-    if size < 1 or size % 2 == 0:
-        raise ValueError(f"{name} must be odd and >= 1: {size}")
-
-
-def binary_dilate(mask: np.ndarray, size: int) -> np.ndarray:
-    """Binary dilation by a size x size square kernel, borders clipped.
-
-    A square max filter is separable: dilating every row by a 1 x size
-    segment, then every column by a size x 1 segment, gives the same result.
-    A shift by an axis' extent or more moves every cell off the map, so the
-    shifts stop there.
-    """
-    check_kernel_size(size)
-    out = mask.astype(bool)
-    # Rows first, then columns through the transposed view of ``out``.
-    for view in (out, out.T):
-        src = view.copy()
-        for d in range(1, min(size // 2, view.shape[1] - 1) + 1):
-            view[:, d:] |= src[:, :-d]
-            view[:, :-d] |= src[:, d:]
-    return out
-
-
 def dilate(bm: FocusMap, size: int) -> FocusMap:
-    """Dilate a 0/1 map with a square size x size structuring element."""
-    return FocusMap(
-        cells=binary_dilate(bm.cells, size).astype(np.uint8),
-        stride=bm.stride,
-        image=bm.image,
-    )
+    """Dilate a 0/1 map with a square size x size structuring element: the
+    map's runs of set cells, dilated as spans by
+    :func:`~pyrsample.focus_spans.dilate_spans`, painted. A size past the
+    grid gives the full-extent result."""
+    check_kernel_size(size)
+    h, w = bm.cells.shape
+    runs = _runs(bm.cells)
+    grown = dilate_spans(runs, np.zeros(len(runs), dtype=np.intp), np.array([[w, h]]), size)
+    cells = np.zeros((h, w), dtype=np.uint8)
+    for j0, i0, j1, i1 in grown.tolist():
+        cells[i0:i1, j0:j1] = 1
+    return FocusMap(cells=cells, stride=bm.stride, image=bm.image)
 
 
 def _runs(mask: np.ndarray) -> np.ndarray:
@@ -120,21 +102,14 @@ def _join_runs(runs: np.ndarray, owners: np.ndarray, gap: int):
     return np.column_stack([runs[first, :2], runs[apart[1:], 2:]]), owners[first]
 
 
-def component_bounds(mask: np.ndarray) -> np.ndarray:
-    """The (m, 4) int64 cell bounds min_col, min_row, max_col, max_row of
-    the 8-connected components of the 1-cells of a 2-D mask, ordered by
-    each component's first cell in scan order: the
-    :func:`~pyrsample.focus_spans.span_components` of the mask's runs.
-    """
-    from .focus_spans import span_components
-
-    runs = _runs(mask)
-    return span_components(runs, np.zeros(len(runs), dtype=np.intp))[0]
-
-
 def connected_components(bm: FocusMap) -> np.ndarray:
-    """The :func:`component_bounds` of a 0/1 map's 1-cells."""
-    return component_bounds(bm.cells)
+    """The (m, 4) int64 cell bounds min_col, min_row, max_col, max_row of
+    the 8-connected components of a 0/1 map's 1-cells, ordered by each
+    component's first cell in scan order: the
+    :func:`~pyrsample.focus_spans.span_components` of the map's runs.
+    """
+    runs = _runs(bm.cells)
+    return span_components(runs, np.zeros(len(runs), dtype=np.intp))[0]
 
 
 def _grow(rects: np.ndarray, min_side: np.ndarray | float, limit: np.ndarray) -> np.ndarray:
@@ -153,56 +128,6 @@ def _grow(rects: np.ndarray, min_side: np.ndarray | float, limit: np.ndarray) ->
     return np.concatenate(
         [np.where(full, 0.0, new_lo), np.where(full, limit, new_lo + target)], axis=-1
     )
-
-
-# Index pairs compared per block by the pairwise kernels, which bounds their
-# temporaries.
-_PAIR_BLOCK = 1 << 16
-
-
-def _blocks(costs: np.ndarray, cap: int):
-    """Consecutive ranges [i, end) of ``costs`` whose sum stays within
-    ``cap``; an item that alone exceeds ``cap`` is a range of its own."""
-    ends = np.cumsum(costs)
-    i, done = 0, 0
-    while i < len(costs):
-        end = max(int(np.searchsorted(ends, done + cap, side="right")), i + 1)
-        yield i, end
-        i, done = end, int(ends[end - 1])
-
-
-def _pair_blocks(first: np.ndarray, stop: np.ndarray):
-    """The index pairs (i, j) with first[i] <= j < stop[i], as two arrays per
-    block of about ``_PAIR_BLOCK`` pairs."""
-    counts = np.maximum(stop - first, 0)
-    for i, end in _blocks(counts, _PAIR_BLOCK):
-        c = counts[i:end]
-        total = int(c.sum())
-        if total:
-            offsets = np.repeat(first[i:end] - (np.cumsum(c) - c), c)
-            yield np.repeat(np.arange(i, end), c), np.arange(total) + offsets
-
-
-def _join(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``label`` with the classes of u[i] and v[i] joined, for every i.
-
-    ``label`` maps each node to the least node of its class, and so does the
-    result. Each round hooks the larger root of every linked pair onto the
-    smaller one, then jumps every label to its root.
-    """
-    label = label.copy()
-    while True:
-        lu, lv = label[u], label[v]
-        split = lu != lv
-        if not split.any():
-            return label
-        u, v, lu, lv = u[split], v[split], lu[split], lv[split]
-        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
 
 
 def _merge(rects: np.ndarray, maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,8 +253,6 @@ def _block_chips(
     :func:`~pyrsample.focus_spans.span_components`), and every component
     goes through one :func:`chips_from_bounds` call with its map's stride.
     """
-    from .focus_spans import dilate_spans, span_components
-
     on = np.repeat(np.arange(len(runs)), [len(r) for r in runs])
     stride, grid_w, grid_h, width, height = np.array(shapes, dtype=np.int64).T
     # Runs that the dilation makes overlap are joined first, so the spans
@@ -349,8 +272,8 @@ def chips_from_components(
     bounds: np.ndarray, stride: int, min_chip_size: int, image: ImageSize
 ) -> np.ndarray:
     """The (n, 4) focus chip corners of one map's (m, 4) component cell
-    bounds, as :func:`component_bounds` gives them: :func:`chips_from_bounds`
-    for a single map.
+    bounds, as :func:`connected_components` gives them:
+    :func:`chips_from_bounds` for a single map.
     """
     chips, _ = chips_from_bounds(
         bounds, np.zeros(len(bounds), dtype=np.intp), np.array([[image.width, image.height]]),
@@ -370,8 +293,8 @@ def chips_from_bounds(
     index of each chip.
 
     ``bounds`` holds cell bounds min_col, min_row, max_col, max_row per
-    component, as :func:`component_bounds` gives them, with rows grouped by
-    their non-decreasing map index ``maps``; ``limits`` holds each map's
+    component, as :func:`connected_components` gives them, with rows grouped
+    by their non-decreasing map index ``maps``; ``limits`` holds each map's
     canvas (width, height), and ``stride`` is one for all rows or an (m, 1)
     array of each row's map stride. Each component's pixel rectangle,
     clipped to its canvas, is grown to ``min_chip_size``. Then, per map,

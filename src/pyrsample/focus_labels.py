@@ -13,12 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GroundTruthSet, ImageSize, ScaleSpec, canvas_sizes, level_boxes, size_array
+from .focus_spans import (
+    _cell_spans,
+    _focus_rows,
+    check_kernel_size,
+    dilated_focus_spans,
+    union_cells,
+)
+from .geometry import GroundTruthSet, ImageSize, ScaleSpec, pyramid_canvases, size_array
 
 DEFAULT_STRIDE = 32
 DEFAULT_MIN_SIDE = 5.0
 DEFAULT_MAX_SIDE = 64.0
 DEFAULT_IGNORE_MAX_SIDE = 90.0
+DEFAULT_DILATION = 3
 
 # The most cells a dense label map may hold, so that the annotations cannot
 # ask ``focus labels`` for an arbitrary allocation: 256 MiB of int8 cells.
@@ -74,51 +82,6 @@ class FocusMap:
             raise ValueError("label cells must be 1, 0 or -1")
 
 
-# Flips the sign of the high corners, so that one floor serves both ends:
-# ceil(x) is -floor(-x).
-_LOW_HIGH = (1.0, 1.0, -1.0, -1.0)
-
-
-def _cell_spans(
-    corners: np.ndarray, stride: int, limits: np.ndarray | tuple[int, int, int, int]
-) -> np.ndarray:
-    """Per row of the (n, 4) pixel ``corners``, the half-open cell index
-    ranges [j0, j1) x [i0, i1), as int rows j0, i0, j1, i1 clipped to
-    ``limits`` (width, height, width, height) in cells, one row per box or
-    one for all, whose blocks have positive-area overlap with the box; a
-    range is empty where the box has no extent on its axis.
-
-    Along an axis with pixel interval (lo, hi): j0 = floor(lo / stride),
-    plus one when block j0 ends at or before lo, and j1 = ceil(hi / stride),
-    minus one when block j1 - 1 starts at or after hi.
-    """
-    signed = corners * _LOW_HIGH
-    ends = np.floor(signed / stride)
-    ends += (ends + 1) * stride <= signed
-    ends *= _LOW_HIGH
-    ends[:, 2:][corners[:, 2:] <= corners[:, :2]] = 0
-    return np.minimum(np.maximum(ends, 0), limits).astype(np.intp)
-
-
-def _focus_rows(
-    boxes: np.ndarray, offsets: np.ndarray, originals: np.ndarray, images: np.ndarray,
-    canvases: np.ndarray, min_side: float, max_side: float, ignore_max_side: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The front end of the focus spans: every map's boxes rescaled to its
-    canvas by :func:`~pyrsample.geometry.level_boxes`, their map indices,
-    and per row whether it is focus, min_side < sqrt(area) < max_side
-    there, and whether it is marked, sqrt(area) <= ignore_max_side. Marked
-    rows that are not focus are ignore; only marked rows have finite
-    corners for certain.
-    """
-    if not (min_side < max_side < ignore_max_side):
-        raise ValueError(f"thresholds must increase: {min_side}, {max_side}, {ignore_max_side}")
-    resized, owners = level_boxes(boxes, offsets, originals, images, canvases)
-    extent = resized[:, 2:] - resized[:, :2]
-    side = np.sqrt(extent[:, 0] * extent[:, 1])
-    return resized, owners, (min_side < side) & (side < max_side), side <= ignore_max_side
-
-
 def focus_label_maps(
     boxes: np.ndarray, offsets: np.ndarray, originals: np.ndarray, images: np.ndarray,
     canvases: np.ndarray, stride: int, min_side: float, max_side: float, ignore_max_side: float,
@@ -128,9 +91,10 @@ def focus_label_maps(
     Map k is image ``images[k]``'s rows ``offsets[i]:offsets[i + 1]`` of
     the run-wide (N, 4) ``boxes``, in the frame of its row of the
     (n_images, 2) int ``originals``, rescaled to row k of the (m, 2) int
-    ``canvases`` by :func:`_focus_rows`; see :func:`build_focus_label_map`
-    for the rules. The cell spans of every marked row are painted in one
-    loop over all maps, every ignore span before every focus span.
+    ``canvases`` by :func:`~pyrsample.focus_spans._focus_rows`; see
+    :func:`build_focus_label_map` for the rules. The cell spans of every
+    marked row are painted in one loop over all maps, every ignore span
+    before every focus span.
     """
     resized, owners, focus, marked = _focus_rows(
         boxes, offsets, originals, images, canvases, min_side, max_side, ignore_max_side
@@ -147,26 +111,6 @@ def focus_label_maps(
     for k, (j0, i0, j1, i1), label in zip(owners[rows].tolist(), spans.tolist(), labels.tolist()):
         cells[k][i0:i1, j0:j1] = label
     return [FocusMap(c, stride, ImageSize(w, h)) for c, (w, h) in zip(cells, canvases.tolist())]
-
-
-def focus_label_cells(
-    boxes: np.ndarray,
-    original: ImageSize,
-    canvas: ImageSize,
-    stride: int = DEFAULT_STRIDE,
-    min_side: float = DEFAULT_MIN_SIDE,
-    max_side: float = DEFAULT_MAX_SIDE,
-    ignore_max_side: float = DEFAULT_IGNORE_MAX_SIDE,
-) -> np.ndarray:
-    """The {1, 0, -1} int8 label cells of ``canvas`` at ``stride`` for the
-    (n, 4) corner array ``boxes`` of one image, given in the ``original``
-    frame: the one-map case of :func:`focus_label_maps`.
-    """
-    (label_map,) = focus_label_maps(
-        boxes, np.array([0, len(boxes)]), size_array([original]), np.zeros(1, dtype=np.intp),
-        size_array([canvas]), stride, min_side, max_side, ignore_max_side,
-    )
-    return label_map.cells
 
 
 def build_focus_label_map(
@@ -187,10 +131,14 @@ def build_focus_label_map(
 
     Boundary convention: sides exactly equal to ``min_side``, ``max_side`` or
     ``ignore_max_side`` fall in the ignore band; sides beyond
-    ``ignore_max_side`` are plain background and mark nothing.
+    ``ignore_max_side`` are plain background and mark nothing. This is the
+    one-map case of :func:`focus_label_maps`.
     """
-    cells = focus_label_cells(boxes, image, image, stride, min_side, max_side, ignore_max_side)
-    return FocusMap(cells, stride, image)
+    (label_map,) = focus_label_maps(
+        boxes, np.array([0, len(boxes)]), size_array([image]), np.zeros(1, dtype=np.intp),
+        size_array([image]), stride, min_side, max_side, ignore_max_side,
+    )
+    return label_map
 
 
 @dataclass
@@ -223,7 +171,7 @@ def focus_pixel_stats(
     min_side: float = DEFAULT_MIN_SIDE,
     max_side: float = DEFAULT_MAX_SIDE,
     ignore_max_side: float = DEFAULT_IGNORE_MAX_SIDE,
-    dilation: int = 3,
+    dilation: int = DEFAULT_DILATION,
 ) -> dict[int, FocusPixelScaleStats]:
     """Dataset-level focus-cell fractions per pyramid level.
 
@@ -236,9 +184,6 @@ def focus_pixel_stats(
     in the resized frame. The masks are never rasterized: counts are union
     areas of cell spans (see :mod:`pyrsample.focus_spans`).
     """
-    from .focus_chips import check_kernel_size
-    from .focus_spans import dilate_spans, focus_spans, image_blocks, union_cells
-
     check_kernel_size(dilation, "dilation")
     n = len(sizes)
     if not n:
@@ -246,34 +191,34 @@ def focus_pixel_stats(
     if len(offsets) != n + 1:
         raise ValueError(f"images without a recorded size: {len(offsets) - 1} with ground "
                          f"truth, {n} with a size")
-    blocks = list(image_blocks(offsets, 1))
+    canvases = pyramid_canvases(pyramid, sizes)
+    # Per block, the (maps,) focus, dilated and total cell counts of its
+    # (image, level) maps.
+    counts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for _, _, spans, grown, owners, grids in dilated_focus_spans(
+        gts.boxes, offsets, sizes, canvases, np.arange(len(pyramid)), stride, min_side,
+        max_side, ignore_max_side, dilation,
+    ):
+        # A grid side is below 2^32, so each product fits uint64.
+        counts.append((union_cells(spans, owners, len(grids)),
+                       union_cells(grown, owners, len(grids)),
+                       np.prod(grids, axis=1, dtype=np.uint64)))
+    focus, dilated, totals = (np.concatenate(c).reshape(n, -1) for c in zip(*counts))
+    # A canvas area is a float64 product, which rounds as the exact int
+    # product does.
+    areas = canvases[..., 0] * canvases[..., 1].astype(np.float64)
     cell_area = stride * stride
     stats: dict[int, FocusPixelScaleStats] = {}
-    for spec in pyramid:
-        canvases = canvas_sizes(spec, sizes)
-        counts: list[int] = []
-        total_cells = 0
-        dilated = 0
-        for lo, hi in blocks:
-            spans, owners, grids = focus_spans(
-                gts.boxes, offsets, sizes, np.arange(lo, hi), canvases[lo:hi], stride,
-                min_side, max_side, ignore_max_side,
-            )
-            counts += union_cells(spans, owners, hi - lo).tolist()
-            # A grid side is below 2^32, so each product fits uint64.
-            total_cells += sum(np.prod(grids, axis=1, dtype=np.uint64).tolist())
-            grown = dilate_spans(spans, owners, grids, dilation)
-            dilated += sum(union_cells(grown, owners, hi - lo).tolist())
-        # Both means add their terms one by one in image order. A canvas area
-        # is a float64 product, which rounds as the exact int product does.
-        projected = float(np.cumsum([0.0, *(count * cell_area for count in counts)])[-1])
-        areas = canvases[:, 0] * canvases[:, 1].astype(np.float64)
-        canvas_area = float(np.cumsum(np.append(0.0, areas))[-1])
+    for level, spec in enumerate(pyramid):
+        column = focus[:, level].tolist()
+        # Both means add their terms one by one in image order.
+        projected = float(np.cumsum([0.0, *(count * cell_area for count in column)])[-1])
+        canvas_area = float(np.cumsum(np.append(0.0, areas[:, level]))[-1])
         stats[spec.scale_id] = FocusPixelScaleStats(
             scale_id=spec.scale_id,
-            focus_cells=sum(counts),
-            total_cells=total_cells,
-            focus_cells_dilated=dilated,
+            focus_cells=sum(column),
+            total_cells=sum(totals[:, level].tolist()),
+            focus_cells_dilated=sum(dilated[:, level].tolist()),
             mean_projected_area=projected / n,
             mean_canvas_area=canvas_area / n,
             n_images=n,

@@ -15,50 +15,117 @@ building a grid:
 - cell counts are union areas, found by coordinate compression per map.
 
 So nothing grows with the canvas area. A span is an int row j0, i0, j1, i1
-of half-open cell ranges, as :func:`pyrsample.focus_labels._cell_spans`
-gives it; every function takes the spans of many maps at once, with the map
-index of each span.
+of half-open cell ranges, as :func:`_cell_spans` gives it; every function
+takes the spans of many maps at once, with the map index of each span.
+
+It is the lowest focus module, and it imports none of the others.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .focus_chips import _blocks, _join, _pair_blocks
-from .focus_labels import _cell_spans, _focus_rows
+from .geometry import level_boxes
 
 
-def focus_spans(
-    boxes: np.ndarray,
-    offsets: np.ndarray,
-    originals: np.ndarray,
-    images: np.ndarray,
-    canvases: np.ndarray,
-    stride: int,
-    min_side: float,
-    max_side: float,
-    ignore_max_side: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The non-empty focus spans of every map: (s, 4) spans, (s,) map
-    indices in map order, and each map's grid as (m, 2) (width, height)
-    cells.
+def check_kernel_size(size: int, name: str = "kernel size") -> None:
+    """Raise ``ValueError`` unless ``size`` is an odd square kernel side >= 1."""
+    if size < 1 or size % 2 == 0:
+        raise ValueError(f"{name} must be odd and >= 1: {size}")
 
-    Map k is image ``images[k]``'s rows ``offsets[i]:offsets[i + 1]`` of the
-    run-wide (N, 4) ``boxes``, in the frame of its row of the (n_images, 2)
-    int ``originals``, rescaled to the map's row of the (m, 2) int
-    ``canvases`` by
-    :func:`~pyrsample.geometry.level_boxes`; its grid is the canvas
-    ceil-divided by ``stride``. Its focus boxes are those of
-    :func:`~pyrsample.focus_labels.focus_label_cells`, by the one side rule
-    of :func:`~pyrsample.focus_labels._focus_rows`.
+
+# Index pairs compared per block by the pairwise kernels, which bounds their
+# temporaries.
+_PAIR_BLOCK = 1 << 16
+
+
+def _blocks(costs: np.ndarray, cap: int):
+    """Consecutive ranges [i, end) of ``costs`` whose sum stays within
+    ``cap``; an item that alone exceeds ``cap`` is a range of its own."""
+    ends = np.cumsum(costs)
+    i, done = 0, 0
+    while i < len(costs):
+        end = max(int(np.searchsorted(ends, done + cap, side="right")), i + 1)
+        yield i, end
+        i, done = end, int(ends[end - 1])
+
+
+def _pair_blocks(first: np.ndarray, stop: np.ndarray):
+    """The index pairs (i, j) with first[i] <= j < stop[i], as two arrays per
+    block of about ``_PAIR_BLOCK`` pairs."""
+    counts = np.maximum(stop - first, 0)
+    for i, end in _blocks(counts, _PAIR_BLOCK):
+        c = counts[i:end]
+        total = int(c.sum())
+        if total:
+            offsets = np.repeat(first[i:end] - (np.cumsum(c) - c), c)
+            yield np.repeat(np.arange(i, end), c), np.arange(total) + offsets
+
+
+def _join(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``label`` with the classes of u[i] and v[i] joined, for every i.
+
+    ``label`` maps each node to the least node of its class, and so does the
+    result. Each round hooks the larger root of every linked pair onto the
+    smaller one, then jumps every label to its root.
     """
-    resized, owners, focus, _ = _focus_rows(
-        boxes, offsets, originals, images, canvases, min_side, max_side, ignore_max_side
-    )
-    grids = -(-canvases // stride)
-    owners = owners[focus]
-    spans = _cell_spans(resized[focus], stride, np.tile(grids[owners], 2))
-    keep = (spans[:, 2] > spans[:, 0]) & (spans[:, 3] > spans[:, 1])
-    return spans[keep], owners[keep], grids
+    label = label.copy()
+    while True:
+        lu, lv = label[u], label[v]
+        split = lu != lv
+        if not split.any():
+            return label
+        u, v, lu, lv = u[split], v[split], lu[split], lv[split]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+# Flips the sign of the high corners, so that one floor serves both ends:
+# ceil(x) is -floor(-x).
+_LOW_HIGH = (1.0, 1.0, -1.0, -1.0)
+
+
+def _cell_spans(
+    corners: np.ndarray, stride: int, limits: np.ndarray | tuple[int, int, int, int]
+) -> np.ndarray:
+    """Per row of the (n, 4) pixel ``corners``, the half-open cell index
+    ranges [j0, j1) x [i0, i1), as int rows j0, i0, j1, i1 clipped to
+    ``limits`` (width, height, width, height) in cells, one row per box or
+    one for all, whose blocks have positive-area overlap with the box; a
+    range is empty where the box has no extent on its axis.
+
+    Along an axis with pixel interval (lo, hi): j0 = floor(lo / stride),
+    plus one when block j0 ends at or before lo, and j1 = ceil(hi / stride),
+    minus one when block j1 - 1 starts at or after hi.
+    """
+    signed = corners * _LOW_HIGH
+    ends = np.floor(signed / stride)
+    ends += (ends + 1) * stride <= signed
+    ends *= _LOW_HIGH
+    ends[:, 2:][corners[:, 2:] <= corners[:, :2]] = 0
+    return np.minimum(np.maximum(ends, 0), limits).astype(np.intp)
+
+
+def _focus_rows(
+    boxes: np.ndarray, offsets: np.ndarray, originals: np.ndarray, images: np.ndarray,
+    canvases: np.ndarray, min_side: float, max_side: float, ignore_max_side: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The front end of the focus spans: every map's boxes rescaled to its
+    canvas by :func:`~pyrsample.geometry.level_boxes`, their map indices,
+    and per row whether it is focus, min_side < sqrt(area) < max_side
+    there, and whether it is marked, sqrt(area) <= ignore_max_side. Marked
+    rows that are not focus are ignore; only marked rows have finite
+    corners for certain.
+    """
+    if not (min_side < max_side < ignore_max_side):
+        raise ValueError(f"thresholds must increase: {min_side}, {max_side}, {ignore_max_side}")
+    resized, owners = level_boxes(boxes, offsets, originals, images, canvases)
+    extent = resized[:, 2:] - resized[:, :2]
+    side = np.sqrt(extent[:, 0] * extent[:, 1])
+    return resized, owners, (min_side < side) & (side < max_side), side <= ignore_max_side
 
 
 def dilate_spans(
@@ -99,12 +166,41 @@ def _distinct(owners: np.ndarray, values: np.ndarray):
 _ROW_BLOCK = 1 << 14
 
 
-def image_blocks(offsets: np.ndarray, n_levels: int):
-    """Ranges [lo, hi) of consecutive images whose boxes, rows
-    ``offsets[i]:offsets[i + 1]`` of the run, make about ``_ROW_BLOCK`` rows
-    at ``n_levels`` levels; an image counts one row more per level for its
-    map."""
-    return _blocks((np.diff(offsets) + 1) * n_levels, _ROW_BLOCK)
+def dilated_focus_spans(
+    boxes: np.ndarray, offsets: np.ndarray, originals: np.ndarray, canvases: np.ndarray,
+    levels: np.ndarray, stride: int, min_side: float, max_side: float, ignore_max_side: float,
+    dilation: int,
+):
+    """The focus spans of every (image, level) map, a block of images at a
+    time. Per block [lo, hi) it yields (lo, hi, spans, dilated, owners,
+    grids): the non-empty (s, 4) focus spans, the spans dilated by
+    :func:`dilate_spans`, the (s,) map index of each span in map order, and
+    each map's grid as (m, 2) (width, height) cells.
+
+    Image i has the rows ``offsets[i]:offsets[i + 1]`` of the run-wide
+    (N, 4) ``boxes``, in the frame of its row of the (n_images, 2) int
+    ``originals``, and its canvas at every level in the (n_images,
+    n_levels, 2) int ``canvases``. Map (i - lo) * len(levels) + j of a block
+    is image i at level ``levels[j]``: its boxes rescaled to that canvas by
+    :func:`~pyrsample.geometry.level_boxes`, on the canvas ceil-divided by
+    ``stride``. Its focus boxes are those of
+    :func:`~pyrsample.focus_labels.focus_label_maps`, by the one side rule
+    of :func:`_focus_rows`. A block holds consecutive images whose boxes
+    make about ``_ROW_BLOCK`` rows at all n_levels levels; an image counts
+    one row more per level for its map.
+    """
+    for lo, hi in _blocks((np.diff(offsets) + 1) * canvases.shape[1], _ROW_BLOCK):
+        block = canvases[lo:hi, levels].reshape(-1, 2)
+        resized, owners, focus, _ = _focus_rows(
+            boxes, offsets, originals, np.repeat(np.arange(lo, hi), len(levels)), block,
+            min_side, max_side, ignore_max_side,
+        )
+        grids = -(-block // stride)
+        owners = owners[focus]
+        spans = _cell_spans(resized[focus], stride, np.tile(grids[owners], 2))
+        keep = (spans[:, 2] > spans[:, 0]) & (spans[:, 3] > spans[:, 1])
+        spans, owners = spans[keep], owners[keep]
+        yield lo, hi, spans, dilate_spans(spans, owners, grids, dilation), owners, grids
 
 
 # Elementary rectangles plus span-column pairs that union_cells holds at

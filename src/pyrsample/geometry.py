@@ -233,6 +233,15 @@ def canvas_sizes(spec: ScaleSpec, originals: np.ndarray) -> np.ndarray:
     return sides.astype(np.int64)
 
 
+def pyramid_canvases(pyramid: Sequence[ScaleSpec], originals: np.ndarray) -> np.ndarray:
+    """The (n, levels, 2) int64 canvases of the (n, 2) ``originals`` at
+    every level of ``pyramid``, by :func:`canvas_sizes`."""
+    canvases = np.zeros((len(originals), len(pyramid), 2), dtype=np.int64)
+    for level, spec in enumerate(pyramid):
+        canvases[:, level] = canvas_sizes(spec, originals)
+    return canvases
+
+
 def csr_take(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The offsets of CSR ``rows`` taken in that order, and the index of each
     of their values in the values of ``offsets``."""

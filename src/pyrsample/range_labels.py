@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .focus_chips import _pair_blocks
+from .focus_spans import _pair_blocks
 from .geometry import DetectionBatch, GroundTruthSet, ScaleSpec
 from .stacking import iou_rows
 

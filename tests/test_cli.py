@@ -96,6 +96,17 @@ class TestValidate:
         # The text is frozen byte for byte.
         assert out == (Path(__file__).parent / "data" / "show_config_coco_default.json").read_text()
 
+    def test_show_config_of_a_custom_profile(self, tmp_path, capsys):
+        # A custom profile that gives only a pyramid takes every other value
+        # from the library's defaults, which the default profile shows too.
+        frozen = json.loads(
+            (Path(__file__).parent / "data" / "show_config_coco_default.json").read_text())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": "mine", "pyramid": frozen["pyramid"]}))
+        assert main(["show-config", "--config", str(cfg)]) == 0
+        want = json.dumps({**frozen, "profile": "mine"}, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == want
+
     @pytest.mark.parametrize("stride", [0, -32])
     @pytest.mark.parametrize(
         "argv",
@@ -1368,10 +1379,12 @@ class TestUsageErrors:
          (["areafractions", "--annotations", "{ann}", "--dilation", "2"], "--dilation"),
          (["focuspixels", "--annotations", "{ann}", "--curve", "{curve}"], "--curve"),
          (["focuspixels", "--annotations", "{ann}", "--k", "3"], "--k"),
-         (["roiscale", "--annotations", "{ann}", "--chips-at-coarsest"], "--chips-at-coarsest")],
+         (["roiscale", "--annotations", "{ann}", "--chips-at-coarsest"], "--chips-at-coarsest"),
+         (["speedup", "--annotations", "{ann}", "--k", "64,,128"], "--k"),
+         (["speedup", "--annotations", "{ann}", "--k", "a"], "--k")],
         ids=["bad-int", "missing-annotations", "bins-on-areafractions",
              "dilation-on-areafractions", "curve-on-focuspixels", "k-on-focuspixels",
-             "chips-at-coarsest-on-roiscale"],
+             "chips-at-coarsest-on-roiscale", "k-empty-item", "k-not-int"],
     )
     def test_stats_usage_error_is_one_line(self, small_coco, tmp_path, argv, flag):
         out, curve = tmp_path / "o.json", tmp_path / "fp.dat"

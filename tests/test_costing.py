@@ -6,12 +6,21 @@ from pyrsample.costing import (
     size_area_fractions,
     speedup_upper_bound,
 )
-from pyrsample.focus_chips import binary_dilate, chips_from_bounds, component_bounds
-from pyrsample.focus_labels import FOCUS, focus_label_cells
+from pyrsample.focus_chips import chips_from_bounds
+from pyrsample.focus_labels import FOCUS
 from pyrsample.geometry import ImageSize, ScaleSpec
 
 from conftest import gt_columns, gt_sets
-from oracles import BoundingBox, Gt, resolve_oracle, speedup_upper_bound_oracle
+from oracles import (
+    BoundingBox,
+    Gt,
+    component_bounds_oracle,
+    dilate_oracle,
+    focus_label_oracle,
+    rescale_box,
+    resolve_oracle,
+    speedup_upper_bound_oracle,
+)
 
 
 def square(side, x=0.0, y=0.0):
@@ -117,8 +126,9 @@ class TestSpeedupUpperBound:
     def test_gt_chips_respect_min_size(self):
         gts, sizes = self._dataset_with_focus_at_every_scale()
         canvas = resolve_oracle(pyramid()[2], sizes[1])
-        focus = focus_label_cells(gts[1].boxes, sizes[1], canvas) == FOCUS
-        bounds = component_bounds(binary_dilate(focus, 3))
+        resized = [rescale_box(BoundingBox(*b), sizes[1], canvas) for b in gts[1].boxes.tolist()]
+        focus = focus_label_oracle(resized, canvas, 32, 5.0, 64.0, 90.0) == FOCUS
+        bounds = np.array(component_bounds_oracle(dilate_oracle(focus, 3))).reshape(-1, 4)
         chips, _ = chips_from_bounds(
             bounds, np.zeros(len(bounds), dtype=np.intp),
             np.array([[canvas.width, canvas.height]]), 32, 64,

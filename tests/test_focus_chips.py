@@ -5,13 +5,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pyrsample import focus_chips
+from pyrsample import focus_chips, focus_spans
 from pyrsample.focus_chips import (
     FocusParams,
-    binary_dilate,
     chips_from_bounds,
     chips_from_maps,
-    component_bounds,
     connected_components,
     dilate,
     generate_focus_chips,
@@ -126,15 +124,16 @@ class TestDilate:
             dilate(binary(np.zeros((3, 3), dtype=np.uint8)), 4)
 
     def test_huge_kernel_stops_at_the_map_extent(self):
-        # Shifts past an axis' extent are no-ops, so a huge kernel costs no
+        # A radius past the grid is capped at it, so a huge kernel costs no
         # more than one that spans the map, and gives the same cells.
-        mask = np.zeros((5, 7), dtype=bool)
-        mask[1, 2] = True
-        full = binary_dilate(mask, 2 * 7 + 1)
+        mask = np.zeros((5, 7), dtype=np.uint8)
+        mask[1, 2] = 1
+        full = dilate(binary(mask), 2 * 7 + 1).cells
         assert full.all()
         for size in (2_000_000_001, 2 * 10**30 + 1):
-            assert (binary_dilate(mask, size) == full).all()
-        assert (binary_dilate(mask[:, :1], 2_000_000_001) == mask[:, :1].any()).all()
+            assert (dilate(binary(mask), size).cells == full).all()
+        for column in (mask[:, :1], mask[:, 2:3]):
+            assert (dilate(binary(column), 2_000_000_001).cells == column.any()).all()
 
 
 class TestConnectedComponents:
@@ -158,7 +157,6 @@ class TestConnectedComponents:
         for mask in _oracle_masks():
             want = component_bounds_oracle(mask)
             assert connected_components(binary(mask.astype(np.uint8))).tolist() == want
-            assert component_bounds(mask).tolist() == want
 
 
 def _spiral(n):
@@ -264,10 +262,10 @@ class TestExpandAndMerge:
 
 
 class TestChipsForSizes:
-    @pytest.mark.parametrize("pair_block", [focus_chips._PAIR_BLOCK, 1, 5])
+    @pytest.mark.parametrize("pair_block", [focus_spans._PAIR_BLOCK, 1, 5])
     def test_matches_rectangle_oracle(self, monkeypatch, pair_block):
         # Small pair blocks split the overlap test over many blocks.
-        monkeypatch.setattr(focus_chips, "_PAIR_BLOCK", pair_block)
+        monkeypatch.setattr(focus_spans, "_PAIR_BLOCK", pair_block)
         rng = np.random.default_rng(17)
         ks = [1, 7, 32, 64, 100, 256, 3000]
         for trial in range(120):
@@ -280,7 +278,7 @@ class TestChipsForSizes:
                 max(1, h * stride - int(rng.integers(0, stride))),
             )
             comps = flood_fill_components(mask)
-            bounds = component_bounds(mask)
+            bounds = connected_components(binary(mask))
             for k in ks:
                 chips = map_chips(bounds, stride, k, image)
                 want = component_chips_oracle(comps, stride, k, image)
@@ -427,7 +425,7 @@ def focus_maps(draw):
     # 25 and 2 * 10^9 + 1 are wider than any grid drawn.
     dilation=st.sampled_from([1, 3, 25, 2_000_000_001]),
     min_chip_size=st.sampled_from([1, 8, 64, 3000]),
-    pair_block=st.sampled_from([focus_chips._PAIR_BLOCK, 1, 5]),
+    pair_block=st.sampled_from([focus_spans._PAIR_BLOCK, 1, 5]),
 )
 @example(maps=[FocusMap(np.full((2, 3), 0.7, dtype=np.float32), 8, ImageSize(24, 16)),
                FocusMap(np.ones((1, 1), dtype=np.int8), 8, ImageSize(8, 8))],
@@ -440,7 +438,7 @@ def test_chips_of_many_maps_match_per_map_oracles(run_block, maps, threshold, st
                          strict_threshold=strict)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(focus_chips, "_RUN_BLOCK", run_block)
-        patch.setattr(focus_chips, "_PAIR_BLOCK", pair_block)
+        patch.setattr(focus_spans, "_PAIR_BLOCK", pair_block)
         chips, owners = chips_from_maps(iter(maps), params)
     assert (np.diff(owners) >= 0).all()
     for n, m in enumerate(maps):

@@ -16,7 +16,6 @@ from pyrsample.focus_labels import (
     IGNORE,
     FocusMap,
     build_focus_label_map,
-    focus_label_cells,
     focus_label_maps,
     focus_pixel_stats,
     grid_shape,
@@ -198,7 +197,11 @@ class TestBuildFocusLabelMap:
                 x = float(rng.choice([stride * rng.integers(-1, 14), rng.uniform(-20, 420)]))
                 y = float(rng.choice([stride * rng.integers(-1, 14), rng.uniform(-20, 420)]))
                 boxes.append(BoundingBox(x, y, x + bw, y + bh))
-            got = focus_label_cells(boxes_array(boxes), original, canvas, stride)
+            (label_map,) = focus_label_maps(
+                *box_columns([boxes_array(boxes)]), size_array([original]),
+                np.zeros(1, dtype=np.intp), size_array([canvas]), stride, 5.0, 64.0, 90.0,
+            )
+            got = label_map.cells
             resized = [rescale_box(b, original, canvas) for b in boxes]
             want = focus_label_oracle(resized, canvas, stride, 5.0, 64.0, 90.0)
             assert got.dtype == np.int8

@@ -9,11 +9,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pyrsample.focus_spans as focus_spans_module
-from pyrsample import focus_chips
 from pyrsample.costing import speedup_upper_bound
-from pyrsample.focus_chips import binary_dilate, chips_from_bounds
-from pyrsample.focus_labels import FOCUS, focus_label_cells, focus_pixel_stats
-from pyrsample.focus_spans import dilate_spans, focus_spans, span_components, union_cells
+from pyrsample.focus_chips import chips_from_bounds
+from pyrsample.focus_labels import FOCUS, focus_pixel_stats
+from pyrsample.focus_spans import dilate_spans, dilated_focus_spans, span_components, union_cells
 from pyrsample.geometry import ImageSize, MaxSideTarget, ScaleSpec, size_array
 
 from conftest import box_columns, gt_columns
@@ -24,9 +23,12 @@ from oracles import (
     component_bounds_oracle,
     component_chips_oracle,
     count_at_most_oracle,
+    dilate_oracle,
     distinct_oracle,
     flood_fill_components,
+    focus_label_oracle,
     focus_pixel_stats_oracle,
+    rescale_box,
     resolve_oracle,
     speedup_upper_bound_oracle,
 )
@@ -84,30 +86,31 @@ SETTINGS = dict(
     data=datasets(),
     dilation=st.sampled_from([1, 3, 5, 7]),
     ks=st.lists(st.sampled_from(KS), min_size=1, max_size=4, unique=True),
-    pair_block=st.sampled_from([focus_chips._PAIR_BLOCK, 1, 5]),
+    pair_block=st.sampled_from([focus_spans_module._PAIR_BLOCK, 1, 5]),
 )
 def test_batched_spans_match_dense_kernels_per_map(data, dilation, ks, pair_block):
     gts, sizes, stride, pyramid = data
     boxes = [boxes_array(g.box for g in gts[i]) for i in gts]
     originals = [sizes[i] for i in gts]
-    maps = [(i, resolve_oracle(spec, o)) for spec in pyramid for i, o in enumerate(originals)]
-    images = np.array([i for i, _ in maps], dtype=np.intp)
-    canvases = np.array([(c.width, c.height) for _, c in maps]).reshape(-1, 2)
-    spans, owners, grids = focus_spans(
-        *box_columns(boxes), size_array(originals), images, canvases, stride, 5.0, 64.0, 90.0
+    maps = [(i, resolve_oracle(spec, o)) for i, o in enumerate(originals) for spec in pyramid]
+    canvases = np.array([(c.width, c.height) for _, c in maps]).reshape(len(originals), -1, 2)
+    # A few images make one block, whose maps come in (image, level) order.
+    ((_, _, spans, dilated, owners, grids),) = dilated_focus_spans(
+        *box_columns(boxes), size_array(originals), canvases, np.arange(len(pyramid)), stride,
+        5.0, 64.0, 90.0, dilation,
     )
-    dilated = dilate_spans(spans, owners, grids, dilation)
     counts = union_cells(spans, owners, len(maps))
     dilated_counts = union_cells(dilated, owners, len(maps))
     # Small pair blocks split the labelling's pair scans.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(focus_chips, "_PAIR_BLOCK", pair_block)
+        patch.setattr(focus_spans_module, "_PAIR_BLOCK", pair_block)
         bounds, comp_maps = span_components(dilated, owners)
     limits = np.array([(c.width, c.height) for _, c in maps])
     per_k = [chips_from_bounds(bounds, comp_maps, limits, stride, k) for k in ks]
     for m, (i, canvas) in enumerate(maps):
-        mask = focus_label_cells(boxes[i], originals[i], canvas, stride) == FOCUS
-        grown = binary_dilate(mask, dilation)
+        resized = [rescale_box(g.box, originals[i], canvas) for g in gts[i]]
+        mask = focus_label_oracle(resized, canvas, stride, 5.0, 64.0, 90.0) == FOCUS
+        grown = dilate_oracle(mask, dilation)
         assert tuple(grids[m]) == mask.shape[::-1]
         assert counts[m] == mask.sum()
         assert dilated_counts[m] == grown.sum()
@@ -178,9 +181,9 @@ def _oracle_chips(bounds, stride, k, image):
     return [list(r.as_tuple()) for r in component_chips_oracle(comps, stride, k, image)]
 
 
-@pytest.mark.parametrize("pair_block", [focus_chips._PAIR_BLOCK, 1, 5])
+@pytest.mark.parametrize("pair_block", [focus_spans_module._PAIR_BLOCK, 1, 5])
 def test_merges_over_several_rounds_across_maps(monkeypatch, pair_block):
-    monkeypatch.setattr(focus_chips, "_PAIR_BLOCK", pair_block)
+    monkeypatch.setattr(focus_spans_module, "_PAIR_BLOCK", pair_block)
     # Map 1: C misses A and absorbs B; the grown C then overlaps A, which
     # only a second round sees. Maps 0 and 2 keep their rectangles.
     by_map = [
@@ -201,9 +204,9 @@ def test_merges_over_several_rounds_across_maps(monkeypatch, pair_block):
             assert chips[chip_maps == m].tolist() == _oracle_chips(rows, 1, k, images[m])
 
 
-@pytest.mark.parametrize("pair_block", [focus_chips._PAIR_BLOCK, 1, 5])
+@pytest.mark.parametrize("pair_block", [focus_spans_module._PAIR_BLOCK, 1, 5])
 def test_random_bounds_of_many_maps_match_oracle(monkeypatch, pair_block):
-    monkeypatch.setattr(focus_chips, "_PAIR_BLOCK", pair_block)
+    monkeypatch.setattr(focus_spans_module, "_PAIR_BLOCK", pair_block)
     rng = np.random.default_rng(23)
     for trial in range(40):
         stride = int(rng.choice([1, 8, 32]))
@@ -227,12 +230,12 @@ def test_random_bounds_of_many_maps_match_oracle(monkeypatch, pair_block):
                 assert chips[chip_maps == m].tolist() == want, (trial, k, m)
 
 
-@pytest.mark.parametrize("pair_block", [focus_chips._PAIR_BLOCK, 1, 5])
+@pytest.mark.parametrize("pair_block", [focus_spans_module._PAIR_BLOCK, 1, 5])
 def test_components_of_random_nested_spans_match_flood_fill(monkeypatch, pair_block):
     # Many spans on small grids nest and overlap within one first row, so a
     # span often reaches a row's span past narrower ones that start after
     # it; spans come in no particular order.
-    monkeypatch.setattr(focus_chips, "_PAIR_BLOCK", pair_block)
+    monkeypatch.setattr(focus_spans_module, "_PAIR_BLOCK", pair_block)
     rng = np.random.default_rng(41)
     for trial in range(150):
         n_maps = int(rng.integers(1, 5))
@@ -332,8 +335,8 @@ def test_statistics_hold_one_block_of_images():
 def test_huge_dilation_spans_equal_full_extent():
     boxes = [np.array([[40.0, 40.0, 60.0, 60.0]]), np.zeros((0, 4))]
     originals = np.array([[300, 100], [50, 50]])
-    spans, owners, grids = focus_spans(
-        *box_columns(boxes), originals, np.arange(2), originals, 32, 5.0, 64.0, 90.0
+    ((_, _, spans, _, owners, grids),) = dilated_focus_spans(
+        *box_columns(boxes), originals, originals[:, None], np.arange(1), 32, 5.0, 64.0, 90.0, 1
     )
     huge = dilate_spans(spans, owners, grids, 2 * 10**30 + 1)
     assert huge.tolist() == dilate_spans(spans, owners, grids, 2 * 10 + 1).tolist()
@@ -344,8 +347,8 @@ def test_huge_dilation_spans_equal_full_extent():
 def test_no_focus_anywhere():
     boxes = [np.array([[0.0, 0.0, 200.0, 200.0], [5.0, 5.0, 6.0, 6.0]])]
     originals = np.array([[300, 300]])
-    spans, owners, grids = focus_spans(
-        *box_columns(boxes), originals, np.arange(1), originals, 32, 5.0, 64.0, 90.0
+    ((_, _, spans, _, owners, _),) = dilated_focus_spans(
+        *box_columns(boxes), originals, originals[:, None], np.arange(1), 32, 5.0, 64.0, 90.0, 3
     )
     assert spans.shape == (0, 4) and owners.shape == (0,)
     bounds, comp_maps = span_components(spans, owners)
@@ -355,8 +358,8 @@ def test_no_focus_anywhere():
 
 def test_thresholds_must_increase():
     with pytest.raises(ValueError):
-        focus_spans(np.zeros((0, 4)), np.array([0, 0]), np.array([[10, 10]]), np.arange(1),
-                    np.array([[10, 10]]), 32, 64.0, 5.0, 90.0)
+        next(dilated_focus_spans(np.zeros((0, 4)), np.array([0, 0]), np.array([[10, 10]]),
+                                 np.array([[[10, 10]]]), np.arange(1), 32, 64.0, 5.0, 90.0, 1))
 
 
 def test_counts_past_int64_do_not_wrap():

@@ -5,7 +5,9 @@ every module-level public function or class is named somewhere under
 definition, where neither a test nor a re-export by ``__init__.py`` counts;
 and every name a module imports is used in that module (or exported in its
 ``__all__``). A deletion that leaves a helper, a wrapper or an import behind
-fails here, and so does a public name that only tests reach."""
+fails here, and so does a public name that only tests reach. The modules
+also import in one direction: no import sits inside a function, and no
+module reaches itself through the imports of the package's modules."""
 import ast
 import re
 from pathlib import Path
@@ -101,3 +103,35 @@ def test_imports_have_a_use(module):
         for alias in node.names
     ]
     assert [name for name in imported if name not in _used(tree) | exported] == []
+
+
+def test_no_import_inside_a_function():
+    nested = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules, by file name, that ``tree`` imports anywhere;
+    ``from . import name`` names a module or, failing that, ``__init__.py``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= {node.module} if node.module else {a.name for a in node.names}
+    return {f"{n}.py" if f"{n}.py" in TREES else "__init__.py" for n in names}
+
+
+def test_no_import_cycle():
+    # Drop every module whose imports are all dropped; what stays sits on or
+    # above a cycle.
+    left = {module: _package_imports(tree) - {module} for module, tree in TREES.items()}
+    while leaves := [m for m, imports in left.items() if not imports & left.keys()]:
+        for module in leaves:
+            del left[module]
+    assert sorted(left) == []

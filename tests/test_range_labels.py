@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pyrsample import focus_chips
+from pyrsample import focus_spans
 from pyrsample.geometry import DetectionRow, ScaleSpec
 from pyrsample.range_labels import (
     assign_roi_labels,
@@ -85,7 +85,7 @@ def label_cases(draw):
 
 
 # Pair blocks of the default size, and small enough to split the rows.
-PAIR_BLOCKS = st.sampled_from([focus_chips._PAIR_BLOCK, 1, 5])
+PAIR_BLOCKS = st.sampled_from([focus_spans._PAIR_BLOCK, 1, 5])
 
 
 class TestClassifyBoxValidity:
@@ -189,7 +189,7 @@ class TestAssignRoiLabels:
         spec, rois, gts = case
         r_min, r_max = spec.effective_range
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(focus_chips, "_PAIR_BLOCK", block)
+            patch.setattr(focus_spans, "_PAIR_BLOCK", block)
             got = roi_labels(rois, gts, spec)
         assert got == [roi_label_oracle(roi, gts, r_min, r_max) for roi in rois]
 
@@ -230,7 +230,7 @@ class TestInvalidateAnchors:
         spec, anchors, gts = case
         r_min, r_max = spec.effective_range
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(focus_chips, "_PAIR_BLOCK", block)
+            patch.setattr(focus_spans, "_PAIR_BLOCK", block)
             got = anchor_flags(anchors, gts, spec)
         assert got == [anchor_validity_oracle(anchor, gts, r_min, r_max) for anchor in anchors]
 

@@ -1,5 +1,5 @@
-"""The README's library quick tour runs, its CLI examples parse, and the
-public names resolve."""
+"""The README's python blocks run, its CLI examples parse, and the public
+names resolve."""
 import re
 import shlex
 from pathlib import Path
@@ -14,25 +14,29 @@ from conftest import EXCERPT_PATH
 README = Path(__file__).parent.parent / "README.md"
 
 
-def quick_tour() -> str:
-    """The first python block after the "Library quick tour" heading."""
-    text = README.read_text()
-    section = text[text.index("## Library quick tour"):]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+def python_blocks() -> list[str]:
+    """Every python block of the README, in order; the first is the
+    library quick tour."""
+    return re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
 
 
 def test_quick_tour_runs_on_the_excerpt():
-    code = quick_tour()
-    assert '"instances.json"' in code
+    # Every block runs, in order, in one scope, as a reader would paste them.
+    blocks = python_blocks()
+    assert '"instances.json"' in blocks[0]
     scope = {}
-    exec(compile(code.replace('"instances.json"', repr(str(EXCERPT_PATH))), "README", "exec"),
-         scope)
+    for n, code in enumerate(blocks):
+        code = code.replace('"instances.json"', repr(str(EXCERPT_PATH)))
+        exec(compile(code, f"README python block {n + 1}", "exec"), scope)
     assert len(scope["chips"]) and len(scope["uncoverable"]) == 0
     assert [k for k, _ in scope["curve"]] == [64, 128, 256, 512]
     # Each box is an RoI with IoU 1 against itself: foreground when in range.
     labels, classes, gts = scope["labels"], scope["classes"], scope["gts"]
     assert len(labels) == len(gts) and set(labels.tolist()) <= {1, -1} and (labels == 1).any()
     assert (classes == gts.class_ids)[labels == 1].all() and (classes[labels == -1] == -1).all()
+    # The later blocks: a set by mask, one merged batch, and chip rows.
+    assert len(scope["small"]) < len(gts) and len(scope["merged"]) == 2
+    assert scope["first"] == scope["chips"][0] and (scope["fine"].scale_ids == 2).all()
 
 
 def test_every_public_name_resolves():
