@@ -333,20 +333,19 @@ def _lockstep_cover(
 
 
 def _level_boxes(
-    boxes: np.ndarray, offsets: np.ndarray, sizes: np.ndarray, spec: ScaleSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    boxes: np.ndarray, offsets: np.ndarray, sizes: np.ndarray, canvas: np.ndarray,
+    spec: ScaleSpec,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every image's rows of the run-wide (N, 4) ``boxes``, cut by the
     (n + 1,) ``offsets``, rescaled from its row of the (n, 2) ``sizes`` to
-    its canvas at ``spec``: the boxes, their image indices, the mask of
-    rows whose resized area is valid there, and each image's canvas as
-    (n, 2) width, height.
+    its row of the (n, 2) ``canvas`` of level ``spec``: the boxes, their
+    image indices, and the mask of rows whose resized area is valid there.
 
     The rescale is :func:`~pyrsample.geometry.level_boxes` and the area
     test :func:`~pyrsample.range_labels.valid_area_mask`.
     """
-    canvas = canvas_sizes(spec, sizes)
     resized, owners = level_boxes(boxes, offsets, sizes, np.arange(len(canvas)), canvas)
-    return resized, owners, valid_area_mask(resized, spec), canvas.astype(np.float64)
+    return resized, owners, valid_area_mask(resized, spec)
 
 
 def _cover(
@@ -365,20 +364,32 @@ def _cover(
     return image, _cell_rects(row, col, canvas[image], spec)
 
 
-def positive_cover(
-    gts: GroundTruthSet, offsets: np.ndarray, sizes: np.ndarray, spec: ScaleSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """The positive chips of level ``spec`` for every image at once: the
-    image index and (p, 4) corners of each lattice cell that the greedy
-    cover of its image's valid non-crowd ground truth picks, by image and
-    then in pick order.
+def _positive_levels(
+    gts: GroundTruthSet, offsets: np.ndarray, sizes: np.ndarray, pyramid: list[ScaleSpec]
+):
+    """Per level of ``pyramid``, the positive cover of every image at once:
+    the rescaled ground truth and its image indices (``_level_boxes``), the
+    mask of the rows a positive chip must enclose (valid there and not
+    crowd), each image's (n, 2) float canvas, and the image index and
+    (p, 4) corners of every cell that the greedy cover of those rows picks,
+    by image and then in pick order.
 
     Image i's ground truth is rows ``offsets[i]:offsets[i + 1]`` of the
     run-wide ``gts``, in the frame of its row of the (n, 2) ``sizes``.
     """
-    resized, owners, valid, canvas = _level_boxes(gts.boxes, offsets, sizes, spec)
-    keep = valid & ~gts.crowd
-    return _cover(resized[keep], owners[keep], canvas, spec, "enclose", 1)
+    for spec in pyramid:
+        canvas = canvas_sizes(spec, sizes).astype(np.float64)
+        resized, owners, valid = _level_boxes(gts.boxes, offsets, sizes, canvas, spec)
+        keep = valid & ~gts.crowd
+        cover = _cover(resized[keep], owners[keep], canvas, spec, "enclose", 1)
+        yield resized, owners, keep, canvas, cover
+
+
+def _same_key_pairs(image: np.ndarray, owners: np.ndarray):
+    """The index pairs (i, j) with image[i] == owners[j], both keys
+    non-decreasing, by i and then j, in blocks (``_pair_blocks``)."""
+    first, stop = np.searchsorted(owners, image), np.searchsorted(owners, image, side="right")
+    return _pair_blocks(first, stop)
 
 
 def _attach_gt(
@@ -390,11 +401,9 @@ def _attach_gt(
     with positive area: the chip index, the box index, whether the chip
     encloses the box, and the box clipped to the chip; by chip, then box.
     Clipping leaves an enclosed box unchanged, and a box overlaps when its
-    clipped extent is positive on both axes; pairs go in blocks."""
-    first = np.searchsorted(owners, image)
-    stop = np.searchsorted(owners, image, side="right")
+    clipped extent is positive on both axes."""
     parts = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=bool), np.zeros((0, 4)))]
-    for i, j in _pair_blocks(first, stop):
+    for i, j in _same_key_pairs(image, owners):
         clipped = np.concatenate(
             [np.maximum(rects[i, :2], boxes[j, :2]), np.minimum(rects[i, 2:], boxes[j, 2:])],
             axis=1,
@@ -412,47 +421,11 @@ def _enclosed(
     the same key (``image`` and ``owners``, both non-decreasing) encloses
     (closed). For finite boxes this is the ``inside`` of :func:`_attach_gt`,
     since max(r, b) == b exactly when r <= b, without the clipping."""
-    first = np.searchsorted(owners, image)
-    stop = np.searchsorted(owners, image, side="right")
     enclosed = np.zeros(len(boxes), dtype=bool)
-    for i, j in _pair_blocks(first, stop):
+    for i, j in _same_key_pairs(image, owners):
         inside = (rects[i, :2] <= boxes[j, :2]) & (boxes[j, 2:] <= rects[i, 2:])
         enclosed[j[inside.all(axis=1)]] = True
     return enclosed
-
-
-def negative_cover(
-    boxes: np.ndarray,
-    offsets: np.ndarray,
-    sizes: np.ndarray,
-    spec: ScaleSpec,
-    positive: tuple[np.ndarray, np.ndarray],
-    min_proposals: int = 2,
-    membership: str = "center",
-) -> tuple[np.ndarray, np.ndarray]:
-    """The negative chips of level ``spec`` for every image at once: the
-    image index and (p, 4) corners of each lattice cell picked, by image and
-    then in pick order.
-
-    Image i's proposals are rows ``offsets[i]:offsets[i + 1]`` of the
-    run-wide (N, 4) ``boxes``, in the frame of its row of the (n, 2)
-    ``sizes``; those whose resized area is outside the level's valid
-    range, or that a positive chip of the image at this level encloses, are
-    dropped. ``positive`` holds the image index and (q, 4) corners of those
-    chips, as :func:`positive_cover` gives them. Cells are then greedily
-    picked while the best one still covers at least ``min_proposals``
-    remaining proposals, by ``membership``: the proposal's center or its
-    full enclosure.
-    """
-    if membership not in ("center", "enclose"):
-        raise ValueError(f"unknown membership rule: {membership}")
-    if min_proposals < 1:
-        raise ValueError("min_proposals must be >= 1")
-    resized, owners, keep, canvas = _level_boxes(boxes, offsets, sizes, spec)
-    rect_owners, rects = positive
-    order, kept = np.argsort(rect_owners, kind="stable"), np.flatnonzero(keep)
-    keep[kept[_enclosed(rects[order], rect_owners[order], resized[kept], owners[kept])]] = False
-    return _cover(resized[keep], owners[keep], canvas, spec, membership, min_proposals)
 
 
 def _by_image(
@@ -490,16 +463,14 @@ def select_positive_chips(
     dropped, by image, then level, then gt id.
     """
     n = len(pyramid)
-    not_crowd = ~gts.crowd
     gt_ids = np.arange(len(gts)) - np.repeat(offsets[:-1], np.diff(offsets))
     covers = []
     # Per row of every level's boxes: its (image, level) key, gt id, resized
     # box and whether it must be covered.
-    rows = [(np.zeros(0, dtype=np.intp), gt_ids[:0], np.zeros((0, 4)), not_crowd[:0])]
-    for level, spec in enumerate(pyramid):
-        resized, owners, valid, canvas = _level_boxes(gts.boxes, offsets, sizes, spec)
-        keep = valid & not_crowd
-        covers.append(_cover(resized[keep], owners[keep], canvas, spec, "enclose", 1))
+    rows = [(np.zeros(0, dtype=np.intp), gt_ids[:0], np.zeros((0, 4)), np.zeros(0, dtype=bool))]
+    levels = _positive_levels(gts, offsets, sizes, pyramid)
+    for level, (resized, owners, keep, _, cover) in enumerate(levels):
+        covers.append(cover)
         rows.append((owners * n + level, gt_ids, resized, keep))
     image, level, rects = _by_image(covers)
     key, gt, boxes, keep = (np.concatenate(column) for column in zip(*rows))
@@ -538,18 +509,25 @@ def select_negative_chips(
     ``gts`` and rows ``proposal_offsets[i]:proposal_offsets[i + 1]`` of the
     run-wide ``proposals``.
 
-    Per level, :func:`negative_cover` covers the proposals that the level's
-    positive chips, those of :func:`select_positive_chips`, do not enclose,
-    with ``min_proposals`` and ``membership``. Chips come by image, then
-    level, then pick order.
+    Per level, the proposals whose resized area is valid there and that no
+    positive chip of the image at this level (those of
+    :func:`select_positive_chips`) encloses are covered: cells are greedily
+    picked while the best one still covers at least ``min_proposals`` of
+    them, by ``membership``: the proposal's center or its full enclosure.
+    Chips come by image, then level, then pick order.
     """
-    image, level, rects = _by_image([
-        negative_cover(
-            proposals.boxes, proposal_offsets, sizes, spec,
-            positive_cover(gts, gt_offsets, sizes, spec), min_proposals, membership,
-        )
-        for spec in pyramid
-    ])
+    if membership not in ("center", "enclose"):
+        raise ValueError(f"unknown membership rule: {membership}")
+    if min_proposals < 1:
+        raise ValueError("min_proposals must be >= 1")
+    covers = []
+    levels = _positive_levels(gts, gt_offsets, sizes, pyramid)
+    for spec, (*_, canvas, (chip_owners, chips)) in zip(pyramid, levels):
+        resized, owners, keep = _level_boxes(proposals.boxes, proposal_offsets, sizes, canvas, spec)
+        kept = np.flatnonzero(keep)
+        keep[kept[_enclosed(chips, chip_owners, resized[kept], owners[kept])]] = False
+        covers.append(_cover(resized[keep], owners[keep], canvas, spec, membership, min_proposals))
+    image, level, rects = _by_image(covers)
     return ChipBatch(
         np.asarray(image_ids, dtype=np.int64)[image],
         np.array([spec.scale_id for spec in pyramid], dtype=np.int64)[level],

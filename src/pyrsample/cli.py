@@ -36,7 +36,7 @@ from .costing import (
 from .dataset import MAX_ID, DatasetError, DatasetIndex, _id_rows, load_dataset
 from .focus_chips import FocusParams, chips_from_maps
 from .focus_labels import MAX_MAP_CELLS, focus_label_maps, focus_pixel_stats
-from .focus_spans import _blocks
+from .focus_spans import _blocks, _grid_sides
 from .geometry import DetectionBatch, ImageSize, canvas_sizes
 from .range_labels import filter_detections_by_range
 from .serialization import FormatError, json_ints, json_number_rows, json_numbers
@@ -97,7 +97,7 @@ def cmd_focus_labels(args) -> int:
         raise ConfigError(f"scale {args.scale} not in pyramid {sorted(by_id)}")
     canvases = canvas_sizes(by_id[args.scale], index.sizes)
     # A grid side is below 2^32, so each product fits uint64.
-    cells = np.prod(-(-canvases // cfg.stride), axis=1, dtype=np.uint64)
+    cells = np.prod(_grid_sides(canvases, cfg.stride), axis=1, dtype=np.uint64)
     over = np.flatnonzero(cells > MAX_MAP_CELLS)
     if len(over):
         k = over[0]
@@ -227,18 +227,17 @@ def _parse_stack_records(records: list) -> _StackRun:
     scores = json_numbers([entry["score"] for entry in flat], "detection {}: score")
     class_ids = json_ints([entry["category_id"] for entry in flat], "detection {}: category_id")
     class_ids = np.array(class_ids, dtype=np.int64)
-    not_finite = ~np.isfinite(boxes).all(axis=1)
-    boxes[:, 2:] += boxes[:, :2]  # corners x1, y1, x2, y2
+    # Tested on the xywh columns: x + w can round a negative w away.
     problems = (
-        (not_finite, "bbox coordinates must be finite"),
-        ((boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1]),
-         "bbox width and height must be non-negative"),
+        (~np.isfinite(boxes).all(axis=1), "bbox coordinates must be finite"),
+        ((boxes[:, 2] < 0) | (boxes[:, 3] < 0), "bbox width and height must be non-negative"),
         (~((0.0 <= scores) & (scores <= 1.0)), "score must be in [0, 1]"),
     )
     for bad, message in problems:
         if bad.any():
             k = int(bad.argmax())
             raise ValueError(f"detection {k}: {message}: {flat[k]!r}")
+    boxes[:, 2:] += boxes[:, :2]  # corners x1, y1, x2, y2
     record = np.repeat(np.arange(len(records)), counts)
     origin = chips[record, :2]
     boxes[:, :2] += origin  # to the canvas frame

@@ -22,7 +22,7 @@ from .focus_labels import (
     DEFAULT_STRIDE,
 )
 from .focus_spans import check_kernel_size, dilated_focus_spans, span_components
-from .geometry import GroundTruthSet, ScaleSpec, pyramid_canvases
+from .geometry import GroundTruthSet, ScaleSpec, _float_areas, _in_order_sum, pyramid_canvases
 
 # Upper bound on histogram bins, so that a bin count cannot ask for an
 # arbitrary allocation.
@@ -76,10 +76,9 @@ def speedup_upper_bound(
     if min(min_chip_sizes) < 1:
         raise ValueError(f"chip sizes must be >= 1: {list(min_chip_sizes)}")
     check_kernel_size(dilation, "dilation")
-    # Per (image, level): the canvas and its area as a float64 product, which
-    # rounds as the int area converts.
+    # Per (image, level): the canvas and its area.
     canvases = pyramid_canvases(pyramid, sizes)
-    areas = canvases[..., 0] * canvases[..., 1].astype(np.float64)
+    areas = _float_areas(canvases)
     # The levels that are maps; the coarsest may be charged as a full pass.
     mapped = np.arange(int(process_coarsest_fully), len(pyramid))
     processed = dict.fromkeys(min_chip_sizes, 0.0)
@@ -96,9 +95,9 @@ def speedup_upper_bound(
             chips, chip_maps = chips_from_bounds(bounds, comp_maps, limits, stride, k)
             chip_areas = (chips[:, 2] - chips[:, 0]) * (chips[:, 3] - chips[:, 1])
             charges[:, mapped] = _map_sums(chip_areas, chip_maps, len(limits)).reshape(hi - lo, -1)
-            processed[k] = float(np.cumsum(np.append(processed[k], charges))[-1])
+            processed[k] = _in_order_sum(charges, processed[k])
     # Every sum adds its terms one by one, in (image, level) order.
-    baseline_total = float(np.cumsum(np.append(0.0, areas))[-1])
+    baseline_total = _in_order_sum(areas)
     return [
         (k, math.inf if processed[k] == 0 else baseline_total / processed[k])
         for k in min_chip_sizes
@@ -118,21 +117,9 @@ def _map_sums(values: np.ndarray, maps: np.ndarray, n_maps: int) -> np.ndarray:
     return sums
 
 
-def _image_areas(sizes: np.ndarray) -> np.ndarray:
-    """The area of each of the (n, 2) int ``sizes`` as a float64 product,
-    which rounds as the exact int product does."""
-    return sizes[:, 0] * sizes[:, 1].astype(np.float64)
-
-
-def _box_areas(
-    gts: GroundTruthSet, offsets: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every box's area, (x2 - x1) * (y2 - y1), and the area of its image,
-    in run order, crowd boxes included."""
-    boxes = gts.boxes
-    image_areas = np.repeat(_image_areas(sizes), np.diff(offsets))
-    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-    return areas, image_areas
+def _box_areas(boxes: np.ndarray) -> np.ndarray:
+    """Every box's area, (x2 - x1) * (y2 - y1), crowd boxes included."""
+    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
 
 
 @dataclass
@@ -164,11 +151,11 @@ def roi_scale_histogram(
     of the run-wide ground truth ``gts``."""
     if not 1 <= n_bins <= MAX_HISTOGRAM_BINS:
         raise ValueError(f"bins must be in [1, {MAX_HISTOGRAM_BINS}]: {n_bins}")
-    areas, image_areas = _box_areas(gts, offsets, sizes)
+    areas = _box_areas(gts.boxes)
     if not len(areas):
         raise ValueError("no instances in dataset")
     # math.sqrt(box area) / math.sqrt(image area), per box.
-    arr = np.sqrt(areas) / np.sqrt(image_areas)
+    arr = np.sqrt(areas) / np.sqrt(np.repeat(_float_areas(sizes), np.diff(offsets)))
     counts, edges = np.histogram(arr, bins=n_bins, range=(0.0, 1.0))
     return RoiScaleHistogram(
         bin_edges=edges,
@@ -206,8 +193,8 @@ def size_area_fractions(
     if not len(sizes):
         raise ValueError("no images in dataset")
     # Image areas are added one by one in image order, as a Python loop adds them.
-    total_image_area = float(np.cumsum(np.append(0.0, _image_areas(sizes)))[-1])
-    areas, _ = _box_areas(gts, offsets, sizes)
+    total_image_area = _in_order_sum(_float_areas(sizes))
+    areas = _box_areas(gts.boxes)
     n_total = len(areas)
     if n_total == 0:
         raise ValueError("no instances in dataset")
@@ -219,7 +206,7 @@ def size_area_fractions(
         hit = left & (lo <= areas) & (areas < hi)
         left &= ~hit
         counts.append(int(hit.sum()))
-        sums.append(float(np.cumsum(np.append(0.0, areas[hit]))[-1]))
+        sums.append(_in_order_sum(areas[hit]))
     return [
         SizeBandStats(
             name=name,

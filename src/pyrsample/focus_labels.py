@@ -16,11 +16,20 @@ import numpy as np
 from .focus_spans import (
     _cell_spans,
     _focus_rows,
+    _grid_sides,
     check_kernel_size,
     dilated_focus_spans,
     union_cells,
 )
-from .geometry import GroundTruthSet, ImageSize, ScaleSpec, pyramid_canvases, size_array
+from .geometry import (
+    GroundTruthSet,
+    ImageSize,
+    ScaleSpec,
+    _float_areas,
+    _in_order_sum,
+    pyramid_canvases,
+    size_array,
+)
 
 DEFAULT_STRIDE = 32
 DEFAULT_MIN_SIDE = 5.0
@@ -37,9 +46,9 @@ IGNORE = -1
 
 
 def grid_shape(image: ImageSize, stride: int) -> tuple[int, int]:
-    """(rows, columns) of the cell grid for an image at a feature-map stride:
-    each side ceil-divided by the stride."""
-    return -(-image.height // stride), -(-image.width // stride)
+    """(rows, columns) of the cell grid for an image at a feature-map stride,
+    by :func:`~pyrsample.focus_spans._grid_sides` on its exact int sides."""
+    return _grid_sides(image.height, stride), _grid_sides(image.width, stride)
 
 
 def check_grid(cells: np.ndarray, image: ImageSize, stride: int) -> None:
@@ -99,7 +108,7 @@ def focus_label_maps(
     resized, owners, focus, marked = _focus_rows(
         boxes, offsets, originals, images, canvases, min_side, max_side, ignore_max_side
     )
-    grids = -(-canvases // stride)
+    grids = _grid_sides(canvases, stride)
     cells = [np.zeros((h, w), dtype=np.int8) for w, h in grids.tolist()]
     # Only marked rows have finite corners for certain, so only they get
     # spans. Focus labels are painted last so they take precedence.
@@ -204,16 +213,14 @@ def focus_pixel_stats(
                        union_cells(grown, owners, len(grids)),
                        np.prod(grids, axis=1, dtype=np.uint64)))
     focus, dilated, totals = (np.concatenate(c).reshape(n, -1) for c in zip(*counts))
-    # A canvas area is a float64 product, which rounds as the exact int
-    # product does.
-    areas = canvases[..., 0] * canvases[..., 1].astype(np.float64)
+    areas = _float_areas(canvases)
     cell_area = stride * stride
     stats: dict[int, FocusPixelScaleStats] = {}
     for level, spec in enumerate(pyramid):
         column = focus[:, level].tolist()
         # Both means add their terms one by one in image order.
         projected = float(np.cumsum([0.0, *(count * cell_area for count in column)])[-1])
-        canvas_area = float(np.cumsum(np.append(0.0, areas[:, level]))[-1])
+        canvas_area = _in_order_sum(areas[:, level])
         stats[spec.scale_id] = FocusPixelScaleStats(
             scale_id=spec.scale_id,
             focus_cells=sum(column),

@@ -27,6 +27,12 @@ import numpy as np
 from .geometry import level_boxes
 
 
+def _grid_sides(sides, stride: int):
+    """The cells along each of ``sides`` (an int or an int array) of a grid
+    at a feature-map ``stride``: each side ceil-divided by the stride."""
+    return -(-sides // stride)
+
+
 def check_kernel_size(size: int, name: str = "kernel size") -> None:
     """Raise ``ValueError`` unless ``size`` is an odd square kernel side >= 1."""
     if size < 1 or size % 2 == 0:
@@ -195,7 +201,7 @@ def dilated_focus_spans(
             boxes, offsets, originals, np.repeat(np.arange(lo, hi), len(levels)), block,
             min_side, max_side, ignore_max_side,
         )
-        grids = -(-block // stride)
+        grids = _grid_sides(block, stride)
         owners = owners[focus]
         spans = _cell_spans(resized[focus], stride, np.tile(grids[owners], 2))
         keep = (spans[:, 2] > spans[:, 0]) & (spans[:, 3] > spans[:, 1])

@@ -188,6 +188,18 @@ def size_array(sizes: Iterable[ImageSize]) -> np.ndarray:
     return np.array([(s.width, s.height) for s in sizes], dtype=np.int64).reshape(-1, 2)
 
 
+def _float_areas(sides: np.ndarray) -> np.ndarray:
+    """The area of each (width, height) row of the int ``sides`` as a
+    float64 product, which rounds as the exact int product does."""
+    return sides[..., 0] * sides[..., 1].astype(np.float64)
+
+
+def _in_order_sum(values, start: float = 0.0) -> float:
+    """``start`` plus every one of ``values``, added one by one in order as
+    a Python loop adds them: a pairwise sum could round differently."""
+    return float(np.cumsum(np.append(start, values))[-1])
+
+
 def _check_side(spec: ScaleSpec, side: float) -> None:
     """Raise ``ValueError`` unless ``side``, a canvas side at level
     ``spec``, is at most ``MAX_IMAGE_SIDE``, which NaN never is."""

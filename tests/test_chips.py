@@ -17,8 +17,6 @@ from pyrsample.chips import (
     _enclosed,
     _lattice_size,
     _rect_counts,
-    negative_cover,
-    positive_cover,
     sample_negative_chips,
     select_negative_chips,
     select_positive_chips,
@@ -393,54 +391,43 @@ class TestSelectNegativeChips:
     def test_matches_per_proposal_oracle(self, block):
         # Per seed: every image of the case in one whole-run call against the
         # oracle image by image, its positives being the positive cover; and
-        # each image's level covers against arbitrary positive rects.
+        # each level alone in a one-level call against the oracle at that
+        # level.
         for seed in range(block * 100, block * 100 + 100):
             pyramid, images = _negative_case(seed)
             membership = ("center", "enclose")[seed % 2]
             min_proposals = 1 + seed // 2 % 3
             image_ids = [30 - 7 * k for k in range(len(images))]  # not sorted
-            sizes = [original for original, _, _, _ in images]
-            scenes = [gt_set(gts) for _, _, gts, _ in images]
-            pool = negative_chips(
-                scenes,
-                [ProposalSet(boxes=boxes_array(b), scores=[0.5] * len(b)) for _, b, _, _ in images],
-                pyramid, sizes, image_ids, min_proposals=min_proposals, membership=membership,
-            )
+            sizes = [original for original, _, _ in images]
+            scenes = [gt_set(gts) for _, _, gts in images]
+            proposals = [ProposalSet(boxes=boxes_array(b), scores=[0.5] * len(b))
+                         for _, b, _ in images]
+            pool = negative_chips(scenes, proposals, pyramid, sizes, image_ids,
+                                  min_proposals=min_proposals, membership=membership)
             positives, _ = positive_chips(scenes, pyramid, sizes, image_ids)
             assert pool.kind == "negative"
             want = []
-            for image_id, (original, boxes, _, positive) in zip(image_ids, images):
+            for image_id, (original, boxes, _) in zip(image_ids, images):
                 mine = [(c.scale_id, chip_box(c)) for c in positives if c.image_id == image_id]
                 want += [(image_id, *chip) for chip in select_negative_chips_oracle(
                     boxes, mine, pyramid, original, min_proposals, membership
                 )]
-                expected = select_negative_chips_oracle(
-                    boxes, positive, pyramid, original, min_proposals, membership
-                )
-                got = []
-                for spec in pyramid:
-                    rects = np.array([r.as_tuple() for scale_id, r in positive
-                                      if scale_id == spec.scale_id]).reshape(-1, 4)
-                    _, cells = negative_cover(
-                        boxes_array(boxes), np.array([0, len(boxes)]), size_array([original]), spec,
-                        (np.zeros(len(rects), dtype=np.intp), rects), min_proposals, membership,
-                    )
-                    got += [(spec.scale_id, tuple(r)) for r in cells.tolist()]
-                assert got == expected, seed
             assert [(c.image_id, c.scale_id, c.rect) for c in pool] == want, seed
+            for spec in pyramid:
+                alone = negative_chips(scenes, proposals, [spec], sizes, image_ids,
+                                       min_proposals=min_proposals, membership=membership)
+                assert [row for row in pool if row.scale_id == spec.scale_id] == list(alone)
 
 
 def _negative_case(seed):
     """A seeded pyramid and one to three images for the oracle, each with
-    its size, proposals, ground truth and arbitrary positive rects.
+    its size, proposals and ground truth.
 
     Boxes sit on a 4-px grid of the original frame, so under the factors 0.5,
     1 and 2 their corners and centers land on chip borders and the canvas
     edge, and squares of side r/f have resized areas exactly at the range
     endpoints r^2. Zero-width and zero-height boxes and free floats are
     mixed in; the other targets give factors that are not powers of two.
-    Positive rects are lattice cells or free rects, some at a scale id the
-    pyramid does not have.
     """
     rng = random.Random(seed)
     size = rng.choice([32, 48, 64])
@@ -486,20 +473,7 @@ def _negative_case(seed):
         boxes = [grid_box(w, h) for _ in range(rng.randint(0, 40))]
         gts = [Gt(grid_box(w, h), class_id=1, is_crowd=rng.random() < 0.2)
                for _ in range(rng.randint(0, 4))]
-        positive = []
-        for spec in pyramid + [ScaleSpec(scale_id=9, target=1.0)]:
-            canvas = resolve_oracle(spec, original)
-            cells = chip_grid_oracle(canvas.width, canvas.height, spec.chip_size,
-                                     spec.chip_stride)
-            for _ in range(rng.randint(0, 2)):
-                if rng.random() < 0.7:
-                    rect = BoundingBox(*rng.choice(cells))
-                else:
-                    x, y = rng.randrange(0, canvas.width, 4), rng.randrange(0, canvas.height, 4)
-                    rect = BoundingBox(x, y, x + rng.randrange(8, 80, 4),
-                                       y + rng.randrange(8, 80, 4))
-                positive.append((spec.scale_id, rect))
-        images.append((original, boxes, gts, positive))
+        images.append((original, boxes, gts))
     return pyramid, images
 
 
@@ -690,13 +664,13 @@ class TestCoverKernel:
         boxes, offsets = box_columns([b for _, b, _, _ in images])
         crowd = np.concatenate([np.zeros(0, dtype=bool),
                                 *(np.array(c, dtype=bool) for _, _, c, _ in images)])
-        image, cells = positive_cover(
-            GroundTruthSet(boxes, np.zeros(len(boxes), dtype=np.int64), crowd), offsets,
-            size_array([size for size, _, _, _ in images]), spec,
+        chips, _ = select_positive_chips(
+            GroundTruthSet(boxes, np.zeros(len(boxes), dtype=np.int64), crowd), offsets, [spec],
+            size_array([size for size, _, _, _ in images]), np.arange(len(images)),
         )
-        assert np.array_equal(image, np.sort(image))
+        assert np.array_equal(chips.image_ids, np.sort(chips.image_ids))
         for k, (size, boxes, crowd, _) in enumerate(images):
-            rects = cells[image == k]
+            rects = chips.rects[chips.image_ids == k]
             canvas = resolve_oracle(spec, size)
             grid = [BoundingBox(*cell) for cell in chip_grid_oracle(
                 canvas.width, canvas.height, spec.chip_size, spec.chip_stride)]
@@ -709,21 +683,31 @@ class TestCoverKernel:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(cover_case(), st.sampled_from(["center", "enclose"]), st.integers(1, 3))
     def test_negative_cover_matches_oracle(self, case, membership, min_gain):
+        # Each image's ground truth is its drawn lattice cells in the
+        # original frame (the factor is a power of two, so they come back
+        # exactly), so its positive chips are those cells.
         spec, images = case
-        positives = [np.array(p, dtype=float).reshape(-1, 4) for _, _, _, p in images]
-        owners = np.repeat(np.arange(len(images)), [len(p) for p in positives])
-        image, cells = negative_cover(
-            *box_columns([b for _, b, _, _ in images]),
-            size_array([size for size, _, _, _ in images]), spec,
-            (owners, np.concatenate(positives)), min_proposals=min_gain, membership=membership,
+        sizes = size_array([size for size, _, _, _ in images])
+        factor = spec.target
+        gts, gt_offsets = box_columns(
+            [np.array(p, dtype=float).reshape(-1, 4) / factor for _, _, _, p in images])
+        gts = GroundTruthSet(gts, np.zeros(len(gts), dtype=np.int64), np.zeros(len(gts), bool))
+        boxes, offsets = box_columns([b for _, b, _, _ in images])
+        image_ids = np.arange(len(images))
+        pool = select_negative_chips(
+            gts, gt_offsets, ProposalSet(boxes, np.zeros(len(boxes))), offsets, [spec], sizes,
+            image_ids, min_proposals=min_gain, membership=membership,
         )
-        assert np.array_equal(image, np.sort(image))
+        positives, _ = select_positive_chips(gts, gt_offsets, [spec], sizes, image_ids)
+        assert np.array_equal(pool.image_ids, np.sort(pool.image_ids))
         for k, (size, boxes, _, positive) in enumerate(images):
-            rects = cells[image == k]
+            mine = [tuple(r) for r in positives.rects[positives.image_ids == k].tolist()]
+            assert set(mine) == set(positive)
             want = select_negative_chips_oracle(
                 [BoundingBox(*b) for b in boxes.tolist()],
-                [(spec.scale_id, BoundingBox(*p)) for p in positive],
+                [(spec.scale_id, BoundingBox(*p)) for p in mine],
                 [spec], size, min_gain, membership)
+            rects = pool.rects[pool.image_ids == k]
             assert [(spec.scale_id, tuple(r)) for r in rects.tolist()] == want
 
     def test_rect_counts_match_per_cell_counts(self):
@@ -749,9 +733,10 @@ class TestCoverKernel:
             assert got.tolist() == want.tolist(), trial
 
     def test_enclosure_filter_drops_what_attach_gt_encloses(self):
-        # negative_cover drops the proposals a positive chip encloses by four
-        # comparisons; the clip-and-compare ``inside`` of _attach_gt is the
-        # reference. Canvases narrower than a chip clip it at the edge, many
+        # select_negative_chips drops the proposals a positive chip encloses
+        # by four comparisons (_enclosed); the clip-and-compare ``inside`` of
+        # _attach_gt is the reference. Chips are arbitrary lattice cells, not
+        # a cover. Canvases narrower than a chip clip it at the edge, many
         # proposals are flush with a chip edge, and zeros come in both signs.
         rng = np.random.default_rng(13)
         spec = flat_spec(K=64, d=16)
@@ -811,10 +796,10 @@ class TestCoverKernel:
         for size in sizes:
             xy = rng.uniform(0, [size.width, size.height], size=(int(rng.integers(0, 30)), 2))
             boxes.append(np.concatenate([xy, xy + rng.uniform(0, 40, size=xy.shape)], axis=1))
-        none = (np.zeros(0, dtype=np.intp), np.zeros((0, 4)))
-        columns = (*box_columns(boxes), size_array(sizes), spec, none)
-        together = negative_cover(*columns, min_proposals=2)
+        negatives = [ProposalSet(b, np.zeros(len(b))) for b in boxes]
+        together = negative_chips([[]] * len(sizes), negatives, [spec], sizes, range(len(sizes)))
         monkeypatch.setattr(chips, "_COVER_BLOCK", 1)
-        alone = negative_cover(*columns, min_proposals=2)
-        assert len(together[0]) > 40
-        assert all(np.array_equal(a, b) for a, b in zip(together, alone))
+        alone = negative_chips([[]] * len(sizes), negatives, [spec], sizes, range(len(sizes)))
+        assert len(together) > 40
+        assert np.array_equal(together.image_ids, alone.image_ids)
+        assert np.array_equal(together.rects, alone.rects)

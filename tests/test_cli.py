@@ -627,6 +627,23 @@ class TestErrorRecords:
         holder[path[-1]] = value
         return record
 
+    @pytest.mark.parametrize("bbox", [[1e17, 10, -1, 20], [10, 1e17, 20, -1]],
+                             ids=["negative-w", "negative-h"])
+    def test_stack_negative_extent_hidden_by_rounding(self, small_coco, tmp_path, capsys, bbox):
+        # x + w rounds back to x, so a test on the corners misses the
+        # negative extent, and the range filter used to drop the detection.
+        bad = {"bbox": bbox, "score": 0.6, "category_id": 1}
+        record = self._changed(self.STACK_RECORD, ("detections",),
+                               [self.STACK_DETECTION, bad])
+        rc, out = self._stack_records(small_coco, tmp_path, [record])
+        assert rc == 1
+        error = self._only_error(capsys)
+        assert error["type"] == "FormatError"
+        assert error["message"] == (
+            f"{tmp_path / 'dets.json'}: record 0: detection 1: bbox width and height must be "
+            f"non-negative: {bad!r}")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "path, value",
         [(("image_id",), 1.9), (("image_id",), True), (("scale_id",), 0.5),

@@ -1,5 +1,7 @@
 """The README's python blocks run, its CLI examples parse, and the public
 names resolve."""
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -43,6 +45,25 @@ def test_every_public_name_resolves():
     assert len(set(pyrsample.__all__)) == len(pyrsample.__all__)
     for name in pyrsample.__all__:
         assert getattr(pyrsample, name) is not None, name
+
+
+def test_every_cited_module_name_resolves():
+    # A backticked `<module>.<name>` (or `pyrsample.<module>.<name>`) whose
+    # <module> is a pyrsample module must name something in it, so that the
+    # README cannot cite a deleted or renamed function.
+    modules = {info.name for info in pkgutil.iter_modules(pyrsample.__path__)}
+    cited = re.findall(r"`((?:[A-Za-z_]\w*\.)+[A-Za-z_]\w*)`", README.read_text())
+    checked = 0
+    for dotted in cited:
+        parts = dotted.removeprefix("pyrsample.").split(".")
+        if parts[0] not in modules:
+            continue
+        target = importlib.import_module(f"pyrsample.{parts[0]}")
+        for name in parts[1:]:
+            assert hasattr(target, name), f"README cites `{dotted}`, which does not resolve"
+            target = getattr(target, name)
+        checked += 1
+    assert checked >= 10
 
 
 def cli_commands() -> list[list[str]]:
